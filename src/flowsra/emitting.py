@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generator
 
 from .ir import (
     Edge,
@@ -173,24 +173,40 @@ def _pu_text(text: str) -> str:
     return _clean(text).replace(";", ",")
 
 
-def _reachable(succs: dict[str, list[str]]) -> dict[str, set[str]]:
-    reach: dict[str, set[str]] = {}
-    for nid in succs:
-        seen: set[str] = set()
-        stack = list(succs[nid])
+def _forward_reach(fwd_succs: dict[str, list[str]],
+                   bit: dict[str, int]) -> dict[str, int]:
+    """Nodes reachable from each node along forward edges, as bitsets.
+
+    Bit ``i`` stands for the node at graph position ``i``. One iterative DFS
+    fills the sets in postorder, each node ORing in its successors' sets.
+    The forward edges among nodes reachable from an entry form a DAG, so
+    their sets are exact; a node on a forward cycle (unreachable from every
+    entry, hence never walked) may get a subset.
+    """
+    reach: dict[str, int] = {}
+    for root in fwd_succs:
+        if root in reach:
+            continue
+        reach[root] = 0
+        stack = [(root, iter(fwd_succs[root]))]
         while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(succs[cur])
-        reach[nid] = seen
+            nid, pending = stack[-1]
+            for nxt in pending:
+                if nxt not in reach:
+                    reach[nxt] = 0
+                    stack.append((nxt, iter(fwd_succs[nxt])))
+                    break
+            else:
+                stack.pop()
+                found = 0
+                for nxt in fwd_succs[nid]:
+                    found |= bit[nxt] | reach[nxt]
+                reach[nid] = found
     return reach
 
 
-def _back_edges(graph: FlowGraph, entries: list[str]) -> set[Edge]:
+def _back_edges(outs: dict[str, list[Edge]], entries: list[str]) -> set[Edge]:
     """DFS back edges (edge order respected), which mark loop latches."""
-    outs = {n.id: list(graph.out_edges(n.id)) for n in graph.nodes}
     color: dict[str, int] = {}
     back: set[Edge] = set()
     for entry in entries:
@@ -215,6 +231,27 @@ def _back_edges(graph: FlowGraph, entries: list[str]) -> set[Edge]:
     return back
 
 
+# A walk over one region of the chart. It yields the walk of each nested
+# region (a branch arm, a loop body) and is sent back that walk's result.
+_Walk = Generator["_Walk", "str | None", "str | None"]
+
+
+def _run(walk: _Walk) -> None:
+    """Drive a walk and the walks nested in it on an explicit stack, so
+    nesting depth is bounded by memory, not by the recursion limit."""
+    stack = [walk]
+    result: str | None = None
+    while stack:
+        try:
+            nested = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(nested)
+            result = None
+
+
 class _PlantUmlEmitter:
     """Recover structured activity syntax (if/else, repeat) from graph shape.
 
@@ -232,11 +269,13 @@ class _PlantUmlEmitter:
         self.render = render
         self.best_effort = best_effort
         self.by_id = {n.id: n for n in graph.nodes}
-        self.outs = {n.id: list(graph.out_edges(n.id)) for n in graph.nodes}
-        self.in_counts: dict[str, int] = {n.id: 0 for n in graph.nodes}
-        for edge in graph.edges:
-            self.in_counts[edge.dst] += 1
         self.order = [n.id for n in graph.nodes]
+        self.pos = {nid: index for index, nid in enumerate(self.order)}
+        self.outs: dict[str, list[Edge]] = {nid: [] for nid in self.order}
+        self.in_counts = dict.fromkeys(self.order, 0)
+        for edge in graph.edges:
+            self.outs[edge.src].append(edge)
+            self.in_counts[edge.dst] += 1
         self.lines: list[str] = []
         self.visited: set[str] = set()
         self.entries = [nid for nid in self.order if self.in_counts[nid] == 0]
@@ -245,16 +284,17 @@ class _PlantUmlEmitter:
             # node): fall back to the first start-kind node, then first node
             starts = [n.id for n in graph.nodes if n.kind is NodeKind.START]
             self.entries = [starts[0] if starts else self.order[0]]
-        self.back = _back_edges(graph, self.entries)
+        self.back = _back_edges(self.outs, self.entries)
         # joins are computed over forward edges only: flow that wraps around a
         # loop's back edge must not count as branch reconvergence
         self.fwd_succs = {
-            n.id: [e.dst for e in self.outs[n.id] if e not in self.back]
-            for n in graph.nodes
+            nid: [e.dst for e in outs if e not in self.back]
+            for nid, outs in self.outs.items()
         }
-        self.fwd_reach = _reachable(self.fwd_succs)
+        self.fwd_reach = _forward_reach(
+            self.fwd_succs, {nid: 1 << index for nid, index in self.pos.items()})
         self.loop_latches: dict[str, list[Edge]] = {}
-        for edge in sorted(self.back, key=lambda e: self.order.index(e.src)):
+        for edge in sorted(self.back, key=lambda e: self.pos[e.src]):
             if self.by_id[edge.src].kind is not NodeKind.DECISION:
                 raise EmitError(
                     f"back edge {edge.src} -> {edge.dst} does not come from a "
@@ -273,7 +313,7 @@ class _PlantUmlEmitter:
             self.lines.append(f"title {_clean(self.graph.title)}")
         for entry in self.entries:
             if entry not in self.visited:
-                self.walk(entry, None, None)
+                _run(self.walk(entry, None, None))
         leftover = [nid for nid in self.order if nid not in self.visited]
         if leftover:
             raise EmitError(
@@ -305,16 +345,19 @@ class _PlantUmlEmitter:
         return "" if text is None else _pu_text(text)
 
     def join_of(self, decision: str, left: str, right: str) -> str | None:
-        common = (({left} | self.fwd_reach[left])
-                  & ({right} | self.fwd_reach[right]))
+        """The nearest node forward-reachable from both branches: the first
+        breadth-first level that holds one, ties broken by graph order."""
+        pos, reach = self.pos, self.fwd_reach
+        common = ((1 << pos[left] | reach[left])
+                  & (1 << pos[right] | reach[right]))
         if not common:
             return None
         seen = {decision}
         frontier = [left, right]
         while frontier:
-            hits = [nid for nid in frontier if nid in common]
+            hits = [nid for nid in frontier if common >> pos[nid] & 1]
             if hits:
-                return min(hits, key=self.order.index)
+                return min(hits, key=pos.__getitem__)
             nxt: list[str] = []
             for nid in frontier:
                 if nid in seen:
@@ -324,14 +367,14 @@ class _PlantUmlEmitter:
             frontier = nxt
         return None
 
-    def walk(self, nid: str | None, until: str | None, loop_head: str | None) -> None:
+    def walk(self, nid: str | None, until: str | None, loop_head: str | None) -> _Walk:
         while nid is not None and nid != until:
             if nid in self.visited:
                 raise EmitError(
                     f"node {nid!r} is reached by more than one flow; "
                     "the graph is not structured")
             if nid in self.loop_latches and nid != loop_head:
-                nid = self.emit_loop(nid)
+                nid = yield self.emit_loop(nid)
                 continue
             node = self.by_id[nid]
             self.visited.add(nid)
@@ -341,7 +384,7 @@ class _PlantUmlEmitter:
                 self.lines.append("stop")
                 return
             if node.kind is NodeKind.DECISION:
-                nid = self.emit_branch(node, until)
+                nid = yield self.emit_branch(node, until)
                 if nid is None:
                     return
                 continue
@@ -359,21 +402,21 @@ class _PlantUmlEmitter:
         enclose it, otherwise the loops are not properly nested."""
 
         def rank(edge: Edge) -> int:
+            reach = self.fwd_reach[edge.src]
             return sum(1 for other in latches
-                       if other is not edge and other.src in self.fwd_reach[edge.src])
+                       if other is not edge and reach >> self.pos[other.src] & 1)
 
-        ordered = sorted(latches,
-                         key=lambda e: (-rank(e), self.order.index(e.src)))
+        ordered = sorted(latches, key=lambda e: (-rank(e), self.pos[e.src]))
         if [rank(e) for e in ordered] != list(range(len(latches) - 1, -1, -1)):
             raise EmitError(
                 f"loops closing at {ordered[0].dst!r} are not properly nested")
         return ordered
 
-    def emit_loop(self, head: str) -> str | None:
+    def emit_loop(self, head: str) -> _Walk:
         latches = self._nested_latches(self.loop_latches[head])
         for _ in latches:
             self.lines.append("repeat")
-        self.walk(head, latches[0].src, head)
+        yield self.walk(head, latches[0].src, head)
         nid: str | None = None
         for index, back_edge in enumerate(latches):
             latch = back_edge.src
@@ -398,11 +441,11 @@ class _PlantUmlEmitter:
             if index + 1 < len(latches):
                 next_latch = latches[index + 1].src
                 if nid != next_latch:
-                    self.walk(nid, next_latch, None)
+                    yield self.walk(nid, next_latch, None)
                 nid = None
         return nid
 
-    def emit_branch(self, node, until: str | None) -> str | None:
+    def emit_branch(self, node, until: str | None) -> _Walk:
         outs = self.outs[node.id]
         if len(outs) != 2:
             raise EmitError(
@@ -420,10 +463,10 @@ class _PlantUmlEmitter:
         self.lines.append(
             f"if ({_pu_text(node.text)}) then ({self.branch_clause(then_edge)})")
         if then_edge.dst != stop_at:
-            self.walk(then_edge.dst, stop_at, None)
+            yield self.walk(then_edge.dst, stop_at, None)
         self.lines.append(f"else ({self.branch_clause(else_edge)})")
         if else_edge.dst != stop_at:
-            self.walk(else_edge.dst, stop_at, None)
+            yield self.walk(else_edge.dst, stop_at, None)
         self.lines.append("endif")
         return join
 

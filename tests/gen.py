@@ -1,12 +1,13 @@
 """Shared test utilities: random graph generators and the isomorphism oracle.
 
-The isomorphism check deliberately goes through networkx rather than any
-package code, so round-trip tests have an independent referee.
+The isomorphism check deliberately uses no package code, so round-trip
+tests have an independent referee.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -24,8 +25,21 @@ def to_nx(graph: FlowGraph) -> nx.MultiDiGraph:
     return g
 
 
+def _labeled_edges(graph: FlowGraph) -> Counter:
+    key = {n.id: (n.kind, n.text) for n in graph.nodes}
+    return Counter((key[e.src], key[e.dst], e.label) for e in graph.edges)
+
+
 def isomorphic(a: FlowGraph, b: FlowGraph) -> bool:
     """Kind/text-preserving node bijection with equal labeled edge multisets."""
+    keys = Counter((n.kind, n.text) for n in a.nodes)
+    if keys != Counter((n.kind, n.text) for n in b.nodes):
+        return False
+    if all(count == 1 for count in keys.values()):
+        # every node is the only one of its kind and text, so that pairing
+        # is the only candidate bijection: compare edges through it (this
+        # keeps charts of thousands of nodes cheap, where networkx is not)
+        return _labeled_edges(a) == _labeled_edges(b)
     node_match = nxiso.categorical_node_match(["kind", "text"], [None, None])
     edge_match = nxiso.categorical_multiedge_match("label", None)
     return nx.is_isomorphic(to_nx(a), to_nx(b),
@@ -210,3 +224,30 @@ def rand_structured_graph(rng: random.Random) -> FlowGraph:
     assert result.ok, [str(d) for d in result.diagnostics]
     assert validate(result.graph) == []
     return result.graph
+
+
+def deep_if_text(depth: int) -> str:
+    """PlantUML chart with if/else nested ``depth`` deep in the then-arms.
+
+    Rendered with loops, not recursion, so any depth can be built.
+    """
+    lines = ["@startuml", "start"]
+    for level in range(depth):
+        lines += [f":step {level};", f"if (Check {level}?) then (yes)"]
+    lines.append(":innermost;")
+    for level in reversed(range(depth)):
+        lines += ["else (no)", f":skip {level};", "endif"]
+    lines += ["stop", "@enduml"]
+    return "\n".join(lines) + "\n"
+
+
+def deep_repeat_text(depth: int) -> str:
+    """PlantUML chart with ``repeat`` loops nested ``depth`` deep."""
+    lines = ["@startuml", "start"]
+    for level in range(depth):
+        lines += ["repeat", f":enter {level};"]
+    lines.append(":innermost;")
+    for level in reversed(range(depth)):
+        lines += [f":leave {level};", f"repeat while (Again {level}?)"]
+    lines += ["stop", "@enduml"]
+    return "\n".join(lines) + "\n"

@@ -8,7 +8,7 @@ import pytest
 from flowsra.cli import main
 from flowsra.parsing import parse_text
 
-from gen import isomorphic
+from gen import deep_if_text, isomorphic
 
 DATA = Path(__file__).parent / "data"
 
@@ -54,6 +54,18 @@ class TestConvert:
         code, out, _ = run_cli(capsys, "convert", str(path), "--to", "dot")
         assert code == 0
         assert out == "digraph G {\n}\n"
+
+    def test_deeply_nested_plantuml_converts(self, capsys, tmp_path):
+        text = deep_if_text(1200)
+        path = tmp_path / "deep.puml"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "convert", str(path), "--to", "plantuml")
+        assert code == 0
+        assert "Traceback" not in err
+        _, original = parse_text(text)
+        _, converted = parse_text(out)
+        assert converted.ok
+        assert isomorphic(converted.graph, original.graph)
 
     def test_malformed_input_exits_1_with_diagnostics_on_stderr(self, capsys, tmp_path):
         path = tmp_path / "bad.mmd"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowsra.emitting import (
     EmitError,
+    _PlantUmlEmitter,
     emit,
     emit_triples,
     emit_upgraded,
@@ -25,7 +26,13 @@ from flowsra.ir import (
 )
 from flowsra.parsing import Dialect, parse_text
 
-from gen import isomorphic, rand_flow_graph, rand_structured_graph
+from gen import (
+    deep_if_text,
+    deep_repeat_text,
+    isomorphic,
+    rand_flow_graph,
+    rand_structured_graph,
+)
 
 
 def sample_graph():
@@ -178,6 +185,177 @@ class TestPlantUmlLimits:
         _, result = parse_text(doc.text)
         assert result.ok
         assert isomorphic(result.graph, graph)
+
+
+def strip_relations(graph: FlowGraph) -> FlowGraph:
+    """The graph with each relation label replaced by the original label."""
+
+    def original(label: EdgeLabel) -> EdgeLabel:
+        pair = split_relation_label(label.render() or "")
+        return label if pair is None else pair[1]
+
+    return FlowGraph(graph.nodes, tuple(Edge(e.src, e.dst, original(e.label))
+                                        for e in graph.edges))
+
+
+class TestDeepNesting:
+    """Nesting far past the interpreter's recursion limit."""
+
+    DEEP = [pytest.param(deep_if_text(1200), id="if-else-1200"),
+            pytest.param(deep_repeat_text(300), id="repeat-300")]
+
+    @pytest.mark.parametrize("text", DEEP)
+    def test_emit_round_trips_in_every_dialect(self, text):
+        _, parsed = parse_text(text)
+        assert parsed.ok
+        for dialect in Dialect:
+            _, result = parse_text(emit(parsed.graph, dialect).text)
+            assert result.ok, dialect
+            assert isomorphic(result.graph, parsed.graph), dialect
+
+    @pytest.mark.parametrize("text", DEEP)
+    def test_emit_upgraded_round_trips_in_every_dialect(self, text):
+        _, parsed = parse_text(text)
+        graph = parsed.graph
+        kinds = {n.id: n.kind for n in graph.nodes}
+        ug = upgrade(graph, {
+            e: RelationType.CONDITIONALITY if kinds[e.src] is NodeKind.DECISION
+            else RelationType.SEQUENTIALITY
+            for e in graph.edges})
+        for dialect in Dialect:
+            _, result = parse_text(emit_upgraded(ug, dialect).text)
+            assert result.ok, dialect
+            assert isomorphic(strip_relations(result.graph), graph), dialect
+
+
+# The set-based reachability and breadth-first join search the emitter used
+# before it kept reachability as bitsets; the referee for the joins it picks.
+
+def reference_reachable(succs: dict[str, list[str]]) -> dict[str, set[str]]:
+    reach: dict[str, set[str]] = {}
+    for nid in succs:
+        seen: set[str] = set()
+        stack = list(succs[nid])
+        while stack:
+            cur = stack.pop()
+            if cur in seen:
+                continue
+            seen.add(cur)
+            stack.extend(succs[cur])
+        reach[nid] = seen
+    return reach
+
+
+def reference_join(succs, reach, order, decision, left, right):
+    common = ({left} | reach[left]) & ({right} | reach[right])
+    if not common:
+        return None
+    seen = {decision}
+    frontier = [left, right]
+    while frontier:
+        hits = [nid for nid in frontier if nid in common]
+        if hits:
+            return min(hits, key=order.index)
+        nxt: list[str] = []
+        for nid in frontier:
+            if nid in seen:
+                continue
+            seen.add(nid)
+            nxt.extend(succs[nid])
+        frontier = nxt
+    return None
+
+
+def check_joins_against_reference(graph: FlowGraph) -> int:
+    """Compare the emitter's forward reachability and every decision's join
+    with the reference, over the nodes reachable from an entry; returns the
+    number of decisions compared."""
+    try:
+        emitter = _PlantUmlEmitter(graph, lambda e: e.label.render(), best_effort=False)
+    except EmitError:  # a back edge that no decision closes
+        return 0
+    order = [n.id for n in graph.nodes]
+    reach = reference_reachable(emitter.fwd_succs)
+    reachable = set(emitter.entries)
+    stack = list(emitter.entries)
+    while stack:
+        for edge in emitter.outs[stack.pop()]:
+            if edge.dst not in reachable:
+                reachable.add(edge.dst)
+                stack.append(edge.dst)
+    compared = 0
+    for nid in reachable:
+        bits = emitter.fwd_reach[nid]
+        assert {order[i] for i in range(len(order)) if bits >> i & 1} == reach[nid]
+        outs = emitter.outs[nid]
+        if emitter.by_id[nid].kind is NodeKind.DECISION and len(outs) == 2:
+            left, right = outs[0].dst, outs[1].dst
+            assert emitter.join_of(nid, left, right) == reference_join(
+                emitter.fwd_succs, reach, order, nid, left, right), nid
+            compared += 1
+    return compared
+
+
+NESTED_STOP = """@startuml
+start
+if (Outer?) then (yes)
+  if (Inner?) then (yes)
+    :x;
+    stop
+  else (no)
+    :y;
+  endif
+else (no)
+  :b;
+endif
+:z;
+stop
+@enduml
+"""
+
+
+class TestJoinReferee:
+    @settings(max_examples=80, deadline=None)
+    @given(seeds())
+    def test_structured_charts(self, seed):
+        check_joins_against_reference(rand_structured_graph(random.Random(seed)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seeds())
+    def test_unstructured_graphs(self, seed):
+        # several candidate joins at one level exercise the tie-break
+        check_joins_against_reference(rand_flow_graph(random.Random(seed), max_middle=8))
+
+    def test_nested_stop_joins_after_the_outer_branch(self):
+        # an immediate post-dominator rule finds no join for Outer? (its then
+        # branch can stop), which would leave :z reached by two flows
+        _, parsed = parse_text(NESTED_STOP)
+        graph = parsed.graph
+        assert check_joins_against_reference(graph) == 2
+        emitter = _PlantUmlEmitter(graph, lambda e: e.label.render(), best_effort=False)
+        by_text = {n.text: n.id for n in graph.nodes}
+        then_edge, else_edge = emitter.outs[by_text["Outer?"]]
+        assert emitter.by_id[emitter.join_of(
+            by_text["Outer?"], then_edge.dst, else_edge.dst)].text == "z"
+        _, result = parse_text(emit(graph, Dialect.PLANTUML).text)
+        assert result.ok
+        assert isomorphic(result.graph, graph)
+
+    def test_tie_at_one_level_goes_to_the_node_declared_first(self):
+        # C and E both join the branches one step past A and B; the edges
+        # reach C first, but E is declared first
+        graph = FlowGraph(
+            nodes=(Node("D", NodeKind.DECISION, "pick?"),
+                   Node("A", NodeKind.PROCESS, "a"),
+                   Node("B", NodeKind.PROCESS, "b"),
+                   Node("E", NodeKind.PROCESS, "e"),
+                   Node("C", NodeKind.PROCESS, "c")),
+            edges=(Edge("D", "A", EdgeLabel.yes()), Edge("D", "B", EdgeLabel.no()),
+                   Edge("A", "C"), Edge("A", "E"), Edge("B", "C"), Edge("B", "E")),
+        )
+        assert check_joins_against_reference(graph) == 1
+        emitter = _PlantUmlEmitter(graph, lambda e: e.label.render(), best_effort=False)
+        assert emitter.join_of("D", "A", "B") == "E"
 
 
 class TestEmitUpgraded:
