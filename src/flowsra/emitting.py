@@ -205,10 +205,13 @@ def _forward_reach(fwd_succs: dict[str, list[str]],
     return reach
 
 
-def _back_edges(outs: dict[str, list[Edge]], entries: list[str]) -> set[Edge]:
-    """DFS back edges (edge order respected), which mark loop latches."""
+def _back_edges(outs: dict[str, list[Edge]], entries: list[str]) -> dict[Edge, None]:
+    """DFS back edges (edge order respected), which mark loop latches.
+
+    An insertion-ordered dict serves as a set, so iteration follows
+    discovery order rather than hash order."""
     color: dict[str, int] = {}
-    back: set[Edge] = set()
+    back: dict[Edge, None] = {}
     for entry in entries:
         if color.get(entry):
             continue
@@ -221,7 +224,7 @@ def _back_edges(outs: dict[str, list[Edge]], entries: list[str]) -> set[Edge]:
                 edge = outs[node][idx]
                 state = color.get(edge.dst, 0)
                 if state == 1:
-                    back.add(edge)
+                    back[edge] = None
                 elif state == 0:
                     color[edge.dst] = 1
                     stack.append((edge.dst, 0))
@@ -294,6 +297,8 @@ class _PlantUmlEmitter:
         self.fwd_reach = _forward_reach(
             self.fwd_succs, {nid: 1 << index for nid, index in self.pos.items()})
         self.loop_latches: dict[str, list[Edge]] = {}
+        # the sort is stable: back edges from one node keep their edge order,
+        # so the error below always names the same edge
         for edge in sorted(self.back, key=lambda e: self.pos[e.src]):
             if self.by_id[edge.src].kind is not NodeKind.DECISION:
                 raise EmitError(

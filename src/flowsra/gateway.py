@@ -106,10 +106,13 @@ def parse_provider_payload(payload: dict, cached: bool = False) -> ChatResponse:
     if not isinstance(content, str):
         raise ProtocolError("provider payload content is not text")
     usage_raw = payload.get("usage") or {}
-    usage = Usage(
-        prompt_tokens=int(usage_raw.get("prompt_tokens", 0) or 0),
-        completion_tokens=int(usage_raw.get("completion_tokens", 0) or 0),
-    )
+    try:
+        usage = Usage(
+            prompt_tokens=int(usage_raw.get("prompt_tokens", 0) or 0),
+            completion_tokens=int(usage_raw.get("completion_tokens", 0) or 0),
+        )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed provider usage: {exc!r}") from exc
     return ChatResponse(content=content, usage=usage, cached=cached)
 
 
@@ -244,11 +247,18 @@ class ChatGateway:
     def _cache_path(self, key: str) -> Path | None:
         return self.cache_dir / f"{key}.json" if self.cache_dir else None
 
-    def _cache_read(self, key: str) -> dict | None:
+    def _cache_read(self, key: str) -> ChatResponse | None:
+        """The cached response, or None on a miss. A damaged entry (not
+        JSON, or not a chat-completions payload) is a miss too: the
+        transport's reply then overwrites it."""
         path = self._cache_path(key)
         if path is None or not path.exists():
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        try:
+            return parse_provider_payload(
+                json.loads(path.read_text(encoding="utf-8")), cached=True)
+        except (ValueError, ProtocolError):
+            return None
 
     def _cache_write(self, key: str, payload: dict) -> None:
         path = self._cache_path(key)
@@ -271,7 +281,7 @@ class ChatGateway:
         key = cache_key(req)
         cached = self._cache_read(key)
         if cached is not None:
-            return parse_provider_payload(cached, cached=True)
+            return cached
         if self.transport is None:
             raise TransportError(
                 "request not in cache and no transport is configured"

@@ -5,6 +5,11 @@ Datasets are line-delimited JSON records (``id``, ``dialect``, ``source``,
 normalization first, an LLM judge only for pairs normalization cannot
 settle. Reports carry no wall-clock data, so identical runs render
 byte-identical output.
+
+``run_eval`` parses, emits and upgrades each distinct chart once per run,
+however many questions ask about it. Without a response cache, the
+relation calls for a chart are therefore made once per run, not once per
+deep question.
 """
 
 from __future__ import annotations
@@ -12,15 +17,16 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .emitting import emit
+from .emitting import InterlanguageDoc, emit
 from .engine import Question, Route, answer_deep, answer_shallow
 from .gateway import ChatGateway, completion_backend
-from .ir import FlowGraph, topology_stats
-from .parsing import Dialect, parse_text
+from .ir import FlowGraph, UpgradedGraph, topology_stats
+from .parsing import Dialect, ParseResult, parse_text
 from .prompts import load_template
 from .relations import make_relation_backend, upgrade_graph
 from .routing import (
@@ -210,21 +216,20 @@ class EvalConfig:
     include_basic_in_deep: bool = False
     recognizer_parallelism: int = 1
 
+    # upgrade_graph assembles its results in edge order, so the number of
+    # concurrent recognizer calls changes speed, never an answer
+    _NOT_FINGERPRINTED = ("recognizer_parallelism",)
+
     def fingerprint(self) -> str:
-        payload = json.dumps({
-            "router_mode": self.router_mode,
-            "relation_backend": self.relation_backend,
-            "judge_mode": self.judge_mode,
-            "dialect": self.dialect.value if self.dialect else None,
-            "filter_type": self.filter_type.value if self.filter_type else None,
-            "reasoner_model": self.reasoner_model,
-            "recognizer_model": self.recognizer_model,
-            "router_model": self.router_model,
-            "judge_model": self.judge_model,
-            "max_tokens": self.max_tokens,
-            "include_basic_in_deep": self.include_basic_in_deep,
-        }, sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        """Hash of every field that can change a report."""
+        payload = {}
+        for f in fields(self):
+            if f.name in self._NOT_FINGERPRINTED:
+                continue
+            value = getattr(self, f.name)
+            payload[f.name] = value.value if isinstance(value, Enum) else value
+        encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
+        return hashlib.sha256(encoded).hexdigest()
 
 
 @dataclass
@@ -319,12 +324,28 @@ def _route_question(config: EvalConfig, router, instance: EvalInstance) -> Quest
         return QuestionClass.COMPLICATED
 
 
+@dataclass
+class _Chart:
+    """Per-run work on one chart source, shared by every question on it.
+
+    The target dialect is fixed by the key's dialect and the run's config,
+    so one emitted doc and one upgrade suffice. Each is filled by the first
+    question that needs it; one that raised stays None and is retried.
+    """
+
+    result: ParseResult
+    doc: InterlanguageDoc | None = None
+    upgraded: UpgradedGraph | None = None
+
+
 def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
              gateway: ChatGateway) -> EvalRun:
     """Run the configured pipeline per instance and aggregate the report.
 
-    Instance-level failures are recorded and the run continues; parse errors
-    in the source flag the instance as skipped.
+    Each distinct (source, dialect) is parsed once, and emitted or upgraded
+    at most once; every instance still gets its own routing, answer, judge
+    and log. Instance-level failures are recorded and the run continues;
+    parse errors in the source flag the instance as skipped.
     """
     router = None
     if config.router_mode in ("llm", "heuristic", "oracle"):
@@ -340,6 +361,7 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
     confusion: dict[tuple[QuestionType, QuestionClass], int] = {}
     total_triples = 0
     total_fallbacks = 0
+    charts: dict[tuple[str, Dialect], _Chart] = {}
 
     for instance in instances:
         if config.filter_type and instance.gold_type is not config.filter_type:
@@ -351,7 +373,11 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
             gold_type=instance.gold_type,
         )
         logs.append(log)
-        result = parse_text(instance.source, instance.dialect)[1]
+        key = (instance.source, instance.dialect)
+        chart = charts.get(key)
+        if chart is None:
+            chart = charts[key] = _Chart(parse_text(instance.source, instance.dialect)[1])
+        result = chart.result
         if result.errors():
             log.skipped = True
             log.error = "; ".join(str(d) for d in result.errors())
@@ -364,12 +390,17 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
             confusion[(instance.gold_type, question_class)] = (
                 confusion.get((instance.gold_type, question_class), 0) + 1)
             if question_class is QuestionClass.STRAIGHT:
+                if chart.doc is None:
+                    chart.doc = emit(graph, dialect)
                 answer = answer_shallow(
-                    emit(graph, dialect), instance.question, gateway,
+                    chart.doc, instance.question, gateway,
                     model=config.reasoner_model, max_tokens=config.max_tokens)
             else:
-                ug = upgrade_graph(graph, recognizer, dialect=dialect,
-                                   parallelism=config.recognizer_parallelism)
+                if chart.upgraded is None:
+                    chart.upgraded = upgrade_graph(
+                        graph, recognizer, dialect=dialect,
+                        parallelism=config.recognizer_parallelism)
+                ug = chart.upgraded
                 total_triples += len(ug.triples)
                 total_fallbacks += ug.fallback_count()
                 answer = answer_deep(

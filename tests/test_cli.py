@@ -233,6 +233,19 @@ class TestEval:
         assert len(log_path.read_text().splitlines()) == 10
         assert not [line for line in err.splitlines() if line.startswith("{")]
 
+    def test_truncated_cache_entry_is_healed(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        argv = ("eval", "--dataset", str(DATA / "eval10.jsonl"),
+                "--mock-script", str(DATA / "mock10.json"), "--cache-dir", str(cache))
+        code, first, _ = run_cli(capsys, *argv)
+        assert code == 0
+        entry = sorted(cache.glob("*.json"))[0]
+        entry.write_text(entry.read_text()[:20])
+        code, second, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert second == first
+        json.loads(entry.read_text())
+
     def test_empty_dataset_exits_1(self, capsys, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

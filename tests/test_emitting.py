@@ -171,6 +171,27 @@ class TestPlantUmlLimits:
         with pytest.raises(EmitError):
             emit(graph, Dialect.PLANTUML)
 
+    @pytest.mark.parametrize("self_loop_first", [True, False])
+    def test_back_edge_error_names_the_first_in_edge_order(self, self_loop_first):
+        # L has two back edges; the error must name the one listed first
+        # whatever the hash order of the edges (ids vary it between charts)
+        for variant in range(40):
+            s, h, l, e = (f"{name}{variant}" for name in "SHLE")
+            loops = [Edge(l, l), Edge(l, h)]
+            if not self_loop_first:
+                loops.reverse()
+            graph = FlowGraph(
+                nodes=(Node(s, NodeKind.START, "Start"),
+                       Node(h, NodeKind.PROCESS, "head"),
+                       Node(l, NodeKind.PROCESS, "latch"),
+                       Node(e, NodeKind.END, "End")),
+                edges=(Edge(s, h), Edge(h, l), *loops, Edge(h, e)),
+            )
+            first = loops[0]
+            with pytest.raises(EmitError,
+                               match=f"back edge {first.src} -> {first.dst} "):
+                emit(graph, Dialect.PLANTUML)
+
     def test_loop_back_into_start_round_trips(self):
         # no in-degree-0 node: the start node itself sits on the loop
         graph = FlowGraph(

@@ -85,6 +85,34 @@ class TestComplete:
         replay = ChatGateway(None, cache_dir=tmp_path, offline=True)
         assert replay.complete(req()).content == "pong"
 
+    @pytest.mark.parametrize("damage", [
+        '{"choices": [{"mess',  # truncated
+        "[]",  # well-formed JSON of the wrong shape
+        '{"choices": [{"message": {"content": "x"}}], "usage": "lots"}',
+    ])
+    def test_damaged_cache_entry_is_a_miss_and_heals(self, tmp_path, damage):
+        calls = []
+
+        def transport(request):
+            calls.append(request)
+            return provider_payload("pong")
+
+        entry = tmp_path / f"{cache_key(req())}.json"
+        entry.write_text(damage)
+        gateway = ChatGateway(transport, cache_dir=tmp_path)
+        response = gateway.complete(req())
+        assert (response.content, response.cached, len(calls)) == ("pong", False, 1)
+        assert json.loads(entry.read_text()) == provider_payload("pong")
+        assert list(tmp_path.iterdir()) == [entry]
+        assert gateway.complete(req()).cached is True
+        assert len(calls) == 1
+
+    def test_damaged_cache_entry_offline_is_a_transport_error(self, tmp_path):
+        (tmp_path / f"{cache_key(req())}.json").write_text("{")
+        gateway = ChatGateway(None, cache_dir=tmp_path, offline=True)
+        with pytest.raises(TransportError):
+            gateway.complete(req())
+
     def test_offline_without_cache_is_a_transport_error(self, tmp_path):
         gateway = ChatGateway(None, cache_dir=tmp_path, offline=True)
         with pytest.raises(TransportError):
@@ -138,6 +166,13 @@ class TestComplete:
 
     def test_malformed_payload_is_a_protocol_error(self):
         gateway = ChatGateway(lambda r: {"nonsense": True})
+        with pytest.raises(ProtocolError):
+            gateway.complete(req())
+
+    def test_malformed_usage_is_a_protocol_error(self):
+        payload = {"choices": [{"message": {"content": "x"}}],
+                   "usage": {"prompt_tokens": "many"}}
+        gateway = ChatGateway(lambda r: payload)
         with pytest.raises(ProtocolError):
             gateway.complete(req())
 

@@ -1,14 +1,18 @@
 """Evaluation harness: loading, judging, running, and report rendering."""
 
+import hashlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from flowsra.engine import Question, Route
-from flowsra.gateway import ChatGateway, load_mock_script, mock_backend
+from flowsra import harness
+from flowsra.gateway import ChatGateway, PermanentError, load_mock_script, mock_backend
 from flowsra.harness import (
+    ROUTE_MODES,
     ConfusionResult,
     EmptyDatasetError,
     EvalConfig,
@@ -21,6 +25,7 @@ from flowsra.harness import (
     topology_oracle,
 )
 from flowsra.ir import NodeKind
+from flowsra.parsing import Dialect
 from flowsra.routing import HeuristicRouter, OracleRouter, QuestionClass, QuestionType
 
 from gen import rand_flow_graph
@@ -263,6 +268,130 @@ class TestRunEval:
                        eval10_gateway())
         assert run.report.total == 2
         assert run.report.failed_count == 0
+
+
+def payload(content):
+    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+
+class PromptHashTransport:
+    """Answers every prompt kind from a hash of the prompt, so a response
+    depends on nothing but the request. A quarter of relation prompts get an
+    out-of-taxonomy tag, which exercises the retry and the fallback."""
+
+    is_network = False
+    TAGS = ("Contrast", "Conditionality", "Causality", "Sequentiality")
+
+    def __init__(self):
+        self.prompts: list[str] = []
+
+    def __call__(self, req):
+        text = req.rendered()
+        self.prompts.append(text)
+        digest = hashlib.sha256(text.encode()).digest()[0]
+        if "Node A (source):" in text:
+            return payload(f"analysis\nRELATION: {self.TAGS[digest % 4]}")
+        if "Straight or Complicated" in text:
+            return payload("CLASS: " + ("Straight" if digest % 2 else "Complicated"))
+        if "Gold answer:" in text:
+            return payload("VERDICT: " + ("CORRECT" if digest % 2 else "INCORRECT"))
+        return payload(f"answer {digest % 3}")
+
+
+def flowvqa_like_instances():
+    return load_dataset(DATA / "flowvqa_like_20.jsonl").instances
+
+
+class TestPerChartMemo:
+    """run_eval does each chart's parse, emit and upgrade once per run; the
+    referee is running every instance on its own."""
+
+    @pytest.mark.parametrize("dialect", [None, Dialect.DOT])
+    @pytest.mark.parametrize("router_mode", ROUTE_MODES)
+    def test_logs_equal_one_instance_at_a_time(self, router_mode, dialect):
+        instances = flowvqa_like_instances()
+        config = EvalConfig(router_mode=router_mode, relation_backend="llm",
+                            judge_mode="llm", dialect=dialect)
+        run = run_eval(instances, config, ChatGateway(PromptHashTransport()))
+        alone = [log.to_dict() for instance in instances
+                 for log in run_eval([instance], config,
+                                     ChatGateway(PromptHashTransport())).logs]
+        assert [log.to_dict() for log in run.logs] == alone
+        deep = [log for log in run.logs if log.route is Route.DEEP]
+        triples = sum(log.edge_count for log in deep)
+        fallbacks = sum(log.fallbacks_used for log in deep)
+        assert run.report.fallback_rate == (fallbacks / triples if triples else 0.0)
+
+    def test_each_chart_parsed_once(self, monkeypatch):
+        calls = []
+        real = harness.parse_text
+
+        def counting(source, dialect=None):
+            calls.append((source, dialect))
+            return real(source, dialect)
+
+        monkeypatch.setattr(harness, "parse_text", counting)
+        instances = flowvqa_like_instances()
+        run_eval(instances, EvalConfig(), ChatGateway(PromptHashTransport()))
+        distinct = {(i.source, i.dialect) for i in instances}
+        assert len(distinct) < len(instances)
+        assert sorted(calls, key=repr) == sorted(distinct, key=repr)
+
+    def test_uncached_relation_prompts_sent_once_per_chart(self):
+        instances = flowvqa_like_instances()
+        transport = PromptHashTransport()
+        run = run_eval(instances,
+                       EvalConfig(router_mode="always-deep", relation_backend="llm"),
+                       ChatGateway(transport, cache_dir=None))
+        assert run.report.failed_count == 0
+        relation = Counter(p for p in transport.prompts if "Node A (source):" in p)
+        assert set(relation.values()) == {1}
+        first_asks = [p for p in relation if "could not be parsed" not in p]
+        edges = {i.source: log.edge_count for i, log in zip(instances, run.logs)}
+        assert len(first_asks) == sum(edges.values())
+
+    def test_failed_upgrade_is_recorded_and_retried(self):
+        # the first relation call fails, so the first deep question on that
+        # chart fails; the next question on it upgrades afresh
+        inner = PromptHashTransport()
+        failed = []
+
+        def transport(req):
+            if not failed and "Node A (source):" in req.rendered():
+                failed.append(req)
+                raise PermanentError("HTTP 400")
+            return inner(req)
+
+        instances = [i for i in flowvqa_like_instances()
+                     if i.flowchart_id.startswith("hw-")][:2]
+        run = run_eval(instances,
+                       EvalConfig(router_mode="always-deep", relation_backend="llm"),
+                       ChatGateway(transport))
+        first, second = run.logs
+        assert first.error.startswith("UpgradeError: ")
+        assert first.route is None
+        assert second.error is None and second.route is Route.DEEP
+        assert run.report.failed_count == 1
+
+
+class TestFingerprint:
+    # digests of the hand-listed payload that fields() replaced
+    def test_pinned_digests(self):
+        assert EvalConfig().fingerprint() == (
+            "262bf1f20b3c13e4f7a59d1f1c191b5e3f3c989c2fc0bf2ae9a53850128eea5a")
+        assert EvalConfig(
+            router_mode="llm", relation_backend="llm", judge_mode="llm",
+            dialect=Dialect.PLANTUML, filter_type=QuestionType.APPLIED_SCENARIO,
+            max_tokens=128, include_basic_in_deep=True).fingerprint() == (
+            "f4295456de1b07de95ee85b7c3ebeeb8f5325e05e3cc38c519d28c643363170f")
+        assert EvalConfig(
+            dialect=Dialect.DOT, reasoner_model="r2", recognizer_model="c2",
+            router_model="o2", judge_model="j2").fingerprint() == (
+            "9d4c5c7e28a521a9d8383ca10b1cc2d951732494b8eb925a8623911f734ad819")
+
+    def test_parallelism_does_not_change_it(self):
+        assert (EvalConfig(recognizer_parallelism=8).fingerprint()
+                == EvalConfig().fingerprint())
 
 
 class TestDiscriminatorConfusion:
