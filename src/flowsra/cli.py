@@ -11,12 +11,14 @@ import argparse
 import json
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 from .emitting import EmitError, emit, emit_triples, emit_upgraded
 from .engine import Question, answer_controlled, answer_deep, answer_shallow
 from .gateway import (
+    CacheError,
     ChatGateway,
     HttpTransport,
     PermanentError,
@@ -142,8 +144,7 @@ def cmd_upgrade(args: argparse.Namespace, config: RunConfig) -> int:
     backend = make_relation_backend(args.relation_backend, gateway,
                                     config.recognizer_model)
     target = Dialect(args.to) if args.to else detected
-    ug = upgrade_graph(graph, backend, dialect=target,
-                       parallelism=config.parallelism)
+    ug = upgrade_graph(graph, backend, dialect=target)
     sys.stdout.write(emit_upgraded(ug, target).text)
     triples = emit_triples(ug)
     if triples:
@@ -152,14 +153,21 @@ def cmd_upgrade(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 class _CountingBackend:
-    """Wraps a relation backend to report how many calls a question cost."""
+    """Wraps a relation backend to report how many calls a question cost.
+
+    It exposes the inner backend's gateway, so upgrade_graph runs its calls
+    concurrently as for the inner backend; the count therefore takes a lock.
+    """
 
     def __init__(self, inner):
         self.inner = inner
+        self.gateway = getattr(inner, "gateway", None)
         self.calls = 0
+        self._lock = threading.Lock()
 
     def recognize(self, src, dst, label, context):
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         return self.inner.recognize(src, dst, label, context)
 
 
@@ -174,15 +182,13 @@ def cmd_ask(args: argparse.Namespace, config: RunConfig) -> int:
         answer = answer_shallow(emit(graph, dialect), question, gateway,
                                 model=config.reasoner_model)
     elif args.mode == "deep":
-        ug = upgrade_graph(graph, backend, dialect=dialect,
-                           parallelism=config.parallelism)
+        ug = upgrade_graph(graph, backend, dialect=dialect)
         answer = answer_deep(ug, question, gateway,
                              model=config.reasoner_model, dialect=dialect)
     else:
         router = make_router(args.router, gateway, config.router_model)
         answer = answer_controlled(graph, question, router, backend, gateway,
-                                   model=config.reasoner_model, dialect=dialect,
-                                   recognizer_parallelism=config.parallelism)
+                                   model=config.reasoner_model, dialect=dialect)
     print(f"recognizer calls: {backend.calls}", file=sys.stderr)
     payload = {
         "answer": answer.text,
@@ -222,7 +228,6 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         recognizer_model=config.recognizer_model,
         router_model=config.router_model,
         judge_model=config.judge_model,
-        recognizer_parallelism=config.parallelism,
     )
     gateway = _gateway(config)
     run = run_eval(load.instances, eval_config, gateway)
@@ -254,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--api-key", dest="api_key", help="endpoint API key")
     common.add_argument("--cache-dir", dest="cache_dir", help="response cache directory")
     common.add_argument("--parallelism", type=int, default=None,
-                        help="max concurrent backend calls")
+                        help="max concurrent transport calls; once a run reaches "
+                             "the transport, also the eval instances and the "
+                             "recognizer calls that run at once (default 8)")
     common.add_argument("--offline", action="store_true", default=False,
                         help="forbid network; cache and mock only")
     common.add_argument("--mock-script", dest="mock_script",
@@ -333,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
             EmptyDatasetError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, CacheError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TransportError, PermanentError, ProtocolError, ScriptedMissError,

@@ -110,7 +110,6 @@ def answer_controlled(
     dialect: Dialect = Dialect.MERMAID,
     max_tokens: int = 256,
     include_basic_in_deep: bool = False,
-    recognizer_parallelism: int = 1,
 ) -> Answer:
     """Route by question class; upgrade the graph only on the deep path.
 
@@ -125,7 +124,6 @@ def answer_controlled(
     if question_class is QuestionClass.STRAIGHT:
         return answer_shallow(emit(graph, dialect), question, gateway,
                               model=model, max_tokens=max_tokens)
-    ug = upgrade_graph(graph, recognizer, dialect=dialect,
-                       parallelism=recognizer_parallelism)
+    ug = upgrade_graph(graph, recognizer, dialect=dialect)
     return answer_deep(ug, question, gateway, model=model, dialect=dialect,
                        max_tokens=max_tokens, include_basic=include_basic_in_deep)

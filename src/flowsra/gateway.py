@@ -11,12 +11,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
+from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import requests
 
@@ -83,7 +89,14 @@ class TransportError(RuntimeError):
 
 
 class TransientError(RuntimeError):
-    """Retryable provider failure (connection trouble, 5xx, 429)."""
+    """Retryable provider failure (connection trouble, 5xx, 429).
+
+    ``retry_after`` is the provider's requested wait in seconds, if it sent
+    one."""
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class PermanentError(RuntimeError):
@@ -96,6 +109,10 @@ class ProtocolError(RuntimeError):
 
 class ScriptedMissError(RuntimeError):
     """A mock transport received a request its script does not cover."""
+
+
+class CacheError(RuntimeError):
+    """A response could not be written to the cache directory."""
 
 
 def parse_provider_payload(payload: dict, cached: bool = False) -> ChatResponse:
@@ -114,6 +131,23 @@ def parse_provider_payload(payload: dict, cached: bool = False) -> ChatResponse:
     except (AttributeError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed provider usage: {exc!r}") from exc
     return ChatResponse(content=content, usage=usage, cached=cached)
+
+
+def _retry_after_seconds(value: str | None) -> float | None:
+    """A ``Retry-After`` header as seconds from now: delay-seconds or an
+    HTTP date. None when absent or unreadable."""
+    if not value:
+        return None
+    value = value.strip()
+    if value.isdigit():
+        return float(value)
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
 
 
 class HttpTransport:
@@ -143,7 +177,11 @@ class HttpTransport:
                                  timeout=self.timeout)
         except requests.RequestException as exc:
             raise TransientError(str(exc)) from exc
-        if resp.status_code == 429 or resp.status_code >= 500:
+        if resp.status_code in (429, 503):
+            raise TransientError(
+                f"HTTP {resp.status_code} from provider",
+                _retry_after_seconds(resp.headers.get("Retry-After")))
+        if resp.status_code >= 500:
             raise TransientError(f"HTTP {resp.status_code} from provider")
         if resp.status_code >= 400:
             raise PermanentError(f"HTTP {resp.status_code}: {resp.text[:500]}")
@@ -220,8 +258,26 @@ def load_mock_script(path: str | Path) -> MockTransport:
     return MockTransport(rules)
 
 
+class _Flight:
+    """One request for a cache key at the transport; identical requests
+    wait for it."""
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.response: ChatResponse | None = None
+
+
 class ChatGateway:
-    """Caching, retrying, concurrency-bounded front of any chat transport."""
+    """Caching, retrying, concurrency-bounded front of any chat transport.
+
+    At most ``parallelism`` transport calls run at once; ``transport_calls``
+    counts the calls made. With a cache directory, a request whose key is
+    already at the transport waits for that call and gets its response as
+    a cache hit (single-flight), so concurrent callers make exactly the
+    transport calls that the same requests made one after another would.
+    Without a cache, each of those would call the transport, and so does
+    each concurrent copy.
+    """
 
     def __init__(
         self,
@@ -233,14 +289,20 @@ class ChatGateway:
         retries: int = 3,
         backoff: float = 0.25,
         sleep: Callable[[float], None] = time.sleep,
+        rng: random.Random | None = None,
     ):
         self.transport = transport
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.offline = offline
+        self.parallelism = max(1, parallelism)
         self.retries = retries
         self.backoff = backoff
+        self.transport_calls = 0
         self._sleep = sleep
-        self._semaphore = threading.BoundedSemaphore(max(1, parallelism))
+        self._rng = rng or random.Random()
+        self._semaphore = threading.BoundedSemaphore(self.parallelism)
+        self._lock = threading.Lock()
+        self._flights: dict[str, _Flight] = {}
 
     # -- cache ----------------------------------------------------------
 
@@ -248,31 +310,34 @@ class ChatGateway:
         return self.cache_dir / f"{key}.json" if self.cache_dir else None
 
     def _cache_read(self, key: str) -> ChatResponse | None:
-        """The cached response, or None on a miss. A damaged entry (not
-        JSON, or not a chat-completions payload) is a miss too: the
-        transport's reply then overwrites it."""
+        """The cached response, or None on a miss. An entry that cannot be
+        read, or is damaged (not JSON, or not a chat-completions payload),
+        is a miss too: the transport's reply then overwrites it."""
         path = self._cache_path(key)
-        if path is None or not path.exists():
+        if path is None:
             return None
         try:
             return parse_provider_payload(
                 json.loads(path.read_text(encoding="utf-8")), cached=True)
-        except (ValueError, ProtocolError):
+        except (OSError, ValueError, ProtocolError):
             return None
 
     def _cache_write(self, key: str, payload: dict) -> None:
         path = self._cache_path(key)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, ensure_ascii=False, sort_keys=True)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    json.dump(payload, handle, ensure_ascii=False, sort_keys=True)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        except OSError as exc:
+            raise CacheError(f"cannot write cache entry {path}: {exc}") from exc
 
     # -- completion -----------------------------------------------------
 
@@ -288,10 +353,38 @@ class ChatGateway:
                 + (" (offline mode)" if self.offline else ""))
         if self.offline and getattr(self.transport, "is_network", False):
             raise TransportError("offline mode forbids network transports")
+        if self.cache_dir is None:
+            return self._fetch(key, req)
+        while True:
+            with self._lock:
+                flight = self._flights.get(key)
+                leading = flight is None
+                if leading:
+                    flight = self._flights[key] = _Flight()
+            if not leading:
+                flight.done.wait()
+                if flight.response is not None:
+                    return replace(flight.response, cached=True)
+                continue  # that flight failed: try again, perhaps leading
+            try:
+                # a flight that landed after the read above has filled the cache
+                flight.response = self._cache_read(key) or self._fetch(key, req)
+                return flight.response
+            finally:
+                with self._lock:
+                    del self._flights[key]
+                flight.done.set()
+
+    def _fetch(self, key: str, req: ChatRequest) -> ChatResponse:
+        """Call the transport, retrying transient failures after the larger
+        of the provider's ``Retry-After`` and a full-jitter backoff, so
+        concurrent callers do not retry in lockstep; cache the reply."""
         attempt = 0
         while True:
             try:
                 with self._semaphore:
+                    with self._lock:
+                        self.transport_calls += 1
                     payload = self.transport(req)
                 break
             except TransientError as exc:
@@ -299,10 +392,50 @@ class ChatGateway:
                 if attempt >= self.retries:
                     raise TransportError(
                         f"gave up after {attempt} attempts: {exc}") from exc
-                self._sleep(self.backoff * (2 ** (attempt - 1)))
+                jitter = self._rng.uniform(0.0, self.backoff * (2 ** (attempt - 1)))
+                self._sleep(max(exc.retry_after or 0.0, jitter))
         response = parse_provider_payload(payload)
         self._cache_write(key, payload)
         return response
+
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def map_in_order(fn: Callable[[T], R], items: Iterable[T],
+                 gateway: ChatGateway | None) -> Iterator[R]:
+    """Yield ``fn(item)`` for each item, in input order.
+
+    Items run one at a time in the caller's thread while the gateway serves
+    them without its transport (cache hits, or no gateway at all): that work
+    is CPU-bound, and handing it between threads would only add interpreter
+    lock switches. From the first item that reached the transport on, up to
+    ``gateway.parallelism`` items are in flight on a thread pool, so their
+    transport waits overlap. Items are drawn from ``items`` in the caller's
+    thread, one per freed slot. An exception from ``fn`` is raised at its
+    item's turn, once the items in flight have finished.
+    """
+    items = iter(items)
+    if gateway is None or gateway.parallelism < 2:
+        yield from map(fn, items)
+        return
+    for item in items:
+        calls = gateway.transport_calls
+        result = fn(item)
+        reached = gateway.transport_calls != calls
+        yield result
+        if reached:
+            break
+    else:
+        return
+    with ThreadPoolExecutor(max_workers=gateway.parallelism) as pool:
+        window = deque(pool.submit(fn, item)
+                       for item in islice(items, gateway.parallelism))
+        while window:
+            result = window.popleft().result()
+            window.extend(pool.submit(fn, item) for item in islice(items, 1))
+            yield result
 
 
 def completion_backend(gateway: ChatGateway, model: str, *,

@@ -10,6 +10,14 @@ byte-identical output.
 however many questions ask about it. Without a response cache, the
 relation calls for a chart are therefore made once per run, not once per
 deep question.
+
+The gateway's ``parallelism`` is the one concurrency bound: on transport
+calls, on eval instances and on a chart's recognizer calls. It takes effect
+only once a run reaches the transport. Until then (a warm cache) instances
+run one at a time in the caller's thread; from then on up to that many
+instances, and that many recognizer calls per upgrade, overlap their
+waits. Results are assembled in input order, so logs and reports do not
+depend on it.
 """
 
 from __future__ import annotations
@@ -17,14 +25,15 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import threading
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .emitting import InterlanguageDoc, emit
 from .engine import Question, Route, answer_deep, answer_shallow
-from .gateway import ChatGateway, completion_backend
+from .gateway import ChatGateway, completion_backend, map_in_order
 from .ir import FlowGraph, UpgradedGraph, topology_stats
 from .parsing import Dialect, ParseResult, parse_text
 from .prompts import load_template
@@ -214,18 +223,11 @@ class EvalConfig:
     judge_model: str = "judge"
     max_tokens: int = 256
     include_basic_in_deep: bool = False
-    recognizer_parallelism: int = 1
-
-    # upgrade_graph assembles its results in edge order, so the number of
-    # concurrent recognizer calls changes speed, never an answer
-    _NOT_FINGERPRINTED = ("recognizer_parallelism",)
 
     def fingerprint(self) -> str:
-        """Hash of every field that can change a report."""
+        """Hash of every field, each of which can change a report."""
         payload = {}
         for f in fields(self):
-            if f.name in self._NOT_FINGERPRINTED:
-                continue
             value = getattr(self, f.name)
             payload[f.name] = value.value if isinstance(value, Enum) else value
         encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -330,12 +332,14 @@ class _Chart:
 
     The target dialect is fixed by the key's dialect and the run's config,
     so one emitted doc and one upgrade suffice. Each is filled by the first
-    question that needs it; one that raised stays None and is retried.
+    question that needs it, under ``lock``, so concurrent questions wait for
+    it rather than redo it; one that raised stays None and is retried.
     """
 
     result: ParseResult
     doc: InterlanguageDoc | None = None
     upgraded: UpgradedGraph | None = None
+    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
@@ -345,7 +349,8 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
     Each distinct (source, dialect) is parsed once, and emitted or upgraded
     at most once; every instance still gets its own routing, answer, judge
     and log. Instance-level failures are recorded and the run continues;
-    parse errors in the source flag the instance as skipped.
+    parse errors in the source flag the instance as skipped. Instances
+    overlap as the module docstring says; logs keep input order.
     """
     router = None
     if config.router_mode in ("llm", "heuristic", "oracle"):
@@ -355,72 +360,87 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
     judge_backend = None
     if config.judge_mode == "llm":
         judge_backend = completion_backend(gateway, config.judge_model, max_tokens=64)
-
-    logs: list[InstanceLog] = []
-    route_counts: dict[tuple[QuestionType, Route], int] = {}
-    confusion: dict[tuple[QuestionType, QuestionClass], int] = {}
-    total_triples = 0
-    total_fallbacks = 0
     charts: dict[tuple[str, Dialect], _Chart] = {}
 
-    for instance in instances:
-        if config.filter_type and instance.gold_type is not config.filter_type:
-            continue
+    def jobs() -> Iterator[tuple[EvalInstance, _Chart]]:
+        # drawn in the caller's thread only, so ``charts`` needs no lock
+        for instance in instances:
+            if config.filter_type and instance.gold_type is not config.filter_type:
+                continue
+            key = (instance.source, instance.dialect)
+            chart = charts.get(key)
+            if chart is None:
+                chart = charts[key] = _Chart(parse_text(instance.source, instance.dialect)[1])
+            yield instance, chart
+
+    def answer(job: tuple[EvalInstance, _Chart]
+               ) -> tuple[InstanceLog, QuestionClass | None, UpgradedGraph | None]:
+        """The instance's log, its question class once routed, and the
+        upgrade its answer used, if any."""
+        instance, chart = job
         log = InstanceLog(
             flowchart_id=instance.flowchart_id,
             question=instance.question.text,
             gold_answer=instance.gold_answer,
             gold_type=instance.gold_type,
         )
-        logs.append(log)
-        key = (instance.source, instance.dialect)
-        chart = charts.get(key)
-        if chart is None:
-            chart = charts[key] = _Chart(parse_text(instance.source, instance.dialect)[1])
         result = chart.result
         if result.errors():
             log.skipped = True
             log.error = "; ".join(str(d) for d in result.errors())
-            continue
+            return log, None, None
         graph = result.graph
         dialect = config.dialect or instance.dialect
         log.edge_count = len(graph.edges)
+        question_class = ug = None
         try:
             question_class = _route_question(config, router, instance)
-            confusion[(instance.gold_type, question_class)] = (
-                confusion.get((instance.gold_type, question_class), 0) + 1)
             if question_class is QuestionClass.STRAIGHT:
-                if chart.doc is None:
-                    chart.doc = emit(graph, dialect)
-                answer = answer_shallow(
+                with chart.lock:
+                    if chart.doc is None:
+                        chart.doc = emit(graph, dialect)
+                reply = answer_shallow(
                     chart.doc, instance.question, gateway,
                     model=config.reasoner_model, max_tokens=config.max_tokens)
             else:
-                if chart.upgraded is None:
-                    chart.upgraded = upgrade_graph(
-                        graph, recognizer, dialect=dialect,
-                        parallelism=config.recognizer_parallelism)
+                with chart.lock:
+                    if chart.upgraded is None:
+                        chart.upgraded = upgrade_graph(graph, recognizer, dialect=dialect)
                 ug = chart.upgraded
-                total_triples += len(ug.triples)
-                total_fallbacks += ug.fallback_count()
-                answer = answer_deep(
+                reply = answer_deep(
                     ug, instance.question, gateway,
                     model=config.reasoner_model, dialect=dialect,
                     max_tokens=config.max_tokens,
                     include_basic=config.include_basic_in_deep)
         except Exception as exc:  # keep the batch alive, record the failure
             log.error = f"{type(exc).__name__}: {exc}"
-            continue
-        log.route = answer.route
-        log.predicted = answer.text
-        log.prompt_fingerprint = answer.prompt_fingerprint
-        log.fallbacks_used = answer.fallbacks_used
-        route_counts[(instance.gold_type, answer.route)] = (
-            route_counts.get((instance.gold_type, answer.route), 0) + 1)
-        verdict = judge(answer.text, instance.gold_answer, judge_backend)
+            return log, question_class, ug
+        log.route = reply.route
+        log.predicted = reply.text
+        log.prompt_fingerprint = reply.prompt_fingerprint
+        log.fallbacks_used = reply.fallbacks_used
+        verdict = judge(reply.text, instance.gold_answer, judge_backend)
         log.correct = verdict.correct
         log.judge_tier = verdict.tier
         log.judge_failed = verdict.judge_failed
+        return log, question_class, ug
+
+    logs: list[InstanceLog] = []
+    route_counts: dict[tuple[QuestionType, Route], int] = {}
+    confusion: dict[tuple[QuestionType, QuestionClass], int] = {}
+    total_triples = 0
+    total_fallbacks = 0
+    for log, question_class, ug in map_in_order(answer, jobs(), gateway):
+        logs.append(log)
+        if question_class is not None:
+            confusion[(log.gold_type, question_class)] = (
+                confusion.get((log.gold_type, question_class), 0) + 1)
+        if ug is not None:
+            total_triples += len(ug.triples)
+            total_fallbacks += ug.fallback_count()
+        if log.route is not None:
+            route_counts[(log.gold_type, log.route)] = (
+                route_counts.get((log.gold_type, log.route), 0) + 1)
 
     skipped = sum(1 for log in logs if log.skipped)
     failed = sum(1 for log in logs if log.error is not None and not log.skipped)

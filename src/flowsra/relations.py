@@ -10,12 +10,11 @@ heuristic, marking the triple's rationale with a ``fallback:`` prefix.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol
 
 from .emitting import InterlanguageDoc, emit
-from .gateway import ChatGateway, ChatMessage, ChatRequest
+from .gateway import ChatGateway, ChatMessage, ChatRequest, map_in_order
 from .ir import (
     Edge,
     EdgeLabel,
@@ -198,13 +197,15 @@ def upgrade_graph(
     backend: RelationBackend,
     *,
     dialect: Dialect = Dialect.MERMAID,
-    parallelism: int = 1,
 ) -> UpgradedGraph:
     """Recognize a relation for every edge and build the upgraded graph.
 
-    Backend calls may run concurrently; assembly follows edge order, so the
-    result does not depend on completion order. Any edge whose recognition
-    raises aborts the whole upgrade (no partial result).
+    A backend with a ``gateway`` attribute (the LLM one) recognizes edges
+    concurrently once its requests reach the transport, up to the gateway's
+    parallelism (see ``map_in_order``); any other backend runs inline.
+    Assembly follows edge order, so the result does not depend on completion
+    order. The first edge, in edge order, whose recognition raises aborts
+    the whole upgrade (no partial result).
     """
     require_valid(graph)
     context = emit(graph, dialect)
@@ -218,11 +219,7 @@ def upgrade_graph(
             raise UpgradeError(edge, exc) from exc
 
     edges = list(graph.edges)
-    if parallelism > 1 and len(edges) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(recognize, edges))
-    else:
-        results = [recognize(edge) for edge in edges]
+    results = list(map_in_order(recognize, edges, getattr(backend, "gateway", None)))
     relations = {edge: relation for edge, (relation, _) in zip(edges, results)}
     rationales = {edge: rationale for edge, (_, rationale) in zip(edges, results)}
     return upgrade(graph, relations, rationales)

@@ -1,11 +1,13 @@
 """Command-line behavior: payload on stdout, diagnostics on stderr, exit codes."""
 
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from flowsra.cli import main
+from flowsra.cli import _CountingBackend, main
 from flowsra.parsing import parse_text
 
 from gen import deep_if_text, isomorphic
@@ -133,6 +135,17 @@ class TestAsk:
         # the fixture chart has 5 edges, one recognizer call each
         assert "recognizer calls: 5" in err
 
+    def test_concurrent_llm_recognition_counts_every_edge(self, capsys, chart, tmp_path):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(
+            [{"match": "contains", "pattern": "", "response": "RELATION: Sequentiality"}]))
+        code, out, err = run_cli(
+            capsys, "ask", chart, "--question", "What then?", "--mode", "deep",
+            "--relation-backend", "llm", "--parallelism", "8",
+            "--mock-script", str(script))
+        assert code == 0
+        assert "recognizer calls: 5" in err
+
     def test_straight_question_logs_zero_recognizer_calls(self, capsys, chart, tmp_path):
         script = tmp_path / "script.json"
         script.write_text(json.dumps(
@@ -150,6 +163,30 @@ class TestAsk:
         code, out, _ = run_cli(capsys, "ask", chart, "--question", "anything?",
                                "--mode", "shallow", "--mock-script", str(script))
         assert json.loads(out)["route"] == "shallow"
+
+
+    def test_recognizer_count_is_exact_under_contention(self):
+        class Inner:
+            gateway = None
+
+            def recognize(self, src, dst, label, context):
+                return None
+
+        backend = _CountingBackend(Inner())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(
+                target=lambda: [backend.recognize(None, None, None, None)
+                                for _ in range(2000)]) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert backend.calls == 8 * 2000
 
 
 class TestRoute:
@@ -251,6 +288,45 @@ class TestEval:
         path.write_text("")
         code, _, _ = run_cli(capsys, "eval", "--dataset", str(path))
         assert code == 1
+
+
+class TestCacheIo:
+    """A cache entry that cannot be read is a miss; one that cannot be
+    written is a configuration error."""
+
+    @pytest.fixture
+    def llm_route(self, tmp_path):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(
+            [{"match": "contains", "pattern": "", "response": "CLASS: Complicated"}]))
+        cache = tmp_path / "cache"
+        return cache, ("route", "--router", "llm", "--question", "What then?",
+                       "--mock-script", str(script), "--cache-dir", str(cache))
+
+    def test_unreadable_entry_is_a_miss_and_heals(self, capsys, llm_route):
+        cache, argv = llm_route
+        code, first, _ = run_cli(capsys, *argv)
+        assert code == 0
+        [entry] = cache.glob("*.json")
+        entry.unlink()
+        entry.symlink_to(entry.name)  # reading it fails with ELOOP
+        code, second, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert second == first
+        assert not entry.is_symlink()
+        json.loads(entry.read_text())
+
+    def test_unwritable_entry_exits_2_naming_it(self, capsys, llm_route):
+        cache, argv = llm_route
+        run_cli(capsys, *argv)
+        [entry] = cache.glob("*.json")
+        entry.unlink()
+        entry.mkdir()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "config error" in err and str(entry) in err
+        assert "Traceback" not in err
 
 
 class TestConfigPrecedence:

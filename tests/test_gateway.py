@@ -1,14 +1,20 @@
-"""Gateway behavior: caching, retries, mock scripting, concurrency bound."""
+"""Gateway behavior: caching, retries, mock scripting, concurrency bound,
+single-flight, and the in-order concurrent map."""
 
 import hashlib
 import json
+import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 
 import pytest
 
+from flowsra import gateway as gateway_mod
 from flowsra.gateway import (
+    CacheError,
     ChatGateway,
     ChatMessage,
     ChatRequest,
@@ -20,6 +26,7 @@ from flowsra.gateway import (
     TransportError,
     cache_key,
     load_mock_script,
+    map_in_order,
     mock_backend,
 )
 
@@ -198,13 +205,241 @@ class TestComplete:
                 future.result()
         assert max(peak) <= 8
 
+    def test_unreadable_cache_entry_is_a_miss_and_heals(self, tmp_path):
+        calls = []
+
+        def transport(request):
+            calls.append(request)
+            return provider_payload("pong")
+
+        entry = tmp_path / f"{cache_key(req())}.json"
+        entry.symlink_to(entry.name)  # reading it fails with ELOOP
+        gateway = ChatGateway(transport, cache_dir=tmp_path)
+        assert gateway.complete(req()).cached is False
+        assert not entry.is_symlink()
+        assert gateway.complete(req()).cached is True
+        assert len(calls) == 1
+
+    def test_failed_cache_write_is_a_cache_error_naming_the_path(self, tmp_path):
+        entry = tmp_path / f"{cache_key(req())}.json"
+        entry.mkdir()
+        gateway = ChatGateway(lambda r: provider_payload("pong"), cache_dir=tmp_path)
+        with pytest.raises(CacheError, match=str(entry)):
+            gateway.complete(req())
+        assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+    def test_transport_calls_are_counted(self, tmp_path):
+        attempts = []
+
+        def flaky(request):
+            attempts.append(1)
+            if len(attempts) == 1:
+                raise TransientError("boom")
+            return provider_payload("ok")
+
+        gateway = ChatGateway(flaky, cache_dir=tmp_path, sleep=lambda s: None)
+        gateway.complete(req())
+        gateway.complete(req())
+        assert gateway.transport_calls == 2
+
+
+class TestRetryBackoff:
+    def failing(self, retry_afters):
+        pending = list(retry_afters)
+
+        def transport(request):
+            if pending:
+                raise TransientError("busy", pending.pop(0))
+            return provider_payload("ok")
+
+        return transport
+
+    def test_full_jitter_without_retry_after(self):
+        slept = []
+        gateway = ChatGateway(self.failing([None, None, None]), retries=4,
+                              backoff=0.5, sleep=slept.append, rng=random.Random(7))
+        assert gateway.complete(req()).content == "ok"
+        expected = random.Random(7)
+        assert slept == [expected.uniform(0.0, 0.5 * 2 ** k) for k in range(3)]
+
+    def test_sleeps_the_larger_of_retry_after_and_jitter(self):
+        slept = []
+        gateway = ChatGateway(self.failing([30.0, 0.0]), retries=3, backoff=0.5,
+                              sleep=slept.append, rng=random.Random(11))
+        gateway.complete(req())
+        expected = random.Random(11)
+        jitters = [expected.uniform(0.0, 0.5), expected.uniform(0.0, 1.0)]
+        assert slept == [30.0, jitters[1]]
+        assert jitters[0] < 30.0
+
+
+class TestSingleFlight:
+    def test_identical_concurrent_request_waits_and_gets_a_cache_hit(self, tmp_path):
+        calls = []
+        entered, release = threading.Event(), threading.Event()
+
+        def transport(request):
+            calls.append(request)
+            entered.set()
+            assert release.wait(5)
+            return provider_payload("pong")
+
+        gateway = ChatGateway(transport, cache_dir=tmp_path)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first = pool.submit(gateway.complete, req())
+            assert entered.wait(5)
+            second = pool.submit(gateway.complete, req())
+            time.sleep(0.05)  # without single-flight, the second call lands here
+            release.set()
+            responses = [first.result(timeout=5), second.result(timeout=5)]
+        assert len(calls) == 1
+        assert [r.content for r in responses] == ["pong", "pong"]
+        assert [r.cached for r in responses] == [False, True]
+        assert gateway.transport_calls == 1
+
+    def test_waiter_makes_its_own_attempt_when_the_flight_fails(self, tmp_path):
+        calls = []
+        entered, release = threading.Event(), threading.Event()
+
+        def transport(request):
+            calls.append(request)
+            if len(calls) == 1:
+                entered.set()
+                assert release.wait(5)
+                raise PermanentError("HTTP 400")
+            return provider_payload("pong")
+
+        gateway = ChatGateway(transport, cache_dir=tmp_path)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first = pool.submit(gateway.complete, req())
+            assert entered.wait(5)
+            second = pool.submit(gateway.complete, req())
+            time.sleep(0.05)
+            release.set()
+            with pytest.raises(PermanentError):
+                first.result(timeout=5)
+            response = second.result(timeout=5)
+        assert (response.content, response.cached) == ("pong", False)
+        assert len(calls) == 2
+
+    def test_request_that_missed_just_before_a_flight_landed_is_a_hit(self, tmp_path):
+        # the late request reads the cache before the first one writes it,
+        # and looks for a flight only after that flight has landed
+        missed, landed = threading.Event(), threading.Event()
+
+        class PausingGateway(ChatGateway):
+            def _cache_read(self, key):
+                response = super()._cache_read(key)
+                if threading.current_thread().name == "late" and not missed.is_set():
+                    missed.set()
+                    assert landed.wait(5)
+                return response
+
+        gateway = PausingGateway(lambda r: provider_payload("pong"), cache_dir=tmp_path)
+        late_response = []
+        late = threading.Thread(target=lambda: late_response.append(gateway.complete(req())),
+                                name="late")
+        late.start()
+        assert missed.wait(5)
+        assert gateway.complete(req()).cached is False
+        landed.set()
+        late.join(timeout=5)
+        assert not late.is_alive()
+        assert [r.cached for r in late_response] == [True]
+        assert gateway.transport_calls == 1
+
+    def test_without_a_cache_each_copy_calls_the_transport(self):
+        # as each would one after another: there is no cache to hit
+        both = threading.Barrier(2, timeout=5)
+
+        def transport(request):
+            both.wait()
+            return provider_payload("pong")
+
+        gateway = ChatGateway(transport)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(gateway.complete, req()) for _ in range(2)]
+            assert [f.result(timeout=5).cached for f in futures] == [False, False]
+        assert gateway.transport_calls == 2
+
+
+class TestMapInOrder:
+    def delayed(self, delays, gateway=None, log=None):
+        """fn over item indices: sleeps, optionally sends a request first."""
+
+        def fn(i):
+            if log is not None:
+                log.append(threading.get_ident())
+            if gateway is not None:
+                gateway.complete(req(f"item {i}"))
+            time.sleep(delays[i])
+            return i * i
+
+        return fn
+
+    def test_inline_without_transport_calls(self, tmp_path, monkeypatch):
+        warm = ChatGateway(lambda r: provider_payload("ok"), cache_dir=tmp_path)
+        for i in range(6):
+            warm.complete(req(f"item {i}"))
+        monkeypatch.setattr(gateway_mod, "ThreadPoolExecutor", None)
+        gateway = ChatGateway(None, cache_dir=tmp_path, offline=True)
+        threads = []
+        fn = self.delayed([0.0] * 6, gateway, threads)
+        assert list(map_in_order(fn, range(6), gateway)) == [i * i for i in range(6)]
+        assert set(threads) == {threading.get_ident()}
+
+    def test_overlaps_from_the_first_transport_call_in_input_order(self):
+        gateway = ChatGateway(lambda r: provider_payload("ok"), parallelism=4)
+        threads = []
+        # later items finish first
+        fn = self.delayed([0.02 - 0.002 * i for i in range(10)], gateway, threads)
+        assert list(map_in_order(fn, range(10), gateway)) == [i * i for i in range(10)]
+        assert threads[0] == threading.get_ident()
+        assert threading.get_ident() not in threads[1:]
+        assert len(set(threads[1:])) > 1
+
+    def test_draws_items_only_as_slots_free(self):
+        gateway = ChatGateway(lambda r: provider_payload("ok"), parallelism=3)
+        drawn = []
+
+        def items():
+            for i in range(20):
+                drawn.append(i)
+                yield i
+
+        results = map_in_order(self.delayed([0.001] * 20, gateway), items(), gateway)
+        assert next(results) == 0
+        assert drawn == [0]
+        assert next(results) == 1
+        assert len(drawn) <= 1 + 3 + 1
+        assert list(results) == [i * i for i in range(2, 20)]
+
+    def test_first_failure_in_input_order_is_raised(self):
+        gateway = ChatGateway(lambda r: provider_payload("ok"), parallelism=4)
+        done = []
+
+        def fn(i):
+            gateway.complete(req(f"item {i}"))
+            time.sleep(0.02 if i == 3 else 0.0)
+            if i in (3, 5):
+                raise ValueError(f"item {i}")
+            done.append(i)
+            return i
+
+        results = map_in_order(fn, range(10), gateway)
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        with pytest.raises(ValueError, match="item 3"):
+            next(results)
+        assert 9 not in done
+
 
 class TestHttpTransport:
     class FakeResponse:
-        def __init__(self, status_code=200, payload=None, text=""):
+        def __init__(self, status_code=200, payload=None, text="", headers=None):
             self.status_code = status_code
             self._payload = payload
             self.text = text
+            self.headers = headers or {}
 
         def json(self):
             if self._payload is None:
@@ -241,6 +476,33 @@ class TestHttpTransport:
         transport = gateway_mod.HttpTransport("http://x")
         with pytest.raises(exc):
             transport(req())
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_retry_after_seconds_ride_on_the_error(self, monkeypatch, status):
+        monkeypatch.setattr(gateway_mod.requests, "post", lambda *a, **k: self.FakeResponse(
+            status, headers={"Retry-After": "7"}))
+        with pytest.raises(TransientError) as excinfo:
+            gateway_mod.HttpTransport("http://x")(req())
+        assert excinfo.value.retry_after == 7.0
+
+    def test_retry_after_http_date_is_seconds_from_now(self, monkeypatch):
+        when = format_datetime(datetime.now(timezone.utc) + timedelta(seconds=120),
+                               usegmt=True)
+        monkeypatch.setattr(gateway_mod.requests, "post", lambda *a, **k: self.FakeResponse(
+            429, headers={"Retry-After": when}))
+        with pytest.raises(TransientError) as excinfo:
+            gateway_mod.HttpTransport("http://x")(req())
+        assert 100.0 < excinfo.value.retry_after <= 120.0
+
+    @pytest.mark.parametrize("status,headers", [
+        (503, {}), (503, {"Retry-After": "soon"}), (503, {"Retry-After": "-3"}),
+        (500, {"Retry-After": "7"})])
+    def test_no_usable_retry_after(self, monkeypatch, status, headers):
+        monkeypatch.setattr(gateway_mod.requests, "post", lambda *a, **k: self.FakeResponse(
+            status, headers=headers))
+        with pytest.raises(TransientError) as excinfo:
+            gateway_mod.HttpTransport("http://x")(req())
+        assert excinfo.value.retry_after is None
 
     def test_non_json_payload_is_protocol_error(self, monkeypatch):
         from flowsra import gateway as gateway_mod

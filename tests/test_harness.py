@@ -3,12 +3,15 @@
 import hashlib
 import json
 import random
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from flowsra.engine import Question, Route
+from flowsra import gateway as gateway_mod
 from flowsra import harness
 from flowsra.gateway import ChatGateway, PermanentError, load_mock_script, mock_backend
 from flowsra.harness import (
@@ -374,6 +377,82 @@ class TestPerChartMemo:
         assert run.report.failed_count == 1
 
 
+class DelayedTransport(PromptHashTransport):
+    """PromptHashTransport that waits 1 ms per call, like a remote endpoint,
+    and records the peak number of calls in flight."""
+
+    def __init__(self):
+        super().__init__()
+        self.peak = 0
+        self._in_flight = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, req):
+        with self._lock:
+            self._in_flight += 1
+            self.peak = max(self.peak, self._in_flight)
+        time.sleep(0.001)
+        with self._lock:
+            self._in_flight -= 1
+        return super().__call__(req)
+
+
+# desk_set.jsonl holds router questions only, no eval records
+EVAL_SETS = ("eval10.jsonl", "flowvqa_like_20.jsonl")
+ALL_LLM = EvalConfig(router_mode="llm", relation_backend="llm", judge_mode="llm")
+
+
+class TestConcurrentEval:
+    """Instances overlap once a run reaches the transport; what a run
+    reports must not depend on it."""
+
+    @staticmethod
+    def cold_run(instances, parallelism, cache_dir):
+        transport = DelayedTransport()
+        gateway = ChatGateway(transport, cache_dir=cache_dir, parallelism=parallelism)
+        run = run_eval(instances, ALL_LLM, gateway)
+        return run, transport
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("dataset", EVAL_SETS)
+    def test_parallelism_changes_no_log_report_or_call_count(
+            self, tmp_path, dataset, cached):
+        instances = load_dataset(DATA / dataset).instances
+        runs = {}
+        for parallelism in (1, 8):
+            cache = tmp_path / f"cache{parallelism}" if cached else None
+            runs[parallelism] = self.cold_run(instances, parallelism, cache)
+        (one, one_transport), (eight, eight_transport) = runs[1], runs[8]
+        assert [log.to_dict() for log in eight.logs] == [log.to_dict() for log in one.logs]
+        for fmt in ("json", "csv", "markdown"):
+            assert report_render(eight.report, fmt) == report_render(one.report, fmt)
+        assert len(eight_transport.prompts) == len(one_transport.prompts)
+        assert Counter(eight_transport.prompts) == Counter(one_transport.prompts)
+        assert one_transport.peak == 1
+        assert eight_transport.peak > 1
+
+    def test_warm_cache_run_starts_no_worker_thread(self, tmp_path, monkeypatch):
+        instances = flowvqa_like_instances()
+        cold, _ = self.cold_run(instances, 8, tmp_path)
+        monkeypatch.setattr(gateway_mod, "ThreadPoolExecutor", None)
+        before = threading.active_count()
+        warm = run_eval(instances, ALL_LLM,
+                        ChatGateway(None, cache_dir=tmp_path, offline=True, parallelism=8))
+        assert threading.active_count() == before
+        assert [log.to_dict() for log in warm.logs] == [log.to_dict() for log in cold.logs]
+        assert report_render(warm.report) == report_render(cold.report)
+
+    def test_each_chart_upgraded_once_under_concurrency(self, tmp_path):
+        instances = flowvqa_like_instances()
+        transport = DelayedTransport()
+        run = run_eval(instances,
+                       EvalConfig(router_mode="always-deep", relation_backend="llm"),
+                       ChatGateway(transport, parallelism=8))
+        assert run.report.failed_count == 0
+        relation = Counter(p for p in transport.prompts if "Node A (source):" in p)
+        assert set(relation.values()) == {1}
+
+
 class TestFingerprint:
     # digests of the hand-listed payload that fields() replaced
     def test_pinned_digests(self):
@@ -388,10 +467,6 @@ class TestFingerprint:
             dialect=Dialect.DOT, reasoner_model="r2", recognizer_model="c2",
             router_model="o2", judge_model="j2").fingerprint() == (
             "9d4c5c7e28a521a9d8383ca10b1cc2d951732494b8eb925a8623911f734ad819")
-
-    def test_parallelism_does_not_change_it(self):
-        assert (EvalConfig(recognizer_parallelism=8).fingerprint()
-                == EvalConfig().fingerprint())
 
 
 class TestDiscriminatorConfusion:

@@ -1,11 +1,14 @@
 """Relation recognition: prompts, response parsing, heuristic, upgrading."""
 
 import random
+import re
+import threading
+import time
 
 import pytest
 
 from flowsra.emitting import emit
-from flowsra.gateway import ChatGateway, mock_backend
+from flowsra.gateway import ChatGateway, PermanentError, mock_backend
 from flowsra.ir import (
     Edge,
     EdgeLabel,
@@ -155,6 +158,47 @@ def three_edge_graph():
     )
 
 
+def chain_graph(steps):
+    """Start, steps P0..P{steps-1} in a chain, End."""
+    nodes = ([Node("S", NodeKind.START, "Start")]
+             + [Node(f"P{i}", NodeKind.PROCESS, f"Step {i}") for i in range(steps)]
+             + [Node("E", NodeKind.END, "End")])
+    ids = [n.id for n in nodes]
+    return FlowGraph(nodes=tuple(nodes),
+                     edges=tuple(Edge(a, b) for a, b in zip(ids, ids[1:])))
+
+
+class SlowFirstTransport:
+    """Answers a relation prompt on a chain_graph from its edge's index,
+    sleeping longer for earlier edges so that concurrent calls finish in
+    reverse edge order; records the peak number of calls in flight."""
+
+    is_network = False
+    TAGS = (RelationType.SEQUENTIALITY, RelationType.CAUSALITY,
+            RelationType.INSTANTIATION)
+
+    def __init__(self):
+        self.peak = 0
+        self._in_flight = 0
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def edge_index(request):
+        m = re.search(r"Node A \(source\): (?:Step (\d+)|Start)", request.rendered())
+        return int(m.group(1)) + 1 if m.group(1) else 0
+
+    def __call__(self, request):
+        index = self.edge_index(request)
+        with self._lock:
+            self._in_flight += 1
+            self.peak = max(self.peak, self._in_flight)
+        time.sleep(0.001 * (14 - index))
+        with self._lock:
+            self._in_flight -= 1
+        tag = self.TAGS[index % 3].value
+        return {"choices": [{"message": {"content": f"RELATION: {tag}"}}]}
+
+
 class TestUpgradeGraph:
     def test_zero_edges_zero_calls(self):
         calls = []
@@ -224,10 +268,33 @@ class TestUpgradeGraph:
             assert len(ug.triples) == len(graph.edges)
 
     def test_parallel_assembly_is_edge_ordered(self):
-        graph = three_edge_graph()
-        sequential = upgrade_graph(graph, HeuristicRelationBackend(), parallelism=1)
-        parallel = upgrade_graph(graph, HeuristicRelationBackend(), parallelism=4)
-        assert sequential.triples == parallel.triples
+        graph = chain_graph(12)
+        sequential = SlowFirstTransport()
+        parallel = SlowFirstTransport()
+        one = upgrade_graph(graph, LlmRelationBackend(
+            ChatGateway(sequential, parallelism=1), model="recognizer"))
+        four = upgrade_graph(graph, LlmRelationBackend(
+            ChatGateway(parallel, parallelism=4), model="recognizer"))
+        assert one.triples == four.triples
+        assert [t.relation for t in four.triples] == [
+            SlowFirstTransport.TAGS[i % 3] for i in range(len(graph.edges))]
+        assert sequential.peak == 1
+        assert 1 < parallel.peak <= 4
+
+    def test_first_failing_edge_in_edge_order_aborts(self):
+        # edge 7 fails at once, edge 3 only after a wait
+        def transport(request):
+            index = SlowFirstTransport.edge_index(request)
+            if index in (3, 7):
+                time.sleep(0.03 if index == 3 else 0.0)
+                raise PermanentError(f"HTTP 400 for edge {index}")
+            return SlowFirstTransport()(request)
+
+        backend = LlmRelationBackend(ChatGateway(transport, parallelism=8),
+                                     model="recognizer")
+        with pytest.raises(UpgradeError) as excinfo:
+            upgrade_graph(chain_graph(12), backend)
+        assert excinfo.value.edge == Edge("P2", "P3")
 
     def test_upgrading_never_alters_base_emission(self):
         for seed in range(10):
