@@ -345,6 +345,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (TransportError, PermanentError, ProtocolError, ScriptedMissError,
             UpgradeError) as exc:
+        if isinstance(exc, UpgradeError) and isinstance(exc.__cause__, CacheError):
+            print(f"config error: {exc.__cause__}", file=sys.stderr)
+            return EXIT_CONFIG
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Generator
+from typing import Callable, Generator, Iterable
 
 from .ir import (
     Edge,
@@ -20,6 +20,7 @@ from .ir import (
     NodeKind,
     RelationType,
     UpgradedGraph,
+    derived,
     relation_definitions_block,
     require_valid,
 )
@@ -64,20 +65,19 @@ def _clean(text: str) -> str:
     return " ".join(text.split()) if ("\n" in text or "\r" in text) else text
 
 
-def _relation_map(ug: UpgradedGraph) -> dict[Edge, str]:
-    """Per-edge upgraded label text; raises if the triple bijection is broken."""
-    if len(ug.triples) != len(ug.base.edges):
+def _check_triples(ug: UpgradedGraph) -> None:
+    """Raise unless triple ``i`` joins the endpoints of edge ``i``, for every
+    edge and no more."""
+    edges = ug.base.edges
+    if len(ug.triples) != len(edges):
         raise ValueError(
             f"upgraded graph has {len(ug.triples)} triples for "
-            f"{len(ug.base.edges)} edges")
-    labels: dict[Edge, str] = {}
-    for edge, triple in zip(ug.base.edges, ug.triples):
-        if (triple.src, triple.dst) != (edge.src, edge.dst):
+            f"{len(edges)} edges")
+    for edge, triple in zip(edges, ug.triples):
+        if triple.src != edge.src or triple.dst != edge.dst:
             raise ValueError(
                 f"triple {triple.src}->{triple.dst} does not match edge "
                 f"{edge.src}->{edge.dst}")
-        labels[edge] = relation_edge_label(triple.relation, edge.label)
-    return labels
 
 
 def _taxonomy_comment(marker: str) -> list[str]:
@@ -107,15 +107,22 @@ _MERMAID_BRACKETS = {
 }
 
 
-def _emit_mermaid(graph: FlowGraph, upgraded: dict[Edge, str] | None) -> str:
+def _edge_labels(graph: FlowGraph, upgraded: list[str] | None) -> Iterable[str | None]:
+    """Label text per edge, in edge order: the upgraded labels if given,
+    else each edge's own."""
+    if upgraded is not None:
+        return upgraded
+    return (edge.label.render() for edge in graph.edges)
+
+
+def _emit_mermaid(graph: FlowGraph, upgraded: list[str] | None) -> str:
     lines = ["flowchart TD"]
     if upgraded is not None:
         lines += _taxonomy_comment("%%")
     for node in graph.nodes:
         left, right = _MERMAID_BRACKETS[node.kind]
         lines.append(f"{node.id}{left}{_mermaid_text(node.text)}{right}")
-    for edge in graph.edges:
-        label = upgraded[edge] if upgraded is not None else edge.label.render()
+    for edge, label in zip(graph.edges, _edge_labels(graph, upgraded)):
         if label is None:
             lines.append(f"{edge.src} --> {edge.dst}")
         else:
@@ -148,7 +155,7 @@ _DOT_SHAPES = {
 }
 
 
-def _emit_dot(graph: FlowGraph, upgraded: dict[Edge, str] | None) -> str:
+def _emit_dot(graph: FlowGraph, upgraded: list[str] | None) -> str:
     lines = ["digraph G {"]
     if upgraded is not None:
         lines += ["  " + line for line in _taxonomy_comment("//")]
@@ -156,8 +163,7 @@ def _emit_dot(graph: FlowGraph, upgraded: dict[Edge, str] | None) -> str:
         lines.append(
             f"  {_dot_id(node.id)} [shape={_DOT_SHAPES[node.kind]}, "
             f"label={_dot_str(node.text)}];")
-    for edge in graph.edges:
-        label = upgraded[edge] if upgraded is not None else edge.label.render()
+    for edge, label in zip(graph.edges, _edge_labels(graph, upgraded)):
         stmt = f"  {_dot_id(edge.src)} -> {_dot_id(edge.dst)}"
         if label is not None:
             stmt += f" [label={_dot_str(label)}]"
@@ -205,13 +211,14 @@ def _forward_reach(fwd_succs: dict[str, list[str]],
     return reach
 
 
-def _back_edges(outs: dict[str, list[Edge]], entries: list[str]) -> dict[Edge, None]:
+def _back_edges(outs: dict[str, list[Edge]], entries: list[str]) -> dict[int, Edge]:
     """DFS back edges (edge order respected), which mark loop latches.
 
-    An insertion-ordered dict serves as a set, so iteration follows
-    discovery order rather than hash order."""
+    Keyed by ``id(edge)``: the edges of a valid graph are distinct objects,
+    and an id hashes without calling into Python as an ``Edge`` does. The
+    dict keeps discovery order, so iteration does not depend on hashes."""
     color: dict[str, int] = {}
-    back: dict[Edge, None] = {}
+    back: dict[int, Edge] = {}
     for entry in entries:
         if color.get(entry):
             continue
@@ -224,7 +231,7 @@ def _back_edges(outs: dict[str, list[Edge]], entries: list[str]) -> dict[Edge, N
                 edge = outs[node][idx]
                 state = color.get(edge.dst, 0)
                 if state == 1:
-                    back[edge] = None
+                    back[id(edge)] = edge
                 elif state == 0:
                     color[edge.dst] = 1
                     stack.append((edge.dst, 0))
@@ -291,7 +298,7 @@ class _PlantUmlEmitter:
         # joins are computed over forward edges only: flow that wraps around a
         # loop's back edge must not count as branch reconvergence
         self.fwd_succs = {
-            nid: [e.dst for e in outs if e not in self.back]
+            nid: [e.dst for e in outs if id(e) not in self.back]
             for nid, outs in self.outs.items()
         }
         self.fwd_reach = _forward_reach(
@@ -299,7 +306,7 @@ class _PlantUmlEmitter:
         self.loop_latches: dict[str, list[Edge]] = {}
         # the sort is stable: back edges from one node keep their edge order,
         # so the error below always names the same edge
-        for edge in sorted(self.back, key=lambda e: self.pos[e.src]):
+        for edge in sorted(self.back.values(), key=lambda e: self.pos[e.src]):
             if self.by_id[edge.src].kind is not NodeKind.DECISION:
                 raise EmitError(
                     f"back edge {edge.src} -> {edge.dst} does not come from a "
@@ -309,7 +316,7 @@ class _PlantUmlEmitter:
         # an arrow-label line would unambiguously apply to a single edge
         self.fwd_in: dict[str, int] = {n.id: 0 for n in graph.nodes}
         for edge in graph.edges:
-            if edge not in self.back:
+            if id(edge) not in self.back:
                 self.fwd_in[edge.dst] += 1
 
     def emit(self) -> str:
@@ -476,9 +483,11 @@ class _PlantUmlEmitter:
         return join
 
 
-def _emit_plantuml(graph: FlowGraph, upgraded: dict[Edge, str] | None) -> str:
+def _emit_plantuml(graph: FlowGraph, upgraded: list[str] | None) -> str:
     if upgraded is not None:
-        render = lambda edge: upgraded[edge]  # noqa: E731
+        # keyed by id(edge), as the back edges are
+        by_edge = {id(edge): label for edge, label in zip(graph.edges, upgraded)}
+        render = lambda edge: by_edge[id(edge)]  # noqa: E731
         emitter = _PlantUmlEmitter(graph, render, best_effort=True)
         body = emitter.emit()
         header, _, rest = body.partition("\n")
@@ -501,10 +510,14 @@ def emit(graph: FlowGraph, dialect: Dialect) -> InterlanguageDoc:
     """Serialize a validated graph to dialect text.
 
     Raises GraphValidationError for invalid graphs, EmitError when the graph
-    falls outside what the dialect subset can express (PlantUML only).
+    falls outside what the dialect subset can express (PlantUML only). The
+    text is computed once per graph and dialect (see :func:`flowsra.ir.derived`).
     """
-    require_valid(graph)
-    return InterlanguageDoc(dialect, _EMITTERS[dialect](graph, None))
+    def compute() -> InterlanguageDoc:
+        require_valid(graph)
+        return InterlanguageDoc(dialect, _EMITTERS[dialect](graph, None))
+
+    return derived(graph, ("emit", dialect), compute)
 
 
 def emit_upgraded(ug: UpgradedGraph, dialect: Dialect) -> InterlanguageDoc:
@@ -512,20 +525,29 @@ def emit_upgraded(ug: UpgradedGraph, dialect: Dialect) -> InterlanguageDoc:
 
     Every edge's label slot carries its relation name, with the original
     Yes/No label kept in parentheses; a comment header lists the four
-    relation definitions.
+    relation definitions. Computed once per upgraded graph and dialect.
     """
-    require_valid(ug.base)
-    labels = _relation_map(ug)
-    return InterlanguageDoc(dialect, _EMITTERS[dialect](ug.base, labels))
+    def compute() -> InterlanguageDoc:
+        require_valid(ug.base)
+        _check_triples(ug)
+        labels = [relation_edge_label(triple.relation, edge.label)
+                  for edge, triple in zip(ug.base.edges, ug.triples)]
+        return InterlanguageDoc(dialect, _EMITTERS[dialect](ug.base, labels))
+
+    return derived(ug, ("emit_upgraded", dialect), compute)
 
 
 def emit_triples(ug: UpgradedGraph) -> str:
-    """Plain triple listing, one line per edge in edge order."""
-    require_valid(ug.base)
-    _relation_map(ug)  # bijection check
-    by_id = {n.id: n for n in ug.base.nodes}
-    lines = [
-        f"({_clean(by_id[t.src].text)}) -[{t.relation.value}]-> ({_clean(by_id[t.dst].text)})"
-        for t in ug.triples
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Plain triple listing, one line per edge in edge order. Computed once
+    per upgraded graph."""
+    def compute() -> str:
+        require_valid(ug.base)
+        _check_triples(ug)
+        by_id = {n.id: n for n in ug.base.nodes}
+        lines = [
+            f"({_clean(by_id[t.src].text)}) -[{t.relation.value}]-> ({_clean(by_id[t.dst].text)})"
+            for t in ug.triples
+        ]
+        return "\n".join(lines) + ("\n" if lines else "")
+
+    return derived(ug, "emit_triples", compute)

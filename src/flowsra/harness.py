@@ -6,10 +6,11 @@ normalization first, an LLM judge only for pairs normalization cannot
 settle. Reports carry no wall-clock data, so identical runs render
 byte-identical output.
 
-``run_eval`` parses, emits and upgrades each distinct chart once per run,
-however many questions ask about it. Without a response cache, the
-relation calls for a chart are therefore made once per run, not once per
-deep question.
+``run_eval`` parses and upgrades each distinct chart once per run, however
+many questions ask about it, and the graph and its upgrade each render
+their prompt texts once (see :func:`flowsra.ir.derived`). Without a
+response cache, the relation calls for a chart are therefore made once per
+run, not once per deep question.
 
 The gateway's ``parallelism`` is the one concurrency bound: on transport
 calls, on eval instances and on a chart's recognizer calls. It takes effect
@@ -31,13 +32,13 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .emitting import InterlanguageDoc, emit
+from .emitting import emit
 from .engine import Question, Route, answer_deep, answer_shallow
-from .gateway import ChatGateway, completion_backend, map_in_order
+from .gateway import CacheError, ChatGateway, completion_backend, map_in_order
 from .ir import FlowGraph, UpgradedGraph, topology_stats
 from .parsing import Dialect, ParseResult, parse_text
 from .prompts import load_template
-from .relations import make_relation_backend, upgrade_graph
+from .relations import UpgradeError, make_relation_backend, upgrade_graph
 from .routing import (
     ClassificationError,
     QuestionClass,
@@ -331,13 +332,14 @@ class _Chart:
     """Per-run work on one chart source, shared by every question on it.
 
     The target dialect is fixed by the key's dialect and the run's config,
-    so one emitted doc and one upgrade suffice. Each is filled by the first
-    question that needs it, under ``lock``, so concurrent questions wait for
-    it rather than redo it; one that raised stays None and is retried.
+    so one upgrade suffices. It is made by the first deep question, under
+    ``lock``, so concurrent questions wait for its recognizer calls rather
+    than repeat them; one that raised leaves None and is retried. The
+    emitted texts need no slot: the graph and the upgrade each keep their
+    own (see :func:`flowsra.ir.derived`).
     """
 
     result: ParseResult
-    doc: InterlanguageDoc | None = None
     upgraded: UpgradedGraph | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -346,11 +348,14 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
              gateway: ChatGateway) -> EvalRun:
     """Run the configured pipeline per instance and aggregate the report.
 
-    Each distinct (source, dialect) is parsed once, and emitted or upgraded
-    at most once; every instance still gets its own routing, answer, judge
-    and log. Instance-level failures are recorded and the run continues;
-    parse errors in the source flag the instance as skipped. Instances
-    overlap as the module docstring says; logs keep input order.
+    Each distinct (source, dialect) is parsed once and upgraded at most
+    once, and each parsed graph or upgrade renders its texts once; every
+    instance still gets its own routing, answer, judge and log.
+    Instance-level failures are recorded and the run continues; parse errors
+    in the source flag the instance as skipped. A :class:`CacheError` (a
+    cache entry that cannot be written) is the run's, not an instance's: it
+    is raised, also when an upgrade failed because of it. Instances overlap
+    as the module docstring says; logs keep input order.
     """
     router = None
     if config.router_mode in ("llm", "heuristic", "oracle"):
@@ -396,11 +401,8 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
         try:
             question_class = _route_question(config, router, instance)
             if question_class is QuestionClass.STRAIGHT:
-                with chart.lock:
-                    if chart.doc is None:
-                        chart.doc = emit(graph, dialect)
                 reply = answer_shallow(
-                    chart.doc, instance.question, gateway,
+                    emit(graph, dialect), instance.question, gateway,
                     model=config.reasoner_model, max_tokens=config.max_tokens)
             else:
                 with chart.lock:
@@ -413,6 +415,9 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
                     max_tokens=config.max_tokens,
                     include_basic=config.include_basic_in_deep)
         except Exception as exc:  # keep the batch alive, record the failure
+            cause = exc.__cause__ if isinstance(exc, UpgradeError) else exc
+            if isinstance(cause, CacheError):
+                raise cause
             log.error = f"{type(exc).__name__}: {exc}"
             return log, question_class, ug
         log.route = reply.route

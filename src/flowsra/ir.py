@@ -6,13 +6,25 @@ edge. All values are immutable after construction, so graphs can be shared
 freely across threads. Structural problems are reported by :func:`validate`
 as data rather than raised at construction time, which lets parsers build
 partial graphs and still describe what is wrong with them.
+
+Because a graph never changes, whatever is derived from it is derived once
+per graph object and kept on that object (see :func:`derived`): the
+:func:`validate` result, the id/adjacency index behind
+:meth:`FlowGraph.node`, :meth:`FlowGraph.out_edges` and
+:meth:`FlowGraph.in_edges`, and the emitted texts of
+:mod:`flowsra.emitting`. The memo lives and dies with its graph, so it
+neither keeps graphs alive nor hashes them by value; a computation that
+raises stores nothing and runs again on the next call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, Mapping, TypeVar
+
+T = TypeVar("T")
 
 
 class NodeKind(Enum):
@@ -115,8 +127,36 @@ class Edge:
     label: EdgeLabel = UNLABELED
 
 
+class _Memoized:
+    """Base of the immutable graph types: a per-instance store for
+    :func:`derived`, created on first use. It is not a dataclass field, so
+    equality, hashing and ``repr`` ignore it."""
+
+    @cached_property
+    def _memo(self) -> dict[Hashable, object]:
+        return {}
+
+
+_MISSING = object()
+
+
+def derived(owner: _Memoized, key: Hashable, compute: Callable[[], T]) -> T:
+    """``compute()``, kept on ``owner`` under ``key`` and returned by later
+    calls instead of computing again.
+
+    ``compute`` must depend only on the (immutable) owner and the key. If it
+    raises, nothing is stored. Threads that race on a first call may each
+    compute, and all get the value stored first.
+    """
+    memo = owner._memo
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo.setdefault(key, compute())
+    return value  # type: ignore[return-value]
+
+
 @dataclass(frozen=True)
-class FlowGraph:
+class FlowGraph(_Memoized):
     """Ordered nodes and edges; order is parse/insertion order.
 
     Deterministic emission depends on the stored order, so it is never
@@ -132,20 +172,33 @@ class FlowGraph:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
 
-    def node(self, node_id: str) -> Node:
+    def _index(self) -> tuple[dict[str, Node], dict[str, tuple[Edge, ...]],
+                              dict[str, tuple[Edge, ...]]]:
+        """Node by id (the first of a duplicated id), and out- and in-edges
+        by node id in edge order (dangling endpoints included)."""
+        by_id: dict[str, Node] = {}
         for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
+            by_id.setdefault(n.id, n)
+        outs: dict[str, list[Edge]] = {}
+        ins: dict[str, list[Edge]] = {}
+        for e in self.edges:
+            outs.setdefault(e.src, []).append(e)
+            ins.setdefault(e.dst, []).append(e)
+        return (by_id,
+                {nid: tuple(es) for nid, es in outs.items()},
+                {nid: tuple(es) for nid, es in ins.items()})
+
+    def node(self, node_id: str) -> Node:
+        return derived(self, "index", self._index)[0][node_id]
 
     def node_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes)
 
     def out_edges(self, node_id: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.src == node_id)
+        return derived(self, "index", self._index)[1].get(node_id, ())
 
     def in_edges(self, node_id: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.dst == node_id)
+        return derived(self, "index", self._index)[2].get(node_id, ())
 
     @property
     def is_empty(self) -> bool:
@@ -218,7 +271,7 @@ class RelationTriple:
 
 
 @dataclass(frozen=True)
-class UpgradedGraph:
+class UpgradedGraph(_Memoized):
     """A FlowGraph plus exactly one relation triple per edge, in edge order."""
 
     base: FlowGraph
@@ -266,8 +319,13 @@ def validate(graph: FlowGraph) -> list[Violation]:
     """Check every FlowGraph invariant; returns an empty list iff all hold.
 
     Violations are data, not failures: the order is deterministic (nodes in
-    graph order, then edges) and repeated calls return identical lists.
+    graph order, then edges) and repeated calls return equal lists. The
+    check runs once per graph; each call returns a fresh list.
     """
+    return list(derived(graph, "validate", lambda: _violations(graph)))
+
+
+def _violations(graph: FlowGraph) -> tuple[Violation, ...]:
     violations: list[Violation] = []
     seen_ids: set[str] = set()
     for node in graph.nodes:
@@ -288,13 +346,14 @@ def validate(graph: FlowGraph) -> list[Violation]:
                 violations.append(Violation(
                     "dangling-edge", endpoint,
                     f"edge {edge.src!r} -> {edge.dst!r} references unknown node {endpoint!r}"))
-        if edge in seen_edges:
+        count = len(seen_edges)
+        seen_edges.add(edge)  # one hash per edge: an Edge hashes in Python
+        if len(seen_edges) == count:
             violations.append(Violation(
                 "duplicate-edge", f"{edge.src}->{edge.dst}",
                 f"duplicate edge {edge.src!r} -> {edge.dst!r} "
                 f"with label {edge.label.render() or 'none'}"))
-        seen_edges.add(edge)
-    return violations
+    return tuple(violations)
 
 
 def require_valid(graph: FlowGraph) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .ir import (
     Edge,
@@ -102,6 +103,7 @@ class _Builder:
         self._texts: dict[str, str] = {}
         self._edges: list[Edge] = []
         self._edge_keys: set[Edge] = set()
+        self._starts: set[str] = set()  # ids whose kind is START
         self.title: str | None = None
         self._synth = 0
 
@@ -122,6 +124,8 @@ class _Builder:
             self._order.append(node_id)
             self._kinds[node_id] = kind
             self._texts[node_id] = node_id if text is None else text
+            if kind is NodeKind.START:
+                self._starts.add(node_id)
         return node_id
 
     def define(self, node_id: str, kind: NodeKind, text: str) -> str:
@@ -129,23 +133,26 @@ class _Builder:
         self.ensure(node_id)
         self._kinds[node_id] = kind
         self._texts[node_id] = text
+        if kind is NodeKind.START:
+            self._starts.add(node_id)
+        else:
+            self._starts.discard(node_id)
         return node_id
 
     def add_node(self, kind: NodeKind, text: str) -> str:
         return self.define(self.fresh_id(), kind, text)
 
     def has_start(self, excluding: str | None = None) -> bool:
-        return any(k is NodeKind.START and nid != excluding
-                   for nid, k in self._kinds.items())
+        return len(self._starts) > (excluding in self._starts)
 
     def add_edge(self, src: str, dst: str, label: EdgeLabel = UNLABELED) -> bool:
         """Record an edge; returns False for a duplicate (kept, so validate()
         flags it too, but the parser should diagnose it where it happened)."""
         edge = Edge(src, dst, label)
-        fresh = edge not in self._edge_keys
-        self._edges.append(edge)
+        seen = len(self._edge_keys)
         self._edge_keys.add(edge)
-        return fresh
+        self._edges.append(edge)
+        return len(self._edge_keys) != seen
 
     def build(self) -> FlowGraph:
         nodes = tuple(Node(nid, self._kinds[nid], self._texts[nid]) for nid in self._order)
@@ -329,31 +336,37 @@ _DOT_SHAPE_KINDS = {
 _DOT_TERMINAL_SHAPES = {"oval", "ellipse", "circle"}
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     value: str
     line: int
 
 
 def _dot_tokenize(text: str) -> tuple[list[_Tok], list[ParseDiagnostic]]:
+    """Tokens without whitespace and comments, and one diagnostic per
+    character that starts no token."""
     tokens: list[_Tok] = []
     diagnostics: list[ParseDiagnostic] = []
     pos = 0
     line = 1
-    while pos < len(text):
-        m = _DOT_TOKEN.match(text, pos)
-        if not m:
+    for m in _DOT_TOKEN.finditer(text):
+        # the gap before a match holds the characters no token matches at;
+        # none is a newline, which whitespace always matches
+        for char in text[pos:m.start()]:
             diagnostics.append(ParseDiagnostic(
-                line, f"unexpected character {text[pos]!r}", Severity.ERROR))
-            pos += 1
-            continue
-        kind = m.lastgroup or ""
-        value = m.group(0)
-        if kind not in ("ws", "comment"):
-            tokens.append(_Tok(kind, value, line))
-        line += value.count("\n")
+                line, f"unexpected character {char!r}", Severity.ERROR))
+        kind = m.lastgroup
+        value = m.group()
         pos = m.end()
+        if kind == "ws" or kind == "comment":
+            line += value.count("\n")
+        else:
+            tokens.append(_Tok(kind, value, line))
+            if kind == "string":
+                line += value.count("\n")
+    for char in text[pos:]:
+        diagnostics.append(ParseDiagnostic(
+            line, f"unexpected character {char!r}", Severity.ERROR))
     return tokens, diagnostics
 
 

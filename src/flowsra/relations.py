@@ -22,11 +22,11 @@ from .ir import (
     LabelKind,
     Node,
     NodeKind,
+    RelationTriple,
     RelationType,
     UpgradedGraph,
     relation_definitions_block,
     require_valid,
-    upgrade,
 )
 from .parsing import Dialect
 from .prompts import load_template
@@ -203,9 +203,10 @@ def upgrade_graph(
     A backend with a ``gateway`` attribute (the LLM one) recognizes edges
     concurrently once its requests reach the transport, up to the gateway's
     parallelism (see ``map_in_order``); any other backend runs inline.
-    Assembly follows edge order, so the result does not depend on completion
-    order. The first edge, in edge order, whose recognition raises aborts
-    the whole upgrade (no partial result).
+    Triple ``i`` is built from edge ``i``'s result, so the result does not
+    depend on completion order and no edge is hashed. The first edge, in
+    edge order, whose recognition raises aborts the whole upgrade (no
+    partial result).
     """
     require_valid(graph)
     context = emit(graph, dialect)
@@ -218,11 +219,10 @@ def upgrade_graph(
         except Exception as exc:
             raise UpgradeError(edge, exc) from exc
 
-    edges = list(graph.edges)
-    results = list(map_in_order(recognize, edges, getattr(backend, "gateway", None)))
-    relations = {edge: relation for edge, (relation, _) in zip(edges, results)}
-    rationales = {edge: rationale for edge, (_, rationale) in zip(edges, results)}
-    return upgrade(graph, relations, rationales)
+    results = list(map_in_order(recognize, graph.edges, getattr(backend, "gateway", None)))
+    return UpgradedGraph(base=graph, triples=tuple(
+        RelationTriple(edge.src, relation, edge.dst, rationale)
+        for edge, (relation, rationale) in zip(graph.edges, results)))
 
 
 def make_relation_backend(kind: str, gateway: ChatGateway | None = None,

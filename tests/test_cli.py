@@ -328,6 +328,40 @@ class TestCacheIo:
         assert "config error" in err and str(entry) in err
         assert "Traceback" not in err
 
+    def test_eval_unwritable_entry_exits_2_naming_it(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        argv = ("eval", "--dataset", str(DATA / "eval10.jsonl"),
+                "--mock-script", str(DATA / "mock10.json"), "--cache-dir", str(cache))
+        assert run_cli(capsys, *argv)[0] == 0
+        entries = sorted(cache.glob("*.json"))
+        assert entries
+        for entry in entries:
+            entry.unlink()
+            entry.mkdir()
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, err
+            assert out == ""
+            assert "config error" in err and str(entry) in err
+            assert "Traceback" not in err
+            entry.rmdir()
+            assert run_cli(capsys, *argv)[0] == 0
+
+    def test_upgrade_unwritable_entry_exits_2_naming_it(self, capsys, tmp_path, chart):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(
+            [{"match": "contains", "pattern": "", "response": "RELATION: Sequentiality"}]))
+        cache = tmp_path / "cache"
+        argv = ("upgrade", chart, "--relation-backend", "llm",
+                "--mock-script", str(script), "--cache-dir", str(cache))
+        assert run_cli(capsys, *argv)[0] == 0
+        entry = sorted(cache.glob("*.json"))[0]
+        entry.unlink()
+        entry.mkdir()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, err
+        assert out == ""
+        assert "config error" in err and str(entry) in err
+
 
 class TestConfigPrecedence:
     def test_config_file_then_env_then_flags(self, capsys, tmp_path, monkeypatch):

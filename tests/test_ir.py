@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flowsra.ir import (
+    NO,
+    UNLABELED,
+    YES,
     Edge,
     EdgeLabel,
     FlowGraph,
@@ -79,6 +82,54 @@ class TestValidate:
     @given(flow_graphs())
     def test_validate_is_idempotent(self, graph):
         assert validate(graph) == validate(graph)
+
+
+_IDS = ["A", "B", "C", "D"]
+_ANY_IDS = _IDS + ["X"]  # X is never declared, so its edges dangle
+
+
+@st.composite
+def messy_graphs(draw):
+    """Small graphs with duplicate ids, duplicate edges and dangling edges."""
+    nodes = draw(st.lists(st.builds(
+        Node, st.sampled_from(_IDS), st.sampled_from(list(NodeKind)),
+        st.sampled_from(["", "one", "two"])), max_size=6))
+    edges = draw(st.lists(st.builds(
+        Edge, st.sampled_from(_ANY_IDS), st.sampled_from(_ANY_IDS),
+        st.sampled_from([YES, NO, UNLABELED, EdgeLabel.other("t")])), max_size=10))
+    return FlowGraph(nodes=tuple(nodes), edges=tuple(edges))
+
+
+class TestIndex:
+    """node/out_edges/in_edges agree with their linear-scan definitions."""
+
+    @given(messy_graphs())
+    def test_index_equals_linear_scans(self, graph):
+        for node_id in _ANY_IDS + ["absent"]:
+            first = next((node for node in graph.nodes if node.id == node_id), None)
+            if first is None:
+                with pytest.raises(KeyError):
+                    graph.node(node_id)
+            else:
+                assert graph.node(node_id) is first
+            assert graph.out_edges(node_id) == tuple(
+                e for e in graph.edges if e.src == node_id)
+            assert graph.in_edges(node_id) == tuple(
+                e for e in graph.edges if e.dst == node_id)
+
+    @given(messy_graphs())
+    def test_validate_equals_a_fresh_graphs(self, graph):
+        expected = validate(FlowGraph(graph.nodes, graph.edges, graph.title))
+        assert validate(graph) == expected
+        assert validate(graph) == expected
+
+    def test_derived_values_are_not_fields(self):
+        graph = FlowGraph(nodes=(n("A"),), edges=(Edge("A", "A"),))
+        twin = FlowGraph(nodes=(n("A"),), edges=(Edge("A", "A"),))
+        graph.out_edges("A")
+        validate(graph)
+        assert graph == twin and hash(graph) == hash(twin)
+        assert repr(graph) == repr(twin)
 
 
 class TestTopologyStats:

@@ -1,18 +1,28 @@
 """Dialect detection and the three parsers, including error recovery."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flowsra.emitting import emit
 from flowsra.ir import EdgeLabel, NodeKind, validate
 from flowsra.parsing import (
+    _DOT_TOKEN,
     Dialect,
+    ParseDiagnostic,
     Severity,
     UnknownDialectError,
+    _Builder,
+    _dot_tokenize,
     detect_dialect,
     parse_dot,
     parse_mermaid,
     parse_plantuml,
     parse_text,
 )
+
+from gen import rand_flow_graph, rand_structured_graph
 
 
 class TestDetectDialect:
@@ -211,6 +221,82 @@ class TestParseDot:
     def test_empty_label_on_box_is_diagnosed(self):
         result = parse_dot('digraph G { A [shape=box, label=""]; }')
         assert any("empty label" in d.message for d in result.errors())
+
+
+def reference_dot_tokenize(text):
+    """The DOT lexer as first written, one ``match`` per position: the
+    referee for ``_dot_tokenize``."""
+    tokens = []
+    diagnostics = []
+    pos = 0
+    line = 1
+    while pos < len(text):
+        m = _DOT_TOKEN.match(text, pos)
+        if not m:
+            diagnostics.append(ParseDiagnostic(
+                line, f"unexpected character {text[pos]!r}", Severity.ERROR))
+            pos += 1
+            continue
+        kind = m.lastgroup or ""
+        value = m.group(0)
+        if kind not in ("ws", "comment"):
+            tokens.append((kind, value, line))
+        line += value.count("\n")
+        pos = m.end()
+    return tokens, diagnostics
+
+
+def assert_lexes_like_reference(text):
+    tokens, diagnostics = _dot_tokenize(text)
+    assert ([(t.kind, t.value, t.line) for t in tokens], diagnostics) == (
+        reference_dot_tokenize(text))
+
+
+class TestDotLexer:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_emitted_dot(self, seed):
+        rng = random.Random(seed)
+        for graph in (rand_flow_graph(rng), rand_structured_graph(rng)):
+            assert_lexes_like_reference(emit(graph, Dialect.DOT).text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(
+        list('ab_19.-> \t\r\n"\\/*#{}[]=;,@%$\u00e9\u2028')), max_size=60) | st.text(max_size=40))
+    def test_arbitrary_text(self, text):
+        assert_lexes_like_reference(text)
+
+    def test_skipped_characters_are_reported_one_by_one(self):
+        tokens, diagnostics = _dot_tokenize('a @$\nb "open')
+        assert [(t.kind, t.value, t.line) for t in tokens] == [
+            ("name", "a", 1), ("name", "b", 2), ("name", "open", 2)]
+        assert [(d.line, d.message) for d in diagnostics] == [
+            (1, "unexpected character '@'"), (1, "unexpected character '$'"),
+            (2, "unexpected character '\"'")]
+
+
+    def test_lines_advance_inside_strings_and_comments(self):
+        text = 'a "x\ny" /* c\n */ b // d\n# e\n c'
+        assert_lexes_like_reference(text)
+        tokens, _ = _dot_tokenize(text)
+        assert [(t.value, t.line) for t in tokens] == [
+            ("a", 1), ('"x\ny"', 1), ("b", 3), ("c", 5)]
+
+
+class TestBuilderStarts:
+    @given(st.lists(st.tuples(st.booleans(), st.sampled_from("abc"),
+                              st.sampled_from(list(NodeKind)))))
+    def test_has_start_equals_a_scan_of_every_kind(self, steps):
+        builder = _Builder()
+        for is_define, node_id, kind in steps:
+            if is_define:
+                builder.define(node_id, kind, "text")
+            else:
+                builder.ensure(node_id, kind)
+            for excluding in (None, "a", "b", "c", "d"):
+                assert builder.has_start(excluding) == any(
+                    k is NodeKind.START and nid != excluding
+                    for nid, k in builder._kinds.items())
 
 
 class TestParsePlantUml:
