@@ -12,11 +12,11 @@ import json
 import os
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .emitting import EmitError, emit, emit_triples, emit_upgraded
-from .engine import Question, answer_controlled, answer_deep, answer_shallow
+from .engine import Question, answer_controlled
 from .gateway import (
     CacheError,
     ChatGateway,
@@ -31,7 +31,7 @@ from .harness import EvalConfig, load_dataset, report_render, run_eval, EmptyDat
 from .ir import GraphValidationError, topology_stats
 from .parsing import Dialect, UnknownDialectError, parse_text
 from .relations import UpgradeError, make_relation_backend, upgrade_graph
-from .routing import QuestionType, make_router
+from .routing import ROUTE_MODES, QuestionType, make_router
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -56,23 +56,20 @@ class RunConfig:
     offline: bool = False
     mock_script: str | None = None
 
-    _FIELDS = ("endpoint", "api_key", "reasoner_model", "recognizer_model",
-               "router_model", "judge_model", "cache_dir", "parallelism",
-               "offline", "mock_script")
-
     @classmethod
     def resolve(cls, args: argparse.Namespace) -> "RunConfig":
         config = cls()
+        names = [f.name for f in fields(cls)]
         path = getattr(args, "config", None) or os.environ.get(_ENV_PREFIX + "CONFIG")
         if path:
             try:
                 data = json.loads(Path(path).read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-            for name in cls._FIELDS:
+            for name in names:
                 if name in data:
                     setattr(config, name, data[name])
-        for name in cls._FIELDS:
+        for name in names:
             env = os.environ.get(_ENV_PREFIX + name.upper())
             if env is not None:
                 if name == "parallelism":
@@ -81,7 +78,7 @@ class RunConfig:
                     setattr(config, name, env.casefold() in ("1", "true", "yes"))
                 else:
                     setattr(config, name, env)
-        for name in cls._FIELDS:
+        for name in names:
             value = getattr(args, name, None)
             if value is not None and value is not False:
                 setattr(config, name, value)
@@ -178,17 +175,10 @@ def cmd_ask(args: argparse.Namespace, config: RunConfig) -> int:
     dialect = Dialect(args.to) if args.to else detected
     backend = _CountingBackend(make_relation_backend(
         args.relation_backend, gateway, config.recognizer_model))
-    if args.mode == "shallow":
-        answer = answer_shallow(emit(graph, dialect), question, gateway,
-                                model=config.reasoner_model)
-    elif args.mode == "deep":
-        ug = upgrade_graph(graph, backend, dialect=dialect)
-        answer = answer_deep(ug, question, gateway,
-                             model=config.reasoner_model, dialect=dialect)
-    else:
-        router = make_router(args.router, gateway, config.router_model)
-        answer = answer_controlled(graph, question, router, backend, gateway,
-                                   model=config.reasoner_model, dialect=dialect)
+    kind = {"shallow": "always-shallow", "deep": "always-deep"}.get(args.mode, args.router)
+    router = make_router(kind, gateway, config.router_model)
+    answer = answer_controlled(graph, question, router, backend, gateway,
+                               model=config.reasoner_model, dialect=dialect)
     print(f"recognizer calls: {backend.calls}", file=sys.stderr)
     payload = {
         "answer": answer.text,
@@ -317,9 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--dialect", choices=dialects,
                    help="reason over this dialect instead of each instance's own")
-    p.add_argument("--router", default="heuristic",
-                   choices=["llm", "heuristic", "oracle", "always-shallow",
-                            "always-deep"])
+    p.add_argument("--router", default="heuristic", choices=ROUTE_MODES)
     p.add_argument("--relation-backend", default="heuristic",
                    choices=["heuristic", "llm"])
     p.add_argument("--judge", default="exact", choices=["exact", "llm"])

@@ -2,10 +2,14 @@
 
 Shallow reasoning answers from the link-based chart text in one zero-shot
 completion with no reasoning scaffold. Deep reasoning answers from the
-relation-annotated chart plus the full triple listing and taxonomy. The
-controlled path classifies the question first and upgrades the graph only
-when the deep route is taken, so straight questions cost zero recognition
-calls.
+relation-annotated chart plus the full triple listing and taxonomy.
+
+Every question takes one path: :func:`route` classifies it, then
+:func:`answer_routed` answers it shallow, or upgrades the graph and answers
+it deep, so straight questions cost zero recognition calls.
+:func:`answer_controlled` is that path for one graph (``flowsra ask``);
+``harness.run_eval`` takes it too, with an upgrade shared by the questions
+on a chart.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .emitting import InterlanguageDoc, emit, emit_triples, emit_upgraded
-from .gateway import ChatGateway, ChatMessage, ChatRequest
+from .gateway import ChatGateway, chat_request
 from .ir import FlowGraph, UpgradedGraph, relation_definitions_block, require_valid
 from .parsing import Dialect
 from .prompts import load_template
@@ -55,12 +60,7 @@ def _fingerprint(prompt: str) -> str:
 
 def _complete(gateway: ChatGateway, model: str, prompt: str,
               max_tokens: int) -> tuple[str, str]:
-    request = ChatRequest(
-        model=model,
-        messages=(ChatMessage("system", _SYSTEM_PREAMBLE),
-                  ChatMessage("user", prompt)),
-        max_tokens=max_tokens,
-    )
+    request = chat_request(model, prompt, max_tokens=max_tokens, system=_SYSTEM_PREAMBLE)
     content = gateway.complete(request).content
     return content.strip(), _fingerprint(request.rendered())
 
@@ -99,31 +99,37 @@ def answer_deep(ug: UpgradedGraph, question: Question, gateway: ChatGateway, *,
                   fallbacks_used=ug.fallback_count())
 
 
-def answer_controlled(
-    graph: FlowGraph,
-    question: Question,
-    router,
-    recognizer: RelationBackend,
-    gateway: ChatGateway,
-    *,
-    model: str,
-    dialect: Dialect = Dialect.MERMAID,
-    max_tokens: int = 256,
-    include_basic_in_deep: bool = False,
-) -> Answer:
-    """Route by question class; upgrade the graph only on the deep path.
-
-    A router failure falls back to the Complicated path (deep reasoning is
-    the fault-tolerant side).
-    """
-    require_valid(graph)
+def route(router, question: Question) -> QuestionClass:
+    """The router's class for the question. A router failure falls back to
+    Complicated: deep reasoning is the fault-tolerant side."""
     try:
-        question_class = router.classify(question.text, question.gold_type)
+        return router.classify(question.text, question.gold_type)
     except ClassificationError:
-        question_class = QuestionClass.COMPLICATED
+        return QuestionClass.COMPLICATED
+
+
+def answer_routed(graph: FlowGraph, question: Question, question_class: QuestionClass,
+                  upgrade: Callable[[], UpgradedGraph], gateway: ChatGateway, *,
+                  model: str, dialect: Dialect = Dialect.MERMAID, max_tokens: int = 256,
+                  include_basic_in_deep: bool = False) -> Answer:
+    """Answer a Straight question shallow over ``graph``; any other deep
+    over ``upgrade()``, which is called on that path only."""
     if question_class is QuestionClass.STRAIGHT:
         return answer_shallow(emit(graph, dialect), question, gateway,
                               model=model, max_tokens=max_tokens)
-    ug = upgrade_graph(graph, recognizer, dialect=dialect)
-    return answer_deep(ug, question, gateway, model=model, dialect=dialect,
+    return answer_deep(upgrade(), question, gateway, model=model, dialect=dialect,
                        max_tokens=max_tokens, include_basic=include_basic_in_deep)
+
+
+def answer_controlled(graph: FlowGraph, question: Question, router,
+                      recognizer: RelationBackend, gateway: ChatGateway, *,
+                      model: str, dialect: Dialect = Dialect.MERMAID, max_tokens: int = 256,
+                      include_basic_in_deep: bool = False) -> Answer:
+    """Validate, route and answer one question on one graph, upgrading the
+    graph only on the deep path."""
+    require_valid(graph)
+    return answer_routed(
+        graph, question, route(router, question),
+        lambda: upgrade_graph(graph, recognizer, dialect=dialect), gateway,
+        model=model, dialect=dialect, max_tokens=max_tokens,
+        include_basic_in_deep=include_basic_in_deep)

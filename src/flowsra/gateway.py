@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import tempfile
 import threading
 import time
@@ -438,6 +439,15 @@ def map_in_order(fn: Callable[[T], R], items: Iterable[T],
             yield result
 
 
+def chat_request(model: str, prompt: str, *, max_tokens: int,
+                 system: str | None = None) -> ChatRequest:
+    """The request for one prompt: an optional system message, then the
+    prompt as the user message."""
+    messages = (ChatMessage("system", system),) if system else ()
+    return ChatRequest(model=model, messages=messages + (ChatMessage("user", prompt),),
+                       max_tokens=max_tokens)
+
+
 def completion_backend(gateway: ChatGateway, model: str, *,
                        max_tokens: int = 256,
                        system: str | None = None) -> Callable[[str], str]:
@@ -445,12 +455,32 @@ def completion_backend(gateway: ChatGateway, model: str, *,
     by the router/judge/recognizer response parsers."""
 
     def call(prompt: str) -> str:
-        messages: list[ChatMessage] = []
-        if system:
-            messages.append(ChatMessage("system", system))
-        messages.append(ChatMessage("user", prompt))
         return gateway.complete(
-            ChatRequest(model=model, messages=tuple(messages),
-                        max_tokens=max_tokens)).content
+            chat_request(model, prompt, max_tokens=max_tokens, system=system)).content
 
     return call
+
+
+_MARKUP = re.compile(r"[*_`#>]")
+
+
+def last_tagged_line(text: str, pattern: re.Pattern) -> tuple[int, re.Match] | None:
+    """The last line of ``text`` that ``pattern`` matches once markdown
+    markup is stripped from it: its index in ``text.splitlines()`` and the
+    match. None when no line matches."""
+    lines = text.splitlines()
+    for idx in range(len(lines) - 1, -1, -1):
+        m = pattern.search(_MARKUP.sub("", lines[idx]))
+        if m:
+            return idx, m
+    return None
+
+
+def ask_twice(ask: Callable[[str], str], prompt: str,
+              parse: Callable[[str], R | None], reminder: str) -> R | None:
+    """``parse(ask(prompt))``; when that is None, ask once more with the
+    format ``reminder`` appended. None when neither reply parses."""
+    parsed = parse(ask(prompt))
+    if parsed is None:
+        parsed = parse(ask(prompt + reminder))
+    return parsed

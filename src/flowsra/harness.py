@@ -6,11 +6,12 @@ normalization first, an LLM judge only for pairs normalization cannot
 settle. Reports carry no wall-clock data, so identical runs render
 byte-identical output.
 
-``run_eval`` parses and upgrades each distinct chart once per run, however
-many questions ask about it, and the graph and its upgrade each render
-their prompt texts once (see :func:`flowsra.ir.derived`). Without a
-response cache, the relation calls for a chart are therefore made once per
-run, not once per deep question.
+``run_eval`` answers each question on the engine's one path
+(:func:`flowsra.engine.route`, then :func:`flowsra.engine.answer_routed`).
+It parses and upgrades each distinct chart once per run, however many
+questions ask about it, and the graph and its upgrade each render their
+prompt texts once (see :func:`flowsra.ir.derived`). Without a response
+cache, a chart's relation calls are made once per run, not per deep question.
 
 The gateway's ``parallelism`` is the one concurrency bound: on transport
 calls, on eval instances and on a chart's recognizer calls. It takes effect
@@ -27,25 +28,21 @@ import hashlib
 import json
 import re
 import threading
-from dataclasses import dataclass, field, fields
+from collections import Counter
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .emitting import emit
-from .engine import Question, Route, answer_deep, answer_shallow
+from .engine import Question, Route, answer_routed, route
 from .gateway import CacheError, ChatGateway, completion_backend, map_in_order
-from .ir import FlowGraph, UpgradedGraph, topology_stats
+from .gateway import ask_twice, last_tagged_line
+from .ir import FlowGraph, NodeKind, UpgradedGraph, topology_stats
 from .parsing import Dialect, ParseResult, parse_text
 from .prompts import load_template
 from .relations import UpgradeError, make_relation_backend, upgrade_graph
-from .routing import (
-    ClassificationError,
-    QuestionClass,
-    QuestionType,
-    make_router,
-    type_to_class,
-)
+from .routing import ROUTE_MODES  # noqa: F401  (re-exported for eval callers)
+from .routing import QuestionClass, QuestionType, make_router, type_to_class
 
 
 class EmptyDatasetError(ValueError):
@@ -60,6 +57,12 @@ class EvalInstance:
     question: Question
     gold_answer: str
     gold_type: QuestionType
+
+    def __post_init__(self) -> None:
+        # routing reads the gold type off the question (oracle routing)
+        if self.question.gold_type is not self.gold_type:
+            object.__setattr__(self, "question",
+                               replace(self.question, gold_type=self.gold_type))
 
 
 @dataclass(frozen=True)
@@ -157,11 +160,8 @@ class JudgeResult:
 
 
 def _parse_verdict(text: str) -> bool | None:
-    for line in reversed(text.splitlines()):
-        m = _VERDICT_LINE.search(re.sub(r"[*_`#>]", "", line))
-        if m:
-            return m.group(1).casefold() == "correct"
-    return None
+    found = last_tagged_line(text, _VERDICT_LINE)
+    return None if found is None else found[1].group(1).casefold() == "correct"
 
 
 def judge(prediction: str, gold: str,
@@ -173,9 +173,7 @@ def judge(prediction: str, gold: str,
     if judge_backend is None:
         return JudgeResult(correct=False, tier=1)
     prompt = load_template("judge.txt").format(prediction=prediction, gold=gold)
-    verdict = _parse_verdict(judge_backend(prompt))
-    if verdict is None:
-        verdict = _parse_verdict(judge_backend(prompt + _JUDGE_RETRY))
+    verdict = ask_twice(judge_backend, prompt, _parse_verdict, _JUDGE_RETRY)
     if verdict is None:
         return JudgeResult(correct=False, tier=2, judge_failed=True)
     return JudgeResult(correct=verdict, tier=2)
@@ -186,6 +184,8 @@ def judge(prediction: str, gold: str,
 _COUNT_LEAD = r"(?:how many|number of|count(?: of| the number of)?|total count of)"
 _DECISION_Q = re.compile(_COUNT_LEAD + r"\b.*\bdecision", re.IGNORECASE)
 _EDGE_Q = re.compile(_COUNT_LEAD + r"\b.*\b(edges?|arrows?|connections?|links?)\b",
+                     re.IGNORECASE)
+_KIND_Q = re.compile(_COUNT_LEAD + r"\s+(?:the\s+)?(start|end)\s+(?:nodes?|steps?)\b",
                      re.IGNORECASE)
 _NODE_Q = re.compile(_COUNT_LEAD + r"\b.*\b(nodes?|steps?|boxes)\b", re.IGNORECASE)
 
@@ -199,6 +199,10 @@ def topology_oracle(graph: FlowGraph, question: Question) -> str | None:
         return str(stats.decision_count)
     if _EDGE_Q.search(text):
         return str(stats.edge_count)
+    kind_q = _KIND_Q.search(text)
+    if kind_q:
+        kind = NodeKind(kind_q.group(1).capitalize())
+        return str(sum(1 for node in graph.nodes if node.kind is kind))
     if _NODE_Q.search(text):
         return str(stats.node_count)
     return None
@@ -206,7 +210,10 @@ def topology_oracle(graph: FlowGraph, question: Question) -> str | None:
 
 # --- evaluation --------------------------------------------------------------
 
-ROUTE_MODES = ("llm", "heuristic", "oracle", "always-shallow", "always-deep")
+def _field_values(record) -> dict:
+    """A dataclass's fields by name, in order, each enum by its value."""
+    values = {f.name: getattr(record, f.name) for f in fields(record)}
+    return {name: v.value if isinstance(v, Enum) else v for name, v in values.items()}
 
 
 @dataclass(frozen=True)
@@ -227,11 +234,7 @@ class EvalConfig:
 
     def fingerprint(self) -> str:
         """Hash of every field, each of which can change a report."""
-        payload = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            payload[f.name] = value.value if isinstance(value, Enum) else value
-        encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
+        encoded = json.dumps(_field_values(self), sort_keys=True).encode("utf-8")
         return hashlib.sha256(encoded).hexdigest()
 
 
@@ -255,22 +258,7 @@ class InstanceLog:
     edge_count: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "flowchart_id": self.flowchart_id,
-            "question": self.question,
-            "gold_answer": self.gold_answer,
-            "gold_type": self.gold_type.value,
-            "skipped": self.skipped,
-            "error": self.error,
-            "route": self.route.value if self.route else None,
-            "predicted": self.predicted,
-            "correct": self.correct,
-            "judge_tier": self.judge_tier,
-            "judge_failed": self.judge_failed,
-            "prompt_fingerprint": self.prompt_fingerprint,
-            "fallbacks_used": self.fallbacks_used,
-            "edge_count": self.edge_count,
-        }
+        return _field_values(self)
 
 
 @dataclass
@@ -316,17 +304,6 @@ class EvalRun:
     logs: list[InstanceLog] = field(default_factory=list)
 
 
-def _route_question(config: EvalConfig, router, instance: EvalInstance) -> QuestionClass:
-    if config.router_mode == "always-shallow":
-        return QuestionClass.STRAIGHT
-    if config.router_mode == "always-deep":
-        return QuestionClass.COMPLICATED
-    try:
-        return router.classify(instance.question.text, instance.gold_type)
-    except ClassificationError:
-        return QuestionClass.COMPLICATED
-
-
 @dataclass
 class _Chart:
     """Per-run work on one chart source, shared by every question on it.
@@ -357,14 +334,14 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
     is raised, also when an upgrade failed because of it. Instances overlap
     as the module docstring says; logs keep input order.
     """
-    router = None
-    if config.router_mode in ("llm", "heuristic", "oracle"):
-        router = make_router(config.router_mode, gateway, config.router_model)
+    router = make_router(config.router_mode, gateway, config.router_model)
     recognizer = make_relation_backend(config.relation_backend, gateway,
                                        config.recognizer_model)
     judge_backend = None
     if config.judge_mode == "llm":
         judge_backend = completion_backend(gateway, config.judge_model, max_tokens=64)
+    elif config.judge_mode != "exact":
+        raise ValueError(f"unknown judge mode {config.judge_mode!r}")
     charts: dict[tuple[str, Dialect], _Chart] = {}
 
     def jobs() -> Iterator[tuple[EvalInstance, _Chart]]:
@@ -398,22 +375,22 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
         dialect = config.dialect or instance.dialect
         log.edge_count = len(graph.edges)
         question_class = ug = None
-        try:
-            question_class = _route_question(config, router, instance)
-            if question_class is QuestionClass.STRAIGHT:
-                reply = answer_shallow(
-                    emit(graph, dialect), instance.question, gateway,
-                    model=config.reasoner_model, max_tokens=config.max_tokens)
-            else:
-                with chart.lock:
-                    if chart.upgraded is None:
-                        chart.upgraded = upgrade_graph(graph, recognizer, dialect=dialect)
+
+        def upgrade() -> UpgradedGraph:
+            nonlocal ug
+            with chart.lock:
+                if chart.upgraded is None:
+                    chart.upgraded = upgrade_graph(graph, recognizer, dialect=dialect)
                 ug = chart.upgraded
-                reply = answer_deep(
-                    ug, instance.question, gateway,
-                    model=config.reasoner_model, dialect=dialect,
-                    max_tokens=config.max_tokens,
-                    include_basic=config.include_basic_in_deep)
+            return ug
+
+        try:
+            question_class = route(router, instance.question)
+            reply = answer_routed(
+                graph, instance.question, question_class, upgrade, gateway,
+                model=config.reasoner_model, dialect=dialect,
+                max_tokens=config.max_tokens,
+                include_basic_in_deep=config.include_basic_in_deep)
         except Exception as exc:  # keep the batch alive, record the failure
             cause = exc.__cause__ if isinstance(exc, UpgradeError) else exc
             if isinstance(cause, CacheError):
@@ -431,21 +408,19 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
         return log, question_class, ug
 
     logs: list[InstanceLog] = []
-    route_counts: dict[tuple[QuestionType, Route], int] = {}
-    confusion: dict[tuple[QuestionType, QuestionClass], int] = {}
+    route_counts: Counter[tuple[QuestionType, Route]] = Counter()
+    confusion: Counter[tuple[QuestionType, QuestionClass]] = Counter()
     total_triples = 0
     total_fallbacks = 0
     for log, question_class, ug in map_in_order(answer, jobs(), gateway):
         logs.append(log)
         if question_class is not None:
-            confusion[(log.gold_type, question_class)] = (
-                confusion.get((log.gold_type, question_class), 0) + 1)
+            confusion[(log.gold_type, question_class)] += 1
         if ug is not None:
             total_triples += len(ug.triples)
             total_fallbacks += ug.fallback_count()
         if log.route is not None:
-            route_counts[(log.gold_type, log.route)] = (
-                route_counts.get((log.gold_type, log.route), 0) + 1)
+            route_counts[(log.gold_type, log.route)] += 1
 
     skipped = sum(1 for log in logs if log.skipped)
     failed = sum(1 for log in logs if log.error is not None and not log.skipped)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .emitting import InterlanguageDoc, emit
-from .gateway import ChatGateway, ChatMessage, ChatRequest, map_in_order
+from .gateway import ChatGateway, ask_twice, completion_backend, last_tagged_line, map_in_order
 from .ir import (
     Edge,
     EdgeLabel,
@@ -82,21 +82,23 @@ _RELATION_LINE = re.compile(r"relation\s*[:\-]\s*(?P<tag>[A-Za-z]+)", re.IGNOREC
 def parse_relation_response(text: str) -> tuple[RelationType, str]:
     """Extract the tag from the last RELATION line; the text before it is the
     rationale. Tolerates surrounding markup and casing."""
-    lines = text.splitlines()
-    for idx in range(len(lines) - 1, -1, -1):
-        cleaned = re.sub(r"[*_`#>]", "", lines[idx])
-        m = _RELATION_LINE.search(cleaned)
-        if not m:
-            continue
-        tag = m.group("tag")
-        try:
-            relation = RelationType.from_name(tag)
-        except ValueError as exc:
-            raise UnparseableRelationError(
-                f"tag {tag!r} is outside the taxonomy") from exc
-        rationale = "\n".join(lines[:idx]).strip()
-        return relation, rationale
-    raise UnparseableRelationError("no RELATION line found in response")
+    found = last_tagged_line(text, _RELATION_LINE)
+    if found is None:
+        raise UnparseableRelationError("no RELATION line found in response")
+    idx, m = found
+    tag = m.group("tag")
+    try:
+        relation = RelationType.from_name(tag)
+    except ValueError as exc:
+        raise UnparseableRelationError(f"tag {tag!r} is outside the taxonomy") from exc
+    return relation, "\n".join(text.splitlines()[:idx]).strip()
+
+
+def _relation_or_none(text: str) -> tuple[RelationType, str] | None:
+    try:
+        return parse_relation_response(text)
+    except UnparseableRelationError:
+        return None
 
 
 _INSTANTIATION_CUES = ("e.g.", "such as", "for example", "for instance")
@@ -170,26 +172,15 @@ class LlmRelationBackend:
     model: str
     max_tokens: int = 512
 
-    def _ask(self, prompt: str) -> str:
-        request = ChatRequest(
-            model=self.model,
-            messages=(ChatMessage("user", prompt),),
-            max_tokens=self.max_tokens,
-        )
-        return self.gateway.complete(request).content
-
     def recognize(self, src: Node, dst: Node, label: EdgeLabel,
                   context: InterlanguageDoc) -> tuple[RelationType, str]:
-        prompt = build_relation_prompt(src, dst, label, context)
-        try:
-            return parse_relation_response(self._ask(prompt))
-        except UnparseableRelationError:
-            pass
-        try:
-            return parse_relation_response(self._ask(prompt + _RETRY_REMINDER))
-        except UnparseableRelationError:
-            relation, reason = heuristic_recognize(src, dst, label)
-            return relation, f"fallback: {reason}"
+        ask = completion_backend(self.gateway, self.model, max_tokens=self.max_tokens)
+        found = ask_twice(ask, build_relation_prompt(src, dst, label, context),
+                          _relation_or_none, _RETRY_REMINDER)
+        if found is not None:
+            return found
+        relation, reason = heuristic_recognize(src, dst, label)
+        return relation, f"fallback: {reason}"
 
 
 def upgrade_graph(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .gateway import ChatGateway, completion_backend
+from .gateway import ChatGateway, ask_twice, completion_backend, last_tagged_line
 from .prompts import load_template
 
 
@@ -80,13 +80,11 @@ _RETRY_REMINDER = (
 
 
 def _parse_class(text: str) -> QuestionClass | None:
-    for line in reversed(text.splitlines()):
-        cleaned = re.sub(r"[*_`#>]", "", line)
-        m = _CLASS_LINE.search(cleaned)
-        if m:
-            return (QuestionClass.STRAIGHT if m.group(1).casefold() == "straight"
-                    else QuestionClass.COMPLICATED)
-    return None
+    found = last_tagged_line(text, _CLASS_LINE)
+    if found is None:
+        return None
+    return (QuestionClass.STRAIGHT if found[1].group(1).casefold() == "straight"
+            else QuestionClass.COMPLICATED)
 
 
 def classify(question: str, backend: Callable[[str], str]) -> QuestionClass:
@@ -98,19 +96,14 @@ def classify(question: str, backend: Callable[[str], str]) -> QuestionClass:
     if not question.strip():
         raise ValueError("question must be non-empty")
     prompt = load_template("router.txt").format(question=question)
-    parsed = _parse_class(backend(prompt))
-    if parsed is not None:
-        return parsed
-    parsed = _parse_class(backend(prompt + _RETRY_REMINDER))
-    if parsed is not None:
-        return parsed
-    raise ClassificationError(f"unparseable class for question {question!r}")
+    parsed = ask_twice(backend, prompt, _parse_class, _RETRY_REMINDER)
+    if parsed is None:
+        raise ClassificationError(f"unparseable class for question {question!r}")
+    return parsed
 
 
 @dataclass
 class HeuristicRouter:
-    name: str = "heuristic"
-
     def classify(self, question: str,
                  gold_type: QuestionType | None = None) -> QuestionClass:
         return heuristic_classify(question)
@@ -120,7 +113,6 @@ class HeuristicRouter:
 class LlmRouter:
     gateway: ChatGateway
     model: str
-    name: str = "llm"
 
     def classify(self, question: str,
                  gold_type: QuestionType | None = None) -> QuestionClass:
@@ -132,8 +124,6 @@ class LlmRouter:
 class OracleRouter:
     """Maps the dataset's gold type through type_to_class, for ablations."""
 
-    name: str = "oracle"
-
     def classify(self, question: str,
                  gold_type: QuestionType | None = None) -> QuestionClass:
         if gold_type is None:
@@ -141,12 +131,31 @@ class OracleRouter:
         return type_to_class(gold_type)
 
 
+@dataclass
+class FixedRouter:
+    """One class for every question: the always-shallow and always-deep
+    ablations."""
+
+    question_class: QuestionClass
+
+    def classify(self, question: str,
+                 gold_type: QuestionType | None = None) -> QuestionClass:
+        return self.question_class
+
+
+ROUTE_MODES = ("llm", "heuristic", "oracle", "always-shallow", "always-deep")
+
+
 def make_router(kind: str, gateway: ChatGateway | None = None, model: str = ""):
-    """CLI-facing selector: ``heuristic``, ``llm``, or ``oracle``."""
+    """Selector over ``ROUTE_MODES``."""
     if kind == "heuristic":
         return HeuristicRouter()
     if kind == "oracle":
         return OracleRouter()
+    if kind == "always-shallow":
+        return FixedRouter(QuestionClass.STRAIGHT)
+    if kind == "always-deep":
+        return FixedRouter(QuestionClass.COMPLICATED)
     if kind == "llm":
         if gateway is None:
             raise ValueError("the llm router needs a gateway")

@@ -392,3 +392,22 @@ class TestConfigPrecedence:
         code, out, _ = run_cli(capsys, "stats", str(chart))
         assert code == 0
         assert json.loads(out)["node_count"] == 2
+
+
+class TestRunConfigFields:
+    def test_resolve_reads_every_field_from_a_config_file(self, tmp_path, monkeypatch):
+        from argparse import Namespace
+        from dataclasses import fields
+
+        from flowsra.cli import RunConfig
+
+        names = [f.name for f in fields(RunConfig)]
+        for name in names + ["config"]:
+            monkeypatch.delenv("FLOWSRA_" + name.upper(), raising=False)
+        values = {name: f"from-file-{name}" for name in names}
+        values.update(parallelism=3, offline=True)
+        path = tmp_path / "flowsra.json"
+        path.write_text(json.dumps(values))
+        config = RunConfig.resolve(Namespace(config=str(path)))
+        assert {name: getattr(config, name) for name in names} == values
+

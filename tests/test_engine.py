@@ -199,3 +199,44 @@ class TestQuestion:
     def test_rejects_empty_text(self):
         with pytest.raises(ValueError):
             Question("   ")
+
+
+class TestOnePath:
+    """route + answer_routed, the path answer_controlled and run_eval share."""
+
+    def test_upgrade_is_called_on_the_deep_path_only(self):
+        from flowsra.engine import answer_routed
+        from flowsra.routing import QuestionClass
+
+        graph = homework_graph()
+        upgrades = []
+
+        def upgrade():
+            upgrades.append(graph)
+            return upgrade_graph(graph, HeuristicRelationBackend())
+
+        gateway, _ = catchall_gateway("x")
+        shallow = answer_routed(graph, Question("q?"), QuestionClass.STRAIGHT, upgrade,
+                                gateway, model="m")
+        assert shallow.route is Route.SHALLOW and upgrades == []
+        deep = answer_routed(graph, Question("q?"), QuestionClass.COMPLICATED, upgrade,
+                             gateway, model="m")
+        assert deep.route is Route.DEEP and len(upgrades) == 1
+
+    def test_route_falls_back_to_complicated_and_passes_the_gold_type(self):
+        from flowsra.engine import route
+        from flowsra.routing import QuestionClass
+
+        class Failing:
+            def classify(self, question, gold_type=None):
+                raise ClassificationError("no idea")
+
+        assert route(Failing(), Question("odd?")) is QuestionClass.COMPLICATED
+        scenario = Question("how many nodes?", gold_type=QuestionType.APPLIED_SCENARIO)
+        assert route(OracleRouter(), scenario) is QuestionClass.COMPLICATED
+
+    def test_other_router_errors_propagate(self):
+        from flowsra.engine import route
+
+        with pytest.raises(ValueError):
+            route(OracleRouter(), Question("no gold type?"))

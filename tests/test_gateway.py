@@ -552,3 +552,46 @@ class TestMockBackend:
             {"match": "contains", "pattern": "hi", "response": "hello"}]))
         transport = load_mock_script(path)
         assert ChatGateway(transport).complete(req("hi there")).content == "hello"
+
+
+class TestAskParseRetry:
+    """chat_request, last_tagged_line and ask_twice: the helpers the router,
+    judge and recognizer share."""
+
+    def test_chat_request_shapes(self):
+        from flowsra.gateway import chat_request
+
+        plain = chat_request("m", "p", max_tokens=64)
+        assert plain == ChatRequest(model="m", messages=(ChatMessage("user", "p"),),
+                                    max_tokens=64)
+        framed = chat_request("m", "p", max_tokens=9, system="s")
+        assert [m.role for m in framed.messages] == ["system", "user"]
+
+    def test_last_tagged_line_strips_markup_and_takes_the_last(self):
+        import re
+
+        from flowsra.gateway import last_tagged_line
+
+        tag = re.compile(r"tag:\s*(\w+)", re.IGNORECASE)
+        text = "TAG: first\nreasoning\n**Tag:** `second`\ntrailer"
+        idx, m = last_tagged_line(text, tag)
+        assert (idx, m.group(1)) == (2, "second")
+        assert last_tagged_line("no tag here", tag) is None
+        assert last_tagged_line("", tag) is None
+
+    def test_ask_twice_retries_once_with_the_reminder(self):
+        from flowsra.gateway import ask_twice
+
+        prompts = []
+
+        def ask(prompt):
+            prompts.append(prompt)
+            return "ok" if len(prompts) == 2 else "garbled"
+
+        parse = lambda text: text if text == "ok" else None
+        assert ask_twice(ask, "p", parse, "+r") == "ok"
+        assert prompts == ["p", "p+r"]
+        prompts.clear()
+        assert ask_twice(lambda p: prompts.append(p) or "x", "p", parse, "+r") is None
+        assert prompts == ["p", "p+r"]
+        assert ask_twice(lambda p: "ok", "p", parse, "+r") == "ok"

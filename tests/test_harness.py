@@ -537,3 +537,56 @@ class TestReportRender:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             report_render(self.make_report(), "yaml")
+
+
+class TestUnknownModes:
+    """An unknown mode is the run's error, raised before any instance runs."""
+
+    @staticmethod
+    def drawn_instances(drawn):
+        for instance in load_dataset(DATA / "eval10.jsonl").instances:
+            drawn.append(instance)
+            yield instance
+
+    @pytest.mark.parametrize("config", [EvalConfig(router_mode="always-sideways"),
+                                        EvalConfig(judge_mode="lenient")])
+    def test_unknown_mode_raises_before_any_instance(self, config):
+        transport = load_mock_script(DATA / "mock10.json")
+        drawn = []
+        with pytest.raises(ValueError, match="unknown"):
+            run_eval(self.drawn_instances(drawn), config, ChatGateway(transport))
+        assert drawn == []
+        assert transport.calls == []
+
+
+class TestTopologyOracleKinds:
+    def test_end_node_count_on_flowvqa_like(self):
+        # the chart of "How many end nodes are there?" has five nodes, one End
+        from flowsra.parsing import parse_text
+
+        instance = next(i for i in flowvqa_like_instances()
+                        if i.question.text == "How many end nodes are there?")
+        graph = parse_text(instance.source, instance.dialect)[1].graph
+        assert len(graph.nodes) == 5
+        assert topology_oracle(graph, instance.question) == "1"
+
+    def test_kind_counts_on_random_graphs(self):
+        for seed in range(20):
+            graph = rand_flow_graph(random.Random(seed))
+            for word, kind in (("start", NodeKind.START), ("end", NodeKind.END)):
+                expected = str(sum(1 for n in graph.nodes if n.kind is kind))
+                question = Question(f"How many {word} nodes are there?")
+                assert topology_oracle(graph, question) == expected
+
+
+class TestInstanceLogFields:
+    def test_to_dict_keys_are_the_field_names_in_order(self):
+        from dataclasses import fields
+
+        from flowsra.harness import InstanceLog
+
+        log = InstanceLog("c", "q?", "a", QuestionType.TOPOLOGY, route=Route.DEEP)
+        record = log.to_dict()
+        assert list(record) == [f.name for f in fields(InstanceLog)]
+        assert record["gold_type"] == "TP4" and record["route"] == "deep"
+        assert InstanceLog("c", "q?", "a", QuestionType.TOPOLOGY).to_dict()["route"] is None

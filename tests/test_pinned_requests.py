@@ -1,0 +1,159 @@
+"""Every request a run sends, and what it reports, pinned as digests.
+
+A request's cache key hashes its model, messages and ``max_tokens``, so old
+response caches and hash-matched mock scripts stay valid only while the
+pipeline sends byte-identical requests. Each case records the sorted cache
+keys of every request its transport receives, one run at a time, and the
+renders of what it reports; a change that moves the pipeline around must
+leave both digests as they are.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from flowsra import cli
+from flowsra.gateway import ChatGateway, cache_key, load_mock_script
+from flowsra.harness import ROUTE_MODES, EvalConfig, load_dataset, report_render, run_eval
+
+DATA = Path(__file__).parent / "data"
+BACKENDS = ("heuristic", "llm")
+
+
+def digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
+
+
+class Recording:
+    """Records the cache key of every request, then defers to ``inner``."""
+
+    is_network = False
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.keys: list[str] = []
+
+    def __call__(self, req):
+        self.keys.append(cache_key(req))
+        return self.inner(req)
+
+
+def hash_answers(req) -> dict:
+    """A reply that depends on nothing but the request; a third of router
+    and judge replies and a quarter of relation replies cannot be used, so
+    every retry reminder is sent."""
+    text = req.rendered()
+    pick = hashlib.sha256(text.encode("utf-8")).digest()[0]
+    if "Node A (source):" in text:
+        tag = ("Contrast", "Conditionality", "Causality", "Sequentiality")[pick % 4]
+        content = f"analysis\nRELATION: {tag}"
+    elif "Straight or Complicated" in text:
+        content = ("CLASS: Straight", "CLASS: Complicated", "unsure")[pick % 3]
+    elif "Gold answer:" in text:
+        content = ("VERDICT: CORRECT", "VERDICT: INCORRECT", "maybe")[pick % 3]
+    else:
+        content = f"answer {pick % 3}"
+    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+
+def eval_digests(dataset: str, inner, router_mode: str, backend: str):
+    transport = Recording(inner)
+    run = run_eval(load_dataset(DATA / dataset).instances,
+                   EvalConfig(router_mode=router_mode, relation_backend=backend,
+                              judge_mode="llm"),
+                   ChatGateway(transport, parallelism=1))
+    renders = [report_render(run.report, fmt) for fmt in ("json", "csv", "markdown")]
+    renders += [json.dumps(log.to_dict(), sort_keys=True) for log in run.logs]
+    return digest(sorted(transport.keys)), digest(renders)
+
+
+# (router mode, relation backend) -> (request digest, report and log digest)
+MOCK10 = {
+    ('llm', 'heuristic'): ('c8dcc3583ecaa68a', '8d387244613ab7d2'),
+    ('llm', 'llm'): ('a0c1131c09276771', '727ad233be3665e1'),
+    ('heuristic', 'heuristic'): ('2f53632b4dd8f65e', 'c4dcea9bf52685a5'),
+    ('heuristic', 'llm'): ('5e1c8198422e1175', '2ac6b5bd002d8fa3'),
+    ('oracle', 'heuristic'): ('2f53632b4dd8f65e', 'e1cf0110b3db8952'),
+    ('oracle', 'llm'): ('5e1c8198422e1175', 'ab0d5e487fecbb5d'),
+    ('always-shallow', 'heuristic'): ('aac45e403c66a1c7', '1bd8b84b4718538e'),
+    ('always-shallow', 'llm'): ('aac45e403c66a1c7', '5e9cf6ebd373553d'),
+    ('always-deep', 'heuristic'): ('5d0383abb95749e1', '084d3adf418d3ed9'),
+    ('always-deep', 'llm'): ('f9a102b71bd123d9', '0376a8f632671cac'),
+}
+
+HASHED20 = {
+    ('llm', 'heuristic'): ('1e86f4da8ec98abe', '25f99f31684b7855'),
+    ('llm', 'llm'): ('62a2dc13da0279f1', 'a286558b8ef14d42'),
+    ('heuristic', 'heuristic'): ('f68207da6f364ded', 'dbbc7deaeea1e653'),
+    ('heuristic', 'llm'): ('84a1434caa121596', '8bd254c7f396073e'),
+    ('oracle', 'heuristic'): ('f68207da6f364ded', '5f3a45a6b984f998'),
+    ('oracle', 'llm'): ('84a1434caa121596', 'f43f58e861aae203'),
+    ('always-shallow', 'heuristic'): ('dd1cc7e2a8755b7d', 'a076e6777084b943'),
+    ('always-shallow', 'llm'): ('dd1cc7e2a8755b7d', '8030fc5d54bcd3e0'),
+    ('always-deep', 'heuristic'): ('e2a9c10eac9ead04', '1e9cd7543bb5bb3c'),
+    ('always-deep', 'llm'): ('81de5cf7ed3ef4a1', '353f31113a157e36'),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("router_mode", ROUTE_MODES)
+def test_eval10_requests_and_reports(router_mode, backend):
+    got = eval_digests("eval10.jsonl", load_mock_script(DATA / "mock10.json"),
+                       router_mode, backend)
+    assert got == MOCK10[(router_mode, backend)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("router_mode", ROUTE_MODES)
+def test_flowvqa_like_requests_and_reports(router_mode, backend):
+    got = eval_digests("flowvqa_like_20.jsonl", hash_answers, router_mode, backend)
+    assert got == HASHED20[(router_mode, backend)]
+
+
+HOMEWORK = load_dataset(DATA / "eval10.jsonl").instances[0].source
+ASK_QUESTIONS = ("How many nodes are in the flowchart?",
+                 "If the homework is not finished, what should I do next?")
+
+# (mode, router, relation backend) -> (request digest, digest of exit codes,
+# stdout and stderr)
+ASK = {
+    ('shallow', 'heuristic', 'heuristic'): ('b028e01d06808e7e', '261b4f4ceb7b458c'),
+    ('shallow', 'heuristic', 'llm'): ('b028e01d06808e7e', '261b4f4ceb7b458c'),
+    ('shallow', 'llm', 'heuristic'): ('b028e01d06808e7e', '261b4f4ceb7b458c'),
+    ('shallow', 'llm', 'llm'): ('b028e01d06808e7e', '261b4f4ceb7b458c'),
+    ('deep', 'heuristic', 'heuristic'): ('baaf9ac1c35191fe', 'ef45e739b2bbd333'),
+    ('deep', 'heuristic', 'llm'): ('444d9e2c2924c7f2', '275258709772440e'),
+    ('deep', 'llm', 'heuristic'): ('baaf9ac1c35191fe', 'ef45e739b2bbd333'),
+    ('deep', 'llm', 'llm'): ('444d9e2c2924c7f2', '275258709772440e'),
+    ('controlled', 'heuristic', 'heuristic'): ('490a1758b76c29c3', '30af1ff7b9b0eafa'),
+    ('controlled', 'heuristic', 'llm'): ('6e34c2d8e79b82ae', '7f115ed072dd867c'),
+    ('controlled', 'llm', 'heuristic'): ('a6a9af19a4265329', 'ef45e739b2bbd333'),
+    ('controlled', 'llm', 'llm'): ('0dde23e509994b60', '275258709772440e'),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("router", ("heuristic", "llm"))
+@pytest.mark.parametrize("mode", ("shallow", "deep", "controlled"))
+def test_ask_requests_and_payloads(mode, router, backend, tmp_path, capsys, monkeypatch):
+    transports = []
+
+    def recording_script(path):
+        transports.append(Recording(load_mock_script(path)))
+        return transports[-1]
+
+    monkeypatch.setattr(cli, "load_mock_script", recording_script)
+    chart = tmp_path / "chart.mmd"
+    chart.write_text(HOMEWORK)
+    keys, outcomes = [], []
+    for question in ASK_QUESTIONS:
+        code = cli.main(["ask", str(chart), "--question", question, "--mode", mode,
+                         "--router", router, "--relation-backend", backend,
+                         "--parallelism", "1",
+                         "--mock-script", str(DATA / "mock10.json")])
+        keys += transports[-1].keys
+        captured = capsys.readouterr()
+        outcomes += [str(code), captured.out, captured.err]
+    assert (digest(sorted(keys)), digest(outcomes)) == ASK[(mode, router, backend)]

@@ -7,6 +7,7 @@ import pytest
 
 from flowsra.gateway import ChatGateway, mock_backend
 from flowsra.routing import (
+    ROUTE_MODES,
     ClassificationError,
     HeuristicRouter,
     LlmRouter,
@@ -15,6 +16,7 @@ from flowsra.routing import (
     QuestionType,
     classify,
     heuristic_classify,
+    make_router,
     type_to_class,
 )
 
@@ -133,3 +135,24 @@ class TestRouters:
         router = HeuristicRouter()
         for question, _ in load_desk_set():
             assert router.classify(question) is heuristic_classify(question)
+
+
+class TestMakeRouter:
+    @pytest.mark.parametrize("kind, expected", [
+        ("always-shallow", QuestionClass.STRAIGHT),
+        ("always-deep", QuestionClass.COMPLICATED),
+    ])
+    def test_fixed_routers_ignore_the_question(self, kind, expected):
+        router = make_router(kind)
+        for question, gold in load_desk_set():
+            assert router.classify(question, gold) is expected
+
+    def test_every_route_mode_builds_a_router(self):
+        gateway = ChatGateway(mock_backend([("CLASS", "CLASS: Straight")]))
+        for kind in ROUTE_MODES:
+            router = make_router(kind, gateway, "router")
+            assert router.classify("How many nodes?", QuestionType.TOPOLOGY) in QuestionClass
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown router"):
+            make_router("always-sideways")
