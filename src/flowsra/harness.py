@@ -391,17 +391,17 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
                 model=config.reasoner_model, dialect=dialect,
                 max_tokens=config.max_tokens,
                 include_basic_in_deep=config.include_basic_in_deep)
+            log.route = reply.route
+            log.predicted = reply.text
+            log.prompt_fingerprint = reply.prompt_fingerprint
+            log.fallbacks_used = reply.fallbacks_used
+            verdict = judge(reply.text, instance.gold_answer, judge_backend)
         except Exception as exc:  # keep the batch alive, record the failure
             cause = exc.__cause__ if isinstance(exc, UpgradeError) else exc
             if isinstance(cause, CacheError):
                 raise cause
             log.error = f"{type(exc).__name__}: {exc}"
             return log, question_class, ug
-        log.route = reply.route
-        log.predicted = reply.text
-        log.prompt_fingerprint = reply.prompt_fingerprint
-        log.fallbacks_used = reply.fallbacks_used
-        verdict = judge(reply.text, instance.gold_answer, judge_backend)
         log.correct = verdict.correct
         log.judge_tier = verdict.tier
         log.judge_failed = verdict.judge_failed

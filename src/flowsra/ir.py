@@ -339,7 +339,7 @@ def _violations(graph: FlowGraph) -> tuple[Violation, ...]:
                 "node-text-required", node.id,
                 f"{node.kind.value} node {node.id!r} has empty text"))
     known = {n.id for n in graph.nodes}
-    seen_edges: set[Edge] = set()
+    seen_edges: set[tuple[str, str, str, str | None]] = set()
     for edge in graph.edges:
         for endpoint in (edge.src, edge.dst):
             if endpoint not in known:
@@ -347,7 +347,10 @@ def _violations(graph: FlowGraph) -> tuple[Violation, ...]:
                     "dangling-edge", endpoint,
                     f"edge {edge.src!r} -> {edge.dst!r} references unknown node {endpoint!r}"))
         count = len(seen_edges)
-        seen_edges.add(edge)  # one hash per edge: an Edge hashes in Python
+        # equal exactly when the Edges are; hashing an Edge would make three
+        # Python-level __hash__ calls (Edge, EdgeLabel, LabelKind)
+        label = edge.label
+        seen_edges.add((edge.src, edge.dst, label.kind.value, label.text))
         if len(seen_edges) == count:
             violations.append(Violation(
                 "duplicate-edge", f"{edge.src}->{edge.dst}",

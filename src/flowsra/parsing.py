@@ -4,14 +4,21 @@ Each parser accepts the grammar subset documented in ``docs/grammars.md``,
 recovers from errors by emitting diagnostics and continuing, and returns a
 (possibly partial) :class:`~flowsra.ir.FlowGraph`. Input outside the subset
 produces diagnostics, never undefined behavior.
+
+Each parser makes one pass over its input. Mermaid and PlantUML go line by
+line; a Mermaid node reference, shape included, is one ``match``, and so is
+an arrow. DOT lexes the whole text with one ``findall`` and parses the token
+list by index. A DOT diagnostic's line is computed on demand: token offsets
+are found by a second scan, made only when some diagnostic needs a line.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from functools import cached_property
 
 from .ir import (
     Edge,
@@ -102,7 +109,7 @@ class _Builder:
         self._kinds: dict[str, NodeKind] = {}
         self._texts: dict[str, str] = {}
         self._edges: list[Edge] = []
-        self._edge_keys: set[Edge] = set()
+        self._edge_keys: set[tuple[str, str, str, str | None]] = set()
         self._starts: set[str] = set()  # ids whose kind is START
         self.title: str | None = None
         self._synth = 0
@@ -148,10 +155,11 @@ class _Builder:
     def add_edge(self, src: str, dst: str, label: EdgeLabel = UNLABELED) -> bool:
         """Record an edge; returns False for a duplicate (kept, so validate()
         flags it too, but the parser should diagnose it where it happened)."""
-        edge = Edge(src, dst, label)
         seen = len(self._edge_keys)
-        self._edge_keys.add(edge)
-        self._edges.append(edge)
+        # equal exactly when the Edges are; hashing an Edge would make
+        # three Python-level __hash__ calls (Edge, EdgeLabel, LabelKind)
+        self._edge_keys.add((src, dst, label.kind.value, label.text))
+        self._edges.append(Edge(src, dst, label))
         return len(self._edge_keys) != seen
 
     def build(self) -> FlowGraph:
@@ -184,29 +192,36 @@ def _terminal_kind(text: str, builder: _Builder, node_id: str) -> NodeKind:
 
 # --- Mermaid ---------------------------------------------------------------
 
-_MERMAID_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _MERMAID_HEADER = re.compile(r"^(flowchart|graph)\b\s*(TD|TB|BT|LR|RL)?\s*$", re.IGNORECASE)
 
-# Shape patterns, most specific first; each has a quoted-content variant so
+# Shapes, most specific first, and the kind each gives (None: a terminal,
+# Start or End by ``_terminal_kind``). Each has a quoted-content variant so
 # delimiter characters may appear inside quoted text.
-_MERMAID_SHAPES: list[tuple[re.Pattern[str], str]] = [
-    (re.compile(r'\(\("((?:[^"]|#quot;)*)"\)\)'), "terminal"),
-    (re.compile(r"\(\(([^)]*)\)\)"), "terminal"),
-    (re.compile(r'\(\["((?:[^"]|#quot;)*)"\]\)'), "terminal"),
-    (re.compile(r"\(\[(.*?)\]\)"), "terminal"),
-    (re.compile(r'\[/"((?:[^"]|#quot;)*)"/\]'), "io"),
-    (re.compile(r"\[/(.*?)/\]"), "io"),
-    (re.compile(r'\{"((?:[^"]|#quot;)*)"\}'), "decision"),
-    (re.compile(r"\{([^}]*)\}"), "decision"),
-    (re.compile(r'\["((?:[^"]|#quot;)*)"\]'), "process"),
-    (re.compile(r"\[([^]]*)\]"), "process"),
+_MERMAID_SHAPES: list[tuple[str, NodeKind | None]] = [
+    (r'\(\("((?:[^"]|#quot;)*)"\)\)', None),
+    (r"\(\(([^)]*)\)\)", None),
+    (r'\(\["((?:[^"]|#quot;)*)"\]\)', None),
+    (r"\(\[(.*?)\]\)", None),
+    (r'\[/"((?:[^"]|#quot;)*)"/\]', NodeKind.INPUT_OUTPUT),
+    (r"\[/(.*?)/\]", NodeKind.INPUT_OUTPUT),
+    (r'\{"((?:[^"]|#quot;)*)"\}', NodeKind.DECISION),
+    (r"\{([^}]*)\}", NodeKind.DECISION),
+    (r'\["((?:[^"]|#quot;)*)"\]', NodeKind.PROCESS),
+    (r"\[([^]]*)\]", NodeKind.PROCESS),
 ]
 
-_MERMAID_ARROWS: list[re.Pattern[str]] = [
-    re.compile(r"-->\s*\|([^|]*)\|"),   # -->|label|
-    re.compile(r"--\s*([^->][^-]*?)\s*-->"),  # --label-->
-    re.compile(r"-->"),
-]
+# A node reference: the id (group 1), then at most one shape, tried in the
+# order above (group k + 2 holds the text of shape k), so ``lastindex`` names
+# the shape and one ``match`` reads the whole reference.
+_MERMAID_NODE = re.compile(
+    r"([A-Za-z_][A-Za-z0-9_]*)(?:"
+    + "|".join(pattern for pattern, _ in _MERMAID_SHAPES) + ")?")
+_MERMAID_KIND_OF_GROUP = [None, None] + [kind for _, kind in _MERMAID_SHAPES]
+
+# An arrow with the whitespace around it: -->|label| (group 1),
+# --label--> (group 2) or a bare -->.
+_MERMAID_ARROW = re.compile(
+    r"\s*(?:-->\s*\|([^|]*)\||--\s*([^->][^-]*?)\s*-->|-->)\s*")
 
 
 def _strip_mermaid_comments(line: str) -> str:
@@ -217,33 +232,25 @@ def _strip_mermaid_comments(line: str) -> str:
 def _mermaid_node_ref(builder: _Builder, line: str, pos: int, lineno: int,
                       diagnostics: list[ParseDiagnostic]) -> tuple[str, int] | None:
     """Consume one node reference (id plus optional shape) at ``pos``."""
-    m = _MERMAID_ID.match(line, pos)
+    m = _MERMAID_NODE.match(line, pos)
     if not m:
         return None
-    node_id = m.group(0)
-    pos = m.end()
-    for pattern, shape in _MERMAID_SHAPES:
-        sm = pattern.match(line, pos)
-        if not sm:
-            continue
-        text = _strip_quotes(sm.group(1))
-        if shape == "terminal":
-            builder.ensure(node_id)
-            kind = _terminal_kind(text, builder, node_id)
-        elif shape == "io":
-            kind = NodeKind.INPUT_OUTPUT
-        elif shape == "decision":
-            kind = NodeKind.DECISION
-        else:
-            kind = NodeKind.PROCESS
-        if not text and not kind.is_terminal:
-            diagnostics.append(ParseDiagnostic(
-                lineno, f"{kind.value} node {node_id!r} has empty text",
-                Severity.ERROR))
-        builder.define(node_id, kind, text)
-        return node_id, sm.end()
-    builder.ensure(node_id)
-    return node_id, pos
+    node_id = m.group(1)
+    group = m.lastindex
+    if group == 1:
+        builder.ensure(node_id)
+        return node_id, m.end()
+    text = _strip_quotes(m.group(group))
+    kind = _MERMAID_KIND_OF_GROUP[group]
+    if kind is None:
+        builder.ensure(node_id)
+        kind = _terminal_kind(text, builder, node_id)
+    elif not text:
+        diagnostics.append(ParseDiagnostic(
+            lineno, f"{kind.value} node {node_id!r} has empty text",
+            Severity.ERROR))
+    builder.define(node_id, kind, text)
+    return node_id, m.end()
 
 
 def parse_mermaid(text: str) -> ParseResult:
@@ -272,34 +279,19 @@ def parse_mermaid(text: str) -> ParseResult:
                 lineno, f"cannot parse statement: {line!r}", Severity.ERROR))
             continue
         node_id, pos = ref
-        bad = False
         while pos < len(line):
-            while pos < len(line) and line[pos].isspace():
-                pos += 1
-            if pos >= len(line):
-                break
-            label: EdgeLabel | None = None
-            arrow_end = -1
-            for i, pattern in enumerate(_MERMAID_ARROWS):
-                am = pattern.match(line, pos)
-                if am:
-                    label = EdgeLabel.from_text(am.group(1)) if i < 2 else UNLABELED
-                    arrow_end = am.end()
-                    break
-            if arrow_end < 0:
+            am = _MERMAID_ARROW.match(line, pos)
+            if not am:
                 diagnostics.append(ParseDiagnostic(
-                    lineno, f"unbalanced bracket or unexpected text: {line[pos:]!r}",
+                    lineno, f"unbalanced bracket or unexpected text: {line[pos:].lstrip()!r}",
                     Severity.ERROR))
-                bad = True
                 break
-            pos = arrow_end
-            while pos < len(line) and line[pos].isspace():
-                pos += 1
-            ref = _mermaid_node_ref(builder, line, pos, lineno, diagnostics)
+            group = am.lastindex
+            label = EdgeLabel.from_text(am.group(group)) if group else UNLABELED
+            ref = _mermaid_node_ref(builder, line, am.end(), lineno, diagnostics)
             if ref is None:
                 diagnostics.append(ParseDiagnostic(
                     lineno, "arrow without a target node", Severity.ERROR))
-                bad = True
                 break
             target_id, pos = ref
             if not builder.add_edge(node_id, target_id, label):
@@ -307,24 +299,28 @@ def parse_mermaid(text: str) -> ParseResult:
                     lineno, f"duplicate edge {node_id} --> {target_id}",
                     Severity.ERROR))
             node_id = target_id
-        if bad:
-            continue
     return ParseResult(builder.build(), diagnostics)
 
 
 # --- DOT -------------------------------------------------------------------
 
+# One match per token: the whitespace and comments before a token are its
+# prefix, never matches of their own. Group 1 is the token: a string, an
+# arrow, punctuation, a name, any other single character (which the lexer
+# reports), or the empty end of the text after the last prefix. Since group 1
+# matches at every position, the matches tile the whole text.
 _DOT_TOKEN = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*|\#[^\n]*|/\*.*?\*/)
-  | (?P<string>"(?:\\.|[^"\\])*")
-  | (?P<arrow>->|--)
-  | (?P<punct>[{}\[\]=;,])
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*|-?\d+(?:\.\d+)?)
+    (?:\s+|//[^\n]*|\#[^\n]*|/\*.*?\*/)*
+    ("(?:\\.|[^"\\])*"|->|--|[{}\[\]=;,]|[A-Za-z_][A-Za-z0-9_]*|-?\d+(?:\.\d+)?|.|\Z)
     """,
     re.VERBOSE | re.DOTALL,
 )
+# tokens that are not a node id, an attribute name or a value
+_DOT_NOT_ID = frozenset(("{", "}", "[", "]", "=", ";", ",", "->", "--", ""))
+_DOT_ARROWS = frozenset(("->", "--"))
+# the one-character tokens the grammar has; any other is an unexpected character
+_DOT_ONE_CHAR = frozenset("{}[]=;,_" + string.ascii_letters + string.digits)
 
 _DOT_SHAPE_KINDS = {
     "box": NodeKind.PROCESS,
@@ -336,209 +332,208 @@ _DOT_SHAPE_KINDS = {
 _DOT_TERMINAL_SHAPES = {"oval", "ellipse", "circle"}
 
 
-class _Tok(NamedTuple):
-    kind: str
-    value: str
-    line: int
+class _DotTokens:
+    """The tokens of one DOT text, without whitespace, comments and unexpected
+    characters, ending in at least one empty end token.
 
+    Lines are found by a second scan, made only when a diagnostic asks for one.
+    """
 
-def _dot_tokenize(text: str) -> tuple[list[_Tok], list[ParseDiagnostic]]:
-    """Tokens without whitespace and comments, and one diagnostic per
-    character that starts no token."""
-    tokens: list[_Tok] = []
-    diagnostics: list[ParseDiagnostic] = []
-    pos = 0
-    line = 1
-    for m in _DOT_TOKEN.finditer(text):
-        # the gap before a match holds the characters no token matches at;
-        # none is a newline, which whitespace always matches
-        for char in text[pos:m.start()]:
-            diagnostics.append(ParseDiagnostic(
-                line, f"unexpected character {char!r}", Severity.ERROR))
-        kind = m.lastgroup
-        value = m.group()
-        pos = m.end()
-        if kind == "ws" or kind == "comment":
-            line += value.count("\n")
-        else:
-            tokens.append(_Tok(kind, value, line))
-            if kind == "string":
-                line += value.count("\n")
-    for char in text[pos:]:
-        diagnostics.append(ParseDiagnostic(
-            line, f"unexpected character {char!r}", Severity.ERROR))
-    return tokens, diagnostics
+    def __init__(self, text: str) -> None:
+        self.text = text
+        values = _DOT_TOKEN.findall(text)
+        self.unexpected = {v for v in set(values) if len(v) == 1} - _DOT_ONE_CHAR
+        if self.unexpected:
+            values = [v for v in values if v not in self.unexpected]
+        self.values = values
+
+    @cached_property
+    def _located(self) -> tuple[list[int], list[ParseDiagnostic]]:
+        lines: list[int] = []
+        diagnostics: list[ParseDiagnostic] = []
+        text = self.text
+        line = 1
+        pos = 0
+        for m in _DOT_TOKEN.finditer(text):
+            start = m.start(1)
+            line += text.count("\n", pos, start)
+            pos = start
+            value = m.group(1)
+            if value in self.unexpected:
+                diagnostics.append(ParseDiagnostic(
+                    line, f"unexpected character {value!r}", Severity.ERROR))
+            else:
+                lines.append(line)
+        return lines, diagnostics
+
+    def line(self, index: int) -> int:
+        """The line the token at ``index`` starts on."""
+        return self._located[0][index]
+
+    def lexer_diagnostics(self) -> list[ParseDiagnostic]:
+        """One Error per unexpected character, in text order."""
+        return self._located[1] if self.unexpected else []
 
 
 def _dot_unquote(value: str) -> str:
-    if value.startswith('"') and value.endswith('"'):
-        return value[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-    return value
+    """The text of a name or string token."""
+    if value[0] != '"':
+        return value
+    return value[1:-1].replace('\\"', '"').replace("\\\\", "\\")
 
 
-class _DotParser:
-    def __init__(self, tokens: list[_Tok], last_line: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.last_line = last_line
-        self.builder = _Builder()
-        self.diagnostics: list[ParseDiagnostic] = []
-
-    def peek(self) -> _Tok | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> _Tok | None:
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def error(self, line: int, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic(line, message, Severity.ERROR))
-
-    def warn(self, line: int, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic(line, message, Severity.WARNING))
-
-    def expect_punct(self, value: str) -> bool:
-        tok = self.peek()
-        if tok and tok.kind == "punct" and tok.value == value:
-            self.next()
-            return True
-        return False
-
-    def parse(self) -> ParseResult:
-        tok = self.peek()
-        if tok and tok.kind == "name" and tok.value == "strict":
-            self.next()
-            tok = self.peek()
-        if tok and tok.kind == "name" and tok.value in ("digraph", "graph"):
-            self.next()
-        else:
-            self.error(tok.line if tok else 1, "expected 'digraph' or 'graph'")
-        tok = self.peek()
-        if tok and tok.kind in ("name", "string") and tok.value != "{":
-            self.next()  # graph id
-        if not self.expect_punct("{"):
-            tok = self.peek()
-            self.error(tok.line if tok else self.last_line, "expected '{'")
-        closed = False
+def _dot_attrs(tokens: _DotTokens, i: int, last_line: int,
+               diagnostics: list[ParseDiagnostic]) -> tuple[dict[str, str], int]:
+    """The attribute lists from token ``i`` on (none unless it is '['), and
+    the index after them."""
+    t = tokens.values
+    attrs: dict[str, str] = {}
+    while t[i] == "[":
+        i += 1
         while True:
-            tok = self.peek()
-            if tok is None:
+            value = t[i]
+            if value == "]":
+                i += 1
                 break
-            if tok.kind == "punct" and tok.value == "}":
-                self.next()
-                closed = True
-                break
-            self.statement()
-        if not closed:
-            self.error(self.last_line, "missing closing '}'")
-        return ParseResult(self.builder.build(), self.diagnostics)
-
-    def attr_list(self) -> dict[str, str]:
-        attrs: dict[str, str] = {}
-        while self.expect_punct("["):
-            while True:
-                tok = self.peek()
-                if tok is None:
-                    self.error(self.last_line, "unterminated attribute list")
-                    return attrs
-                if tok.kind == "punct" and tok.value == "]":
-                    self.next()
-                    break
-                if tok.kind in ("name", "string"):
-                    name = _dot_unquote(self.next().value)
-                    if self.expect_punct("="):
-                        vtok = self.next()
-                        if vtok is None or vtok.kind not in ("name", "string"):
-                            self.error(tok.line, f"attribute {name!r} has no value")
-                            continue
-                        attrs[name] = _dot_unquote(vtok.value)
-                    self.expect_punct(",")
+            if not value:
+                diagnostics.append(ParseDiagnostic(last_line, "unterminated attribute list"))
+                return attrs, i
+            if value in _DOT_NOT_ID:
+                diagnostics.append(ParseDiagnostic(
+                    tokens.line(i), f"unexpected token {value!r} in attribute list"))
+                i += 1
+                continue
+            name = _dot_unquote(value)
+            i += 1
+            if t[i] == "=":
+                i += 1
+                if t[i] in _DOT_NOT_ID:
+                    # take no token: a ']' or ',' here still ends or goes on with the list
+                    diagnostics.append(ParseDiagnostic(
+                        tokens.line(i - 2), f"attribute {name!r} has no value"))
                 else:
-                    self.error(tok.line, f"unexpected token {tok.value!r} in attribute list")
-                    self.next()
-        return attrs
+                    attrs[name] = _dot_unquote(t[i])
+                    i += 1
+            if t[i] == ",":
+                i += 1
+    return attrs, i
 
-    def apply_node_attrs(self, node_id: str, attrs: dict[str, str], line: int) -> None:
-        self.builder.ensure(node_id)
-        shape = attrs.get("shape", "").casefold()
-        text = attrs.get("label", self.builder._texts.get(node_id, node_id))
-        if shape in _DOT_TERMINAL_SHAPES:
-            # first-declared terminal shape is the entry point, the rest are exits
-            existing = self.builder.kind_of(node_id)
-            if existing in (NodeKind.START, NodeKind.END):
-                kind = existing
-            else:
-                kind = NodeKind.END if self.builder.has_start(excluding=node_id) else NodeKind.START
-        elif shape in _DOT_SHAPE_KINDS:
-            kind = _DOT_SHAPE_KINDS[shape]
-        elif shape:
-            self.warn(line, f"unsupported shape {shape!r} treated as box")
-            kind = NodeKind.PROCESS
+
+def _dot_node(builder: _Builder, node_id: str, attrs: dict[str, str],
+              tokens: _DotTokens, stmt: int, diagnostics: list[ParseDiagnostic]) -> None:
+    """Declare ``node_id`` with its shape and label attributes, from the
+    statement at token ``stmt``."""
+    builder.ensure(node_id)
+    shape = attrs.get("shape", "").casefold()
+    text = attrs.get("label", builder._texts[node_id])
+    if shape in _DOT_TERMINAL_SHAPES:
+        # first-declared terminal shape is the entry point, the rest are exits
+        existing = builder.kind_of(node_id)
+        if existing in (NodeKind.START, NodeKind.END):
+            kind = existing
         else:
-            kind = self.builder.kind_of(node_id) or NodeKind.PROCESS
-        if not text and not kind.is_terminal:
-            self.error(line, f"{kind.value} node {node_id!r} has empty label")
-        self.builder.define(node_id, kind, text)
-
-    def statement(self) -> None:
-        tok = self.next()
-        if tok is None:
-            return
-        if tok.kind == "punct" and tok.value == ";":
-            return
-        if tok.kind == "name" and tok.value in ("node", "edge", "graph"):
-            nxt = self.peek()
-            if nxt and nxt.kind == "punct" and nxt.value == "[":
-                self.attr_list()
-                self.warn(tok.line, f"default {tok.value!r} attributes are ignored")
-                self.expect_punct(";")
-                return
-        if tok.kind not in ("name", "string"):
-            self.error(tok.line, f"unexpected token {tok.value!r}")
-            return
-        first_id = _dot_unquote(tok.value)
-        nxt = self.peek()
-        if nxt and nxt.kind == "punct" and nxt.value == "=":
-            self.next()
-            self.next()  # value
-            self.warn(tok.line, f"graph attribute {first_id!r} is ignored")
-            self.expect_punct(";")
-            return
-        endpoints = [first_id]
-        while True:
-            nxt = self.peek()
-            if nxt and nxt.kind == "arrow":
-                self.next()
-                target = self.next()
-                if target is None or target.kind not in ("name", "string"):
-                    self.error(nxt.line, "edge arrow without a target node")
-                    return
-                endpoints.append(_dot_unquote(target.value))
-            else:
-                break
-        attrs = self.attr_list()
-        self.expect_punct(";")
-        if len(endpoints) == 1:
-            self.apply_node_attrs(first_id, attrs, tok.line)
-            return
-        label = EdgeLabel.from_text(attrs.get("label"))
-        for node_id in endpoints:
-            self.builder.ensure(node_id)
-        for src, dst in zip(endpoints, endpoints[1:]):
-            if not self.builder.add_edge(src, dst, label):
-                self.error(tok.line, f"duplicate edge {src} -> {dst}")
+            kind = NodeKind.END if builder.has_start(excluding=node_id) else NodeKind.START
+    elif shape in _DOT_SHAPE_KINDS:
+        kind = _DOT_SHAPE_KINDS[shape]
+    elif shape:
+        diagnostics.append(ParseDiagnostic(
+            tokens.line(stmt), f"unsupported shape {shape!r} treated as box", Severity.WARNING))
+        kind = NodeKind.PROCESS
+    else:
+        kind = builder.kind_of(node_id) or NodeKind.PROCESS
+    if not text and not kind.is_terminal:
+        diagnostics.append(ParseDiagnostic(
+            tokens.line(stmt), f"{kind.value} node {node_id!r} has empty label"))
+    builder.define(node_id, kind, text)
 
 
 def parse_dot(text: str) -> ParseResult:
     """Parse the Graphviz DOT subset (directed graphs, shape/label attributes)."""
-    tokens, lex_diags = _dot_tokenize(text)
+    tokens = _DotTokens(text)
+    t = tokens.values
     last_line = text.count("\n") + 1
-    parser = _DotParser(tokens, last_line)
-    result = parser.parse()
-    result.diagnostics[:0] = lex_diags
-    return result
+    builder = _Builder()
+    diagnostics: list[ParseDiagnostic] = []
+    i = 0
+    if t[i] == "strict":
+        i += 1
+    if t[i] == "digraph" or t[i] == "graph":
+        i += 1
+    else:
+        diagnostics.append(ParseDiagnostic(
+            tokens.line(i) if t[i] else 1, "expected 'digraph' or 'graph'"))
+    if t[i] not in _DOT_NOT_ID:
+        i += 1  # graph id
+    if t[i] == "{":
+        i += 1
+    else:
+        diagnostics.append(ParseDiagnostic(
+            tokens.line(i) if t[i] else last_line, "expected '{'"))
+    closed = False
+    while True:  # one statement per pass
+        value = t[i]
+        if not value:
+            break
+        stmt = i
+        i += 1
+        if value == "}":
+            closed = True
+            break
+        if value == ";":
+            continue
+        if (value == "node" or value == "edge" or value == "graph") and t[i] == "[":
+            i = _dot_attrs(tokens, i, last_line, diagnostics)[1]
+            diagnostics.append(ParseDiagnostic(
+                tokens.line(stmt), f"default {value!r} attributes are ignored",
+                Severity.WARNING))
+            if t[i] == ";":
+                i += 1
+            continue
+        if value in _DOT_NOT_ID:
+            diagnostics.append(ParseDiagnostic(
+                tokens.line(stmt), f"unexpected token {value!r}"))
+            continue
+        first_id = _dot_unquote(value)
+        if t[i] == "=":
+            i += 1
+            if t[i]:
+                i += 1  # the value
+            diagnostics.append(ParseDiagnostic(
+                tokens.line(stmt), f"graph attribute {first_id!r} is ignored",
+                Severity.WARNING))
+            if t[i] == ";":
+                i += 1
+            continue
+        endpoints = [first_id]
+        while t[i] in _DOT_ARROWS:
+            target = t[i + 1]
+            if target in _DOT_NOT_ID:
+                diagnostics.append(ParseDiagnostic(
+                    tokens.line(i), "edge arrow without a target node"))
+                i += 2 if target else 1
+                break
+            endpoints.append(_dot_unquote(target))
+            i += 2
+        else:  # the statement goes on unless an arrow had no target
+            attrs: dict[str, str] = {}
+            if t[i] == "[":
+                attrs, i = _dot_attrs(tokens, i, last_line, diagnostics)
+            if t[i] == ";":
+                i += 1
+            if len(endpoints) == 1:
+                _dot_node(builder, first_id, attrs, tokens, stmt, diagnostics)
+                continue
+            label = EdgeLabel.from_text(attrs["label"]) if "label" in attrs else UNLABELED
+            for node_id in endpoints:
+                builder.ensure(node_id)
+            for src, dst in zip(endpoints, endpoints[1:]):
+                if not builder.add_edge(src, dst, label):
+                    diagnostics.append(ParseDiagnostic(
+                        tokens.line(stmt), f"duplicate edge {src} -> {dst}"))
+    if not closed:
+        diagnostics.append(ParseDiagnostic(last_line, "missing closing '}'"))
+    diagnostics[:0] = tokens.lexer_diagnostics()
+    return ParseResult(builder.build(), diagnostics)
 
 
 # --- PlantUML --------------------------------------------------------------

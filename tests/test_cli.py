@@ -283,6 +283,20 @@ class TestEval:
         assert second == first
         json.loads(entry.read_text())
 
+    def test_judge_error_fails_only_its_instance(self, capsys):
+        # mock10.json scripts no judge prompt, so every tier-2 verdict raises
+        code, out, err = run_cli(
+            capsys, "eval", "--dataset", str(DATA / "flowvqa_like_20.jsonl"),
+            "--mock-script", str(DATA / "mock10.json"), "--judge", "llm")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["total"] == 20
+        assert report["failed_count"] > 0
+        logs = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert len(logs) == 20
+        assert any(log["predicted"] is not None and "You verify answers" in log["error"]
+                   for log in logs)
+
     def test_empty_dataset_exits_1(self, capsys, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

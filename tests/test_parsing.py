@@ -1,20 +1,27 @@
 """Dialect detection and the three parsers, including error recovery."""
 
 import random
+import re
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowsra.emitting import emit
-from flowsra.ir import EdgeLabel, NodeKind, validate
+from flowsra.ir import UNLABELED, EdgeLabel, NodeKind, validate
 from flowsra.parsing import (
-    _DOT_TOKEN,
+    _DOT_SHAPE_KINDS,
+    _DOT_TERMINAL_SHAPES,
+    _MERMAID_HEADER,
     Dialect,
     ParseDiagnostic,
+    ParseResult,
     Severity,
     UnknownDialectError,
     _Builder,
-    _dot_tokenize,
+    _strip_mermaid_comments,
+    _strip_quotes,
+    _terminal_kind,
     detect_dialect,
     parse_dot,
     parse_mermaid,
@@ -140,6 +147,13 @@ class TestParseMermaid:
         result = parse_mermaid("flowchart TD\nA[]")
         assert any("empty text" in d.message for d in result.errors())
 
+    def test_edges_differing_only_in_label_are_not_duplicates(self):
+        result = parse_mermaid(
+            "flowchart TD\nA-->|Yes|B\nA-->|No|B\nA-->|x|B\nA-->|y|B\nA-->B")
+        assert result.ok
+        assert len(result.graph.edges) == 5
+        assert validate(result.graph) == []
+
 
 class TestParseDot:
     def test_two_nodes_one_edge(self):
@@ -222,65 +236,454 @@ class TestParseDot:
         result = parse_dot('digraph G { A [shape=box, label=""]; }')
         assert any("empty label" in d.message for d in result.errors())
 
+    def test_attribute_without_value_leaves_the_list_going(self):
+        result = parse_dot(
+            'digraph G {\n A [label=];\n B -> C;\n D [shape=box, label="x"];\n}\n')
+        assert [(d.line, d.message) for d in result.errors()] == [
+            (2, "attribute 'label' has no value")]
+        assert [n.id for n in result.graph.nodes] == ["A", "B", "C", "D"]
+        assert [(e.src, e.dst) for e in result.graph.edges] == [("B", "C")]
+        result = parse_dot('digraph G { A [label=, shape=diamond]; }')
+        assert [d.message for d in result.errors()] == [
+            "attribute 'label' has no value"]
+        assert result.graph.nodes[0].kind is NodeKind.DECISION
+
+
+# --- referees ---------------------------------------------------------------
+# The DOT lexer and parser and the Mermaid node and arrow loops as they were
+# before the single-pass rewrite: a token object with its line per token, one
+# method call per look-ahead, one ``match`` per shape and per arrow pattern.
+# ``parse_dot`` and ``parse_mermaid`` must give equal graphs and diagnostics.
+
+_REF_DOT_TOKEN = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>//[^\n]*|\#[^\n]*|/\*.*?\*/)
+  | (?P<string>"(?:\\.|[^"\\])*")
+  | (?P<arrow>->|--)
+  | (?P<punct>[{}\[\]=;,])
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*|-?\d+(?:\.\d+)?)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+class _RefTok(NamedTuple):
+    kind: str
+    value: str
+    line: int
+
 
 def reference_dot_tokenize(text):
-    """The DOT lexer as first written, one ``match`` per position: the
-    referee for ``_dot_tokenize``."""
     tokens = []
     diagnostics = []
     pos = 0
     line = 1
-    while pos < len(text):
-        m = _DOT_TOKEN.match(text, pos)
-        if not m:
+    for m in _REF_DOT_TOKEN.finditer(text):
+        for char in text[pos:m.start()]:
             diagnostics.append(ParseDiagnostic(
-                line, f"unexpected character {text[pos]!r}", Severity.ERROR))
-            pos += 1
-            continue
-        kind = m.lastgroup or ""
-        value = m.group(0)
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, value, line))
-        line += value.count("\n")
+                line, f"unexpected character {char!r}", Severity.ERROR))
+        kind = m.lastgroup
+        value = m.group()
         pos = m.end()
+        if kind == "ws" or kind == "comment":
+            line += value.count("\n")
+        else:
+            tokens.append(_RefTok(kind, value, line))
+            if kind == "string":
+                line += value.count("\n")
+    for char in text[pos:]:
+        diagnostics.append(ParseDiagnostic(
+            line, f"unexpected character {char!r}", Severity.ERROR))
     return tokens, diagnostics
 
 
-def assert_lexes_like_reference(text):
-    tokens, diagnostics = _dot_tokenize(text)
-    assert ([(t.kind, t.value, t.line) for t in tokens], diagnostics) == (
-        reference_dot_tokenize(text))
+def _ref_dot_unquote(value):
+    if value.startswith('"') and value.endswith('"'):
+        return value[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+    return value
+
+
+class ReferenceDotParser:
+    def __init__(self, tokens, last_line):
+        self.tokens = tokens
+        self.pos = 0
+        self.last_line = last_line
+        self.builder = _Builder()
+        self.diagnostics = []
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is not None:
+            self.pos += 1
+        return tok
+
+    def error(self, line, message):
+        self.diagnostics.append(ParseDiagnostic(line, message, Severity.ERROR))
+
+    def warn(self, line, message):
+        self.diagnostics.append(ParseDiagnostic(line, message, Severity.WARNING))
+
+    def expect_punct(self, value):
+        tok = self.peek()
+        if tok and tok.kind == "punct" and tok.value == value:
+            self.next()
+            return True
+        return False
+
+    def parse(self):
+        tok = self.peek()
+        if tok and tok.kind == "name" and tok.value == "strict":
+            self.next()
+            tok = self.peek()
+        if tok and tok.kind == "name" and tok.value in ("digraph", "graph"):
+            self.next()
+        else:
+            self.error(tok.line if tok else 1, "expected 'digraph' or 'graph'")
+        tok = self.peek()
+        if tok and tok.kind in ("name", "string") and tok.value != "{":
+            self.next()  # graph id
+        if not self.expect_punct("{"):
+            tok = self.peek()
+            self.error(tok.line if tok else self.last_line, "expected '{'")
+        closed = False
+        while True:
+            tok = self.peek()
+            if tok is None:
+                break
+            if tok.kind == "punct" and tok.value == "}":
+                self.next()
+                closed = True
+                break
+            self.statement()
+        if not closed:
+            self.error(self.last_line, "missing closing '}'")
+        return ParseResult(self.builder.build(), self.diagnostics)
+
+    def attr_list(self):
+        attrs = {}
+        while self.expect_punct("["):
+            while True:
+                tok = self.peek()
+                if tok is None:
+                    self.error(self.last_line, "unterminated attribute list")
+                    return attrs
+                if tok.kind == "punct" and tok.value == "]":
+                    self.next()
+                    break
+                if tok.kind in ("name", "string"):
+                    name = _ref_dot_unquote(self.next().value)
+                    if self.expect_punct("="):
+                        vtok = self.peek()
+                        if vtok is None or vtok.kind not in ("name", "string"):
+                            self.error(tok.line, f"attribute {name!r} has no value")
+                        else:
+                            self.next()
+                            attrs[name] = _ref_dot_unquote(vtok.value)
+                    self.expect_punct(",")
+                else:
+                    self.error(tok.line, f"unexpected token {tok.value!r} in attribute list")
+                    self.next()
+        return attrs
+
+    def apply_node_attrs(self, node_id, attrs, line):
+        self.builder.ensure(node_id)
+        shape = attrs.get("shape", "").casefold()
+        text = attrs.get("label", self.builder._texts.get(node_id, node_id))
+        if shape in _DOT_TERMINAL_SHAPES:
+            existing = self.builder.kind_of(node_id)
+            if existing in (NodeKind.START, NodeKind.END):
+                kind = existing
+            else:
+                kind = NodeKind.END if self.builder.has_start(excluding=node_id) else NodeKind.START
+        elif shape in _DOT_SHAPE_KINDS:
+            kind = _DOT_SHAPE_KINDS[shape]
+        elif shape:
+            self.warn(line, f"unsupported shape {shape!r} treated as box")
+            kind = NodeKind.PROCESS
+        else:
+            kind = self.builder.kind_of(node_id) or NodeKind.PROCESS
+        if not text and not kind.is_terminal:
+            self.error(line, f"{kind.value} node {node_id!r} has empty label")
+        self.builder.define(node_id, kind, text)
+
+    def statement(self):
+        tok = self.next()
+        if tok is None:
+            return
+        if tok.kind == "punct" and tok.value == ";":
+            return
+        if tok.kind == "name" and tok.value in ("node", "edge", "graph"):
+            nxt = self.peek()
+            if nxt and nxt.kind == "punct" and nxt.value == "[":
+                self.attr_list()
+                self.warn(tok.line, f"default {tok.value!r} attributes are ignored")
+                self.expect_punct(";")
+                return
+        if tok.kind not in ("name", "string"):
+            self.error(tok.line, f"unexpected token {tok.value!r}")
+            return
+        first_id = _ref_dot_unquote(tok.value)
+        nxt = self.peek()
+        if nxt and nxt.kind == "punct" and nxt.value == "=":
+            self.next()
+            self.next()  # value
+            self.warn(tok.line, f"graph attribute {first_id!r} is ignored")
+            self.expect_punct(";")
+            return
+        endpoints = [first_id]
+        while True:
+            nxt = self.peek()
+            if nxt and nxt.kind == "arrow":
+                self.next()
+                target = self.next()
+                if target is None or target.kind not in ("name", "string"):
+                    self.error(nxt.line, "edge arrow without a target node")
+                    return
+                endpoints.append(_ref_dot_unquote(target.value))
+            else:
+                break
+        attrs = self.attr_list()
+        self.expect_punct(";")
+        if len(endpoints) == 1:
+            self.apply_node_attrs(first_id, attrs, tok.line)
+            return
+        label = EdgeLabel.from_text(attrs.get("label"))
+        for node_id in endpoints:
+            self.builder.ensure(node_id)
+        for src, dst in zip(endpoints, endpoints[1:]):
+            if not self.builder.add_edge(src, dst, label):
+                self.error(tok.line, f"duplicate edge {src} -> {dst}")
+
+
+def reference_parse_dot(text):
+    tokens, lex_diags = reference_dot_tokenize(text)
+    result = ReferenceDotParser(tokens, text.count("\n") + 1).parse()
+    result.diagnostics[:0] = lex_diags
+    return result
+
+
+_REF_MERMAID_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_REF_MERMAID_SHAPES = [
+    (re.compile(r'\(\("((?:[^"]|#quot;)*)"\)\)'), "terminal"),
+    (re.compile(r"\(\(([^)]*)\)\)"), "terminal"),
+    (re.compile(r'\(\["((?:[^"]|#quot;)*)"\]\)'), "terminal"),
+    (re.compile(r"\(\[(.*?)\]\)"), "terminal"),
+    (re.compile(r'\[/"((?:[^"]|#quot;)*)"/\]'), "io"),
+    (re.compile(r"\[/(.*?)/\]"), "io"),
+    (re.compile(r'\{"((?:[^"]|#quot;)*)"\}'), "decision"),
+    (re.compile(r"\{([^}]*)\}"), "decision"),
+    (re.compile(r'\["((?:[^"]|#quot;)*)"\]'), "process"),
+    (re.compile(r"\[([^]]*)\]"), "process"),
+]
+_REF_MERMAID_ARROWS = [
+    re.compile(r"-->\s*\|([^|]*)\|"),
+    re.compile(r"--\s*([^->][^-]*?)\s*-->"),
+    re.compile(r"-->"),
+]
+
+
+def _ref_mermaid_node_ref(builder, line, pos, lineno, diagnostics):
+    m = _REF_MERMAID_ID.match(line, pos)
+    if not m:
+        return None
+    node_id = m.group(0)
+    pos = m.end()
+    for pattern, shape in _REF_MERMAID_SHAPES:
+        sm = pattern.match(line, pos)
+        if not sm:
+            continue
+        text = _strip_quotes(sm.group(1))
+        if shape == "terminal":
+            builder.ensure(node_id)
+            kind = _terminal_kind(text, builder, node_id)
+        elif shape == "io":
+            kind = NodeKind.INPUT_OUTPUT
+        elif shape == "decision":
+            kind = NodeKind.DECISION
+        else:
+            kind = NodeKind.PROCESS
+        if not text and not kind.is_terminal:
+            diagnostics.append(ParseDiagnostic(
+                lineno, f"{kind.value} node {node_id!r} has empty text",
+                Severity.ERROR))
+        builder.define(node_id, kind, text)
+        return node_id, sm.end()
+    builder.ensure(node_id)
+    return node_id, pos
+
+
+def reference_parse_mermaid(text):
+    builder = _Builder()
+    diagnostics = []
+    header_seen = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _strip_mermaid_comments(raw).strip()
+        if not line:
+            continue
+        if not header_seen:
+            if _MERMAID_HEADER.match(line):
+                header_seen = True
+                continue
+            diagnostics.append(ParseDiagnostic(
+                lineno, "expected 'flowchart <dir>' header", Severity.ERROR))
+            header_seen = True
+        ref = _ref_mermaid_node_ref(builder, line, 0, lineno, diagnostics)
+        if ref is None:
+            diagnostics.append(ParseDiagnostic(
+                lineno, f"cannot parse statement: {line!r}", Severity.ERROR))
+            continue
+        node_id, pos = ref
+        while pos < len(line):
+            while pos < len(line) and line[pos].isspace():
+                pos += 1
+            if pos >= len(line):
+                break
+            label = None
+            arrow_end = -1
+            for i, pattern in enumerate(_REF_MERMAID_ARROWS):
+                am = pattern.match(line, pos)
+                if am:
+                    label = EdgeLabel.from_text(am.group(1)) if i < 2 else UNLABELED
+                    arrow_end = am.end()
+                    break
+            if arrow_end < 0:
+                diagnostics.append(ParseDiagnostic(
+                    lineno, f"unbalanced bracket or unexpected text: {line[pos:]!r}",
+                    Severity.ERROR))
+                break
+            pos = arrow_end
+            while pos < len(line) and line[pos].isspace():
+                pos += 1
+            ref = _ref_mermaid_node_ref(builder, line, pos, lineno, diagnostics)
+            if ref is None:
+                diagnostics.append(ParseDiagnostic(
+                    lineno, "arrow without a target node", Severity.ERROR))
+                break
+            target_id, pos = ref
+            if not builder.add_edge(node_id, target_id, label):
+                diagnostics.append(ParseDiagnostic(
+                    lineno, f"duplicate edge {node_id} --> {target_id}",
+                    Severity.ERROR))
+            node_id = target_id
+    return ParseResult(builder.build(), diagnostics)
+
+
+def assert_parses_like_reference(text, dialect):
+    parse, reference = {
+        Dialect.DOT: (parse_dot, reference_parse_dot),
+        Dialect.MERMAID: (parse_mermaid, reference_parse_mermaid),
+    }[dialect]
+    result, expected = parse(text), reference(text)
+    assert (result.graph, result.diagnostics) == (expected.graph, expected.diagnostics)
+
+
+def diagnostic_lines(text):
+    return [(d.line, d.message) for d in parse_dot(text).diagnostics]
 
 
 class TestDotLexer:
+    """The one-pass DOT lexer, through the diagnostics ``parse_dot`` reports
+    and against the referee."""
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_emitted_dot(self, seed):
         rng = random.Random(seed)
         for graph in (rand_flow_graph(rng), rand_structured_graph(rng)):
-            assert_lexes_like_reference(emit(graph, Dialect.DOT).text)
+            assert_parses_like_reference(emit(graph, Dialect.DOT).text, Dialect.DOT)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.text(alphabet=st.sampled_from(
-        list('ab_19.-> \t\r\n"\\/*#{}[]=;,@%$\u00e9\u2028')), max_size=60) | st.text(max_size=40))
+        list('ab_19.-> \t\r\n"\\/*#{}[]=;,@%$\u00e9\u2028')), max_size=60)
+        | st.lists(st.sampled_from(
+            ["digraph ", "strict ", "graph ", "node ", "G", " A", " B", "1", "->", "--",
+             "[", "]", "{", "}", "=", ";", ",", " label", " shape", "oval", "box", "diamond",
+             "hexagon", '"x"', '""', '"yes"', '"a\\"b"', "\n", " ", "//c\n", "/*c*/", "@"]),
+            max_size=40).map("".join)
+        | st.text(max_size=40))
     def test_arbitrary_text(self, text):
-        assert_lexes_like_reference(text)
+        assert_parses_like_reference(text, Dialect.DOT)
 
     def test_skipped_characters_are_reported_one_by_one(self):
-        tokens, diagnostics = _dot_tokenize('a @$\nb "open')
-        assert [(t.kind, t.value, t.line) for t in tokens] == [
-            ("name", "a", 1), ("name", "b", 2), ("name", "open", 2)]
-        assert [(d.line, d.message) for d in diagnostics] == [
+        assert diagnostic_lines('a @$\nb "open') == [
             (1, "unexpected character '@'"), (1, "unexpected character '$'"),
-            (2, "unexpected character '\"'")]
-
+            (2, "unexpected character '\"'"),
+            (1, "expected 'digraph' or 'graph'"), (2, "expected '{'"),
+            (2, "missing closing '}'")]
 
     def test_lines_advance_inside_strings_and_comments(self):
-        text = 'a "x\ny" /* c\n */ b // d\n# e\n c'
-        assert_lexes_like_reference(text)
-        tokens, _ = _dot_tokenize(text)
-        assert [(t.value, t.line) for t in tokens] == [
-            ("a", 1), ('"x\ny"', 1), ("b", 3), ("c", 5)]
+        text = 'digraph G {\n"x\ny" -> ] /* c\n */ ] // d\n# e\n ] }'
+        assert diagnostic_lines(text) == [
+            (3, "edge arrow without a target node"),
+            (4, "unexpected token ']'"), (6, "unexpected token ']'")]
+        assert_parses_like_reference(text, Dialect.DOT)
+
+
+# Mermaid text over the alphabet the grammar reads, as loose pieces and as
+# statements of node references (every shape, quoted or not) and arrows.
+_mermaid_pieces = st.lists(st.sampled_from(
+    ["flowchart TD\n", "graph LR\n", "A", "B", "c_1", " ", "-->", "--", "-", "|", "([",
+     "])", "((", "))", "[/", "/]", "[", "]", "{", "}", "(", ")", '"', "#quot;", "%%",
+     "\n", "Yes", "start", "end", "x"]), max_size=40).map("".join)
+_mermaid_shape_text = st.lists(st.sampled_from(
+    ["x", " ", '"', "#quot;", "start", "Done", "]", ")", "/", "}", "|", "-"]),
+    max_size=4).map("".join)
+_MERMAID_BRACKETS = [("((", "))"), ("([", "])"), ("[/", "/]"), ("{", "}"), ("[", "]"), ("(", ")")]
+_mermaid_node = st.builds(
+    lambda node_id, brackets, text, quoted: node_id + (
+        brackets[0] + (f'"{text}"' if quoted else text) + brackets[1] if brackets else ""),
+    st.sampled_from(["A", "B", "c_1"]), st.none() | st.sampled_from(_MERMAID_BRACKETS),
+    _mermaid_shape_text, st.booleans())
+_mermaid_arrow = st.sampled_from(
+    ["-->", " --> ", "-->|Yes|", "--> | no |", "-->||", "-- x -->", "--Yes-->", "--", "->"])
+_mermaid_statements = st.lists(
+    st.builds(lambda first, rest: first + "".join(a + n for a, n in rest),
+              _mermaid_node, st.lists(st.tuples(_mermaid_arrow, _mermaid_node), max_size=3))
+    | st.sampled_from(["%% note", "  ", "A-->B %% c", "flowchart LR"]),
+    max_size=8).map("\n".join)
+
+
+class TestMermaidReferee:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_emitted_mermaid(self, seed):
+        rng = random.Random(seed)
+        for graph in (rand_flow_graph(rng), rand_structured_graph(rng)):
+            assert_parses_like_reference(emit(graph, Dialect.MERMAID).text, Dialect.MERMAID)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mermaid_pieces | st.text(max_size=40)
+           | _mermaid_statements.map(lambda body: "flowchart TD\n" + body))
+    def test_arbitrary_text(self, text):
+        assert_parses_like_reference(text, Dialect.MERMAID)
+
+    def test_every_shape_quoted_or_not(self):
+        for left, right in _MERMAID_BRACKETS:
+            for text in ("", "x", "Start here", 'a "b', "a #quot;b", "a ] b", "a ) b",
+                         "a / b", "a } b", "done"):
+                for shaped in (f"{left}{text}{right}", f'{left}"{text}"{right}'):
+                    assert_parses_like_reference(
+                        f"flowchart TD\nA{shaped} --> B{shaped}\nC{shaped}", Dialect.MERMAID)
+
+
+class TestHostileInput:
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(max_size=80) | st.lists(st.sampled_from(
+        ["@startuml\n", "@enduml\n", "flowchart TD\n", "digraph G {", "}", "if (x) then\n",
+         "else\n", "endif\n", "repeat\n", "repeat while (y)\n", ":a;\n", "start\n", "A-->B",
+         "A -> B;", "[", "]", '"', "/*", "\n"]), max_size=30).map("".join))
+    def test_no_parser_raises(self, text):
+        for dialect in Dialect:
+            assert isinstance(parse_text(text, dialect)[1], ParseResult)
+        try:
+            dialect, result = parse_text(text)
+        except UnknownDialectError:
+            return
+        assert isinstance(result, ParseResult)
 
 
 class TestBuilderStarts:
