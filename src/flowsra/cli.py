@@ -11,12 +11,11 @@ import argparse
 import json
 import os
 import sys
-import threading
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .emitting import EmitError, emit, emit_triples, emit_upgraded
-from .engine import Question, answer_controlled
+from .engine import Question, Route, answer_controlled
 from .gateway import (
     CacheError,
     ChatGateway,
@@ -104,10 +103,21 @@ def _gateway(config: RunConfig) -> ChatGateway:
     )
 
 
+class InputError(RuntimeError):
+    pass
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> InputError:
+    return InputError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})")
+
+
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
 
 
 def _parse_input(path: str, dialect: str | None) -> tuple[Dialect, object]:
@@ -119,10 +129,6 @@ def _parse_input(path: str, dialect: str | None) -> tuple[Dialect, object]:
     if result.errors():
         raise InputError("input has parse errors")
     return detected, result.graph
-
-
-class InputError(RuntimeError):
-    pass
 
 
 # --- subcommands ---------------------------------------------------------
@@ -149,37 +155,20 @@ def cmd_upgrade(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK
 
 
-class _CountingBackend:
-    """Wraps a relation backend to report how many calls a question cost.
-
-    It exposes the inner backend's gateway, so upgrade_graph runs its calls
-    concurrently as for the inner backend; the count therefore takes a lock.
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.gateway = getattr(inner, "gateway", None)
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def recognize(self, src, dst, label, context):
-        with self._lock:
-            self.calls += 1
-        return self.inner.recognize(src, dst, label, context)
-
-
 def cmd_ask(args: argparse.Namespace, config: RunConfig) -> int:
     detected, graph = _parse_input(args.input, args.dialect)
     gateway = _gateway(config)
     question = Question(args.question)
     dialect = Dialect(args.to) if args.to else detected
-    backend = _CountingBackend(make_relation_backend(
-        args.relation_backend, gateway, config.recognizer_model))
+    backend = make_relation_backend(args.relation_backend, gateway,
+                                    config.recognizer_model)
     kind = {"shallow": "always-shallow", "deep": "always-deep"}.get(args.mode, args.router)
     router = make_router(kind, gateway, config.router_model)
     answer = answer_controlled(graph, question, router, backend, gateway,
                                model=config.reasoner_model, dialect=dialect)
-    print(f"recognizer calls: {backend.calls}", file=sys.stderr)
+    # the deep route upgrades the graph, which recognizes each edge once
+    calls = len(graph.edges) if answer.route is Route.DEEP else 0
+    print(f"recognizer calls: {calls}", file=sys.stderr)
     payload = {
         "answer": answer.text,
         "route": answer.route.value,
@@ -200,12 +189,15 @@ def cmd_route(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
     _, graph = _parse_input(args.input, args.dialect)
-    print(json.dumps(topology_stats(graph).as_dict()))
+    print(json.dumps(asdict(topology_stats(graph))))
     return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
-    load = load_dataset(args.dataset)
+    try:
+        load = load_dataset(args.dataset)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(args.dataset, exc) from exc
     for diag in load.diagnostics:
         print(str(diag), file=sys.stderr)
     eval_config = EvalConfig(
@@ -333,9 +325,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (TransportError, PermanentError, ProtocolError, ScriptedMissError,
             UpgradeError) as exc:
-        if isinstance(exc, UpgradeError) and isinstance(exc.__cause__, CacheError):
-            print(f"config error: {exc.__cause__}", file=sys.stderr)
-            return EXIT_CONFIG
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable
+from typing import Generator, Iterable
 
 from .ir import (
     Edge,
@@ -63,21 +63,6 @@ def split_relation_label(text: str) -> tuple[RelationType, EdgeLabel] | None:
 def _clean(text: str) -> str:
     """Single-line form of node text (the dialects here are line oriented)."""
     return " ".join(text.split()) if ("\n" in text or "\r" in text) else text
-
-
-def _check_triples(ug: UpgradedGraph) -> None:
-    """Raise unless triple ``i`` joins the endpoints of edge ``i``, for every
-    edge and no more."""
-    edges = ug.base.edges
-    if len(ug.triples) != len(edges):
-        raise ValueError(
-            f"upgraded graph has {len(ug.triples)} triples for "
-            f"{len(edges)} edges")
-    for edge, triple in zip(edges, ug.triples):
-        if triple.src != edge.src or triple.dst != edge.dst:
-            raise ValueError(
-                f"triple {triple.src}->{triple.dst} does not match edge "
-                f"{edge.src}->{edge.dst}")
 
 
 def _taxonomy_comment(marker: str) -> list[str]:
@@ -267,17 +252,17 @@ class _PlantUmlEmitter:
 
     Only graphs built from properly nested sequences, binary branches with a
     common join, and bottom-tested loops are representable; anything else
-    raises :class:`EmitError`. In best-effort mode (used for upgraded
-    emission) labels that cannot ride the structured syntax are dropped
-    instead of raising.
+    raises :class:`EmitError`. ``upgraded`` is as for the other emitters;
+    when it is given, the taxonomy comment follows ``@startuml`` and labels
+    that cannot ride the structured syntax are dropped instead of raising.
     """
 
-    def __init__(self, graph: FlowGraph,
-                 render: Callable[[Edge], str | None],
-                 best_effort: bool):
+    def __init__(self, graph: FlowGraph, upgraded: list[str] | None):
         self.graph = graph
-        self.render = render
-        self.best_effort = best_effort
+        self.upgraded = upgraded is not None
+        # keyed by id(edge), as the back edges are
+        self.labels = {id(edge): label
+                       for edge, label in zip(graph.edges, _edge_labels(graph, upgraded))}
         self.by_id = {n.id: n for n in graph.nodes}
         self.order = [n.id for n in graph.nodes]
         self.pos = {nid: index for index, nid in enumerate(self.order)}
@@ -321,6 +306,8 @@ class _PlantUmlEmitter:
 
     def emit(self) -> str:
         self.lines.append("@startuml")
+        if self.upgraded:
+            self.lines += _taxonomy_comment("'")
         if self.graph.title:
             self.lines.append(f"title {_clean(self.graph.title)}")
         for entry in self.entries:
@@ -335,11 +322,11 @@ class _PlantUmlEmitter:
 
     def follow(self, edge: Edge) -> str:
         """Emit the arrow-label line for a traversed sequential edge."""
-        text = self.render(edge)
+        text = self.labels[id(edge)]
         if text is not None:
             if self.fwd_in[edge.dst] == 1:
                 self.lines.append(f"-> {_pu_text(text)};")
-            elif not self.best_effort:
+            elif not self.upgraded:
                 raise EmitError(
                     f"label on converging edge {edge.src} -> {edge.dst} "
                     "cannot be expressed")
@@ -353,7 +340,7 @@ class _PlantUmlEmitter:
         return outs[0] if outs else None
 
     def branch_clause(self, edge: Edge) -> str:
-        text = self.render(edge)
+        text = self.labels[id(edge)]
         return "" if text is None else _pu_text(text)
 
     def join_of(self, decision: str, left: str, right: str) -> str | None:
@@ -442,10 +429,10 @@ class _PlantUmlEmitter:
                     f"has {len(outs)}")
             exit_edge = next(e for e in outs if e != back_edge)
             clause = f"repeat while ({_pu_text(self.by_id[latch].text)})"
-            back_text = self.render(back_edge)
+            back_text = self.labels[id(back_edge)]
             if back_text != "Yes":
                 clause += f" is ({_pu_text(back_text) if back_text is not None else ''})"
-            exit_text = self.render(exit_edge)
+            exit_text = self.labels[id(exit_edge)]
             if exit_text != "No":
                 clause += f" not ({_pu_text(exit_text) if exit_text is not None else ''})"
             self.lines.append(clause)
@@ -484,17 +471,7 @@ class _PlantUmlEmitter:
 
 
 def _emit_plantuml(graph: FlowGraph, upgraded: list[str] | None) -> str:
-    if upgraded is not None:
-        # keyed by id(edge), as the back edges are
-        by_edge = {id(edge): label for edge, label in zip(graph.edges, upgraded)}
-        render = lambda edge: by_edge[id(edge)]  # noqa: E731
-        emitter = _PlantUmlEmitter(graph, render, best_effort=True)
-        body = emitter.emit()
-        header, _, rest = body.partition("\n")
-        comment = "\n".join(_taxonomy_comment("'"))
-        return f"{header}\n{comment}\n{rest}"
-    emitter = _PlantUmlEmitter(graph, lambda edge: edge.label.render(), best_effort=False)
-    return emitter.emit()
+    return _PlantUmlEmitter(graph, upgraded).emit()
 
 
 # --- public operations -------------------------------------------------------
@@ -529,7 +506,6 @@ def emit_upgraded(ug: UpgradedGraph, dialect: Dialect) -> InterlanguageDoc:
     """
     def compute() -> InterlanguageDoc:
         require_valid(ug.base)
-        _check_triples(ug)
         labels = [relation_edge_label(triple.relation, edge.label)
                   for edge, triple in zip(ug.base.edges, ug.triples)]
         return InterlanguageDoc(dialect, _EMITTERS[dialect](ug.base, labels))
@@ -542,7 +518,6 @@ def emit_triples(ug: UpgradedGraph) -> str:
     per upgraded graph."""
     def compute() -> str:
         require_valid(ug.base)
-        _check_triples(ug)
         by_id = {n.id: n for n in ug.base.nodes}
         lines = [
             f"({_clean(by_id[t.src].text)}) -[{t.relation.value}]-> ({_clean(by_id[t.dst].text)})"

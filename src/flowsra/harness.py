@@ -40,7 +40,7 @@ from .gateway import ask_twice, last_tagged_line
 from .ir import FlowGraph, NodeKind, UpgradedGraph, topology_stats
 from .parsing import Dialect, ParseResult, parse_text
 from .prompts import load_template
-from .relations import UpgradeError, make_relation_backend, upgrade_graph
+from .relations import make_relation_backend, upgrade_graph
 from .routing import ROUTE_MODES  # noqa: F401  (re-exported for eval callers)
 from .routing import QuestionClass, QuestionType, make_router, type_to_class
 
@@ -331,8 +331,9 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
     Instance-level failures are recorded and the run continues; parse errors
     in the source flag the instance as skipped. A :class:`CacheError` (a
     cache entry that cannot be written) is the run's, not an instance's: it
-    is raised, also when an upgrade failed because of it. Instances overlap
-    as the module docstring says; logs keep input order.
+    is raised as is, from an upgrade too (``upgrade_graph`` does not wrap
+    it). Instances overlap as the module docstring says; logs keep input
+    order.
     """
     router = make_router(config.router_mode, gateway, config.router_model)
     recognizer = make_relation_backend(config.relation_backend, gateway,
@@ -396,10 +397,9 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
             log.prompt_fingerprint = reply.prompt_fingerprint
             log.fallbacks_used = reply.fallbacks_used
             verdict = judge(reply.text, instance.gold_answer, judge_backend)
+        except CacheError:
+            raise
         except Exception as exc:  # keep the batch alive, record the failure
-            cause = exc.__cause__ if isinstance(exc, UpgradeError) else exc
-            if isinstance(cause, CacheError):
-                raise cause
             log.error = f"{type(exc).__name__}: {exc}"
             return log, question_class, ug
         log.correct = verdict.correct

@@ -3,9 +3,10 @@
 A :class:`FlowGraph` holds typed nodes and labeled directed edges; an
 :class:`UpgradedGraph` pairs a graph with one semantic-relation triple per
 edge. All values are immutable after construction, so graphs can be shared
-freely across threads. Structural problems are reported by :func:`validate`
-as data rather than raised at construction time, which lets parsers build
-partial graphs and still describe what is wrong with them.
+freely across threads. A graph's structural problems are reported by
+:func:`validate` as data, which lets parsers build partial graphs and still
+describe what is wrong with them; an upgraded graph checks its triples when
+built.
 
 Because a graph never changes, whatever is derived from it is derived once
 per graph object and kept on that object (see :func:`derived`): the
@@ -191,9 +192,6 @@ class FlowGraph(_Memoized):
     def node(self, node_id: str) -> Node:
         return derived(self, "index", self._index)[0][node_id]
 
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes)
-
     def out_edges(self, node_id: str) -> tuple[Edge, ...]:
         return derived(self, "index", self._index)[1].get(node_id, ())
 
@@ -272,13 +270,24 @@ class RelationTriple:
 
 @dataclass(frozen=True)
 class UpgradedGraph(_Memoized):
-    """A FlowGraph plus exactly one relation triple per edge, in edge order."""
+    """A FlowGraph plus exactly one relation triple per edge, in edge order:
+    construction raises ValueError unless triple ``i`` joins the endpoints of
+    edge ``i``, for every edge and no more."""
 
     base: FlowGraph
     triples: tuple[RelationTriple, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "triples", tuple(self.triples))
+        edges = self.base.edges
+        if len(self.triples) != len(edges):
+            raise ValueError(
+                f"upgraded graph has {len(self.triples)} triples for {len(edges)} edges")
+        for edge, triple in zip(edges, self.triples):
+            if triple.src != edge.src or triple.dst != edge.dst:
+                raise ValueError(
+                    f"triple {triple.src}->{triple.dst} does not match edge "
+                    f"{edge.src}->{edge.dst}")
 
     def fallback_count(self) -> int:
         return sum(1 for t in self.triples if t.is_fallback)
@@ -372,14 +381,6 @@ class TopologyStats:
     edge_count: int
     decision_count: int
     max_out_degree: int
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "node_count": self.node_count,
-            "edge_count": self.edge_count,
-            "decision_count": self.decision_count,
-            "max_out_degree": self.max_out_degree,
-        }
 
 
 def topology_stats(graph: FlowGraph) -> TopologyStats:

@@ -119,9 +119,6 @@ class _Builder:
         self._synth += 1
         return nid
 
-    def has(self, node_id: str) -> bool:
-        return node_id in self._kinds
-
     def kind_of(self, node_id: str) -> NodeKind | None:
         return self._kinds.get(node_id)
 
@@ -178,16 +175,22 @@ _START_CUES = re.compile(r"\b(start|begin)\b", re.IGNORECASE)
 _END_CUES = re.compile(r"\b(end|stop|finish|finished|done|complete|completed)\b", re.IGNORECASE)
 
 
+def _terminal_by_position(builder: _Builder, node_id: str) -> NodeKind:
+    """A terminal keeps its Start or End kind; otherwise the first terminal
+    is Start and later ones are End."""
+    existing = builder.kind_of(node_id)
+    if existing in (NodeKind.START, NodeKind.END):
+        return existing
+    return NodeKind.END if builder.has_start(excluding=node_id) else NodeKind.START
+
+
 def _terminal_kind(text: str, builder: _Builder, node_id: str) -> NodeKind:
     """Classify a terminal-shaped node as Start or End by text cues, then position."""
     if _START_CUES.search(text):
         return NodeKind.START
     if _END_CUES.search(text):
         return NodeKind.END
-    existing = builder.kind_of(node_id)
-    if existing in (NodeKind.START, NodeKind.END):
-        return existing
-    return NodeKind.END if builder.has_start(excluding=node_id) else NodeKind.START
+    return _terminal_by_position(builder, node_id)
 
 
 # --- Mermaid ---------------------------------------------------------------
@@ -427,12 +430,7 @@ def _dot_node(builder: _Builder, node_id: str, attrs: dict[str, str],
     shape = attrs.get("shape", "").casefold()
     text = attrs.get("label", builder._texts[node_id])
     if shape in _DOT_TERMINAL_SHAPES:
-        # first-declared terminal shape is the entry point, the rest are exits
-        existing = builder.kind_of(node_id)
-        if existing in (NodeKind.START, NodeKind.END):
-            kind = existing
-        else:
-            kind = NodeKind.END if builder.has_start(excluding=node_id) else NodeKind.START
+        kind = _terminal_by_position(builder, node_id)
     elif shape in _DOT_SHAPE_KINDS:
         kind = _DOT_SHAPE_KINDS[shape]
     elif shape:
@@ -496,11 +494,14 @@ def parse_dot(text: str) -> ParseResult:
         first_id = _dot_unquote(value)
         if t[i] == "=":
             i += 1
-            if t[i]:
+            if t[i] in _DOT_NOT_ID:  # take no token: a '}' here still closes the graph
+                diagnostics.append(ParseDiagnostic(
+                    tokens.line(stmt), f"attribute {first_id!r} has no value"))
+            else:
                 i += 1  # the value
-            diagnostics.append(ParseDiagnostic(
-                tokens.line(stmt), f"graph attribute {first_id!r} is ignored",
-                Severity.WARNING))
+                diagnostics.append(ParseDiagnostic(
+                    tokens.line(stmt), f"graph attribute {first_id!r} is ignored",
+                    Severity.WARNING))
             if t[i] == ";":
                 i += 1
             continue
@@ -532,6 +533,9 @@ def parse_dot(text: str) -> ParseResult:
                         tokens.line(stmt), f"duplicate edge {src} -> {dst}"))
     if not closed:
         diagnostics.append(ParseDiagnostic(last_line, "missing closing '}'"))
+    elif t[i]:
+        diagnostics.append(ParseDiagnostic(
+            tokens.line(i), "unexpected text after closing '}'"))
     diagnostics[:0] = tokens.lexer_diagnostics()
     return ParseResult(builder.build(), diagnostics)
 
@@ -672,10 +676,9 @@ class _PlantUmlParser:
             return
         self.error(line, f"statement outside the supported subset: {stmt!r}")
 
-    def finish(self, line: int) -> None:
+    def finish(self) -> None:
         for frame in self.frames:
-            what = "if" if frame.kind == "if" else "repeat"
-            self.error(frame.line, f"unmatched '{what}' (still open at end of input)")
+            self.error(frame.line, f"unmatched '{frame.kind}' (still open at end of input)")
 
 
 def parse_plantuml(text: str) -> ParseResult:
@@ -683,9 +686,7 @@ def parse_plantuml(text: str) -> ParseResult:
     parser = _PlantUmlParser()
     in_body = False
     saw_start_marker = False
-    last_line = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
         line = raw.strip()
         if not line or line.startswith("'"):
             continue
@@ -702,7 +703,7 @@ def parse_plantuml(text: str) -> ParseResult:
         parser.statement(lineno, line)
     if not saw_start_marker:
         parser.error(1, "missing @startuml marker")
-    parser.finish(last_line)
+    parser.finish()
     return ParseResult(parser.builder.build(), parser.diagnostics)
 
 

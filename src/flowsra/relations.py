@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .emitting import InterlanguageDoc, emit
-from .gateway import ChatGateway, ask_twice, completion_backend, last_tagged_line, map_in_order
+from .gateway import CacheError, ChatGateway, ask_twice, completion_backend
+from .gateway import last_tagged_line, map_in_order
 from .ir import (
     Edge,
     EdgeLabel,
@@ -197,7 +198,9 @@ def upgrade_graph(
     Triple ``i`` is built from edge ``i``'s result, so the result does not
     depend on completion order and no edge is hashed. The first edge, in
     edge order, whose recognition raises aborts the whole upgrade (no
-    partial result).
+    partial result) with :class:`UpgradeError`, except that a
+    :class:`CacheError` (a cache entry that cannot be written) is the run's,
+    not the edge's, and passes through unwrapped.
     """
     require_valid(graph)
     context = emit(graph, dialect)
@@ -207,6 +210,8 @@ def upgrade_graph(
         try:
             return backend.recognize(by_id[edge.src], by_id[edge.dst],
                                      edge.label, context)
+        except CacheError:
+            raise
         except Exception as exc:
             raise UpgradeError(edge, exc) from exc
 

@@ -1,13 +1,15 @@
 """Command-line behavior: payload on stdout, diagnostics on stderr, exit codes."""
 
+import contextlib
+import io
 import json
-import sys
-import threading
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flowsra.cli import _CountingBackend, main
+from flowsra.cli import main
 from flowsra.parsing import parse_text
 
 from gen import deep_if_text, isomorphic
@@ -82,6 +84,35 @@ class TestConvert:
                                "--to", "dot")
         assert code == 1
         assert "error" in err
+
+    def test_non_utf8_chart_exits_1_naming_it(self, capsys, tmp_path):
+        path = tmp_path / "bad.mmd"
+        path.write_bytes(b"flowchart TD\nA-->B\xff\n")
+        code, out, err = run_cli(capsys, "convert", str(path), "--to", "dot")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path} is not UTF-8 text (byte 18: invalid start byte)\n"
+
+
+# chart bytes: anything, or pieces of every dialect with bytes that are not UTF-8
+_chart_bytes = st.binary(max_size=120) | st.lists(st.sampled_from(
+    [b"flowchart TD\n", b"A-->B\n", b"B{x}\n", b"digraph G {", b"A -> B;", b"}",
+     b"@startuml\n", b"start\n", b":a;\n", b"stop\n", b"@enduml\n", b"\xff", b"\xc3",
+     b"\xe9", b"\xed\xa0\x80", b"\n"]), max_size=12).map(b"".join)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_chart_bytes)
+def test_chart_bytes_exit_0_or_1(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chart"
+        path.write_bytes(data)
+        for argv in ([["convert", str(path), "--to", d] for d in ("mermaid", "dot", "plantuml")]
+                     + [["stats", str(path)]]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert code in (0, 1), (argv, err.getvalue())
 
 
 class TestUpgrade:
@@ -163,30 +194,6 @@ class TestAsk:
         code, out, _ = run_cli(capsys, "ask", chart, "--question", "anything?",
                                "--mode", "shallow", "--mock-script", str(script))
         assert json.loads(out)["route"] == "shallow"
-
-
-    def test_recognizer_count_is_exact_under_contention(self):
-        class Inner:
-            gateway = None
-
-            def recognize(self, src, dst, label, context):
-                return None
-
-        backend = _CountingBackend(Inner())
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(
-                target=lambda: [backend.recognize(None, None, None, None)
-                                for _ in range(2000)]) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert backend.calls == 8 * 2000
 
 
 class TestRoute:
@@ -302,6 +309,21 @@ class TestEval:
         path.write_text("")
         code, _, _ = run_cli(capsys, "eval", "--dataset", str(path))
         assert code == 1
+
+    def test_non_utf8_dataset_exits_1_naming_it(self, capsys, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes((DATA / "eval10.jsonl").read_bytes() + b"\xff\n")
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path} is not UTF-8 text (byte ")
+
+    def test_non_utf8_config_file_stays_a_config_error(self, capsys, tmp_path, chart):
+        config = tmp_path / "flowsra.json"
+        config.write_bytes(b'{"reasoner_model": "\xff"}')
+        code, _, err = run_cli(capsys, "stats", chart, "--config", str(config))
+        assert code == 2
+        assert err.startswith("config error: ")
 
 
 class TestCacheIo:

@@ -292,7 +292,7 @@ def check_joins_against_reference(graph: FlowGraph) -> int:
     with the reference, over the nodes reachable from an entry; returns the
     number of decisions compared."""
     try:
-        emitter = _PlantUmlEmitter(graph, lambda e: e.label.render(), best_effort=False)
+        emitter = _PlantUmlEmitter(graph, None)
     except EmitError:  # a back edge that no decision closes
         return 0
     order = [n.id for n in graph.nodes]
@@ -353,7 +353,7 @@ class TestJoinReferee:
         _, parsed = parse_text(NESTED_STOP)
         graph = parsed.graph
         assert check_joins_against_reference(graph) == 2
-        emitter = _PlantUmlEmitter(graph, lambda e: e.label.render(), best_effort=False)
+        emitter = _PlantUmlEmitter(graph, None)
         by_text = {n.text: n.id for n in graph.nodes}
         then_edge, else_edge = emitter.outs[by_text["Outer?"]]
         assert emitter.by_id[emitter.join_of(
@@ -375,7 +375,7 @@ class TestJoinReferee:
                    Edge("A", "C"), Edge("A", "E"), Edge("B", "C"), Edge("B", "E")),
         )
         assert check_joins_against_reference(graph) == 1
-        emitter = _PlantUmlEmitter(graph, lambda e: e.label.render(), best_effort=False)
+        emitter = _PlantUmlEmitter(graph, None)
         assert emitter.join_of("D", "A", "B") == "E"
 
 
@@ -431,6 +431,30 @@ class TestEmitUpgraded:
         assert result.ok, [str(d) for d in result.diagnostics]
         for relation in RelationType:
             assert doc.text.count(relation.definition) == 1
+
+    def test_upgraded_plantuml_puts_the_taxonomy_before_the_title(self):
+        graph = FlowGraph(
+            nodes=(Node("S", NodeKind.START, "Start"), Node("W", NodeKind.PROCESS, "Work"),
+                   Node("D", NodeKind.DECISION, "Done?"), Node("E", NodeKind.END, "End")),
+            edges=(Edge("S", "W"), Edge("W", "D"), Edge("D", "W", EdgeLabel.no()),
+                   Edge("D", "E", EdgeLabel.yes())),
+            title="Homework")
+        ug = upgrade(graph, dict(zip(graph.edges, (
+            RelationType.SEQUENTIALITY, RelationType.CAUSALITY,
+            RelationType.CONDITIONALITY, RelationType.CONDITIONALITY))))
+        assert emit_upgraded(ug, Dialect.PLANTUML).text == (
+            "@startuml\n"
+            "' Relation taxonomy:\n"
+            + "".join(f"' {r.value}: {r.definition}\n" for r in RelationType)
+            + "title Homework\n"
+            "start\n"
+            "-> Sequentiality;\n"
+            "repeat\n"
+            ":Work;\n"
+            "-> Causality;\n"
+            "repeat while (Done?) is (Conditionality (No)) not (Conditionality (Yes))\n"
+            "stop\n"
+            "@enduml\n")
 
 
 class TestEmitTriples:

@@ -15,9 +15,11 @@ from flowsra.ir import (
     GraphValidationError,
     Node,
     NodeKind,
+    RelationTriple,
     RelationType,
     TotalityError,
     TopologyStats,
+    UpgradedGraph,
     relation_definitions_block,
     topology_stats,
     upgrade,
@@ -206,6 +208,19 @@ class TestUpgrade:
         with pytest.raises(TotalityError):
             upgrade(graph, {Edge("A", "B"): RelationType.SEQUENTIALITY,
                             Edge("B", "A"): RelationType.SEQUENTIALITY})
+
+    def test_upgraded_graph_refuses_triples_that_do_not_match_its_edges(self):
+        graph = FlowGraph(
+            nodes=(n("A"), n("B"), n("C")),
+            edges=(Edge("A", "B"), Edge("B", "C")),
+        )
+        ab = RelationTriple("A", RelationType.SEQUENTIALITY, "B")
+        bc = RelationTriple("B", RelationType.CAUSALITY, "C")
+        assert UpgradedGraph(graph, [ab, bc]).triples == (ab, bc)
+        with pytest.raises(ValueError, match="^upgraded graph has 1 triples for 2 edges$"):
+            UpgradedGraph(graph, (ab,))
+        with pytest.raises(ValueError, match="^triple C->B does not match edge B->C$"):
+            UpgradedGraph(graph, (ab, RelationTriple("C", RelationType.CAUSALITY, "B")))
 
     @given(flow_graphs())
     def test_bijection_and_base_untouched(self, graph):

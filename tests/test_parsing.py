@@ -248,12 +248,25 @@ class TestParseDot:
             "attribute 'label' has no value"]
         assert result.graph.nodes[0].kind is NodeKind.DECISION
 
+    def test_graph_attribute_without_value_leaves_the_brace(self):
+        text = "digraph G {\n A -> B;\n rankdir=\n}\n"
+        assert diagnostic_lines(text) == [(3, "attribute 'rankdir' has no value")]
+        assert_parses_like_reference(text, Dialect.DOT)
+
+    def test_text_after_the_closing_brace_is_an_error(self):
+        text = "digraph G {\n A -> B;\n}\nC -> D;\n"
+        assert diagnostic_lines(text) == [(4, "unexpected text after closing '}'")]
+        assert [(e.src, e.dst) for e in parse_dot(text).graph.edges] == [("A", "B")]
+        assert_parses_like_reference(text, Dialect.DOT)
+
 
 # --- referees ---------------------------------------------------------------
 # The DOT lexer and parser and the Mermaid node and arrow loops as they were
 # before the single-pass rewrite: a token object with its line per token, one
 # method call per look-ahead, one ``match`` per shape and per arrow pattern.
 # ``parse_dot`` and ``parse_mermaid`` must give equal graphs and diagnostics.
+# A DOT recovery fix is made here first (a key with no value, text after the
+# closing brace), so the two keep agreeing.
 
 _REF_DOT_TOKEN = re.compile(
     r"""
@@ -361,6 +374,8 @@ class ReferenceDotParser:
             self.statement()
         if not closed:
             self.error(self.last_line, "missing closing '}'")
+        elif self.peek() is not None:
+            self.error(self.peek().line, "unexpected text after closing '}'")
         return ParseResult(self.builder.build(), self.diagnostics)
 
     def attr_list(self):
@@ -430,8 +445,12 @@ class ReferenceDotParser:
         nxt = self.peek()
         if nxt and nxt.kind == "punct" and nxt.value == "=":
             self.next()
-            self.next()  # value
-            self.warn(tok.line, f"graph attribute {first_id!r} is ignored")
+            vtok = self.peek()
+            if vtok is None or vtok.kind not in ("name", "string"):
+                self.error(tok.line, f"attribute {first_id!r} has no value")
+            else:
+                self.next()
+                self.warn(tok.line, f"graph attribute {first_id!r} is ignored")
             self.expect_punct(";")
             return
         endpoints = [first_id]

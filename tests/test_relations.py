@@ -8,7 +8,7 @@ import time
 import pytest
 
 from flowsra.emitting import emit
-from flowsra.gateway import ChatGateway, PermanentError, mock_backend
+from flowsra.gateway import CacheError, ChatGateway, PermanentError, mock_backend
 from flowsra.ir import (
     Edge,
     EdgeLabel,
@@ -295,6 +295,19 @@ class TestUpgradeGraph:
         with pytest.raises(UpgradeError) as excinfo:
             upgrade_graph(chain_graph(12), backend)
         assert excinfo.value.edge == Edge("P2", "P3")
+
+    def test_cache_error_passes_through_unwrapped(self, tmp_path):
+        def transport(request):
+            return {"choices": [{"message": {"content": "RELATION: Sequentiality"}}]}
+
+        backend = LlmRelationBackend(ChatGateway(transport, cache_dir=tmp_path),
+                                     model="recognizer")
+        upgrade_graph(three_edge_graph(), backend)
+        entry = sorted(tmp_path.glob("*.json"))[1]
+        entry.unlink()
+        entry.mkdir()  # a miss, whose reply then cannot be written
+        with pytest.raises(CacheError, match=re.escape(str(entry))):
+            upgrade_graph(three_edge_graph(), backend)
 
     def test_upgrading_never_alters_base_emission(self):
         for seed in range(10):
