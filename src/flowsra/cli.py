@@ -212,15 +212,16 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         judge_model=config.judge_model,
     )
     gateway = _gateway(config)
-    run = run_eval(load.instances, eval_config, gateway)
-    log_sink = sys.stderr
     log_file = None
-    if args.log_file:
-        log_file = open(args.log_file, "w", encoding="utf-8")
-        log_sink = log_file
+    if args.log_file:  # before the run, so an unopenable path costs no call
+        try:
+            log_file = open(args.log_file, "w", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot open log file {args.log_file}: {exc.strerror}") from exc
     try:
+        run = run_eval(load.instances, eval_config, gateway)
         for log in run.logs:
-            print(json.dumps(log.to_dict(), ensure_ascii=False), file=log_sink)
+            print(json.dumps(log.to_dict(), ensure_ascii=False), file=log_file or sys.stderr)
     finally:
         if log_file:
             log_file.close()
@@ -241,9 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--api-key", dest="api_key", help="endpoint API key")
     common.add_argument("--cache-dir", dest="cache_dir", help="response cache directory")
     common.add_argument("--parallelism", type=int, default=None,
-                        help="max concurrent transport calls; once a run reaches "
-                             "the transport, also the eval instances and the "
-                             "recognizer calls that run at once (default 8)")
+                        help="max concurrent transport calls (default 8); once a "
+                             "run reaches the transport, eval instances and an "
+                             "upgrade's recognizer calls run on 2N worker threads, "
+                             "with up to 8N queued ahead")
     common.add_argument("--offline", action="store_true", default=False,
                         help="forbid network; cache and mock only")
     common.add_argument("--mock-script", dest="mock_script",

@@ -411,11 +411,15 @@ def map_in_order(fn: Callable[[T], R], items: Iterable[T],
     Items run one at a time in the caller's thread while the gateway serves
     them without its transport (cache hits, or no gateway at all): that work
     is CPU-bound, and handing it between threads would only add interpreter
-    lock switches. From the first item that reached the transport on, up to
-    ``gateway.parallelism`` items are in flight on a thread pool, so their
-    transport waits overlap. Items are drawn from ``items`` in the caller's
-    thread, one per freed slot. An exception from ``fn`` is raised at its
-    item's turn, once the items in flight have finished.
+    lock switches. From the first item that reached the transport on, items
+    run on a pool of ``2 * gateway.parallelism`` workers: per transport
+    slot, one at the transport and one preparing its next request. The
+    gateway still runs at most ``parallelism`` transport calls at once.
+    Items are drawn in the caller's thread and kept submitted up to
+    ``8 * gateway.parallelism`` ahead of the item being yielded, so a freed
+    worker takes the next item at once, even while the head item is slow.
+    An exception from ``fn`` is raised at its item's turn: the items not yet
+    started are cancelled, and those already running finish first.
     """
     items = iter(items)
     if gateway is None or gateway.parallelism < 2:
@@ -430,13 +434,16 @@ def map_in_order(fn: Callable[[T], R], items: Iterable[T],
             break
     else:
         return
-    with ThreadPoolExecutor(max_workers=gateway.parallelism) as pool:
+    pool = ThreadPoolExecutor(max_workers=2 * gateway.parallelism)
+    try:
         window = deque(pool.submit(fn, item)
-                       for item in islice(items, gateway.parallelism))
+                       for item in islice(items, 8 * gateway.parallelism))
         while window:
-            result = window.popleft().result()
+            head = window.popleft()
             window.extend(pool.submit(fn, item) for item in islice(items, 1))
-            yield result
+            yield head.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def chat_request(model: str, prompt: str, *, max_tokens: int,

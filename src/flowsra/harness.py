@@ -13,13 +13,16 @@ questions ask about it, and the graph and its upgrade each render their
 prompt texts once (see :func:`flowsra.ir.derived`). Without a response
 cache, a chart's relation calls are made once per run, not per deep question.
 
-The gateway's ``parallelism`` is the one concurrency bound: on transport
-calls, on eval instances and on a chart's recognizer calls. It takes effect
-only once a run reaches the transport. Until then (a warm cache) instances
-run one at a time in the caller's thread; from then on up to that many
-instances, and that many recognizer calls per upgrade, overlap their
-waits. Results are assembled in input order, so logs and reports do not
-depend on it.
+The gateway's ``parallelism`` P bounds the transport calls in flight, and
+it sizes the thread pools of eval instances and of a chart's recognizer
+calls (see :func:`flowsra.gateway.map_in_order`). The pools start only once
+a run reaches the transport. Until then (a warm cache) instances run one at
+a time in the caller's thread; from then on each pool has 2P workers, one
+at the transport and one preparing its next request per transport slot,
+with up to 8P items queued ahead, so a slow instance (a chart's first deep
+question, running its upgrade) does not hold back the ones after it.
+Results are assembled in input order, so logs and reports do not depend on
+it.
 """
 
 from __future__ import annotations

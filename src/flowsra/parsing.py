@@ -309,21 +309,24 @@ def parse_mermaid(text: str) -> ParseResult:
 
 # One match per token: the whitespace and comments before a token are its
 # prefix, never matches of their own. Group 1 is the token: a string, an
-# arrow, punctuation, a name, any other single character (which the lexer
-# reports), or the empty end of the text after the last prefix. Since group 1
-# matches at every position, the matches tile the whole text.
+# arrow, punctuation, a name, an unterminated block comment (running to the
+# end of the text), any other single character (which the lexer reports), or
+# the empty end of the text after the last prefix. Since group 1 matches at
+# every position, the matches tile the whole text, and an unterminated
+# comment ends the scan, so no later '/*' searches for a '*/' again.
 _DOT_TOKEN = re.compile(
     r"""
     (?:\s+|//[^\n]*|\#[^\n]*|/\*.*?\*/)*
-    ("(?:\\.|[^"\\])*"|->|--|[{}\[\]=;,]|[A-Za-z_][A-Za-z0-9_]*|-?\d+(?:\.\d+)?|.|\Z)
+    ("(?:\\.|[^"\\])*"|->|--|[{}\[\]=;,]|[A-Za-z_][A-Za-z0-9_]*|-?\d+(?:\.\d+)?|/\*.*|.|\Z)
     """,
     re.VERBOSE | re.DOTALL,
 )
 # tokens that are not a node id, an attribute name or a value
 _DOT_NOT_ID = frozenset(("{", "}", "[", "]", "=", ";", ",", "->", "--", ""))
 _DOT_ARROWS = frozenset(("->", "--"))
-# the one-character tokens the grammar has; any other is an unexpected character
-_DOT_ONE_CHAR = frozenset("{}[]=;,_" + string.ascii_letters + string.digits)
+# the one-character tokens the grammar has besides a digit; any other is an
+# unexpected character
+_DOT_ONE_CHAR = frozenset("{}[]=;,_" + string.ascii_letters)
 
 _DOT_SHAPE_KINDS = {
     "box": NodeKind.PROCESS,
@@ -345,7 +348,13 @@ class _DotTokens:
     def __init__(self, text: str) -> None:
         self.text = text
         values = _DOT_TOKEN.findall(text)
-        self.unexpected = {v for v in set(values) if len(v) == 1} - _DOT_ONE_CHAR
+        # an unterminated comment can only be the last token before the end
+        self.unterminated = len(values) > 1 and values[-2][:2] == "/*"
+        if self.unterminated:
+            del values[-2]
+        # a one-digit number may be any Unicode decimal digit, as ``\d`` reads it
+        self.unexpected = {v for v in set(values)
+                           if len(v) == 1 and not v.isdecimal()} - _DOT_ONE_CHAR
         if self.unexpected:
             values = [v for v in values if v not in self.unexpected]
         self.values = values
@@ -365,6 +374,9 @@ class _DotTokens:
             if value in self.unexpected:
                 diagnostics.append(ParseDiagnostic(
                     line, f"unexpected character {value!r}", Severity.ERROR))
+            elif value[:2] == "/*":
+                diagnostics.append(ParseDiagnostic(
+                    line, "unterminated comment", Severity.ERROR))
             else:
                 lines.append(line)
         return lines, diagnostics
@@ -374,8 +386,9 @@ class _DotTokens:
         return self._located[0][index]
 
     def lexer_diagnostics(self) -> list[ParseDiagnostic]:
-        """One Error per unexpected character, in text order."""
-        return self._located[1] if self.unexpected else []
+        """One Error per unexpected character and one for an unterminated
+        comment, in text order."""
+        return self._located[1] if self.unexpected or self.unterminated else []
 
 
 def _dot_unquote(value: str) -> str:

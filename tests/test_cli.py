@@ -4,12 +4,21 @@ import contextlib
 import io
 import json
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flowsra.cli as cli_mod
 from flowsra.cli import main
+from flowsra.gateway import (
+    PermanentError,
+    ProtocolError,
+    ScriptedMissError,
+    TransientError,
+    load_mock_script,
+)
 from flowsra.parsing import parse_text
 
 from gen import deep_if_text, isomorphic
@@ -277,6 +286,24 @@ class TestEval:
         assert len(log_path.read_text().splitlines()) == 10
         assert not [line for line in err.splitlines() if line.startswith("{")]
 
+    def test_unopenable_log_file_exits_1_before_any_transport_call(
+            self, capsys, tmp_path, monkeypatch):
+        transports = []
+
+        def load(path):
+            transports.append(load_mock_script(path))
+            return transports[-1]
+
+        monkeypatch.setattr(cli_mod, "load_mock_script", load)
+        log_path = tmp_path / "missing" / "logs.jsonl"
+        code, out, err = run_cli(
+            capsys, "eval", "--dataset", str(DATA / "eval10.jsonl"),
+            "--mock-script", str(DATA / "mock10.json"), "--log-file", str(log_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot open log file {log_path}: ")
+        assert [transport.calls for transport in transports] == [[]]
+
     def test_truncated_cache_entry_is_healed(self, capsys, tmp_path):
         cache = tmp_path / "cache"
         argv = ("eval", "--dataset", str(DATA / "eval10.jsonl"),
@@ -397,6 +424,79 @@ class TestCacheIo:
         assert code == 2, err
         assert out == ""
         assert "config error" in err and str(entry) in err
+
+
+class FailingTransport:
+    """Answers its first ``answered`` requests, then raises a fresh
+    ``error`` on every later one."""
+
+    is_network = False
+
+    def __init__(self, error, answered):
+        self.error = error
+        self.answered = answered
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, req):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        if call > self.answered:
+            raise self.error(f"call {call} failed")
+        return {"choices": [{"message": {"role": "assistant",
+                                         "content": "RELATION: Sequentiality"}}]}
+
+
+@pytest.mark.parametrize("error", [TransientError, PermanentError, ProtocolError,
+                                   ScriptedMissError])
+class TestTransportFailures:
+    """Every transport failure, on worker threads too, ends in the command's
+    documented exit code, never an escaped exception."""
+
+    @pytest.fixture
+    def install(self, monkeypatch):
+        sleeps = []
+
+        def install(error, answered):
+            transport = FailingTransport(error, answered)
+            monkeypatch.setattr(cli_mod, "load_mock_script", lambda path: transport)
+            real_gateway = cli_mod._gateway
+
+            def gateway(config):
+                gw = real_gateway(config)
+                gw._sleep = sleeps.append  # retry backoff without the wait
+                return gw
+
+            monkeypatch.setattr(cli_mod, "_gateway", gateway)
+            return transport
+
+        return install
+
+    def test_ask_exits_3(self, capsys, chart, install, error):
+        # the first edge is recognized inline, the rest fail on worker threads
+        transport = install(error, answered=1)
+        code, out, err = run_cli(
+            capsys, "ask", chart, "--question", "What then?", "--mode", "deep",
+            "--relation-backend", "llm", "--parallelism", "2", "--mock-script", "-")
+        assert code == 3, err
+        assert out == ""
+        assert err.startswith("backend error: ")
+        assert transport.calls > 1
+
+    def test_eval_exits_0_counting_every_instance_failed(self, capsys, install, error):
+        transport = install(error, answered=0)
+        code, out, err = run_cli(
+            capsys, "eval", "--dataset", str(DATA / "flowvqa_like_20.jsonl"),
+            "--router", "llm", "--relation-backend", "llm", "--judge", "llm",
+            "--parallelism", "2", "--mock-script", "-")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["total"] == report["failed_count"] == 20
+        logs = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert all(log["error"].startswith(("TransportError", error.__name__))
+                   for log in logs)
+        assert transport.calls >= 20
 
 
 class TestConfigPrecedence:

@@ -4,6 +4,7 @@ single-flight, and the in-order concurrent map."""
 import hashlib
 import json
 import random
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -411,11 +412,12 @@ class TestMapInOrder:
         assert next(results) == 0
         assert drawn == [0]
         assert next(results) == 1
-        assert len(drawn) <= 1 + 3 + 1
+        assert len(drawn) <= 1 + 8 * 3 + 1
         assert list(results) == [i * i for i in range(2, 20)]
 
     def test_first_failure_in_input_order_is_raised(self):
         gateway = ChatGateway(lambda r: provider_payload("ok"), parallelism=4)
+        lookahead = 8 * gateway.parallelism
         done = []
 
         def fn(i):
@@ -426,11 +428,54 @@ class TestMapInOrder:
             done.append(i)
             return i
 
-        results = map_in_order(fn, range(10), gateway)
+        results = map_in_order(fn, range(3 * lookahead), gateway)
         assert [next(results) for _ in range(3)] == [0, 1, 2]
         with pytest.raises(ValueError, match="item 3"):
             next(results)
-        assert 9 not in done
+        assert max(done) <= 3 + lookahead
+
+    def test_stress_keeps_input_order_and_the_transport_bound(self, tmp_path):
+        lock = threading.Lock()
+        in_flight = peak = 0
+
+        def transport(r):
+            nonlocal in_flight, peak
+            with lock:
+                in_flight += 1
+                peak = max(peak, in_flight)
+            time.sleep(0.0005)
+            with lock:
+                in_flight -= 1
+            return provider_payload(r.messages[-1].content)
+
+        gateway = ChatGateway(transport, cache_dir=tmp_path, parallelism=4)
+
+        def fn(i):  # item pairs share a request, so single-flight waits happen too
+            return gateway.complete(req(f"item {i // 2}")).content
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = list(map_in_order(fn, range(400), gateway))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [f"item {i // 2}" for i in range(400)]
+        assert 1 < peak <= gateway.parallelism
+        assert gateway.transport_calls == 200
+
+    def test_a_slow_head_item_does_not_hold_back_the_next_ones(self):
+        gateway = ChatGateway(lambda r: provider_payload("ok"), parallelism=2)
+        finished = []
+        delays = [0.0, 0.2] + [0.005] * 6
+        slow = self.delayed(delays, gateway)
+
+        def fn(i):
+            result = slow(i)
+            finished.append(i)
+            return result
+
+        assert list(map_in_order(fn, range(8), gateway)) == [i * i for i in range(8)]
+        assert finished.index(1) > max(finished.index(i) for i in range(2, 6))
 
 
 class TestHttpTransport:

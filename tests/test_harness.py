@@ -431,6 +431,11 @@ class TestConcurrentEval:
         assert one_transport.peak == 1
         assert eight_transport.peak > 1
 
+    @pytest.mark.parametrize("parallelism", [2, 8])
+    def test_transport_calls_in_flight_stay_within_parallelism(self, parallelism):
+        _, transport = self.cold_run(flowvqa_like_instances(), parallelism, None)
+        assert 0 < transport.peak <= parallelism
+
     def test_warm_cache_run_starts_no_worker_thread(self, tmp_path, monkeypatch):
         instances = flowvqa_like_instances()
         cold, _ = self.cold_run(instances, 8, tmp_path)

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 from typing import NamedTuple
 
 import pytest
@@ -272,6 +273,7 @@ _REF_DOT_TOKEN = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>//[^\n]*|\#[^\n]*|/\*.*?\*/)
+  | (?P<unterminated>/\*.*)
   | (?P<string>"(?:\\.|[^"\\])*")
   | (?P<arrow>->|--)
   | (?P<punct>[{}\[\]=;,])
@@ -299,7 +301,9 @@ def reference_dot_tokenize(text):
         kind = m.lastgroup
         value = m.group()
         pos = m.end()
-        if kind == "ws" or kind == "comment":
+        if kind == "unterminated":
+            diagnostics.append(ParseDiagnostic(line, "unterminated comment", Severity.ERROR))
+        elif kind == "ws" or kind == "comment":
             line += value.count("\n")
         else:
             tokens.append(_RefTok(kind, value, line))
@@ -640,6 +644,24 @@ class TestDotLexer:
             (3, "edge arrow without a target node"),
             (4, "unexpected token ']'"), (6, "unexpected token ']'")]
         assert_parses_like_reference(text, Dialect.DOT)
+
+    @pytest.mark.parametrize("text, line", [
+        ("digraph G {\nA -> B /* x\n C -> D }", 2),
+        ("digraph G { /* a */ A @\n/* b /* c\n", 2),
+        ("/*", 1),
+    ])
+    def test_unterminated_comment_runs_to_the_end(self, text, line):
+        assert [d.line for d in parse_dot(text).diagnostics
+                if d.message == "unterminated comment"] == [line]
+        assert_parses_like_reference(text, Dialect.DOT)
+
+    def test_unterminated_comment_openers_lex_in_linear_time(self):
+        start = time.perf_counter()
+        result = parse_dot("digraph G { " + "/* " * 16000 + "}")
+        assert time.perf_counter() - start < 1.0
+        # the comment runs to the end, so it takes the closing brace with it
+        assert [str(d) for d in result.diagnostics] == [
+            "line 1: error: unterminated comment", "line 1: error: missing closing '}'"]
 
 
 # Mermaid text over the alphabet the grammar reads, as loose pieces and as
