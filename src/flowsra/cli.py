@@ -30,7 +30,7 @@ from .harness import EvalConfig, load_dataset, report_render, run_eval, EmptyDat
 from .ir import GraphValidationError, topology_stats
 from .parsing import Dialect, UnknownDialectError, parse_text
 from .relations import UpgradeError, make_relation_backend, upgrade_graph
-from .routing import ROUTE_MODES, QuestionType, make_router
+from .routing import ROUTE_MODES, ClassificationError, QuestionType, make_router
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -57,36 +57,53 @@ class RunConfig:
 
     @classmethod
     def resolve(cls, args: argparse.Namespace) -> "RunConfig":
+        """Each field's type is its default's (``str`` for a None default):
+        a config file value must have it, or be null where the default is
+        None, and an environment value must convert to it; otherwise
+        ConfigError."""
         config = cls()
-        names = [f.name for f in fields(cls)]
+        data = {}
         path = getattr(args, "config", None) or os.environ.get(_ENV_PREFIX + "CONFIG")
         if path:
             try:
                 data = json.loads(Path(path).read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-            for name in names:
-                if name in data:
-                    setattr(config, name, data[name])
-        for name in names:
-            env = os.environ.get(_ENV_PREFIX + name.upper())
-            if env is not None:
-                if name == "parallelism":
-                    setattr(config, name, int(env))
-                elif name == "offline":
-                    setattr(config, name, env.casefold() in ("1", "true", "yes"))
-                else:
-                    setattr(config, name, env)
-        for name in names:
-            value = getattr(args, name, None)
+            if not isinstance(data, dict):
+                raise ConfigError(f"config file {path} is not a JSON object")
+        for f in fields(cls):
+            kind = str if f.default is None else type(f.default)
+            if f.name in data:
+                value = data[f.name]
+                if type(value) is not kind and not (value is None and f.default is None):
+                    raise ConfigError(f"config file {path}: {f.name} must be of type "
+                                      f"{kind.__name__}, not {json.dumps(value)}")
+                setattr(config, f.name, value)
+            env_name = _ENV_PREFIX + f.name.upper()
+            if env_name in os.environ:
+                setattr(config, f.name, _env_value(env_name, kind))
+            value = getattr(args, f.name, None)
             if value is not None and value is not False:
-                setattr(config, name, value)
-        config.parallelism = int(config.parallelism)
+                setattr(config, f.name, value)
         return config
 
 
 class ConfigError(RuntimeError):
     pass
+
+
+_BOOL_TEXT = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False,
+              "": False}
+
+
+def _env_value(name: str, kind: type) -> object:
+    """Environment variable ``name`` as a ``kind``: ``str``, ``int``, or
+    ``bool`` (1/true/yes or 0/false/no/empty, in any case)."""
+    text = os.environ[name]
+    try:
+        return _BOOL_TEXT[text.casefold()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{name}={text!r} is not of type {kind.__name__}") from None
 
 
 def _gateway(config: RunConfig) -> ChatGateway:
@@ -319,14 +336,14 @@ def main(argv: list[str] | None = None) -> int:
         config = RunConfig.resolve(args)
         return args.func(args, config)
     except (InputError, UnknownDialectError, GraphValidationError, EmitError,
-            EmptyDatasetError, FileNotFoundError, IsADirectoryError) as exc:
+            EmptyDatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ConfigError, CacheError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TransportError, PermanentError, ProtocolError, ScriptedMissError,
-            UpgradeError) as exc:
+            UpgradeError, ClassificationError) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
 

@@ -505,7 +505,6 @@ def emit_upgraded(ug: UpgradedGraph, dialect: Dialect) -> InterlanguageDoc:
     relation definitions. Computed once per upgraded graph and dialect.
     """
     def compute() -> InterlanguageDoc:
-        require_valid(ug.base)
         labels = [relation_edge_label(triple.relation, edge.label)
                   for edge, triple in zip(ug.base.edges, ug.triples)]
         return InterlanguageDoc(dialect, _EMITTERS[dialect](ug.base, labels))
@@ -517,7 +516,6 @@ def emit_triples(ug: UpgradedGraph) -> str:
     """Plain triple listing, one line per edge in edge order. Computed once
     per upgraded graph."""
     def compute() -> str:
-        require_valid(ug.base)
         by_id = {n.id: n for n in ug.base.nodes}
         lines = [
             f"({_clean(by_id[t.src].text)}) -[{t.relation.value}]-> ({_clean(by_id[t.dst].text)})"

@@ -123,13 +123,12 @@ def answer_routed(graph: FlowGraph, question: Question, question_class: Question
 
 def answer_controlled(graph: FlowGraph, question: Question, router,
                       recognizer: RelationBackend, gateway: ChatGateway, *,
-                      model: str, dialect: Dialect = Dialect.MERMAID, max_tokens: int = 256,
-                      include_basic_in_deep: bool = False) -> Answer:
+                      model: str, dialect: Dialect = Dialect.MERMAID,
+                      max_tokens: int = 256) -> Answer:
     """Validate, route and answer one question on one graph, upgrading the
     graph only on the deep path."""
     require_valid(graph)
     return answer_routed(
         graph, question, route(router, question),
         lambda: upgrade_graph(graph, recognizer, dialect=dialect), gateway,
-        model=model, dialect=dialect, max_tokens=max_tokens,
-        include_basic_in_deep=include_basic_in_deep)
+        model=model, dialect=dialect, max_tokens=max_tokens)

@@ -17,7 +17,7 @@ import tempfile
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
@@ -204,14 +204,16 @@ class MockRule:
     pattern: str
     response: str
 
+    def __post_init__(self) -> None:
+        if self.match not in ("contains", "exact", "hash"):
+            raise ValueError(f"unknown mock matcher {self.match!r}")
+
     def applies(self, rendered: str) -> bool:
         if self.match == "contains":
             return self.pattern in rendered
         if self.match == "exact":
             return self.pattern == rendered
-        if self.match == "hash":
-            return hashlib.sha256(rendered.encode("utf-8")).hexdigest() == self.pattern
-        raise ValueError(f"unknown mock matcher {self.match!r}")
+        return hashlib.sha256(rendered.encode("utf-8")).hexdigest() == self.pattern
 
 
 class MockTransport:
@@ -252,20 +254,24 @@ def mock_backend(script: Sequence[tuple[str, str] | MockRule]) -> MockTransport:
 
 
 def load_mock_script(path: str | Path) -> MockTransport:
-    """Read a JSON script file: a list of {match, pattern, response} objects."""
+    """Read a JSON script file: a list of {match, pattern, response} objects,
+    ``match`` defaulting to ``contains``. Raises ValueError, naming the
+    entry, for one that is not such an object."""
     entries = json.loads(Path(path).read_text(encoding="utf-8"))
-    rules = [MockRule(e.get("match", "contains"), e["pattern"], e["response"])
-             for e in entries]
+    if not isinstance(entries, list):
+        raise ValueError(f"mock script {path} is not a JSON list")
+    rules = []
+    for index, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("pattern"), str)
+                and isinstance(entry.get("response"), str)):
+            raise ValueError(f"mock script {path}, entry {index}: not an object "
+                             "with a string pattern and a string response")
+        try:
+            rules.append(MockRule(entry.get("match", "contains"), entry["pattern"],
+                                  entry["response"]))
+        except ValueError as exc:
+            raise ValueError(f"mock script {path}, entry {index}: {exc}") from None
     return MockTransport(rules)
-
-
-class _Flight:
-    """One request for a cache key at the transport; identical requests
-    wait for it."""
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.response: ChatResponse | None = None
 
 
 class ChatGateway:
@@ -303,7 +309,8 @@ class ChatGateway:
         self._rng = rng or random.Random()
         self._semaphore = threading.BoundedSemaphore(self.parallelism)
         self._lock = threading.Lock()
-        self._flights: dict[str, _Flight] = {}
+        # per cache key at the transport: its response, None if it failed
+        self._flights: dict[str, Future[ChatResponse | None]] = {}
 
     # -- cache ----------------------------------------------------------
 
@@ -357,24 +364,23 @@ class ChatGateway:
         if self.cache_dir is None:
             return self._fetch(key, req)
         while True:
+            mine: Future[ChatResponse | None] = Future()
             with self._lock:
-                flight = self._flights.get(key)
-                leading = flight is None
-                if leading:
-                    flight = self._flights[key] = _Flight()
-            if not leading:
-                flight.done.wait()
-                if flight.response is not None:
-                    return replace(flight.response, cached=True)
+                flight = self._flights.setdefault(key, mine)
+            if flight is not mine:
+                response = flight.result()
+                if response is not None:
+                    return replace(response, cached=True)
                 continue  # that flight failed: try again, perhaps leading
+            response = None
             try:
                 # a flight that landed after the read above has filled the cache
-                flight.response = self._cache_read(key) or self._fetch(key, req)
-                return flight.response
+                response = self._cache_read(key) or self._fetch(key, req)
+                return response
             finally:
                 with self._lock:
                     del self._flights[key]
-                flight.done.set()
+                mine.set_result(response)
 
     def _fetch(self, key: str, req: ChatRequest) -> ChatResponse:
         """Call the transport, retrying transient failures after the larger
@@ -456,14 +462,12 @@ def chat_request(model: str, prompt: str, *, max_tokens: int,
 
 
 def completion_backend(gateway: ChatGateway, model: str, *,
-                       max_tokens: int = 256,
-                       system: str | None = None) -> Callable[[str], str]:
+                       max_tokens: int = 256) -> Callable[[str], str]:
     """Adapter: a plain prompt->text callable over the gateway, as expected
     by the router/judge/recognizer response parsers."""
 
     def call(prompt: str) -> str:
-        return gateway.complete(
-            chat_request(model, prompt, max_tokens=max_tokens, system=system)).content
+        return gateway.complete(chat_request(model, prompt, max_tokens=max_tokens)).content
 
     return call
 

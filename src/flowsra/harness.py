@@ -44,7 +44,6 @@ from .ir import FlowGraph, NodeKind, UpgradedGraph, topology_stats
 from .parsing import Dialect, ParseResult, parse_text
 from .prompts import load_template
 from .relations import make_relation_backend, upgrade_graph
-from .routing import ROUTE_MODES  # noqa: F401  (re-exported for eval callers)
 from .routing import QuestionClass, QuestionType, make_router, type_to_class
 
 
@@ -103,6 +102,9 @@ def load_dataset(path: str | Path) -> DatasetLoad:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             diagnostics.append(LoadDiagnostic(lineno, f"invalid JSON: {exc.msg}"))
+            continue
+        if not isinstance(record, dict):
+            diagnostics.append(LoadDiagnostic(lineno, "not a JSON object"))
             continue
         missing = [f for f in _REQUIRED_FIELDS if f not in record]
         if missing:
@@ -425,29 +427,22 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
         if log.route is not None:
             route_counts[(log.gold_type, log.route)] += 1
 
-    skipped = sum(1 for log in logs if log.skipped)
-    failed = sum(1 for log in logs if log.error is not None and not log.skipped)
-    answered = [log for log in logs if log.correct is not None]
-    correct = sum(1 for log in answered if log.correct)
-    scored = len(logs) - skipped
+    # a failed instance is scored, as incorrect (its ``correct`` is None)
+    scored = [log for log in logs if not log.skipped]
+    correct = sum(1 for log in scored if log.correct)
     per_type: dict[QuestionType, float | None] = {}
     for qtype in QuestionType:
-        of_type = [log for log in answered if log.gold_type is qtype]
-        scored_of_type = [log for log in logs
-                          if log.gold_type is qtype and not log.skipped]
-        if not scored_of_type:
-            per_type[qtype] = None
-        else:
-            per_type[qtype] = (sum(1 for log in of_type if log.correct)
-                               / len(scored_of_type))
+        of_type = [log for log in scored if log.gold_type is qtype]
+        per_type[qtype] = (sum(1 for log in of_type if log.correct) / len(of_type)
+                           if of_type else None)
     report = EvalReport(
-        overall_acc=(correct / scored) if scored else 0.0,
+        overall_acc=(correct / len(scored)) if scored else 0.0,
         per_type_acc=per_type,
         route_counts=route_counts,
         discriminator_confusion=confusion,
         fallback_rate=(total_fallbacks / total_triples) if total_triples else 0.0,
-        skipped_count=skipped,
-        failed_count=failed,
+        skipped_count=len(logs) - len(scored),
+        failed_count=sum(1 for log in scored if log.error is not None),
         judge_failures=sum(1 for log in logs if log.judge_failed),
         total=len(logs),
         correct=correct,

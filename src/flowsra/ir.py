@@ -5,8 +5,8 @@ A :class:`FlowGraph` holds typed nodes and labeled directed edges; an
 edge. All values are immutable after construction, so graphs can be shared
 freely across threads. A graph's structural problems are reported by
 :func:`validate` as data, which lets parsers build partial graphs and still
-describe what is wrong with them; an upgraded graph checks its triples when
-built.
+describe what is wrong with them; an upgraded graph checks its base and its
+triples when built.
 
 Because a graph never changes, whatever is derived from it is derived once
 per graph object and kept on that object (see :func:`derived`): the
@@ -20,6 +20,7 @@ raises stores nothing and runs again on the next call.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -270,8 +271,9 @@ class RelationTriple:
 
 @dataclass(frozen=True)
 class UpgradedGraph(_Memoized):
-    """A FlowGraph plus exactly one relation triple per edge, in edge order:
-    construction raises ValueError unless triple ``i`` joins the endpoints of
+    """A valid FlowGraph plus exactly one relation triple per edge, in edge
+    order: construction raises GraphValidationError unless the base
+    validates, and ValueError unless triple ``i`` joins the endpoints of
     edge ``i``, for every edge and no more."""
 
     base: FlowGraph
@@ -279,6 +281,7 @@ class UpgradedGraph(_Memoized):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "triples", tuple(self.triples))
+        require_valid(self.base)
         edges = self.base.edges
         if len(self.triples) != len(edges):
             raise ValueError(
@@ -389,9 +392,7 @@ def topology_stats(graph: FlowGraph) -> TopologyStats:
     Raises GraphValidationError when the graph does not validate.
     """
     require_valid(graph)
-    out_degrees: dict[str, int] = {}
-    for edge in graph.edges:
-        out_degrees[edge.src] = out_degrees.get(edge.src, 0) + 1
+    out_degrees = Counter(edge.src for edge in graph.edges)
     return TopologyStats(
         node_count=len(graph.nodes),
         edge_count=len(graph.edges),

@@ -33,10 +33,6 @@ from .parsing import Dialect
 from .prompts import load_template
 
 
-class UnparseableRelationError(ValueError):
-    """The response carries no usable relation tag."""
-
-
 class UpgradeError(RuntimeError):
     """Recognition failed for an edge; no partial upgrade is returned."""
 
@@ -80,26 +76,19 @@ def build_relation_prompt(src: Node, dst: Node, label: EdgeLabel,
 _RELATION_LINE = re.compile(r"relation\s*[:\-]\s*(?P<tag>[A-Za-z]+)", re.IGNORECASE)
 
 
-def parse_relation_response(text: str) -> tuple[RelationType, str]:
-    """Extract the tag from the last RELATION line; the text before it is the
-    rationale. Tolerates surrounding markup and casing."""
+def parse_relation_response(text: str) -> tuple[RelationType, str] | None:
+    """The tag from the last RELATION line, and the text before that line as
+    the rationale; None when no line carries a tag in the taxonomy.
+    Tolerates surrounding markup and casing."""
     found = last_tagged_line(text, _RELATION_LINE)
     if found is None:
-        raise UnparseableRelationError("no RELATION line found in response")
-    idx, m = found
-    tag = m.group("tag")
-    try:
-        relation = RelationType.from_name(tag)
-    except ValueError as exc:
-        raise UnparseableRelationError(f"tag {tag!r} is outside the taxonomy") from exc
-    return relation, "\n".join(text.splitlines()[:idx]).strip()
-
-
-def _relation_or_none(text: str) -> tuple[RelationType, str] | None:
-    try:
-        return parse_relation_response(text)
-    except UnparseableRelationError:
         return None
+    idx, m = found
+    try:
+        relation = RelationType.from_name(m.group("tag"))
+    except ValueError:
+        return None
+    return relation, "\n".join(text.splitlines()[:idx]).strip()
 
 
 _INSTANTIATION_CUES = ("e.g.", "such as", "for example", "for instance")
@@ -171,13 +160,12 @@ class LlmRelationBackend:
 
     gateway: ChatGateway
     model: str
-    max_tokens: int = 512
 
     def recognize(self, src: Node, dst: Node, label: EdgeLabel,
                   context: InterlanguageDoc) -> tuple[RelationType, str]:
-        ask = completion_backend(self.gateway, self.model, max_tokens=self.max_tokens)
+        ask = completion_backend(self.gateway, self.model, max_tokens=512)
         found = ask_twice(ask, build_relation_prompt(src, dst, label, context),
-                          _relation_or_none, _RETRY_REMINDER)
+                          parse_relation_response, _RETRY_REMINDER)
         if found is not None:
             return found
         relation, reason = heuristic_recognize(src, dst, label)

@@ -124,6 +124,39 @@ def test_chart_bytes_exit_0_or_1(data):
             assert code in (0, 1), (argv, err.getvalue())
 
 
+# a reply per prompt kind: tagged lines (in and out of format) among free text,
+# or None for no script rule, so that prompt kind misses the script
+_REPLY = st.none() | st.lists(st.text(max_size=20) | st.sampled_from(
+    ["CLASS: Straight", "**class - complicated**", "CLASS: Maybe", "RELATION: Causality",
+     "relation: instantiation.", "RELATION: Contrast", "VERDICT: CORRECT",
+     "VERDICT: incorrect", "VERDICT:", "Five", "End"]), max_size=4).map("\n".join)
+_PROMPT_OPENINGS = ("You classify a question", "You label the semantic relation",
+                    "You verify answers", "You answer questions")
+
+
+@pytest.mark.parametrize("argv", [
+    ["route", "--router", "llm", "--question", "What if it rains?"],
+    ["ask", "{chart}", "--router", "llm", "--relation-backend", "llm",
+     "--question", "If the homework is not finished, what should I do next?"],
+    ["eval", "--dataset", str(DATA / "eval10.jsonl"), "--router", "llm",
+     "--relation-backend", "llm", "--judge", "llm"],
+])
+@settings(max_examples=30, deadline=None)
+@given(replies=st.tuples(*[_REPLY] * len(_PROMPT_OPENINGS)))
+def test_mock_replies_exit_0_to_3(argv, replies):
+    with tempfile.TemporaryDirectory() as tmp:
+        chart, script = Path(tmp) / "chart.mmd", Path(tmp) / "script.json"
+        chart.write_text(MERMAID_FIXTURE)
+        script.write_text(json.dumps([
+            {"pattern": opening, "response": reply}
+            for opening, reply in zip(_PROMPT_OPENINGS, replies) if reply is not None]))
+        argv = [arg.format(chart=chart) for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv + ["--parallelism", "2", "--mock-script", str(script)])
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+
+
 class TestUpgrade:
     def test_heuristic_upgrade_emits_labels_and_triples(self, capsys, chart):
         code, out, _ = run_cli(capsys, "upgrade", chart,
@@ -216,6 +249,15 @@ class TestRoute:
         code, out, _ = run_cli(capsys, "route", "--question",
                                "Suppose it breaks, what then?")
         assert json.loads(out) == {"class": "Complicated"}
+
+    def test_llm_replies_without_class_line_exit_3(self, capsys, tmp_path):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([{"pattern": "", "response": "Hard to say."}]))
+        code, out, err = run_cli(capsys, "route", "--router", "llm", "--question", "Why?",
+                                 "--mock-script", str(script))
+        assert code == 3
+        assert out == ""
+        assert err == "backend error: unparseable class for question 'Why?'\n"
 
 
 class TestStats:
@@ -351,6 +393,60 @@ class TestEval:
         code, _, err = run_cli(capsys, "stats", chart, "--config", str(config))
         assert code == 2
         assert err.startswith("config error: ")
+
+
+class TestInputShapes:
+    """A config file or mock script of the wrong shape is a configuration
+    error (exit 2), a path that cannot be read an input error (exit 1)."""
+
+    @pytest.mark.parametrize("content,message", [
+        ("5", " is not a JSON object"),
+        ('{"cache_dir": 5}', ": cache_dir must be of type str, not 5"),
+        ('{"offline": "false"}', ': offline must be of type bool, not "false"'),
+        ('{"parallelism": true}', ": parallelism must be of type int, not true"),
+    ])
+    def test_config_file_value_of_wrong_type_exits_2(self, capsys, tmp_path, chart,
+                                                     content, message):
+        config = tmp_path / "flowsra.json"
+        config.write_text(content)
+        code, out, err = run_cli(capsys, "stats", chart, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"config error: config file {config}{message}\n"
+
+    @pytest.mark.parametrize("name,value", [("OFFLINE", "maybe"), ("PARALLELISM", "x")])
+    def test_environment_value_of_wrong_type_exits_2(self, capsys, monkeypatch, chart,
+                                                     name, value):
+        monkeypatch.setenv("FLOWSRA_" + name, value)
+        code, out, err = run_cli(capsys, "stats", chart)
+        assert (code, out) == (2, "")
+        assert err == (f"config error: FLOWSRA_{name}={value!r} is not of type "
+                       f"{'bool' if name == 'OFFLINE' else 'int'}\n")
+
+    @pytest.mark.parametrize("entries,message", [
+        (["x"], "entry 0: not an object with a string pattern and a string response"),
+        ([{"pattern": "Five"}], "entry 0: not an object with a string pattern and a "
+                                "string response"),
+        ([{"match": "regex", "pattern": "", "response": "5"}],
+         "entry 0: unknown mock matcher 'regex'"),
+    ])
+    def test_mock_script_entry_of_wrong_shape_exits_2(self, capsys, tmp_path,
+                                                      entries, message):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(entries))
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(DATA / "eval10.jsonl"),
+                                 "--mock-script", str(script))
+        assert (code, out) == (2, "")
+        assert err == f"config error: mock script {script}, {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "{chart}/x"],
+        ["eval", "--dataset", "{chart}/x"],
+        ["route", "--router", "llm", "--question", "Why?", "--mock-script", "{chart}/x"],
+    ])
+    def test_path_under_a_regular_file_exits_1(self, capsys, chart, argv):
+        code, out, err = run_cli(capsys, *(arg.format(chart=chart) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 20] Not a directory: '{chart}/x'\n"
 
 
 class TestCacheIo:
@@ -547,3 +643,18 @@ class TestRunConfigFields:
         config = RunConfig.resolve(Namespace(config=str(path)))
         assert {name: getattr(config, name) for name in names} == values
 
+    def test_resolve_converts_environment_values_by_type(self, monkeypatch):
+        from argparse import Namespace
+
+        from flowsra.cli import ConfigError, RunConfig
+
+        monkeypatch.delenv("FLOWSRA_CONFIG", raising=False)
+        monkeypatch.setenv("FLOWSRA_PARALLELISM", "3")
+        monkeypatch.setenv("FLOWSRA_CACHE_DIR", "7")
+        for value, offline in (("Yes", True), ("TRUE", True), ("0", False), ("", False)):
+            monkeypatch.setenv("FLOWSRA_OFFLINE", value)
+            config = RunConfig.resolve(Namespace())
+            assert (config.offline, config.parallelism, config.cache_dir) == (offline, 3, "7")
+        monkeypatch.setenv("FLOWSRA_OFFLINE", "on")
+        with pytest.raises(ConfigError, match="^FLOWSRA_OFFLINE='on' is not of type bool$"):
+            RunConfig.resolve(Namespace())

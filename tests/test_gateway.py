@@ -598,6 +598,27 @@ class TestMockBackend:
         transport = load_mock_script(path)
         assert ChatGateway(transport).complete(req("hi there")).content == "hello"
 
+    @pytest.mark.parametrize("entries,message", [
+        ({"pattern": "a", "response": "b"}, " is not a JSON list"),
+        (["x"], ", entry 0: not an object with a string pattern and a string response"),
+        ([{"pattern": "a", "response": "b"}, {"pattern": "a"}],
+         ", entry 1: not an object with a string pattern and a string response"),
+        ([{"pattern": "a", "response": 5}],
+         ", entry 0: not an object with a string pattern and a string response"),
+        ([{"match": "regex", "pattern": "a", "response": "b"}],
+         ", entry 0: unknown mock matcher 'regex'"),
+    ])
+    def test_script_entries_are_checked_on_load(self, tmp_path, entries, message):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(entries))
+        with pytest.raises(ValueError) as excinfo:
+            load_mock_script(path)
+        assert str(excinfo.value) == f"mock script {path}{message}"
+
+    def test_unknown_matcher_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="^unknown mock matcher 'regex'$"):
+            MockRule("regex", "a", "b")
+
 
 class TestAskParseRetry:
     """chat_request, last_tagged_line and ask_twice: the helpers the router,

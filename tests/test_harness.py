@@ -15,7 +15,6 @@ from flowsra import gateway as gateway_mod
 from flowsra import harness
 from flowsra.gateway import ChatGateway, PermanentError, load_mock_script, mock_backend
 from flowsra.harness import (
-    ROUTE_MODES,
     ConfusionResult,
     EmptyDatasetError,
     EvalConfig,
@@ -29,7 +28,7 @@ from flowsra.harness import (
 )
 from flowsra.ir import NodeKind
 from flowsra.parsing import Dialect
-from flowsra.routing import HeuristicRouter, OracleRouter, QuestionClass, QuestionType
+from flowsra.routing import ROUTE_MODES, HeuristicRouter, OracleRouter, QuestionClass, QuestionType
 
 from gen import rand_flow_graph
 
@@ -62,6 +61,16 @@ class TestLoadDataset:
         assert len(load.instances) == 2
         assert len(load.diagnostics) == 1
         assert load.diagnostics[0].line == 2
+
+    def test_records_that_are_not_objects_become_diagnostics(self, tmp_path):
+        path = tmp_path / "shapes.jsonl"
+        good = {"id": "a", "dialect": "mermaid", "source": "flowchart TD\nA-->B",
+                "question": "q?", "answer": "x", "type": "TP1"}
+        path.write_text("5\n" + json.dumps(" ".join(good)) + "\n[]\n" + json.dumps(good))
+        load = load_dataset(path)
+        assert [instance.flowchart_id for instance in load.instances] == ["a"]
+        assert [str(d) for d in load.diagnostics] == [
+            f"record {line}: not a JSON object" for line in (1, 2, 3)]
 
     def test_twenty_record_fixture_histogram(self):
         # hand count for the committed fixture: 6/5/5/4

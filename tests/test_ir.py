@@ -222,6 +222,11 @@ class TestUpgrade:
         with pytest.raises(ValueError, match="^triple C->B does not match edge B->C$"):
             UpgradedGraph(graph, (ab, RelationTriple("C", RelationType.CAUSALITY, "B")))
 
+    def test_upgraded_graph_refuses_an_invalid_base(self):
+        graph = FlowGraph(nodes=(n("A"),), edges=(Edge("A", "B"),))
+        with pytest.raises(GraphValidationError, match="dangling-edge"):
+            UpgradedGraph(graph, (RelationTriple("A", RelationType.SEQUENTIALITY, "B"),))
+
     @given(flow_graphs())
     def test_bijection_and_base_untouched(self, graph):
         relations = {edge: RelationType.SEQUENTIALITY for edge in graph.edges}

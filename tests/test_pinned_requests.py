@@ -16,7 +16,8 @@ import pytest
 
 from flowsra import cli
 from flowsra.gateway import ChatGateway, cache_key, load_mock_script
-from flowsra.harness import ROUTE_MODES, EvalConfig, load_dataset, report_render, run_eval
+from flowsra.harness import EvalConfig, load_dataset, report_render, run_eval
+from flowsra.routing import ROUTE_MODES
 
 DATA = Path(__file__).parent / "data"
 BACKENDS = ("heuristic", "llm")

@@ -21,7 +21,6 @@ from flowsra.parsing import Dialect
 from flowsra.relations import (
     HeuristicRelationBackend,
     LlmRelationBackend,
-    UnparseableRelationError,
     UpgradeError,
     build_relation_prompt,
     heuristic_recognize,
@@ -78,12 +77,10 @@ class TestParseRelationResponse:
         assert rationale == "Some analysis here."
 
     def test_out_of_taxonomy_tag_is_rejected(self):
-        with pytest.raises(UnparseableRelationError):
-            parse_relation_response("RELATION: Contrast")
+        assert parse_relation_response("RELATION: Contrast") is None
 
     def test_missing_tag_is_rejected(self):
-        with pytest.raises(UnparseableRelationError):
-            parse_relation_response("no tag anywhere")
+        assert parse_relation_response("no tag anywhere") is None
 
     @pytest.mark.parametrize("text,expected", [
         ("relation: sequentiality.", RelationType.SEQUENTIALITY),
