@@ -67,7 +67,7 @@ class RunConfig:
         if path:
             try:
                 data = json.loads(Path(path).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
                 raise ConfigError(f"cannot read config file {path}: {exc}") from exc
             if not isinstance(data, dict):
                 raise ConfigError(f"config file {path} is not a JSON object")
@@ -109,7 +109,10 @@ def _env_value(name: str, kind: type) -> object:
 def _gateway(config: RunConfig) -> ChatGateway:
     transport = None
     if config.mock_script:
-        transport = load_mock_script(config.mock_script)
+        try:
+            transport = load_mock_script(config.mock_script)
+        except ValueError as exc:  # not UTF-8, not JSON, or an entry of the wrong shape
+            raise ConfigError(str(exc)) from exc
     elif config.endpoint and not config.offline:
         transport = HttpTransport(config.endpoint, config.api_key)
     return ChatGateway(
@@ -137,12 +140,31 @@ def _read_input(path: str) -> str:
         raise _not_utf8(path, exc) from exc
 
 
+def _question(text: str) -> Question:
+    try:
+        return Question(text)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
+def _json_line(value: object) -> str:
+    """``value`` as one line of JSON with non-ASCII text verbatim, except that
+    a lone surrogate, which UTF-8 cannot carry, is written as its JSON
+    escape; so the line can be written to any UTF-8 stream."""
+    text = json.dumps(value, ensure_ascii=False)
+    return text.encode("utf-8", "backslashreplace").decode("utf-8")
+
+
+def _print_diagnostics(diagnostics) -> None:
+    for diag in diagnostics:
+        print(str(diag), file=sys.stderr)
+
+
 def _parse_input(path: str, dialect: str | None) -> tuple[Dialect, object]:
     text = _read_input(path)
     chosen = Dialect(dialect) if dialect else None
     detected, result = parse_text(text, chosen)
-    for diag in result.diagnostics:
-        print(str(diag), file=sys.stderr)
+    _print_diagnostics(result.diagnostics)
     if result.errors():
         raise InputError("input has parse errors")
     return detected, result.graph
@@ -175,7 +197,7 @@ def cmd_upgrade(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_ask(args: argparse.Namespace, config: RunConfig) -> int:
     detected, graph = _parse_input(args.input, args.dialect)
     gateway = _gateway(config)
-    question = Question(args.question)
+    question = _question(args.question)
     dialect = Dialect(args.to) if args.to else detected
     backend = make_relation_backend(args.relation_backend, gateway,
                                     config.recognizer_model)
@@ -192,14 +214,14 @@ def cmd_ask(args: argparse.Namespace, config: RunConfig) -> int:
         "prompt_fingerprint": answer.prompt_fingerprint,
         "fallbacks_used": answer.fallbacks_used,
     }
-    print(json.dumps(payload, ensure_ascii=False))
+    print(_json_line(payload))
     return EXIT_OK
 
 
 def cmd_route(args: argparse.Namespace, config: RunConfig) -> int:
     gateway = _gateway(config)
     router = make_router(args.router, gateway, config.router_model)
-    question_class = router.classify(args.question, None)
+    question_class = router.classify(_question(args.question).text, None)
     print(json.dumps({"class": question_class.value}))
     return EXIT_OK
 
@@ -215,8 +237,10 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         load = load_dataset(args.dataset)
     except UnicodeDecodeError as exc:
         raise _not_utf8(args.dataset, exc) from exc
-    for diag in load.diagnostics:
-        print(str(diag), file=sys.stderr)
+    except EmptyDatasetError as exc:  # say why no record was valid, then fail
+        _print_diagnostics(exc.diagnostics)
+        raise
+    _print_diagnostics(load.diagnostics)
     eval_config = EvalConfig(
         router_mode=args.router,
         relation_backend=args.relation_backend,
@@ -238,7 +262,7 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     try:
         run = run_eval(load.instances, eval_config, gateway)
         for log in run.logs:
-            print(json.dumps(log.to_dict(), ensure_ascii=False), file=log_file or sys.stderr)
+            print(_json_line(log.to_dict()), file=log_file or sys.stderr)
     finally:
         if log_file:
             log_file.close()
@@ -336,10 +360,11 @@ def main(argv: list[str] | None = None) -> int:
         config = RunConfig.resolve(args)
         return args.func(args, config)
     except (InputError, UnknownDialectError, GraphValidationError, EmitError,
-            EmptyDatasetError, OSError) as exc:
+            EmptyDatasetError, OSError, UnicodeEncodeError) as exc:
+        # UnicodeEncodeError: text that the output stream cannot carry
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConfigError, CacheError, ValueError) as exc:
+    except (ConfigError, CacheError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TransportError, PermanentError, ProtocolError, ScriptedMissError,

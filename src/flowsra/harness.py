@@ -48,7 +48,12 @@ from .routing import QuestionClass, QuestionType, make_router, type_to_class
 
 
 class EmptyDatasetError(ValueError):
-    """The dataset file yielded zero valid records."""
+    """The dataset file yielded zero valid records; ``diagnostics`` says why
+    each record was rejected."""
+
+    def __init__(self, message: str, diagnostics: list[LoadDiagnostic]):
+        super().__init__(message)
+        self.diagnostics = diagnostics
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,7 @@ def load_dataset(path: str | Path) -> DatasetLoad:
             gold_type=qtype,
         ))
     if not instances:
-        raise EmptyDatasetError(f"no valid records in {path}")
+        raise EmptyDatasetError(f"no valid records in {path}", diagnostics)
     return DatasetLoad(instances, diagnostics)
 
 

@@ -5,15 +5,20 @@ backend that analyzes the node pair before committing to a tag, and a
 deterministic heuristic for offline runs and tests. Out-of-taxonomy answers
 never escape: the LLM backend retries once and then falls back to the
 heuristic, marking the triple's rationale with a ``fallback:`` prefix.
+
+The recognition context, the chart rendered in the upgrade's dialect, is
+rendered only when a backend asks for it: the LLM backend embeds it in every
+prompt, the heuristic never reads it, so a heuristic upgrade renders nothing.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Protocol
+from functools import partial
+from typing import Callable, Protocol
 
-from .emitting import InterlanguageDoc, emit
+from .emitting import EmitError, InterlanguageDoc, emit
 from .gateway import CacheError, ChatGateway, ask_twice, completion_backend
 from .gateway import last_tagged_line, map_in_order
 from .ir import (
@@ -42,11 +47,19 @@ class UpgradeError(RuntimeError):
             f"relation recognition failed for edge {edge.src} -> {edge.dst}: {cause}")
 
 
+ContextSource = Callable[[], InterlanguageDoc]
+
+
 class RelationBackend(Protocol):
-    """Recognition contract: one node pair in, one in-taxonomy tag out."""
+    """Recognition contract: one node pair in, one in-taxonomy tag out.
+
+    ``context`` renders the whole chart on demand. A backend that needs the
+    chart calls it; one that does not leaves the chart unrendered. Every call
+    returns the same document, rendered once per graph and dialect.
+    """
 
     def recognize(self, src: Node, dst: Node, label: EdgeLabel,
-                  context: InterlanguageDoc) -> tuple[RelationType, str]:
+                  context: ContextSource) -> tuple[RelationType, str]:
         ...
 
 
@@ -91,8 +104,11 @@ def parse_relation_response(text: str) -> tuple[RelationType, str] | None:
     return relation, "\n".join(text.splitlines()[:idx]).strip()
 
 
-_INSTANTIATION_CUES = ("e.g.", "such as", "for example", "for instance")
-_CAUSAL_CUES = ("causes", "results in", "leads to")
+# each cue list is one alternation, searched for as a plain substring
+_INSTANTIATION_CUES = re.compile(
+    "|".join(map(re.escape, ("e.g.", "such as", "for example", "for instance"))))
+_CAUSAL_CUES = re.compile("|".join(map(re.escape, ("causes", "results in", "leads to"))))
+_WORD = re.compile(r"[A-Za-z']+")
 _ACQUIRE = re.compile(r"\b(obtain|obtains|obtained|get|gets|got|acquire|acquires)\b",
                       re.IGNORECASE)
 _SELECT_OR_USE = re.compile(r"\b(select|selects|selecting|selection|use|uses|using|"
@@ -102,7 +118,7 @@ _LIST_SHAPE = re.compile(r",|\band\b|\bor\b", re.IGNORECASE)
 
 
 def _plural_category_heading_list(src_text: str, dst_text: str) -> bool:
-    words = re.findall(r"[A-Za-z']+", src_text)
+    words = _WORD.findall(src_text)
     if not words or len(words) > 4:
         return False
     head = words[-1].lower()
@@ -117,15 +133,13 @@ def heuristic_recognize(src: Node, dst: Node,
     if src.kind is NodeKind.DECISION or label.kind in (LabelKind.YES, LabelKind.NO):
         return (RelationType.CONDITIONALITY,
                 "source is a decision or the edge is a yes/no branch")
-    dst_low = dst.text.lower()
-    if any(cue in dst_low for cue in _INSTANTIATION_CUES):
+    if _INSTANTIATION_CUES.search(dst.text.lower()):
         return (RelationType.INSTANTIATION,
                 "target text carries an instance-giving cue")
     if _plural_category_heading_list(src.text, dst.text):
         return (RelationType.INSTANTIATION,
                 "plural category followed by a list of instances")
-    src_low = src.text.lower()
-    if any(cue in src_low for cue in _CAUSAL_CUES):
+    if _CAUSAL_CUES.search(src.text.lower()):
         return (RelationType.CAUSALITY, "source text carries a causal cue")
     if _ACQUIRE.search(src.text) and _SELECT_OR_USE.search(dst.text):
         return (RelationType.CAUSALITY,
@@ -139,7 +153,7 @@ class HeuristicRelationBackend:
     """Pure, order-independent backend wrapping the rule cascade."""
 
     def recognize(self, src: Node, dst: Node, label: EdgeLabel,
-                  context: InterlanguageDoc) -> tuple[RelationType, str]:
+                  context: ContextSource) -> tuple[RelationType, str]:
         return heuristic_recognize(src, dst, label)
 
 
@@ -162,9 +176,9 @@ class LlmRelationBackend:
     model: str
 
     def recognize(self, src: Node, dst: Node, label: EdgeLabel,
-                  context: InterlanguageDoc) -> tuple[RelationType, str]:
+                  context: ContextSource) -> tuple[RelationType, str]:
         ask = completion_backend(self.gateway, self.model, max_tokens=512)
-        found = ask_twice(ask, build_relation_prompt(src, dst, label, context),
+        found = ask_twice(ask, build_relation_prompt(src, dst, label, context()),
                           parse_relation_response, _RETRY_REMINDER)
         if found is not None:
             return found
@@ -180,6 +194,10 @@ def upgrade_graph(
 ) -> UpgradedGraph:
     """Recognize a relation for every edge and build the upgraded graph.
 
+    Each backend call gets the chart in ``dialect`` as a zero-argument
+    callable, so the chart is rendered (once, see :func:`emit`) only if a
+    backend asks for it; the heuristic backend never does.
+
     A backend with a ``gateway`` attribute (the LLM one) recognizes edges
     concurrently once its requests reach the transport, up to the gateway's
     parallelism (see ``map_in_order``); any other backend runs inline.
@@ -188,17 +206,18 @@ def upgrade_graph(
     edge order, whose recognition raises aborts the whole upgrade (no
     partial result) with :class:`UpgradeError`, except that a
     :class:`CacheError` (a cache entry that cannot be written) is the run's,
-    not the edge's, and passes through unwrapped.
+    and an :class:`EmitError` (the chart has no rendering in ``dialect``) the
+    chart's, not the edge's: those pass through unwrapped.
     """
     require_valid(graph)
-    context = emit(graph, dialect)
+    context = partial(emit, graph, dialect)
     by_id = {n.id: n for n in graph.nodes}
 
     def recognize(edge: Edge) -> tuple[RelationType, str]:
         try:
             return backend.recognize(by_id[edge.src], by_id[edge.dst],
                                      edge.label, context)
-        except CacheError:
+        except (CacheError, EmitError):
             raise
         except Exception as exc:
             raise UpgradeError(edge, exc) from exc

@@ -30,6 +30,25 @@ def _labeled_edges(graph: FlowGraph) -> Counter:
     return Counter((key[e.src], key[e.dst], e.label) for e in graph.edges)
 
 
+def _sink_signature(graph: FlowGraph, repeated: set) -> Counter | None:
+    """When every node whose kind and text repeat is a sink, the graph up to
+    permuting those sinks: the labeled edges, with each repeated sink named
+    by its key and the multiset of its in-edges. None otherwise."""
+    key = {n.id: (n.kind, n.text) for n in graph.nodes}
+    if any(key[e.src] in repeated for e in graph.edges):
+        return None
+    into: dict[str, Counter] = {n.id: Counter() for n in graph.nodes
+                                if key[n.id] in repeated}
+    signature: Counter = Counter()
+    for e in graph.edges:
+        if e.dst in into:
+            into[e.dst][(key[e.src], e.label)] += 1
+        else:
+            signature[(key[e.src], key[e.dst], e.label)] += 1
+    signature.update((key[nid], frozenset(ins.items())) for nid, ins in into.items())
+    return signature
+
+
 def isomorphic(a: FlowGraph, b: FlowGraph) -> bool:
     """Kind/text-preserving node bijection with equal labeled edge multisets."""
     keys = Counter((n.kind, n.text) for n in a.nodes)
@@ -40,6 +59,12 @@ def isomorphic(a: FlowGraph, b: FlowGraph) -> bool:
         # is the only candidate bijection: compare edges through it (this
         # keeps charts of thousands of nodes cheap, where networkx is not)
         return _labeled_edges(a) == _labeled_edges(b)
+    # repeated sinks (the stops of a structured chart) may be paired in any
+    # order that keeps their in-edges, and every other pairing is forced
+    repeated = {k for k, count in keys.items() if count > 1}
+    signature = _sink_signature(a, repeated)
+    if signature is not None and (other := _sink_signature(b, repeated)) is not None:
+        return signature == other
     node_match = nxiso.categorical_node_match(["kind", "text"], [None, None])
     edge_match = nxiso.categorical_multiedge_match("label", None)
     return nx.is_isomorphic(to_nx(a), to_nx(b),
@@ -213,6 +238,36 @@ def rand_activity_text(rng: random.Random) -> str:
     _render_items(_rand_items(rng, depth=2, counter=counter), lines)
     lines.append("stop")
     lines.append("@enduml")
+    return "\n".join(lines) + "\n"
+
+
+def rand_deep_activity_text(rng: random.Random, depth: int, width: int) -> str:
+    """Random structured activity program: ``depth`` ifs and repeats nested
+    inside each other, each level holding ``width`` random programs before
+    and after the level it encloses. Rendered with loops, not recursion, so
+    any depth can be built."""
+    counter = [0]
+    lines = ["@startuml", "start"]
+
+    def filler() -> None:
+        for _ in range(width):
+            _render_items(_rand_items(rng, depth=1, counter=counter), lines)
+
+    closers = []
+    for level in range(depth):
+        filler()
+        if rng.random() < 0.5:
+            lines.append(f"if (Level {level}?) then (yes)")
+            closers.append(["else (no)", f":skip {level};", "endif"]
+                           if rng.random() < 0.7 else ["endif"])
+        else:
+            lines += ["repeat", f":enter {level};"]
+            closers.append([f"repeat while (Again {level}?)"])
+    lines.append(":innermost;")
+    for closer in reversed(closers):
+        filler()
+        lines += closer
+    lines += ["stop", "@enduml"]
     return "\n".join(lines) + "\n"
 
 

@@ -658,3 +658,74 @@ class TestRunConfigFields:
         monkeypatch.setenv("FLOWSRA_OFFLINE", "on")
         with pytest.raises(ConfigError, match="^FLOWSRA_OFFLINE='on' is not of type bool$"):
             RunConfig.resolve(Namespace())
+
+
+class TestNarrowExitCodes:
+    """Only configuration failures exit 2; what a reply or a record holds is
+    never reported as one."""
+
+    @pytest.fixture
+    def surrogate_script(self, tmp_path):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([{"pattern": "", "response": "a\ud800b é"}]))
+        return str(script)
+
+    def test_ask_reply_with_a_lone_surrogate_prints_escaped_json(self, capsys, chart,
+                                                                 surrogate_script):
+        code, out, err = run_cli(capsys, "ask", chart, "--question", "What then?",
+                                 "--mode", "shallow", "--mock-script", surrogate_script)
+        assert code == 0, err
+        assert out.count("\n") == 1
+        assert '"answer": "a\\ud800b é"' in out  # non-ASCII verbatim, the surrogate escaped
+        assert json.loads(out)["answer"] == "a\ud800b é"
+
+    def test_eval_log_file_escapes_a_lone_surrogate(self, capsys, tmp_path,
+                                                     surrogate_script):
+        log_path = tmp_path / "logs.jsonl"
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(DATA / "eval10.jsonl"),
+                                 "--mock-script", surrogate_script,
+                                 "--log-file", str(log_path))
+        assert code == 0, err
+        logs = [json.loads(line) for line in log_path.read_text("utf-8").splitlines()]
+        assert len(logs) == 10
+        assert all(log["predicted"] == "a\ud800b é" for log in logs)
+
+    def test_encode_error_in_a_command_is_not_a_config_error(self, capsys, chart,
+                                                             monkeypatch):
+        def stats(graph):
+            raise UnicodeEncodeError("utf-8", "\ud800", 0, 1, "surrogates not allowed")
+
+        monkeypatch.setattr(cli_mod, "topology_stats", stats)
+        code, out, err = run_cli(capsys, "stats", chart)
+        assert (code, out) == (1, "")
+        assert err == ("error: 'utf-8' codec can't encode character '\\ud800' in "
+                       "position 0: surrogates not allowed\n")
+
+    @pytest.mark.parametrize("content", [b"[{", b'[{"pattern": "\xff"}]'])
+    def test_mock_script_that_is_not_json_or_not_utf8_exits_2(self, capsys, tmp_path,
+                                                              content):
+        script = tmp_path / "script.json"
+        script.write_bytes(content)
+        code, out, err = run_cli(capsys, "route", "--router", "llm", "--question", "Why?",
+                                 "--mock-script", str(script))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ")
+
+    @pytest.mark.parametrize("argv", [["ask", "{chart}", "--question", " "],
+                                      ["route", "--question", ""]])
+    def test_empty_question_exits_1(self, capsys, chart, argv):
+        code, out, err = run_cli(capsys, *(arg.format(chart=chart) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err == "error: question text must be non-empty\n"
+
+    def test_dataset_without_a_valid_record_says_why(self, capsys, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": 1\n\n{"id": "x"}\n[1]\n')
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(path))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "record 1: invalid JSON: Expecting ',' delimiter",
+            "record 3: missing fields: ['dialect', 'source', 'question', 'answer', 'type']",
+            "record 4: not a JSON object",
+            f"error: no valid records in {path}",
+        ]

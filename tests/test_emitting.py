@@ -30,6 +30,7 @@ from gen import (
     deep_if_text,
     deep_repeat_text,
     isomorphic,
+    rand_deep_activity_text,
     rand_flow_graph,
     rand_structured_graph,
 )
@@ -247,6 +248,28 @@ class TestDeepNesting:
             _, result = parse_text(emit_upgraded(ug, dialect).text)
             assert result.ok, dialect
             assert isomorphic(strip_relations(result.graph), graph), dialect
+
+
+class TestDeepAndLargeRoundTrips:
+    """Random structured charts up to 120 levels deep and ~2000 nodes."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=1, max_value=120), st.integers(min_value=0, max_value=2))
+    def test_every_dialect_and_a_chain_through_all_three(self, seed, depth, width):
+        _, parsed = parse_text(rand_deep_activity_text(random.Random(seed), depth, width))
+        assert parsed.ok, [str(d) for d in parsed.diagnostics]
+        graph = parsed.graph
+        for dialect in Dialect:
+            _, result = parse_text(emit(graph, dialect).text)
+            assert result.ok, dialect
+            assert isomorphic(result.graph, graph), dialect
+        chained = graph
+        for dialect in (Dialect.MERMAID, Dialect.DOT, Dialect.PLANTUML):
+            _, result = parse_text(emit(chained, dialect).text)
+            assert result.ok, dialect
+            chained = result.graph
+        assert isomorphic(chained, graph)
 
 
 # The set-based reachability and breadth-first join search the emitter used

@@ -46,6 +46,13 @@ class TestLoadDataset:
         with pytest.raises(EmptyDatasetError):
             load_dataset(path)
 
+    def test_no_valid_record_raises_with_every_diagnostic(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{not json}\n"text"\n{"id": "a"}\n')
+        with pytest.raises(EmptyDatasetError) as excinfo:
+            load_dataset(path)
+        assert [d.line for d in excinfo.value.diagnostics] == [1, 2, 3]
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_dataset(tmp_path / "absent.jsonl")

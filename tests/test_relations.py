@@ -1,18 +1,23 @@
 """Relation recognition: prompts, response parsing, heuristic, upgrading."""
 
+import itertools
 import random
 import re
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowsra import emitting
 from flowsra.emitting import emit
 from flowsra.gateway import CacheError, ChatGateway, PermanentError, mock_backend
 from flowsra.ir import (
     Edge,
     EdgeLabel,
     FlowGraph,
+    LabelKind,
     Node,
     NodeKind,
     RelationType,
@@ -313,3 +318,140 @@ class TestUpgradeGraph:
             ug = upgrade_graph(graph, HeuristicRelationBackend())
             after = emit(ug.base, Dialect.MERMAID).text
             assert before == after
+
+
+# --- referee -----------------------------------------------------------------
+# The rule cascade as it was before its cue lists became compiled
+# alternations: a substring test per cue and a ``re.findall`` per call.
+# ``heuristic_recognize`` must give the same relation and reason.
+
+_REF_INSTANTIATION_CUES = ("e.g.", "such as", "for example", "for instance")
+_REF_CAUSAL_CUES = ("causes", "results in", "leads to")
+_REF_ACQUIRE = re.compile(r"\b(obtain|obtains|obtained|get|gets|got|acquire|acquires)\b",
+                          re.IGNORECASE)
+_REF_SELECT_OR_USE = re.compile(r"\b(select|selects|selecting|selection|use|uses|using|"
+                                r"choose|chooses|choosing|chosen|pick|picks|picking)\b",
+                                re.IGNORECASE)
+_REF_LIST_SHAPE = re.compile(r",|\band\b|\bor\b", re.IGNORECASE)
+
+
+def _ref_plural_category_heading_list(src_text, dst_text):
+    words = re.findall(r"[A-Za-z']+", src_text)
+    if not words or len(words) > 4:
+        return False
+    head = words[-1].lower()
+    if not head.endswith("s") or head.endswith("ss"):
+        return False
+    return bool(_REF_LIST_SHAPE.search(dst_text))
+
+
+def reference_recognize(src, dst, label):
+    if src.kind is NodeKind.DECISION or label.kind in (LabelKind.YES, LabelKind.NO):
+        return (RelationType.CONDITIONALITY,
+                "source is a decision or the edge is a yes/no branch")
+    dst_low = dst.text.lower()
+    if any(cue in dst_low for cue in _REF_INSTANTIATION_CUES):
+        return (RelationType.INSTANTIATION,
+                "target text carries an instance-giving cue")
+    if _ref_plural_category_heading_list(src.text, dst.text):
+        return (RelationType.INSTANTIATION,
+                "plural category followed by a list of instances")
+    src_low = src.text.lower()
+    if any(cue in src_low for cue in _REF_CAUSAL_CUES):
+        return (RelationType.CAUSALITY, "source text carries a causal cue")
+    if _REF_ACQUIRE.search(src.text) and _REF_SELECT_OR_USE.search(dst.text):
+        return (RelationType.CAUSALITY,
+                "acquisition step directly enables a selection/use step")
+    return (RelationType.SEQUENTIALITY,
+            "default: consecutive steps in chronological order")
+
+
+# words that reach every rule of the cascade: cues, near misses, case
+# variants, plural heads (with apostrophes), list shapes, and characters whose
+# lowercase or word boundaries differ from ASCII's
+_CASCADE_WORDS = [
+    "e.g.", "E.G.", "e.g", "eg.", "e g.", "eXgX", "such as", "such-as", "SUCH AS",
+    "for example", "For Instance", "causes", "CAUSES", "cause", "results in",
+    "leads to", "obtain", "Gets", "acquired", "select", "Using", "chosen", "pick",
+    "Fruits", "Dogs'", "glass", "boxes", "it's", "Kid's Toys", "one two three cats",
+    "and", "or", "ORANGE", "a, b", ",", " ", "İ", "\u212a", "ß", "é", "Ω", "\u0130s", "\n"]
+_NODE_TEXT = (st.text(max_size=30)
+              | st.lists(st.sampled_from(_CASCADE_WORDS) | st.text(max_size=4),
+                         max_size=8).map(" ".join)
+              | st.lists(st.sampled_from(_CASCADE_WORDS), max_size=6).map("".join))
+_LABEL = (st.sampled_from([EdgeLabel.none(), EdgeLabel.yes(), EdgeLabel.no()])
+          | _NODE_TEXT.map(EdgeLabel.other))
+
+
+class TestHeuristicReferee:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(NodeKind), _NODE_TEXT, st.sampled_from(NodeKind), _NODE_TEXT,
+           _LABEL)
+    def test_matches_the_referee(self, src_kind, src_text, dst_kind, dst_text, label):
+        src, dst = Node("a", src_kind, src_text), Node("b", dst_kind, dst_text)
+        assert heuristic_recognize(src, dst, label) == reference_recognize(src, dst, label)
+
+    def test_every_pair_of_cascade_words(self):
+        for src_text, dst_text in itertools.product(_CASCADE_WORDS, repeat=2):
+            for kind, label in ((NodeKind.PROCESS, EdgeLabel.none()),
+                                (NodeKind.PROCESS, EdgeLabel.other("and")),
+                                (NodeKind.DECISION, EdgeLabel.none()),
+                                (NodeKind.INPUT_OUTPUT, EdgeLabel.no())):
+                src, dst = Node("a", kind, src_text), Node("b", NodeKind.PROCESS, dst_text)
+                assert (heuristic_recognize(src, dst, label)
+                        == reference_recognize(src, dst, label)), (src_text, dst_text)
+
+
+class TestLazyContext:
+    """The chart is rendered for a backend that reads it, once, and never for
+    one that does not."""
+
+    @pytest.mark.parametrize("dialect", list(Dialect))
+    def test_heuristic_upgrade_renders_nothing(self, dialect):
+        for seed in range(10):
+            graph = rand_flow_graph(random.Random(seed), with_terminals=True)
+            upgrade_graph(graph, HeuristicRelationBackend(), dialect=dialect)
+            assert [key for key in graph._memo if key[0] == "emit"] == []
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_llm_upgrade_renders_once_and_sends_the_same_requests(self, monkeypatch,
+                                                                  parallelism):
+        graph = chain_graph(12)
+        renders = []
+        render = emitting._EMITTERS[Dialect.DOT]
+        monkeypatch.setitem(emitting._EMITTERS, Dialect.DOT,
+                            lambda g, upgraded: renders.append(g) or render(g, upgraded))
+        transport = mock_backend([("", "RELATION: Sequentiality")])
+        upgrade_graph(graph, LlmRelationBackend(
+            ChatGateway(transport, parallelism=parallelism), model="recognizer"),
+            dialect=Dialect.DOT)
+        assert renders == [graph]
+        # the prompts an eagerly rendered context gives
+        by_id = {n.id: n for n in graph.nodes}
+        context = emit(graph, Dialect.DOT)
+        expected = sorted(build_relation_prompt(by_id[e.src], by_id[e.dst], e.label, context)
+                          for e in graph.edges)
+        assert sorted(req.messages[-1].content for req in transport.calls) == expected
+
+    def test_backend_that_reads_no_context_leaves_it_unrendered(self):
+        contexts = []
+
+        class Spy:
+            def recognize(self, src, dst, label, context):
+                contexts.append(context)
+                return RelationType.SEQUENTIALITY, ""
+
+        graph = three_edge_graph()
+        upgrade_graph(graph, Spy(), dialect=Dialect.DOT)
+        assert len(contexts) == 3
+        assert ("emit", Dialect.DOT) not in graph._memo
+        assert contexts[0]() is emit(graph, Dialect.DOT)
+        assert all(context() is contexts[0]() for context in contexts)
+
+    def test_chart_without_a_rendering_passes_through_unwrapped(self):
+        # PlantUML has no rendering for a decision with one branch
+        transport = mock_backend([("", "RELATION: Sequentiality")])
+        backend = LlmRelationBackend(ChatGateway(transport), model="recognizer")
+        with pytest.raises(emitting.EmitError, match="only binary decisions"):
+            upgrade_graph(three_edge_graph(), backend, dialect=Dialect.PLANTUML)
+        assert transport.calls == []
