@@ -11,7 +11,6 @@ from .ir import (
     RelationType,
     UpgradedGraph,
     topology_stats,
-    upgrade,
     validate,
 )
 from .parsing import Dialect, detect_dialect, parse_dot, parse_mermaid, parse_plantuml, parse_text
@@ -66,7 +65,6 @@ __all__ = [
     "run_eval",
     "topology_stats",
     "type_to_class",
-    "upgrade",
     "upgrade_graph",
     "validate",
 ]

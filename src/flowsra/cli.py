@@ -141,8 +141,13 @@ def _read_input(path: str) -> str:
 
 
 def _question(text: str) -> Question:
+    """``text`` as a question. Argument bytes that are not UTF-8 arrive as
+    lone surrogates, which no request can carry, so they are refused here."""
     try:
+        text.encode("utf-8")
         return Question(text)
+    except UnicodeEncodeError:
+        raise InputError("question is not UTF-8 text") from None
     except ValueError as exc:
         raise InputError(str(exc)) from None
 

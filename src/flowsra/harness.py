@@ -12,6 +12,9 @@ It parses and upgrades each distinct chart once per run, however many
 questions ask about it, and the graph and its upgrade each render their
 prompt texts once (see :func:`flowsra.ir.derived`). Without a response
 cache, a chart's relation calls are made once per run, not per deep question.
+The report's ``discriminator_confusion`` counts each routed question's gold
+type against the class ``route`` gave it, so a router failure counts as
+Complicated, the class the question was answered under.
 
 The gateway's ``parallelism`` P bounds the transport calls in flight, and
 it sizes the thread pools of eval instances and of a chart's recognizer
@@ -40,11 +43,11 @@ from typing import Callable, Iterable, Iterator
 from .engine import Question, Route, answer_routed, route
 from .gateway import CacheError, ChatGateway, completion_backend, map_in_order
 from .gateway import ask_twice, last_tagged_line
-from .ir import FlowGraph, NodeKind, UpgradedGraph, topology_stats
+from .ir import UpgradedGraph
 from .parsing import Dialect, ParseResult, parse_text
 from .prompts import load_template
 from .relations import make_relation_backend, upgrade_graph
-from .routing import QuestionClass, QuestionType, make_router, type_to_class
+from .routing import QuestionClass, QuestionType, make_router
 
 
 class EmptyDatasetError(ValueError):
@@ -187,35 +190,6 @@ def judge(prediction: str, gold: str,
     if verdict is None:
         return JudgeResult(correct=False, tier=2, judge_failed=True)
     return JudgeResult(correct=verdict, tier=2)
-
-
-# --- topology oracle ---------------------------------------------------------
-
-_COUNT_LEAD = r"(?:how many|number of|count(?: of| the number of)?|total count of)"
-_DECISION_Q = re.compile(_COUNT_LEAD + r"\b.*\bdecision", re.IGNORECASE)
-_EDGE_Q = re.compile(_COUNT_LEAD + r"\b.*\b(edges?|arrows?|connections?|links?)\b",
-                     re.IGNORECASE)
-_KIND_Q = re.compile(_COUNT_LEAD + r"\s+(?:the\s+)?(start|end)\s+(?:nodes?|steps?)\b",
-                     re.IGNORECASE)
-_NODE_Q = re.compile(_COUNT_LEAD + r"\b.*\b(nodes?|steps?|boxes)\b", re.IGNORECASE)
-
-
-def topology_oracle(graph: FlowGraph, question: Question) -> str | None:
-    """Deterministic answers for structural count questions; None when the
-    question does not match a recognized pattern."""
-    stats = topology_stats(graph)
-    text = question.text
-    if _DECISION_Q.search(text):
-        return str(stats.decision_count)
-    if _EDGE_Q.search(text):
-        return str(stats.edge_count)
-    kind_q = _KIND_Q.search(text)
-    if kind_q:
-        kind = NodeKind(kind_q.group(1).capitalize())
-        return str(sum(1 for node in graph.nodes if node.kind is kind))
-    if _NODE_Q.search(text):
-        return str(stats.node_count)
-    return None
 
 
 # --- evaluation --------------------------------------------------------------
@@ -454,27 +428,6 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
         run_config_fingerprint=config.fingerprint(),
     )
     return EvalRun(report=report, logs=logs)
-
-
-@dataclass
-class ConfusionResult:
-    matrix: dict[tuple[QuestionType, QuestionClass], int]
-    errors: int
-
-
-def discriminator_confusion(instances: Iterable[EvalInstance],
-                            router) -> ConfusionResult:
-    """Gold type vs predicted class counts; an error is any prediction that
-    disagrees with the type's canonical class."""
-    matrix: dict[tuple[QuestionType, QuestionClass], int] = {}
-    errors = 0
-    for instance in instances:
-        predicted = router.classify(instance.question.text, instance.gold_type)
-        matrix[(instance.gold_type, predicted)] = (
-            matrix.get((instance.gold_type, predicted), 0) + 1)
-        if predicted is not type_to_class(instance.gold_type):
-            errors += 1
-    return ConfusionResult(matrix, errors)
 
 
 # --- rendering ---------------------------------------------------------------

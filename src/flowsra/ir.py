@@ -10,12 +10,10 @@ triples when built.
 
 Because a graph never changes, whatever is derived from it is derived once
 per graph object and kept on that object (see :func:`derived`): the
-:func:`validate` result, the id/adjacency index behind
-:meth:`FlowGraph.node`, :meth:`FlowGraph.out_edges` and
-:meth:`FlowGraph.in_edges`, and the emitted texts of
-:mod:`flowsra.emitting`. The memo lives and dies with its graph, so it
-neither keeps graphs alive nor hashes them by value; a computation that
-raises stores nothing and runs again on the next call.
+:func:`validate` result and the emitted texts of :mod:`flowsra.emitting`.
+The memo lives and dies with its graph, so it neither keeps graphs alive
+nor hashes them by value; a computation that raises stores nothing and runs
+again on the next call.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Mapping, TypeVar
+from typing import Callable, Hashable, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -174,35 +172,6 @@ class FlowGraph(_Memoized):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
 
-    def _index(self) -> tuple[dict[str, Node], dict[str, tuple[Edge, ...]],
-                              dict[str, tuple[Edge, ...]]]:
-        """Node by id (the first of a duplicated id), and out- and in-edges
-        by node id in edge order (dangling endpoints included)."""
-        by_id: dict[str, Node] = {}
-        for n in self.nodes:
-            by_id.setdefault(n.id, n)
-        outs: dict[str, list[Edge]] = {}
-        ins: dict[str, list[Edge]] = {}
-        for e in self.edges:
-            outs.setdefault(e.src, []).append(e)
-            ins.setdefault(e.dst, []).append(e)
-        return (by_id,
-                {nid: tuple(es) for nid, es in outs.items()},
-                {nid: tuple(es) for nid, es in ins.items()})
-
-    def node(self, node_id: str) -> Node:
-        return derived(self, "index", self._index)[0][node_id]
-
-    def out_edges(self, node_id: str) -> tuple[Edge, ...]:
-        return derived(self, "index", self._index)[1].get(node_id, ())
-
-    def in_edges(self, node_id: str) -> tuple[Edge, ...]:
-        return derived(self, "index", self._index)[2].get(node_id, ())
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.nodes and not self.edges
-
 
 class RelationType(Enum):
     """Closed four-way taxonomy of semantic relations between linked nodes.
@@ -317,16 +286,6 @@ class GraphValidationError(ValueError):
         super().__init__(f"invalid flow graph: {detail}")
 
 
-class TotalityError(ValueError):
-    """Raised when an edge->relation map does not cover the edges exactly."""
-
-    def __init__(self, edge: Edge, problem: str):
-        self.edge = edge
-        self.problem = problem
-        super().__init__(f"{problem} relation for edge {edge.src} -> {edge.dst} "
-                         f"(label {edge.label.render() or 'none'})")
-
-
 def validate(graph: FlowGraph) -> list[Violation]:
     """Check every FlowGraph invariant; returns an empty list iff all hold.
 
@@ -400,33 +359,3 @@ def topology_stats(graph: FlowGraph) -> TopologyStats:
         max_out_degree=max(out_degrees.values(), default=0),
     )
 
-
-def upgrade(
-    graph: FlowGraph,
-    relations: Mapping[Edge, RelationType],
-    rationales: Mapping[Edge, str] | None = None,
-) -> UpgradedGraph:
-    """Attach one relation triple per edge, in edge order.
-
-    ``relations`` must be total over ``graph.edges``: a missing or extra key
-    raises :class:`TotalityError` naming the offending edge. The base graph is
-    carried through structurally unchanged.
-    """
-    edge_set = set(graph.edges)
-    for edge in graph.edges:
-        if edge not in relations:
-            raise TotalityError(edge, "missing")
-    for edge in relations:
-        if edge not in edge_set:
-            raise TotalityError(edge, "extraneous")
-    rationales = rationales or {}
-    triples = tuple(
-        RelationTriple(
-            src=edge.src,
-            relation=relations[edge],
-            dst=edge.dst,
-            rationale=rationales.get(edge),
-        )
-        for edge in graph.edges
-    )
-    return UpgradedGraph(base=graph, triples=triples)

@@ -72,32 +72,41 @@ class UnknownDialectError(ValueError):
     """No dialect marker found in the input text."""
 
 
+# blanks and the comments of all three grammars: Mermaid ``%%``, PlantUML
+# ``'``, DOT ``//``, ``#`` and ``/* ... */`` (an unclosed one runs to the end)
+_LEADING_COMMENTS = re.compile(r"(?:\s+|(?:%%|'|//|#)[^\n]*|/\*.*?(?:\*/|\Z))*", re.DOTALL)
+
+
 def detect_dialect(text: str) -> Dialect:
-    """Pick the dialect from the first significant token.
+    """Pick the dialect from the first significant token, after any leading
+    blanks and comments.
 
     ``flowchart``/``graph`` open Mermaid, ``digraph`` (or ``graph`` followed
-    by ``{`` on the same line) opens DOT, and ``@startuml`` opens PlantUML.
+    by ``{`` on the same line, or either after ``strict``) opens DOT, and
+    ``@startuml`` opens PlantUML.
     """
     if not text.strip():
         raise UnknownDialectError("empty input")
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if not line:
-            continue
-        first = re.match(r"[@\w]+", line)
-        token = first.group(0).casefold() if first else ""
-        if token == "@startuml":
-            return Dialect.PLANTUML
-        if token == "flowchart":
-            return Dialect.MERMAID
-        if token == "digraph":
+    start = _LEADING_COMMENTS.match(text).end()
+    end = text.find("\n", start)
+    # up to the first line break, as str.splitlines breaks lines
+    line = next(iter(text[start:end if end >= 0 else None].splitlines()), "")
+    first = re.match(r"[@\w]+", line)
+    token = first.group(0).casefold() if first else ""
+    if token == "@startuml":
+        return Dialect.PLANTUML
+    if token == "flowchart":
+        return Dialect.MERMAID
+    if token == "digraph":
+        return Dialect.DOT
+    if token == "graph":
+        rest = line[first.end():]
+        if "{" in rest:
             return Dialect.DOT
-        if token == "graph":
-            rest = line[first.end():]
-            if "{" in rest:
-                return Dialect.DOT
-            return Dialect.MERMAID
-        break
+        return Dialect.MERMAID
+    if token == "strict" and re.match(r"\s+(?:di)?graph\b", line[first.end():],
+                                      re.IGNORECASE):
+        return Dialect.DOT
     raise UnknownDialectError("no dialect marker found (expected flowchart/graph, digraph, or @startuml)")
 
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: random graph generators and the isomorphism oracle.
+"""Shared test utilities: random graph generators, the isomorphism oracle,
+the topology oracle and an edge-keyed upgrade builder.
 
 The isomorphism check deliberately uses no package code, so round-trip
 tests have an independent referee.
@@ -7,13 +8,16 @@ tests have an independent referee.
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
 import networkx as nx
 from networkx.algorithms import isomorphism as nxiso
 
-from flowsra.ir import Edge, EdgeLabel, FlowGraph, Node, NodeKind, validate
+from flowsra.engine import Question
+from flowsra.ir import (Edge, EdgeLabel, FlowGraph, Node, NodeKind, RelationTriple,
+                        RelationType, UpgradedGraph, topology_stats, validate)
 
 
 def to_nx(graph: FlowGraph) -> nx.MultiDiGraph:
@@ -306,3 +310,42 @@ def deep_repeat_text(depth: int) -> str:
         lines += [f":leave {level};", f"repeat while (Again {level}?)"]
     lines += ["stop", "@enduml"]
     return "\n".join(lines) + "\n"
+
+
+def upgrade_by_edge(graph: FlowGraph, relations: dict[Edge, RelationType],
+                    rationales: dict[Edge, str] | None = None) -> UpgradedGraph:
+    """The upgrade tagging each edge ``relations[edge]``: one triple per edge,
+    in edge order, with ``rationales.get(edge)`` as its rationale."""
+    rationales = rationales or {}
+    return UpgradedGraph(graph, tuple(
+        RelationTriple(e.src, relations[e], e.dst, rationales.get(e))
+        for e in graph.edges))
+
+
+# --- topology oracle ---------------------------------------------------------
+
+_COUNT_LEAD = r"(?:how many|number of|count(?: of| the number of)?|total count of)"
+_DECISION_Q = re.compile(_COUNT_LEAD + r"\b.*\bdecision", re.IGNORECASE)
+_EDGE_Q = re.compile(_COUNT_LEAD + r"\b.*\b(edges?|arrows?|connections?|links?)\b",
+                     re.IGNORECASE)
+_KIND_Q = re.compile(_COUNT_LEAD + r"\s+(?:the\s+)?(start|end)\s+(?:nodes?|steps?)\b",
+                     re.IGNORECASE)
+_NODE_Q = re.compile(_COUNT_LEAD + r"\b.*\b(nodes?|steps?|boxes)\b", re.IGNORECASE)
+
+
+def topology_oracle(graph: FlowGraph, question: Question) -> str | None:
+    """Deterministic answers for structural count questions; None when the
+    question does not match a recognized pattern."""
+    stats = topology_stats(graph)
+    text = question.text
+    if _DECISION_Q.search(text):
+        return str(stats.decision_count)
+    if _EDGE_Q.search(text):
+        return str(stats.edge_count)
+    kind_q = _KIND_Q.search(text)
+    if kind_q:
+        kind = NodeKind(kind_q.group(1).capitalize())
+        return str(sum(1 for node in graph.nodes if node.kind is kind))
+    if _NODE_Q.search(text):
+        return str(stats.node_count)
+    return None

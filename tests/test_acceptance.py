@@ -27,7 +27,6 @@ from flowsra.harness import (
     load_dataset,
     report_render,
     run_eval,
-    topology_oracle,
 )
 from flowsra.ir import (
     Edge,
@@ -48,7 +47,7 @@ from flowsra.routing import OracleRouter, QuestionType, heuristic_classify, type
 
 import random
 
-from gen import isomorphic, rand_flow_graph, rand_structured_graph
+from gen import isomorphic, rand_flow_graph, rand_structured_graph, topology_oracle
 
 DATA = Path(__file__).parent / "data"
 

@@ -718,6 +718,16 @@ class TestNarrowExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: question text must be non-empty\n"
 
+    @pytest.mark.parametrize("argv", [["ask", "{chart}", "--router", "llm"],
+                                      ["route", "--router", "llm"]])
+    def test_question_that_is_not_utf8_exits_1(self, capsys, chart, tmp_path, argv):
+        # how argv carries the bytes of `--question $'why \xff?'`
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([{"pattern": "", "response": "CLASS: Straight"}]))
+        code, out, err = run_cli(capsys, *(arg.format(chart=chart) for arg in argv),
+                                 "--question", "why \udcff?", "--mock-script", str(script))
+        assert (code, out, err) == (1, "", "error: question is not UTF-8 text\n")
+
     def test_dataset_without_a_valid_record_says_why(self, capsys, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": 1\n\n{"id": "x"}\n[1]\n')

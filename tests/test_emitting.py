@@ -22,7 +22,6 @@ from flowsra.ir import (
     Node,
     NodeKind,
     RelationType,
-    upgrade,
 )
 from flowsra.parsing import Dialect, parse_text
 
@@ -33,6 +32,7 @@ from gen import (
     rand_deep_activity_text,
     rand_flow_graph,
     rand_structured_graph,
+    upgrade_by_edge,
 )
 
 
@@ -55,7 +55,7 @@ def upgraded_sample():
         ),
         edges=(Edge("H", "B", EdgeLabel.yes()),),
     )
-    return upgrade(graph, {graph.edges[0]: RelationType.CONDITIONALITY})
+    return upgrade_by_edge(graph, {graph.edges[0]: RelationType.CONDITIONALITY})
 
 
 class TestEmitBasics:
@@ -240,7 +240,7 @@ class TestDeepNesting:
         _, parsed = parse_text(text)
         graph = parsed.graph
         kinds = {n.id: n.kind for n in graph.nodes}
-        ug = upgrade(graph, {
+        ug = upgrade_by_edge(graph, {
             e: RelationType.CONDITIONALITY if kinds[e.src] is NodeKind.DECISION
             else RelationType.SEQUENTIALITY
             for e in graph.edges})
@@ -404,7 +404,7 @@ class TestJoinReferee:
 
 class TestEmitUpgraded:
     def test_zero_edges_has_taxonomy_only(self):
-        ug = upgrade(FlowGraph(nodes=(Node("S", NodeKind.START, "Start"),)), {})
+        ug = upgrade_by_edge(FlowGraph(nodes=(Node("S", NodeKind.START, "Start"),)), {})
         text = emit_upgraded(ug, Dialect.MERMAID).text
         assert text.startswith("flowchart TD\n")
         for relation in RelationType:
@@ -417,7 +417,7 @@ class TestEmitUpgraded:
 
     def test_relation_labeled_line_per_edge(self):
         graph = sample_graph()
-        ug = upgrade(graph, {edge: RelationType.SEQUENTIALITY for edge in graph.edges})
+        ug = upgrade_by_edge(graph, {edge: RelationType.SEQUENTIALITY for edge in graph.edges})
         for dialect in (Dialect.MERMAID, Dialect.DOT):
             text = emit_upgraded(ug, dialect).text
             labeled = [line for line in text.splitlines()
@@ -429,7 +429,7 @@ class TestEmitUpgraded:
         graph = sample_graph()
         relations = {graph.edges[0]: RelationType.SEQUENTIALITY,
                      graph.edges[1]: RelationType.CONDITIONALITY}
-        ug = upgrade(graph, relations)
+        ug = upgrade_by_edge(graph, relations)
         for dialect in Dialect:
             doc = emit_upgraded(ug, dialect)
             _, result = parse_text(doc.text)
@@ -448,7 +448,7 @@ class TestEmitUpgraded:
 
     def test_upgraded_plantuml_reparses_cleanly(self):
         graph = rand_structured_graph(random.Random(7))
-        ug = upgrade(graph, {e: RelationType.SEQUENTIALITY for e in graph.edges})
+        ug = upgrade_by_edge(graph, {e: RelationType.SEQUENTIALITY for e in graph.edges})
         doc = emit_upgraded(ug, Dialect.PLANTUML)
         _, result = parse_text(doc.text)
         assert result.ok, [str(d) for d in result.diagnostics]
@@ -462,7 +462,7 @@ class TestEmitUpgraded:
             edges=(Edge("S", "W"), Edge("W", "D"), Edge("D", "W", EdgeLabel.no()),
                    Edge("D", "E", EdgeLabel.yes())),
             title="Homework")
-        ug = upgrade(graph, dict(zip(graph.edges, (
+        ug = upgrade_by_edge(graph, dict(zip(graph.edges, (
             RelationType.SEQUENTIALITY, RelationType.CAUSALITY,
             RelationType.CONDITIONALITY, RelationType.CONDITIONALITY))))
         assert emit_upgraded(ug, Dialect.PLANTUML).text == (
@@ -482,7 +482,7 @@ class TestEmitUpgraded:
 
 class TestEmitTriples:
     def test_empty(self):
-        ug = upgrade(FlowGraph(nodes=(Node("S", NodeKind.START, ""),)), {})
+        ug = upgrade_by_edge(FlowGraph(nodes=(Node("S", NodeKind.START, ""),)), {})
         assert emit_triples(ug) == ""
 
     def test_conditionality_pair_format(self):
@@ -491,8 +491,8 @@ class TestEmitTriples:
 
     def test_two_triples_in_edge_order(self):
         graph = sample_graph()
-        ug = upgrade(graph, {graph.edges[0]: RelationType.SEQUENTIALITY,
-                             graph.edges[1]: RelationType.CONDITIONALITY})
+        ug = upgrade_by_edge(graph, {graph.edges[0]: RelationType.SEQUENTIALITY,
+                                     graph.edges[1]: RelationType.CONDITIONALITY})
         lines = emit_triples(ug).splitlines()
         assert lines == [
             "(Start) -[Sequentiality]-> (Do the work)",

@@ -19,11 +19,12 @@ from flowsra.ir import (
     NodeKind,
     RelationType,
     relation_definitions_block,
-    upgrade,
 )
 from flowsra.parsing import Dialect
 from flowsra.relations import HeuristicRelationBackend, upgrade_graph
 from flowsra.routing import ClassificationError, HeuristicRouter, OracleRouter, QuestionType
+
+from gen import upgrade_by_edge
 
 
 def homework_graph():
@@ -91,7 +92,7 @@ class TestAnswerShallow:
 class TestAnswerDeep:
     def test_zero_edge_graph_has_taxonomy_but_no_triples(self):
         graph = FlowGraph(nodes=(Node("S", NodeKind.START, "Start"),))
-        ug = upgrade(graph, {})
+        ug = upgrade_by_edge(graph, {})
         gateway, transport = catchall_gateway("nothing")
         answer_deep(ug, Question("What happens?"), gateway, model="m")
         prompt = transport.calls[0].rendered()

@@ -15,22 +15,19 @@ from flowsra import gateway as gateway_mod
 from flowsra import harness
 from flowsra.gateway import ChatGateway, PermanentError, load_mock_script, mock_backend
 from flowsra.harness import (
-    ConfusionResult,
     EmptyDatasetError,
     EvalConfig,
-    discriminator_confusion,
     judge,
     load_dataset,
     normalize_answer,
     report_render,
     run_eval,
-    topology_oracle,
 )
 from flowsra.ir import NodeKind
 from flowsra.parsing import Dialect
-from flowsra.routing import ROUTE_MODES, HeuristicRouter, OracleRouter, QuestionClass, QuestionType
+from flowsra.routing import ROUTE_MODES, QuestionClass, QuestionType, type_to_class
 
-from gen import rand_flow_graph
+from gen import rand_flow_graph, topology_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -491,27 +488,36 @@ class TestFingerprint:
 
 
 class TestDiscriminatorConfusion:
+    """``EvalReport.discriminator_confusion``: gold type against the class
+    each question was routed to."""
+
+    @staticmethod
+    def off_diagonal(confusion):
+        return {key: count for key, count in confusion.items()
+                if key[1] is not type_to_class(key[0])}
+
     def test_oracle_router_has_zero_errors(self):
         load = load_dataset(DATA / "eval10.jsonl")
-        result = discriminator_confusion(load.instances, OracleRouter())
-        assert isinstance(result, ConfusionResult)
-        assert result.errors == 0
+        report = run_eval(load.instances, EvalConfig(router_mode="oracle"),
+                          eval10_gateway()).report
+        assert sum(report.discriminator_confusion.values()) == len(load.instances)
+        assert self.off_diagonal(report.discriminator_confusion) == {}
 
-    def test_scripted_router_flipping_tp1(self):
+    def test_scripted_router_flipping_tp1(self, monkeypatch):
         class Flipper:
             def classify(self, question, gold_type=None):
                 if gold_type is QuestionType.FACT_RETRIEVAL:
                     return QuestionClass.COMPLICATED
-                from flowsra.routing import type_to_class
                 return type_to_class(gold_type)
 
+        monkeypatch.setattr(harness, "make_router", lambda *args: Flipper())
         load = load_dataset(DATA / "eval10.jsonl")
         tp1_total = sum(1 for i in load.instances
                         if i.gold_type is QuestionType.FACT_RETRIEVAL)
-        result = discriminator_confusion(load.instances, Flipper())
-        assert result.errors == tp1_total
-        assert result.matrix[(QuestionType.FACT_RETRIEVAL,
-                              QuestionClass.COMPLICATED)] == tp1_total
+        assert tp1_total > 0
+        report = run_eval(load.instances, EvalConfig(), eval10_gateway()).report
+        assert self.off_diagonal(report.discriminator_confusion) == {
+            (QuestionType.FACT_RETRIEVAL, QuestionClass.COMPLICATED): tp1_total}
 
     def test_heuristic_router_on_desk_set_matches_hand_labels(self):
         # the desk set was labeled by hand before the heuristic was written;
@@ -519,19 +525,32 @@ class TestDiscriminatorConfusion:
         from flowsra.harness import EvalInstance
         rows = [json.loads(line) for line in
                 (DATA / "desk_set.jsonl").read_text().splitlines()]
+        chart = "flowchart TD\n  A([Start]) --> B([End])\n"
         instances = [
-            EvalInstance(flowchart_id=f"q{i}", dialect=None, source="",
+            EvalInstance(flowchart_id=f"q{i}", dialect=Dialect.MERMAID, source=chart,
                          question=Question(r["question"]),
                          gold_answer="", gold_type=QuestionType.from_code(r["type"]))
             for i, r in enumerate(rows)
         ]
-        result = discriminator_confusion(instances, HeuristicRouter())
+        report = run_eval(instances, EvalConfig(router_mode="heuristic"),
+                          ChatGateway(mock_backend([("", "7")]))).report
         from flowsra.routing import heuristic_classify
-        expected: dict = {}
-        for r in rows:
-            key = (QuestionType.from_code(r["type"]), heuristic_classify(r["question"]))
-            expected[key] = expected.get(key, 0) + 1
-        assert result.matrix == expected
+        expected = Counter((QuestionType.from_code(r["type"]),
+                            heuristic_classify(r["question"])) for r in rows)
+        assert report.skipped_count == 0
+        assert report.discriminator_confusion == expected
+
+    def test_llm_router_without_a_class_line_counts_as_complicated(self):
+        # engine.route falls back to Complicated when the router's replies
+        # (first ask and retry) carry no CLASS: line
+        load = load_dataset(DATA / "eval10.jsonl")
+        transport = mock_backend([("", "I cannot tell.")])
+        report = run_eval(load.instances, EvalConfig(router_mode="llm"),
+                          ChatGateway(transport)).report
+        assert report.discriminator_confusion == Counter(
+            (i.gold_type, QuestionClass.COMPLICATED) for i in load.instances)
+        assert report.route_counts == Counter(
+            (i.gold_type, Route.DEEP) for i in load.instances)
 
 
 class TestReportRender:

@@ -21,14 +21,13 @@ from flowsra.ir import (
     Node,
     NodeKind,
     UpgradedGraph,
-    upgrade,
     validate,
 )
 from flowsra.parsing import Dialect, parse_text
 from flowsra.relations import HeuristicRelationBackend, heuristic_recognize, upgrade_graph
 from flowsra.routing import QuestionType
 
-from gen import rand_flow_graph, rand_structured_graph
+from gen import rand_flow_graph, rand_structured_graph, upgrade_by_edge
 
 GENERATORS = {"flow": rand_flow_graph, "structured": rand_structured_graph}
 
@@ -94,8 +93,8 @@ class TestReferee:
         by_id = {n.id: n for n in graph.nodes}
         results = {e: heuristic_recognize(by_id[e.src], by_id[e.dst], e.label)
                    for e in graph.edges}
-        expected = upgrade(graph, {e: r for e, (r, _) in results.items()},
-                           {e: why for e, (_, why) in results.items()})
+        expected = upgrade_by_edge(graph, {e: r for e, (r, _) in results.items()},
+                                   {e: why for e, (_, why) in results.items()})
         assert upgrade_graph(graph, HeuristicRelationBackend()) == expected
 
 
@@ -176,15 +175,11 @@ def test_threads_sharing_one_graph_get_equal_results():
     triples = upgrade_graph(copy_of(base), HeuristicRelationBackend()).triples
 
     def snapshot(graph: FlowGraph, ug: UpgradedGraph) -> tuple:
-        ids = [n.id for n in graph.nodes] + ["absent"]
         return (
             validate(graph),
             [emit(graph, d) for d in Dialect],
             [emit_upgraded(ug, d) for d in Dialect],
             emit_triples(ug),
-            [graph.node(nid) for nid in ids[:-1]],
-            [graph.out_edges(nid) for nid in ids],
-            [graph.in_edges(nid) for nid in ids],
         )
 
     expected = snapshot(copy_of(base), UpgradedGraph(copy_of(base), triples))

@@ -37,20 +37,30 @@ class TestDetectDialect:
     def test_mermaid_markers(self):
         assert detect_dialect("flowchart TD\nA-->B") is Dialect.MERMAID
         assert detect_dialect("graph LR\nA-->B") is Dialect.MERMAID
+        assert detect_dialect("%% note\nflowchart TD\nA-->B") is Dialect.MERMAID
+        assert detect_dialect("  %%{init: {}}%%\n%% b\ngraph LR") is Dialect.MERMAID
 
     def test_dot_markers(self):
         assert detect_dialect("digraph G { A -> B }") is Dialect.DOT
         assert detect_dialect("graph { a -- b }") is Dialect.DOT
         assert detect_dialect("graph G { a }") is Dialect.DOT
+        assert detect_dialect("// note\ndigraph G {\nA -> B\n}") is Dialect.DOT
+        assert detect_dialect("# one\n/* two\n three */ graph G { a }") is Dialect.DOT
+        assert detect_dialect("strict digraph G {\nA -> B\n}") is Dialect.DOT
+        assert detect_dialect("STRICT graph\n{ a -- b }") is Dialect.DOT
 
     def test_plantuml_marker(self):
         assert detect_dialect("@startuml\nstart\n@enduml") is Dialect.PLANTUML
+        assert detect_dialect("' note\n@startuml\nstart\n@enduml") is Dialect.PLANTUML
 
     def test_unknown(self):
         with pytest.raises(UnknownDialectError):
             detect_dialect("hello world")
         with pytest.raises(UnknownDialectError):
             detect_dialect("   \n\n  ")
+        for text in ("%% only a comment\n", "/* unclosed\ndigraph G {}", "strict G {}"):
+            with pytest.raises(UnknownDialectError, match="no dialect marker"):
+                detect_dialect(text)
 
     def test_leading_blank_lines_are_skipped(self):
         assert detect_dialect("\n\n  flowchart TD\n") is Dialect.MERMAID
@@ -74,7 +84,7 @@ class TestParseMermaid:
     def test_header_only_is_empty_graph(self):
         result = parse_mermaid("flowchart TD")
         assert result.ok
-        assert result.graph.is_empty
+        assert result.graph.nodes == () and result.graph.edges == ()
 
     def test_dangling_arrow_keeps_partial_graph(self):
         result = parse_mermaid("flowchart TD\nA-->")
@@ -173,7 +183,7 @@ class TestParseDot:
     def test_empty_graph(self):
         result = parse_dot("digraph G {}")
         assert result.ok
-        assert result.graph.is_empty
+        assert result.graph.nodes == () and result.graph.edges == ()
 
     def test_unclosed_brace_reports_final_line(self):
         text = "digraph G {\n  A -> B;\n"
@@ -758,7 +768,7 @@ class TestParsePlantUml:
     def test_empty_document(self):
         result = parse_plantuml("@startuml\n@enduml")
         assert result.ok
-        assert result.graph.is_empty
+        assert result.graph.nodes == () and result.graph.edges == ()
 
     def test_unmatched_if_is_an_error(self):
         result = parse_plantuml("@startuml\nif (x) then (yes)\n:A;\n@enduml")
@@ -771,10 +781,10 @@ class TestParsePlantUml:
         assert result.ok
         graph = result.graph
         decision = next(n for n in graph.nodes if n.kind is NodeKind.DECISION)
-        branch_labels = {e.label for e in graph.out_edges(decision.id)}
+        branch_labels = {e.label for e in graph.edges if e.src == decision.id}
         assert branch_labels == {EdgeLabel.yes(), EdgeLabel.no()}
         join = next(n for n in graph.nodes if n.text == "C")
-        assert len(graph.in_edges(join.id)) == 2
+        assert sum(1 for e in graph.edges if e.dst == join.id) == 2
 
     def test_if_without_else_falls_through_with_no(self):
         result = parse_plantuml(
@@ -782,7 +792,8 @@ class TestParsePlantUml:
         graph = result.graph
         decision = next(n for n in graph.nodes if n.kind is NodeKind.DECISION)
         join = next(n for n in graph.nodes if n.text == "C")
-        no_edges = [e for e in graph.out_edges(decision.id) if e.label == EdgeLabel.no()]
+        no_edges = [e for e in graph.edges
+                    if e.src == decision.id and e.label == EdgeLabel.no()]
         assert [e.dst for e in no_edges] == [join.id]
 
     def test_repeat_builds_yes_back_edge(self):
@@ -792,7 +803,7 @@ class TestParsePlantUml:
         graph = result.graph
         decision = next(n for n in graph.nodes if n.kind is NodeKind.DECISION)
         poll = next(n for n in graph.nodes if n.text == "Poll")
-        back = [e for e in graph.out_edges(decision.id) if e.dst == poll.id]
+        back = [e for e in graph.edges if e.src == decision.id and e.dst == poll.id]
         assert back and back[0].label == EdgeLabel.yes()
 
     def test_unmatched_repeat_is_an_error(self):
