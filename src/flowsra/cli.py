@@ -26,11 +26,12 @@ from .gateway import (
     TransportError,
     load_mock_script,
 )
-from .harness import EvalConfig, load_dataset, report_render, run_eval, EmptyDatasetError
+from .harness import JUDGE_MODES, REPORT_FORMATS, EmptyDatasetError, EvalConfig
+from .harness import load_dataset, report_render, run_eval
 from .ir import GraphValidationError, topology_stats
 from .parsing import Dialect, UnknownDialectError, parse_text
-from .relations import UpgradeError, make_relation_backend, upgrade_graph
-from .routing import ROUTE_MODES, ClassificationError, QuestionType, make_router
+from .relations import RELATION_BACKENDS, UpgradeError, make_relation_backend, upgrade_graph
+from .routing import ROUTE_MODES, TEXT_ROUTE_MODES, ClassificationError, QuestionType, make_router
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -66,7 +67,7 @@ class RunConfig:
         path = getattr(args, "config", None) or os.environ.get(_ENV_PREFIX + "CONFIG")
         if path:
             try:
-                data = json.loads(Path(path).read_text(encoding="utf-8"))
+                data = json.loads(Path(path).read_text(encoding="utf-8").removeprefix("\ufeff"))
             except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
                 raise ConfigError(f"cannot read config file {path}: {exc}") from exc
             if not isinstance(data, dict):
@@ -132,12 +133,12 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> InputError:
 
 
 def _read_input(path: str) -> str:
+    """The chart at ``path`` ('-': stdin), without a leading byte-order mark."""
     try:
-        if path == "-":
-            return sys.stdin.read()
-        return Path(path).read_text(encoding="utf-8")
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
+    return text.removeprefix("\ufeff")
 
 
 def _question(text: str) -> Question:
@@ -314,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("upgrade", parents=[common],
                        help="emit the relation-annotated chart plus triples")
     p.add_argument("input")
-    p.add_argument("--relation-backend", default="heuristic",
-                   choices=["heuristic", "llm"])
+    p.add_argument("--relation-backend", default="heuristic", choices=RELATION_BACKENDS)
     p.add_argument("--to", choices=dialects, help="output dialect (default: input's)")
     p.add_argument("--dialect", choices=dialects)
     p.set_defaults(func=cmd_upgrade)
@@ -325,9 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--question", required=True)
     p.add_argument("--mode", default="controlled",
                    choices=["shallow", "deep", "controlled"])
-    p.add_argument("--router", default="heuristic", choices=["llm", "heuristic"])
-    p.add_argument("--relation-backend", default="heuristic",
-                   choices=["heuristic", "llm"])
+    p.add_argument("--router", default="heuristic", choices=TEXT_ROUTE_MODES)
+    p.add_argument("--relation-backend", default="heuristic", choices=RELATION_BACKENDS)
     p.add_argument("--to", choices=dialects, help="reasoning dialect (default: input's)")
     p.add_argument("--dialect", choices=dialects)
     p.set_defaults(func=cmd_ask)
@@ -335,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("route", parents=[common],
                        help="classify a question as Straight or Complicated")
     p.add_argument("--question", required=True)
-    p.add_argument("--router", default="heuristic", choices=["llm", "heuristic"])
+    p.add_argument("--router", default="heuristic", choices=TEXT_ROUTE_MODES)
     p.set_defaults(func=cmd_route)
 
     p = sub.add_parser("stats", parents=[common], help="print topology statistics")
@@ -348,11 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dialect", choices=dialects,
                    help="reason over this dialect instead of each instance's own")
     p.add_argument("--router", default="heuristic", choices=ROUTE_MODES)
-    p.add_argument("--relation-backend", default="heuristic",
-                   choices=["heuristic", "llm"])
-    p.add_argument("--judge", default="exact", choices=["exact", "llm"])
+    p.add_argument("--relation-backend", default="heuristic", choices=RELATION_BACKENDS)
+    p.add_argument("--judge", default="exact", choices=JUDGE_MODES)
     p.add_argument("--filter-type", choices=[t.value for t in QuestionType])
-    p.add_argument("--report", default="json", choices=["json", "csv", "markdown"])
+    p.add_argument("--report", default="json", choices=REPORT_FORMATS)
     p.add_argument("--log-file", help="write per-instance logs here instead of stderr")
     p.set_defaults(func=cmd_eval)
     return parser

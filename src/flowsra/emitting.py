@@ -77,8 +77,10 @@ _MERMAID_BARE = re.compile(r"[^\[\]{}()|\"/]*$")
 
 
 def _mermaid_text(text: str) -> str:
+    """Node text, quoted unless it holds nothing the parser would read
+    otherwise: a delimiter, outer whitespace, or a ``%%`` comment marker."""
     text = _clean(text)
-    if text and _MERMAID_BARE.match(text) and text == text.strip():
+    if text and _MERMAID_BARE.match(text) and text == text.strip() and "%%" not in text:
         return text
     return '"' + text.replace('"', "#quot;") + '"'
 

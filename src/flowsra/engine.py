@@ -1,8 +1,8 @@
 """Shallow reasoning, deep reasoning, and the controlled dispatch between them.
 
-Shallow reasoning answers from the link-based chart text in one zero-shot
-completion with no reasoning scaffold. Deep reasoning answers from the
-relation-annotated chart plus the full triple listing and taxonomy.
+Shallow reasoning answers from the link-based chart text, deep reasoning
+from the relation-annotated chart plus its triples and taxonomy. Each is one
+zero-shot completion of at most 256 tokens, from a prompt fixed per depth.
 
 Every question takes one path: :func:`route` classifies it, then
 :func:`answer_routed` answers it shallow, or upgrades the graph and answers
@@ -58,43 +58,34 @@ def _fingerprint(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-def _complete(gateway: ChatGateway, model: str, prompt: str,
-              max_tokens: int) -> tuple[str, str]:
-    request = chat_request(model, prompt, max_tokens=max_tokens, system=_SYSTEM_PREAMBLE)
+def _complete(gateway: ChatGateway, model: str, prompt: str) -> tuple[str, str]:
+    request = chat_request(model, prompt, max_tokens=256, system=_SYSTEM_PREAMBLE)
     content = gateway.complete(request).content
     return content.strip(), _fingerprint(request.rendered())
 
 
 def answer_shallow(doc: InterlanguageDoc, question: Question,
-                   gateway: ChatGateway, *, model: str,
-                   max_tokens: int = 256) -> Answer:
+                   gateway: ChatGateway, *, model: str) -> Answer:
     """One zero-shot completion over the basic chart text."""
     prompt = load_template("shallow.txt").format(
         interlanguage=doc.text.rstrip("\n"),
         question=question.text,
     )
-    text, fingerprint = _complete(gateway, model, prompt, max_tokens)
+    text, fingerprint = _complete(gateway, model, prompt)
     return Answer(text=text, route=Route.SHALLOW, prompt_fingerprint=fingerprint)
 
 
 def answer_deep(ug: UpgradedGraph, question: Question, gateway: ChatGateway, *,
-                model: str, dialect: Dialect = Dialect.MERMAID,
-                max_tokens: int = 256,
-                include_basic: bool = False) -> Answer:
+                model: str, dialect: Dialect = Dialect.MERMAID) -> Answer:
     """One zero-shot completion over the annotated chart, triples, and
     taxonomy, under perceive-before-answer constraints."""
-    basic_section = ""
-    if include_basic:
-        basic = emit(ug.base, dialect)
-        basic_section = f"\nThe original un-annotated chart:\n{basic.text.rstrip()}\n"
     prompt = load_template("deep.txt").format(
         upgraded=emit_upgraded(ug, dialect).text.rstrip("\n"),
         triples=emit_triples(ug).rstrip("\n") or "(none)",
         definitions=relation_definitions_block(),
-        basic_section=basic_section,
         question=question.text,
     )
-    text, fingerprint = _complete(gateway, model, prompt, max_tokens)
+    text, fingerprint = _complete(gateway, model, prompt)
     return Answer(text=text, route=Route.DEEP, prompt_fingerprint=fingerprint,
                   fallbacks_used=ug.fallback_count())
 
@@ -110,25 +101,21 @@ def route(router, question: Question) -> QuestionClass:
 
 def answer_routed(graph: FlowGraph, question: Question, question_class: QuestionClass,
                   upgrade: Callable[[], UpgradedGraph], gateway: ChatGateway, *,
-                  model: str, dialect: Dialect = Dialect.MERMAID, max_tokens: int = 256,
-                  include_basic_in_deep: bool = False) -> Answer:
+                  model: str, dialect: Dialect = Dialect.MERMAID) -> Answer:
     """Answer a Straight question shallow over ``graph``; any other deep
     over ``upgrade()``, which is called on that path only."""
     if question_class is QuestionClass.STRAIGHT:
-        return answer_shallow(emit(graph, dialect), question, gateway,
-                              model=model, max_tokens=max_tokens)
-    return answer_deep(upgrade(), question, gateway, model=model, dialect=dialect,
-                       max_tokens=max_tokens, include_basic=include_basic_in_deep)
+        return answer_shallow(emit(graph, dialect), question, gateway, model=model)
+    return answer_deep(upgrade(), question, gateway, model=model, dialect=dialect)
 
 
 def answer_controlled(graph: FlowGraph, question: Question, router,
                       recognizer: RelationBackend, gateway: ChatGateway, *,
-                      model: str, dialect: Dialect = Dialect.MERMAID,
-                      max_tokens: int = 256) -> Answer:
+                      model: str, dialect: Dialect = Dialect.MERMAID) -> Answer:
     """Validate, route and answer one question on one graph, upgrading the
     graph only on the deep path."""
     require_valid(graph)
     return answer_routed(
         graph, question, route(router, question),
         lambda: upgrade_graph(graph, recognizer, dialect=dialect), gateway,
-        model=model, dialect=dialect, max_tokens=max_tokens)
+        model=model, dialect=dialect)

@@ -27,6 +27,9 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import requests
 
+ATTEMPTS = 3      # transport calls per request, the first one included
+BACKOFF_S = 0.25  # the full-jitter cap before the first retry; doubles per retry
+
 
 @dataclass(frozen=True)
 class ChatMessage:
@@ -257,7 +260,7 @@ def load_mock_script(path: str | Path) -> MockTransport:
     """Read a JSON script file: a list of {match, pattern, response} objects,
     ``match`` defaulting to ``contains``. Raises ValueError, naming the
     entry, for one that is not such an object."""
-    entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    entries = json.loads(Path(path).read_text(encoding="utf-8").removeprefix("\ufeff"))
     if not isinstance(entries, list):
         raise ValueError(f"mock script {path} is not a JSON list")
     rules = []
@@ -293,8 +296,6 @@ class ChatGateway:
         cache_dir: str | Path | None = None,
         offline: bool = False,
         parallelism: int = 8,
-        retries: int = 3,
-        backoff: float = 0.25,
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
     ):
@@ -302,8 +303,6 @@ class ChatGateway:
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.offline = offline
         self.parallelism = max(1, parallelism)
-        self.retries = retries
-        self.backoff = backoff
         self.transport_calls = 0
         self._sleep = sleep
         self._rng = rng or random.Random()
@@ -396,10 +395,10 @@ class ChatGateway:
                 break
             except TransientError as exc:
                 attempt += 1
-                if attempt >= self.retries:
+                if attempt >= ATTEMPTS:
                     raise TransportError(
                         f"gave up after {attempt} attempts: {exc}") from exc
-                jitter = self._rng.uniform(0.0, self.backoff * (2 ** (attempt - 1)))
+                jitter = self._rng.uniform(0.0, BACKOFF_S * (2 ** (attempt - 1)))
                 self._sleep(max(exc.retry_after or 0.0, jitter))
         response = parse_provider_payload(payload)
         self._cache_write(key, payload)

@@ -4,7 +4,7 @@ Datasets are line-delimited JSON records (``id``, ``dialect``, ``source``,
 ``question``, ``answer``, ``type``). Judging is tiered: cheap textual
 normalization first, an LLM judge only for pairs normalization cannot
 settle. Reports carry no wall-clock data, so identical runs render
-byte-identical output.
+byte-identical output; each names its run by a hash of its ``EvalConfig``.
 
 ``run_eval`` answers each question on the engine's one path
 (:func:`flowsra.engine.route`, then :func:`flowsra.engine.answer_routed`).
@@ -99,7 +99,7 @@ def load_dataset(path: str | Path) -> DatasetLoad:
     Raises OSError when the file cannot be read and EmptyDatasetError when
     nothing valid remains.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     instances: list[EvalInstance] = []
     diagnostics: list[LoadDiagnostic] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -157,6 +157,7 @@ def normalize_answer(text: str) -> str:
     return " ".join(tokens)
 
 
+JUDGE_MODES = ("exact", "llm")  # tier 1 only, or an LLM judge for tier 2
 _VERDICT_LINE = re.compile(r"verdict\s*[:\-]\s*(correct|incorrect)", re.IGNORECASE)
 
 _JUDGE_RETRY = (
@@ -202,19 +203,17 @@ def _field_values(record) -> dict:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """One pipeline variant: which router, recognizer, judge, and dialect."""
+    """One pipeline variant, each field set by a ``flowsra eval`` option."""
 
-    router_mode: str = "heuristic"
-    relation_backend: str = "heuristic"
-    judge_mode: str = "exact"            # "exact" (tier 1 only) or "llm"
+    router_mode: str = "heuristic"       # one of routing.ROUTE_MODES
+    relation_backend: str = "heuristic"  # one of relations.RELATION_BACKENDS
+    judge_mode: str = "exact"            # one of JUDGE_MODES
     dialect: Dialect | None = None       # None: keep each instance's dialect
     filter_type: QuestionType | None = None
     reasoner_model: str = "reasoner"
     recognizer_model: str = "recognizer"
     router_model: str = "router"
     judge_model: str = "judge"
-    max_tokens: int = 256
-    include_basic_in_deep: bool = False
 
     def fingerprint(self) -> str:
         """Hash of every field, each of which can change a report."""
@@ -322,11 +321,10 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
     router = make_router(config.router_mode, gateway, config.router_model)
     recognizer = make_relation_backend(config.relation_backend, gateway,
                                        config.recognizer_model)
-    judge_backend = None
-    if config.judge_mode == "llm":
-        judge_backend = completion_backend(gateway, config.judge_model, max_tokens=64)
-    elif config.judge_mode != "exact":
+    if config.judge_mode not in JUDGE_MODES:
         raise ValueError(f"unknown judge mode {config.judge_mode!r}")
+    judge_backend = (completion_backend(gateway, config.judge_model, max_tokens=64)
+                     if config.judge_mode == "llm" else None)
     charts: dict[tuple[str, Dialect], _Chart] = {}
 
     def jobs() -> Iterator[tuple[EvalInstance, _Chart]]:
@@ -373,9 +371,7 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
             question_class = route(router, instance.question)
             reply = answer_routed(
                 graph, instance.question, question_class, upgrade, gateway,
-                model=config.reasoner_model, dialect=dialect,
-                max_tokens=config.max_tokens,
-                include_basic_in_deep=config.include_basic_in_deep)
+                model=config.reasoner_model, dialect=dialect)
             log.route = reply.route
             log.predicted = reply.text
             log.prompt_fingerprint = reply.prompt_fingerprint
@@ -432,12 +428,15 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
 
 # --- rendering ---------------------------------------------------------------
 
+REPORT_FORMATS = ("json", "csv", "markdown")
+
+
 def _fmt_acc(value: float | None) -> str:
     return "-" if value is None else f"{100.0 * value:.1f}"
 
 
 def report_render(report: EvalReport, fmt: str = "json") -> str:
-    """Deterministic serialization of a report (json, csv, or markdown)."""
+    """Deterministic serialization of a report in one of ``REPORT_FORMATS``."""
     if fmt == "json":
         return json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n"
     if fmt == "csv":

@@ -236,9 +236,18 @@ _MERMAID_ARROW = re.compile(
     r"\s*(?:-->\s*\|([^|]*)\||--\s*([^->][^-]*?)\s*-->|-->)\s*")
 
 
+# what a comment cannot start inside: quoted text and an arrow's |label|
+_MERMAID_COMMENT = re.compile(r'"[^"]*"|-->\s*\|[^|]*\||%%')
+
+
 def _strip_mermaid_comments(line: str) -> str:
-    idx = line.find("%%")
-    return line if idx < 0 else line[:idx]
+    """``line`` up to its first ``%%`` outside quoted text and labels."""
+    if "%%" not in line:
+        return line
+    for m in _MERMAID_COMMENT.finditer(line):
+        if m.group() == "%%":
+            return line[:m.start()]
+    return line
 
 
 def _mermaid_node_ref(builder: _Builder, line: str, pos: int, lineno: int,
@@ -566,14 +575,66 @@ def parse_dot(text: str) -> ParseResult:
 
 _PU_ACTION = re.compile(r"^:(.*);$")
 _PU_ARROW_LABEL = re.compile(r"^->\s*(.*?);?$")
-_PU_IF = re.compile(r"^if\s*\((?P<cond>.*)\)\s*then(?:\s*\((?P<label>.*)\))?$")
 _PU_ELSE = re.compile(r"^else(?:\s*\((?P<label>.*)\))?$")
-_PU_REPEAT_WHILE = re.compile(
-    r"^repeat\s+while\s*\((?P<cond>.*?)\)"
-    r"(?:\s+is\s*\((?P<back>.*?)\))?"
-    r"(?:\s+not\s*\((?P<exit>.*?)\))?$"
-)
 _PU_TITLE = re.compile(r"^title\s+(.*)$")
+_PU_IF_HEAD = re.compile(r"if\s*\(")
+_PU_THEN = re.compile(r"\)\s*then(\s*\()?")
+_PU_REPEAT_WHILE_HEAD = re.compile(r"repeat\s+while\s*\(")
+_PU_IS = re.compile(r"\s+is\s*\(")
+_PU_NOT = re.compile(r"\)\s+not\s*\(")
+_PU_CLOSE = re.compile(r"\)")
+
+
+def _pu_if(stmt: str) -> tuple[str, str | None] | None:
+    """``if (cond) then [(label)]`` as (cond, label), or None. cond closes at
+    the last ``) then`` with nothing or ``(label)`` after it; label closes at
+    the line's end. The ``) then`` are found in one pass, and each costs the
+    whitespace after it, so the split takes linear time."""
+    head = _PU_IF_HEAD.match(stmt)
+    if head is None:
+        return None
+    for then in reversed(list(_PU_THEN.finditer(stmt, head.end()))):
+        if then.group(1) is None:
+            if then.end() == len(stmt):
+                return stmt[head.end():then.start()], None
+        elif stmt.endswith(")"):  # the label's ``)``, which its ``(`` cannot be
+            return stmt[head.end():then.start()], stmt[then.end():-1]
+    return None
+
+
+def _pu_repeat_while(stmt: str) -> tuple[str, str | None, str | None] | None:
+    """``repeat while (cond) [is (back)] [not (exit)]`` as (cond, back, exit),
+    or None. cond closes at the first ``)`` that the rest fits after, taking
+    ``is (back)`` when it fits; back closes at the first ``)`` past its ``(``
+    that ends the line or starts ``not (exit)``; exit closes at the line's
+    end. Those back ends are found in one pass and walked in step with cond's
+    ends (each back starts past the last), so the split takes linear time."""
+    head = _PU_REPEAT_WHILE_HEAD.match(stmt)
+    if head is None or not stmt.endswith(")"):
+        return None
+    # per back end, in order: where its exit starts, None for the last ``)``
+    exits: dict[int, int | None] = {m.start(): m.end()
+                                    for m in _PU_NOT.finditer(stmt, head.end())}
+    exits[len(stmt) - 1] = None
+
+    def exit_text(end: int) -> str | None:
+        start = exits[end]
+        return None if start is None else stmt[start:-1]
+
+    back_ends = list(exits)
+    k = 0
+    for m in _PU_CLOSE.finditer(stmt, head.end()):
+        close = m.start()
+        back = _PU_IS.match(stmt, close + 1)
+        if back is not None:
+            while k < len(back_ends) and back_ends[k] < back.end():
+                k += 1
+            if k < len(back_ends):
+                end = back_ends[k]
+                return stmt[head.end():close], stmt[back.end():end], exit_text(end)
+        if close in exits:
+            return stmt[head.end():close], None, exit_text(close)
+    return None
 
 
 def _pu_label(raw: str | None, default: EdgeLabel) -> EdgeLabel:
@@ -640,15 +701,15 @@ class _PlantUmlParser:
         if m:
             self.builder.title = m.group(1).strip()
             return
-        m = _PU_IF.match(stmt)
-        if m:
-            cond = m.group("cond").strip()
+        if_parts = _pu_if(stmt)
+        if if_parts:
+            cond = if_parts[0].strip()
             if not cond:
                 self.error(line, "decision with empty condition")
             decision = self.builder.add_node(NodeKind.DECISION, cond)
             self.attach(decision, line)
             self.frames.append(_PuFrame("if", line, decision=decision))
-            self.tips = [(decision, _pu_label(m.group("label"), YES))]
+            self.tips = [(decision, _pu_label(if_parts[1], YES))]
             return
         m = _PU_ELSE.match(stmt)
         if m:
@@ -676,21 +737,22 @@ class _PlantUmlParser:
         if stmt == "repeat":
             self.frames.append(_PuFrame("repeat", line))
             return
-        m = _PU_REPEAT_WHILE.match(stmt)
-        if m:
+        loop_parts = _pu_repeat_while(stmt)
+        if loop_parts:
             frame = self.frames.pop() if self.frames and self.frames[-1].kind == "repeat" else None
             if frame is None:
                 self.error(line, "'repeat while' without a matching 'repeat'")
                 return
-            cond = m.group("cond").strip()
+            cond, back, exit_label = loop_parts
+            cond = cond.strip()
             if not cond:
                 self.error(line, "loop decision with empty condition")
             decision = self.builder.add_node(NodeKind.DECISION, cond)
             self.attach(decision, line)
             head = frame.head or decision
-            if not self.builder.add_edge(decision, head, _pu_label(m.group("back"), YES)):
+            if not self.builder.add_edge(decision, head, _pu_label(back, YES)):
                 self.error(line, f"duplicate edge {decision} -> {head}")
-            self.tips = [(decision, _pu_label(m.group("exit"), NO))]
+            self.tips = [(decision, _pu_label(exit_label, NO))]
             return
         m = _PU_ARROW_LABEL.match(stmt)
         if m:

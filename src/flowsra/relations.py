@@ -48,6 +48,7 @@ class UpgradeError(RuntimeError):
 
 
 ContextSource = Callable[[], InterlanguageDoc]
+RELATION_BACKENDS = ("heuristic", "llm")  # the backends make_relation_backend selects
 
 
 class RelationBackend(Protocol):
@@ -230,7 +231,7 @@ def upgrade_graph(
 
 def make_relation_backend(kind: str, gateway: ChatGateway | None = None,
                           model: str = "") -> RelationBackend:
-    """CLI-facing selector: ``heuristic`` or ``llm``."""
+    """Selector over ``RELATION_BACKENDS``."""
     if kind == "heuristic":
         return HeuristicRelationBackend()
     if kind == "llm":

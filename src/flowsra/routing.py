@@ -143,7 +143,8 @@ class FixedRouter:
         return self.question_class
 
 
-ROUTE_MODES = ("llm", "heuristic", "oracle", "always-shallow", "always-deep")
+TEXT_ROUTE_MODES = ("llm", "heuristic")  # the routers that read the question only
+ROUTE_MODES = TEXT_ROUTE_MODES + ("oracle", "always-shallow", "always-deep")
 
 
 def make_router(kind: str, gateway: ChatGateway | None = None, model: str = ""):

@@ -3,8 +3,10 @@
 import contextlib
 import io
 import json
+import sys
 import tempfile
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import flowsra.cli as cli_mod
 from flowsra.cli import main
+from flowsra import harness, relations, routing
 from flowsra.gateway import (
     PermanentError,
     ProtocolError,
@@ -93,6 +96,21 @@ class TestConvert:
                                "--to", "dot")
         assert code == 1
         assert "error" in err
+
+    def test_percent_signs_round_trip_mermaid_to_dot_and_back(self, capsys, tmp_path):
+        source = tmp_path / "sale.mmd"
+        source.write_text('flowchart TD\nA["Save 50%% now"] -->|50%% off| B[Done] %% note\n')
+        code, dot, err = run_cli(capsys, "convert", str(source), "--to", "dot")
+        assert (code, err) == (0, "")
+        dot_path = tmp_path / "sale.dot"
+        dot_path.write_text(dot)
+        code, mermaid, err = run_cli(capsys, "convert", str(dot_path), "--to", "mermaid")
+        assert (code, err) == (0, "")
+        _, original = parse_text(source.read_text())
+        _, back = parse_text(mermaid)
+        assert back.ok and back.graph == original.graph
+        assert [n.text for n in back.graph.nodes] == ["Save 50%% now", "Done"]
+        assert [e.label.render() for e in back.graph.edges] == ["50%% off"]
 
     def test_non_utf8_chart_exits_1_naming_it(self, capsys, tmp_path):
         path = tmp_path / "bad.mmd"
@@ -393,6 +411,93 @@ class TestEval:
         code, _, err = run_cli(capsys, "stats", chart, "--config", str(config))
         assert code == 2
         assert err.startswith("config error: ")
+
+
+class TestByteOrderMark:
+    """One leading U+FEFF, as editors on some platforms write it, is not
+    part of a chart, dataset, config file or mock script."""
+
+    BOM = "\ufeff"
+
+    @pytest.mark.parametrize("dialect", [[], ["--dialect", "mermaid"]])
+    def test_chart_file(self, capsys, tmp_path, chart, dialect):
+        path = tmp_path / "bom.mmd"
+        path.write_text(self.BOM + MERMAID_FIXTURE, encoding="utf-8")
+        expected = run_cli(capsys, "convert", chart, "--to", "dot", *dialect)
+        assert run_cli(capsys, "convert", str(path), "--to", "dot", *dialect) == expected
+        assert expected[0] == 0
+
+    def test_chart_on_stdin(self, capsys, monkeypatch, chart):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self.BOM + MERMAID_FIXTURE))
+        got = run_cli(capsys, "stats", "-")
+        assert got == run_cli(capsys, "stats", chart)
+        assert got[0] == 0
+
+    def test_only_one_mark_is_dropped(self, capsys, tmp_path):
+        path = tmp_path / "twice.mmd"
+        path.write_text(2 * self.BOM + MERMAID_FIXTURE, encoding="utf-8")
+        code, _, err = run_cli(capsys, "convert", str(path), "--to", "dot")
+        assert code == 1 and "no dialect marker" in err
+
+    def test_dataset_keeps_its_first_record(self, capsys, tmp_path):
+        path = tmp_path / "bom.jsonl"
+        path.write_text(self.BOM + (DATA / "eval10.jsonl").read_text(), encoding="utf-8")
+        argv = ("--mock-script", str(DATA / "mock10.json"))
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(path), *argv)
+        assert (code, json.loads(out)["total"]) == (0, 10)
+        assert "record 1" not in err
+        assert out == run_cli(capsys, "eval", "--dataset", str(DATA / "eval10.jsonl"),
+                              *argv)[1]
+
+    def test_config_file_and_mock_script(self, capsys, tmp_path):
+        script = tmp_path / "script.json"
+        script.write_text(self.BOM + json.dumps(
+            [{"pattern": "", "response": "CLASS: Complicated"}]), encoding="utf-8")
+        config = tmp_path / "flowsra.json"
+        config.write_text(self.BOM + json.dumps({"mock_script": str(script)}),
+                          encoding="utf-8")
+        for argv in (["--mock-script", str(script)], ["--config", str(config)]):
+            code, out, err = run_cli(capsys, "route", "--router", "llm",
+                                     "--question", "Why?", *argv)
+            assert (code, out, err) == (0, '{"class": "Complicated"}\n', "")
+
+
+class TestOptionsHaveCallers:
+    def test_eval_flags_set_every_eval_config_field(self, capsys, monkeypatch):
+        configs = []
+
+        def recording_run_eval(instances, config, gateway):
+            configs.append(config)
+            return harness.run_eval(instances, config, gateway)
+
+        monkeypatch.setattr(cli_mod, "run_eval", recording_run_eval)
+        code, _, err = run_cli(
+            capsys, "eval", "--dataset", str(DATA / "eval10.jsonl"),
+            "--mock-script", str(DATA / "mock10.json"),
+            "--router", "llm", "--relation-backend", "llm", "--judge", "llm",
+            "--dialect", "dot", "--filter-type", "TP2",
+            "--model-reasoner", "r2", "--model-recognizer", "c2",
+            "--model-router", "o2", "--model-judge", "j2")
+        assert code == 0, err
+        [config] = configs
+        assert [f.name for f in fields(config) if getattr(config, f.name) == f.default] == []
+
+    @pytest.mark.parametrize("command, flag, table", [
+        ("upgrade", "--relation-backend", relations.RELATION_BACKENDS),
+        ("ask", "--relation-backend", relations.RELATION_BACKENDS),
+        ("eval", "--relation-backend", relations.RELATION_BACKENDS),
+        ("ask", "--router", routing.TEXT_ROUTE_MODES),
+        ("route", "--router", routing.TEXT_ROUTE_MODES),
+        ("eval", "--router", routing.ROUTE_MODES),
+        ("eval", "--judge", harness.JUDGE_MODES),
+        ("eval", "--report", harness.REPORT_FORMATS),
+    ])
+    def test_choices_are_read_from_their_selectors_tables(self, command, flag, table):
+        subparsers = next(action for action in cli_mod.build_parser()._actions
+                          if action.dest == "command")
+        [action] = [action for action in subparsers.choices[command]._actions
+                    if flag in action.option_strings]
+        assert action.choices is table
 
 
 class TestInputShapes:

@@ -125,13 +125,6 @@ class TestAnswerDeep:
         assert relation_definitions_block() in prompt
         assert "fully take in every triple" in prompt
 
-    def test_include_basic_flag_adds_original_chart(self):
-        ug = upgrade_graph(homework_graph(), HeuristicRelationBackend())
-        gateway, transport = catchall_gateway()
-        answer_deep(ug, Question("q?"), gateway, model="m", include_basic=True)
-        with_basic = transport.calls[0].rendered()
-        assert emit(ug.base, Dialect.MERMAID).text.rstrip("\n") in with_basic
-
 
 class TestAnswerControlled:
     def test_straight_path_makes_zero_recognizer_calls(self):

@@ -15,6 +15,8 @@ import pytest
 
 from flowsra import gateway as gateway_mod
 from flowsra.gateway import (
+    ATTEMPTS,
+    BACKOFF_S,
     CacheError,
     ChatGateway,
     ChatMessage,
@@ -142,23 +144,28 @@ class TestComplete:
 
         def flaky(request):
             attempts.append(1)
-            if len(attempts) < 3:
+            if len(attempts) < ATTEMPTS:
                 raise TransientError("boom")
             return provider_payload("ok")
 
-        gateway = ChatGateway(flaky, cache_dir=tmp_path, retries=3, sleep=lambda s: None)
+        gateway = ChatGateway(flaky, cache_dir=tmp_path, sleep=lambda s: None)
         assert gateway.complete(req()).content == "ok"
-        assert len(attempts) == 3
+        assert len(attempts) == ATTEMPTS
         # retries never duplicate cache entries
         assert len(list(tmp_path.glob("*.json"))) == 1
 
     def test_retries_exhausted_raises_transport_error(self):
+        attempts, slept = [], []
+
         def always_down(request):
+            attempts.append(1)
             raise TransientError("down")
 
-        gateway = ChatGateway(always_down, retries=3, sleep=lambda s: None)
-        with pytest.raises(TransportError):
+        gateway = ChatGateway(always_down, sleep=slept.append)
+        with pytest.raises(TransportError, match=f"gave up after {ATTEMPTS} attempts"):
             gateway.complete(req())
+        # no sleep after the last attempt
+        assert (len(attempts), len(slept)) == (ATTEMPTS, ATTEMPTS - 1)
 
     def test_permanent_error_is_not_retried(self):
         attempts = []
@@ -167,7 +174,7 @@ class TestComplete:
             attempts.append(1)
             raise PermanentError("401")
 
-        gateway = ChatGateway(rejecting, retries=3, sleep=lambda s: None)
+        gateway = ChatGateway(rejecting, sleep=lambda s: None)
         with pytest.raises(PermanentError):
             gateway.complete(req())
         assert len(attempts) == 1
@@ -257,21 +264,23 @@ class TestRetryBackoff:
 
     def test_full_jitter_without_retry_after(self):
         slept = []
-        gateway = ChatGateway(self.failing([None, None, None]), retries=4,
-                              backoff=0.5, sleep=slept.append, rng=random.Random(7))
+        gateway = ChatGateway(self.failing([None] * (ATTEMPTS - 1)),
+                              sleep=slept.append, rng=random.Random(7))
         assert gateway.complete(req()).content == "ok"
         expected = random.Random(7)
-        assert slept == [expected.uniform(0.0, 0.5 * 2 ** k) for k in range(3)]
+        caps = [BACKOFF_S * 2 ** k for k in range(ATTEMPTS - 1)]
+        assert slept == [expected.uniform(0.0, cap) for cap in caps]
+        assert all(0.0 <= s <= cap for s, cap in zip(slept, caps))
 
     def test_sleeps_the_larger_of_retry_after_and_jitter(self):
         slept = []
-        gateway = ChatGateway(self.failing([30.0, 0.0]), retries=3, backoff=0.5,
-                              sleep=slept.append, rng=random.Random(11))
+        gateway = ChatGateway(self.failing([30.0, 0.0]), sleep=slept.append,
+                              rng=random.Random(11))
         gateway.complete(req())
         expected = random.Random(11)
-        jitters = [expected.uniform(0.0, 0.5), expected.uniform(0.0, 1.0)]
+        jitters = [expected.uniform(0.0, BACKOFF_S), expected.uniform(0.0, 2 * BACKOFF_S)]
         assert slept == [30.0, jitters[1]]
-        assert jitters[0] < 30.0
+        assert jitters[0] < 30.0 and jitters[1] > 0.0
 
 
 class TestSingleFlight:

@@ -15,6 +15,8 @@ from flowsra import gateway as gateway_mod
 from flowsra import harness
 from flowsra.gateway import ChatGateway, PermanentError, load_mock_script, mock_backend
 from flowsra.harness import (
+    JUDGE_MODES,
+    REPORT_FORMATS,
     EmptyDatasetError,
     EvalConfig,
     judge,
@@ -472,19 +474,19 @@ class TestConcurrentEval:
 
 
 class TestFingerprint:
-    # digests of the hand-listed payload that fields() replaced
+    # every field, each enum by its value, as sorted JSON
     def test_pinned_digests(self):
         assert EvalConfig().fingerprint() == (
-            "262bf1f20b3c13e4f7a59d1f1c191b5e3f3c989c2fc0bf2ae9a53850128eea5a")
+            "f9b9c451fad62d7a560753b2bee62cb400683fcb8671fc093f4ac0c0ab959620")
         assert EvalConfig(
             router_mode="llm", relation_backend="llm", judge_mode="llm",
-            dialect=Dialect.PLANTUML, filter_type=QuestionType.APPLIED_SCENARIO,
-            max_tokens=128, include_basic_in_deep=True).fingerprint() == (
-            "f4295456de1b07de95ee85b7c3ebeeb8f5325e05e3cc38c519d28c643363170f")
+            dialect=Dialect.PLANTUML,
+            filter_type=QuestionType.APPLIED_SCENARIO).fingerprint() == (
+            "2dc65efa35d6e96f7a87301ab5f42c43f8eed6aec6d593bdaa31004b9faaddac")
         assert EvalConfig(
             dialect=Dialect.DOT, reasoner_model="r2", recognizer_model="c2",
             router_model="o2", judge_model="j2").fingerprint() == (
-            "9d4c5c7e28a521a9d8383ca10b1cc2d951732494b8eb925a8623911f734ad819")
+            "c8bf5462cab5c9e66449e9324331c6c6df4e9d54a53a504ebb0cfc8d06a90903")
 
 
 class TestDiscriminatorConfusion:
@@ -560,8 +562,15 @@ class TestReportRender:
 
     def test_rendering_is_deterministic(self):
         report = self.make_report()
-        for fmt in ("json", "csv", "markdown"):
+        for fmt in REPORT_FORMATS:
             assert report_render(report, fmt) == report_render(report, fmt)
+
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    def test_every_format_names_the_run(self, fmt):
+        report = self.make_report()
+        rendered = report_render(report, fmt)
+        assert rendered.endswith("\n")
+        assert report.run_config_fingerprint[:12] in rendered
 
     def test_csv_rows_in_tp_order(self):
         lines = report_render(self.make_report(), "csv").splitlines()
@@ -587,6 +596,14 @@ class TestUnknownModes:
         for instance in load_dataset(DATA / "eval10.jsonl").instances:
             drawn.append(instance)
             yield instance
+
+    @pytest.mark.parametrize("mode", JUDGE_MODES)
+    def test_every_judge_mode_runs(self, mode):
+        # eval10's answers all match at tier 1, so neither judge asks the LLM
+        transport = load_mock_script(DATA / "mock10.json")
+        run = run_eval(load_dataset(DATA / "eval10.jsonl").instances,
+                       EvalConfig(judge_mode=mode), ChatGateway(transport))
+        assert (run.report.correct, run.report.failed_count) == (10, 0)
 
     @pytest.mark.parametrize("config", [EvalConfig(router_mode="always-sideways"),
                                         EvalConfig(judge_mode="lenient")])

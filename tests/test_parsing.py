@@ -21,6 +21,8 @@ from flowsra.parsing import (
     UnknownDialectError,
     _Builder,
     _strip_mermaid_comments,
+    _pu_if,
+    _pu_repeat_while,
     _strip_quotes,
     _terminal_kind,
     detect_dialect,
@@ -834,6 +836,72 @@ class TestParsePlantUml:
     def test_empty_action_text_is_diagnosed(self):
         result = parse_plantuml("@startuml\nstart\n:;\nstop\n@enduml")
         assert any("empty text" in d.message for d in result.errors())
+
+
+# The backtracking ``if`` and ``repeat while`` regexes that ``_pu_if`` and
+# ``_pu_repeat_while`` replaced: quadratic or worse on long lines, so they
+# referee short ones only.
+_REF_PU_IF = re.compile(r"^if\s*\((?P<cond>.*)\)\s*then(?:\s*\((?P<label>.*)\))?$")
+_REF_PU_REPEAT_WHILE = re.compile(
+    r"^repeat\s+while\s*\((?P<cond>.*?)\)"
+    r"(?:\s+is\s*\((?P<back>.*?)\))?"
+    r"(?:\s+not\s*\((?P<exit>.*?)\))?$"
+)
+
+_pu_condition_lines = st.tuples(
+    st.sampled_from(["if (", "repeat while (", "if(", "repeat  while(", "", " if ("]),
+    st.lists(st.sampled_from(
+        ["if (", "repeat while (", ") then (", ") is (", ") not (", "(", ")", " ", "  ",
+         "\t", "\u00a0", "x", "ok?", "then", "is", "not", "if", "repeat", "while"]),
+        max_size=10),
+    st.sampled_from(["", ")", "x", ") then", ") then (y)", ") then)", ") then x", " ) then () ",
+                     ") is (y)", ") not (z)", ") is (y) not (z)", ")  is(y)not (z)",
+                     ") is (y) not (z", ") not (z))"]),
+).map(lambda parts: parts[0] + "".join(parts[1]) + parts[2])
+
+# (lead, repeated piece): shapes that made the regexes backtrack for seconds
+# at a few kilobytes
+_PU_SLOW_SHAPES = [("repeat while (", ") is () not ("), ("repeat while (", ") is ("),
+                   ("if (", ") then (")]
+
+
+def _ref_groups(regex, line):
+    m = regex.match(line)
+    return None if m is None else m.groups()
+
+
+class TestPlantUmlConditionLines:
+    @settings(max_examples=400, deadline=None)
+    @given(_pu_condition_lines)
+    def test_split_like_the_backtracking_regexes(self, line):
+        assert _pu_if(line) == _ref_groups(_REF_PU_IF, line)
+        assert _pu_repeat_while(line) == _ref_groups(_REF_PU_REPEAT_WHILE, line)
+
+    @pytest.mark.parametrize("line", [
+        "if (a) then", "if (a) then (yes)", "if(a)then(b)", "if (a) then (b) then (c)",
+        "if (a (b)) then", "if (a) then ()", "if (a) then (", "if () then",
+        "repeat while (a)", "repeat while (a) is (b)", "repeat while (a) not (c)",
+        "repeat while (a) is (b) not (c)", "repeat while (a) is (b)) not (c)",
+        "repeat while (a) not (b) is (c)", "repeat while () is () not ()",
+        "repeat while (a) is (b", "repeat while (a)x"])
+    def test_examples_split_like_the_regexes(self, line):
+        assert _pu_if(line) == _ref_groups(_REF_PU_IF, line)
+        assert _pu_repeat_while(line) == _ref_groups(_REF_PU_REPEAT_WHILE, line)
+
+    @pytest.mark.parametrize("lead, piece", _PU_SLOW_SHAPES)
+    @pytest.mark.parametrize("end", ["", ")"])
+    def test_50_kb_line_parses_in_linear_time(self, lead, piece, end):
+        def chart(repeats):
+            return f"@startuml\nstart\nrepeat\n:a;\n{lead}{piece * repeats}{end}\n@enduml"
+
+        small = parse_plantuml(chart(3))
+        started = time.perf_counter()
+        large = parse_plantuml(chart(50_000 // len(piece)))
+        assert time.perf_counter() - started < 10.0
+        # the long line splits as its short form does
+        assert [d.message.split(":")[0] for d in large.diagnostics] == [
+            d.message.split(":")[0] for d in small.diagnostics]
+        assert [n.kind for n in large.graph.nodes] == [n.kind for n in small.graph.nodes]
 
 
 class TestParseDispatch:

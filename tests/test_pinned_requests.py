@@ -72,29 +72,29 @@ def eval_digests(dataset: str, inner, router_mode: str, backend: str):
 
 # (router mode, relation backend) -> (request digest, report and log digest)
 MOCK10 = {
-    ('llm', 'heuristic'): ('c8dcc3583ecaa68a', '8d387244613ab7d2'),
-    ('llm', 'llm'): ('a0c1131c09276771', '727ad233be3665e1'),
-    ('heuristic', 'heuristic'): ('2f53632b4dd8f65e', 'c4dcea9bf52685a5'),
-    ('heuristic', 'llm'): ('5e1c8198422e1175', '2ac6b5bd002d8fa3'),
-    ('oracle', 'heuristic'): ('2f53632b4dd8f65e', 'e1cf0110b3db8952'),
-    ('oracle', 'llm'): ('5e1c8198422e1175', 'ab0d5e487fecbb5d'),
-    ('always-shallow', 'heuristic'): ('aac45e403c66a1c7', '1bd8b84b4718538e'),
-    ('always-shallow', 'llm'): ('aac45e403c66a1c7', '5e9cf6ebd373553d'),
-    ('always-deep', 'heuristic'): ('5d0383abb95749e1', '084d3adf418d3ed9'),
-    ('always-deep', 'llm'): ('f9a102b71bd123d9', '0376a8f632671cac'),
+    ('llm', 'heuristic'): ('c8dcc3583ecaa68a', '19f3bcf7e66e2161'),
+    ('llm', 'llm'): ('a0c1131c09276771', '0e7956a6f6bd4cab'),
+    ('heuristic', 'heuristic'): ('2f53632b4dd8f65e', '69f1bf43382085e1'),
+    ('heuristic', 'llm'): ('5e1c8198422e1175', '58e6d4fb323e86bf'),
+    ('oracle', 'heuristic'): ('2f53632b4dd8f65e', 'bae82a5c0e1fdd20'),
+    ('oracle', 'llm'): ('5e1c8198422e1175', 'ffcf7cba189e0a6a'),
+    ('always-shallow', 'heuristic'): ('aac45e403c66a1c7', '4c886f55c5e8bd72'),
+    ('always-shallow', 'llm'): ('aac45e403c66a1c7', 'c8544ee2c9cf8db0'),
+    ('always-deep', 'heuristic'): ('5d0383abb95749e1', '0593370f6b4024f6'),
+    ('always-deep', 'llm'): ('f9a102b71bd123d9', '4471c88464d1ef20'),
 }
 
 HASHED20 = {
-    ('llm', 'heuristic'): ('1e86f4da8ec98abe', '25f99f31684b7855'),
-    ('llm', 'llm'): ('62a2dc13da0279f1', 'a286558b8ef14d42'),
-    ('heuristic', 'heuristic'): ('f68207da6f364ded', 'dbbc7deaeea1e653'),
-    ('heuristic', 'llm'): ('84a1434caa121596', '8bd254c7f396073e'),
-    ('oracle', 'heuristic'): ('f68207da6f364ded', '5f3a45a6b984f998'),
-    ('oracle', 'llm'): ('84a1434caa121596', 'f43f58e861aae203'),
-    ('always-shallow', 'heuristic'): ('dd1cc7e2a8755b7d', 'a076e6777084b943'),
-    ('always-shallow', 'llm'): ('dd1cc7e2a8755b7d', '8030fc5d54bcd3e0'),
-    ('always-deep', 'heuristic'): ('e2a9c10eac9ead04', '1e9cd7543bb5bb3c'),
-    ('always-deep', 'llm'): ('81de5cf7ed3ef4a1', '353f31113a157e36'),
+    ('llm', 'heuristic'): ('1e86f4da8ec98abe', '97ede793187094e4'),
+    ('llm', 'llm'): ('62a2dc13da0279f1', '707fd567852d6a04'),
+    ('heuristic', 'heuristic'): ('f68207da6f364ded', '52254e06b05e1cab'),
+    ('heuristic', 'llm'): ('84a1434caa121596', '5ab7484dfb10b9e3'),
+    ('oracle', 'heuristic'): ('f68207da6f364ded', '0cdd4d68044d81b9'),
+    ('oracle', 'llm'): ('84a1434caa121596', '8f77eaabb9f9a277'),
+    ('always-shallow', 'heuristic'): ('dd1cc7e2a8755b7d', '2149f8aa0d6c8b94'),
+    ('always-shallow', 'llm'): ('dd1cc7e2a8755b7d', 'e0a29a873a1a5402'),
+    ('always-deep', 'heuristic'): ('e2a9c10eac9ead04', '35d8d641b31e7347'),
+    ('always-deep', 'llm'): ('81de5cf7ed3ef4a1', 'b9377e394d770ce1'),
 }
 
 

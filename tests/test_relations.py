@@ -24,10 +24,12 @@ from flowsra.ir import (
 )
 from flowsra.parsing import Dialect
 from flowsra.relations import (
+    RELATION_BACKENDS,
     HeuristicRelationBackend,
     LlmRelationBackend,
     UpgradeError,
     build_relation_prompt,
+    make_relation_backend,
     heuristic_recognize,
     parse_relation_response,
     upgrade_graph,
@@ -199,6 +201,20 @@ class SlowFirstTransport:
             self._in_flight -= 1
         tag = self.TAGS[index % 3].value
         return {"choices": [{"message": {"content": f"RELATION: {tag}"}}]}
+
+
+class TestMakeRelationBackend:
+    @pytest.mark.parametrize("kind", RELATION_BACKENDS)
+    def test_every_backend_upgrades_every_edge(self, kind):
+        graph = three_edge_graph()
+        gateway = ChatGateway(mock_backend([("", "analysis\nRELATION: Sequentiality")]))
+        ug = upgrade_graph(graph, make_relation_backend(kind, gateway, "recognizer"))
+        assert len(ug.triples) == len(graph.edges)
+        assert all(isinstance(triple.relation, RelationType) for triple in ug.triples)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown relation backend"):
+            make_relation_backend("oracle")
 
 
 class TestUpgradeGraph:

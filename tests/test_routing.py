@@ -8,6 +8,7 @@ import pytest
 from flowsra.gateway import ChatGateway, mock_backend
 from flowsra.routing import (
     ROUTE_MODES,
+    TEXT_ROUTE_MODES,
     ClassificationError,
     HeuristicRouter,
     LlmRouter,
@@ -152,6 +153,15 @@ class TestMakeRouter:
         for kind in ROUTE_MODES:
             router = make_router(kind, gateway, "router")
             assert router.classify("How many nodes?", QuestionType.TOPOLOGY) in QuestionClass
+
+    @pytest.mark.parametrize("kind", TEXT_ROUTE_MODES)
+    def test_text_route_modes_classify_without_a_gold_type(self, kind):
+        # what `ask` and `route` offer: routers that read the question only
+        assert kind in ROUTE_MODES
+        gateway = ChatGateway(mock_backend([("CLASS", "CLASS: Complicated")]))
+        router = make_router(kind, gateway, "router")
+        assert router.classify("If it rains, what should I do?", None) is (
+            QuestionClass.COMPLICATED)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown router"):
