@@ -68,7 +68,8 @@ class RunConfig:
         if path:
             try:
                 data = json.loads(Path(path).read_text(encoding="utf-8").removeprefix("\ufeff"))
-            except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+            except (OSError, ValueError, RecursionError) as exc:
+                # ValueError: not UTF-8, or not JSON; RecursionError: nested too deeply
                 raise ConfigError(f"cannot read config file {path}: {exc}") from exc
             if not isinstance(data, dict):
                 raise ConfigError(f"config file {path} is not a JSON object")

@@ -1,9 +1,12 @@
 """Provider-neutral chat-completion client.
 
 Requests are content-addressed: the cache key hashes the full request, so a
-warm cache replays a run byte-identically with zero network traffic. The
-wire shape is the de-facto open chat-completions JSON contract; a scriptable
-mock transport stands in for the network during tests and offline runs.
+warm cache replays a run byte-identically with zero network traffic. A
+cache entry is one file, ``<cache_dir>/<key>.json``, holding the provider's
+payload as UTF-8 JSON with sorted keys; a hit opens, reads and decodes it
+once, and a write replaces it atomically. The wire shape is the de-facto
+open chat-completions JSON contract; a scriptable mock transport stands in
+for the network during tests and offline runs.
 """
 
 from __future__ import annotations
@@ -70,21 +73,20 @@ class ChatResponse:
     cached: bool = False
 
 
+# one encoder for every key; json.dumps with these options builds one per call
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
 def cache_key(req: ChatRequest) -> str:
     """Stable hash of the request; independent of wall clock, host, and
     process (usable across restarts)."""
-    payload = json.dumps(
-        {
-            "model": req.model,
-            "messages": [[m.role, m.content] for m in req.messages],
-            "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
-            "seed": req.seed,
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
+    payload = _KEY_ENCODER.encode({
+        "model": req.model,
+        "messages": [[m.role, m.content] for m in req.messages],
+        "temperature": req.temperature,
+        "max_tokens": req.max_tokens,
+        "seed": req.seed,
+    })
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -132,7 +134,8 @@ def parse_provider_payload(payload: dict, cached: bool = False) -> ChatResponse:
             prompt_tokens=int(usage_raw.get("prompt_tokens", 0) or 0),
             completion_tokens=int(usage_raw.get("completion_tokens", 0) or 0),
         )
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: a count of Infinity, which JSON decoding accepts
         raise ProtocolError(f"malformed provider usage: {exc!r}") from exc
     return ChatResponse(content=content, usage=usage, cached=cached)
 
@@ -191,7 +194,7 @@ class HttpTransport:
             raise PermanentError(f"HTTP {resp.status_code}: {resp.text[:500]}")
         try:
             return resp.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ProtocolError("provider response is not JSON") from exc
 
 
@@ -260,7 +263,11 @@ def load_mock_script(path: str | Path) -> MockTransport:
     """Read a JSON script file: a list of {match, pattern, response} objects,
     ``match`` defaulting to ``contains``. Raises ValueError, naming the
     entry, for one that is not such an object."""
-    entries = json.loads(Path(path).read_text(encoding="utf-8").removeprefix("\ufeff"))
+    text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+    try:
+        entries = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"mock script {path}: JSON nested too deeply") from None
     if not isinstance(entries, list):
         raise ValueError(f"mock script {path} is not a JSON list")
     rules = []
@@ -301,6 +308,8 @@ class ChatGateway:
     ):
         self.transport = transport
         self.cache_dir = Path(cache_dir) if cache_dir else None
+        # prefix of every entry's path: the directory and a separator
+        self._cache_prefix = os.path.join(self.cache_dir, "") if self.cache_dir else None
         self.offline = offline
         self.parallelism = max(1, parallelism)
         self.transport_calls = 0
@@ -313,36 +322,41 @@ class ChatGateway:
 
     # -- cache ----------------------------------------------------------
 
-    def _cache_path(self, key: str) -> Path | None:
-        return self.cache_dir / f"{key}.json" if self.cache_dir else None
-
     def _cache_read(self, key: str) -> ChatResponse | None:
         """The cached response, or None on a miss. An entry that cannot be
-        read, or is damaged (not JSON, or not a chat-completions payload),
-        is a miss too: the transport's reply then overwrites it."""
-        path = self._cache_path(key)
-        if path is None:
+        read, or is damaged (not UTF-8 JSON, nested too deeply to decode, or
+        not a chat-completions payload), is a miss too: the transport's reply
+        then overwrites it."""
+        if self._cache_prefix is None:
             return None
         try:
-            return parse_provider_payload(
-                json.loads(path.read_text(encoding="utf-8")), cached=True)
-        except (OSError, ValueError, ProtocolError):
+            with open(f"{self._cache_prefix}{key}.json", "rb", buffering=0) as handle:
+                data = handle.read()
+            return parse_provider_payload(json.loads(data.decode("utf-8")), cached=True)
+        except (OSError, ValueError, RecursionError, ProtocolError):
             return None
 
     def _cache_write(self, key: str, payload: dict) -> None:
-        path = self._cache_path(key)
-        if path is None:
+        """Write ``payload`` as the entry for ``key``: to a temporary file
+        in the cache directory, then renamed over the entry, so a reader
+        sees the old entry or the new one, never a part."""
+        if self._cache_prefix is None:
             return
+        path = f"{self._cache_prefix}{key}.json"
+        data = json.dumps(payload, ensure_ascii=False, sort_keys=True).encode("utf-8")
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle, ensure_ascii=False, sort_keys=True)
+                fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+            except FileNotFoundError:
+                self.cache_dir.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(data)
                 os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+            except BaseException:
+                os.unlink(tmp)
+                raise
         except OSError as exc:
             raise CacheError(f"cannot write cache entry {path}: {exc}") from exc
 

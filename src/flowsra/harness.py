@@ -111,6 +111,9 @@ def load_dataset(path: str | Path) -> DatasetLoad:
         except json.JSONDecodeError as exc:
             diagnostics.append(LoadDiagnostic(lineno, f"invalid JSON: {exc.msg}"))
             continue
+        except RecursionError:
+            diagnostics.append(LoadDiagnostic(lineno, "invalid JSON: nested too deeply"))
+            continue
         if not isinstance(record, dict):
             diagnostics.append(LoadDiagnostic(lineno, "not a JSON object"))
             continue

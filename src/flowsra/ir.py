@@ -215,9 +215,12 @@ _RELATION_DEFINITIONS: dict[RelationType, str] = {
 }
 
 
+_DEFINITIONS_BLOCK = "\n".join(f"{r.value}: {r.definition}" for r in RelationType)
+
+
 def relation_definitions_block() -> str:
     """All four definitions, one per line, in fixed taxonomy order."""
-    return "\n".join(f"{r.value}: {r.definition}" for r in RelationType)
+    return _DEFINITIONS_BLOCK
 
 
 @dataclass(frozen=True)
@@ -262,7 +265,9 @@ class UpgradedGraph(_Memoized):
                     f"{edge.src}->{edge.dst}")
 
     def fallback_count(self) -> int:
-        return sum(1 for t in self.triples if t.is_fallback)
+        """How many triples the fallback produced, counted once per graph."""
+        return derived(self, "fallback_count",
+                       lambda: sum(1 for t in self.triples if t.is_fallback))
 
 
 @dataclass(frozen=True)

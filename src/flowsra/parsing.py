@@ -208,17 +208,18 @@ _MERMAID_HEADER = re.compile(r"^(flowchart|graph)\b\s*(TD|TB|BT|LR|RL)?\s*$", re
 
 # Shapes, most specific first, and the kind each gives (None: a terminal,
 # Start or End by ``_terminal_kind``). Each has a quoted-content variant so
-# delimiter characters may appear inside quoted text.
+# delimiter characters may appear inside quoted text; the ``#quot;`` escape
+# holds no '"', so ``[^"]*`` reads it as part of the text.
 _MERMAID_SHAPES: list[tuple[str, NodeKind | None]] = [
-    (r'\(\("((?:[^"]|#quot;)*)"\)\)', None),
+    (r'\(\("([^"]*)"\)\)', None),
     (r"\(\(([^)]*)\)\)", None),
-    (r'\(\["((?:[^"]|#quot;)*)"\]\)', None),
+    (r'\(\["([^"]*)"\]\)', None),
     (r"\(\[(.*?)\]\)", None),
-    (r'\[/"((?:[^"]|#quot;)*)"/\]', NodeKind.INPUT_OUTPUT),
+    (r'\[/"([^"]*)"/\]', NodeKind.INPUT_OUTPUT),
     (r"\[/(.*?)/\]", NodeKind.INPUT_OUTPUT),
-    (r'\{"((?:[^"]|#quot;)*)"\}', NodeKind.DECISION),
+    (r'\{"([^"]*)"\}', NodeKind.DECISION),
     (r"\{([^}]*)\}", NodeKind.DECISION),
-    (r'\["((?:[^"]|#quot;)*)"\]', NodeKind.PROCESS),
+    (r'\["([^"]*)"\]', NodeKind.PROCESS),
     (r"\[([^]]*)\]", NodeKind.PROCESS),
 ]
 
@@ -230,18 +231,29 @@ _MERMAID_NODE = re.compile(
     + "|".join(pattern for pattern, _ in _MERMAID_SHAPES) + ")?")
 _MERMAID_KIND_OF_GROUP = [None, None] + [kind for _, kind in _MERMAID_SHAPES]
 
+# The inline form ``-- label -->`` (the label is its group). The label
+# starts after the whitespace that follows ``--``, or at the last character
+# of that whitespace when a '-' or '>' comes next; it runs to the first '-',
+# without its trailing whitespace unless that is all of it. Each of those
+# positions can be found in only one way, so a label that no '-->' closes is
+# rejected in time linear in its length.
+_MERMAID_INLINE_ARROW = (
+    r"--(?:\s*(?=[^\s>-])|\s*(?=\s[>-]))([^>-](?:[^-]*[^\s-])?)\s*-->")
+
 # An arrow with the whitespace around it: -->|label| (group 1),
-# --label--> (group 2) or a bare -->.
+# -- label --> (group 2) or a bare -->.
 _MERMAID_ARROW = re.compile(
-    r"\s*(?:-->\s*\|([^|]*)\||--\s*([^->][^-]*?)\s*-->|-->)\s*")
+    r"\s*(?:-->\s*\|([^|]*)\||" + _MERMAID_INLINE_ARROW + r"|-->)\s*")
 
 
-# what a comment cannot start inside: quoted text and an arrow's |label|
-_MERMAID_COMMENT = re.compile(r'"[^"]*"|-->\s*\|[^|]*\||%%')
+# what a comment cannot start inside: quoted text and an arrow's label
+_MERMAID_COMMENT = re.compile(
+    r'"[^"]*"|-->\s*\|[^|]*\||' + _MERMAID_INLINE_ARROW + "|%%")
 
 
 def _strip_mermaid_comments(line: str) -> str:
-    """``line`` up to its first ``%%`` outside quoted text and labels."""
+    """``line`` up to its first ``%%`` outside quoted text and arrow
+    labels (``-->|label|`` and ``-- label -->``)."""
     if "%%" not in line:
         return line
     for m in _MERMAID_COMMENT.finditer(line):

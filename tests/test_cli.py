@@ -627,6 +627,38 @@ class TestCacheIo:
         assert "config error" in err and str(entry) in err
 
 
+class TestDeeplyNestedJson:
+    """JSON nested deeper than the decoder can follow fails where it is read
+    as other invalid JSON does there, without a traceback (a cache entry:
+    see test_gateway.py)."""
+
+    DEEP = "[" * 200_000
+
+    def test_dataset_line_is_an_invalid_record(self, capsys, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text(self.DEEP + "\n")
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(path))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["record 1: invalid JSON: nested too deeply",
+                                    f"error: no valid records in {path}"]
+
+    def test_config_file_exits_2(self, capsys, tmp_path, chart):
+        config = tmp_path / "flowsra.json"
+        config.write_text(self.DEEP)
+        code, out, err = run_cli(capsys, "stats", chart, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: cannot read config file {config}: ")
+        assert "Traceback" not in err
+
+    def test_mock_script_exits_2(self, capsys, tmp_path):
+        script = tmp_path / "script.json"
+        script.write_text(self.DEEP)
+        code, out, err = run_cli(capsys, "route", "--router", "llm", "--question", "Why?",
+                                 "--mock-script", str(script))
+        assert (code, out) == (2, "")
+        assert err == f"config error: mock script {script}: JSON nested too deeply\n"
+
+
 class FailingTransport:
     """Answers its first ``answered`` requests, then raises a fresh
     ``error`` on every later one."""

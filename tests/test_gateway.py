@@ -4,7 +4,9 @@ single-flight, and the in-order concurrent map."""
 import hashlib
 import json
 import random
+import shutil
 import sys
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -12,6 +14,7 @@ from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowsra import gateway as gateway_mod
 from flowsra.gateway import (
@@ -99,6 +102,8 @@ class TestComplete:
         '{"choices": [{"mess',  # truncated
         "[]",  # well-formed JSON of the wrong shape
         '{"choices": [{"message": {"content": "x"}}], "usage": "lots"}',
+        '{"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": 1e999}}',
+        "[" * 200_000,  # nested too deeply to decode
     ])
     def test_damaged_cache_entry_is_a_miss_and_heals(self, tmp_path, damage):
         calls = []
@@ -249,6 +254,101 @@ class TestComplete:
         gateway.complete(req())
         gateway.complete(req())
         assert gateway.transport_calls == 2
+
+
+# cache entry contents: arbitrary bytes, JSON texts in UTF-8 (chat-completions
+# payloads, whose usage counts may be any JSON value), with a byte order
+# mark or in UTF-16, and JSON nested deeper than the decoder can follow
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=8)
+_usage_counts = st.integers() | st.sampled_from([2.5, float("inf"), float("nan"), "3", "x"])
+_payloads = st.builds(
+    lambda content, usage: {"choices": [{"message": {"content": content}}], "usage": usage},
+    st.text(max_size=8) | _json_values,
+    st.fixed_dictionaries({"prompt_tokens": _usage_counts},
+                          optional={"completion_tokens": _usage_counts}) | _json_values)
+_entry_bytes = (
+    st.binary(max_size=64)
+    | _payloads.map(lambda payload: json.dumps(payload, ensure_ascii=False).encode())
+    | st.builds(lambda value, encoding: json.dumps(value, ensure_ascii=False).encode(encoding),
+                _payloads | _json_values, st.sampled_from(["utf-8", "utf-8-sig", "utf-16"]))
+    | st.integers(min_value=1, max_value=200_000).map(lambda depth: b"[" * depth))
+
+
+class TestCacheFormat:
+    """Entries on disk: the bytes written, and what reading accepts."""
+
+    def test_entry_bytes_are_the_sorted_json_of_the_payload(self, tmp_path):
+        payload = {"usage": {"prompt_tokens": 2, "completion_tokens": 1},
+                   "choices": [{"message": {"role": "assistant", "content": "né ✓ \"q\""}}]}
+        ChatGateway(lambda r: payload, cache_dir=tmp_path).complete(req())
+        entry = tmp_path / f"{cache_key(req())}.json"
+        assert entry.read_bytes() == json.dumps(
+            payload, ensure_ascii=False, sort_keys=True).encode()
+        assert list(tmp_path.iterdir()) == [entry]
+
+    def test_entry_written_by_json_dump_replays_as_a_hit(self, tmp_path):
+        payload = provider_payload("né ✓")
+        # how entries were written before: json.dump to a text stream
+        with open(tmp_path / f"{cache_key(req())}.json", "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, ensure_ascii=False, sort_keys=True)
+        response = ChatGateway(None, cache_dir=tmp_path, offline=True).complete(req())
+        assert (response.content, response.cached) == ("né ✓", True)
+
+    @pytest.mark.parametrize("encode", [
+        lambda text: b"\xef\xbb\xbf" + text.encode("utf-8"),  # byte order mark
+        lambda text: text.encode("utf-16"),
+        lambda text: text.encode("utf-8").replace(b"pong", b"p\xffng"),
+    ], ids=["bom", "utf-16", "invalid-utf-8"])
+    def test_entry_that_is_not_utf8_json_is_a_miss_and_heals(self, tmp_path, encode):
+        calls = []
+
+        def transport(request):
+            calls.append(request)
+            return provider_payload("pong")
+
+        entry = tmp_path / f"{cache_key(req())}.json"
+        entry.write_bytes(encode(json.dumps(provider_payload("pong"))))
+        with pytest.raises(TransportError):
+            ChatGateway(None, cache_dir=tmp_path, offline=True).complete(req())
+        gateway = ChatGateway(transport, cache_dir=tmp_path)
+        assert gateway.complete(req()).cached is False
+        assert gateway.complete(req()).cached is True
+        assert len(calls) == 1
+
+    def test_cache_directory_is_created_and_re_created(self, tmp_path):
+        cache = tmp_path / "a" / "cache"
+        gateway = ChatGateway(lambda r: provider_payload("pong"), cache_dir=cache)
+        gateway.complete(req("one"))
+        assert [p.name for p in cache.iterdir()] == [f"{cache_key(req('one'))}.json"]
+        shutil.rmtree(tmp_path / "a")
+        gateway.complete(req("two"))
+        assert [p.name for p in cache.iterdir()] == [f"{cache_key(req('two'))}.json"]
+        assert gateway.complete(req("two")).cached is True
+
+    def test_cache_path_that_is_a_file_is_a_cache_error(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.write_text("")
+        gateway = ChatGateway(lambda r: provider_payload("pong"), cache_dir=cache)
+        with pytest.raises(CacheError, match=str(cache)):
+            gateway.complete(req())
+        assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_entry_bytes)
+    def test_any_entry_bytes_give_a_hit_or_a_miss(self, data):
+        with tempfile.TemporaryDirectory() as cache:
+            with open(f"{cache}/{cache_key(req())}.json", "wb") as handle:
+                handle.write(data)
+            try:
+                response = ChatGateway(None, cache_dir=cache, offline=True).complete(req())
+            except TransportError:  # a miss
+                return
+        assert response.cached is True
+        assert isinstance(response.content, str)
 
 
 class TestRetryBackoff:
@@ -563,6 +663,13 @@ class TestHttpTransport:
 
         monkeypatch.setattr(gateway_mod.requests, "post",
                             lambda *a, **k: self.FakeResponse(200, None, "<html>"))
+        with pytest.raises(ProtocolError):
+            gateway_mod.HttpTransport("http://x")(req())
+
+    def test_too_deeply_nested_payload_is_protocol_error(self, monkeypatch):
+        response = self.FakeResponse(200)
+        response.json = lambda: json.loads("[" * 200_000)
+        monkeypatch.setattr(gateway_mod.requests, "post", lambda *a, **k: response)
         with pytest.raises(ProtocolError):
             gateway_mod.HttpTransport("http://x")(req())
 

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,7 +77,8 @@ class TestReferee:
             return UpgradedGraph(copy_of(graph), triples)
 
         checks = [lambda: validate(graph) == validate(copy_of(graph)),
-                  lambda: emit_triples(ug) == emit_triples(fresh_ug())]
+                  lambda: emit_triples(ug) == emit_triples(fresh_ug()),
+                  lambda: ug.fallback_count() == fresh_ug().fallback_count()]
         for dialect in Dialect:
             checks.append(lambda d=dialect: (outcome(emit, graph, d)
                                              == outcome(emit, copy_of(graph), d)))
@@ -129,6 +131,18 @@ class TestCounts:
         assert [log.route for log in run.logs] == [Route.DEEP] * 5
         assert [log.error for log in run.logs] == [None] * 5
         assert len(renders) == 1
+
+    def test_fallbacks_are_counted_once_per_graph(self, monkeypatch):
+        graph = rand_structured_graph(random.Random(3))
+        triples = list(upgrade_graph(graph, HeuristicRelationBackend()).triples)
+        triples[0] = replace(triples[0], rationale="fallback: no answer")
+        ug = UpgradedGraph(graph, triples)
+        reads = []
+        is_fallback = ir.RelationTriple.is_fallback
+        monkeypatch.setattr(ir.RelationTriple, "is_fallback",
+                            property(lambda t: reads.append(t) or is_fallback.fget(t)))
+        assert ug.fallback_count() == ug.fallback_count() == 1
+        assert len(reads) == len(triples)
 
 
 class TestFailuresAndCopies:

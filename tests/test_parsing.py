@@ -6,14 +6,16 @@ import time
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowsra.emitting import emit
 from flowsra.ir import UNLABELED, EdgeLabel, NodeKind, validate
 from flowsra.parsing import (
     _DOT_SHAPE_KINDS,
     _DOT_TERMINAL_SHAPES,
+    _MERMAID_ARROW,
     _MERMAID_HEADER,
+    _MERMAID_NODE,
     Dialect,
     ParseDiagnostic,
     ParseResult,
@@ -122,6 +124,21 @@ class TestParseMermaid:
         result = parse_mermaid("flowchart TD\n%% a comment\nA-->B %% trailing")
         assert result.ok
         assert len(result.graph.edges) == 1
+
+    @pytest.mark.parametrize("line, kept", [
+        ("A -- 50%% off --> B %% note", "A -- 50%% off --> B "),
+        ("A -- x %% note", "A -- x "),  # no '-->' closes the label
+        ("A --> B -- c %% d --> E %% f", "A --> B -- c %% d --> E "),
+        ('A["50%%"] -->|100%%| B %% note', 'A["50%%"] -->|100%%| B '),
+    ])
+    def test_comments_start_outside_quotes_and_labels(self, line, kept):
+        assert _strip_mermaid_comments(line) == kept
+
+    def test_percent_signs_in_an_inline_label_are_text(self):
+        result = parse_mermaid("flowchart TD\nA -- 50%% off --> B %% note")
+        assert result.ok
+        assert [(e.src, e.dst, e.label) for e in result.graph.edges] == [
+            ("A", "B", EdgeLabel.other("50%% off"))]
 
     def test_io_shape(self):
         graph = parse_mermaid("flowchart TD\nA[/Read file/]").graph
@@ -519,6 +536,15 @@ _REF_MERMAID_ARROWS = [
     re.compile(r"--\s*([^->][^-]*?)\s*-->"),
     re.compile(r"-->"),
 ]
+# the node and arrow regexes that parse_mermaid used before it read quoted
+# shapes and inline labels without backtracking: the same texts, the same
+# groups, but exponential time in an unclosed quoted shape and quadratic
+# time in an unclosed inline label's whitespace
+_REF_MERMAID_NODE = re.compile(
+    r"([A-Za-z_][A-Za-z0-9_]*)(?:"
+    + "|".join(pattern.pattern for pattern, _ in _REF_MERMAID_SHAPES) + ")?")
+_REF_MERMAID_ARROW = re.compile(
+    r"\s*(?:" + "|".join(pattern.pattern for pattern in _REF_MERMAID_ARROWS) + r")\s*")
 
 
 def _ref_mermaid_node_ref(builder, line, pos, lineno, diagnostics):
@@ -721,6 +747,49 @@ class TestMermaidReferee:
                 for shaped in (f"{left}{text}{right}", f'{left}"{text}"{right}'):
                     assert_parses_like_reference(
                         f"flowchart TD\nA{shaped} --> B{shaped}\nC{shaped}", Dialect.MERMAID)
+
+
+def _match_parts(m):
+    return m and (m.span(), m.lastindex, m.groups())
+
+
+class TestMermaidRegexes:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["A", "x", " ", "\t ", "-", "--", "-->", ">", "|", '"', "#quot;", "%%", "[", "]",
+         "(", ")", "{", "}", "/"]), max_size=12).map("".join))
+    # labels that start at the last whitespace character, or are only that
+    @example(" -- --> B")
+    @example(" --  >x --> B")
+    @example(" -- \t> x  \t-->")
+    @example(' A["a #quot;b"] ')
+    def test_same_matches_and_groups_as_the_referee(self, text):
+        for pattern, referee in ((_MERMAID_NODE, _REF_MERMAID_NODE),
+                                 (_MERMAID_ARROW, _REF_MERMAID_ARROW)):
+            for pos in range(len(text) + 1):
+                assert (_match_parts(pattern.match(text, pos))
+                        == _match_parts(referee.match(text, pos))), (text, pos)
+
+    def test_unclosed_quoted_shape_parses_in_linear_time(self):
+        text = '"' + "#quot;" * 200 + "x"
+        start = time.perf_counter()
+        result = parse_mermaid(f"flowchart TD\nA[{text}]")
+        assert time.perf_counter() - start < 1.0
+        assert result.ok
+        assert [(n.id, n.kind, n.text) for n in result.graph.nodes] == [
+            ("A", NodeKind.PROCESS, text)]
+
+    @pytest.mark.parametrize("line", [
+        "A -- x" + " " * 32000 + "y",  # 6 s with the referee's regex
+        "A --" + " " * 1600 + "x",  # 5 s with the referee's regex, cubic in the run
+        "A --" + " " * 32000 + "x" + " " * 32000 + "%% y",
+    ], ids=["after-label", "before-label", "before-comment"])
+    def test_unclosed_inline_label_is_rejected_in_linear_time(self, line):
+        start = time.perf_counter()
+        result = parse_mermaid("flowchart TD\n" + line)
+        assert time.perf_counter() - start < 1.0
+        [error] = result.errors()
+        assert error.message.startswith("unbalanced bracket or unexpected text: '--")
 
 
 class TestHostileInput:
