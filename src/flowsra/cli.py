@@ -116,7 +116,10 @@ def _gateway(config: RunConfig) -> ChatGateway:
         except ValueError as exc:  # not UTF-8, not JSON, or an entry of the wrong shape
             raise ConfigError(str(exc)) from exc
     elif config.endpoint and not config.offline:
-        transport = HttpTransport(config.endpoint, config.api_key)
+        try:
+            transport = HttpTransport(config.endpoint, config.api_key)
+        except ValueError as exc:  # not an http or https URL with a host
+            raise ConfigError(str(exc)) from exc
     return ChatGateway(
         transport,
         cache_dir=config.cache_dir,

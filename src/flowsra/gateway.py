@@ -6,7 +6,10 @@ cache entry is one file, ``<cache_dir>/<key>.json``, holding the provider's
 payload as UTF-8 JSON with sorted keys; a hit opens, reads and decodes it
 once, and a write replaces it atomically. The wire shape is the de-facto
 open chat-completions JSON contract; a scriptable mock transport stands in
-for the network during tests and offline runs.
+for the network during tests and offline runs. The HTTP client
+(``requests``) is loaded on the first request to an endpoint, so mock
+runs, replays served from the cache, ``convert``, ``stats`` and a
+heuristic ``upgrade`` never load it.
 """
 
 from __future__ import annotations
@@ -22,13 +25,10 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
-from email.utils import parsedate_to_datetime
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
-
-import requests
+from urllib.parse import urlsplit
 
 ATTEMPTS = 3      # transport calls per request, the first one included
 BACKOFF_S = 0.25  # the full-jitter cap before the first retry; doubles per retry
@@ -146,8 +146,11 @@ def _retry_after_seconds(value: str | None) -> float | None:
     if not value:
         return None
     value = value.strip()
-    if value.isdigit():
+    if value.isascii() and value.isdigit():  # "²" is a digit float() rejects
         return float(value)
+    from datetime import datetime, timezone
+    from email.utils import parsedate_to_datetime
+
     try:
         when = parsedate_to_datetime(value)
     except (TypeError, ValueError):
@@ -158,16 +161,30 @@ def _retry_after_seconds(value: str | None) -> float | None:
 
 
 class HttpTransport:
-    """POSTs to an OpenAI-style chat-completions endpoint."""
+    """POSTs to an OpenAI-style chat-completions endpoint.
+
+    ``requests`` is imported on the first call, not when the transport is
+    built, so a run whose requests all hit the cache never loads it. An
+    endpoint that is not an http or https URL with a host is a
+    ``ValueError`` here, before any call."""
 
     is_network = True
 
     def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 120.0):
+        try:
+            parts = urlsplit(endpoint)
+            parts.port  # ValueError unless the port, if any, is a number in range
+        except ValueError as exc:
+            raise ValueError(f"endpoint {endpoint!r}: {exc}") from None
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"endpoint {endpoint!r} is not an http or https URL with a host")
         self.endpoint = endpoint
         self.api_key = api_key
         self.timeout = timeout
 
     def __call__(self, req: ChatRequest) -> dict:
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -413,7 +430,13 @@ class ChatGateway:
                     raise TransportError(
                         f"gave up after {attempt} attempts: {exc}") from exc
                 jitter = self._rng.uniform(0.0, BACKOFF_S * (2 ** (attempt - 1)))
-                self._sleep(max(exc.retry_after or 0.0, jitter))
+                wait = max(exc.retry_after or 0.0, jitter)
+                try:
+                    self._sleep(wait)
+                except (OverflowError, OSError) as err:  # longer than the host can sleep
+                    raise TransportError(
+                        f"provider asked to wait {wait:.0f} s, longer than this host "
+                        f"can sleep: {err}") from exc
         response = parse_provider_payload(payload)
         self._cache_write(key, payload)
         return response

@@ -10,6 +10,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import given, settings, strategies as st
 
 import flowsra.cli as cli_mod
@@ -730,6 +731,64 @@ class TestTransportFailures:
         assert all(log["error"].startswith(("TransportError", error.__name__))
                    for log in logs)
         assert transport.calls >= 20
+
+
+class TestEndpoint:
+    """A malformed endpoint is a config error before any call; a
+    ``Retry-After`` wait the host cannot sleep is a backend error."""
+
+    BAD = "localhost:9/v1/chat/completions"
+
+    class Reply:
+        def __init__(self, status_code, headers):
+            self.status_code = status_code
+            self.headers = headers
+            self.text = ""
+
+    @pytest.fixture
+    def posted(self, monkeypatch):
+        posted = []
+
+        def post(url, **kwargs):
+            posted.append(url)
+            return self.Reply(429, {"Retry-After": "9300000000"})
+
+        monkeypatch.setattr(requests, "post", post)
+        return posted
+
+    @pytest.mark.parametrize("argv", [
+        ("ask", "{chart}", "--question", "What then?"),
+        ("route", "--router", "llm", "--question", "Why?"),
+        ("eval", "--dataset", str(DATA / "flowvqa_like_20.jsonl"), "--router", "llm")])
+    def test_malformed_endpoint_exits_2_before_any_call(self, capsys, chart, posted, argv):
+        argv = [arg.format(chart=chart) for arg in argv]
+        code, out, err = run_cli(capsys, *argv, "--endpoint", self.BAD)
+        assert (code, out, posted) == (2, "", [])
+        assert err == (f"config error: endpoint {self.BAD!r} is not an http or https "
+                       "URL with a host\n")
+
+    def test_offline_still_ignores_the_endpoint(self, capsys, posted):
+        code, out, err = run_cli(capsys, "route", "--router", "llm", "--question", "Why?",
+                                 "--endpoint", self.BAD, "--offline")
+        assert (code, out, posted) == (3, "", [])
+        assert "(offline mode)" in err
+
+    def test_ask_with_a_wait_the_host_cannot_sleep_exits_3(self, capsys, chart, posted):
+        code, out, err = run_cli(capsys, "ask", chart, "--question", "What then?",
+                                 "--mode", "shallow", "--endpoint", "http://x/v1")
+        assert (code, out, posted) == (3, "", ["http://x/v1"])
+        assert err.startswith("backend error: provider asked to wait 9300000000 s, ")
+
+    def test_eval_with_a_wait_the_host_cannot_sleep_fails_each_instance(
+            self, capsys, posted):
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(DATA / "eval10.jsonl"),
+                                 "--endpoint", "http://x/v1")
+        assert code == 0, err
+        assert json.loads(out)["failed_count"] == 10
+        logs = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert len(logs) == 10
+        assert all(log["error"].startswith("TransportError: provider asked to wait")
+                   for log in logs)
 
 
 class TestConfigPrecedence:

@@ -1,9 +1,11 @@
 """Gateway behavior: caching, retries, mock scripting, concurrency bound,
 single-flight, and the in-order concurrent map."""
 
+import errno
 import hashlib
 import json
 import random
+import re
 import shutil
 import sys
 import tempfile
@@ -14,6 +16,7 @@ from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 
 import pytest
+import requests
 from hypothesis import given, settings, strategies as st
 
 from flowsra import gateway as gateway_mod
@@ -382,6 +385,16 @@ class TestRetryBackoff:
         assert slept == [30.0, jitters[1]]
         assert jitters[0] < 30.0 and jitters[1] > 0.0
 
+    def test_a_wait_the_host_rejects_ends_the_request(self):
+        def sleep(seconds):  # what the host's sleep raises at 9223372036 s
+            raise OSError(errno.EINVAL, "Invalid argument")
+
+        transport = self.failing([9223372036.0])
+        gateway = ChatGateway(transport, sleep=sleep)
+        with pytest.raises(TransportError, match="provider asked to wait 9223372036 s"):
+            gateway.complete(req())
+        assert gateway.transport_calls == 1
+
 
 class TestSingleFlight:
     def test_identical_concurrent_request_waits_and_gets_a_cache_hit(self, tmp_path):
@@ -609,7 +622,7 @@ class TestHttpTransport:
             captured.update(url=url, body=json, headers=headers)
             return self.FakeResponse(200, provider_payload("ok"))
 
-        monkeypatch.setattr(gateway_mod.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         transport = gateway_mod.HttpTransport("http://x/v1/chat/completions", "key")
         transport(req("hello", model="m1"))
         assert captured["url"] == "http://x/v1/chat/completions"
@@ -625,7 +638,7 @@ class TestHttpTransport:
     def test_status_mapping(self, monkeypatch, status, exc):
         from flowsra import gateway as gateway_mod
 
-        monkeypatch.setattr(gateway_mod.requests, "post",
+        monkeypatch.setattr(requests, "post",
                             lambda *a, **k: self.FakeResponse(status))
         transport = gateway_mod.HttpTransport("http://x")
         with pytest.raises(exc):
@@ -633,7 +646,7 @@ class TestHttpTransport:
 
     @pytest.mark.parametrize("status", [429, 503])
     def test_retry_after_seconds_ride_on_the_error(self, monkeypatch, status):
-        monkeypatch.setattr(gateway_mod.requests, "post", lambda *a, **k: self.FakeResponse(
+        monkeypatch.setattr(requests, "post", lambda *a, **k: self.FakeResponse(
             status, headers={"Retry-After": "7"}))
         with pytest.raises(TransientError) as excinfo:
             gateway_mod.HttpTransport("http://x")(req())
@@ -642,7 +655,7 @@ class TestHttpTransport:
     def test_retry_after_http_date_is_seconds_from_now(self, monkeypatch):
         when = format_datetime(datetime.now(timezone.utc) + timedelta(seconds=120),
                                usegmt=True)
-        monkeypatch.setattr(gateway_mod.requests, "post", lambda *a, **k: self.FakeResponse(
+        monkeypatch.setattr(requests, "post", lambda *a, **k: self.FakeResponse(
             429, headers={"Retry-After": when}))
         with pytest.raises(TransientError) as excinfo:
             gateway_mod.HttpTransport("http://x")(req())
@@ -652,8 +665,16 @@ class TestHttpTransport:
         (503, {}), (503, {"Retry-After": "soon"}), (503, {"Retry-After": "-3"}),
         (500, {"Retry-After": "7"})])
     def test_no_usable_retry_after(self, monkeypatch, status, headers):
-        monkeypatch.setattr(gateway_mod.requests, "post", lambda *a, **k: self.FakeResponse(
+        monkeypatch.setattr(requests, "post", lambda *a, **k: self.FakeResponse(
             status, headers=headers))
+        with pytest.raises(TransientError) as excinfo:
+            gateway_mod.HttpTransport("http://x")(req())
+        assert excinfo.value.retry_after is None
+
+    @pytest.mark.parametrize("value", ["\xb2", "12\xb3"])  # as a latin-1 header decodes
+    def test_retry_after_with_a_superscript_digit_is_unusable(self, monkeypatch, value):
+        monkeypatch.setattr(requests, "post", lambda *a, **k: self.FakeResponse(
+            503, headers={"Retry-After": value}))
         with pytest.raises(TransientError) as excinfo:
             gateway_mod.HttpTransport("http://x")(req())
         assert excinfo.value.retry_after is None
@@ -661,7 +682,7 @@ class TestHttpTransport:
     def test_non_json_payload_is_protocol_error(self, monkeypatch):
         from flowsra import gateway as gateway_mod
 
-        monkeypatch.setattr(gateway_mod.requests, "post",
+        monkeypatch.setattr(requests, "post",
                             lambda *a, **k: self.FakeResponse(200, None, "<html>"))
         with pytest.raises(ProtocolError):
             gateway_mod.HttpTransport("http://x")(req())
@@ -669,9 +690,61 @@ class TestHttpTransport:
     def test_too_deeply_nested_payload_is_protocol_error(self, monkeypatch):
         response = self.FakeResponse(200)
         response.json = lambda: json.loads("[" * 200_000)
-        monkeypatch.setattr(gateway_mod.requests, "post", lambda *a, **k: response)
+        monkeypatch.setattr(requests, "post", lambda *a, **k: response)
         with pytest.raises(ProtocolError):
             gateway_mod.HttpTransport("http://x")(req())
+
+    def test_building_imports_nothing_and_the_first_call_imports_requests(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "requests")
+        transport = gateway_mod.HttpTransport("http://x")
+        assert "requests" not in sys.modules
+        monkeypatch.setitem(sys.modules, "requests", requests)
+        posted = []
+
+        def fake_post(url, **kwargs):
+            posted.append(url)
+            return self.FakeResponse(200, provider_payload("ok"))
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        assert transport(req()) == provider_payload("ok")
+        assert posted == ["http://x"]
+
+    @pytest.mark.parametrize("endpoint", [
+        "localhost:9/v1/chat/completions", "ftp://x/v1", "file:///v1", "http:///v1",
+        "//x/v1", "http://x:port/v1", "http://x:70000/v1", "http://[::1/v1", ""])
+    def test_malformed_endpoint_is_a_value_error(self, endpoint):
+        with pytest.raises(ValueError, match="endpoint"):
+            gateway_mod.HttpTransport(endpoint)
+
+    @pytest.mark.parametrize("endpoint", [
+        "http://127.0.0.1:9", "https://api.example.com/v1/chat/completions",
+        "HTTP://x/v1", "http://[::1]:8080/v1"])
+    def test_http_and_https_urls_with_a_host_are_accepted(self, endpoint):
+        assert gateway_mod.HttpTransport(endpoint).endpoint == endpoint
+
+    @pytest.mark.parametrize("retry_after,low,high", [
+        ("9300000000", 9_300_000_000, 9_300_000_000),
+        (format_datetime(datetime(9999, 12, 31, tzinfo=timezone.utc), usegmt=True),
+         200_000_000_000, 260_000_000_000)])
+    def test_retry_after_the_host_cannot_sleep_ends_the_request(
+            self, monkeypatch, retry_after, low, high):
+        posted = []
+
+        def fake_post(url, **kwargs):
+            posted.append(url)
+            return self.FakeResponse(429, headers={"Retry-After": retry_after})
+
+        def sleep(seconds):  # the host's sleep, handed only waits it rejects at once
+            assert seconds > 1e9
+            time.sleep(seconds)
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        gateway = ChatGateway(gateway_mod.HttpTransport("http://x"), sleep=sleep)
+        with pytest.raises(TransportError) as excinfo:
+            gateway.complete(req())
+        wait = re.match(r"provider asked to wait (\d+) s, ", str(excinfo.value))
+        assert wait and low <= int(wait.group(1)) <= high
+        assert posted == ["http://x"]
 
 
 class TestMockBackend:

@@ -1,4 +1,10 @@
-"""The package's public surface."""
+"""The package's public surface and import footprint."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import flowsra
 
@@ -6,3 +12,46 @@ import flowsra
 def test_every_exported_name_resolves_and_the_list_is_sorted_and_unique():
     assert [name for name in flowsra.__all__ if not hasattr(flowsra, name)] == []
     assert flowsra.__all__ == sorted(set(flowsra.__all__))
+
+
+_FOOTPRINT_SCRIPT = r"""
+import contextlib, io, json, sys
+import flowsra, flowsra.cli
+
+data, tmp = sys.argv[1], sys.argv[2]
+chart = data + "/eval10.jsonl"
+with open(chart, encoding="utf-8") as handle:
+    with open(tmp + "/chart.mmd", "w", encoding="utf-8") as out:
+        out.write(json.loads(handle.readline())["source"])
+run = ["eval", "--dataset", chart, "--cache-dir", tmp + "/cache",
+       "--log-file", tmp + "/logs.jsonl"]
+commands = [
+    ["convert", tmp + "/chart.mmd", "--to", "dot"],
+    ["stats", tmp + "/chart.mmd"],
+    run + ["--mock-script", data + "/mock10.json"],
+    run + ["--endpoint", "http://127.0.0.1:9"],  # every request a cache hit
+]
+results = []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        results.append([flowsra.cli.main(argv), out.getvalue()])
+loaded = [m for m in ("requests", "urllib3", "email.utils") if m in sys.modules]
+print(json.dumps({"results": results, "loaded": loaded}))
+"""
+
+
+def test_no_http_client_is_loaded_without_a_call_to_an_endpoint(tmp_path):
+    """Import, convert, stats, a mock eval and its cached replay with an
+    endpoint configured load neither the HTTP client nor the mail parser
+    it brings, in a fresh interpreter."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(root / "tests" / "data"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    codes = [code for code, _ in result["results"]]
+    assert codes == [0, 0, 0, 0], proc.stderr
+    assert result["results"][3][1] == result["results"][2][1]  # replay gives the same report
+    assert result["loaded"] == []
