@@ -118,7 +118,7 @@ def _gateway(config: RunConfig) -> ChatGateway:
     elif config.endpoint and not config.offline:
         try:
             transport = HttpTransport(config.endpoint, config.api_key)
-        except ValueError as exc:  # not an http or https URL with a host
+        except ValueError as exc:  # a malformed endpoint, or an API key no header can carry
             raise ConfigError(str(exc)) from exc
     return ChatGateway(
         transport,

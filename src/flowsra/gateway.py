@@ -165,8 +165,10 @@ class HttpTransport:
 
     ``requests`` is imported on the first call, not when the transport is
     built, so a run whose requests all hit the cache never loads it. An
-    endpoint that is not an http or https URL with a host is a
-    ``ValueError`` here, before any call."""
+    endpoint that is not an http or https URL with a host, or an API key
+    that an HTTP header cannot carry, is a ``ValueError`` here, before any
+    call. A ``Retry-After`` longer than ``timeout`` ends the request with a
+    ``TransportError`` instead of a wait."""
 
     is_network = True
 
@@ -178,6 +180,9 @@ class HttpTransport:
             raise ValueError(f"endpoint {endpoint!r}: {exc}") from None
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"endpoint {endpoint!r} is not an http or https URL with a host")
+        if api_key and re.search(r"[\r\n]|[^\x00-\xff]", api_key):
+            raise ValueError("API key holds a line break or a character outside latin-1, "
+                             "which an HTTP header cannot carry")
         self.endpoint = endpoint
         self.api_key = api_key
         self.timeout = timeout
@@ -202,9 +207,12 @@ class HttpTransport:
         except requests.RequestException as exc:
             raise TransientError(str(exc)) from exc
         if resp.status_code in (429, 503):
-            raise TransientError(
-                f"HTTP {resp.status_code} from provider",
-                _retry_after_seconds(resp.headers.get("Retry-After")))
+            wait = _retry_after_seconds(resp.headers.get("Retry-After"))
+            if wait is not None and wait > self.timeout:
+                raise TransportError(
+                    f"provider asked to wait {wait:.0f} s, longer than the "
+                    f"{self.timeout:g} s request timeout (HTTP {resp.status_code})")
+            raise TransientError(f"HTTP {resp.status_code} from provider", wait)
         if resp.status_code >= 500:
             raise TransientError(f"HTTP {resp.status_code} from provider")
         if resp.status_code >= 400:
@@ -447,16 +455,16 @@ R = TypeVar("R")
 
 
 def map_in_order(fn: Callable[[T], R], items: Iterable[T],
-                 gateway: ChatGateway | None) -> Iterator[R]:
+                 gateway: ChatGateway) -> Iterator[R]:
     """Yield ``fn(item)`` for each item, in input order.
 
     Items run one at a time in the caller's thread while the gateway serves
-    them without its transport (cache hits, or no gateway at all): that work
-    is CPU-bound, and handing it between threads would only add interpreter
-    lock switches. From the first item that reached the transport on, items
-    run on a pool of ``2 * gateway.parallelism`` workers: per transport
-    slot, one at the transport and one preparing its next request. The
-    gateway still runs at most ``parallelism`` transport calls at once.
+    them without its transport (cache hits): that work is CPU-bound, and
+    handing it between threads would only add interpreter lock switches.
+    From the first item that reached the transport on, items run on a pool
+    of ``2 * gateway.parallelism`` workers: per transport slot, one at the
+    transport and one preparing its next request. The gateway still runs
+    at most ``parallelism`` transport calls at once.
     Items are drawn in the caller's thread and kept submitted up to
     ``8 * gateway.parallelism`` ahead of the item being yielded, so a freed
     worker takes the next item at once, even while the head item is slow.
@@ -464,7 +472,7 @@ def map_in_order(fn: Callable[[T], R], items: Iterable[T],
     started are cancelled, and those already running finish first.
     """
     items = iter(items)
-    if gateway is None or gateway.parallelism < 2:
+    if gateway.parallelism < 2:
         yield from map(fn, items)
         return
     for item in items:

@@ -17,8 +17,9 @@ type against the class ``route`` gave it, so a router failure counts as
 Complicated, the class the question was answered under.
 
 The gateway's ``parallelism`` P bounds the transport calls in flight, and
-it sizes the thread pools of eval instances and of a chart's recognizer
-calls (see :func:`flowsra.gateway.map_in_order`). The pools start only once
+it sizes the thread pools of eval instances and, inside the ``llm``
+recognizer, of a chart's edges (see :func:`flowsra.gateway.map_in_order`
+and :class:`flowsra.relations.LlmRelationBackend`). The pools start only once
 a run reaches the transport. Until then (a warm cache) instances run one at
 a time in the caller's thread; from then on each pool has 2P workers, one
 at the transport and one preparing its next request per transport slot,
@@ -317,8 +318,8 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
     Instance-level failures are recorded and the run continues; parse errors
     in the source flag the instance as skipped. A :class:`CacheError` (a
     cache entry that cannot be written) is the run's, not an instance's: it
-    is raised as is, from an upgrade too (``upgrade_graph`` does not wrap
-    it). Instances overlap as the module docstring says; logs keep input
+    is raised as is, from an upgrade too (the ``llm`` recognizer does not
+    wrap it). Instances overlap as the module docstring says; logs keep input
     order.
     """
     router = make_router(config.router_mode, gateway, config.router_model)

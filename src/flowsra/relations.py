@@ -1,10 +1,11 @@
 """Assign one of the four semantic relations to every edge of a graph.
 
-Two interchangeable backends implement the recognition contract: an LLM
-backend that analyzes the node pair before committing to a tag, and a
-deterministic heuristic for offline runs and tests. Out-of-taxonomy answers
-never escape: the LLM backend retries once and then falls back to the
-heuristic, marking the triple's rationale with a ``fallback:`` prefix.
+Two interchangeable backends implement the recognition contract, one call
+per chart that returns one tag per edge: an LLM backend that analyzes each
+node pair before committing to a tag, and a deterministic heuristic for
+offline runs and tests. Each backend runs its own edges. Out-of-taxonomy
+answers never escape: the LLM backend retries once and then falls back to
+the heuristic, marking the triple's rationale with a ``fallback:`` prefix.
 
 The recognition context, the chart rendered in the upgrade's dialect, is
 rendered only when a backend asks for it: the LLM backend embeds it in every
@@ -52,15 +53,16 @@ RELATION_BACKENDS = ("heuristic", "llm")  # the backends make_relation_backend s
 
 
 class RelationBackend(Protocol):
-    """Recognition contract: one node pair in, one in-taxonomy tag out.
+    """Recognition contract: one valid chart in, one in-taxonomy tag and its
+    rationale per edge out, in edge order.
 
     ``context`` renders the whole chart on demand. A backend that needs the
     chart calls it; one that does not leaves the chart unrendered. Every call
     returns the same document, rendered once per graph and dialect.
     """
 
-    def recognize(self, src: Node, dst: Node, label: EdgeLabel,
-                  context: ContextSource) -> tuple[RelationType, str]:
+    def recognize(self, graph: FlowGraph,
+                  context: ContextSource) -> list[tuple[RelationType, str]]:
         ...
 
 
@@ -153,9 +155,11 @@ def heuristic_recognize(src: Node, dst: Node,
 class HeuristicRelationBackend:
     """Pure, order-independent backend wrapping the rule cascade."""
 
-    def recognize(self, src: Node, dst: Node, label: EdgeLabel,
-                  context: ContextSource) -> tuple[RelationType, str]:
-        return heuristic_recognize(src, dst, label)
+    def recognize(self, graph: FlowGraph,
+                  context: ContextSource) -> list[tuple[RelationType, str]]:
+        by_id = {n.id: n for n in graph.nodes}
+        return [heuristic_recognize(by_id[edge.src], by_id[edge.dst], edge.label)
+                for edge in graph.edges]
 
 
 _RETRY_REMINDER = (
@@ -167,63 +171,54 @@ _RETRY_REMINDER = (
 
 @dataclass
 class LlmRelationBackend:
-    """Two-phase recognition over a chat gateway.
+    """Two-phase recognition over a chat gateway, one request per edge.
 
     One retry on an unparseable response; after that the heuristic answers
     and the rationale is marked ``fallback:`` so batch runs always finish.
+    Edges run concurrently once their requests reach the transport, up to
+    the gateway's parallelism (see ``map_in_order``). The first edge, in
+    edge order, whose recognition raises aborts the chart with
+    :class:`UpgradeError`, except that a :class:`CacheError` (the run's) and
+    an :class:`EmitError` (the chart's) pass through unwrapped.
     """
 
     gateway: ChatGateway
     model: str
 
-    def recognize(self, src: Node, dst: Node, label: EdgeLabel,
-                  context: ContextSource) -> tuple[RelationType, str]:
+    def recognize(self, graph: FlowGraph,
+                  context: ContextSource) -> list[tuple[RelationType, str]]:
         ask = completion_backend(self.gateway, self.model, max_tokens=512)
-        found = ask_twice(ask, build_relation_prompt(src, dst, label, context()),
-                          parse_relation_response, _RETRY_REMINDER)
-        if found is not None:
+        by_id = {n.id: n for n in graph.nodes}
+
+        def one(edge: Edge) -> tuple[RelationType, str]:
+            src, dst = by_id[edge.src], by_id[edge.dst]
+            try:
+                found = ask_twice(ask, build_relation_prompt(src, dst, edge.label, context()),
+                                  parse_relation_response, _RETRY_REMINDER)
+            except (CacheError, EmitError):
+                raise
+            except Exception as exc:
+                raise UpgradeError(edge, exc) from exc
+            if found is None:
+                relation, reason = heuristic_recognize(src, dst, edge.label)
+                found = relation, f"fallback: {reason}"
             return found
-        relation, reason = heuristic_recognize(src, dst, label)
-        return relation, f"fallback: {reason}"
+
+        return list(map_in_order(one, graph.edges, self.gateway))
 
 
-def upgrade_graph(
-    graph: FlowGraph,
-    backend: RelationBackend,
-    *,
-    dialect: Dialect = Dialect.MERMAID,
-) -> UpgradedGraph:
+def upgrade_graph(graph: FlowGraph, backend: RelationBackend, *,
+                  dialect: Dialect = Dialect.MERMAID) -> UpgradedGraph:
     """Recognize a relation for every edge and build the upgraded graph.
 
-    Each backend call gets the chart in ``dialect`` as a zero-argument
-    callable, so the chart is rendered (once, see :func:`emit`) only if a
-    backend asks for it; the heuristic backend never does.
-
-    A backend with a ``gateway`` attribute (the LLM one) recognizes edges
-    concurrently once its requests reach the transport, up to the gateway's
-    parallelism (see ``map_in_order``); any other backend runs inline.
-    Triple ``i`` is built from edge ``i``'s result, so the result does not
-    depend on completion order and no edge is hashed. The first edge, in
-    edge order, whose recognition raises aborts the whole upgrade (no
-    partial result) with :class:`UpgradeError`, except that a
-    :class:`CacheError` (a cache entry that cannot be written) is the run's,
-    and an :class:`EmitError` (the chart has no rendering in ``dialect``) the
-    chart's, not the edge's: those pass through unwrapped.
+    One backend call gets the validated chart and, as a zero-argument
+    callable, its rendering in ``dialect``, so the chart is rendered (once,
+    see :func:`emit`) only if the backend asks for it; the heuristic never
+    does. Triple ``i`` is built from the backend's result ``i``, so no edge
+    is hashed; whatever the backend raises ends the upgrade.
     """
     require_valid(graph)
-    context = partial(emit, graph, dialect)
-    by_id = {n.id: n for n in graph.nodes}
-
-    def recognize(edge: Edge) -> tuple[RelationType, str]:
-        try:
-            return backend.recognize(by_id[edge.src], by_id[edge.dst],
-                                     edge.label, context)
-        except (CacheError, EmitError):
-            raise
-        except Exception as exc:
-            raise UpgradeError(edge, exc) from exc
-
-    results = list(map_in_order(recognize, graph.edges, getattr(backend, "gateway", None)))
+    results = backend.recognize(graph, partial(emit, graph, dialect))
     return UpgradedGraph(base=graph, triples=tuple(
         RelationTriple(edge.src, relation, edge.dst, rationale)
         for edge, (relation, rationale) in zip(graph.edges, results)))

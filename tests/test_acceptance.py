@@ -196,9 +196,9 @@ class _CountingRecognizer:
         self.calls = 0
         self.inner = HeuristicRelationBackend()
 
-    def recognize(self, src, dst, label, context):
-        self.calls += 1
-        return self.inner.recognize(src, dst, label, context)
+    def recognize(self, graph, context):
+        self.calls += len(graph.edges)
+        return self.inner.recognize(graph, context)
 
 
 def load_desk_instances() -> list[tuple[Question, QuestionType]]:

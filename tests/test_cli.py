@@ -791,6 +791,61 @@ class TestEndpoint:
                    for log in logs)
 
 
+class TestApiKey:
+    """An API key that no HTTP header can carry (a line break, or a
+    character outside latin-1) is a config error before any call."""
+
+    @pytest.mark.parametrize("api_key", ["a\nb", "\u043a\u043b\u044e\u0447"])
+    @pytest.mark.parametrize("argv", [
+        ("ask", "{chart}", "--question", "What then?"),
+        ("eval", "--dataset", str(DATA / "eval10.jsonl"))])
+    def test_exits_2_before_any_call(self, capsys, chart, monkeypatch, api_key, argv):
+        posted = []
+        monkeypatch.setattr(requests, "post", lambda url, **kwargs: posted.append(url))
+        argv = [arg.format(chart=chart) for arg in argv]
+        code, out, err = run_cli(capsys, *argv, "--endpoint", "http://x/v1",
+                                 "--api-key", api_key)
+        assert (code, out, posted) == (2, "", [])
+        assert err == ("config error: API key holds a line break or a character outside "
+                       "latin-1, which an HTTP header cannot carry\n")
+
+
+class TestRetryAfterBeyondTheTimeout:
+    """A ``Retry-After`` longer than the request timeout ends the request at
+    once, with no wait: ``ask`` exits 3, ``eval`` fails each instance."""
+
+    @pytest.fixture
+    def slept(self, monkeypatch):
+        monkeypatch.setattr(requests, "post", lambda url, **kwargs: TestEndpoint.Reply(
+            429, {"Retry-After": "3600"}))
+        slept = []
+        real_gateway = cli_mod._gateway
+
+        def gateway(config):
+            gw = real_gateway(config)
+            gw._sleep = slept.append
+            return gw
+
+        monkeypatch.setattr(cli_mod, "_gateway", gateway)
+        return slept
+
+    MESSAGE = "provider asked to wait 3600 s, longer than the 120 s request timeout (HTTP 429)"
+
+    def test_ask_exits_3(self, capsys, chart, slept):
+        code, out, err = run_cli(capsys, "ask", chart, "--question", "What then?",
+                                 "--mode", "shallow", "--endpoint", "http://x/v1")
+        assert (code, out, slept) == (3, "", [])
+        assert err == f"backend error: {self.MESSAGE}\n"
+
+    def test_eval_fails_each_instance(self, capsys, slept):
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(DATA / "eval10.jsonl"),
+                                 "--endpoint", "http://x/v1")
+        assert (code, slept) == (0, [])
+        assert json.loads(out)["failed_count"] == 10
+        logs = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert [log["error"] for log in logs] == [f"TransportError: {self.MESSAGE}"] * 10
+
+
 class TestConfigPrecedence:
     def test_config_file_then_env_then_flags(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "flowsra.json"

@@ -746,6 +746,48 @@ class TestHttpTransport:
         assert wait and low <= int(wait.group(1)) <= high
         assert posted == ["http://x"]
 
+    @pytest.mark.parametrize("retry_after", [
+        "3600", format_datetime(datetime.now(timezone.utc) + timedelta(hours=1), usegmt=True)],
+        ids=["seconds", "http-date"])
+    def test_retry_after_longer_than_the_timeout_ends_the_request(self, monkeypatch,
+                                                                  retry_after):
+        posted = []
+
+        def fake_post(url, **kwargs):
+            posted.append(url)
+            return self.FakeResponse(429, headers={"Retry-After": retry_after})
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        slept = []
+        gateway = ChatGateway(gateway_mod.HttpTransport("http://x"), sleep=slept.append)
+        with pytest.raises(TransportError) as excinfo:
+            gateway.complete(req())
+        wait = re.match(r"provider asked to wait (\d+) s, longer than the 120 s request "
+                        r"timeout \(HTTP 429\)$", str(excinfo.value))
+        assert wait and 3500 <= int(wait.group(1)) <= 3600
+        assert (posted, slept) == (["http://x"], [])
+
+    @pytest.mark.parametrize("timeout,error", [(5, TransientError), (4.5, TransportError)])
+    def test_a_retry_after_up_to_the_timeout_is_retried(self, monkeypatch, timeout, error):
+        monkeypatch.setattr(requests, "post", lambda *a, **k: self.FakeResponse(
+            503, headers={"Retry-After": "5"}))
+        with pytest.raises(error):
+            gateway_mod.HttpTransport("http://x", timeout=timeout)(req())
+
+    @pytest.mark.parametrize("api_key", [
+        "a\nb", "a\rb", "key\r\n", "\u043a\u043b\u044e\u0447", "k\udcffey"])
+    def test_api_key_no_header_can_carry_is_a_value_error(self, api_key):
+        with pytest.raises(ValueError, match="API key") as excinfo:
+            gateway_mod.HttpTransport("http://x", api_key)
+        assert api_key not in str(excinfo.value)
+
+    def test_latin1_api_key_is_sent(self, monkeypatch):
+        headers = {}
+        monkeypatch.setattr(requests, "post", lambda url, **kwargs: (
+            headers.update(kwargs["headers"]) or self.FakeResponse(200, provider_payload("ok"))))
+        gateway_mod.HttpTransport("http://x", "cl\xe9 ")(req())
+        assert headers["Authorization"] == "Bearer cl\xe9 "
+
 
 class TestMockBackend:
     def test_empty_script_misses(self):

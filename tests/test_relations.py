@@ -219,16 +219,11 @@ class TestMakeRelationBackend:
 
 class TestUpgradeGraph:
     def test_zero_edges_zero_calls(self):
-        calls = []
-
-        class Spy:
-            def recognize(self, src, dst, label, context):
-                calls.append(1)
-                return RelationType.SEQUENTIALITY, ""
-
-        ug = upgrade_graph(FlowGraph(nodes=(Node("S", NodeKind.START, ""),)), Spy())
+        transport = mock_backend([("", "RELATION: Sequentiality")])
+        backend = LlmRelationBackend(ChatGateway(transport), model="recognizer")
+        ug = upgrade_graph(FlowGraph(nodes=(Node("S", NodeKind.START, ""),)), backend)
         assert ug.triples == ()
-        assert calls == []
+        assert transport.calls == []
 
     def test_heuristic_backend_matches_per_edge_oracle(self):
         graph = three_edge_graph()
@@ -271,13 +266,27 @@ class TestUpgradeGraph:
         assert len(transport.calls) == 4
 
     def test_backend_exception_names_the_edge(self):
-        class Exploding:
-            def recognize(self, src, dst, label, context):
-                raise RuntimeError("boom")
+        def transport(request):
+            if "Node A (source): Start" in request.rendered():
+                raise PermanentError("boom")
+            return {"choices": [{"message": {"content": "RELATION: Sequentiality"}}]}
 
+        backend = LlmRelationBackend(ChatGateway(transport), model="recognizer")
         with pytest.raises(UpgradeError) as excinfo:
-            upgrade_graph(three_edge_graph(), Exploding())
+            upgrade_graph(three_edge_graph(), backend)
         assert "S -> A" in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, PermanentError)
+
+    def test_a_gateway_attribute_on_the_backend_is_not_read(self):
+        class ChartLevel:
+            gateway = "not a ChatGateway"
+
+            def recognize(self, graph, context):
+                return HeuristicRelationBackend().recognize(graph, context)
+
+        graph = three_edge_graph()
+        assert (upgrade_graph(graph, ChartLevel())
+                == upgrade_graph(graph, HeuristicRelationBackend()))
 
     def test_totality_on_random_graphs(self):
         for seed in range(25):
@@ -453,16 +462,16 @@ class TestLazyContext:
         contexts = []
 
         class Spy:
-            def recognize(self, src, dst, label, context):
+            def recognize(self, graph, context):
                 contexts.append(context)
-                return RelationType.SEQUENTIALITY, ""
+                return [(RelationType.SEQUENTIALITY, "")] * len(graph.edges)
 
         graph = three_edge_graph()
         upgrade_graph(graph, Spy(), dialect=Dialect.DOT)
-        assert len(contexts) == 3
+        assert len(contexts) == 1
         assert ("emit", Dialect.DOT) not in graph._memo
         assert contexts[0]() is emit(graph, Dialect.DOT)
-        assert all(context() is contexts[0]() for context in contexts)
+        assert contexts[0]() is contexts[0]()
 
     def test_chart_without_a_rendering_passes_through_unwrapped(self):
         # PlantUML has no rendering for a decision with one branch
