@@ -48,8 +48,7 @@ def relation_edge_label(relation: RelationType, original: EdgeLabel) -> str:
 
 
 _RELATION_LABEL = re.compile(
-    r"^(Conditionality|Causality|Instantiation|Sequentiality)(?:\s*\((.*)\))?$"
-)
+    "^(" + "|".join(r.value for r in RelationType) + r")(?:\s*\((.*)\))?$")
 
 
 def split_relation_label(text: str) -> tuple[RelationType, EdgeLabel] | None:

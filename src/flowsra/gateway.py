@@ -532,10 +532,12 @@ def last_tagged_line(text: str, pattern: re.Pattern) -> tuple[int, re.Match] | N
 
 
 def ask_twice(ask: Callable[[str], str], prompt: str,
-              parse: Callable[[str], R | None], reminder: str) -> R | None:
-    """``parse(ask(prompt))``; when that is None, ask once more with the
-    format ``reminder`` appended. None when neither reply parses."""
+              parse: Callable[[str], R | None], instruction: str) -> R | None:
+    """``parse(ask(prompt))``; when that is None, ask once more, appending
+    that the reply was unreadable and "Answer again " with the format
+    ``instruction``. None when neither reply parses."""
     parsed = parse(ask(prompt))
     if parsed is None:
-        parsed = parse(ask(prompt + reminder))
+        parsed = parse(ask(f"{prompt}\n\nYour previous answer could not be parsed. "
+                           f"Answer again {instruction}"))
     return parsed

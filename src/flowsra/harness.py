@@ -164,10 +164,7 @@ def normalize_answer(text: str) -> str:
 JUDGE_MODES = ("exact", "llm")  # tier 1 only, or an LLM judge for tier 2
 _VERDICT_LINE = re.compile(r"verdict\s*[:\-]\s*(correct|incorrect)", re.IGNORECASE)
 
-_JUDGE_RETRY = (
-    "\n\nYour previous answer could not be parsed. Answer again with exactly "
-    "one line: VERDICT: CORRECT or VERDICT: INCORRECT."
-)
+_JUDGE_RETRY = "with exactly one line: VERDICT: CORRECT or VERDICT: INCORRECT."
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,12 @@ class FlowGraph(_Memoized):
         object.__setattr__(self, "edges", tuple(self.edges))
 
 
+def edge_key(src: str, dst: str, label: EdgeLabel) -> tuple[str, str, str, str | None]:
+    """Duplicate-edge identity, equal exactly when the Edges are; hashing an
+    Edge instead makes three Python-level __hash__ calls."""
+    return src, dst, label.kind.value, label.text
+
+
 class RelationType(Enum):
     """Closed four-way taxonomy of semantic relations between linked nodes.
 
@@ -223,12 +229,15 @@ def relation_definitions_block() -> str:
     return _DEFINITIONS_BLOCK
 
 
+FALLBACK_MARK = "fallback:"
+
+
 @dataclass(frozen=True)
 class RelationTriple:
     """(source node, relation, target node) for one edge of the base graph.
 
     ``rationale`` holds the recognizer's analysis text when available;
-    fallback-produced triples carry a rationale starting with ``fallback:``.
+    fallback-produced triples carry a rationale starting with ``FALLBACK_MARK``.
     """
 
     src: str
@@ -238,7 +247,7 @@ class RelationTriple:
 
     @property
     def is_fallback(self) -> bool:
-        return bool(self.rationale) and self.rationale.startswith("fallback:")
+        return bool(self.rationale) and self.rationale.startswith(FALLBACK_MARK)
 
 
 @dataclass(frozen=True)
@@ -323,10 +332,7 @@ def _violations(graph: FlowGraph) -> tuple[Violation, ...]:
                     "dangling-edge", endpoint,
                     f"edge {edge.src!r} -> {edge.dst!r} references unknown node {endpoint!r}"))
         count = len(seen_edges)
-        # equal exactly when the Edges are; hashing an Edge would make three
-        # Python-level __hash__ calls (Edge, EdgeLabel, LabelKind)
-        label = edge.label
-        seen_edges.add((edge.src, edge.dst, label.kind.value, label.text))
+        seen_edges.add(edge_key(edge.src, edge.dst, edge.label))
         if len(seen_edges) == count:
             violations.append(Violation(
                 "duplicate-edge", f"{edge.src}->{edge.dst}",

@@ -29,6 +29,7 @@ from .ir import (
     UNLABELED,
     YES,
     NO,
+    edge_key,
 )
 
 
@@ -162,9 +163,7 @@ class _Builder:
         """Record an edge; returns False for a duplicate (kept, so validate()
         flags it too, but the parser should diagnose it where it happened)."""
         seen = len(self._edge_keys)
-        # equal exactly when the Edges are; hashing an Edge would make
-        # three Python-level __hash__ calls (Edge, EdgeLabel, LabelKind)
-        self._edge_keys.add((src, dst, label.kind.value, label.text))
+        self._edge_keys.add(edge_key(src, dst, label))
         self._edges.append(Edge(src, dst, label))
         return len(self._edge_keys) != seen
 

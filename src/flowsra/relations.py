@@ -23,6 +23,7 @@ from .emitting import EmitError, InterlanguageDoc, emit
 from .gateway import CacheError, ChatGateway, ask_twice, completion_backend
 from .gateway import last_tagged_line, map_in_order
 from .ir import (
+    FALLBACK_MARK,
     Edge,
     EdgeLabel,
     FlowGraph,
@@ -86,6 +87,7 @@ def build_relation_prompt(src: Node, dst: Node, label: EdgeLabel,
         src_text=src.text,
         dst_text=dst.text,
         label_clause=_label_clause(label),
+        tags="|".join(r.value for r in RelationType),
     )
 
 
@@ -162,11 +164,8 @@ class HeuristicRelationBackend:
                 for edge in graph.edges]
 
 
-_RETRY_REMINDER = (
-    "\n\nYour previous answer could not be parsed. Answer again and finish "
-    "with exactly one line: RELATION: <tag>, where <tag> is exactly one of "
-    "Conditionality, Causality, Instantiation, Sequentiality."
-)
+_RETRY_REMINDER = ("and finish with exactly one line: RELATION: <tag>, where <tag> is "
+                   "exactly one of " + ", ".join(r.value for r in RelationType) + ".")
 
 
 @dataclass
@@ -201,7 +200,7 @@ class LlmRelationBackend:
                 raise UpgradeError(edge, exc) from exc
             if found is None:
                 relation, reason = heuristic_recognize(src, dst, edge.label)
-                found = relation, f"fallback: {reason}"
+                found = relation, f"{FALLBACK_MARK} {reason}"
             return found
 
         return list(map_in_order(one, graph.edges, self.gateway))

@@ -71,20 +71,17 @@ def heuristic_classify(question: str) -> QuestionClass:
     return QuestionClass.STRAIGHT
 
 
-_CLASS_LINE = re.compile(r"class\s*[:\-]\s*(straight|complicated)", re.IGNORECASE)
+_CLASSES = "|".join(c.value for c in QuestionClass)
+_CLASS_LINE = re.compile(r"class\s*[:\-]\s*(" + _CLASSES + ")", re.IGNORECASE)
+_CLASS_BY_NAME = {c.value.casefold(): c for c in QuestionClass}
 
-_RETRY_REMINDER = (
-    "\n\nYour previous answer could not be parsed. Answer again with exactly "
-    "one line: CLASS: Straight or CLASS: Complicated."
-)
+_RETRY_REMINDER = ("with exactly one line: "
+                   + " or ".join(f"CLASS: {c.value}" for c in QuestionClass) + ".")
 
 
 def _parse_class(text: str) -> QuestionClass | None:
     found = last_tagged_line(text, _CLASS_LINE)
-    if found is None:
-        return None
-    return (QuestionClass.STRAIGHT if found[1].group(1).casefold() == "straight"
-            else QuestionClass.COMPLICATED)
+    return None if found is None else _CLASS_BY_NAME[found[1].group(1).casefold()]
 
 
 def classify(question: str, backend: Callable[[str], str]) -> QuestionClass:
@@ -95,7 +92,7 @@ def classify(question: str, backend: Callable[[str], str]) -> QuestionClass:
     """
     if not question.strip():
         raise ValueError("question must be non-empty")
-    prompt = load_template("router.txt").format(question=question)
+    prompt = load_template("router.txt").format(question=question, classes=_CLASSES)
     parsed = ask_twice(backend, prompt, _parse_class, _RETRY_REMINDER)
     if parsed is None:
         raise ClassificationError(f"unparseable class for question {question!r}")

@@ -886,9 +886,10 @@ class TestAskParseRetry:
             return "ok" if len(prompts) == 2 else "garbled"
 
         parse = lambda text: text if text == "ok" else None
+        retried = "p\n\nYour previous answer could not be parsed. Answer again +r"
         assert ask_twice(ask, "p", parse, "+r") == "ok"
-        assert prompts == ["p", "p+r"]
+        assert prompts == ["p", retried]
         prompts.clear()
         assert ask_twice(lambda p: prompts.append(p) or "x", "p", parse, "+r") is None
-        assert prompts == ["p", "p+r"]
+        assert prompts == ["p", retried]
         assert ask_twice(lambda p: "ok", "p", parse, "+r") == "ok"
