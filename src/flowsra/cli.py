@@ -17,12 +17,12 @@ from pathlib import Path
 from .emitting import EmitError, emit, emit_triples, emit_upgraded
 from .engine import Question, Route, answer_controlled
 from .gateway import (
-    CacheError,
     ChatGateway,
     HttpTransport,
     PermanentError,
     ProtocolError,
     ScriptedMissError,
+    SetupError,
     TransportError,
     load_mock_script,
 )
@@ -371,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         # UnicodeEncodeError: text that the output stream cannot carry
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConfigError, CacheError) as exc:
+    except (ConfigError, SetupError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TransportError, PermanentError, ProtocolError, ScriptedMissError,

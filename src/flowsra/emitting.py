@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import count
 from typing import Generator, Iterable
 
 from .ir import (
@@ -24,7 +25,7 @@ from .ir import (
     relation_definitions_block,
     require_valid,
 )
-from .parsing import Dialect
+from .parsing import MERMAID_ID, Dialect
 
 
 @dataclass(frozen=True)
@@ -101,18 +102,31 @@ def _edge_labels(graph: FlowGraph, upgraded: list[str] | None) -> Iterable[str |
     return (edge.label.render() for edge in graph.edges)
 
 
+_MERMAID_ID = re.compile(MERMAID_ID)
+
+
+def _mermaid_ids(graph: FlowGraph) -> dict[str, str]:
+    """Each node's id as Mermaid writes it: kept if the parser reads it as
+    an id (DOT allows others, such as ``1`` or ``"a b"``), else the first
+    ``n<k>`` that no kept id uses."""
+    kept = {n.id for n in graph.nodes if _MERMAID_ID.fullmatch(n.id)}
+    fresh = (nid for nid in map("n{}".format, count()) if nid not in kept)
+    return {n.id: n.id if n.id in kept else next(fresh) for n in graph.nodes}
+
+
 def _emit_mermaid(graph: FlowGraph, upgraded: list[str] | None) -> str:
     lines = ["flowchart TD"]
     if upgraded is not None:
         lines += _taxonomy_comment("%%")
+    ids = _mermaid_ids(graph)
     for node in graph.nodes:
         left, right = _MERMAID_BRACKETS[node.kind]
-        lines.append(f"{node.id}{left}{_mermaid_text(node.text)}{right}")
+        lines.append(f"{ids[node.id]}{left}{_mermaid_text(node.text)}{right}")
     for edge, label in zip(graph.edges, _edge_labels(graph, upgraded)):
         if label is None:
-            lines.append(f"{edge.src} --> {edge.dst}")
+            lines.append(f"{ids[edge.src]} --> {ids[edge.dst]}")
         else:
-            lines.append(f"{edge.src} -->|{label.replace('|', '/')}| {edge.dst}")
+            lines.append(f"{ids[edge.src]} -->|{label.replace('|', '/')}| {ids[edge.dst]}")
     return "\n".join(lines) + "\n"
 
 

@@ -95,7 +95,7 @@ class TransportError(RuntimeError):
 
 
 class TransientError(RuntimeError):
-    """Retryable provider failure (connection trouble, 5xx, 429).
+    """Retryable provider failure (connection trouble, 5xx, 429, 408).
 
     ``retry_after`` is the provider's requested wait in seconds, if it sent
     one."""
@@ -117,8 +117,18 @@ class ScriptedMissError(RuntimeError):
     """A mock transport received a request its script does not cover."""
 
 
-class CacheError(RuntimeError):
+class SetupError(RuntimeError):
+    """A fault of the run's setup, which every request would meet alike: it
+    ends the run rather than fail one request or instance."""
+
+
+class CacheError(SetupError):
     """A response could not be written to the cache directory."""
+
+
+class EndpointError(SetupError):
+    """``requests`` cannot prepare a request to the endpoint (an invalid
+    URL, say), so no request to it can be sent."""
 
 
 def parse_provider_payload(payload: dict, cached: bool = False) -> ChatResponse:
@@ -167,8 +177,9 @@ class HttpTransport:
     built, so a run whose requests all hit the cache never loads it. An
     endpoint that is not an http or https URL with a host, or an API key
     that an HTTP header cannot carry, is a ``ValueError`` here, before any
-    call. A ``Retry-After`` longer than ``timeout`` ends the request with a
-    ``TransportError`` instead of a wait."""
+    call. A request that ``requests`` cannot prepare is an ``EndpointError``,
+    never retried. A ``Retry-After`` longer than ``timeout`` ends the request
+    with a ``TransportError`` instead of a wait."""
 
     is_network = True
 
@@ -204,6 +215,8 @@ class HttpTransport:
         try:
             resp = requests.post(self.endpoint, json=body, headers=headers,
                                  timeout=self.timeout)
+        except ValueError as exc:  # requests raises only these while preparing a request
+            raise EndpointError(f"endpoint {self.endpoint!r}: {exc}") from exc
         except requests.RequestException as exc:
             raise TransientError(str(exc)) from exc
         if resp.status_code in (429, 503):
@@ -213,7 +226,7 @@ class HttpTransport:
                     f"provider asked to wait {wait:.0f} s, longer than the "
                     f"{self.timeout:g} s request timeout (HTTP {resp.status_code})")
             raise TransientError(f"HTTP {resp.status_code} from provider", wait)
-        if resp.status_code >= 500:
+        if resp.status_code >= 500 or resp.status_code == 408:
             raise TransientError(f"HTTP {resp.status_code} from provider")
         if resp.status_code >= 400:
             raise PermanentError(f"HTTP {resp.status_code}: {resp.text[:500]}")

@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .engine import Question, Route, answer_routed, route
-from .gateway import CacheError, ChatGateway, completion_backend, map_in_order
+from .gateway import ChatGateway, SetupError, completion_backend, map_in_order
 from .gateway import ask_twice, last_tagged_line
 from .ir import UpgradedGraph
 from .parsing import Dialect, ParseResult, parse_text
@@ -313,11 +313,11 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
     once, and each parsed graph or upgrade renders its texts once; every
     instance still gets its own routing, answer, judge and log.
     Instance-level failures are recorded and the run continues; parse errors
-    in the source flag the instance as skipped. A :class:`CacheError` (a
-    cache entry that cannot be written) is the run's, not an instance's: it
-    is raised as is, from an upgrade too (the ``llm`` recognizer does not
-    wrap it). Instances overlap as the module docstring says; logs keep input
-    order.
+    in the source flag the instance as skipped. A :class:`SetupError` (a
+    cache entry that cannot be written, an endpoint no request can be
+    prepared for) is the run's, not an instance's: it is raised as is, from
+    an upgrade too (the ``llm`` recognizer does not wrap it). Instances
+    overlap as the module docstring says; logs keep input order.
     """
     router = make_router(config.router_mode, gateway, config.router_model)
     recognizer = make_relation_backend(config.relation_backend, gateway,
@@ -378,7 +378,7 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
             log.prompt_fingerprint = reply.prompt_fingerprint
             log.fallbacks_used = reply.fallbacks_used
             verdict = judge(reply.text, instance.gold_answer, judge_backend)
-        except CacheError:
+        except SetupError:
             raise
         except Exception as exc:  # keep the batch alive, record the failure
             log.error = f"{type(exc).__name__}: {exc}"

@@ -222,12 +222,14 @@ _MERMAID_SHAPES: list[tuple[str, NodeKind | None]] = [
     (r"\[([^]]*)\]", NodeKind.PROCESS),
 ]
 
+# A node id; the Mermaid emitter writes no other.
+MERMAID_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+
 # A node reference: the id (group 1), then at most one shape, tried in the
 # order above (group k + 2 holds the text of shape k), so ``lastindex`` names
 # the shape and one ``match`` reads the whole reference.
 _MERMAID_NODE = re.compile(
-    r"([A-Za-z_][A-Za-z0-9_]*)(?:"
-    + "|".join(pattern for pattern, _ in _MERMAID_SHAPES) + ")?")
+    "(" + MERMAID_ID + ")(?:" + "|".join(pattern for pattern, _ in _MERMAID_SHAPES) + ")?")
 _MERMAID_KIND_OF_GROUP = [None, None] + [kind for _, kind in _MERMAID_SHAPES]
 
 # The inline form ``-- label -->`` (the label is its group). The label

@@ -20,7 +20,7 @@ from functools import partial
 from typing import Callable, Protocol
 
 from .emitting import EmitError, InterlanguageDoc, emit
-from .gateway import CacheError, ChatGateway, ask_twice, completion_backend
+from .gateway import ChatGateway, SetupError, ask_twice, completion_backend
 from .gateway import last_tagged_line, map_in_order
 from .ir import (
     FALLBACK_MARK,
@@ -177,7 +177,7 @@ class LlmRelationBackend:
     Edges run concurrently once their requests reach the transport, up to
     the gateway's parallelism (see ``map_in_order``). The first edge, in
     edge order, whose recognition raises aborts the chart with
-    :class:`UpgradeError`, except that a :class:`CacheError` (the run's) and
+    :class:`UpgradeError`, except that a :class:`SetupError` (the run's) and
     an :class:`EmitError` (the chart's) pass through unwrapped.
     """
 
@@ -194,7 +194,7 @@ class LlmRelationBackend:
             try:
                 found = ask_twice(ask, build_relation_prompt(src, dst, edge.label, context()),
                                   parse_relation_response, _RETRY_REMINDER)
-            except (CacheError, EmitError):
+            except (SetupError, EmitError):
                 raise
             except Exception as exc:
                 raise UpgradeError(edge, exc) from exc

@@ -318,7 +318,11 @@ def test_criterion_8_judge_tiering():
                 assert result.correct is (verdict == "CORRECT")
 
 
-@pytest.mark.skipif(not os.environ.get("FLOWSRA_ENDPOINT"),
+# read at import: conftest.py removes every FLOWSRA_ variable before each test
+LIVE = {name: os.environ.get("FLOWSRA_" + name) for name in ("ENDPOINT", "API_KEY", "MODEL")}
+
+
+@pytest.mark.skipif(not LIVE["ENDPOINT"],
                     reason="criterion 9 is network-gated (set FLOWSRA_ENDPOINT)")
 def test_criterion_9_network_smoke(tmp_path):
     with criterion(9, "live endpoint: eval completes, grid renders, recognizer economy"):
@@ -336,9 +340,8 @@ def test_criterion_9_network_smoke(tmp_path):
                     self.relation_calls += 1
                 return self.inner(req)
 
-        transport = CountingTransport(HttpTransport(
-            os.environ["FLOWSRA_ENDPOINT"], os.environ.get("FLOWSRA_API_KEY")))
-        model = os.environ.get("FLOWSRA_MODEL", "default")
+        transport = CountingTransport(HttpTransport(LIVE["ENDPOINT"], LIVE["API_KEY"]))
+        model = LIVE["MODEL"] or "default"
         gateway = ChatGateway(transport, cache_dir=tmp_path / "cache")
         instances = load_dataset(DATA / "flowvqa_like_20.jsonl").instances
         assert len(instances) >= 20

@@ -113,6 +113,19 @@ class TestConvert:
         assert [n.text for n in back.graph.nodes] == ["Save 50%% now", "Done"]
         assert [e.label.render() for e in back.graph.edges] == ["50%% off"]
 
+    def test_dot_ids_mermaid_cannot_carry_round_trip(self, capsys, tmp_path):
+        source = tmp_path / "ids.dot"
+        source.write_text('digraph G { 1 -> 2; "a b" -> c; "\u00e9" -> 2 }')
+        code, mermaid, err = run_cli(capsys, "convert", str(source), "--to", "mermaid")
+        assert (code, err) == (0, "")
+        mermaid_path = tmp_path / "ids.mmd"
+        mermaid_path.write_text(mermaid)
+        code, dot, err = run_cli(capsys, "convert", str(mermaid_path), "--to", "dot")
+        assert (code, err) == (0, "")
+        _, original = parse_text(source.read_text())
+        _, back = parse_text(dot)
+        assert back.ok and isomorphic(back.graph, original.graph)
+
     def test_non_utf8_chart_exits_1_naming_it(self, capsys, tmp_path):
         path = tmp_path / "bad.mmd"
         path.write_bytes(b"flowchart TD\nA-->B\xff\n")
@@ -844,6 +857,42 @@ class TestRetryAfterBeyondTheTimeout:
         assert json.loads(out)["failed_count"] == 10
         logs = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
         assert [log["error"] for log in logs] == [f"TransportError: {self.MESSAGE}"] * 10
+
+
+class TestUnpreparableRequest:
+    """A request that ``requests`` cannot prepare (here, for a host with an
+    empty label) is a config error naming the endpoint: never retried, and
+    it ends an ``eval`` run."""
+
+    ENDPOINT = "http://.example/v1"
+
+    @pytest.fixture
+    def slept(self, monkeypatch):
+        def send(session, request, **kwargs):  # a prepared request would connect here
+            raise AssertionError(f"a connection to {request.url} was attempted")
+
+        monkeypatch.setattr(requests.Session, "send", send)
+        slept = []
+        real_gateway = cli_mod._gateway
+
+        def gateway(config):
+            gw = real_gateway(config)
+            gw._sleep = slept.append
+            return gw
+
+        monkeypatch.setattr(cli_mod, "_gateway", gateway)
+        return slept
+
+    @pytest.mark.parametrize("argv", [
+        ("ask", "{chart}", "--question", "What then?"),
+        ("route", "--router", "llm", "--question", "Why?"),
+        ("eval", "--dataset", str(DATA / "eval10.jsonl"), "--router", "llm")])
+    def test_exits_2_without_a_retry(self, capsys, chart, slept, argv):
+        argv = [arg.format(chart=chart) for arg in argv]
+        code, out, err = run_cli(capsys, *argv, "--endpoint", self.ENDPOINT)
+        assert (code, out, slept) == (2, "", [])
+        assert err.startswith(f"config error: endpoint {self.ENDPOINT!r}: ")
+        assert err.count("\n") == 1
 
 
 class TestConfigPrecedence:

@@ -402,6 +402,31 @@ class TestJoinReferee:
         assert emitter.join_of("D", "A", "B") == "E"
 
 
+class TestMermaidIds:
+    """DOT allows node ids that the Mermaid grammar does not: Mermaid
+    emission keeps the ids that fit it and gives the others fresh ones."""
+
+    DOT = ('digraph G { 1 -> 2; -3.5 -> "a b"; "a-b" -> "a.b"; "\u00e9" -> node_x; '
+           '"node" -> "edge"; n0 -> 1; "\u0663" -> 2 }')
+
+    def test_plain_and_upgraded_emission_parse_back(self):
+        _, parsed = parse_text(self.DOT)
+        assert parsed.ok
+        graph = parsed.graph
+        _, result = parse_text(emit(graph, Dialect.MERMAID).text)
+        assert result.ok and isomorphic(result.graph, graph)
+        ug = upgrade_by_edge(graph, dict.fromkeys(graph.edges, RelationType.CAUSALITY))
+        _, result = parse_text(emit_upgraded(ug, Dialect.MERMAID).text)
+        assert result.ok and isomorphic(strip_relations(result.graph), graph)
+
+    def test_fitting_ids_are_kept_and_fresh_ids_avoid_them(self):
+        _, parsed = parse_text(self.DOT)
+        _, result = parse_text(emit(parsed.graph, Dialect.MERMAID).text)
+        assert [n.id for n in result.graph.nodes] == [
+            "n1", "n2", "n3", "n4", "n5", "n6", "n7", "node_x", "node", "edge", "n0", "n8"]
+        assert [n.text for n in result.graph.nodes] == [n.text for n in parsed.graph.nodes]
+
+
 class TestEmitUpgraded:
     def test_zero_edges_has_taxonomy_only(self):
         ug = upgrade_by_edge(FlowGraph(nodes=(Node("S", NodeKind.START, "Start"),)), {})

@@ -14,6 +14,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
@@ -787,6 +788,54 @@ class TestHttpTransport:
             headers.update(kwargs["headers"]) or self.FakeResponse(200, provider_payload("ok"))))
         gateway_mod.HttpTransport("http://x", "cl\xe9 ")(req())
         assert headers["Authorization"] == "Bearer cl\xe9 "
+
+
+class TestLoopback:
+    """``HttpTransport`` against a stdlib HTTP server on 127.0.0.1."""
+
+    @pytest.fixture
+    def serve(self, monkeypatch):
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        servers = []
+
+        def serve(*replies):
+            """Start a server that answers its n-th POST with ``replies[n]``,
+            a (status, JSON body) pair; return its URL."""
+            pending = list(replies)
+
+            class Handler(BaseHTTPRequestHandler):
+                def do_POST(self):
+                    self.rfile.read(int(self.headers["Content-Length"]))
+                    status, body = pending.pop(0)
+                    data = json.dumps(body).encode("utf-8")
+                    self.send_response(status)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(data)))
+                    self.end_headers()
+                    self.wfile.write(data)
+
+                def log_message(self, *args):
+                    pass
+
+            server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+            thread = threading.Thread(target=server.serve_forever)
+            thread.start()
+            servers.append((server, thread))
+            return f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+
+        yield serve
+        for server, thread in servers:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+
+    def test_408_is_retried(self, serve):
+        url = serve((408, {"error": "request timeout"}), (200, provider_payload("ok")))
+        slept = []
+        gateway = ChatGateway(gateway_mod.HttpTransport(url), sleep=slept.append)
+        assert gateway.complete(req()).content == "ok"
+        assert gateway.transport_calls == 2
+        assert len(slept) == 1
 
 
 class TestMockBackend:
