@@ -18,6 +18,7 @@ from .ir import (
     EdgeLabel,
     FlowGraph,
     LabelKind,
+    Node,
     NodeKind,
     RelationType,
     UpgradedGraph,
@@ -105,28 +106,32 @@ def _edge_labels(graph: FlowGraph, upgraded: list[str] | None) -> Iterable[str |
 _MERMAID_ID = re.compile(MERMAID_ID)
 
 
-def _mermaid_ids(graph: FlowGraph) -> dict[str, str]:
-    """Each node's id as Mermaid writes it: kept if the parser reads it as
-    an id (DOT allows others, such as ``1`` or ``"a b"``), else the first
-    ``n<k>`` that no kept id uses."""
+def _mermaid_ids(graph: FlowGraph) -> FlowGraph:
+    """``graph``, with each node id that the Mermaid parser does not read as
+    an id (DOT allows ``1`` or ``"a b"``) renamed to the first ``n<k>`` that
+    no kept id uses."""
     kept = {n.id for n in graph.nodes if _MERMAID_ID.fullmatch(n.id)}
+    if len(kept) == len(graph.nodes):
+        return graph
     fresh = (nid for nid in map("n{}".format, count()) if nid not in kept)
-    return {n.id: n.id if n.id in kept else next(fresh) for n in graph.nodes}
+    ids = {n.id: n.id if n.id in kept else next(fresh) for n in graph.nodes}
+    return FlowGraph(tuple(Node(ids[n.id], n.kind, n.text) for n in graph.nodes),
+                     tuple(Edge(ids[e.src], ids[e.dst], e.label) for e in graph.edges))
 
 
 def _emit_mermaid(graph: FlowGraph, upgraded: list[str] | None) -> str:
     lines = ["flowchart TD"]
     if upgraded is not None:
         lines += _taxonomy_comment("%%")
-    ids = _mermaid_ids(graph)
+    graph = _mermaid_ids(graph)
     for node in graph.nodes:
         left, right = _MERMAID_BRACKETS[node.kind]
-        lines.append(f"{ids[node.id]}{left}{_mermaid_text(node.text)}{right}")
+        lines.append(f"{node.id}{left}{_mermaid_text(node.text)}{right}")
     for edge, label in zip(graph.edges, _edge_labels(graph, upgraded)):
         if label is None:
-            lines.append(f"{ids[edge.src]} --> {ids[edge.dst]}")
+            lines.append(f"{edge.src} --> {edge.dst}")
         else:
-            lines.append(f"{ids[edge.src]} -->|{label.replace('|', '/')}| {ids[edge.dst]}")
+            lines.append(f"{edge.src} -->|{label.replace('|', '/')}| {edge.dst}")
     return "\n".join(lines) + "\n"
 
 

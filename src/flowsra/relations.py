@@ -87,10 +87,14 @@ def build_relation_prompt(src: Node, dst: Node, label: EdgeLabel,
         src_text=src.text,
         dst_text=dst.text,
         label_clause=_label_clause(label),
-        tags="|".join(r.value for r in RelationType),
+        tags=_TAGS,
     )
 
 
+# the tag line reads any word, so that an out-of-taxonomy tag is re-asked
+_TAGS = "|".join(r.value for r in RelationType)
+_RETRY_REMINDER = ("and finish with exactly one line: RELATION: <tag>, where <tag> is "
+                   "exactly one of " + ", ".join(r.value for r in RelationType) + ".")
 _RELATION_LINE = re.compile(r"relation\s*[:\-]\s*(?P<tag>[A-Za-z]+)", re.IGNORECASE)
 
 
@@ -162,10 +166,6 @@ class HeuristicRelationBackend:
         by_id = {n.id: n for n in graph.nodes}
         return [heuristic_recognize(by_id[edge.src], by_id[edge.dst], edge.label)
                 for edge in graph.edges]
-
-
-_RETRY_REMINDER = ("and finish with exactly one line: RELATION: <tag>, where <tag> is "
-                   "exactly one of " + ", ".join(r.value for r in RelationType) + ".")
 
 
 @dataclass
