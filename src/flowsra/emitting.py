@@ -106,7 +106,7 @@ def _edge_labels(graph: FlowGraph, upgraded: list[str] | None) -> Iterable[str |
 _MERMAID_ID = re.compile(MERMAID_ID)
 
 
-def _mermaid_ids(graph: FlowGraph) -> FlowGraph:
+def _with_mermaid_ids(graph: FlowGraph) -> FlowGraph:
     """``graph``, with each node id that the Mermaid parser does not read as
     an id (DOT allows ``1`` or ``"a b"``) renamed to the first ``n<k>`` that
     no kept id uses."""
@@ -123,7 +123,7 @@ def _emit_mermaid(graph: FlowGraph, upgraded: list[str] | None) -> str:
     lines = ["flowchart TD"]
     if upgraded is not None:
         lines += _taxonomy_comment("%%")
-    graph = _mermaid_ids(graph)
+    graph = _with_mermaid_ids(graph)
     for node in graph.nodes:
         left, right = _MERMAID_BRACKETS[node.kind]
         lines.append(f"{node.id}{left}{_mermaid_text(node.text)}{right}")

@@ -215,7 +215,7 @@ class HttpTransport:
         try:
             resp = requests.post(self.endpoint, json=body, headers=headers,
                                  timeout=self.timeout)
-        except ValueError as exc:  # requests raises only these while preparing a request
+        except ValueError as exc:  # raised only while preparing, before any connection
             raise EndpointError(f"endpoint {self.endpoint!r}: {exc}") from exc
         except requests.RequestException as exc:
             raise TransientError(str(exc)) from exc
