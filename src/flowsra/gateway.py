@@ -3,12 +3,13 @@
 Requests are content-addressed: the cache key hashes the full request, so a
 warm cache replays a run byte-identically with zero network traffic. A
 cache entry is one file, ``<cache_dir>/<key>.json``, holding the provider's
-payload as UTF-8 JSON with sorted keys; a hit opens, reads and decodes it
-once, and a write replaces it atomically. The wire shape is the de-facto
-open chat-completions JSON contract; a scriptable mock transport stands in
-for the network during tests and offline runs. The HTTP client
-(``requests``) is loaded on the first request to an endpoint, so mock
-runs, replays served from the cache, ``convert``, ``stats`` and a
+payload as UTF-8 JSON with sorted keys. A hit is one ``os.open`` of the
+entry, reads of its descriptor until one returns nothing, and one decode,
+with no file object; a write replaces the entry atomically. The wire shape
+is the de-facto open chat-completions JSON contract; a scriptable mock
+transport stands in for the network during tests and offline runs. The
+HTTP client (``requests``) is loaded on the first request to an endpoint,
+so mock runs, replays served from the cache, ``convert``, ``stats`` and a
 heuristic ``upgrade`` never load it.
 """
 
@@ -75,6 +76,10 @@ class ChatResponse:
 
 # one encoder for every key; json.dumps with these options builds one per call
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+# decodes every cache entry; json.loads would add a type and a BOM check per call
+_ENTRY_DECODER = json.JSONDecoder()
+# bytes asked of each read of an entry: most entries fit in one read
+_READ_SIZE = 4096
 
 
 def cache_key(req: ChatRequest) -> str:
@@ -362,15 +367,22 @@ class ChatGateway:
 
     def _cache_read(self, key: str) -> ChatResponse | None:
         """The cached response, or None on a miss. An entry that cannot be
-        read, or is damaged (not UTF-8 JSON, nested too deeply to decode, or
-        not a chat-completions payload), is a miss too: the transport's reply
-        then overwrites it."""
+        read (a directory at its path, say) is a miss too, and so is a
+        damaged one (not UTF-8 JSON, nested too deeply to decode, or not a
+        chat-completions payload), which the transport's reply overwrites."""
         if self._cache_prefix is None:
             return None
         try:
-            with open(f"{self._cache_prefix}{key}.json", "rb", buffering=0) as handle:
-                data = handle.read()
-            return parse_provider_payload(json.loads(data.decode("utf-8")), cached=True)
+            # a directory at the entry's path opens, and its first read fails
+            fd = os.open(f"{self._cache_prefix}{key}.json", os.O_RDONLY)
+            try:
+                chunks = [os.read(fd, _READ_SIZE)]
+                while chunks[-1]:
+                    chunks.append(os.read(fd, _READ_SIZE))
+            finally:
+                os.close(fd)
+            text = b"".join(chunks).decode("utf-8")
+            return parse_provider_payload(_ENTRY_DECODER.decode(text), cached=True)
         except (OSError, ValueError, RecursionError, ProtocolError):
             return None
 

@@ -153,10 +153,12 @@ _NUMBER_WORDS = {
 }
 
 
+_TERMINAL_PUNCTUATION = re.compile(r"[.!?]+$")
+
+
 def normalize_answer(text: str) -> str:
     """Lowercase, trim, drop terminal punctuation, spell small numbers as digits."""
-    cleaned = text.strip().lower()
-    cleaned = re.sub(r"[.!?]+$", "", cleaned).strip()
+    cleaned = _TERMINAL_PUNCTUATION.sub("", text.strip().lower()).strip()
     tokens = [_NUMBER_WORDS.get(tok, tok) for tok in cleaned.split()]
     return " ".join(tokens)
 

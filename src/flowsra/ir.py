@@ -198,11 +198,13 @@ class RelationType(Enum):
     @classmethod
     def from_name(cls, name: str) -> "RelationType":
         """Case-insensitive lookup by tag name; raises ValueError if unknown."""
-        low = name.strip().casefold()
-        for member in cls:
-            if member.value.casefold() == low:
-                return member
-        raise ValueError(f"unknown relation tag: {name!r}")
+        try:
+            return _RELATIONS_BY_NAME[name.strip().casefold()]
+        except KeyError:
+            raise ValueError(f"unknown relation tag: {name!r}") from None
+
+
+_RELATIONS_BY_NAME = {member.value.casefold(): member for member in RelationType}
 
 
 _RELATION_DEFINITIONS: dict[RelationType, str] = {

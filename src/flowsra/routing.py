@@ -25,10 +25,13 @@ class QuestionType(Enum):
 
     @classmethod
     def from_code(cls, code: str) -> "QuestionType":
-        for member in cls:
-            if member.value == code.strip().upper():
-                return member
-        raise ValueError(f"unknown question type {code!r}")
+        try:
+            return _QUESTION_TYPES_BY_CODE[code.strip().upper()]
+        except KeyError:
+            raise ValueError(f"unknown question type {code!r}") from None
+
+
+_QUESTION_TYPES_BY_CODE = {member.value: member for member in QuestionType}
 
 
 class QuestionClass(Enum):

@@ -1,5 +1,6 @@
 """Shared test utilities: random graph generators, the isomorphism oracle,
-the topology oracle and an edge-keyed upgrade builder.
+the topology oracle, an edge-keyed upgrade builder, and the outcome of an
+enum lookup for comparing it with a referee.
 
 The isomorphism check deliberately uses no package code, so round-trip
 tests have an independent referee.
@@ -349,3 +350,12 @@ def topology_oracle(graph: FlowGraph, question: Question) -> str | None:
     if _NODE_Q.search(text):
         return str(stats.node_count)
     return None
+
+
+def lookup_outcome(lookup, text):
+    """The member ``lookup`` returns for ``text``, or the message of the
+    ValueError it raises."""
+    try:
+        return lookup(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"

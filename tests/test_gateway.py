@@ -4,6 +4,7 @@ single-flight, and the in-order concurrent map."""
 import errno
 import hashlib
 import json
+import os
 import random
 import re
 import shutil
@@ -20,6 +21,7 @@ import pytest
 import requests
 from hypothesis import given, settings, strategies as st
 
+from flowsra import cli
 from flowsra import gateway as gateway_mod
 from flowsra.gateway import (
     ATTEMPTS,
@@ -103,6 +105,7 @@ class TestComplete:
         assert replay.complete(req()).content == "pong"
 
     @pytest.mark.parametrize("damage", [
+        "",  # empty
         '{"choices": [{"mess',  # truncated
         "[]",  # well-formed JSON of the wrong shape
         '{"choices": [{"message": {"content": "x"}}], "usage": "lots"}',
@@ -353,6 +356,50 @@ class TestCacheFormat:
                 return
         assert response.cached is True
         assert isinstance(response.content, str)
+
+
+class TestCacheRead:
+    """The hit path: one ``os.open``, reads until one returns nothing, one
+    decode, and the descriptor closed whatever the entry holds."""
+
+    def test_entry_larger_than_one_read_is_a_hit_with_all_its_content(self, tmp_path):
+        content = "ünïcode ✓ " * 2_000
+        entry = tmp_path / f"{cache_key(req())}.json"
+        entry.write_bytes(json.dumps(provider_payload(content), ensure_ascii=False).encode())
+        assert entry.stat().st_size > 3 * gateway_mod._READ_SIZE
+        response = ChatGateway(None, cache_dir=tmp_path, offline=True).complete(req())
+        assert (response.content, response.cached) == (content, True)
+
+    def test_directory_at_the_entry_path_is_a_miss(self, tmp_path):
+        # it opens, and its first read fails; writing over it is a CacheError
+        # (test_failed_cache_write_is_a_cache_error_naming_the_path)
+        (tmp_path / f"{cache_key(req())}.json").mkdir()
+        with pytest.raises(TransportError, match="not in cache"):
+            ChatGateway(None, cache_dir=tmp_path, offline=True).complete(req())
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd to count open descriptors")
+    def test_hits_and_misses_leave_no_descriptor_open(self, tmp_path):
+        hit = req("hit")
+        whole = json.dumps(provider_payload("pong")).encode()
+        (tmp_path / f"{cache_key(hit)}.json").write_bytes(whole)
+        damaged = {"empty": b"", "bom": b"\xef\xbb\xbf" + whole, "truncated": whole[:-3],
+                   "invalid-utf-8": whole.replace(b"pong", b"p\xffng"),
+                   "deep": b"[" * 100_000, "shape": b"[]"}
+        for name, data in damaged.items():
+            (tmp_path / f"{cache_key(req(name))}.json").write_bytes(data)
+        (tmp_path / f"{cache_key(req('directory'))}.json").mkdir()
+        loop = tmp_path / f"{cache_key(req('loop'))}.json"
+        loop.symlink_to(loop.name)
+        misses = [req(name) for name in [*damaged, "directory", "loop", "absent"]]
+        gateway = ChatGateway(None, cache_dir=tmp_path, offline=True)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(500):
+            assert gateway.complete(hit).cached is True
+        for index in range(500):
+            with pytest.raises(TransportError, match="not in cache"):
+                gateway.complete(misses[index % len(misses)])
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestRetryBackoff:
@@ -790,6 +837,19 @@ class TestHttpTransport:
         assert headers["Authorization"] == "Bearer cl\xe9 "
 
 
+def _short_body(handler):
+    """Announce more body than is sent, then close the connection."""
+    handler.send_response(200)
+    handler.send_header("Content-Length", "100")
+    handler.end_headers()
+    handler.wfile.write(b'{"choices"')
+
+
+def _hang_up(handler):
+    """Close the connection without a reply."""
+    handler.close_connection = True
+
+
 class TestLoopback:
     """``HttpTransport`` against a stdlib HTTP server on 127.0.0.1."""
 
@@ -797,20 +857,31 @@ class TestLoopback:
     def serve(self, monkeypatch):
         monkeypatch.setenv("no_proxy", "127.0.0.1")
         servers = []
+        posts = []
 
         def serve(*replies):
-            """Start a server that answers its n-th POST with ``replies[n]``,
-            a (status, JSON body) pair; return its URL."""
+            """Start a server that answers its n-th POST with ``replies[n]``
+            and return its URL. A reply is a (status, body) pair or a
+            (status, body, headers) triple, its body sent as is if bytes and
+            as JSON otherwise, or a function that answers through the
+            handler it is given. ``serve.posts`` lists the POSTs served."""
             pending = list(replies)
 
             class Handler(BaseHTTPRequestHandler):
                 def do_POST(self):
                     self.rfile.read(int(self.headers["Content-Length"]))
-                    status, body = pending.pop(0)
-                    data = json.dumps(body).encode("utf-8")
+                    posts.append(self.path)
+                    reply = pending.pop(0)
+                    if callable(reply):
+                        reply(self)
+                        return
+                    status, body, *headers = reply
+                    data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
                     self.send_response(status)
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(data)))
+                    for name, value in (headers[0] if headers else {}).items():
+                        self.send_header(name, value)
                     self.end_headers()
                     self.wfile.write(data)
 
@@ -818,11 +889,13 @@ class TestLoopback:
                     pass
 
             server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-            thread = threading.Thread(target=server.serve_forever)
+            thread = threading.Thread(target=server.serve_forever,
+                                      kwargs={"poll_interval": 0.01})
             thread.start()
             servers.append((server, thread))
             return f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
 
+        serve.posts = posts
         yield serve
         for server, thread in servers:
             server.shutdown()
@@ -836,6 +909,34 @@ class TestLoopback:
         assert gateway.complete(req()).content == "ok"
         assert gateway.transport_calls == 2
         assert len(slept) == 1
+
+
+    @pytest.mark.parametrize("replies, posts, stderr", [
+        ([(200, b"not json")], 1, "backend error: provider response is not JSON"),
+        ([(200, {"id": "x"})], 1, "backend error: malformed provider payload"),
+        ([(200, {"choices": [{"message": {"content": None}}]})], 1,
+         "backend error: provider payload content is not text"),
+        ([(400, {"error": "bad request"})], 1, "backend error: HTTP 400: "),
+        ([(401, {"error": "unauthorized"})], 1, "backend error: HTTP 401: "),
+        ([(429, {"error": "slow down"}, {"Retry-After": "0"})] * 3, 3,
+         "backend error: gave up after 3 attempts: HTTP 429 from provider"),
+        ([(500, {"error": "oops"})] * 3, 3,
+         "backend error: gave up after 3 attempts: HTTP 500 from provider"),
+        ([(503, {"error": "busy"})] * 3, 3,
+         "backend error: gave up after 3 attempts: HTTP 503 from provider"),
+        ([_short_body] * 3, 3, "backend error: gave up after 3 attempts: "),
+        ([_hang_up] * 3, 3, "backend error: gave up after 3 attempts: "),
+    ], ids=["200-not-json", "200-no-choices", "200-null-content", "400", "401",
+            "429-retry-after-0", "500", "503", "short-body", "closed-before-reply"])
+    def test_llm_route_failure_exits_3(self, serve, monkeypatch, capsys,
+                                       replies, posts, stderr):
+        monkeypatch.setattr(gateway_mod, "BACKOFF_S", 0)
+        url = serve(*replies)
+        code = cli.main(["route", "--router", "llm", "--question", "Why?",
+                         "--endpoint", url])
+        captured = capsys.readouterr()
+        assert (code, len(serve.posts), captured.out) == (3, posts, "")
+        assert captured.err.startswith(stderr)
 
 
 class TestMockBackend:

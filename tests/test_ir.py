@@ -24,7 +24,7 @@ from flowsra.ir import (
     validate,
 )
 
-from gen import rand_flow_graph, upgrade_by_edge
+from gen import lookup_outcome, rand_flow_graph, upgrade_by_edge
 
 
 def n(node_id, kind=NodeKind.PROCESS, text="work"):
@@ -203,6 +203,16 @@ class TestUpgrade:
         assert upgraded.base == graph
 
 
+# a tag with each letter in either case, or as U+017F (long s) where it is
+# an "s", which casefolds to "s" but lowercases to itself; padded with whitespace
+_tag_spellings = st.builds(
+    lambda pad, letters: pad + "".join(letters) + pad,
+    st.sampled_from(["", " ", "\t\n"]),
+    st.sampled_from([r.value for r in RelationType]).flatmap(lambda tag: st.tuples(*(
+        st.sampled_from([c.lower(), c.upper()] + ["\u017f"] * (c.lower() == "s"))
+        for c in tag))))
+
+
 class TestRelationType:
     def test_exactly_four_variants(self):
         assert [r.value for r in RelationType] == [
@@ -220,6 +230,20 @@ class TestRelationType:
         assert RelationType.from_name("causality") is RelationType.CAUSALITY
         with pytest.raises(ValueError):
             RelationType.from_name("Contrast")
+
+    @given(st.text() | _tag_spellings)
+    def test_from_name_agrees_with_the_member_loop(self, name):
+        assert lookup_outcome(RelationType.from_name, name) == lookup_outcome(
+            referee_from_name, name)
+
+
+def referee_from_name(name):
+    """``RelationType.from_name`` as a loop over the members."""
+    low = name.strip().casefold()
+    for member in RelationType:
+        if member.value.casefold() == low:
+            return member
+    raise ValueError(f"unknown relation tag: {name!r}")
 
 
 class TestEdgeLabel:

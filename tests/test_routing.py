@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from flowsra.gateway import ChatGateway, mock_backend
 from flowsra.routing import (
@@ -21,6 +22,8 @@ from flowsra.routing import (
     type_to_class,
 )
 
+from gen import lookup_outcome
+
 DESK_SET = Path(__file__).parent / "data" / "desk_set.jsonl"
 
 
@@ -30,6 +33,28 @@ def load_desk_set():
         record = json.loads(line)
         rows.append((record["question"], QuestionType.from_code(record["type"])))
     return rows
+
+
+def referee_from_code(code):
+    """``QuestionType.from_code`` as a loop over the members."""
+    for member in QuestionType:
+        if member.value == code.strip().upper():
+            return member
+    raise ValueError(f"unknown question type {code!r}")
+
+
+class TestQuestionType:
+    def test_codes_are_read_trimmed_in_any_case(self):
+        assert QuestionType.from_code(" tp2\n") is QuestionType.APPLIED_SCENARIO
+        with pytest.raises(ValueError, match="unknown question type 'TP5'"):
+            QuestionType.from_code("TP5")
+
+    @given(st.text()
+           | st.from_regex(r"\s*(?i:tp[0-5])\s*", fullmatch=True)
+           | st.text(alphabet="TPtp1234\u00df \t", max_size=5))
+    def test_from_code_agrees_with_the_member_loop(self, code):
+        assert lookup_outcome(QuestionType.from_code, code) == lookup_outcome(
+            referee_from_code, code)
 
 
 class TestTypeToClass:
