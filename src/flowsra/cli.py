@@ -109,10 +109,13 @@ def _env_value(name: str, kind: type) -> object:
 
 
 def _gateway(config: RunConfig) -> ChatGateway:
+    """The gateway ``config`` asks for. A leading ``~`` in the mock script
+    or cache path is the home directory, as in a shell: a config file or
+    environment value reaches no shell that would expand it."""
     transport = None
     if config.mock_script:
         try:
-            transport = load_mock_script(config.mock_script)
+            transport = load_mock_script(os.path.expanduser(config.mock_script))
         except ValueError as exc:  # not UTF-8, not JSON, or an entry of the wrong shape
             raise ConfigError(str(exc)) from exc
     elif config.endpoint and not config.offline:
@@ -120,12 +123,8 @@ def _gateway(config: RunConfig) -> ChatGateway:
             transport = HttpTransport(config.endpoint, config.api_key)
         except ValueError as exc:  # a malformed endpoint, or an API key no header can carry
             raise ConfigError(str(exc)) from exc
-    return ChatGateway(
-        transport,
-        cache_dir=config.cache_dir,
-        offline=config.offline,
-        parallelism=config.parallelism,
-    )
+    cache_dir = config.cache_dir and os.path.expanduser(config.cache_dir)
+    return ChatGateway(transport, cache_dir=cache_dir, parallelism=config.parallelism)
 
 
 class InputError(RuntimeError):
@@ -298,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "upgrade's recognizer calls run on 2N worker threads, "
                              "with up to 8N queued ahead")
     common.add_argument("--offline", action="store_true", default=False,
-                        help="forbid network; cache and mock only")
+                        help="never build the HTTP transport; serve requests "
+                             "from the cache or a mock script")
     common.add_argument("--mock-script", dest="mock_script",
                         help="JSON mock script replacing the network transport")
     common.add_argument("--model-reasoner", dest="reasoner_model", default=None)

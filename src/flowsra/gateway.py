@@ -6,11 +6,14 @@ cache entry is one file, ``<cache_dir>/<key>.json``, holding the provider's
 payload as UTF-8 JSON with sorted keys. A hit is one ``os.open`` of the
 entry, reads of its descriptor until one returns nothing, and one decode,
 with no file object; a write replaces the entry atomically. The wire shape
-is the de-facto open chat-completions JSON contract; a scriptable mock
-transport stands in for the network during tests and offline runs. The
-HTTP client (``requests``) is loaded on the first request to an endpoint,
-so mock runs, replays served from the cache, ``convert``, ``stats`` and a
-heuristic ``upgrade`` never load it.
+is the de-facto open chat-completions JSON contract. A request varies only
+in its model, messages and ``max_tokens``; ``_wire_fields`` adds the fixed
+``TEMPERATURE`` and ``SEED`` and writes all five, for the cache key and for
+the HTTP body alike. A scriptable mock transport stands in for the network
+during tests and offline runs; a cache miss with no transport is a
+``TransportError``. The HTTP client (``requests``) is loaded on the first
+request to an endpoint, so mock runs, replays served from the cache,
+``convert``, ``stats`` and a heuristic ``upgrade`` never load it.
 """
 
 from __future__ import annotations
@@ -31,8 +34,11 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from urllib.parse import urlsplit
 
-ATTEMPTS = 3      # transport calls per request, the first one included
-BACKOFF_S = 0.25  # the full-jitter cap before the first retry; doubles per retry
+ATTEMPTS = 3       # transport calls per request, the first one included
+BACKOFF_S = 0.25   # the full-jitter cap before the first retry; doubles per retry
+TIMEOUT_S = 120.0  # seconds per HTTP call; a longer Retry-After ends the request
+TEMPERATURE = 0.0  # sent with every request: greedy decoding
+SEED = 0           # sent with every request, for providers that sample anyway
 
 
 @dataclass(frozen=True)
@@ -45,16 +51,12 @@ class ChatMessage:
 class ChatRequest:
     model: str
     messages: tuple[ChatMessage, ...]
-    temperature: float = 0.0
     max_tokens: int = 256
-    seed: int | None = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "messages", tuple(self.messages))
         if not self.messages:
             raise ValueError("a chat request needs at least one message")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
     def rendered(self) -> str:
         """The prompt as one string, used for matching and fingerprints."""
@@ -82,21 +84,22 @@ _ENTRY_DECODER = json.JSONDecoder()
 _READ_SIZE = 4096
 
 
+def _wire_fields(req: ChatRequest, messages: list) -> dict:
+    """The five fields a request sends, in wire order; ``messages`` is
+    ``req.messages`` in the caller's encoding."""
+    return {"model": req.model, "messages": messages, "temperature": TEMPERATURE,
+            "max_tokens": req.max_tokens, "seed": SEED}
+
+
 def cache_key(req: ChatRequest) -> str:
     """Stable hash of the request; independent of wall clock, host, and
     process (usable across restarts)."""
-    payload = _KEY_ENCODER.encode({
-        "model": req.model,
-        "messages": [[m.role, m.content] for m in req.messages],
-        "temperature": req.temperature,
-        "max_tokens": req.max_tokens,
-        "seed": req.seed,
-    })
+    payload = _KEY_ENCODER.encode(_wire_fields(req, [[m.role, m.content] for m in req.messages]))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class TransportError(RuntimeError):
-    """Transient failures exhausted, or no way to serve the request offline."""
+    """Transient failures exhausted, or a cache miss with no transport."""
 
 
 class TransientError(RuntimeError):
@@ -183,12 +186,10 @@ class HttpTransport:
     endpoint that is not an http or https URL with a host, or an API key
     that an HTTP header cannot carry, is a ``ValueError`` here, before any
     call. A request that ``requests`` cannot prepare is an ``EndpointError``,
-    never retried. A ``Retry-After`` longer than ``timeout`` ends the request
-    with a ``TransportError`` instead of a wait."""
+    never retried. A ``Retry-After`` longer than ``TIMEOUT_S`` ends the
+    request with a ``TransportError`` instead of a wait."""
 
-    is_network = True
-
-    def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 120.0):
+    def __init__(self, endpoint: str, api_key: str | None = None):
         try:
             parts = urlsplit(endpoint)
             parts.port  # ValueError unless the port, if any, is a number in range
@@ -201,7 +202,6 @@ class HttpTransport:
                              "which an HTTP header cannot carry")
         self.endpoint = endpoint
         self.api_key = api_key
-        self.timeout = timeout
 
     def __call__(self, req: ChatRequest) -> dict:
         import requests
@@ -209,27 +209,19 @@ class HttpTransport:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        body: dict = {
-            "model": req.model,
-            "messages": [{"role": m.role, "content": m.content} for m in req.messages],
-            "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
-        }
-        if req.seed is not None:
-            body["seed"] = req.seed
+        body = _wire_fields(req, [{"role": m.role, "content": m.content} for m in req.messages])
         try:
-            resp = requests.post(self.endpoint, json=body, headers=headers,
-                                 timeout=self.timeout)
+            resp = requests.post(self.endpoint, json=body, headers=headers, timeout=TIMEOUT_S)
         except ValueError as exc:  # raised only while preparing, before any connection
             raise EndpointError(f"endpoint {self.endpoint!r}: {exc}") from exc
         except requests.RequestException as exc:
             raise TransientError(str(exc)) from exc
         if resp.status_code in (429, 503):
             wait = _retry_after_seconds(resp.headers.get("Retry-After"))
-            if wait is not None and wait > self.timeout:
+            if wait is not None and wait > TIMEOUT_S:
                 raise TransportError(
                     f"provider asked to wait {wait:.0f} s, longer than the "
-                    f"{self.timeout:g} s request timeout (HTTP {resp.status_code})")
+                    f"{TIMEOUT_S:g} s request timeout (HTTP {resp.status_code})")
             raise TransientError(f"HTTP {resp.status_code} from provider", wait)
         if resp.status_code >= 500 or resp.status_code == 408:
             raise TransientError(f"HTTP {resp.status_code} from provider")
@@ -268,8 +260,6 @@ class MockRule:
 class MockTransport:
     """Scripted backend: first matching rule wins, unmatched requests fail
     loudly so tests cannot drift silently."""
-
-    is_network = False
 
     def __init__(self, rules: Sequence[MockRule]):
         self.rules = list(rules)
@@ -344,7 +334,6 @@ class ChatGateway:
         transport: Callable[[ChatRequest], dict] | None = None,
         *,
         cache_dir: str | Path | None = None,
-        offline: bool = False,
         parallelism: int = 8,
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
@@ -353,7 +342,6 @@ class ChatGateway:
         self.cache_dir = Path(cache_dir) if cache_dir else None
         # prefix of every entry's path: the directory and a separator
         self._cache_prefix = os.path.join(self.cache_dir, "") if self.cache_dir else None
-        self.offline = offline
         self.parallelism = max(1, parallelism)
         self.transport_calls = 0
         self._sleep = sleep
@@ -419,11 +407,7 @@ class ChatGateway:
         if cached is not None:
             return cached
         if self.transport is None:
-            raise TransportError(
-                "request not in cache and no transport is configured"
-                + (" (offline mode)" if self.offline else ""))
-        if self.offline and getattr(self.transport, "is_network", False):
-            raise TransportError("offline mode forbids network transports")
+            raise TransportError("request not in cache and no transport is configured")
         if self.cache_dir is None:
             return self._fetch(key, req)
         while True:
@@ -531,7 +515,7 @@ def chat_request(model: str, prompt: str, *, max_tokens: int,
 
 
 def completion_backend(gateway: ChatGateway, model: str, *,
-                       max_tokens: int = 256) -> Callable[[str], str]:
+                       max_tokens: int) -> Callable[[str], str]:
     """Adapter: a plain prompt->text callable over the gateway, as expected
     by the router/judge/recognizer response parsers."""
 

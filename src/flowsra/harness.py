@@ -109,8 +109,8 @@ def load_dataset(path: str | Path) -> DatasetLoad:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            diagnostics.append(LoadDiagnostic(lineno, f"invalid JSON: {exc.msg}"))
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+            diagnostics.append(LoadDiagnostic(lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
             continue
         except RecursionError:
             diagnostics.append(LoadDiagnostic(lineno, "invalid JSON: nested too deeply"))

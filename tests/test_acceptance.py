@@ -130,7 +130,6 @@ class _RelationAwareTransport:
     """Scripted recognizer stand-in: a deterministic tenth of node pairs get
     an out-of-taxonomy response (on the retry too); everything else is valid."""
 
-    is_network = False
     _PAIR = re.compile(r"Node A \(source\): (.*)\nNode B \(target\): (.*)")
 
     def __init__(self, garbage_all: bool = False):
@@ -250,7 +249,7 @@ def test_criterion_6_deterministic_end_to_end(tmp_path):
             ChatGateway(load_mock_script(DATA / "mock10.json"), cache_dir=cache_dir))
         replayed = run_eval(
             instances, EvalConfig(),
-            ChatGateway(None, cache_dir=cache_dir, offline=True))
+            ChatGateway(None, cache_dir=cache_dir))
         assert (report_render(recorded.report, "json")
                 == report_render(replayed.report, "json"))
 
@@ -329,8 +328,6 @@ def test_criterion_9_network_smoke(tmp_path):
         from flowsra.gateway import HttpTransport
 
         class CountingTransport:
-            is_network = True
-
             def __init__(self, inner):
                 self.inner = inner
                 self.relation_calls = 0

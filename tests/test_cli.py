@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 import requests
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import flowsra.cli as cli_mod
 from flowsra.cli import main
@@ -187,6 +187,44 @@ def test_mock_replies_exit_0_to_3(argv, replies):
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(argv + ["--parallelism", "2", "--mock-script", str(script)])
         assert code in (0, 1, 2, 3), (argv, err.getvalue())
+
+
+# bytes of a dataset, config or mock-script file: a valid file, anything, or
+# pieces of those files' JSON, valid and not, among bytes that are not UTF-8
+_RECORD = (DATA / "eval10.jsonl").read_bytes().splitlines()[0]
+_RULE = b'{"pattern": "", "response": "CLASS: Straight"}'
+_pieces = st.binary(max_size=60) | st.lists(st.sampled_from(
+    [_RECORD, _RULE, b"\n", b"{", b"}", b"[", b"]", b",", b":", b"null", b"1e999",
+     b"9" * 5000, b'"\\ud800"', b"\xef\xbb\xbf", b"\xff", b"\xc3", b'{"id": 1',
+     b'"offline": true', b'"parallelism": "2"', b'"cache_dir": null', b'"pattern"',
+     b'"response"', b'{"match": "hash", "pattern": "", "response": ""}',
+     b'{"match": "regex", "pattern": "", "response": ""}']), max_size=8).map(b"".join)
+
+
+def _file(*valid):
+    return st.sampled_from(valid) | _pieces
+
+
+@settings(max_examples=60, deadline=None)
+@given(dataset=_file(_RECORD, _RECORD + b"\n" + b"9" * 5000),
+       config=_file(b"{}", b'{"offline": true}'),
+       script=_file(b"[]", b"[" + _RULE + b"]"))
+@example(dataset=b"9" * 5000 + b"\n", config=b"{}", script=b"[]")
+def test_file_bytes_exit_0_to_3(dataset, config, script):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, data in (("dataset", dataset), ("config", config), ("script", script)):
+            (tmp / name).write_bytes(data)
+        # flags win over the config file, so no generated file moves the cache
+        # out of tmp or starts more threads
+        common = ["--config", str(tmp / "config"), "--mock-script", str(tmp / "script"),
+                  "--cache-dir", str(tmp / "cache"), "--parallelism", "2"]
+        for argv in (["eval", "--dataset", str(tmp / "dataset"), "--router", "llm"],
+                     ["route", "--router", "llm", "--question", "Why?"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv + common)
+            assert code in (0, 1, 2, 3), (argv, err.getvalue())
 
 
 class TestUpgrade:
@@ -677,8 +715,6 @@ class FailingTransport:
     """Answers its first ``answered`` requests, then raises a fresh
     ``error`` on every later one."""
 
-    is_network = False
-
     def __init__(self, error, answered):
         self.error = error
         self.answered = answered
@@ -784,7 +820,7 @@ class TestEndpoint:
         code, out, err = run_cli(capsys, "route", "--router", "llm", "--question", "Why?",
                                  "--endpoint", self.BAD, "--offline")
         assert (code, out, posted) == (3, "", [])
-        assert "(offline mode)" in err
+        assert err == "backend error: request not in cache and no transport is configured\n"
 
     def test_ask_with_a_wait_the_host_cannot_sleep_exits_3(self, capsys, chart, posted):
         code, out, err = run_cli(capsys, "ask", chart, "--question", "What then?",
@@ -926,6 +962,33 @@ class TestConfigPrecedence:
         assert json.loads(out)["node_count"] == 2
 
 
+class TestHomeInPaths:
+    """A leading ``~`` in the cache directory or the mock script path is the
+    home directory, wherever the path is set."""
+
+    @pytest.mark.parametrize("source", ["config", "environment"])
+    def test_tilde_is_the_home_directory(self, capsys, tmp_path, monkeypatch, source):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        (tmp_path / "script.json").write_text(
+            json.dumps([{"pattern": "", "response": "CLASS: Straight"}]))
+        paths = {"cache_dir": "~/.cache/flowsra", "mock_script": "~/script.json"}
+        argv = ["route", "--router", "llm", "--question", "Why?"]
+        if source == "config":
+            (work / "flowsra.json").write_text(json.dumps(paths))
+            argv += ["--config", "flowsra.json"]
+        else:
+            for name, value in paths.items():
+                monkeypatch.setenv("FLOWSRA_" + name.upper(), value)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, '{"class": "Straight"}\n', "")
+        assert len(list((tmp_path / ".cache" / "flowsra").glob("*.json"))) == 1
+        assert sorted(path.name for path in work.iterdir()) == (
+            ["flowsra.json"] if source == "config" else [])
+
+
 class TestRunConfigFields:
     def test_resolve_reads_every_field_from_a_config_file(self, tmp_path, monkeypatch):
         from argparse import Namespace
@@ -1039,3 +1102,12 @@ class TestNarrowExitCodes:
             "record 4: not a JSON object",
             f"error: no valid records in {path}",
         ]
+
+    def test_dataset_integer_too_long_to_convert_is_an_invalid_record(self, capsys, tmp_path):
+        path = tmp_path / "big.jsonl"
+        path.write_text("9" * 5000 + "\n")
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(path))
+        assert (code, out) == (1, "")
+        first, last = err.splitlines()
+        assert first.startswith("record 1: invalid JSON: Exceeds the limit (4300 digits) ")
+        assert last == f"error: no valid records in {path}"

@@ -250,7 +250,7 @@ class TestRunEval:
         live = ChatGateway(load_mock_script(DATA / "mock10.json"),
                            cache_dir=tmp_path)
         first = run_eval(load.instances, EvalConfig(), live)
-        offline = ChatGateway(None, cache_dir=tmp_path, offline=True)
+        offline = ChatGateway(None, cache_dir=tmp_path)
         second = run_eval(load.instances, EvalConfig(), offline)
         assert report_render(first.report, "json") == report_render(second.report, "json")
 
@@ -297,7 +297,6 @@ class PromptHashTransport:
     depends on nothing but the request. A quarter of relation prompts get an
     out-of-taxonomy tag, which exercises the retry and the fallback."""
 
-    is_network = False
     TAGS = ("Contrast", "Conditionality", "Causality", "Sequentiality")
 
     def __init__(self):
@@ -457,7 +456,7 @@ class TestConcurrentEval:
         monkeypatch.setattr(gateway_mod, "ThreadPoolExecutor", None)
         before = threading.active_count()
         warm = run_eval(instances, ALL_LLM,
-                        ChatGateway(None, cache_dir=tmp_path, offline=True, parallelism=8))
+                        ChatGateway(None, cache_dir=tmp_path, parallelism=8))
         assert threading.active_count() == before
         assert [log.to_dict() for log in warm.logs] == [log.to_dict() for log in cold.logs]
         assert report_render(warm.report) == report_render(cold.report)

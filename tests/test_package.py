@@ -2,11 +2,16 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import flowsra
+
+_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_exported_name_resolves_and_the_list_is_sorted_and_unique():
@@ -44,10 +49,9 @@ def test_no_http_client_is_loaded_without_a_call_to_an_endpoint(tmp_path):
     """Import, convert, stats, a mock eval and its cached replay with an
     endpoint configured load neither the HTTP client nor the mail parser
     it brings, in a fresh interpreter."""
-    root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(root / "tests" / "data"), str(tmp_path)],
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(_ROOT / "tests" / "data"), str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
@@ -55,3 +59,41 @@ def test_no_http_client_is_loaded_without_a_call_to_an_endpoint(tmp_path):
     assert codes == [0, 0, 0, 0], proc.stderr
     assert result["results"][3][1] == result["results"][2][1]  # replay gives the same report
     assert result["loaded"] == []
+
+
+def _cli_outputs(python, tmp_path):
+    """Exit code and stdout bytes of a mock eval with every LLM stage and of
+    a convert, run by the interpreter ``python``."""
+    data = _ROOT / "tests" / "data"
+    chart = tmp_path / "chart.mmd"
+    with open(data / "eval10.jsonl", encoding="utf-8") as handle:
+        chart.write_text(json.loads(handle.readline())["source"], encoding="utf-8")
+    commands = [
+        ["eval", "--dataset", str(data / "eval10.jsonl"), "--mock-script",
+         str(data / "mock10.json"), "--router", "llm", "--relation-backend", "llm",
+         "--judge", "llm", "--report", "markdown"],
+        ["convert", str(chart), "--to", "dot"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    outputs = []
+    for argv in commands:
+        proc = subprocess.run(
+            [python, "-c", "from flowsra.cli import entrypoint; entrypoint()", *argv],
+            env=env, capture_output=True, timeout=120)
+        outputs.append((proc.returncode, proc.stdout))
+    return outputs
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_other_interpreters_print_the_same_bytes(tmp_path, version):
+    """pyproject.toml declares Python >= 3.10: each other interpreter on PATH
+    prints what this one prints."""
+    python = shutil.which(f"python{version}")
+    probe = python and subprocess.run(
+        [python, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+        capture_output=True, text=True, timeout=60)
+    if not probe or probe.returncode or probe.stdout.strip() != version:
+        pytest.skip(f"no working python{version} on PATH")
+    expected = _cli_outputs(sys.executable, tmp_path)
+    assert [code for code, _ in expected] == [0, 0]
+    assert _cli_outputs(python, tmp_path) == expected

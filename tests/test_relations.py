@@ -177,7 +177,6 @@ class SlowFirstTransport:
     sleeping longer for earlier edges so that concurrent calls finish in
     reverse edge order; records the peak number of calls in flight."""
 
-    is_network = False
     TAGS = (RelationType.SEQUENTIALITY, RelationType.CAUSALITY,
             RelationType.INSTANTIATION)
 
