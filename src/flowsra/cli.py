@@ -191,11 +191,11 @@ def cmd_convert(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_upgrade(args: argparse.Namespace, config: RunConfig) -> int:
     detected, graph = _parse_input(args.input, args.dialect)
-    gateway = _gateway(config)
-    backend = make_relation_backend(args.relation_backend, gateway,
-                                    config.recognizer_model)
-    target = Dialect(args.to) if args.to else detected
-    ug = upgrade_graph(graph, backend, dialect=target)
+    with _gateway(config) as gateway:
+        backend = make_relation_backend(args.relation_backend, gateway,
+                                        config.recognizer_model)
+        target = Dialect(args.to) if args.to else detected
+        ug = upgrade_graph(graph, backend, dialect=target)
     sys.stdout.write(emit_upgraded(ug, target).text)
     triples = emit_triples(ug)
     if triples:
@@ -205,15 +205,15 @@ def cmd_upgrade(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_ask(args: argparse.Namespace, config: RunConfig) -> int:
     detected, graph = _parse_input(args.input, args.dialect)
-    gateway = _gateway(config)
     question = _question(args.question)
     dialect = Dialect(args.to) if args.to else detected
-    backend = make_relation_backend(args.relation_backend, gateway,
-                                    config.recognizer_model)
     kind = {"shallow": "always-shallow", "deep": "always-deep"}.get(args.mode, args.router)
-    router = make_router(kind, gateway, config.router_model)
-    answer = answer_controlled(graph, question, router, backend, gateway,
-                               model=config.reasoner_model, dialect=dialect)
+    with _gateway(config) as gateway:
+        backend = make_relation_backend(args.relation_backend, gateway,
+                                        config.recognizer_model)
+        router = make_router(kind, gateway, config.router_model)
+        answer = answer_controlled(graph, question, router, backend, gateway,
+                                   model=config.reasoner_model, dialect=dialect)
     # the deep route upgrades the graph, which recognizes each edge once
     calls = len(graph.edges) if answer.route is Route.DEEP else 0
     print(f"recognizer calls: {calls}", file=sys.stderr)
@@ -228,9 +228,9 @@ def cmd_ask(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_route(args: argparse.Namespace, config: RunConfig) -> int:
-    gateway = _gateway(config)
-    router = make_router(args.router, gateway, config.router_model)
-    question_class = router.classify(_question(args.question).text, None)
+    with _gateway(config) as gateway:
+        router = make_router(args.router, gateway, config.router_model)
+        question_class = router.classify(_question(args.question).text, None)
     print(json.dumps({"class": question_class.value}))
     return EXIT_OK
 
@@ -269,7 +269,8 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         except OSError as exc:
             raise InputError(f"cannot open log file {args.log_file}: {exc.strerror}") from exc
     try:
-        run = run_eval(load.instances, eval_config, gateway)
+        with gateway:
+            run = run_eval(load.instances, eval_config, gateway)
         for log in run.logs:
             print(_json_line(log.to_dict()), file=log_file or sys.stderr)
     finally:
@@ -292,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--api-key", dest="api_key", help="endpoint API key")
     common.add_argument("--cache-dir", dest="cache_dir", help="response cache directory")
     common.add_argument("--parallelism", type=int, default=None,
-                        help="max concurrent transport calls (default 8); once a "
-                             "run reaches the transport, eval instances and an "
-                             "upgrade's recognizer calls run on 2N worker threads, "
-                             "with up to 8N queued ahead")
+                        help="max concurrent transport calls, one per transport "
+                             "worker thread (default 8); once a run reaches the "
+                             "transport, eval instances and an upgrade's recognizer "
+                             "calls run on 2N more threads, with up to 8N queued ahead")
     common.add_argument("--offline", action="store_true", default=False,
                         help="never build the HTTP transport; serve requests "
                              "from the cache or a mock script")

@@ -31,6 +31,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
+from queue import SimpleQueue
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from urllib.parse import urlsplit
 
@@ -51,7 +52,7 @@ class ChatMessage:
 class ChatRequest:
     model: str
     messages: tuple[ChatMessage, ...]
-    max_tokens: int = 256
+    max_tokens: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "messages", tuple(self.messages))
@@ -320,13 +321,22 @@ def load_mock_script(path: str | Path) -> MockTransport:
 class ChatGateway:
     """Caching, retrying, concurrency-bounded front of any chat transport.
 
-    At most ``parallelism`` transport calls run at once; ``transport_calls``
-    counts the calls made. With a cache directory, a request whose key is
-    already at the transport waits for that call and gets its response as
-    a cache hit (single-flight), so concurrent callers make exactly the
-    transport calls that the same requests made one after another would.
-    Without a cache, each of those would call the transport, and so does
-    each concurrent copy.
+    Transport calls run on at most ``parallelism`` transport workers, fed
+    from one queue: a requester submits its request and waits for the
+    reply, and a worker that finishes a call takes the next queued request
+    at once. ``transport_calls`` counts the calls submitted. The gateway is
+    a reentrant context manager: workers start on the first transport calls
+    of a scope, one per call until ``parallelism`` are alive, and are joined
+    when its last user leaves, so no thread outlives the scope and a run
+    served from the cache starts none. A request outside any scope holds
+    one for its own attempts. Retries, their backoff sleeps and cache writes
+    stay in the requester's thread.
+
+    With a cache directory, a request whose key is already at the transport
+    waits for that call and gets its response as a cache hit (single-flight),
+    so concurrent callers make exactly the transport calls that the same
+    requests made one after another would. Without a cache, each of those
+    would call the transport, and so does each concurrent copy.
     """
 
     def __init__(
@@ -346,10 +356,58 @@ class ChatGateway:
         self.transport_calls = 0
         self._sleep = sleep
         self._rng = rng or random.Random()
-        self._semaphore = threading.BoundedSemaphore(self.parallelism)
         self._lock = threading.Lock()
         # per cache key at the transport: its response, None if it failed
         self._flights: dict[str, Future[ChatResponse | None]] = {}
+        # the scope's users, its transport workers and their queue; each
+        # scope has its own queue, so a late stop cannot reach the next
+        # scope's workers
+        self._users = 0
+        self._workers: list[threading.Thread] = []
+        self._queue: SimpleQueue[tuple[ChatRequest, Future[dict]] | None] = SimpleQueue()
+
+    # -- transport workers ----------------------------------------------
+
+    def __enter__(self) -> ChatGateway:
+        with self._lock:
+            self._users += 1
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._users -= 1
+            if self._users or not self._workers:
+                return
+            workers, self._workers = self._workers, []
+            queue, self._queue = self._queue, SimpleQueue()
+        for _ in workers:
+            queue.put(None)
+        for worker in workers:
+            worker.join()
+
+    def _call(self, req: ChatRequest) -> dict:
+        """The transport's payload for ``req``, from a worker of the
+        current scope; whatever the transport raised is raised here."""
+        future: Future[dict] = Future()
+        with self._lock:
+            self.transport_calls += 1
+            if len(self._workers) < self.parallelism:
+                worker = threading.Thread(target=self._serve, args=(self._queue,),
+                                          name=f"flowsra-transport-{len(self._workers)}")
+                worker.start()
+                self._workers.append(worker)
+            queue = self._queue
+        queue.put((req, future))
+        return future.result()
+
+    def _serve(self, queue: SimpleQueue) -> None:
+        """A transport worker: serve ``queue`` until its stop (a None)."""
+        while (job := queue.get()) is not None:
+            req, future = job
+            try:
+                future.set_result(self.transport(req))
+            except BaseException as exc:  # re-raised in the requester
+                future.set_exception(exc)
 
     # -- cache ----------------------------------------------------------
 
@@ -434,26 +492,24 @@ class ChatGateway:
         of the provider's ``Retry-After`` and a full-jitter backoff, so
         concurrent callers do not retry in lockstep; cache the reply."""
         attempt = 0
-        while True:
-            try:
-                with self._semaphore:
-                    with self._lock:
-                        self.transport_calls += 1
-                    payload = self.transport(req)
-                break
-            except TransientError as exc:
-                attempt += 1
-                if attempt >= ATTEMPTS:
-                    raise TransportError(
-                        f"gave up after {attempt} attempts: {exc}") from exc
-                jitter = self._rng.uniform(0.0, BACKOFF_S * (2 ** (attempt - 1)))
-                wait = max(exc.retry_after or 0.0, jitter)
+        with self:
+            while True:
                 try:
-                    self._sleep(wait)
-                except (OverflowError, OSError) as err:  # longer than the host can sleep
-                    raise TransportError(
-                        f"provider asked to wait {wait:.0f} s, longer than this host "
-                        f"can sleep: {err}") from exc
+                    payload = self._call(req)
+                    break
+                except TransientError as exc:
+                    attempt += 1
+                    if attempt >= ATTEMPTS:
+                        raise TransportError(
+                            f"gave up after {attempt} attempts: {exc}") from exc
+                    jitter = self._rng.uniform(0.0, BACKOFF_S * (2 ** (attempt - 1)))
+                    wait = max(exc.retry_after or 0.0, jitter)
+                    try:
+                        self._sleep(wait)
+                    except (OverflowError, OSError) as err:  # longer than the host can sleep
+                        raise TransportError(
+                            f"provider asked to wait {wait:.0f} s, longer than this host "
+                            f"can sleep: {err}") from exc
         response = parse_provider_payload(payload)
         self._cache_write(key, payload)
         return response
@@ -467,42 +523,47 @@ def map_in_order(fn: Callable[[T], R], items: Iterable[T],
                  gateway: ChatGateway) -> Iterator[R]:
     """Yield ``fn(item)`` for each item, in input order.
 
+    The whole map is one of the gateway's scopes, at every parallelism, so
+    its items share one set of transport workers (nested maps, such as an
+    upgrade's edges inside an eval, share the outer map's).
     Items run one at a time in the caller's thread while the gateway serves
     them without its transport (cache hits): that work is CPU-bound, and
     handing it between threads would only add interpreter lock switches.
     From the first item that reached the transport on, items run on a pool
-    of ``2 * gateway.parallelism`` workers: per transport slot, one at the
-    transport and one preparing its next request. The gateway still runs
-    at most ``parallelism`` transport calls at once.
+    of ``2 * gateway.parallelism`` workers: per transport slot, one waiting
+    on the transport and one preparing its next request. The gateway's
+    ``parallelism`` transport workers still run at most that many transport
+    calls at once.
     Items are drawn in the caller's thread and kept submitted up to
     ``8 * gateway.parallelism`` ahead of the item being yielded, so a freed
     worker takes the next item at once, even while the head item is slow.
     An exception from ``fn`` is raised at its item's turn: the items not yet
     started are cancelled, and those already running finish first.
     """
-    items = iter(items)
-    if gateway.parallelism < 2:
-        yield from map(fn, items)
-        return
-    for item in items:
-        calls = gateway.transport_calls
-        result = fn(item)
-        reached = gateway.transport_calls != calls
-        yield result
-        if reached:
-            break
-    else:
-        return
-    pool = ThreadPoolExecutor(max_workers=2 * gateway.parallelism)
-    try:
-        window = deque(pool.submit(fn, item)
-                       for item in islice(items, 8 * gateway.parallelism))
-        while window:
-            head = window.popleft()
-            window.extend(pool.submit(fn, item) for item in islice(items, 1))
-            yield head.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with gateway:
+        items = iter(items)
+        if gateway.parallelism < 2:
+            yield from map(fn, items)
+            return
+        for item in items:
+            calls = gateway.transport_calls
+            result = fn(item)
+            reached = gateway.transport_calls != calls
+            yield result
+            if reached:
+                break
+        else:
+            return
+        pool = ThreadPoolExecutor(max_workers=2 * gateway.parallelism)
+        try:
+            window = deque(pool.submit(fn, item)
+                           for item in islice(items, 8 * gateway.parallelism))
+            while window:
+                head = window.popleft()
+                window.extend(pool.submit(fn, item) for item in islice(items, 1))
+                yield head.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def chat_request(model: str, prompt: str, *, max_tokens: int,

@@ -16,17 +16,20 @@ The report's ``discriminator_confusion`` counts each routed question's gold
 type against the class ``route`` gave it, so a router failure counts as
 Complicated, the class the question was answered under.
 
-The gateway's ``parallelism`` P bounds the transport calls in flight, and
-it sizes the thread pools of eval instances and, inside the ``llm``
+The gateway's ``parallelism`` P is its number of transport workers, the
+threads that make its transport calls, so at most P calls are in flight.
+It also sizes the thread pools of eval instances and, inside the ``llm``
 recognizer, of a chart's edges (see :func:`flowsra.gateway.map_in_order`
-and :class:`flowsra.relations.LlmRelationBackend`). The pools start only once
-a run reaches the transport. Until then (a warm cache) instances run one at
-a time in the caller's thread; from then on each pool has 2P workers, one
-at the transport and one preparing its next request per transport slot,
-with up to 8P items queued ahead, so a slow instance (a chart's first deep
-question, running its upgrade) does not hold back the ones after it.
-Results are assembled in input order, so logs and reports do not depend on
-it.
+and :class:`flowsra.relations.LlmRelationBackend`). A run is one gateway
+scope: its transport workers start with its first transport calls and are
+joined when it ends. The pools start only once a run reaches the
+transport. Until then (a warm cache) instances run one at a time in the
+caller's thread and no thread starts; from then on each pool has 2P
+workers, one waiting on a transport worker and one preparing its next
+request per transport slot, with up to 8P items queued ahead, so a slow
+instance (a chart's first deep question, running its upgrade) does not
+hold back the ones after it. Results are assembled in input order, so
+logs and reports do not depend on it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Fixtures shared by every test module."""
 
 import os
+import sys
 
 import pytest
 
@@ -13,3 +14,13 @@ def no_flowsra_environment(monkeypatch):
     for name in list(os.environ):
         if name.startswith("FLOWSRA_"):
             monkeypatch.delenv(name)
+
+
+@pytest.fixture
+def fast_thread_switches():
+    """Let the interpreter switch threads after 1 us instead of 5 ms, so that
+    races in handing work between threads show up in the tests that use it."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)

@@ -289,6 +289,18 @@ class TestAsk:
         assert code == 0
         assert "recognizer calls: 5" in err
 
+    def test_concurrent_deep_ask_leaves_no_thread_behind(self, capsys, chart, tmp_path):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(
+            [{"match": "contains", "pattern": "", "response": "RELATION: Sequentiality"}]))
+        before = threading.active_count()
+        code, _, _ = run_cli(
+            capsys, "ask", chart, "--question", "What then?", "--mode", "deep",
+            "--relation-backend", "llm", "--parallelism", "8",
+            "--mock-script", str(script))
+        assert code == 0
+        assert threading.active_count() == before
+
     def test_straight_question_logs_zero_recognizer_calls(self, capsys, chart, tmp_path):
         script = tmp_path / "script.json"
         script.write_text(json.dumps(
@@ -661,6 +673,19 @@ class TestCacheIo:
             assert "Traceback" not in err
             entry.rmdir()
             assert run_cli(capsys, *argv)[0] == 0
+
+    def test_eval_cache_error_leaves_no_thread_behind(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        argv = ("eval", "--dataset", str(DATA / "eval10.jsonl"),
+                "--mock-script", str(DATA / "mock10.json"), "--cache-dir", str(cache))
+        assert run_cli(capsys, *argv)[0] == 0
+        entry = max(cache.glob("*.json"))
+        entry.unlink()
+        entry.mkdir()
+        before = threading.active_count()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and str(entry) in err
+        assert threading.active_count() == before
 
     def test_upgrade_unwritable_entry_exits_2_naming_it(self, capsys, tmp_path, chart):
         script = tmp_path / "script.json"

@@ -12,7 +12,7 @@ import sys
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -43,8 +43,9 @@ from flowsra.gateway import (
 )
 
 
-def req(content="hello", model="m", **kwargs):
-    return ChatRequest(model=model, messages=(ChatMessage("user", content),), **kwargs)
+def req(content="hello", model="m", max_tokens=256):
+    return ChatRequest(model=model, messages=(ChatMessage("user", content),),
+                       max_tokens=max_tokens)
 
 
 def provider_payload(content):
@@ -55,7 +56,7 @@ def provider_payload(content):
 class TestChatRequest:
     def test_needs_messages(self):
         with pytest.raises(ValueError):
-            ChatRequest(model="m", messages=())
+            ChatRequest(model="m", messages=(), max_tokens=256)
 
 
 class TestCacheKey:
@@ -78,6 +79,7 @@ class TestCacheKey:
         assert cache_key(request) == hashlib.sha256(payload.encode()).hexdigest()
 
 
+@pytest.mark.usefixtures("fast_thread_switches")
 class TestComplete:
     def test_cache_hit_skips_transport(self, tmp_path):
         calls = []
@@ -428,6 +430,7 @@ class TestRetryBackoff:
         assert gateway.transport_calls == 1
 
 
+@pytest.mark.usefixtures("fast_thread_switches")
 class TestSingleFlight:
     def test_identical_concurrent_request_waits_and_gets_a_cache_hit(self, tmp_path):
         calls = []
@@ -518,6 +521,7 @@ class TestSingleFlight:
         assert gateway.transport_calls == 2
 
 
+@pytest.mark.usefixtures("fast_thread_switches")
 class TestMapInOrder:
     def delayed(self, delays, gateway=None, log=None):
         """fn over item indices: sleeps, optionally sends a request first."""
@@ -607,12 +611,7 @@ class TestMapInOrder:
         def fn(i):  # item pairs share a request, so single-flight waits happen too
             return gateway.complete(req(f"item {i // 2}")).content
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = list(map_in_order(fn, range(400), gateway))
-        finally:
-            sys.setswitchinterval(interval)
+        results = list(map_in_order(fn, range(400), gateway))
         assert results == [f"item {i // 2}" for i in range(400)]
         assert 1 < peak <= gateway.parallelism
         assert gateway.transport_calls == 200
@@ -630,6 +629,108 @@ class TestMapInOrder:
 
         assert list(map_in_order(fn, range(8), gateway)) == [i * i for i in range(8)]
         assert finished.index(1) > max(finished.index(i) for i in range(2, 6))
+
+
+@pytest.mark.usefixtures("fast_thread_switches")
+class TestTransportWorkers:
+    """Transport calls run on the gateway's own worker threads, which live
+    no longer than the scope that started them."""
+
+    @staticmethod
+    def recording(threads, outcomes):
+        """A transport that notes its thread and answers with ``outcomes``
+        in turn: an exception is raised, anything else is the reply."""
+        pending = list(outcomes)
+
+        def transport(request):
+            threads.append(threading.current_thread())
+            outcome = pending.pop(0)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return provider_payload(outcome)
+
+        return transport
+
+    def test_bare_miss_runs_on_a_worker_that_is_joined(self, tmp_path):
+        threads = []
+        gateway = ChatGateway(self.recording(threads, ["pong"]), cache_dir=tmp_path)
+        before = threading.active_count()
+        assert gateway.complete(req()).content == "pong"
+        assert threading.active_count() == before
+        [worker] = threads
+        assert worker is not threading.current_thread()
+        assert not worker.is_alive()
+
+    @staticmethod
+    def complete_within(gateway, request, seconds=5):
+        """``gateway.complete(request)`` on a thread of its own, so that a
+        request no worker takes fails the test instead of hanging it."""
+        future = Future()
+
+        def run():
+            try:
+                future.set_result(gateway.complete(request))
+            except BaseException as exc:
+                future.set_exception(exc)
+
+        requester = threading.Thread(target=run, daemon=True)
+        requester.start()
+        try:
+            return future.result(timeout=seconds)
+        finally:
+            requester.join(seconds)
+
+    def test_a_failed_call_loses_no_worker(self):
+        threads = []
+        gateway = ChatGateway(self.recording(threads, [PermanentError("HTTP 400"), "pong"]),
+                              parallelism=1)
+        before = threading.active_count()
+        with gateway:
+            with pytest.raises(PermanentError, match="HTTP 400"):
+                self.complete_within(gateway, req("first"))
+            assert self.complete_within(gateway, req("second")).content == "pong"
+            assert gateway.transport_calls == 2
+            assert threads[0] is threads[1] and threads[0].is_alive()
+        assert threading.active_count() == before
+
+    def test_any_exception_reaches_the_requester_as_raised(self):
+        class Abort(BaseException):
+            pass
+
+        raised = [Abort("stop"), TransientError("busy", 3.0), ValueError("odd")]
+        gateway = ChatGateway(self.recording([], raised), sleep=lambda s: None)
+        before = threading.active_count()
+        with pytest.raises(Abort) as abort:
+            gateway.complete(req("a"))
+        with pytest.raises(ValueError) as odd:  # the transient error was retried
+            gateway.complete(req("b"))
+        assert (abort.value, odd.value) == (raised[0], raised[2])
+        assert threading.active_count() == before
+
+    def test_nested_scopes_share_workers_until_the_last_user_leaves(self):
+        threads = []
+        gateway = ChatGateway(self.recording(threads, ["a", "b", "c"]), parallelism=1)
+        before = threading.active_count()
+        with gateway:
+            with gateway:
+                gateway.complete(req("a"))
+            assert threads[0].is_alive()
+            gateway.complete(req("b"))
+            assert threads[1] is threads[0]
+        assert threading.active_count() == before
+        with gateway:  # a later scope starts its own worker
+            gateway.complete(req("c"))
+            assert threads[2] is not threads[0] and threads[2].is_alive()
+        assert not threads[2].is_alive()
+
+    def test_at_most_parallelism_workers_start(self):
+        threads = []
+        gateway = ChatGateway(self.recording(threads, ["ok"] * 40), parallelism=3)
+        with gateway, ThreadPoolExecutor(max_workers=8) as pool:
+            for future in [pool.submit(gateway.complete, req(f"q{i}")) for i in range(40)]:
+                future.result(timeout=5)
+        assert 1 <= len(set(threads)) <= 3
+        assert not any(thread.is_alive() for thread in threads)
 
 
 class TestHttpTransport:
@@ -835,6 +936,16 @@ def _hang_up(handler):
     handler.close_connection = True
 
 
+def _slow(handler):
+    """Close the connection without a reply, after 0.5 s."""
+    time.sleep(0.5)
+    handler.close_connection = True
+
+
+def _http_date(hours):
+    return format_datetime(datetime.now(timezone.utc) + timedelta(hours=hours), usegmt=True)
+
+
 class TestLoopback:
     """``HttpTransport`` against a stdlib HTTP server on 127.0.0.1."""
 
@@ -874,6 +985,7 @@ class TestLoopback:
                     pass
 
             server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+            server.daemon_threads = False  # so server_close joins the handlers
             thread = threading.Thread(target=server.serve_forever,
                                       kwargs={"poll_interval": 0.01})
             thread.start()
@@ -911,8 +1023,13 @@ class TestLoopback:
          "backend error: gave up after 3 attempts: HTTP 503 from provider"),
         ([_short_body] * 3, 3, "backend error: gave up after 3 attempts: "),
         ([_hang_up] * 3, 3, "backend error: gave up after 3 attempts: "),
+        ([(429, {"error": "slow down"}, {"Retry-After": _http_date(-1)})] * 3, 3,
+         "backend error: gave up after 3 attempts: HTTP 429 from provider"),
+        ([(503, {"error": "busy"}, {"Retry-After": _http_date(1)})], 1,
+         "backend error: provider asked to wait "),
     ], ids=["200-not-json", "200-no-choices", "200-null-content", "400", "401",
-            "429-retry-after-0", "500", "503", "short-body", "closed-before-reply"])
+            "429-retry-after-0", "500", "503", "short-body", "closed-before-reply",
+            "429-retry-after-past-date", "503-retry-after-date-an-hour-ahead"])
     def test_llm_route_failure_exits_3(self, serve, monkeypatch, capsys,
                                        replies, posts, stderr):
         monkeypatch.setattr(gateway_mod, "BACKOFF_S", 0)
@@ -922,6 +1039,18 @@ class TestLoopback:
         captured = capsys.readouterr()
         assert (code, len(serve.posts), captured.out) == (3, posts, "")
         assert captured.err.startswith(stderr)
+
+    def test_reply_slower_than_the_timeout_is_retried_then_exits_3(self, serve, monkeypatch,
+                                                                    capsys):
+        monkeypatch.setattr(gateway_mod, "BACKOFF_S", 0)
+        monkeypatch.setattr(gateway_mod, "TIMEOUT_S", 0.2)
+        url = serve(*[_slow] * 3)
+        code = cli.main(["route", "--router", "llm", "--question", "Why?",
+                         "--endpoint", url])
+        captured = capsys.readouterr()
+        assert (code, len(serve.posts), captured.out) == (3, 3, "")
+        assert captured.err.startswith("backend error: gave up after 3 attempts: ")
+        assert "timed out" in captured.err
 
 
 class TestMockBackend:

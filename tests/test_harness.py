@@ -416,6 +416,7 @@ EVAL_SETS = ("eval10.jsonl", "flowvqa_like_20.jsonl")
 ALL_LLM = EvalConfig(router_mode="llm", relation_backend="llm", judge_mode="llm")
 
 
+@pytest.mark.usefixtures("fast_thread_switches")
 class TestConcurrentEval:
     """Instances overlap once a run reaches the transport; what a run
     reports must not depend on it."""
@@ -449,6 +450,13 @@ class TestConcurrentEval:
     def test_transport_calls_in_flight_stay_within_parallelism(self, parallelism):
         _, transport = self.cold_run(flowvqa_like_instances(), parallelism, None)
         assert 0 < transport.peak <= parallelism
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 8])
+    def test_cold_run_leaves_no_thread_behind(self, parallelism):
+        before = threading.active_count()
+        run, transport = self.cold_run(flowvqa_like_instances(), parallelism, None)
+        assert run.report.failed_count == 0 and transport.prompts
+        assert threading.active_count() == before
 
     def test_warm_cache_run_starts_no_worker_thread(self, tmp_path, monkeypatch):
         instances = flowvqa_like_instances()
