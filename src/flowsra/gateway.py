@@ -31,7 +31,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
-from queue import SimpleQueue
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from urllib.parse import urlsplit
 
@@ -321,16 +320,15 @@ def load_mock_script(path: str | Path) -> MockTransport:
 class ChatGateway:
     """Caching, retrying, concurrency-bounded front of any chat transport.
 
-    Transport calls run on at most ``parallelism`` transport workers, fed
-    from one queue: a requester submits its request and waits for the
-    reply, and a worker that finishes a call takes the next queued request
-    at once. ``transport_calls`` counts the calls submitted. The gateway is
-    a reentrant context manager: workers start on the first transport calls
-    of a scope, one per call until ``parallelism`` are alive, and are joined
-    when its last user leaves, so no thread outlives the scope and a run
-    served from the cache starts none. A request outside any scope holds
-    one for its own attempts. Retries, their backoff sleeps and cache writes
-    stay in the requester's thread.
+    Transport calls run on a ``ThreadPoolExecutor`` of ``parallelism``
+    threads: a requester submits its request and waits for the reply, and
+    an idle thread takes the next queued call at once. ``transport_calls``
+    counts the calls submitted. The gateway is a reentrant context manager:
+    a scope's executor is made on its first transport call and shut down,
+    its threads joined, when its last user leaves, so no thread outlives
+    the scope and a run served from the cache starts none. A request
+    outside any scope holds one for its own attempts. Retries, their
+    backoff sleeps and cache writes stay in the requester's thread.
 
     With a cache directory, a request whose key is already at the transport
     waits for that call and gets its response as a cache hit (single-flight),
@@ -359,14 +357,12 @@ class ChatGateway:
         self._lock = threading.Lock()
         # per cache key at the transport: its response, None if it failed
         self._flights: dict[str, Future[ChatResponse | None]] = {}
-        # the scope's users, its transport workers and their queue; each
-        # scope has its own queue, so a late stop cannot reach the next
-        # scope's workers
+        # the scope's users and its transport executor, None until the
+        # scope's first transport call
         self._users = 0
-        self._workers: list[threading.Thread] = []
-        self._queue: SimpleQueue[tuple[ChatRequest, Future[dict]] | None] = SimpleQueue()
+        self._executor: ThreadPoolExecutor | None = None
 
-    # -- transport workers ----------------------------------------------
+    # -- transport scope ------------------------------------------------
 
     def __enter__(self) -> ChatGateway:
         with self._lock:
@@ -376,38 +372,21 @@ class ChatGateway:
     def __exit__(self, *exc_info) -> None:
         with self._lock:
             self._users -= 1
-            if self._users or not self._workers:
+            if self._users or self._executor is None:
                 return
-            workers, self._workers = self._workers, []
-            queue, self._queue = self._queue, SimpleQueue()
-        for _ in workers:
-            queue.put(None)
-        for worker in workers:
-            worker.join()
+            executor, self._executor = self._executor, None
+        executor.shutdown()
 
     def _call(self, req: ChatRequest) -> dict:
-        """The transport's payload for ``req``, from a worker of the
-        current scope; whatever the transport raised is raised here."""
-        future: Future[dict] = Future()
+        """The transport's payload for ``req``, from a thread of the current
+        scope's executor; whatever the transport raised is raised here."""
         with self._lock:
             self.transport_calls += 1
-            if len(self._workers) < self.parallelism:
-                worker = threading.Thread(target=self._serve, args=(self._queue,),
-                                          name=f"flowsra-transport-{len(self._workers)}")
-                worker.start()
-                self._workers.append(worker)
-            queue = self._queue
-        queue.put((req, future))
-        return future.result()
-
-    def _serve(self, queue: SimpleQueue) -> None:
-        """A transport worker: serve ``queue`` until its stop (a None)."""
-        while (job := queue.get()) is not None:
-            req, future = job
-            try:
-                future.set_result(self.transport(req))
-            except BaseException as exc:  # re-raised in the requester
-                future.set_exception(exc)
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(self.parallelism,
+                                                    thread_name_prefix="flowsra-transport")
+            executor = self._executor
+        return executor.submit(self.transport, req).result()
 
     # -- cache ----------------------------------------------------------
 
@@ -523,17 +502,17 @@ def map_in_order(fn: Callable[[T], R], items: Iterable[T],
                  gateway: ChatGateway) -> Iterator[R]:
     """Yield ``fn(item)`` for each item, in input order.
 
-    The whole map is one of the gateway's scopes, at every parallelism, so
-    its items share one set of transport workers (nested maps, such as an
-    upgrade's edges inside an eval, share the outer map's).
+    The whole map is one of the gateway's scopes, so its items share one
+    transport executor (nested maps, such as an upgrade's edges inside an
+    eval, share the outer map's).
     Items run one at a time in the caller's thread while the gateway serves
     them without its transport (cache hits): that work is CPU-bound, and
     handing it between threads would only add interpreter lock switches.
     From the first item that reached the transport on, items run on a pool
     of ``2 * gateway.parallelism`` workers: per transport slot, one waiting
     on the transport and one preparing its next request. The gateway's
-    ``parallelism`` transport workers still run at most that many transport
-    calls at once.
+    executor of ``parallelism`` threads still runs at most that many
+    transport calls at once.
     Items are drawn in the caller's thread and kept submitted up to
     ``8 * gateway.parallelism`` ahead of the item being yielded, so a freed
     worker takes the next item at once, even while the head item is slow.
@@ -542,9 +521,6 @@ def map_in_order(fn: Callable[[T], R], items: Iterable[T],
     """
     with gateway:
         items = iter(items)
-        if gateway.parallelism < 2:
-            yield from map(fn, items)
-            return
         for item in items:
             calls = gateway.transport_calls
             result = fn(item)

@@ -16,13 +16,13 @@ The report's ``discriminator_confusion`` counts each routed question's gold
 type against the class ``route`` gave it, so a router failure counts as
 Complicated, the class the question was answered under.
 
-The gateway's ``parallelism`` P is its number of transport workers, the
-threads that make its transport calls, so at most P calls are in flight.
+The gateway's ``parallelism`` P is the size of its transport executor,
+whose threads make its transport calls, so at most P calls are in flight.
 It also sizes the thread pools of eval instances and, inside the ``llm``
 recognizer, of a chart's edges (see :func:`flowsra.gateway.map_in_order`
 and :class:`flowsra.relations.LlmRelationBackend`). A run is one gateway
-scope: its transport workers start with its first transport calls and are
-joined when it ends. The pools start only once a run reaches the
+scope: its transport executor is made on its first transport call and
+shut down when it ends. The pools start only once a run reaches the
 transport. Until then (a warm cache) instances run one at a time in the
 caller's thread and no thread starts; from then on each pool has 2P
 workers, one waiting on a transport worker and one preparing its next

@@ -16,6 +16,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 import requests
@@ -954,19 +955,22 @@ class TestLoopback:
         monkeypatch.setenv("no_proxy", "127.0.0.1")
         servers = []
         posts = []
+        auth = []
 
         def serve(*replies):
             """Start a server that answers its n-th POST with ``replies[n]``
             and return its URL. A reply is a (status, body) pair or a
             (status, body, headers) triple, its body sent as is if bytes and
             as JSON otherwise, or a function that answers through the
-            handler it is given. ``serve.posts`` lists the POSTs served."""
+            handler it is given. ``serve.posts`` lists the POSTs served and
+            ``serve.auth`` their ``Authorization`` headers, None if absent."""
             pending = list(replies)
 
             class Handler(BaseHTTPRequestHandler):
                 def do_POST(self):
                     self.rfile.read(int(self.headers["Content-Length"]))
                     posts.append(self.path)
+                    auth.append(self.headers["Authorization"])
                     reply = pending.pop(0)
                     if callable(reply):
                         reply(self)
@@ -993,6 +997,7 @@ class TestLoopback:
             return f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
 
         serve.posts = posts
+        serve.auth = auth
         yield serve
         for server, thread in servers:
             server.shutdown()
@@ -1051,6 +1056,51 @@ class TestLoopback:
         assert (code, len(serve.posts), captured.out) == (3, 3, "")
         assert captured.err.startswith("backend error: gave up after 3 attempts: ")
         assert "timed out" in captured.err
+
+    @pytest.mark.parametrize("status", [400, 401])
+    def test_rejected_deep_ask_names_the_first_edge_and_exits_3(self, serve, tmp_path,
+                                                               capsys, status):
+        # the first edge is recognised in the caller's thread; its transport
+        # call, and the rejection, happen on the gateway's executor
+        chart = tmp_path / "chart.mmd"
+        chart.write_text("flowchart TD\nA[Start] --> B[Check input]\nB --> C{Valid?}\n"
+                         "C -->|Yes| D[Save]\nC -->|No| A\n")
+        url = serve((status, {"error": "rejected"}))
+        code = cli.main(["ask", str(chart), "--question", "Why check the input?",
+                         "--mode", "deep", "--relation-backend", "llm", "--endpoint", url])
+        captured = capsys.readouterr()
+        assert (code, len(serve.posts), captured.out) == (3, 1, "")
+        assert captured.err.startswith(
+            f"backend error: relation recognition failed for edge A -> B: HTTP {status}: ")
+
+    @pytest.mark.parametrize("status", [400, 401])
+    def test_rejected_eval_fails_every_instance_and_exits_0(self, serve, capsys, status):
+        # each instance's router call is rejected once, not retried, and
+        # fails that instance alone
+        url = serve(*[(status, {"error": "rejected"})] * 10)
+        dataset = Path(__file__).parent / "data" / "eval10.jsonl"
+        code = cli.main(["eval", "--dataset", str(dataset), "--router", "llm",
+                         "--relation-backend", "llm", "--report", "json", "--endpoint", url])
+        report = json.loads(capsys.readouterr().out)
+        assert (code, len(serve.posts)) == (0, 10)
+        assert report["failed_count"] == report["total"] == 10
+
+    def test_api_key_rides_on_every_post(self, serve, capsys):
+        url = serve((200, provider_payload("no class here")),
+                    (200, provider_payload("CLASS: Straight")))
+        code = cli.main(["route", "--router", "llm", "--question", "Why?",
+                         "--endpoint", url, "--api-key", "k1"])
+        assert (code, serve.auth) == (0, ["Bearer k1"] * 2)
+        assert "Straight" in capsys.readouterr().out
+
+    def test_api_key_with_a_line_break_exits_2_before_any_post(self, serve, monkeypatch,
+                                                              capsys):
+        monkeypatch.setenv("FLOWSRA_API_KEY", "k1\r\nX-Injected: 1")
+        url = serve()
+        code = cli.main(["route", "--router", "llm", "--question", "Why?", "--endpoint", url])
+        captured = capsys.readouterr()
+        assert (code, len(serve.posts), captured.out) == (2, 0, "")
+        assert captured.err.startswith("config error: API key holds a line break")
 
 
 class TestMockBackend:
