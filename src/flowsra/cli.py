@@ -230,7 +230,7 @@ def cmd_ask(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_route(args: argparse.Namespace, config: RunConfig) -> int:
     with _gateway(config) as gateway:
         router = make_router(args.router, gateway, config.router_model)
-        question_class = router.classify(_question(args.question).text, None)
+        question_class = router(_question(args.question))
     print(json.dumps({"class": question_class.value}))
     return EXIT_OK
 

@@ -4,7 +4,8 @@ Shallow reasoning answers from the link-based chart text, deep reasoning
 from the relation-annotated chart plus its triples and taxonomy. Each is one
 zero-shot completion of at most 256 tokens, from a prompt fixed per depth.
 
-Every question takes one path: :func:`route` classifies it, then
+Every question takes one path: :func:`route` calls the router, a plain
+function of the :class:`Question` (see ``routing.make_router``), then
 :func:`answer_routed` answers it shallow, or upgrades the graph and answers
 it deep, so straight questions cost zero recognition calls.
 :func:`answer_controlled` is that path for one graph (``flowsra ask``);
@@ -25,22 +26,12 @@ from .ir import FlowGraph, UpgradedGraph, relation_definitions_block, require_va
 from .parsing import Dialect
 from .prompts import load_template
 from .relations import RelationBackend, upgrade_graph
-from .routing import ClassificationError, QuestionClass, QuestionType
+from .routing import ClassificationError, Question, QuestionClass, Router
 
 
 class Route(Enum):
     SHALLOW = "shallow"
     DEEP = "deep"
-
-
-@dataclass(frozen=True)
-class Question:
-    text: str
-    gold_type: QuestionType | None = None
-
-    def __post_init__(self) -> None:
-        if not self.text.strip():
-            raise ValueError("question text must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -90,11 +81,11 @@ def answer_deep(ug: UpgradedGraph, question: Question, gateway: ChatGateway, *,
                   fallbacks_used=ug.fallback_count())
 
 
-def route(router, question: Question) -> QuestionClass:
+def route(router: Router, question: Question) -> QuestionClass:
     """The router's class for the question. A router failure falls back to
     Complicated: deep reasoning is the fault-tolerant side."""
     try:
-        return router.classify(question.text, question.gold_type)
+        return router(question)
     except ClassificationError:
         return QuestionClass.COMPLICATED
 
@@ -109,7 +100,7 @@ def answer_routed(graph: FlowGraph, question: Question, question_class: Question
     return answer_deep(upgrade(), question, gateway, model=model, dialect=dialect)
 
 
-def answer_controlled(graph: FlowGraph, question: Question, router,
+def answer_controlled(graph: FlowGraph, question: Question, router: Router,
                       recognizer: RelationBackend, gateway: ChatGateway, *,
                       model: str, dialect: Dialect = Dialect.MERMAID) -> Answer:
     """Validate, route and answer one question on one graph, upgrading the

@@ -114,7 +114,7 @@ class TransientError(RuntimeError):
 
 
 class PermanentError(RuntimeError):
-    """Non-retryable provider rejection (other 4xx)."""
+    """Non-retryable provider rejection (4xx other than 401, 408, 429)."""
 
 
 class ProtocolError(RuntimeError):
@@ -132,6 +132,11 @@ class SetupError(RuntimeError):
 
 class CacheError(SetupError):
     """A response could not be written to the cache directory."""
+
+
+class CredentialError(SetupError):
+    """The provider refused the credentials (HTTP 401), as it would every
+    request of the run."""
 
 
 class EndpointError(SetupError):
@@ -186,8 +191,9 @@ class HttpTransport:
     endpoint that is not an http or https URL with a host, or an API key
     that an HTTP header cannot carry, is a ``ValueError`` here, before any
     call. A request that ``requests`` cannot prepare is an ``EndpointError``,
-    never retried. A ``Retry-After`` longer than ``TIMEOUT_S`` ends the
-    request with a ``TransportError`` instead of a wait."""
+    and an HTTP 401 a ``CredentialError``; neither is retried. A
+    ``Retry-After`` longer than ``TIMEOUT_S`` ends the request with a
+    ``TransportError`` instead of a wait."""
 
     def __init__(self, endpoint: str, api_key: str | None = None):
         try:
@@ -225,6 +231,8 @@ class HttpTransport:
             raise TransientError(f"HTTP {resp.status_code} from provider", wait)
         if resp.status_code >= 500 or resp.status_code == 408:
             raise TransientError(f"HTTP {resp.status_code} from provider")
+        if resp.status_code == 401:
+            raise CredentialError(f"HTTP 401: {resp.text[:500]}")
         if resp.status_code >= 400:
             raise PermanentError(f"HTTP {resp.status_code}: {resp.text[:500]}")
         try:

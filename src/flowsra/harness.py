@@ -95,10 +95,22 @@ class DatasetLoad:
 
 
 _REQUIRED_FIELDS = ("id", "dialect", "source", "question", "answer", "type")
+_NOT_TEXT = {type(None): "null", bool: "boolean", list: "array", dict: "object"}
+
+
+def _text_field(record: dict, name: str) -> str:
+    value = record[name]
+    if type(value) in _NOT_TEXT:
+        raise ValueError(f"field {name!r} must be a string, not {_NOT_TEXT[type(value)]}")
+    return str(value)
 
 
 def load_dataset(path: str | Path) -> DatasetLoad:
     """Read line-delimited records; malformed ones become diagnostics.
+
+    Every field must be a JSON string or number, read as its text; a field
+    that is null, a boolean, an array or an object makes the record
+    malformed.
 
     Raises OSError when the file cannot be read and EmptyDatasetError when
     nothing valid remains.
@@ -126,18 +138,19 @@ def load_dataset(path: str | Path) -> DatasetLoad:
             diagnostics.append(LoadDiagnostic(lineno, f"missing fields: {missing}"))
             continue
         try:
-            dialect = Dialect(str(record["dialect"]).casefold())
-            qtype = QuestionType.from_code(str(record["type"]))
-            question = Question(str(record["question"]), gold_type=qtype)
+            values = {name: _text_field(record, name) for name in _REQUIRED_FIELDS}
+            dialect = Dialect(values["dialect"].casefold())
+            qtype = QuestionType.from_code(values["type"])
+            question = Question(values["question"], gold_type=qtype)
         except ValueError as exc:
             diagnostics.append(LoadDiagnostic(lineno, str(exc)))
             continue
         instances.append(EvalInstance(
-            flowchart_id=str(record["id"]),
+            flowchart_id=values["id"],
             dialect=dialect,
-            source=str(record["source"]),
+            source=values["source"],
             question=question,
-            gold_answer=str(record["answer"]),
+            gold_answer=values["answer"],
             gold_type=qtype,
         ))
     if not instances:

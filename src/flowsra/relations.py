@@ -7,17 +7,17 @@ offline runs and tests. Each backend runs its own edges. Out-of-taxonomy
 answers never escape: the LLM backend retries once and then falls back to
 the heuristic, marking the triple's rationale with a ``fallback:`` prefix.
 
-The recognition context, the chart rendered in the upgrade's dialect, is
-rendered only when a backend asks for it: the LLM backend embeds it in every
-prompt, the heuristic never reads it, so a heuristic upgrade renders nothing.
+A backend gets the chart and the upgrade's dialect. The LLM backend embeds
+the chart rendered in that dialect (see :func:`emit`, memoized per graph) in
+every prompt; the heuristic never renders it, so a heuristic upgrade renders
+nothing.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Protocol
+from typing import Protocol
 
 from .emitting import EmitError, InterlanguageDoc, emit
 from .gateway import ChatGateway, SetupError, ask_twice, completion_backend
@@ -49,21 +49,15 @@ class UpgradeError(RuntimeError):
             f"relation recognition failed for edge {edge.src} -> {edge.dst}: {cause}")
 
 
-ContextSource = Callable[[], InterlanguageDoc]
 RELATION_BACKENDS = ("heuristic", "llm")  # the backends make_relation_backend selects
 
 
 class RelationBackend(Protocol):
-    """Recognition contract: one valid chart in, one in-taxonomy tag and its
-    rationale per edge out, in edge order.
-
-    ``context`` renders the whole chart on demand. A backend that needs the
-    chart calls it; one that does not leaves the chart unrendered. Every call
-    returns the same document, rendered once per graph and dialect.
-    """
+    """Recognition contract: one valid chart and the dialect to show it in,
+    one in-taxonomy tag and its rationale per edge out, in edge order."""
 
     def recognize(self, graph: FlowGraph,
-                  context: ContextSource) -> list[tuple[RelationType, str]]:
+                  dialect: Dialect) -> list[tuple[RelationType, str]]:
         ...
 
 
@@ -162,7 +156,7 @@ class HeuristicRelationBackend:
     """Pure, order-independent backend wrapping the rule cascade."""
 
     def recognize(self, graph: FlowGraph,
-                  context: ContextSource) -> list[tuple[RelationType, str]]:
+                  dialect: Dialect) -> list[tuple[RelationType, str]]:
         by_id = {n.id: n for n in graph.nodes}
         return [heuristic_recognize(by_id[edge.src], by_id[edge.dst], edge.label)
                 for edge in graph.edges]
@@ -185,15 +179,15 @@ class LlmRelationBackend:
     model: str
 
     def recognize(self, graph: FlowGraph,
-                  context: ContextSource) -> list[tuple[RelationType, str]]:
+                  dialect: Dialect) -> list[tuple[RelationType, str]]:
         ask = completion_backend(self.gateway, self.model, max_tokens=512)
         by_id = {n.id: n for n in graph.nodes}
 
         def one(edge: Edge) -> tuple[RelationType, str]:
             src, dst = by_id[edge.src], by_id[edge.dst]
             try:
-                found = ask_twice(ask, build_relation_prompt(src, dst, edge.label, context()),
-                                  parse_relation_response, _RETRY_REMINDER)
+                prompt = build_relation_prompt(src, dst, edge.label, emit(graph, dialect))
+                found = ask_twice(ask, prompt, parse_relation_response, _RETRY_REMINDER)
             except (SetupError, EmitError):
                 raise
             except Exception as exc:
@@ -210,14 +204,14 @@ def upgrade_graph(graph: FlowGraph, backend: RelationBackend, *,
                   dialect: Dialect = Dialect.MERMAID) -> UpgradedGraph:
     """Recognize a relation for every edge and build the upgraded graph.
 
-    One backend call gets the validated chart and, as a zero-argument
-    callable, its rendering in ``dialect``, so the chart is rendered (once,
-    see :func:`emit`) only if the backend asks for it; the heuristic never
-    does. Triple ``i`` is built from the backend's result ``i``, so no edge
-    is hashed; whatever the backend raises ends the upgrade.
+    One backend call gets the validated chart and ``dialect``; a backend
+    that shows the chart renders it in that dialect, once per graph (see
+    :func:`emit`), and the heuristic never does. Triple ``i`` is built from
+    the backend's result ``i``, so no edge is hashed; whatever the backend
+    raises ends the upgrade.
     """
     require_valid(graph)
-    results = backend.recognize(graph, partial(emit, graph, dialect))
+    results = backend.recognize(graph, dialect)
     return UpgradedGraph(base=graph, triples=tuple(
         RelationTriple(edge.src, relation, edge.dst, rationale)
         for edge, (relation, rationale) in zip(graph.edges, results)))

@@ -4,6 +4,9 @@ Only applied-scenario questions need reasoning over semantic relations; the
 other three kinds read the chart structure directly, so they route to
 shallow reasoning. Classifier failures default to Complicated because deep
 reasoning tolerates misrouted questions better than shallow reasoning does.
+
+A router is a plain function from a :class:`Question` to its class;
+:func:`make_router` builds one per run from a ``ROUTE_MODES`` name.
 """
 
 from __future__ import annotations
@@ -37,6 +40,19 @@ _QUESTION_TYPES_BY_CODE = {member.value: member for member in QuestionType}
 class QuestionClass(Enum):
     STRAIGHT = "Straight"
     COMPLICATED = "Complicated"
+
+
+@dataclass(frozen=True)
+class Question:
+    text: str
+    gold_type: QuestionType | None = None
+
+    def __post_init__(self) -> None:
+        if not self.text.strip():
+            raise ValueError("question text must be non-empty")
+
+
+Router = Callable[[Question], QuestionClass]
 
 
 class ClassificationError(RuntimeError):
@@ -102,63 +118,31 @@ def classify(question: str, backend: Callable[[str], str]) -> QuestionClass:
     return parsed
 
 
-@dataclass
-class HeuristicRouter:
-    def classify(self, question: str,
-                 gold_type: QuestionType | None = None) -> QuestionClass:
-        return heuristic_classify(question)
-
-
-@dataclass
-class LlmRouter:
-    gateway: ChatGateway
-    model: str
-
-    def classify(self, question: str,
-                 gold_type: QuestionType | None = None) -> QuestionClass:
-        return classify(question,
-                        completion_backend(self.gateway, self.model, max_tokens=64))
-
-
-@dataclass
-class OracleRouter:
+def oracle_router(question: Question) -> QuestionClass:
     """Maps the dataset's gold type through type_to_class, for ablations."""
-
-    def classify(self, question: str,
-                 gold_type: QuestionType | None = None) -> QuestionClass:
-        if gold_type is None:
-            raise ValueError("oracle routing needs a gold question type")
-        return type_to_class(gold_type)
-
-
-@dataclass
-class FixedRouter:
-    """One class for every question: the always-shallow and always-deep
-    ablations."""
-
-    question_class: QuestionClass
-
-    def classify(self, question: str,
-                 gold_type: QuestionType | None = None) -> QuestionClass:
-        return self.question_class
+    if question.gold_type is None:
+        raise ValueError("oracle routing needs a gold question type")
+    return type_to_class(question.gold_type)
 
 
 TEXT_ROUTE_MODES = ("llm", "heuristic")  # the routers that read the question only
 ROUTE_MODES = TEXT_ROUTE_MODES + ("oracle", "always-shallow", "always-deep")
 
 
-def make_router(kind: str, gateway: ChatGateway | None = None, model: str = ""):
-    """Selector over ``ROUTE_MODES``."""
+def make_router(kind: str, gateway: ChatGateway | None = None, model: str = "") -> Router:
+    """Selector over ``ROUTE_MODES``. The always-shallow and always-deep
+    ablations give one class for every question."""
     if kind == "heuristic":
-        return HeuristicRouter()
+        return lambda question: heuristic_classify(question.text)
     if kind == "oracle":
-        return OracleRouter()
+        return oracle_router
     if kind == "always-shallow":
-        return FixedRouter(QuestionClass.STRAIGHT)
+        return lambda question: QuestionClass.STRAIGHT
     if kind == "always-deep":
-        return FixedRouter(QuestionClass.COMPLICATED)
+        return lambda question: QuestionClass.COMPLICATED
     if kind == "llm":
         if gateway is None:
             raise ValueError("the llm router needs a gateway")
-        return LlmRouter(gateway, model or "default")
+        ask = completion_backend(gateway, model or "default", max_tokens=64)
+        return lambda question: classify(question.text, ask)
     raise ValueError(f"unknown router {kind!r}")

@@ -43,7 +43,7 @@ from flowsra.relations import (
     heuristic_recognize,
     upgrade_graph,
 )
-from flowsra.routing import OracleRouter, QuestionType, heuristic_classify, type_to_class
+from flowsra.routing import QuestionType, heuristic_classify, make_router, type_to_class
 
 import random
 
@@ -195,9 +195,9 @@ class _CountingRecognizer:
         self.calls = 0
         self.inner = HeuristicRelationBackend()
 
-    def recognize(self, graph, context):
+    def recognize(self, graph, dialect):
         self.calls += len(graph.edges)
-        return self.inner.recognize(graph, context)
+        return self.inner.recognize(graph, dialect)
 
 
 def load_desk_instances() -> list[tuple[Question, QuestionType]]:
@@ -211,7 +211,7 @@ def load_desk_instances() -> list[tuple[Question, QuestionType]]:
 def test_criterion_4_oracle_routing_fidelity_and_lazy_recognition():
     with criterion(4, "oracle router: exactly TP2 deep, zero recognizer calls on straight"):
         gateway = ChatGateway(mock_backend([("", "an answer")]))
-        router = OracleRouter()
+        router = make_router("oracle")
         edge_count = len(HOMEWORK.edges)
         for question, gold_type in load_desk_instances():
             recognizer = _CountingRecognizer()

@@ -22,7 +22,7 @@ from flowsra.ir import (
 )
 from flowsra.parsing import Dialect
 from flowsra.relations import HeuristicRelationBackend, upgrade_graph
-from flowsra.routing import ClassificationError, HeuristicRouter, OracleRouter, QuestionType
+from flowsra.routing import ClassificationError, QuestionType, make_router
 
 from gen import upgrade_by_edge
 
@@ -56,9 +56,9 @@ class CountingRecognizer:
         self.calls = 0
         self.inner = HeuristicRelationBackend()
 
-    def recognize(self, graph, context):
+    def recognize(self, graph, dialect):
         self.calls += len(graph.edges)
-        return self.inner.recognize(graph, context)
+        return self.inner.recognize(graph, dialect)
 
 
 class TestAnswerShallow:
@@ -132,7 +132,7 @@ class TestAnswerControlled:
         gateway, _ = catchall_gateway("5")
         answer = answer_controlled(
             homework_graph(), Question("How many nodes are in the flowchart?"),
-            HeuristicRouter(), recognizer, gateway, model="m")
+            make_router("heuristic"), recognizer, gateway, model="m")
         assert answer.route is Route.SHALLOW
         assert recognizer.calls == 0
 
@@ -141,7 +141,7 @@ class TestAnswerControlled:
         gateway, _ = catchall_gateway("Do your homework")
         answer = answer_controlled(
             homework_graph(), Question("If the homework is not finished, what next?"),
-            HeuristicRouter(), recognizer, gateway, model="m")
+            make_router("heuristic"), recognizer, gateway, model="m")
         assert answer.route is Route.DEEP
         assert recognizer.calls == len(homework_graph().edges)
 
@@ -151,19 +151,18 @@ class TestAnswerControlled:
         answer = answer_controlled(
             homework_graph(),
             Question("how many nodes in the chart?", gold_type=QuestionType.TOPOLOGY),
-            OracleRouter(), recognizer, gateway, model="m")
+            make_router("oracle"), recognizer, gateway, model="m")
         assert answer.route is Route.SHALLOW
         assert recognizer.calls == 0
 
     def test_router_failure_defaults_to_deep(self):
-        class Failing:
-            def classify(self, question, gold_type=None):
-                raise ClassificationError("no idea")
+        def failing(question):
+            raise ClassificationError("no idea")
 
         recognizer = CountingRecognizer()
         gateway, _ = catchall_gateway("x")
         answer = answer_controlled(homework_graph(), Question("odd question"),
-                                   Failing(), recognizer, gateway, model="m")
+                                   failing, recognizer, gateway, model="m")
         assert answer.route is Route.DEEP
         assert recognizer.calls == len(homework_graph().edges)
 
@@ -174,7 +173,7 @@ class TestAnswerControlled:
             ("Suppose it fails, what then?", Route.DEEP),
         ]:
             answer = answer_controlled(
-                homework_graph(), Question(question), HeuristicRouter(),
+                homework_graph(), Question(question), make_router("heuristic"),
                 CountingRecognizer(), gateway, model="m")
             assert answer.route is expected
 
@@ -183,7 +182,7 @@ class TestAnswerControlled:
             gateway, _ = catchall_gateway("Take a break")
             return answer_controlled(
                 homework_graph(), Question("If unfinished, what should I do?"),
-                HeuristicRouter(), HeuristicRelationBackend(), gateway, model="m")
+                make_router("heuristic"), HeuristicRelationBackend(), gateway, model="m")
 
         first, second = run(), run()
         assert first == second
@@ -221,16 +220,15 @@ class TestOnePath:
         from flowsra.engine import route
         from flowsra.routing import QuestionClass
 
-        class Failing:
-            def classify(self, question, gold_type=None):
-                raise ClassificationError("no idea")
+        def failing(question):
+            raise ClassificationError("no idea")
 
-        assert route(Failing(), Question("odd?")) is QuestionClass.COMPLICATED
+        assert route(failing, Question("odd?")) is QuestionClass.COMPLICATED
         scenario = Question("how many nodes?", gold_type=QuestionType.APPLIED_SCENARIO)
-        assert route(OracleRouter(), scenario) is QuestionClass.COMPLICATED
+        assert route(make_router("oracle"), scenario) is QuestionClass.COMPLICATED
 
     def test_other_router_errors_propagate(self):
         from flowsra.engine import route
 
         with pytest.raises(ValueError):
-            route(OracleRouter(), Question("no gold type?"))
+            route(make_router("oracle"), Question("no gold type?"))

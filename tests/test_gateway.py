@@ -31,6 +31,7 @@ from flowsra.gateway import (
     ChatGateway,
     ChatMessage,
     ChatRequest,
+    CredentialError,
     MockRule,
     PermanentError,
     ProtocolError,
@@ -766,7 +767,8 @@ class TestHttpTransport:
             '"temperature": 0.0, "max_tokens": 256, "seed": 0}')
 
     @pytest.mark.parametrize("status,exc", [
-        (500, TransientError), (429, TransientError), (401, PermanentError)])
+        (500, TransientError), (429, TransientError), (400, PermanentError),
+        (401, CredentialError)])
     def test_status_mapping(self, monkeypatch, status, exc):
         from flowsra import gateway as gateway_mod
 
@@ -1019,7 +1021,6 @@ class TestLoopback:
         ([(200, {"choices": [{"message": {"content": None}}]})], 1,
          "backend error: provider payload content is not text"),
         ([(400, {"error": "bad request"})], 1, "backend error: HTTP 400: "),
-        ([(401, {"error": "unauthorized"})], 1, "backend error: HTTP 401: "),
         ([(429, {"error": "slow down"}, {"Retry-After": "0"})] * 3, 3,
          "backend error: gave up after 3 attempts: HTTP 429 from provider"),
         ([(500, {"error": "oops"})] * 3, 3,
@@ -1032,7 +1033,7 @@ class TestLoopback:
          "backend error: gave up after 3 attempts: HTTP 429 from provider"),
         ([(503, {"error": "busy"}, {"Retry-After": _http_date(1)})], 1,
          "backend error: provider asked to wait "),
-    ], ids=["200-not-json", "200-no-choices", "200-null-content", "400", "401",
+    ], ids=["200-not-json", "200-no-choices", "200-null-content", "400",
             "429-retry-after-0", "500", "503", "short-body", "closed-before-reply",
             "429-retry-after-past-date", "503-retry-after-date-an-hour-ahead"])
     def test_llm_route_failure_exits_3(self, serve, monkeypatch, capsys,
@@ -1057,7 +1058,7 @@ class TestLoopback:
         assert captured.err.startswith("backend error: gave up after 3 attempts: ")
         assert "timed out" in captured.err
 
-    @pytest.mark.parametrize("status", [400, 401])
+    @pytest.mark.parametrize("status", [400])
     def test_rejected_deep_ask_names_the_first_edge_and_exits_3(self, serve, tmp_path,
                                                                capsys, status):
         # the first edge is recognised in the caller's thread; its transport
@@ -1073,7 +1074,7 @@ class TestLoopback:
         assert captured.err.startswith(
             f"backend error: relation recognition failed for edge A -> B: HTTP {status}: ")
 
-    @pytest.mark.parametrize("status", [400, 401])
+    @pytest.mark.parametrize("status", [400])
     def test_rejected_eval_fails_every_instance_and_exits_0(self, serve, capsys, status):
         # each instance's router call is rejected once, not retried, and
         # fails that instance alone
@@ -1084,6 +1085,26 @@ class TestLoopback:
         report = json.loads(capsys.readouterr().out)
         assert (code, len(serve.posts)) == (0, 10)
         assert report["failed_count"] == report["total"] == 10
+
+    @pytest.mark.parametrize("command", [
+        ["route", "--router", "llm", "--question", "Why?"],
+        ["ask", "CHART", "--question", "Why check the input?", "--mode", "deep",
+         "--relation-backend", "llm"],
+        ["eval", "--dataset", str(Path(__file__).parent / "data" / "eval10.jsonl"),
+         "--router", "llm", "--relation-backend", "llm", "--report", "json"],
+    ], ids=["route", "deep-ask", "eval"])
+    def test_rejected_credentials_end_the_run_with_exit_2(self, serve, tmp_path, capsys,
+                                                          command):
+        # a 401 would meet every request of the run alike: it is not
+        # retried, and the first one ends the run
+        chart = tmp_path / "chart.mmd"
+        chart.write_text("flowchart TD\nA[Start] --> B[Check input]\nB --> C[Save]\n")
+        url = serve(*[(401, {"error": "unauthorized"})] * 10)
+        argv = [str(chart) if arg == "CHART" else arg for arg in command]
+        code = cli.main(argv + ["--endpoint", url])
+        captured = capsys.readouterr()
+        assert (code, len(serve.posts), captured.out) == (2, 1, "")
+        assert captured.err.startswith("config error: HTTP 401: ")
 
     def test_api_key_rides_on_every_post(self, serve, capsys):
         url = serve((200, provider_payload("no class here")),

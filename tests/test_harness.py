@@ -60,13 +60,24 @@ class TestLoadDataset:
         path = tmp_path / "three.jsonl"
         good = {"id": "a", "dialect": "mermaid", "source": "flowchart TD\nA-->B",
                 "question": "q?", "answer": "x", "type": "TP1"}
+        # fields that are not text: a null question would be asked as "None",
+        # and a null answer would make a reply of "None" correct
+        not_text = [(name, value, kind) for name in good for value, kind in (
+            (None, "null"), (True, "boolean"), (["x"], "array"), ({"x": 1}, "object"))]
         path.write_text(
             json.dumps(good) + "\n" + "{not json}\n" + json.dumps(
-                {**good, "id": "b"}) + "\n")
+                {**good, "id": "b"}) + "\n"
+            + "".join(json.dumps({**good, name: value}) + "\n" for name, value, _ in not_text)
+            + json.dumps({**good, "id": 7, "answer": 2.5}) + "\n")
         load = load_dataset(path)
-        assert len(load.instances) == 2
-        assert len(load.diagnostics) == 1
+        assert len(load.instances) == 3
+        assert len(load.diagnostics) == 1 + len(not_text)
         assert load.diagnostics[0].line == 2
+        assert [str(d) for d in load.diagnostics[1:]] == [
+            f"record {line}: field {name!r} must be a string, not {kind}"
+            for line, (name, _, kind) in enumerate(not_text, start=4)]
+        # numbers still read as their text
+        assert (load.instances[2].flowchart_id, load.instances[2].gold_answer) == ("7", "2.5")
 
     def test_records_that_are_not_objects_become_diagnostics(self, tmp_path):
         path = tmp_path / "shapes.jsonl"
@@ -513,13 +524,12 @@ class TestDiscriminatorConfusion:
         assert self.off_diagonal(report.discriminator_confusion) == {}
 
     def test_scripted_router_flipping_tp1(self, monkeypatch):
-        class Flipper:
-            def classify(self, question, gold_type=None):
-                if gold_type is QuestionType.FACT_RETRIEVAL:
-                    return QuestionClass.COMPLICATED
-                return type_to_class(gold_type)
+        def flipper(question):
+            if question.gold_type is QuestionType.FACT_RETRIEVAL:
+                return QuestionClass.COMPLICATED
+            return type_to_class(question.gold_type)
 
-        monkeypatch.setattr(harness, "make_router", lambda *args: Flipper())
+        monkeypatch.setattr(harness, "make_router", lambda *args: flipper)
         load = load_dataset(DATA / "eval10.jsonl")
         tp1_total = sum(1 for i in load.instances
                         if i.gold_type is QuestionType.FACT_RETRIEVAL)

@@ -11,9 +11,7 @@ from flowsra.routing import (
     ROUTE_MODES,
     TEXT_ROUTE_MODES,
     ClassificationError,
-    HeuristicRouter,
-    LlmRouter,
-    OracleRouter,
+    Question,
     QuestionClass,
     QuestionType,
     classify,
@@ -144,23 +142,23 @@ class TestClassify:
 
 class TestRouters:
     def test_oracle_router_follows_gold_types(self):
-        router = OracleRouter()
+        router = make_router("oracle")
         for question, gold in load_desk_set():
-            assert router.classify(question, gold) is type_to_class(gold)
+            assert router(Question(question, gold)) is type_to_class(gold)
 
     def test_oracle_router_requires_gold_type(self):
         with pytest.raises(ValueError):
-            OracleRouter().classify("q?", None)
+            make_router("oracle")(Question("q?"))
 
     def test_llm_router_over_mock_gateway(self):
         gateway = ChatGateway(mock_backend([("CLASS", "CLASS: Complicated")]))
-        router = LlmRouter(gateway, model="router")
-        assert router.classify("whatever?", None) is QuestionClass.COMPLICATED
+        router = make_router("llm", gateway, "router")
+        assert router(Question("whatever?")) is QuestionClass.COMPLICATED
 
     def test_heuristic_router_matches_function(self):
-        router = HeuristicRouter()
+        router = make_router("heuristic")
         for question, _ in load_desk_set():
-            assert router.classify(question) is heuristic_classify(question)
+            assert router(Question(question)) is heuristic_classify(question)
 
 
 class TestMakeRouter:
@@ -171,13 +169,13 @@ class TestMakeRouter:
     def test_fixed_routers_ignore_the_question(self, kind, expected):
         router = make_router(kind)
         for question, gold in load_desk_set():
-            assert router.classify(question, gold) is expected
+            assert router(Question(question, gold)) is expected
 
     def test_every_route_mode_builds_a_router(self):
         gateway = ChatGateway(mock_backend([("CLASS", "CLASS: Straight")]))
         for kind in ROUTE_MODES:
             router = make_router(kind, gateway, "router")
-            assert router.classify("How many nodes?", QuestionType.TOPOLOGY) in QuestionClass
+            assert router(Question("How many nodes?", QuestionType.TOPOLOGY)) in QuestionClass
 
     @pytest.mark.parametrize("kind", TEXT_ROUTE_MODES)
     def test_text_route_modes_classify_without_a_gold_type(self, kind):
@@ -185,7 +183,7 @@ class TestMakeRouter:
         assert kind in ROUTE_MODES
         gateway = ChatGateway(mock_backend([("CLASS", "CLASS: Complicated")]))
         router = make_router(kind, gateway, "router")
-        assert router.classify("If it rains, what should I do?", None) is (
+        assert router(Question("If it rains, what should I do?")) is (
             QuestionClass.COMPLICATED)
 
     def test_unknown_kind_rejected(self):
