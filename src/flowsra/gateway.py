@@ -9,11 +9,17 @@ with no file object; a write replaces the entry atomically. The wire shape
 is the de-facto open chat-completions JSON contract. A request varies only
 in its model, messages and ``max_tokens``; ``_wire_fields`` adds the fixed
 ``TEMPERATURE`` and ``SEED`` and writes all five, for the cache key and for
-the HTTP body alike. A scriptable mock transport stands in for the network
-during tests and offline runs; a cache miss with no transport is a
-``TransportError``. The HTTP client (``requests``) is loaded on the first
-request to an endpoint, so mock runs, replays served from the cache,
-``convert``, ``stats`` and a heuristic ``upgrade`` never load it.
+the HTTP body alike. The key's payload is the five fields as one JSON
+encoder writes them (sorted keys, compact, non-ASCII verbatim); the fields
+around the messages are encoded once per model and ``max_tokens``, and each
+request escapes only its messages' strings, with that encoder's own string
+function. Its bytes are those of encoding all five fields per request, as
+earlier versions did, so their caches stay warm. A scriptable mock
+transport stands in for the network during tests and offline runs; a cache
+miss with no transport is a ``TransportError``. The HTTP client
+(``requests``) is loaded on the first request to an endpoint, so mock runs,
+replays served from the cache, ``convert``, ``stats`` and a heuristic
+``upgrade`` never load it.
 """
 
 from __future__ import annotations
@@ -46,6 +52,12 @@ class ChatMessage:
     role: str
     content: str
 
+    def __post_init__(self) -> None:
+        # cache_key escapes both as JSON strings
+        if not (isinstance(self.role, str) and isinstance(self.content, str)):
+            raise ValueError("a chat message's role and content must be strings, not "
+                             f"{type(self.role).__name__} and {type(self.content).__name__}")
+
 
 @dataclass(frozen=True)
 class ChatRequest:
@@ -57,6 +69,8 @@ class ChatRequest:
         object.__setattr__(self, "messages", tuple(self.messages))
         if not self.messages:
             raise ValueError("a chat request needs at least one message")
+        if isinstance(self.max_tokens, bool) or not isinstance(self.max_tokens, int):
+            raise ValueError(f"max_tokens must be an int, not {self.max_tokens!r}")
 
     def rendered(self) -> str:
         """The prompt as one string, used for matching and fingerprints."""
@@ -78,10 +92,18 @@ class ChatResponse:
 
 # one encoder for every key; json.dumps with these options builds one per call
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+# the string escaper of _KEY_ENCODER, which ensure_ascii=False selects
+_encode_str = json.encoder.encode_basestring
+# key frames per (model, max_tokens); a run uses a handful. Threads that
+# race to build one store equal frames.
+_KEY_FRAMES: dict[tuple[str, int], tuple[str, str]] = {}
+_KEY_FRAMES_MAX = 256
 # decodes every cache entry; json.loads would add a type and a BOM check per call
 _ENTRY_DECODER = json.JSONDecoder()
 # bytes asked of each read of an entry: most entries fit in one read
 _READ_SIZE = 4096
+# how an entry is opened; regular files ignore O_NONBLOCK
+_ENTRY_OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)
 
 
 def _wire_fields(req: ChatRequest, messages: list) -> dict:
@@ -91,11 +113,33 @@ def _wire_fields(req: ChatRequest, messages: list) -> dict:
             "max_tokens": req.max_tokens, "seed": SEED}
 
 
+def _key_frame(req: ChatRequest) -> tuple[str, str]:
+    """The encoded key payload of ``req`` around its messages: everything up
+    to the ``[`` that opens them, and from the ``]`` that closes them."""
+    # sorted keys put "messages" second, after max_tokens (an int); an
+    # encoded model cannot hold the mark, since its quotes are escaped
+    head, _, tail = _KEY_ENCODER.encode(_wire_fields(req, [])).partition('"messages":[]')
+    return head + '"messages":[', "]" + tail
+
+
 def cache_key(req: ChatRequest) -> str:
     """Stable hash of the request; independent of wall clock, host, and
-    process (usable across restarts)."""
-    payload = _KEY_ENCODER.encode(_wire_fields(req, [[m.role, m.content] for m in req.messages]))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    process (usable across restarts).
+
+    The hash is sha256 of the five wire fields as ``_KEY_ENCODER`` writes
+    them, each message a ``[role, content]`` pair. The fields other than the
+    messages are encoded once per model and ``max_tokens`` (``_key_frame``);
+    each request escapes only its messages' strings, with the function the
+    encoder itself uses, so the bytes hashed are the encoder's own."""
+    frame = _KEY_FRAMES.get((req.model, req.max_tokens))
+    if frame is None:
+        if len(_KEY_FRAMES) >= _KEY_FRAMES_MAX:
+            _KEY_FRAMES.clear()
+        frame = _KEY_FRAMES[req.model, req.max_tokens] = _key_frame(req)
+    head, tail = frame
+    messages = ",".join([f"[{_encode_str(m.role)},{_encode_str(m.content)}]"
+                         for m in req.messages])
+    return hashlib.sha256(f"{head}{messages}{tail}".encode("utf-8")).hexdigest()
 
 
 class TransportError(RuntimeError):
@@ -330,13 +374,15 @@ class ChatGateway:
 
     Transport calls run on a ``ThreadPoolExecutor`` of ``parallelism``
     threads: a requester submits its request and waits for the reply, and
-    an idle thread takes the next queued call at once. ``transport_calls``
-    counts the calls submitted. The gateway is a reentrant context manager:
-    a scope's executor is made on its first transport call and shut down,
-    its threads joined, when its last user leaves, so no thread outlives
-    the scope and a run served from the cache starts none. A request
-    outside any scope holds one for its own attempts. Retries, their
-    backoff sleeps and cache writes stay in the requester's thread.
+    an idle thread takes the next queued call at once. ``requests`` counts
+    the requests made of ``complete``, cache hits and failures included,
+    and ``transport_calls`` the transport calls submitted. The gateway is a
+    reentrant context manager: a scope's executor is made on its first
+    transport call and shut down, its threads joined, when its last user
+    leaves, so no thread outlives the scope and a run served from the cache
+    starts none. A request outside any scope holds one for its own
+    attempts. Retries, their backoff sleeps and cache writes stay in the
+    requester's thread.
 
     With a cache directory, a request whose key is already at the transport
     waits for that call and gets its response as a cache hit (single-flight),
@@ -359,6 +405,7 @@ class ChatGateway:
         # prefix of every entry's path: the directory and a separator
         self._cache_prefix = os.path.join(self.cache_dir, "") if self.cache_dir else None
         self.parallelism = max(1, parallelism)
+        self.requests = 0
         self.transport_calls = 0
         self._sleep = sleep
         self._rng = rng or random.Random()
@@ -400,14 +447,17 @@ class ChatGateway:
 
     def _cache_read(self, key: str) -> ChatResponse | None:
         """The cached response, or None on a miss. An entry that cannot be
-        read (a directory at its path, say) is a miss too, and so is a
-        damaged one (not UTF-8 JSON, nested too deeply to decode, or not a
-        chat-completions payload), which the transport's reply overwrites."""
+        read (a directory or a named pipe at its path, say) is a miss too,
+        and so is a damaged one (not UTF-8 JSON, nested too deeply to
+        decode, or not a chat-completions payload), which the transport's
+        reply overwrites."""
         if self._cache_prefix is None:
             return None
         try:
-            # a directory at the entry's path opens, and its first read fails
-            fd = os.open(f"{self._cache_prefix}{key}.json", os.O_RDONLY)
+            # a directory at the entry's path opens, and its first read
+            # fails; a named pipe opens without waiting for a writer, and
+            # reads empty
+            fd = os.open(f"{self._cache_prefix}{key}.json", _ENTRY_OPEN_FLAGS)
             try:
                 chunks = [os.read(fd, _READ_SIZE)]
                 while chunks[-1]:
@@ -447,6 +497,8 @@ class ChatGateway:
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         """Serve from cache, otherwise call the transport with retries."""
+        with self._lock:
+            self.requests += 1
         key = cache_key(req)
         cached = self._cache_read(key)
         if cached is not None:

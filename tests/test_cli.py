@@ -275,8 +275,8 @@ class TestAsk:
         assert code == 0
         payload = json.loads(out)
         assert payload["route"] == "deep"
-        # the fixture chart has 5 edges, one recognizer call each
-        assert "recognizer calls: 5" in err
+        # the heuristic recognizer upgrades the chart without a request
+        assert "recognizer calls: 0" in err
 
     def test_concurrent_llm_recognition_counts_every_edge(self, capsys, chart, tmp_path):
         script = tmp_path / "script.json"
@@ -288,6 +288,22 @@ class TestAsk:
             "--mock-script", str(script))
         assert code == 0
         assert "recognizer calls: 5" in err
+
+    def test_llm_recognizer_calls_count_re_asks(self, capsys, chart, tmp_path):
+        # the first reply about edge B --> E names no relation, so it is asked again
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([
+            {"match": "contains", "pattern": "could not be parsed",
+             "response": "RELATION: Sequentiality"},
+            {"match": "contains", "pattern": "Node A (source): Take a break",
+             "response": "no idea"},
+            {"match": "contains", "pattern": "", "response": "RELATION: Sequentiality"}]))
+        code, out, err = run_cli(
+            capsys, "ask", chart, "--question", "What then?", "--mode", "deep",
+            "--relation-backend", "llm", "--mock-script", str(script))
+        assert code == 0
+        assert json.loads(out)["fallbacks_used"] == 0
+        assert "recognizer calls: 6" in err
 
     def test_concurrent_deep_ask_leaves_no_thread_behind(self, capsys, chart, tmp_path):
         script = tmp_path / "script.json"

@@ -50,6 +50,17 @@ def req(content="hello", model="m", max_tokens=256):
                        max_tokens=max_tokens)
 
 
+# text that JSON must escape or may pass through: quotes, backslashes, every
+# C0 control, DEL, the JS line separators, astral characters, and the key's
+# own framing
+KEY_TEXT = st.lists(
+    st.characters(blacklist_categories=("Cs",))
+    | st.sampled_from(['"', "\\", "\x7f", "\u2028", "\u2029", "\U0001f600", "\U0010ffff",
+                       '"messages":[]', '"messages":[', "],[", '"max_tokens":1,'])
+    | st.sampled_from([chr(c) for c in range(0x20)]),
+    max_size=20).map("".join)
+
+
 def provider_payload(content):
     return {"choices": [{"message": {"role": "assistant", "content": content}}],
             "usage": {"prompt_tokens": 1, "completion_tokens": 1}}
@@ -59,6 +70,17 @@ class TestChatRequest:
     def test_needs_messages(self):
         with pytest.raises(ValueError):
             ChatRequest(model="m", messages=(), max_tokens=256)
+
+    @pytest.mark.parametrize("role, content", [("user", None), (None, "x"), ("user", b"x")])
+    def test_message_fields_must_be_text(self, role, content):
+        with pytest.raises(ValueError, match="must be strings"):
+            ChatMessage(role, content)
+
+    @pytest.mark.parametrize("max_tokens", [True, False, 256.0, "256", None])
+    def test_max_tokens_must_be_an_int(self, max_tokens):
+        # a bool is an int to Python, but the provider would get true or false
+        with pytest.raises(ValueError, match=re.escape(repr(max_tokens))):
+            ChatRequest(model="m", messages=(ChatMessage("user", "x"),), max_tokens=max_tokens)
 
 
 class TestCacheKey:
@@ -79,6 +101,26 @@ class TestCacheKey:
              "seed": 0, "temperature": 0.0},
             sort_keys=True, ensure_ascii=False, separators=(",", ":"))
         assert cache_key(request) == hashlib.sha256(payload.encode()).hexdigest()
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=KEY_TEXT, system=st.none() | KEY_TEXT, user=KEY_TEXT,
+           max_tokens=st.integers(0, 4096) | st.integers())
+    def test_key_matches_json_dumps_for_any_text(self, model, system, user, max_tokens):
+        messages = [["user", user]] if system is None else [["system", system], ["user", user]]
+        request = ChatRequest(model, tuple(ChatMessage(*m) for m in messages), max_tokens)
+        payload = json.dumps(
+            {"model": model, "messages": messages, "temperature": 0.0,
+             "max_tokens": max_tokens, "seed": 0},
+            sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+        assert cache_key(request) == hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    @given(surrogate=st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+           field=st.sampled_from(["model", "role", "content"]))
+    def test_lone_surrogate_cannot_be_keyed(self, surrogate, field):
+        text = {"model": "m", "role": "user", "content": "x", field: f"a{surrogate}b"}
+        request = ChatRequest(text["model"], (ChatMessage(text["role"], text["content"]),), 7)
+        with pytest.raises(UnicodeEncodeError):
+            cache_key(request)
 
 
 @pytest.mark.usefixtures("fast_thread_switches")
@@ -133,6 +175,29 @@ class TestComplete:
         gateway = ChatGateway(None, cache_dir=tmp_path)
         with pytest.raises(TransportError):
             gateway.complete(req())
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_entry_is_a_miss_and_heals(self, tmp_path):
+        entry = tmp_path / f"{cache_key(req())}.json"
+        os.mkfifo(entry)
+        gateway = ChatGateway(lambda r: provider_payload("pong"), cache_dir=tmp_path)
+        responses = []
+        worker = threading.Thread(target=lambda: responses.append(gateway.complete(req())),
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        if worker.is_alive():  # blocked opening the pipe: give it a writer, then fail
+            os.close(os.open(entry, os.O_WRONLY | os.O_NONBLOCK))
+            worker.join(timeout=10)
+            pytest.fail("complete() blocked opening a named pipe at the entry's path")
+        assert [(r.content, r.cached) for r in responses] == [("pong", False)]
+        assert json.loads(entry.read_text()) == provider_payload("pong")
+
+    def test_requests_counts_every_request_served(self, tmp_path):
+        gateway = ChatGateway(lambda r: provider_payload("pong"), cache_dir=tmp_path)
+        for content in ("one", "two", "one"):
+            gateway.complete(req(content))
+        assert (gateway.requests, gateway.transport_calls) == (3, 2)
 
     def test_offline_without_cache_is_a_transport_error(self, tmp_path):
         gateway = ChatGateway(None, cache_dir=tmp_path)

@@ -124,13 +124,13 @@ ASK = {
     ('shallow', 'heuristic', 'llm'): ('b028e01d06808e7e', '261b4f4ceb7b458c'),
     ('shallow', 'llm', 'heuristic'): ('b028e01d06808e7e', '261b4f4ceb7b458c'),
     ('shallow', 'llm', 'llm'): ('b028e01d06808e7e', '261b4f4ceb7b458c'),
-    ('deep', 'heuristic', 'heuristic'): ('baaf9ac1c35191fe', 'ef45e739b2bbd333'),
+    ('deep', 'heuristic', 'heuristic'): ('baaf9ac1c35191fe', 'e8059301c8eae04f'),
     ('deep', 'heuristic', 'llm'): ('444d9e2c2924c7f2', '275258709772440e'),
-    ('deep', 'llm', 'heuristic'): ('baaf9ac1c35191fe', 'ef45e739b2bbd333'),
+    ('deep', 'llm', 'heuristic'): ('baaf9ac1c35191fe', 'e8059301c8eae04f'),
     ('deep', 'llm', 'llm'): ('444d9e2c2924c7f2', '275258709772440e'),
-    ('controlled', 'heuristic', 'heuristic'): ('490a1758b76c29c3', '30af1ff7b9b0eafa'),
+    ('controlled', 'heuristic', 'heuristic'): ('490a1758b76c29c3', 'cdcb1a12da56780a'),
     ('controlled', 'heuristic', 'llm'): ('6e34c2d8e79b82ae', '7f115ed072dd867c'),
-    ('controlled', 'llm', 'heuristic'): ('a6a9af19a4265329', 'ef45e739b2bbd333'),
+    ('controlled', 'llm', 'heuristic'): ('a6a9af19a4265329', 'e8059301c8eae04f'),
     ('controlled', 'llm', 'llm'): ('0dde23e509994b60', '275258709772440e'),
 }
 
