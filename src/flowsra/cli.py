@@ -20,6 +20,7 @@ from .gateway import (
     ChatGateway,
     HttpTransport,
     PermanentError,
+    PromptKind,
     ProtocolError,
     ScriptedMissError,
     SetupError,
@@ -28,9 +29,9 @@ from .gateway import (
 )
 from .harness import JUDGE_MODES, REPORT_FORMATS, EmptyDatasetError, EvalConfig
 from .harness import load_dataset, report_render, run_eval
-from .ir import FlowGraph, GraphValidationError, RelationType, topology_stats
+from .ir import GraphValidationError, topology_stats
 from .parsing import Dialect, UnknownDialectError, parse_text
-from .relations import RELATION_BACKENDS, RelationBackend, UpgradeError, make_relation_backend
+from .relations import RELATION_BACKENDS, UpgradeError, make_relation_backend
 from .relations import upgrade_graph
 from .routing import ROUTE_MODES, TEXT_ROUTE_MODES, ClassificationError, QuestionType, make_router
 
@@ -204,36 +205,18 @@ def cmd_upgrade(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK
 
 
-@dataclass
-class _CountedBackend:
-    """A recognizer that counts the gateway requests its calls make, re-asks
-    included; exact while nothing else uses the gateway meanwhile."""
-
-    backend: RelationBackend
-    gateway: ChatGateway
-    requests: int = 0
-
-    def recognize(self, graph: FlowGraph, dialect: Dialect) -> list[tuple[RelationType, str]]:
-        before = self.gateway.requests
-        try:
-            return self.backend.recognize(graph, dialect)
-        finally:
-            self.requests += self.gateway.requests - before
-
-
 def cmd_ask(args: argparse.Namespace, config: RunConfig) -> int:
     detected, graph = _parse_input(args.input, args.dialect)
     question = _question(args.question)
     dialect = Dialect(args.to) if args.to else detected
     kind = {"shallow": "always-shallow", "deep": "always-deep"}.get(args.mode, args.router)
     with _gateway(config) as gateway:
-        backend = _CountedBackend(
-            make_relation_backend(args.relation_backend, gateway, config.recognizer_model),
-            gateway)
+        backend = make_relation_backend(args.relation_backend, gateway, config.recognizer_model)
         router = make_router(kind, gateway, config.router_model)
         answer = answer_controlled(graph, question, router, backend, gateway,
                                    model=config.reasoner_model, dialect=dialect)
-    print(f"recognizer calls: {backend.requests}", file=sys.stderr)
+    recognized = gateway.requests[PromptKind.RELATION] + gateway.requests[PromptKind.RELATION_RETRY]
+    print(f"recognizer calls: {recognized}", file=sys.stderr)
     payload = {
         "answer": answer.text,
         "route": answer.route.value,

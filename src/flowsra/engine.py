@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Callable
 
 from .emitting import InterlanguageDoc, emit, emit_triples, emit_upgraded
-from .gateway import ChatGateway, chat_request
+from .gateway import ChatGateway, PromptKind, chat_request
 from .ir import FlowGraph, UpgradedGraph, relation_definitions_block, require_valid
 from .parsing import Dialect
 from .prompts import load_template
@@ -49,8 +49,8 @@ def _fingerprint(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-def _complete(gateway: ChatGateway, model: str, prompt: str) -> tuple[str, str]:
-    request = chat_request(model, prompt, max_tokens=256, system=_SYSTEM_PREAMBLE)
+def _complete(gateway: ChatGateway, model: str, prompt: str, kind: PromptKind) -> tuple[str, str]:
+    request = chat_request(model, prompt, max_tokens=256, system=_SYSTEM_PREAMBLE, kind=kind)
     content = gateway.complete(request).content
     return content.strip(), _fingerprint(request.rendered())
 
@@ -62,7 +62,7 @@ def answer_shallow(doc: InterlanguageDoc, question: Question,
         interlanguage=doc.text.rstrip("\n"),
         question=question.text,
     )
-    text, fingerprint = _complete(gateway, model, prompt)
+    text, fingerprint = _complete(gateway, model, prompt, PromptKind.SHALLOW)
     return Answer(text=text, route=Route.SHALLOW, prompt_fingerprint=fingerprint)
 
 
@@ -76,7 +76,7 @@ def answer_deep(ug: UpgradedGraph, question: Question, gateway: ChatGateway, *,
         definitions=relation_definitions_block(),
         question=question.text,
     )
-    text, fingerprint = _complete(gateway, model, prompt)
+    text, fingerprint = _complete(gateway, model, prompt, PromptKind.DEEP)
     return Answer(text=text, route=Route.DEEP, prompt_fingerprint=fingerprint,
                   fallbacks_used=ug.fallback_count())
 

@@ -32,9 +32,10 @@ import re
 import tempfile
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from enum import Enum
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -59,11 +60,26 @@ class ChatMessage:
                              f"{type(self.role).__name__} and {type(self.content).__name__}")
 
 
+class PromptKind(str, Enum):
+    """What a request is for: counted, but neither sent nor in its cache key.
+    A kind that is re-asked has a ``<value>_retry`` form, its re-ask's kind."""
+
+    ROUTER = "router"
+    ROUTER_RETRY = "router_retry"
+    RELATION = "relation"
+    RELATION_RETRY = "relation_retry"
+    SHALLOW = "shallow"
+    DEEP = "deep"
+    JUDGE = "judge"
+    JUDGE_RETRY = "judge_retry"
+
+
 @dataclass(frozen=True)
 class ChatRequest:
     model: str
     messages: tuple[ChatMessage, ...]
     max_tokens: int
+    kind: PromptKind | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "messages", tuple(self.messages))
@@ -375,12 +391,12 @@ class ChatGateway:
     Transport calls run on a ``ThreadPoolExecutor`` of ``parallelism``
     threads: a requester submits its request and waits for the reply, and
     an idle thread takes the next queued call at once. ``requests`` counts
-    the requests made of ``complete``, cache hits and failures included,
-    and ``transport_calls`` the transport calls submitted. The gateway is a
-    reentrant context manager: a scope's executor is made on its first
-    transport call and shut down, its threads joined, when its last user
-    leaves, so no thread outlives the scope and a run served from the cache
-    starts none. A request outside any scope holds one for its own
+    the requests made of ``complete`` per ``PromptKind``, cache hits and
+    failures included, and ``transport_calls`` the transport calls
+    submitted. The gateway is a reentrant context manager: a scope's
+    executor is made on its first transport call and shut down, its threads
+    joined, when its last user leaves, so no thread outlives the scope and
+    a run served from the cache starts none. A request outside any scope holds one for its own
     attempts. Retries, their backoff sleeps and cache writes stay in the
     requester's thread.
 
@@ -405,7 +421,7 @@ class ChatGateway:
         # prefix of every entry's path: the directory and a separator
         self._cache_prefix = os.path.join(self.cache_dir, "") if self.cache_dir else None
         self.parallelism = max(1, parallelism)
-        self.requests = 0
+        self.requests: Counter[PromptKind | None] = Counter()
         self.transport_calls = 0
         self._sleep = sleep
         self._rng = rng or random.Random()
@@ -498,7 +514,7 @@ class ChatGateway:
     def complete(self, req: ChatRequest) -> ChatResponse:
         """Serve from cache, otherwise call the transport with retries."""
         with self._lock:
-            self.requests += 1
+            self.requests[req.kind] += 1
         key = cache_key(req)
         cached = self._cache_read(key)
         if cached is not None:
@@ -602,23 +618,27 @@ def map_in_order(fn: Callable[[T], R], items: Iterable[T],
             pool.shutdown(cancel_futures=True)
 
 
-def chat_request(model: str, prompt: str, *, max_tokens: int,
-                 system: str | None = None) -> ChatRequest:
+def chat_request(model: str, prompt: str, *, max_tokens: int, system: str | None = None,
+                 kind: PromptKind | None = None) -> ChatRequest:
     """The request for one prompt: an optional system message, then the
     prompt as the user message."""
     messages = (ChatMessage("system", system),) if system else ()
     return ChatRequest(model=model, messages=messages + (ChatMessage("user", prompt),),
-                       max_tokens=max_tokens)
+                       max_tokens=max_tokens, kind=kind)
 
 
-def completion_backend(gateway: ChatGateway, model: str, *,
-                       max_tokens: int) -> Callable[[str], str]:
+def completion_backend(gateway: ChatGateway, model: str, *, max_tokens: int,
+                       kind: PromptKind | None = None) -> Callable[[str], str]:
     """Adapter: a plain prompt->text callable over the gateway, as expected
-    by the router/judge/recognizer response parsers."""
+    by the router/judge/recognizer response parsers. Its ``retry`` attribute
+    asks under the retry form of ``kind``, which must have one."""
 
-    def call(prompt: str) -> str:
-        return gateway.complete(chat_request(model, prompt, max_tokens=max_tokens)).content
+    def call(prompt: str, kind: PromptKind | None = kind) -> str:
+        request = chat_request(model, prompt, max_tokens=max_tokens, kind=kind)
+        return gateway.complete(request).content
 
+    retry = kind and PromptKind(f"{kind.value}_retry")
+    call.retry = lambda prompt: call(prompt, retry)
     return call
 
 
@@ -639,11 +659,12 @@ def last_tagged_line(text: str, pattern: re.Pattern) -> tuple[int, re.Match] | N
 
 def ask_twice(ask: Callable[[str], str], prompt: str,
               parse: Callable[[str], R | None], instruction: str) -> R | None:
-    """``parse(ask(prompt))``; when that is None, ask once more, appending
-    that the reply was unreadable and "Answer again " with the format
+    """``parse(ask(prompt))``; when that is None, ask once more, through
+    ``ask.retry`` if it has one (see ``completion_backend``), appending that
+    the reply was unreadable and "Answer again " with the format
     ``instruction``. None when neither reply parses."""
     parsed = parse(ask(prompt))
     if parsed is None:
-        parsed = parse(ask(f"{prompt}\n\nYour previous answer could not be parsed. "
-                           f"Answer again {instruction}"))
+        parsed = parse(getattr(ask, "retry", ask)(
+            f"{prompt}\n\nYour previous answer could not be parsed. Answer again {instruction}"))
     return parsed

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .engine import Question, Route, answer_routed, route
-from .gateway import ChatGateway, SetupError, completion_backend, map_in_order
+from .gateway import ChatGateway, PromptKind, SetupError, completion_backend, map_in_order
 from .gateway import ask_twice, last_tagged_line
 from .ir import UpgradedGraph
 from .parsing import Dialect, ParseResult, parse_text
@@ -342,7 +342,8 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
                                        config.recognizer_model)
     if config.judge_mode not in JUDGE_MODES:
         raise ValueError(f"unknown judge mode {config.judge_mode!r}")
-    judge_backend = (completion_backend(gateway, config.judge_model, max_tokens=64)
+    judge_backend = (completion_backend(gateway, config.judge_model, max_tokens=64,
+                                        kind=PromptKind.JUDGE)
                      if config.judge_mode == "llm" else None)
     charts: dict[tuple[str, Dialect], _Chart] = {}
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .emitting import EmitError, InterlanguageDoc, emit
-from .gateway import ChatGateway, SetupError, ask_twice, completion_backend
+from .gateway import ChatGateway, PromptKind, SetupError, ask_twice, completion_backend
 from .gateway import last_tagged_line, map_in_order
 from .ir import (
     FALLBACK_MARK,
@@ -180,7 +180,7 @@ class LlmRelationBackend:
 
     def recognize(self, graph: FlowGraph,
                   dialect: Dialect) -> list[tuple[RelationType, str]]:
-        ask = completion_backend(self.gateway, self.model, max_tokens=512)
+        ask = completion_backend(self.gateway, self.model, max_tokens=512, kind=PromptKind.RELATION)
         by_id = {n.id: n for n in graph.nodes}
 
         def one(edge: Edge) -> tuple[RelationType, str]:

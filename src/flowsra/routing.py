@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .gateway import ChatGateway, ask_twice, completion_backend, last_tagged_line
+from .gateway import ChatGateway, PromptKind, ask_twice, completion_backend, last_tagged_line
 from .prompts import load_template
 
 
@@ -143,6 +143,6 @@ def make_router(kind: str, gateway: ChatGateway | None = None, model: str = "") 
     if kind == "llm":
         if gateway is None:
             raise ValueError("the llm router needs a gateway")
-        ask = completion_backend(gateway, model or "default", max_tokens=64)
+        ask = completion_backend(gateway, model or "default", max_tokens=64, kind=PromptKind.ROUTER)
         return lambda question: classify(question.text, ask)
     raise ValueError(f"unknown router {kind!r}")

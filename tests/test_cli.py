@@ -305,6 +305,25 @@ class TestAsk:
         assert json.loads(out)["fallbacks_used"] == 0
         assert "recognizer calls: 6" in err
 
+    def test_only_relation_requests_count_as_recognizer_calls(self, capsys, chart, tmp_path):
+        # the router is asked twice and the deep answer once, on the same
+        # gateway as the five relation requests and one relation re-ask
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([
+            {"pattern": "Answer again with exactly one line: CLASS",
+             "response": "CLASS: Complicated"},
+            {"pattern": "You classify a question", "response": "no idea"},
+            {"pattern": "could not be parsed", "response": "RELATION: Sequentiality"},
+            {"pattern": "Node A (source): Take a break", "response": "no idea"},
+            {"pattern": "You label the semantic relation", "response": "RELATION: Sequentiality"},
+            {"pattern": "", "response": "Do your homework"}]))
+        code, out, err = run_cli(
+            capsys, "ask", chart, "--question", "What then?", "--mode", "controlled",
+            "--router", "llm", "--relation-backend", "llm", "--mock-script", str(script))
+        assert code == 0
+        assert json.loads(out)["route"] == "deep"
+        assert "recognizer calls: 6" in err
+
     def test_concurrent_deep_ask_leaves_no_thread_behind(self, capsys, chart, tmp_path):
         script = tmp_path / "script.json"
         script.write_text(json.dumps(

@@ -1,0 +1,110 @@
+"""What the benchmark's eval set costs per prompt kind, pinned, and the
+layout of its prompts.
+
+The bench eval set (seed 7: 15 charts, 300 questions) runs through
+``run_eval`` with the llm router, recognizer and judge over the bench's
+scripted transport, with no transport delay. Requests issued are read from
+``ChatGateway.requests``; transport calls and prompt words (whitespace
+words of the rendered request, as the mock transports count prompt tokens)
+from a transport that records each request by its kind. A change that
+moves a figure updates ``COSTS`` and says why. These tests only read
+``bench/``.
+"""
+
+import re
+import threading
+from collections import Counter
+from pathlib import Path
+from pprint import pformat
+from types import SimpleNamespace
+
+import pytest
+
+from flowsra.gateway import ChatGateway, PromptKind
+from flowsra.harness import EvalConfig, load_dataset, run_eval
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SEED = 7
+
+# prompt kind: (requests issued, transport calls, prompt words)
+COSTS = {
+    "router": (300, 300, 43444),
+    "relation": (430, 430, 150814),
+    "relation_retry": (42, 42, 15828),
+    "shallow": (225, 225, 52331),
+    "deep": (75, 75, 52803),
+    "judge": (120, 103, 7264),
+    "judge_retry": (39, 29, 2568),
+    "total": (1231, 1204, 325052),
+}
+
+# the line before which every prompt of a kind on one chart is the same
+QUESTION = re.compile(r"^Question:", re.MULTILINE)
+LAYOUT_ANCHORS = {
+    PromptKind.ROUTER: QUESTION,
+    PromptKind.RELATION: re.compile(r"^Node A \(source\):", re.MULTILINE),
+    PromptKind.SHALLOW: QUESTION,
+    PromptKind.DEEP: QUESTION,
+}
+# distinct prefixes: one per chart, or one for the run where no chart is shown
+LAYOUT_PREFIXES = {PromptKind.ROUTER: 1, PromptKind.RELATION: 15, PromptKind.SHALLOW: 15,
+                   PromptKind.DEEP: 15}
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(BENCH))
+        import evalset
+
+    tmp = tmp_path_factory.mktemp("cost")
+    data = evalset.build(SEED)
+    data.write(tmp / "dataset.jsonl")
+    transport = evalset.ScriptedTransport(data.script, 0.0)
+    sent, lock = [], threading.Lock()
+
+    def recording(request):
+        with lock:
+            sent.append(request)
+        return transport(request)
+
+    gateway = ChatGateway(recording, cache_dir=tmp / "cache", parallelism=2)
+    config = EvalConfig(router_mode="llm", relation_backend="llm", judge_mode="llm")
+    result = run_eval(load_dataset(tmp / "dataset.jsonl").instances, config, gateway)
+    # sent: every request the transport received
+    return SimpleNamespace(evalset=evalset, gateway=gateway, sent=sent, report=result.report)
+
+
+def test_the_run_answers_every_question(run):
+    assert (run.report.total, run.report.failed_count) == (300, 0)
+
+
+def test_every_request_carries_the_kind_its_prompt_shows(run):
+    assert None not in run.gateway.requests
+    # (kind, the kind the bench reads from the prompt text) per request sent
+    pairs = Counter((request.kind.value, run.evalset.prompt_kind(request.rendered()))
+                    for request in run.sent)
+    assert {pair: n for pair, n in pairs.items() if pair[0] != pair[1]} == {}
+
+
+def test_cost_per_prompt_kind_is_pinned(run):
+    issued, calls, words = run.gateway.requests, Counter(), Counter()
+    for request in run.sent:
+        calls[request.kind] += 1
+        words[request.kind] += len(request.rendered().split())
+    measured = {kind.value: (issued[kind], calls[kind], words[kind]) for kind in PromptKind
+                if issued[kind] or calls[kind]}
+    measured["total"] = (issued.total(), calls.total(), words.total())
+    assert measured == COSTS, f"measured:\nCOSTS = {pformat(measured, sort_dicts=False)}"
+
+
+def test_per_request_text_comes_last_in_each_prompt(run):
+    prefixes = {kind: set() for kind in LAYOUT_ANCHORS}
+    for request in run.sent:
+        anchor = LAYOUT_ANCHORS.get(request.kind)
+        if anchor is not None:
+            rendered = request.rendered()
+            found = anchor.search(rendered)
+            assert found is not None, (request.kind, rendered[:200])
+            prefixes[request.kind].add(rendered[:found.start()])
+    assert {kind: len(texts) for kind, texts in prefixes.items()} == LAYOUT_PREFIXES

@@ -12,7 +12,9 @@ import sys
 import tempfile
 import threading
 import time
+from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -34,11 +36,14 @@ from flowsra.gateway import (
     CredentialError,
     MockRule,
     PermanentError,
+    PromptKind,
     ProtocolError,
     ScriptedMissError,
     TransientError,
     TransportError,
+    _wire_fields,
     cache_key,
+    completion_backend,
     load_mock_script,
     map_in_order,
     mock_backend,
@@ -81,6 +86,13 @@ class TestChatRequest:
         # a bool is an int to Python, but the provider would get true or false
         with pytest.raises(ValueError, match=re.escape(repr(max_tokens))):
             ChatRequest(model="m", messages=(ChatMessage("user", "x"),), max_tokens=max_tokens)
+
+    def test_kind_is_neither_compared_nor_sent(self):
+        plain, tagged = req(), replace(req(), kind=PromptKind.RELATION_RETRY)
+        assert plain == tagged and hash(plain) == hash(tagged)
+        assert cache_key(plain) == cache_key(tagged)
+        assert plain.rendered() == tagged.rendered()
+        assert _wire_fields(plain, []) == _wire_fields(tagged, [])
 
 
 class TestCacheKey:
@@ -196,8 +208,8 @@ class TestComplete:
     def test_requests_counts_every_request_served(self, tmp_path):
         gateway = ChatGateway(lambda r: provider_payload("pong"), cache_dir=tmp_path)
         for content in ("one", "two", "one"):
-            gateway.complete(req(content))
-        assert (gateway.requests, gateway.transport_calls) == (3, 2)
+            gateway.complete(replace(req(content), kind=PromptKind.JUDGE))
+        assert (gateway.requests, gateway.transport_calls) == (Counter({PromptKind.JUDGE: 3}), 2)
 
     def test_offline_without_cache_is_a_transport_error(self, tmp_path):
         gateway = ChatGateway(None, cache_dir=tmp_path)
@@ -1293,3 +1305,22 @@ class TestAskParseRetry:
         assert ask_twice(lambda p: prompts.append(p) or "x", "p", parse, "+r") is None
         assert prompts == ["p", retried]
         assert ask_twice(lambda p: "ok", "p", parse, "+r") == "ok"
+
+    @pytest.mark.parametrize("kind, retry", [
+        (PromptKind.ROUTER, PromptKind.ROUTER_RETRY),
+        (PromptKind.RELATION, PromptKind.RELATION_RETRY),
+        (PromptKind.JUDGE, PromptKind.JUDGE_RETRY)])
+    def test_ask_twice_tags_the_re_ask_with_the_retry_kind(self, kind, retry):
+        from flowsra.gateway import ask_twice
+
+        sent = []
+
+        def transport(request):
+            sent.append(request)
+            return provider_payload("garbled")
+
+        gateway = ChatGateway(transport)
+        ask = completion_backend(gateway, "m", max_tokens=64, kind=kind)
+        assert ask_twice(ask, "p", lambda text: None, "+r") is None
+        assert [request.kind for request in sent] == [kind, retry]
+        assert gateway.requests == Counter({kind: 1, retry: 1})

@@ -30,8 +30,6 @@ def digest(lines) -> str:
 class Recording:
     """Records the cache key of every request, then defers to ``inner``."""
 
-    is_network = False
-
     def __init__(self, inner):
         self.inner = inner
         self.keys: list[str] = []
