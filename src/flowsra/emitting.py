@@ -42,11 +42,13 @@ class EmitError(RuntimeError):
 
 
 def relation_edge_label(relation: RelationType, original: EdgeLabel) -> str:
-    """Label text for an upgraded edge: relation name, original label in parens."""
+    """Label text for an upgraded edge: relation name, original label in
+    parens. ``_value_`` is the relation's ``value``, read without the
+    property call."""
     rendered = original.render()
     if rendered is None:
-        return relation.value
-    return f"{relation.value} ({rendered})"
+        return relation._value_
+    return f"{relation._value_} ({rendered})"
 
 
 _RELATION_LABEL = re.compile(
@@ -61,9 +63,18 @@ def split_relation_label(text: str) -> tuple[RelationType, EdgeLabel] | None:
     return RelationType(m.group(1)), EdgeLabel.from_text(m.group(2))
 
 
+# the line breaks of str.splitlines, by which the Mermaid and PlantUML
+# parsers split their input
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+
 def _clean(text: str) -> str:
-    """Single-line form of node text (the dialects here are line oriented)."""
-    return " ".join(text.split()) if ("\n" in text or "\r" in text) else text
+    """Single-line form of node or label text (the dialects here are line
+    oriented): with every run of whitespace one space if the text holds a
+    line break. No line break is printable, so most texts take the first test."""
+    if text.isprintable() or not _LINE_BREAK.search(text):
+        return text
+    return " ".join(text.split())
 
 
 def _taxonomy_comment(marker: str) -> list[str]:
@@ -131,7 +142,7 @@ def _emit_mermaid(graph: FlowGraph, upgraded: list[str] | None) -> str:
         if label is None:
             lines.append(f"{edge.src} --> {edge.dst}")
         else:
-            lines.append(f"{edge.src} -->|{label.replace('|', '/')}| {edge.dst}")
+            lines.append(f"{edge.src} -->|{_clean(label).replace('|', '/')}| {edge.dst}")
     return "\n".join(lines) + "\n"
 
 
@@ -184,66 +195,46 @@ def _pu_text(text: str) -> str:
     return _clean(text).replace(";", ",")
 
 
-def _forward_reach(fwd_succs: dict[str, list[str]],
-                   bit: dict[str, int]) -> dict[str, int]:
-    """Nodes reachable from each node along forward edges, as bitsets.
+def _layout(outs: dict[str, list[Edge]], entries: list[str], pos: dict[str, int],
+            ) -> tuple[list[Edge], dict[str, list[str]], dict[str, int]]:
+    """One depth-first search from the entries, following edges in
+    declaration order: its back edges (which mark loop latches) in discovery
+    order, and for every node it reaches, the forward successors (along the
+    other edges) and the nodes forward-reachable from it, as a bitset in
+    which bit ``i`` stands for the node at graph position ``i``.
 
-    Bit ``i`` stands for the node at graph position ``i``. One iterative DFS
-    fills the sets in postorder, each node ORing in its successors' sets.
-    The forward edges among nodes reachable from an entry form a DAG, so
-    their sets are exact; a node on a forward cycle (unreachable from every
-    entry, hence never walked) may get a subset.
+    A node's set is filled when the node finishes: every forward successor
+    finishes first, since an edge to a node still on the stack is a back
+    edge.
     """
+    back: list[Edge] = []
+    fwd_succs: dict[str, list[str]] = {}
     reach: dict[str, int] = {}
-    for root in fwd_succs:
-        if root in reach:
+    for entry in entries:
+        if entry in fwd_succs:
             continue
-        reach[root] = 0
-        stack = [(root, iter(fwd_succs[root]))]
+        fwd_succs[entry] = []
+        stack = [(entry, iter(outs[entry]))]
         while stack:
             nid, pending = stack[-1]
-            for nxt in pending:
-                if nxt not in reach:
-                    reach[nxt] = 0
-                    stack.append((nxt, iter(fwd_succs[nxt])))
+            for edge in pending:
+                dst = edge.dst
+                if dst not in fwd_succs:  # a tree edge
+                    fwd_succs[nid].append(dst)
+                    fwd_succs[dst] = []
+                    stack.append((dst, iter(outs[dst])))
                     break
+                if dst in reach:  # the target has finished
+                    fwd_succs[nid].append(dst)
+                else:  # the target is still on the stack
+                    back.append(edge)
             else:
                 stack.pop()
                 found = 0
                 for nxt in fwd_succs[nid]:
-                    found |= bit[nxt] | reach[nxt]
+                    found |= 1 << pos[nxt] | reach[nxt]
                 reach[nid] = found
-    return reach
-
-
-def _back_edges(outs: dict[str, list[Edge]], entries: list[str]) -> dict[int, Edge]:
-    """DFS back edges (edge order respected), which mark loop latches.
-
-    Keyed by ``id(edge)``: the edges of a valid graph are distinct objects,
-    and an id hashes without calling into Python as an ``Edge`` does. The
-    dict keeps discovery order, so iteration does not depend on hashes."""
-    color: dict[str, int] = {}
-    back: dict[int, Edge] = {}
-    for entry in entries:
-        if color.get(entry):
-            continue
-        stack: list[tuple[str, int]] = [(entry, 0)]
-        color[entry] = 1
-        while stack:
-            node, idx = stack[-1]
-            if idx < len(outs[node]):
-                stack[-1] = (node, idx + 1)
-                edge = outs[node][idx]
-                state = color.get(edge.dst, 0)
-                if state == 1:
-                    back[id(edge)] = edge
-                elif state == 0:
-                    color[edge.dst] = 1
-                    stack.append((edge.dst, 0))
-            else:
-                color[node] = 2
-                stack.pop()
-    return back
+    return back, fwd_succs, reach
 
 
 # A walk over one region of the chart. It yields the walk of each nested
@@ -272,81 +263,90 @@ class _PlantUmlEmitter:
 
     Only graphs built from properly nested sequences, binary branches with a
     common join, and bottom-tested loops are representable; anything else
-    raises :class:`EmitError`. ``upgraded`` is as for the other emitters;
-    when it is given, the taxonomy comment follows ``@startuml`` and labels
-    that cannot ride the structured syntax are dropped instead of raising.
+    raises :class:`EmitError`. So does a flow that ends, with no ``stop``, at
+    a node other than an End node, once a node is emitted after it (nodes of
+    the else branch of a decision whose then branch holds that end do not
+    count). ``upgraded`` is as for the other emitters; when it is given, the
+    taxonomy comment follows ``@startuml`` and labels that cannot ride the
+    structured syntax are dropped instead of raising.
     """
 
     def __init__(self, graph: FlowGraph, upgraded: list[str] | None):
         self.graph = graph
-        self.upgraded = upgraded is not None
-        # keyed by id(edge), as the back edges are
-        self.labels = {id(edge): label
-                       for edge, label in zip(graph.edges, _edge_labels(graph, upgraded))}
+        # the upgraded labels keyed by id(edge), None for plain emission: the
+        # edges of a valid graph are distinct objects, and an id hashes
+        # without calling into Python as an Edge does
+        self.upgraded = (None if upgraded is None
+                         else dict(zip(map(id, graph.edges), upgraded)))
         self.by_id = {n.id: n for n in graph.nodes}
-        self.order = [n.id for n in graph.nodes]
-        self.pos = {nid: index for index, nid in enumerate(self.order)}
-        self.outs: dict[str, list[Edge]] = {nid: [] for nid in self.order}
-        self.in_counts = dict.fromkeys(self.order, 0)
+        self.pos = dict(zip(self.by_id, count()))
+        self.outs: dict[str, list[Edge]] = {nid: [] for nid in self.by_id}
+        # in-degrees, then forward in-degrees once the back edges are out:
+        # whether an arrow-label line would unambiguously apply to one edge
+        self.fwd_in = dict.fromkeys(self.by_id, 0)
         for edge in graph.edges:
             self.outs[edge.src].append(edge)
-            self.in_counts[edge.dst] += 1
+            self.fwd_in[edge.dst] += 1
         self.lines: list[str] = []
         self.visited: set[str] = set()
-        self.entries = [nid for nid in self.order if self.in_counts[nid] == 0]
+        # the first node that ends a flow but is not an end node, while no
+        # statement closes that flow: the parser would read the next node
+        # emitted as its successor
+        self.open_end: str | None = None
+        self.entries = [nid for nid, ins in self.fwd_in.items() if ins == 0]
         if not self.entries and graph.nodes:
             # every node has a predecessor (e.g. a loop back into the start
             # node): fall back to the first start-kind node, then first node
             starts = [n.id for n in graph.nodes if n.kind is NodeKind.START]
-            self.entries = [starts[0] if starts else self.order[0]]
-        self.back = _back_edges(self.outs, self.entries)
+            self.entries = [starts[0] if starts else graph.nodes[0].id]
         # joins are computed over forward edges only: flow that wraps around a
         # loop's back edge must not count as branch reconvergence
-        self.fwd_succs = {
-            nid: [e.dst for e in outs if id(e) not in self.back]
-            for nid, outs in self.outs.items()
-        }
-        self.fwd_reach = _forward_reach(
-            self.fwd_succs, {nid: 1 << index for nid, index in self.pos.items()})
+        back, self.fwd_succs, self.fwd_reach = _layout(self.outs, self.entries, self.pos)
         self.loop_latches: dict[str, list[Edge]] = {}
         # the sort is stable: back edges from one node keep their edge order,
         # so the error below always names the same edge
-        for edge in sorted(self.back.values(), key=lambda e: self.pos[e.src]):
+        for edge in sorted(back, key=lambda e: self.pos[e.src]):
             if self.by_id[edge.src].kind is not NodeKind.DECISION:
                 raise EmitError(
                     f"back edge {edge.src} -> {edge.dst} does not come from a "
                     "decision; the loop cannot be expressed")
             self.loop_latches.setdefault(edge.dst, []).append(edge)
-        # number of forward (non-back) incoming edges, used to decide whether
-        # an arrow-label line would unambiguously apply to a single edge
-        self.fwd_in: dict[str, int] = {n.id: 0 for n in graph.nodes}
-        for edge in graph.edges:
-            if id(edge) not in self.back:
-                self.fwd_in[edge.dst] += 1
+            self.fwd_in[edge.dst] -= 1
+
+    def label(self, edge: Edge) -> str | None:
+        """The text in the edge's label slot, or None for none."""
+        if self.upgraded is None:
+            return edge.label.render()
+        return self.upgraded[id(edge)]
 
     def emit(self) -> str:
         self.lines.append("@startuml")
-        if self.upgraded:
+        if self.upgraded is not None:
             self.lines += _taxonomy_comment("'")
         if self.graph.title:
             self.lines.append(f"title {_clean(self.graph.title)}")
         for entry in self.entries:
             if entry not in self.visited:
                 _run(self.walk(entry, None, None))
-        leftover = [nid for nid in self.order if nid not in self.visited]
+        leftover = [nid for nid in self.by_id if nid not in self.visited]
         if leftover:
             raise EmitError(
                 f"nodes unreachable from any entry cannot be emitted: {leftover}")
         self.lines.append("@enduml")
         return "\n".join(self.lines) + "\n"
 
+    def open_end_error(self) -> EmitError:
+        return EmitError(
+            f"node {self.open_end!r} ends a flow but is not an end node, "
+            "so the next node emitted would read as its successor")
+
     def follow(self, edge: Edge) -> str:
         """Emit the arrow-label line for a traversed sequential edge."""
-        text = self.labels[id(edge)]
+        text = self.label(edge)
         if text is not None:
             if self.fwd_in[edge.dst] == 1:
                 self.lines.append(f"-> {_pu_text(text)};")
-            elif not self.upgraded:
+            elif self.upgraded is None:
                 raise EmitError(
                     f"label on converging edge {edge.src} -> {edge.dst} "
                     "cannot be expressed")
@@ -360,7 +360,7 @@ class _PlantUmlEmitter:
         return outs[0] if outs else None
 
     def branch_clause(self, edge: Edge) -> str:
-        text = self.labels[id(edge)]
+        text = self.label(edge)
         return "" if text is None else _pu_text(text)
 
     def join_of(self, decision: str, left: str, right: str) -> str | None:
@@ -392,6 +392,8 @@ class _PlantUmlEmitter:
                 raise EmitError(
                     f"node {nid!r} is reached by more than one flow; "
                     "the graph is not structured")
+            if self.open_end is not None:
+                raise self.open_end_error()
             if nid in self.loop_latches and nid != loop_head:
                 nid = yield self.emit_loop(nid)
                 continue
@@ -413,6 +415,7 @@ class _PlantUmlEmitter:
                 self.lines.append(f":{_pu_text(node.text)};")
             edge = self.single_successor(nid)
             if edge is None:
+                self.open_end = nid
                 return
             nid = self.follow(edge)
 
@@ -449,12 +452,14 @@ class _PlantUmlEmitter:
                     f"has {len(outs)}")
             exit_edge = next(e for e in outs if e != back_edge)
             clause = f"repeat while ({_pu_text(self.by_id[latch].text)})"
-            back_text = self.labels[id(back_edge)]
+            back_text = self.label(back_edge)
             if back_text != "Yes":
                 clause += f" is ({_pu_text(back_text) if back_text is not None else ''})"
-            exit_text = self.labels[id(exit_edge)]
+            exit_text = self.label(exit_edge)
             if exit_text != "No":
                 clause += f" not ({_pu_text(exit_text) if exit_text is not None else ''})"
+            if self.open_end is not None:
+                raise self.open_end_error()
             self.lines.append(clause)
             nid = exit_edge.dst
             if index + 1 < len(latches):
@@ -483,10 +488,13 @@ class _PlantUmlEmitter:
             f"if ({_pu_text(node.text)}) then ({self.branch_clause(then_edge)})")
         if then_edge.dst != stop_at:
             yield self.walk(then_edge.dst, stop_at, None)
+        # 'else' sets the flows that end in the then branch aside until 'endif'
+        then_end, self.open_end = self.open_end, None
         self.lines.append(f"else ({self.branch_clause(else_edge)})")
         if else_edge.dst != stop_at:
             yield self.walk(else_edge.dst, stop_at, None)
         self.lines.append("endif")
+        self.open_end = then_end or self.open_end
         return join
 
 
@@ -536,11 +544,9 @@ def emit_triples(ug: UpgradedGraph) -> str:
     """Plain triple listing, one line per edge in edge order. Computed once
     per upgraded graph."""
     def compute() -> str:
-        by_id = {n.id: n for n in ug.base.nodes}
-        lines = [
-            f"({_clean(by_id[t.src].text)}) -[{t.relation.value}]-> ({_clean(by_id[t.dst].text)})"
-            for t in ug.triples
-        ]
+        texts = {n.id: _clean(n.text) for n in ug.base.nodes}
+        lines = [f"({texts[t.src]}) -[{t.relation._value_}]-> ({texts[t.dst]})"
+                 for t in ug.triples]
         return "\n".join(lines) + ("\n" if lines else "")
 
     return derived(ug, "emit_triples", compute)

@@ -48,12 +48,13 @@ class LabelKind(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeLabel:
     """Edge annotation: the protogenic Yes/No symbols, free text, or nothing.
 
     Yes/No are case-normalized at construction ("yes", "YES" -> YES); any
-    other non-empty text is preserved as OTHER.
+    other non-empty text is preserved as OTHER. The Yes, No and unlabeled
+    forms are the shared values ``YES``, ``NO`` and ``UNLABELED``.
     """
 
     kind: LabelKind
@@ -61,15 +62,15 @@ class EdgeLabel:
 
     @classmethod
     def yes(cls) -> "EdgeLabel":
-        return cls(LabelKind.YES)
+        return YES
 
     @classmethod
     def no(cls) -> "EdgeLabel":
-        return cls(LabelKind.NO)
+        return NO
 
     @classmethod
     def none(cls) -> "EdgeLabel":
-        return cls(LabelKind.NONE)
+        return UNLABELED
 
     @classmethod
     def other(cls, text: str) -> "EdgeLabel":
@@ -79,16 +80,16 @@ class EdgeLabel:
     def from_text(cls, raw: str | None) -> "EdgeLabel":
         """Normalize raw label text from any dialect."""
         if raw is None:
-            return cls.none()
+            return UNLABELED
         stripped = raw.strip()
         if not stripped:
-            return cls.none()
+            return UNLABELED
         low = stripped.casefold()
         if low == "yes":
-            return cls.yes()
+            return YES
         if low == "no":
-            return cls.no()
-        return cls.other(stripped)
+            return NO
+        return cls(LabelKind.OTHER, stripped)
 
     def render(self) -> str | None:
         """Display text, or None for an unlabeled edge."""
@@ -104,12 +105,12 @@ class EdgeLabel:
         return self.render() or ""
 
 
-YES = EdgeLabel.yes()
-NO = EdgeLabel.no()
-UNLABELED = EdgeLabel.none()
+YES = EdgeLabel(LabelKind.YES)
+NO = EdgeLabel(LabelKind.NO)
+UNLABELED = EdgeLabel(LabelKind.NONE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     """A flowchart node: opaque id, shape kind, and textual content."""
 
@@ -118,7 +119,7 @@ class Node:
     text: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """Directed edge between node ids, optionally labeled."""
 
@@ -175,8 +176,9 @@ class FlowGraph(_Memoized):
 
 def edge_key(src: str, dst: str, label: EdgeLabel) -> tuple[str, str, str, str | None]:
     """Duplicate-edge identity, equal exactly when the Edges are; hashing an
-    Edge instead makes three Python-level __hash__ calls."""
-    return src, dst, label.kind.value, label.text
+    Edge instead makes three Python-level __hash__ calls. ``_value_`` is
+    the kind's ``value``, read without the property call."""
+    return src, dst, label.kind._value_, label.text
 
 
 class RelationType(Enum):
@@ -234,7 +236,7 @@ def relation_definitions_block() -> str:
 FALLBACK_MARK = "fallback:"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationTriple:
     """(source node, relation, target node) for one edge of the base graph.
 

@@ -348,7 +348,7 @@ def parse_mermaid(text: str) -> ParseResult:
 _DOT_TOKEN = re.compile(
     r"""
     (?:\s+|//[^\n]*|\#[^\n]*|/\*.*?\*/)*
-    ("(?:\\.|[^"\\])*"|->|--|[{}\[\]=;,]|[A-Za-z_][A-Za-z0-9_]*|-?\d+(?:\.\d+)?|/\*.*|.|\Z)
+    ("[^"\\]*(?:\\.[^"\\]*)*"|->|--|[{}\[\]=;,]|[A-Za-z_][A-Za-z0-9_]*|-?\d+(?:\.\d+)?|/\*.*|.|\Z)
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -677,6 +677,8 @@ class _PlantUmlParser:
         self.tips: list[tuple[str, EdgeLabel]] = []
         self.pending_label: EdgeLabel | None = None
         self.frames: list[_PuFrame] = []
+        # the repeat frames whose body has no node yet
+        self.unheaded: list[_PuFrame] = []
 
     def error(self, line: int, message: str) -> None:
         self.diagnostics.append(ParseDiagnostic(line, message, Severity.ERROR))
@@ -690,10 +692,13 @@ class _PlantUmlParser:
         self.pending_label = None
         self.tips = [(node_id, UNLABELED)]
         # every still-unheaded repeat frame starts its body here (nested
-        # repeats with no statement between them share one head)
-        for frame in self.frames:
-            if frame.kind == "repeat" and frame.head is None:
+        # repeats with no statement between them share one head); a frame
+        # that 'repeat while' has just closed takes the loop decision, as
+        # it would as its own head
+        if self.unheaded:
+            for frame in self.unheaded:
                 frame.head = node_id
+            self.unheaded = []
 
     def statement(self, line: int, stmt: str) -> None:
         if stmt == "start":
@@ -748,7 +753,9 @@ class _PlantUmlParser:
             self.tips = tips
             return
         if stmt == "repeat":
-            self.frames.append(_PuFrame("repeat", line))
+            frame = _PuFrame("repeat", line)
+            self.frames.append(frame)
+            self.unheaded.append(frame)
             return
         loop_parts = _pu_repeat_while(stmt)
         if loop_parts:

@@ -173,6 +173,52 @@ def rand_flow_graph(rng: random.Random, *, with_terminals: bool | None = None,
     return graph
 
 
+
+def drop_out_edges(graph: FlowGraph, rng: random.Random) -> FlowGraph:
+    """``graph`` with every out-edge of one Process node that has some
+    removed, which makes that node a dead end; ``graph`` itself if it has
+    no such node."""
+    sources = sorted({e.src for e in graph.edges})
+    kinds = {n.id: n.kind for n in graph.nodes}
+    candidates = [nid for nid in sources if kinds[nid] is NodeKind.PROCESS]
+    if not candidates:
+        return graph
+    dead = rng.choice(candidates)
+    return FlowGraph(graph.nodes, tuple(e for e in graph.edges if e.src != dead), graph.title)
+
+
+def side_by_side(first: FlowGraph, second: FlowGraph) -> FlowGraph:
+    """Both graphs as two components of one, ``first``'s nodes first. The
+    second's ids take a ``B`` prefix and its non-empty texts a `` b``
+    suffix. Its Start nodes become Process nodes when ``first`` has one, so
+    that the only Start is the first terminal declared, which is how Mermaid
+    and DOT read a terminal's kind back."""
+    has_start = any(n.kind is NodeKind.START for n in first.nodes)
+
+    def renamed(node: Node) -> Node:
+        kind, text = node.kind, node.text
+        if kind is NodeKind.START and has_start:
+            kind, text = NodeKind.PROCESS, text or "Enter"
+        return Node("B" + node.id, kind, f"{text} b" if text else text)
+
+    return FlowGraph(
+        first.nodes + tuple(map(renamed, second.nodes)),
+        first.edges + tuple(Edge("B" + e.src, "B" + e.dst, e.label) for e in second.edges))
+
+
+def plantuml_view(graph: FlowGraph) -> FlowGraph:
+    """``graph`` as PlantUML carries it: Start and End nodes lose their text,
+    and Input/Output nodes are Process nodes."""
+    def view(node: Node) -> Node:
+        if node.kind.is_terminal:
+            return Node(node.id, node.kind, "")
+        if node.kind is NodeKind.INPUT_OUTPUT:
+            return Node(node.id, NodeKind.PROCESS, node.text)
+        return node
+
+    return FlowGraph(tuple(map(view, graph.nodes)), graph.edges, graph.title)
+
+
 # --- structured programs for the PlantUML round-trip -------------------------
 
 

@@ -28,10 +28,13 @@ from flowsra.parsing import Dialect, parse_text
 from gen import (
     deep_if_text,
     deep_repeat_text,
+    drop_out_edges,
     isomorphic,
+    plantuml_view,
     rand_deep_activity_text,
     rand_flow_graph,
     rand_structured_graph,
+    side_by_side,
     upgrade_by_edge,
 )
 
@@ -207,6 +210,141 @@ class TestPlantUmlLimits:
         _, result = parse_text(doc.text)
         assert result.ok
         assert isomorphic(result.graph, graph)
+
+
+def mermaid_graph(text: str) -> FlowGraph:
+    _, result = parse_text(text)
+    assert result.ok
+    return result.graph
+
+
+def sequential_upgrade(graph: FlowGraph):
+    return upgrade_by_edge(graph, dict.fromkeys(graph.edges, RelationType.SEQUENTIALITY))
+
+
+class TestDeadEnds:
+    """A flow that ends at a node other than an End node has no ``stop``, so
+    the PlantUML parser reads the next node emitted as that node's
+    successor: emission refuses such a chart unless nothing follows."""
+
+    TWO_FLOWS = "flowchart TD\nA[Load] --> B[Save]\nC[Open] --> D[Close]\n"
+    ARM_ENDS = ("flowchart TD\nA{c1} -->|Yes| B{c2}\nA -->|No| E[e]\n"
+                "B -->|Yes| X[x]\nB -->|No| Y[y]\nY --> J[j]\nE --> J\n"
+                "J --> Z([End])\n")
+
+    BODY_ENDS = ("flowchart TD\nS([Start]) --> H[h] --> D{d}\nD -->|Yes| X[x]\n"
+                 "D -->|No| L{l}\nL -->|Yes| H\nL -->|No| E([End])\n")
+
+    # the loop decision is refused too, before its exit is followed
+    LATCH_FOLLOWS = ("flowchart TD\nS([Begin]) --> A[a] --> H{h}\nH -->|Yes| L{l}\n"
+                     "H -->|No| X[x]\nL -->|Yes| L\nL -->|No| H\n")
+
+    @pytest.mark.parametrize("text, node", [(TWO_FLOWS, "B"), (ARM_ENDS, "X"),
+                                            (BODY_ENDS, "X"), (LATCH_FOLLOWS, "X")])
+    def test_a_flow_followed_by_another_node_is_refused(self, text, node):
+        graph = mermaid_graph(text)
+        message = f"node '{node}' ends a flow but is not an end node"
+        with pytest.raises(EmitError, match=message):
+            emit(graph, Dialect.PLANTUML)
+        with pytest.raises(EmitError, match=message):
+            emit_upgraded(sequential_upgrade(graph), Dialect.PLANTUML)
+
+    @pytest.mark.parametrize("text", [
+        # the last flow
+        "flowchart TD\nA([Start]) --> B[Save]\n",
+        # both branches end, and nothing follows the decision
+        "flowchart TD\nA{c} -->|Yes| B[b]\nA -->|No| C[c]\n",
+        # the else branch is not read as following the then branch
+        "flowchart TD\nA{c} -->|Yes| B[b]\nA -->|No| C[c]\nC --> D([End])\n",
+        # every earlier flow ends in stop
+        "flowchart TD\nA([Start]) --> B[b] --> C([End])\nD[d] --> E([Stop])\nF[f]\n",
+    ])
+    def test_flows_that_nothing_follows_round_trip(self, text):
+        graph = mermaid_graph(text)
+        _, result = parse_text(emit(graph, Dialect.PLANTUML).text)
+        assert result.ok
+        assert isomorphic(result.graph, plantuml_view(graph))
+        _, result = parse_text(emit_upgraded(sequential_upgrade(graph), Dialect.PLANTUML).text)
+        assert result.ok
+        assert isomorphic(strip_relations(result.graph), plantuml_view(graph))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeds())
+    def test_dead_ends_and_components(self, seed):
+        rng = random.Random(seed)
+
+        def pick() -> FlowGraph:
+            if rng.random() < 0.7:
+                return rand_structured_graph(rng)
+            return rand_flow_graph(rng)
+
+        graph = pick()
+        if rng.random() < 0.5:
+            graph = side_by_side(graph, pick())
+        if rng.random() < 0.7:
+            graph = drop_out_edges(graph, rng)
+        for dialect in (Dialect.MERMAID, Dialect.DOT):
+            _, result = parse_text(emit(graph, dialect).text)
+            assert result.ok, dialect
+            assert isomorphic(result.graph, graph), dialect
+        try:
+            text = emit(graph, Dialect.PLANTUML).text
+        except EmitError:
+            return
+        _, result = parse_text(text)
+        assert result.ok, [str(d) for d in result.diagnostics]
+        assert isomorphic(result.graph, plantuml_view(graph))
+
+
+# every line break of str.splitlines, alone or with spaces around it
+_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+           "\u2029", " \u2028 ", "\n\n"]
+# words, each followed by a line break
+_broken_text = st.lists(
+    st.tuples(st.sampled_from(["load", "the", "file", "again"]), st.sampled_from(_BREAKS)),
+    min_size=1, max_size=4).map(lambda parts: "".join(word + brk for word, brk in parts))
+
+
+class TestLineBreaks:
+    """The Mermaid and PlantUML parsers split lines as ``str.splitlines``
+    does, so emission writes every such line break in a text as a space."""
+
+    def test_texts_are_collapsed_exactly_at_the_breaks_of_splitlines(self):
+        for code in range(0x2100):
+            text = f"a{chr(code)}b"
+            expected = "a b" if len(text.splitlines()) == 2 else text
+            assert emit_triples(sequential_upgrade(FlowGraph(
+                (Node("A", NodeKind.PROCESS, text), Node("B", NodeKind.PROCESS, "x")),
+                (Edge("A", "B"),)))) == f"({expected}) -[Sequentiality]-> (x)\n", hex(code)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_broken_text, _broken_text, _broken_text, _broken_text)
+    def test_broken_texts_and_labels_round_trip(self, action, cond, step_label, arm_label):
+        graph = FlowGraph(
+            nodes=(Node("S", NodeKind.START, ""), Node("A", NodeKind.PROCESS, action),
+                   Node("D", NodeKind.DECISION, cond), Node("B", NodeKind.PROCESS, "b"),
+                   Node("C", NodeKind.INPUT_OUTPUT, "c"), Node("E", NodeKind.END, "")),
+            edges=(Edge("S", "A"), Edge("A", "D", EdgeLabel.from_text(step_label)),
+                   Edge("D", "B", EdgeLabel.yes()), Edge("D", "C", EdgeLabel.from_text(arm_label)),
+                   Edge("B", "E"), Edge("C", "E")))
+
+        def collapsed(text: str) -> str:
+            return " ".join(text.split())
+
+        expected = FlowGraph(
+            tuple(Node(n.id, n.kind, collapsed(n.text)) for n in graph.nodes),
+            tuple(Edge(e.src, e.dst, EdgeLabel.from_text(collapsed(str(e.label))))
+                  for e in graph.edges))
+        ug = sequential_upgrade(graph)
+        for dialect in Dialect:
+            for text in (emit(graph, dialect).text, emit_upgraded(ug, dialect).text):
+                assert text.splitlines() == text.split("\n")[:-1], dialect
+            _, result = parse_text(emit(graph, dialect).text)
+            assert result.ok, dialect
+            view = plantuml_view(expected) if dialect is Dialect.PLANTUML else expected
+            assert isomorphic(result.graph, view), dialect
+        triples = emit_triples(ug)
+        assert triples.splitlines() == triples.split("\n")[:-1]
 
 
 def strip_relations(graph: FlowGraph) -> FlowGraph:

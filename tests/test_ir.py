@@ -254,3 +254,8 @@ class TestEdgeLabel:
         assert EdgeLabel.from_text("") == EdgeLabel.none()
         assert EdgeLabel.from_text(None) == EdgeLabel.none()
         assert EdgeLabel.from_text("retry").render() == "retry"
+
+    def test_yes_no_and_unlabeled_are_the_shared_values(self):
+        for raw, shared in (("yes", YES), (" No ", NO), ("", UNLABELED), (None, UNLABELED)):
+            assert EdgeLabel.from_text(raw) is shared
+        assert EdgeLabel.yes() is YES and EdgeLabel.no() is NO and EdgeLabel.none() is UNLABELED

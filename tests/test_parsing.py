@@ -13,6 +13,7 @@ from flowsra.ir import UNLABELED, EdgeLabel, NodeKind, validate
 from flowsra.parsing import (
     _DOT_SHAPE_KINDS,
     _DOT_TERMINAL_SHAPES,
+    _DOT_TOKEN,
     _MERMAID_ARROW,
     _MERMAID_HEADER,
     _MERMAID_NODE,
@@ -646,9 +647,27 @@ def diagnostic_lines(text):
     return [(d.line, d.message) for d in parse_dot(text).diagnostics]
 
 
+# ``_DOT_TOKEN`` with its string token written ``"(?:\\.|[^"\\])*"``, one
+# alternation per character; the unrolled form reads the same language
+_ALTERNATING_DOT_TOKEN = re.compile(
+    r"""
+    (?:\s+|//[^\n]*|\#[^\n]*|/\*.*?\*/)*
+    ("(?:\\.|[^"\\])*"|->|--|[{}\[\]=;,]|[A-Za-z_][A-Za-z0-9_]*|-?\d+(?:\.\d+)?|/\*.*|.|\Z)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
 class TestDotLexer:
     """The one-pass DOT lexer, through the diagnostics ``parse_dot`` reports
     and against the referee."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ['"', "\\", "/*", "*/", "//", "#", "->", "-", "1", "2.5", "a", "Z_", "\n", " ",
+         '"x"', '"a\\"b"']), max_size=40).map("".join))
+    def test_unrolled_strings_lex_as_the_alternating_form(self, text):
+        assert _DOT_TOKEN.findall(text) == _ALTERNATING_DOT_TOKEN.findall(text)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
