@@ -97,12 +97,14 @@ def _mermaid_text(text: str) -> str:
     return '"' + text.replace('"', "#quot;") + '"'
 
 
+# the shape tables are keyed by a kind's ``_value_``: a str hashes in C, a
+# NodeKind through the Python-level Enum.__hash__
 _MERMAID_BRACKETS = {
-    NodeKind.START: ("([", "])"),
-    NodeKind.END: ("([", "])"),
-    NodeKind.PROCESS: ("[", "]"),
-    NodeKind.DECISION: ("{", "}"),
-    NodeKind.INPUT_OUTPUT: ("[/", "/]"),
+    NodeKind.START._value_: ("([", "])"),
+    NodeKind.END._value_: ("([", "])"),
+    NodeKind.PROCESS._value_: ("[", "]"),
+    NodeKind.DECISION._value_: ("{", "}"),
+    NodeKind.INPUT_OUTPUT._value_: ("[/", "/]"),
 }
 
 
@@ -136,7 +138,7 @@ def _emit_mermaid(graph: FlowGraph, upgraded: list[str] | None) -> str:
         lines += _taxonomy_comment("%%")
     graph = _with_mermaid_ids(graph)
     for node in graph.nodes:
-        left, right = _MERMAID_BRACKETS[node.kind]
+        left, right = _MERMAID_BRACKETS[node.kind._value_]
         lines.append(f"{node.id}{left}{_mermaid_text(node.text)}{right}")
     for edge, label in zip(graph.edges, _edge_labels(graph, upgraded)):
         if label is None:
@@ -148,12 +150,12 @@ def _emit_mermaid(graph: FlowGraph, upgraded: list[str] | None) -> str:
 
 # --- DOT -------------------------------------------------------------------
 
-_DOT_BARE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_DOT_BARE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DOT_KEYWORDS = {"graph", "digraph", "node", "edge", "strict", "subgraph"}
 
 
 def _dot_id(value: str) -> str:
-    if _DOT_BARE.match(value) and value not in _DOT_KEYWORDS:
+    if _DOT_BARE.fullmatch(value) and value not in _DOT_KEYWORDS:
         return value
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -163,11 +165,11 @@ def _dot_str(value: str) -> str:
 
 
 _DOT_SHAPES = {
-    NodeKind.START: "oval",
-    NodeKind.END: "oval",
-    NodeKind.PROCESS: "box",
-    NodeKind.DECISION: "diamond",
-    NodeKind.INPUT_OUTPUT: "parallelogram",
+    NodeKind.START._value_: "oval",
+    NodeKind.END._value_: "oval",
+    NodeKind.PROCESS._value_: "box",
+    NodeKind.DECISION._value_: "diamond",
+    NodeKind.INPUT_OUTPUT._value_: "parallelogram",
 }
 
 
@@ -175,12 +177,15 @@ def _emit_dot(graph: FlowGraph, upgraded: list[str] | None) -> str:
     lines = ["digraph G {"]
     if upgraded is not None:
         lines += ["  " + line for line in _taxonomy_comment("//")]
+    # each node's id is quoted once, and looked up for the edges
+    ids: dict[str, str] = {}
     for node in graph.nodes:
+        ids[node.id] = quoted = _dot_id(node.id)
         lines.append(
-            f"  {_dot_id(node.id)} [shape={_DOT_SHAPES[node.kind]}, "
+            f"  {quoted} [shape={_DOT_SHAPES[node.kind._value_]}, "
             f"label={_dot_str(node.text)}];")
     for edge, label in zip(graph.edges, _edge_labels(graph, upgraded)):
-        stmt = f"  {_dot_id(edge.src)} -> {_dot_id(edge.dst)}"
+        stmt = f"  {ids[edge.src]} -> {ids[edge.dst]}"
         if label is not None:
             stmt += f" [label={_dot_str(label)}]"
         lines.append(stmt + ";")
@@ -189,6 +194,12 @@ def _emit_dot(graph: FlowGraph, upgraded: list[str] | None) -> str:
 
 
 # --- PlantUML --------------------------------------------------------------
+
+
+# the kinds the walk tests per node, as module names: reading a member off an
+# Enum class (``NodeKind.END``) goes through EnumType's __getattr__ hook on
+# Python 3.11, about 100 ns a read
+_START, _END, _DECISION = NodeKind.START, NodeKind.END, NodeKind.DECISION
 
 
 def _pu_text(text: str) -> str:
@@ -399,17 +410,17 @@ class _PlantUmlEmitter:
                 continue
             node = self.by_id[nid]
             self.visited.add(nid)
-            if node.kind is NodeKind.END:
+            if node.kind is _END:
                 if self.outs[nid]:
                     raise EmitError(f"end node {nid!r} has outgoing edges")
                 self.lines.append("stop")
                 return
-            if node.kind is NodeKind.DECISION:
+            if node.kind is _DECISION:
                 nid = yield self.emit_branch(node, until)
                 if nid is None:
                     return
                 continue
-            if node.kind is NodeKind.START:
+            if node.kind is _START:
                 self.lines.append("start")
             else:
                 self.lines.append(f":{_pu_text(node.text)};")

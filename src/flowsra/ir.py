@@ -19,7 +19,7 @@ again on the next call.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, TypeVar
@@ -93,23 +93,56 @@ class EdgeLabel:
 
     def render(self) -> str | None:
         """Display text, or None for an unlabeled edge."""
-        if self.kind is LabelKind.YES:
-            return "Yes"
-        if self.kind is LabelKind.NO:
-            return "No"
-        if self.kind is LabelKind.OTHER:
-            return self.text
-        return None
+        return _SHOWN.get(self.kind._value_, self.text)
 
     def __str__(self) -> str:
         return self.render() or ""
 
+
+# the display text of each label kind but OTHER, whose labels show their own
+# text. ``render`` looks it up by the kind's ``_value_`` (a str hashes in C, a
+# LabelKind in Python) rather than compare the kind with members: on Python
+# 3.11 each read of a member off its class (``LabelKind.YES``) costs ~100 ns
+_SHOWN = {LabelKind.YES._value_: "Yes", LabelKind.NO._value_: "No",
+          LabelKind.NONE._value_: None}
 
 YES = EdgeLabel(LabelKind.YES)
 NO = EdgeLabel(LabelKind.NO)
 UNLABELED = EdgeLabel(LabelKind.NONE)
 
 
+def _slot_init(cls: type[T]) -> type[T]:
+    """Give a frozen, slotted dataclass an ``__init__`` with the same
+    parameters that stores each field through its slot's descriptor.
+
+    A frozen dataclass's own ``__init__`` calls ``object.__setattr__`` once
+    per field; a slot descriptor's ``__set__`` costs about 0.6 of that, which
+    counts for the values built once per node or edge of every chart. The
+    class stays frozen: only ``__init__`` changes. Parameters, defaults and
+    order are read from :func:`dataclasses.fields`, as the dataclass's own;
+    a field with a default factory, ``init=False`` or ``kw_only`` is refused.
+    """
+    scope: dict[str, object] = {}
+    params, body = [], []
+    for f in fields(cls):
+        if f.default_factory is not MISSING or not f.init or f.kw_only:
+            raise TypeError(f"{cls.__name__}.{f.name} is not a plain field")
+        scope[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        body.append(f"\n    _set_{f.name}(self, {f.name})")
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            scope[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}", scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init  # type: ignore[misc]
+    return cls
+
+
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Node:
     """A flowchart node: opaque id, shape kind, and textual content."""
@@ -119,6 +152,7 @@ class Node:
     text: str = ""
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Edge:
     """Directed edge between node ids, optionally labeled."""
@@ -236,6 +270,7 @@ def relation_definitions_block() -> str:
 FALLBACK_MARK = "fallback:"
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class RelationTriple:
     """(source node, relation, target node) for one edge of the base graph.

@@ -112,11 +112,15 @@ _INSTANTIATION_CUES = re.compile(
     "|".join(map(re.escape, ("e.g.", "such as", "for example", "for instance"))))
 _CAUSAL_CUES = re.compile("|".join(map(re.escape, ("causes", "results in", "leads to"))))
 _WORD = re.compile(r"[A-Za-z']+")
-_ACQUIRE = re.compile(r"\b(obtain|obtains|obtained|get|gets|got|acquire|acquires)\b",
-                      re.IGNORECASE)
-_SELECT_OR_USE = re.compile(r"\b(select|selects|selecting|selection|use|uses|using|"
-                            r"choose|chooses|choosing|chosen|pick|picks|picking)\b",
-                            re.IGNORECASE)
+# the word sets obtain(s|ed), get(s), got, acquire(s) and select(s|ing|ion),
+# use(s), using, choose(s), choosing, chosen, pick(s|ing), factored by their
+# common prefixes: an alternation of whole words under IGNORECASE tries
+# every word at every position, a factored one mostly fails at the first
+# letter
+_ACQUIRE = re.compile(r"\b(?:obtain(?:s|ed)?|g(?:ets?|ot)|acquires?)\b", re.IGNORECASE)
+_SELECT_OR_USE = re.compile(
+    r"\b(?:select(?:s|ing|ion)?|us(?:es?|ing)|cho(?:os(?:es?|ing)|sen)|pick(?:s|ing)?)\b",
+    re.IGNORECASE)
 _LIST_SHAPE = re.compile(r",|\band\b|\bor\b", re.IGNORECASE)
 
 
@@ -130,25 +134,33 @@ def _plural_category_heading_list(src_text: str, dst_text: str) -> bool:
     return bool(_LIST_SHAPE.search(dst_text))
 
 
+# the cascade's verdicts, and the kinds its first rule tests, as module names:
+# reading a member off an Enum class (``NodeKind.DECISION``) goes through
+# EnumType's __getattr__ hook on Python 3.11, about 100 ns a read
+_DECISION = NodeKind.DECISION
+_YES_OR_NO = (LabelKind.YES, LabelKind.NO)
+_BRANCH = (RelationType.CONDITIONALITY, "source is a decision or the edge is a yes/no branch")
+_INSTANCE_CUE = (RelationType.INSTANTIATION, "target text carries an instance-giving cue")
+_INSTANCE_LIST = (RelationType.INSTANTIATION, "plural category followed by a list of instances")
+_CAUSAL_CUE = (RelationType.CAUSALITY, "source text carries a causal cue")
+_ENABLES = (RelationType.CAUSALITY, "acquisition step directly enables a selection/use step")
+_SEQUENCE = (RelationType.SEQUENTIALITY, "default: consecutive steps in chronological order")
+
+
 def heuristic_recognize(src: Node, dst: Node,
                         label: EdgeLabel) -> tuple[RelationType, str]:
     """Deterministic rule cascade; first match wins, total over all inputs."""
-    if src.kind is NodeKind.DECISION or label.kind in (LabelKind.YES, LabelKind.NO):
-        return (RelationType.CONDITIONALITY,
-                "source is a decision or the edge is a yes/no branch")
+    if src.kind is _DECISION or label.kind in _YES_OR_NO:
+        return _BRANCH
     if _INSTANTIATION_CUES.search(dst.text.lower()):
-        return (RelationType.INSTANTIATION,
-                "target text carries an instance-giving cue")
+        return _INSTANCE_CUE
     if _plural_category_heading_list(src.text, dst.text):
-        return (RelationType.INSTANTIATION,
-                "plural category followed by a list of instances")
+        return _INSTANCE_LIST
     if _CAUSAL_CUES.search(src.text.lower()):
-        return (RelationType.CAUSALITY, "source text carries a causal cue")
+        return _CAUSAL_CUE
     if _ACQUIRE.search(src.text) and _SELECT_OR_USE.search(dst.text):
-        return (RelationType.CAUSALITY,
-                "acquisition step directly enables a selection/use step")
-    return (RelationType.SEQUENTIALITY,
-            "default: consecutive steps in chronological order")
+        return _ENABLES
+    return _SEQUENCE
 
 
 @dataclass

@@ -565,6 +565,28 @@ class TestMermaidIds:
         assert [n.text for n in result.graph.nodes] == [n.text for n in parsed.graph.nodes]
 
 
+class TestDotIds:
+    """A DOT id is written bare only when all of it is a bare id: ``$``
+    also matches before a final newline, so an id that ends in one must be
+    quoted, or it reads back without it."""
+
+    @pytest.mark.parametrize("node_id", ["go\n", "go\n\n", "a\nb", "\n", "go\r\n", "node\n"])
+    def test_ids_with_line_breaks_round_trip(self, node_id):
+        quoted = '"' + node_id + '"'
+        _, parsed = parse_text(f'digraph {{ {quoted} [shape=box, label="Go"]; '
+                               f'b [shape=box, label="B"]; {quoted} -> b; }}')
+        assert parsed.ok
+        graph = parsed.graph
+        assert [n.id for n in graph.nodes] == [node_id, "b"]
+        ug = upgrade_by_edge(graph, dict.fromkeys(graph.edges, RelationType.CAUSALITY))
+        _, result = parse_text(emit(graph, Dialect.DOT).text)
+        assert result.ok and result.graph == graph
+        _, result = parse_text(emit_upgraded(ug, Dialect.DOT).text)
+        assert result.ok and strip_relations(result.graph) == graph
+        _, result = parse_text(emit(graph, Dialect.MERMAID).text)
+        assert result.ok and isomorphic(result.graph, graph)
+
+
 class TestEmitUpgraded:
     def test_zero_edges_has_taxonomy_only(self):
         ug = upgrade_by_edge(FlowGraph(nodes=(Node("S", NodeKind.START, "Start"),)), {})

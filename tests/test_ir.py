@@ -1,6 +1,10 @@
 """Core representation: validation, topology counts, and upgrading."""
 
+import copy
+import inspect
+import pickle
 import random
+from dataclasses import MISSING, FrozenInstanceError, field, fields, make_dataclass, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +23,7 @@ from flowsra.ir import (
     RelationType,
     TopologyStats,
     UpgradedGraph,
+    _slot_init,
     relation_definitions_block,
     topology_stats,
     validate,
@@ -201,6 +206,75 @@ class TestUpgrade:
         upgraded = upgrade_by_edge(graph, relations)
         assert len(upgraded.triples) == len(graph.edges)
         assert upgraded.base == graph
+
+
+# each value class whose __init__ stores through slot descriptors, with
+# values for every field and, for the first field, a second value
+_VALUES = {
+    Node: ((("id", "a"), ("kind", NodeKind.DECISION), ("text", "Ready?")), "b"),
+    Edge: ((("src", "a"), ("dst", "b"), ("label", EdgeLabel.other("retry"))), "c"),
+    RelationTriple: ((("src", "a"), ("relation", RelationType.CAUSALITY), ("dst", "b"),
+                      ("rationale", "why")), "c"),
+}
+
+
+def reference(cls, values):
+    """An instance built as the frozen dataclass's own ``__init__`` builds
+    one: ``object.__setattr__`` per field, in field order."""
+    obj = object.__new__(cls)
+    for name, value in values:
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+@pytest.mark.parametrize("cls", list(_VALUES), ids=lambda cls: cls.__name__)
+class TestValueConstructors:
+    """``Node``, ``Edge`` and ``RelationTriple`` construct through slot
+    descriptors; they must behave as the dataclasses they are."""
+
+    def test_parameters_are_the_fields(self, cls):
+        params = inspect.signature(cls).parameters.values()
+        assert [(p.name, MISSING if p.default is p.empty else p.default, p.kind)
+                for p in params] == [
+            (f.name, f.default, inspect.Parameter.POSITIONAL_OR_KEYWORD) for f in fields(cls)]
+
+    def test_instances_stay_frozen(self, cls):
+        values, other = _VALUES[cls]
+        obj = cls(*(value for _, value in values))
+        assert not hasattr(obj, "__dict__")
+        for name, _ in values:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, other)
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+
+    def test_instances_match_the_reference(self, cls):
+        values, other = _VALUES[cls]
+        expected = reference(cls, values)
+        for built in (cls(*(value for _, value in values)), cls(**dict(values)),
+                      copy.copy(expected), pickle.loads(pickle.dumps(expected))):
+            assert built == expected
+            assert hash(built) == hash(expected)
+            assert repr(built) == repr(expected)
+            assert copy.copy(built) == expected
+            assert pickle.loads(pickle.dumps(built)) == expected
+            first = values[0][0]
+            assert replace(built, **{first: other}) == reference(
+                cls, ((first, other),) + values[1:])
+
+    def test_defaults_match_the_reference(self, cls):
+        values, _ = _VALUES[cls]
+        last = fields(cls)[-1]
+        built = cls(*(value for _, value in values[:-1]))
+        assert built == reference(cls, values[:-1] + ((last.name, last.default),))
+        assert getattr(built, last.name) is last.default
+
+
+@pytest.mark.parametrize("spec", [{"default_factory": list}, {"default": 0, "init": False},
+                                  {"default": 0, "kw_only": True}])
+def test_slot_init_refuses_fields_it_does_not_generate(spec):
+    with pytest.raises(TypeError, match="not a plain field"):
+        _slot_init(make_dataclass("C", [("x", int, field(**spec))], frozen=True, slots=True))
 
 
 # a tag with each letter in either case, or as U+017F (long s) where it is

@@ -390,13 +390,20 @@ def reference_recognize(src, dst, label):
             "default: consecutive steps in chronological order")
 
 
-# words that reach every rule of the cascade: cues, near misses, case
+# words that reach every rule of the cascade: cues, every acquire and
+# select/use word, near misses (words that extend or cut one short), case
 # variants, plural heads (with apostrophes), list shapes, and characters whose
-# lowercase or word boundaries differ from ASCII's
+# lowercase or word boundaries differ from ASCII's: U+017F (long s) matches
+# "s" only under IGNORECASE, and "İ" lowercases to two characters, the second
+# no letter, so a word after it starts a word only once lowercased
 _CASCADE_WORDS = [
     "e.g.", "E.G.", "e.g", "eg.", "e g.", "eXgX", "such as", "such-as", "SUCH AS",
     "for example", "For Instance", "causes", "CAUSES", "cause", "results in",
-    "leads to", "obtain", "Gets", "acquired", "select", "Using", "chosen", "pick",
+    "leads to", "obtain", "obtains", "OBTAINED", "get", "Gets", "got", "Acquire",
+    "acquires", "select", "selects", "selecting", "selection", "use", "uses", "Using",
+    "choose", "chooses", "choosing", "chosen", "pick", "picks", "picking",
+    "acquired", "gotten", "getter", "acquirer", "obtaining", "user", "useful",
+    "selections", "picked", "u\u017fe", "\u017felect", "\u0130use", "\u0130got",
     "Fruits", "Dogs'", "glass", "boxes", "it's", "Kid's Toys", "one two three cats",
     "and", "or", "ORANGE", "a, b", ",", " ", "İ", "\u212a", "ß", "é", "Ω", "\u0130s", "\n"]
 _NODE_TEXT = (st.text(max_size=30)
