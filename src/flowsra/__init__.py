@@ -18,7 +18,7 @@ from .emitting import InterlanguageDoc, emit, emit_triples, emit_upgraded
 from .relations import heuristic_recognize, upgrade_graph
 from .routing import QuestionClass, QuestionType, heuristic_classify, type_to_class
 from .engine import Answer, Question, Route, answer_controlled, answer_deep, answer_shallow
-from .gateway import ChatGateway, ChatMessage, ChatRequest, ChatResponse, mock_backend
+from .gateway import ChatGateway, ChatMessage, ChatRequest, ChatResponse
 from .harness import EvalConfig, EvalInstance, EvalReport, judge, load_dataset, run_eval
 
 __version__ = "0.1.0"
@@ -57,7 +57,6 @@ __all__ = [
     "heuristic_recognize",
     "judge",
     "load_dataset",
-    "mock_backend",
     "parse_dot",
     "parse_mermaid",
     "parse_plantuml",

@@ -51,18 +51,6 @@ def relation_edge_label(relation: RelationType, original: EdgeLabel) -> str:
     return f"{relation._value_} ({rendered})"
 
 
-_RELATION_LABEL = re.compile(
-    "^(" + "|".join(r.value for r in RelationType) + r")(?:\s*\((.*)\))?$")
-
-
-def split_relation_label(text: str) -> tuple[RelationType, EdgeLabel] | None:
-    """Recover (relation, original label) from an upgraded edge label."""
-    m = _RELATION_LABEL.match(text.strip())
-    if not m:
-        return None
-    return RelationType(m.group(1)), EdgeLabel.from_text(m.group(2))
-
-
 # the line breaks of str.splitlines, by which the Mermaid and PlantUML
 # parsers split their input
 _LINE_BREAK = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")

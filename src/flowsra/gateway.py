@@ -301,12 +301,16 @@ class HttpTransport:
             raise ProtocolError("provider response is not JSON") from exc
 
 
+_SHA256_HEX = re.compile("[0-9a-fA-F]{64}")
+
+
 @dataclass(frozen=True)
 class MockRule:
     """One script entry: how to match a request and what to answer.
 
     ``match`` is ``contains`` (substring of the rendered prompt), ``exact``
-    (whole rendered prompt), or ``hash`` (sha256 hex of the rendered prompt).
+    (whole rendered prompt), or ``hash`` (sha256 hex of the rendered prompt,
+    in either case; kept in lowercase).
     """
 
     match: str
@@ -316,6 +320,11 @@ class MockRule:
     def __post_init__(self) -> None:
         if self.match not in ("contains", "exact", "hash"):
             raise ValueError(f"unknown mock matcher {self.match!r}")
+        if self.match == "hash":
+            if not _SHA256_HEX.fullmatch(self.pattern):
+                raise ValueError("a hash pattern must be 64 hex digits, "
+                                 "the sha256 of the rendered prompt")
+            object.__setattr__(self, "pattern", self.pattern.lower())
 
     def applies(self, rendered: str) -> bool:
         if self.match == "contains":
@@ -327,16 +336,12 @@ class MockRule:
 
 class MockTransport:
     """Scripted backend: first matching rule wins, unmatched requests fail
-    loudly so tests cannot drift silently."""
+    loudly so tests cannot drift silently. It keeps no request it served."""
 
     def __init__(self, rules: Sequence[MockRule]):
         self.rules = list(rules)
-        self.calls: list[ChatRequest] = []
-        self._lock = threading.Lock()
 
     def __call__(self, req: ChatRequest) -> dict:
-        with self._lock:
-            self.calls.append(req)
         rendered = req.rendered()
         for rule in self.rules:
             if rule.applies(rendered):
@@ -349,15 +354,6 @@ class MockTransport:
                 }
         raise ScriptedMissError(
             f"no scripted response matches request (prompt starts: {rendered[:120]!r})")
-
-
-def mock_backend(script: Sequence[tuple[str, str] | MockRule]) -> MockTransport:
-    """Build a mock transport from (substring, response) pairs or MockRules."""
-    rules = [
-        entry if isinstance(entry, MockRule) else MockRule("contains", entry[0], entry[1])
-        for entry in script
-    ]
-    return MockTransport(rules)
 
 
 def load_mock_script(path: str | Path) -> MockTransport:

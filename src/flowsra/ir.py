@@ -61,22 +61,6 @@ class EdgeLabel:
     text: str | None = None
 
     @classmethod
-    def yes(cls) -> "EdgeLabel":
-        return YES
-
-    @classmethod
-    def no(cls) -> "EdgeLabel":
-        return NO
-
-    @classmethod
-    def none(cls) -> "EdgeLabel":
-        return UNLABELED
-
-    @classmethod
-    def other(cls, text: str) -> "EdgeLabel":
-        return cls(LabelKind.OTHER, text)
-
-    @classmethod
     def from_text(cls, raw: str | None) -> "EdgeLabel":
         """Normalize raw label text from any dialect."""
         if raw is None:

@@ -1,6 +1,7 @@
 """Shared test utilities: random graph generators, the isomorphism oracle,
-the topology oracle, an edge-keyed upgrade builder, and the outcome of an
-enum lookup for comparing it with a referee.
+the topology oracle, an edge-keyed upgrade builder, the outcome of an enum
+lookup for comparing it with a referee, a referee that reads an upgraded
+edge label back, and a transport wrapper that records every request.
 
 The isomorphism check deliberately uses no package code, so round-trip
 tests have an independent referee.
@@ -17,8 +18,9 @@ import networkx as nx
 from networkx.algorithms import isomorphism as nxiso
 
 from flowsra.engine import Question
-from flowsra.ir import (Edge, EdgeLabel, FlowGraph, Node, NodeKind, RelationTriple,
-                        RelationType, UpgradedGraph, topology_stats, validate)
+from flowsra.gateway import MockRule, MockTransport
+from flowsra.ir import (NO, UNLABELED, YES, Edge, EdgeLabel, FlowGraph, LabelKind, Node, NodeKind,
+                        RelationTriple, RelationType, UpgradedGraph, topology_stats, validate)
 
 
 def to_nx(graph: FlowGraph) -> nx.MultiDiGraph:
@@ -156,17 +158,17 @@ def rand_flow_graph(rng: random.Random, *, with_terminals: bool | None = None,
             break
         if node.kind is NodeKind.DECISION:
             picks = rng.sample(targets, k=min(len(targets), 2))
-            labels = [EdgeLabel.yes(), EdgeLabel.no()]
+            labels = [YES, NO]
             for dst, label in zip(picks, labels):
                 add_edge(node, dst, label)
             if len(targets) > 2 and rng.random() < 0.3:
                 add_edge(node, rng.choice(targets),
-                         EdgeLabel.other(f"otherwise {node.id}"))
+                         EdgeLabel(LabelKind.OTHER, f"otherwise {node.id}"))
         else:
             for _ in range(rng.randint(1, 2) if rng.random() < 0.4 else 1):
-                label = EdgeLabel.none()
+                label = UNLABELED
                 if rng.random() < 0.15:
-                    label = EdgeLabel.other(f"then {node.id}")
+                    label = EdgeLabel(LabelKind.OTHER, f"then {node.id}")
                 add_edge(node, rng.choice(targets), label)
     graph = FlowGraph(nodes=tuple(nodes), edges=tuple(edges))
     assert validate(graph) == []
@@ -405,3 +407,35 @@ def lookup_outcome(lookup, text):
         return lookup(text)
     except ValueError as exc:
         return f"ValueError: {exc}"
+
+
+_RELATION_LABEL = re.compile(
+    "^(" + "|".join(r.value for r in RelationType) + r")(?:\s*\((.*)\))?$")
+
+
+def split_relation_label(text: str) -> tuple[RelationType, EdgeLabel] | None:
+    """Recover (relation, original label) from an upgraded edge label: the
+    referee for ``emitting.relation_edge_label``."""
+    m = _RELATION_LABEL.match(text.strip())
+    if not m:
+        return None
+    return RelationType(m.group(1)), EdgeLabel.from_text(m.group(2))
+
+
+class Recording:
+    """A transport that records every request, then defers to ``inner``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: list = []
+
+    def __call__(self, req):
+        self.calls.append(req)
+        return self.inner(req)
+
+
+def mock_backend(script) -> Recording:
+    """A recorded mock transport of (substring, response) pairs or MockRules."""
+    return Recording(MockTransport([
+        entry if isinstance(entry, MockRule) else MockRule("contains", *entry)
+        for entry in script]))

@@ -19,7 +19,7 @@ import pytest
 
 from flowsra.emitting import emit
 from flowsra.engine import Question, Route, answer_controlled
-from flowsra.gateway import ChatGateway, load_mock_script, mock_backend
+from flowsra.gateway import ChatGateway, load_mock_script
 from flowsra.harness import (
     EvalConfig,
     EvalInstance,
@@ -29,8 +29,10 @@ from flowsra.harness import (
     run_eval,
 )
 from flowsra.ir import (
+    NO,
+    UNLABELED,
+    YES,
     Edge,
-    EdgeLabel,
     FlowGraph,
     Node,
     NodeKind,
@@ -47,7 +49,8 @@ from flowsra.routing import QuestionType, heuristic_classify, make_router, type_
 
 import random
 
-from gen import isomorphic, rand_flow_graph, rand_structured_graph, topology_oracle
+from gen import (isomorphic, mock_backend, rand_flow_graph, rand_structured_graph,
+                 topology_oracle)
 
 DATA = Path(__file__).parent / "data"
 
@@ -78,8 +81,8 @@ HOMEWORK = FlowGraph(
     edges=(
         Edge("S", "H"),
         Edge("H", "D"),
-        Edge("D", "B", EdgeLabel.yes()),
-        Edge("D", "H", EdgeLabel.no()),
+        Edge("D", "B", YES),
+        Edge("D", "H", NO),
         Edge("B", "E"),
     ),
 )
@@ -110,16 +113,16 @@ def test_criterion_2_heuristic_reproduces_all_cited_tags():
         cases = [
             (Node("a", NodeKind.DECISION, "Finish your homework?"),
              Node("b", NodeKind.PROCESS, "Break"),
-             EdgeLabel.yes(), RelationType.CONDITIONALITY),
+             YES, RelationType.CONDITIONALITY),
             (Node("a", NodeKind.PROCESS, "Obtain a new photograph"),
              Node("b", NodeKind.PROCESS, "Selecting the Photograph"),
-             EdgeLabel.none(), RelationType.CAUSALITY),
+             UNLABELED, RelationType.CAUSALITY),
             (Node("a", NodeKind.PROCESS, "Citrus Fruits"),
              Node("b", NodeKind.PROCESS, "Orange and Grapefruit"),
-             EdgeLabel.none(), RelationType.INSTANTIATION),
+             UNLABELED, RelationType.INSTANTIATION),
             (Node("a", NodeKind.PROCESS, "Mix the flour and water"),
              Node("b", NodeKind.PROCESS, "Knead the mixture into a dough"),
-             EdgeLabel.none(), RelationType.SEQUENTIALITY),
+             UNLABELED, RelationType.SEQUENTIALITY),
         ]
         hits = sum(1 for src, dst, label, expected in cases
                    if heuristic_recognize(src, dst, label)[0] is expected)

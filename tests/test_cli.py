@@ -25,7 +25,7 @@ from flowsra.gateway import (
 )
 from flowsra.parsing import parse_text
 
-from gen import deep_if_text, isomorphic
+from gen import Recording, deep_if_text, isomorphic
 
 DATA = Path(__file__).parent / "data"
 
@@ -450,7 +450,7 @@ class TestEval:
         transports = []
 
         def load(path):
-            transports.append(load_mock_script(path))
+            transports.append(Recording(load_mock_script(path)))
             return transports[-1]
 
         monkeypatch.setattr(cli_mod, "load_mock_script", load)
@@ -632,6 +632,8 @@ class TestInputShapes:
                                 "string response"),
         ([{"match": "regex", "pattern": "", "response": "5"}],
          "entry 0: unknown mock matcher 'regex'"),
+        ([{"pattern": "", "response": "5"}, {"match": "hash", "pattern": "AB12", "response": "5"}],
+         "entry 1: a hash pattern must be 64 hex digits, the sha256 of the rendered prompt"),
     ])
     def test_mock_script_entry_of_wrong_shape_exits_2(self, capsys, tmp_path,
                                                       entries, message):

@@ -12,13 +12,16 @@ from flowsra.emitting import (
     emit_triples,
     emit_upgraded,
     relation_edge_label,
-    split_relation_label,
 )
 from flowsra.ir import (
+    NO,
+    UNLABELED,
+    YES,
     Edge,
     EdgeLabel,
     FlowGraph,
     GraphValidationError,
+    LabelKind,
     Node,
     NodeKind,
     RelationType,
@@ -35,6 +38,7 @@ from gen import (
     rand_flow_graph,
     rand_structured_graph,
     side_by_side,
+    split_relation_label,
     upgrade_by_edge,
 )
 
@@ -46,7 +50,7 @@ def sample_graph():
             Node("W", NodeKind.PROCESS, "Do the work"),
             Node("E", NodeKind.END, "End"),
         ),
-        edges=(Edge("S", "W"), Edge("W", "E", EdgeLabel.yes())),
+        edges=(Edge("S", "W"), Edge("W", "E", YES)),
     )
 
 
@@ -56,7 +60,7 @@ def upgraded_sample():
             Node("H", NodeKind.DECISION, "Finish your homework?"),
             Node("B", NodeKind.PROCESS, "Break"),
         ),
-        edges=(Edge("H", "B", EdgeLabel.yes()),),
+        edges=(Edge("H", "B", YES),),
     )
     return upgrade_by_edge(graph, {graph.edges[0]: RelationType.CONDITIONALITY})
 
@@ -160,12 +164,20 @@ class TestPlantUmlLimits:
                    Node("A", NodeKind.PROCESS, "a"),
                    Node("B", NodeKind.PROCESS, "b"),
                    Node("C", NodeKind.PROCESS, "c")),
-            edges=(Edge("D", "A", EdgeLabel.yes()),
-                   Edge("D", "B", EdgeLabel.no()),
-                   Edge("D", "C", EdgeLabel.other("maybe"))),
+            edges=(Edge("D", "A", YES),
+                   Edge("D", "B", NO),
+                   Edge("D", "C", EdgeLabel(LabelKind.OTHER, "maybe"))),
         )
         with pytest.raises(EmitError):
             emit(graph, Dialect.PLANTUML)
+
+    def test_end_node_with_an_outgoing_edge_is_rejected(self):
+        _, result = parse_text('digraph G { s [shape=oval, label="Start"]; '
+                               'e [shape=oval, label="End"]; a [label="Work"]; '
+                               's -> e; e -> a; }')
+        assert result.ok and result.graph.nodes[1].kind is NodeKind.END
+        with pytest.raises(EmitError, match="^end node 'e' has outgoing edges$"):
+            emit(result.graph, Dialect.PLANTUML)
 
     def test_pure_cycle_is_rejected(self):
         graph = FlowGraph(
@@ -203,8 +215,8 @@ class TestPlantUmlLimits:
                    Node("B", NodeKind.DECISION, "OK?"),
                    Node("C", NodeKind.END, "")),
             edges=(Edge("A", "B"),
-                   Edge("B", "C", EdgeLabel.yes()),
-                   Edge("B", "A", EdgeLabel.no())),
+                   Edge("B", "C", YES),
+                   Edge("B", "A", NO)),
         )
         doc = emit(graph, Dialect.PLANTUML)
         _, result = parse_text(doc.text)
@@ -325,7 +337,7 @@ class TestLineBreaks:
                    Node("D", NodeKind.DECISION, cond), Node("B", NodeKind.PROCESS, "b"),
                    Node("C", NodeKind.INPUT_OUTPUT, "c"), Node("E", NodeKind.END, "")),
             edges=(Edge("S", "A"), Edge("A", "D", EdgeLabel.from_text(step_label)),
-                   Edge("D", "B", EdgeLabel.yes()), Edge("D", "C", EdgeLabel.from_text(arm_label)),
+                   Edge("D", "B", YES), Edge("D", "C", EdgeLabel.from_text(arm_label)),
                    Edge("B", "E"), Edge("C", "E")))
 
         def collapsed(text: str) -> str:
@@ -532,7 +544,7 @@ class TestJoinReferee:
                    Node("B", NodeKind.PROCESS, "b"),
                    Node("E", NodeKind.PROCESS, "e"),
                    Node("C", NodeKind.PROCESS, "c")),
-            edges=(Edge("D", "A", EdgeLabel.yes()), Edge("D", "B", EdgeLabel.no()),
+            edges=(Edge("D", "A", YES), Edge("D", "B", NO),
                    Edge("A", "C"), Edge("A", "E"), Edge("B", "C"), Edge("B", "E")),
         )
         assert check_joins_against_reference(graph) == 1
@@ -629,7 +641,7 @@ class TestEmitUpgraded:
             assert sorted(r.value for r, _ in recovered) == sorted(
                 r.value for r in relations.values())
             # original yes/no polarity rides along in parentheses
-            assert (RelationType.CONDITIONALITY, EdgeLabel.yes()) in recovered
+            assert (RelationType.CONDITIONALITY, YES) in recovered
 
     def test_upgraded_plantuml_reparses_cleanly(self):
         graph = rand_structured_graph(random.Random(7))
@@ -644,8 +656,8 @@ class TestEmitUpgraded:
         graph = FlowGraph(
             nodes=(Node("S", NodeKind.START, "Start"), Node("W", NodeKind.PROCESS, "Work"),
                    Node("D", NodeKind.DECISION, "Done?"), Node("E", NodeKind.END, "End")),
-            edges=(Edge("S", "W"), Edge("W", "D"), Edge("D", "W", EdgeLabel.no()),
-                   Edge("D", "E", EdgeLabel.yes())),
+            edges=(Edge("S", "W"), Edge("W", "D"), Edge("D", "W", NO),
+                   Edge("D", "E", YES)),
             title="Homework")
         ug = upgrade_by_edge(graph, dict(zip(graph.edges, (
             RelationType.SEQUENTIALITY, RelationType.CAUSALITY,
@@ -687,9 +699,9 @@ class TestEmitTriples:
 
 class TestRelationLabelHelpers:
     def test_render_and_split(self):
-        label = relation_edge_label(RelationType.CAUSALITY, EdgeLabel.no())
+        label = relation_edge_label(RelationType.CAUSALITY, NO)
         assert label == "Causality (No)"
-        assert split_relation_label(label) == (RelationType.CAUSALITY, EdgeLabel.no())
+        assert split_relation_label(label) == (RelationType.CAUSALITY, NO)
         assert split_relation_label("Sequentiality") == (
-            RelationType.SEQUENTIALITY, EdgeLabel.none())
+            RelationType.SEQUENTIALITY, UNLABELED)
         assert split_relation_label("not a relation") is None

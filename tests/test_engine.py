@@ -10,10 +10,11 @@ from flowsra.engine import (
     answer_deep,
     answer_shallow,
 )
-from flowsra.gateway import ChatGateway, mock_backend
+from flowsra.gateway import ChatGateway
 from flowsra.ir import (
+    NO,
+    YES,
     Edge,
-    EdgeLabel,
     FlowGraph,
     Node,
     NodeKind,
@@ -24,7 +25,7 @@ from flowsra.parsing import Dialect
 from flowsra.relations import HeuristicRelationBackend, upgrade_graph
 from flowsra.routing import ClassificationError, QuestionType, make_router
 
-from gen import upgrade_by_edge
+from gen import mock_backend, upgrade_by_edge
 
 
 def homework_graph():
@@ -39,8 +40,8 @@ def homework_graph():
         edges=(
             Edge("S", "H"),
             Edge("H", "D"),
-            Edge("D", "B", EdgeLabel.yes()),
-            Edge("D", "H", EdgeLabel.no()),
+            Edge("D", "B", YES),
+            Edge("D", "H", NO),
             Edge("B", "E"),
         ),
     )

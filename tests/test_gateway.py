@@ -2,6 +2,7 @@
 single-flight, and the in-order concurrent map."""
 
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
@@ -35,6 +37,7 @@ from flowsra.gateway import (
     ChatRequest,
     CredentialError,
     MockRule,
+    MockTransport,
     PermanentError,
     PromptKind,
     ProtocolError,
@@ -43,11 +46,13 @@ from flowsra.gateway import (
     TransportError,
     _wire_fields,
     cache_key,
+    chat_request,
     completion_backend,
     load_mock_script,
     map_in_order,
-    mock_backend,
 )
+
+from gen import mock_backend
 
 
 def req(content="hello", model="m", max_tokens=256):
@@ -863,9 +868,14 @@ class TestHttpTransport:
             gateway_mod.HttpTransport("http://x")(req())
         assert excinfo.value.retry_after == 7.0
 
-    def test_retry_after_http_date_is_seconds_from_now(self, monkeypatch):
-        when = format_datetime(datetime.now(timezone.utc) + timedelta(seconds=120),
-                               usegmt=True)
+    # RFC 5322 reads the zone -0000 as "none given", which parses as a naive
+    # time: it is read as UTC
+    @pytest.mark.parametrize("zone", ["GMT", "-0000"])
+    def test_retry_after_http_date_is_seconds_from_now(self, monkeypatch, zone):
+        then = datetime.now(timezone.utc) + timedelta(seconds=120)
+        when = (format_datetime(then, usegmt=True) if zone == "GMT"
+                else format_datetime(then.replace(tzinfo=None)))
+        assert when.endswith(" " + zone)
         monkeypatch.setattr(requests, "post", lambda *a, **k: self.FakeResponse(
             429, headers={"Retry-After": when}))
         with pytest.raises(TransientError) as excinfo:
@@ -1217,13 +1227,32 @@ class TestMockBackend:
             "RELATION: Causality")
         assert gateway.complete(req("anything else")).content == "fallthrough"
 
-    def test_hash_exact_match(self):
+    @pytest.mark.parametrize("case", [str.lower, str.upper])
+    def test_hash_exact_match(self, case):
         request = req("exact content")
-        digest = hashlib.sha256(request.rendered().encode()).hexdigest()
+        digest = case(hashlib.sha256(request.rendered().encode()).hexdigest())
         transport = mock_backend([MockRule("hash", digest, "matched")])
         assert ChatGateway(transport).complete(request).content == "matched"
         with pytest.raises(ScriptedMissError):
             ChatGateway(transport).complete(req("different"))
+
+    def test_exact_match_is_the_whole_rendered_prompt(self):
+        request = chat_request("m", "the question", max_tokens=8, system="be brief")
+        assert request.rendered() == "[system]\nbe brief\n\n[user]\nthe question"
+        transport = MockTransport([MockRule("exact", "[user]\nthe question", "part"),
+                                   MockRule("exact", request.rendered(), "whole")])
+        assert ChatGateway(transport).complete(request).content == "whole"
+        with pytest.raises(ScriptedMissError):
+            ChatGateway(transport).complete(req("the question!"))
+
+    def test_a_served_request_can_be_collected(self):
+        transport = MockTransport([MockRule("contains", "", "ok")])
+        request = req()
+        assert transport(request)["choices"][0]["message"]["content"] == "ok"
+        dropped = weakref.ref(request)
+        del request
+        gc.collect()
+        assert dropped() is None
 
     def test_record_then_replay_offline(self, tmp_path):
         transport = mock_backend([("ping", "pong")])
@@ -1250,6 +1279,15 @@ class TestMockBackend:
          ", entry 0: not an object with a string pattern and a string response"),
         ([{"match": "regex", "pattern": "a", "response": "b"}],
          ", entry 0: unknown mock matcher 'regex'"),
+        ([{"pattern": "a", "response": "b"}, {"match": "hash", "pattern": "0" * 63,
+                                              "response": "b"}],
+         ", entry 1: a hash pattern must be 64 hex digits, the sha256 of the rendered prompt"),
+        ([{"match": "hash", "pattern": "0" * 63 + "g", "response": "b"}],
+         ", entry 0: a hash pattern must be 64 hex digits, the sha256 of the rendered prompt"),
+        ([{"match": "hash", "pattern": "0" * 64 + "\n", "response": "b"}],
+         ", entry 0: a hash pattern must be 64 hex digits, the sha256 of the rendered prompt"),
+        ([{"match": "hash", "pattern": "\uff10" * 64, "response": "b"}],
+         ", entry 0: a hash pattern must be 64 hex digits, the sha256 of the rendered prompt"),
     ])
     def test_script_entries_are_checked_on_load(self, tmp_path, entries, message):
         path = tmp_path / "script.json"

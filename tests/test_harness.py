@@ -13,7 +13,7 @@ import pytest
 from flowsra.engine import Question, Route
 from flowsra import gateway as gateway_mod
 from flowsra import harness
-from flowsra.gateway import ChatGateway, PermanentError, load_mock_script, mock_backend
+from flowsra.gateway import ChatGateway, PermanentError, load_mock_script
 from flowsra.harness import (
     JUDGE_MODES,
     REPORT_FORMATS,
@@ -29,7 +29,7 @@ from flowsra.ir import NodeKind
 from flowsra.parsing import Dialect
 from flowsra.routing import ROUTE_MODES, QuestionClass, QuestionType, type_to_class
 
-from gen import rand_flow_graph, topology_oracle
+from gen import Recording, mock_backend, rand_flow_graph, topology_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -625,7 +625,7 @@ class TestUnknownModes:
     @pytest.mark.parametrize("config", [EvalConfig(router_mode="always-sideways"),
                                         EvalConfig(judge_mode="lenient")])
     def test_unknown_mode_raises_before_any_instance(self, config):
-        transport = load_mock_script(DATA / "mock10.json")
+        transport = Recording(load_mock_script(DATA / "mock10.json"))
         drawn = []
         with pytest.raises(ValueError, match="unknown"):
             run_eval(self.drawn_instances(drawn), config, ChatGateway(transport))

@@ -17,6 +17,7 @@ from flowsra.ir import (
     EdgeLabel,
     FlowGraph,
     GraphValidationError,
+    LabelKind,
     Node,
     NodeKind,
     RelationTriple,
@@ -57,7 +58,7 @@ class TestValidate:
         # hand-built: every invariant checked by construction
         graph = FlowGraph(
             nodes=(n("A", NodeKind.START, "Start"), n("B"), n("C", NodeKind.END, "End")),
-            edges=(Edge("A", "B"), Edge("B", "C", EdgeLabel.yes())),
+            edges=(Edge("A", "B"), Edge("B", "C", YES)),
         )
         assert validate(graph) == []
 
@@ -74,13 +75,13 @@ class TestValidate:
     def test_duplicate_edge_rejected_not_deduplicated(self):
         graph = FlowGraph(
             nodes=(n("A"), n("B")),
-            edges=(Edge("A", "B", EdgeLabel.yes()), Edge("A", "B", EdgeLabel.yes())),
+            edges=(Edge("A", "B", YES), Edge("A", "B", YES)),
         )
         assert [v.invariant for v in validate(graph)] == ["duplicate-edge"]
         # same endpoints under a different label is a distinct edge
         ok = FlowGraph(
             nodes=(n("A"), n("B")),
-            edges=(Edge("A", "B", EdgeLabel.yes()), Edge("A", "B", EdgeLabel.no())),
+            edges=(Edge("A", "B", YES), Edge("A", "B", NO)),
         )
         assert validate(ok) == []
 
@@ -101,7 +102,7 @@ def messy_graphs(draw):
         st.sampled_from(["", "one", "two"])), max_size=6))
     edges = draw(st.lists(st.builds(
         Edge, st.sampled_from(_ANY_IDS), st.sampled_from(_ANY_IDS),
-        st.sampled_from([YES, NO, UNLABELED, EdgeLabel.other("t")])), max_size=10))
+        st.sampled_from([YES, NO, UNLABELED, EdgeLabel(LabelKind.OTHER, "t")])), max_size=10))
     return FlowGraph(nodes=tuple(nodes), edges=tuple(edges))
 
 
@@ -143,8 +144,8 @@ class TestTopologyStats:
             edges=(
                 Edge("S", "A"),
                 Edge("A", "D"),
-                Edge("D", "B", EdgeLabel.yes()),
-                Edge("D", "E", EdgeLabel.no()),
+                Edge("D", "B", YES),
+                Edge("D", "E", NO),
             ),
         )
         stats = topology_stats(graph)
@@ -212,7 +213,7 @@ class TestUpgrade:
 # values for every field and, for the first field, a second value
 _VALUES = {
     Node: ((("id", "a"), ("kind", NodeKind.DECISION), ("text", "Ready?")), "b"),
-    Edge: ((("src", "a"), ("dst", "b"), ("label", EdgeLabel.other("retry"))), "c"),
+    Edge: ((("src", "a"), ("dst", "b"), ("label", EdgeLabel(LabelKind.OTHER, "retry"))), "c"),
     RelationTriple: ((("src", "a"), ("relation", RelationType.CAUSALITY), ("dst", "b"),
                       ("rationale", "why")), "c"),
 }
@@ -322,14 +323,13 @@ def referee_from_name(name):
 
 class TestEdgeLabel:
     def test_case_normalization(self):
-        assert EdgeLabel.from_text("yes") == EdgeLabel.yes()
-        assert EdgeLabel.from_text("YES") == EdgeLabel.yes()
-        assert EdgeLabel.from_text("No") == EdgeLabel.no()
-        assert EdgeLabel.from_text("") == EdgeLabel.none()
-        assert EdgeLabel.from_text(None) == EdgeLabel.none()
+        assert EdgeLabel.from_text("yes") == YES
+        assert EdgeLabel.from_text("YES") == YES
+        assert EdgeLabel.from_text("No") == NO
+        assert EdgeLabel.from_text("") == UNLABELED
+        assert EdgeLabel.from_text(None) == UNLABELED
         assert EdgeLabel.from_text("retry").render() == "retry"
 
     def test_yes_no_and_unlabeled_are_the_shared_values(self):
         for raw, shared in (("yes", YES), (" No ", NO), ("", UNLABELED), (None, UNLABELED)):
             assert EdgeLabel.from_text(raw) is shared
-        assert EdgeLabel.yes() is YES and EdgeLabel.no() is NO and EdgeLabel.none() is UNLABELED

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from flowsra import emitting, ir
 from flowsra.emitting import EmitError, emit, emit_triples, emit_upgraded
 from flowsra.engine import Question, Route
-from flowsra.gateway import ChatGateway, mock_backend
+from flowsra.gateway import ChatGateway
 from flowsra.harness import EvalConfig, EvalInstance, run_eval
 from flowsra.ir import (
     Edge,
@@ -28,7 +28,7 @@ from flowsra.parsing import Dialect, parse_text
 from flowsra.relations import HeuristicRelationBackend, heuristic_recognize, upgrade_graph
 from flowsra.routing import QuestionType
 
-from gen import rand_flow_graph, rand_structured_graph, upgrade_by_edge
+from gen import mock_backend, rand_flow_graph, rand_structured_graph, upgrade_by_edge
 
 GENERATORS = {"flow": rand_flow_graph, "structured": rand_structured_graph}
 

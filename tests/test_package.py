@@ -84,16 +84,35 @@ def _cli_outputs(python, tmp_path):
     return outputs
 
 
-@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
-def test_other_interpreters_print_the_same_bytes(tmp_path, version):
-    """pyproject.toml declares Python >= 3.10: each other interpreter on PATH
-    prints what this one prints."""
-    python = shutil.which(f"python{version}")
-    probe = python and subprocess.run(
+def _runs_as(python, version) -> bool:
+    probe = subprocess.run(
         [python, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
         capture_output=True, text=True, timeout=60)
-    if not probe or probe.returncode or probe.stdout.strip() != version:
-        pytest.skip(f"no working python{version} on PATH")
+    return probe.returncode == 0 and probe.stdout.strip() == version
+
+
+def _interpreter(version):
+    """A working ``python<version>``: the one on PATH, else one that pyenv
+    installed (PATH may hold a pyenv shim that fails for a version the
+    shell has not selected). None when neither runs."""
+    python = shutil.which(f"python{version}")
+    if python and _runs_as(python, version):
+        return python
+    if not shutil.which("pyenv"):
+        return None
+    root = subprocess.run(["pyenv", "root"], capture_output=True, text=True,
+                          timeout=60).stdout.strip()
+    installed = sorted(Path(root).glob(f"versions/{version}.*/bin/python{version}")) if root else []
+    return next((str(python) for python in installed if _runs_as(str(python), version)), None)
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_other_interpreters_print_the_same_bytes(tmp_path, version):
+    """pyproject.toml declares Python >= 3.10: each other interpreter on PATH,
+    or installed by pyenv, prints what this one prints."""
+    python = _interpreter(version)
+    if python is None:
+        pytest.skip(f"no working python{version} on PATH or under pyenv")
     expected = _cli_outputs(sys.executable, tmp_path)
     assert [code for code, _ in expected] == [0, 0]
     assert _cli_outputs(python, tmp_path) == expected

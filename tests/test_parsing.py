@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flowsra.emitting import emit
-from flowsra.ir import UNLABELED, EdgeLabel, NodeKind, validate
+from flowsra.ir import NO, UNLABELED, YES, EdgeLabel, LabelKind, NodeKind, validate
 from flowsra.parsing import (
     _DOT_SHAPE_KINDS,
     _DOT_TERMINAL_SHAPES,
@@ -83,8 +83,8 @@ class TestParseMermaid:
             ("C", NodeKind.END, "End"),
         ]
         assert len(graph.edges) == 2
-        assert graph.edges[1].label == EdgeLabel.yes()
-        assert graph.edges[0].label == EdgeLabel.none()
+        assert graph.edges[1].label == YES
+        assert graph.edges[0].label == UNLABELED
 
     def test_header_only_is_empty_graph(self):
         result = parse_mermaid("flowchart TD")
@@ -106,8 +106,8 @@ class TestParseMermaid:
     def test_label_forms_are_equivalent(self):
         pipe = parse_mermaid("flowchart TD\nA-->|Yes|B").graph
         inline = parse_mermaid("flowchart TD\nA--Yes-->B").graph
-        assert pipe.edges[0].label == EdgeLabel.yes()
-        assert inline.edges[0].label == EdgeLabel.yes()
+        assert pipe.edges[0].label == YES
+        assert inline.edges[0].label == YES
 
     def test_edge_chain(self):
         graph = parse_mermaid("flowchart TD\nA --> B --> C").graph
@@ -119,7 +119,7 @@ class TestParseMermaid:
         assert [n.kind for n in graph.nodes] == [
             NodeKind.DECISION, NodeKind.PROCESS, NodeKind.END]
         assert [e.label for e in graph.edges] == [
-            EdgeLabel.yes(), EdgeLabel.other("done")]
+            YES, EdgeLabel(LabelKind.OTHER, "done")]
 
     def test_comments_stripped(self):
         result = parse_mermaid("flowchart TD\n%% a comment\nA-->B %% trailing")
@@ -139,7 +139,7 @@ class TestParseMermaid:
         result = parse_mermaid("flowchart TD\nA -- 50%% off --> B %% note")
         assert result.ok
         assert [(e.src, e.dst, e.label) for e in result.graph.edges] == [
-            ("A", "B", EdgeLabel.other("50%% off"))]
+            ("A", "B", EdgeLabel(LabelKind.OTHER, "50%% off"))]
 
     def test_io_shape(self):
         graph = parse_mermaid("flowchart TD\nA[/Read file/]").graph
@@ -198,7 +198,7 @@ class TestParseDot:
             ("B", NodeKind.PROCESS, "Work"),
         ]
         assert len(graph.edges) == 1
-        assert graph.edges[0].label == EdgeLabel.none()
+        assert graph.edges[0].label == UNLABELED
 
     def test_empty_graph(self):
         result = parse_dot("digraph G {}")
@@ -229,12 +229,12 @@ class TestParseDot:
     def test_edge_labels_normalized(self):
         result = parse_dot('digraph G { A -> B [label="YES"]; B -> C [label="maybe"]; }')
         labels = [e.label for e in result.graph.edges]
-        assert labels[0] == EdgeLabel.yes()
-        assert labels[1] == EdgeLabel.other("maybe")
+        assert labels[0] == YES
+        assert labels[1] == EdgeLabel(LabelKind.OTHER, "maybe")
 
     def test_edge_chain_shares_label(self):
         result = parse_dot('digraph G { A -> B -> C [label="No"]; }')
-        assert [e.label for e in result.graph.edges] == [EdgeLabel.no()] * 2
+        assert [e.label for e in result.graph.edges] == [NO] * 2
 
     def test_comments_and_defaults_ignored(self):
         result = parse_dot(
@@ -251,7 +251,7 @@ class TestParseDot:
     def test_statements_may_span_lines(self):
         result = parse_dot('digraph G {\n  A ->\n  B\n  [label="Yes"]\n}')
         assert result.ok
-        assert result.graph.edges[0].label == EdgeLabel.yes()
+        assert result.graph.edges[0].label == YES
 
     def test_undeclared_nodes_default_to_process_with_id_text(self):
         result = parse_dot("digraph G { A -> B; }")
@@ -262,6 +262,13 @@ class TestParseDot:
         result = parse_dot("digraph G { A -> B; A -> B; }")
         assert validate(result.graph)
         assert any("duplicate edge" in d.message for d in result.errors())
+
+    def test_unsupported_shape_is_a_warning_and_reads_as_a_box(self):
+        result = parse_dot('digraph G {\n  A [shape=hexagon, label="Work"];\n}')
+        assert result.diagnostics == [ParseDiagnostic(
+            2, "unsupported shape 'hexagon' treated as box", Severity.WARNING)]
+        assert [(n.id, n.kind, n.text) for n in result.graph.nodes] == [
+            ("A", NodeKind.PROCESS, "Work")]
 
     def test_empty_label_on_box_is_diagnosed(self):
         result = parse_dot('digraph G { A [shape=box, label=""]; }')
@@ -853,7 +860,7 @@ class TestParsePlantUml:
             NodeKind.START, NodeKind.PROCESS, NodeKind.END]
         assert graph.nodes[1].text == "Work"
         assert [(e.src, e.dst) for e in graph.edges] == [("n0", "n1"), ("n1", "n2")]
-        assert all(e.label == EdgeLabel.none() for e in graph.edges)
+        assert all(e.label == UNLABELED for e in graph.edges)
 
     def test_empty_document(self):
         result = parse_plantuml("@startuml\n@enduml")
@@ -872,7 +879,7 @@ class TestParsePlantUml:
         graph = result.graph
         decision = next(n for n in graph.nodes if n.kind is NodeKind.DECISION)
         branch_labels = {e.label for e in graph.edges if e.src == decision.id}
-        assert branch_labels == {EdgeLabel.yes(), EdgeLabel.no()}
+        assert branch_labels == {YES, NO}
         join = next(n for n in graph.nodes if n.text == "C")
         assert sum(1 for e in graph.edges if e.dst == join.id) == 2
 
@@ -883,7 +890,7 @@ class TestParsePlantUml:
         decision = next(n for n in graph.nodes if n.kind is NodeKind.DECISION)
         join = next(n for n in graph.nodes if n.text == "C")
         no_edges = [e for e in graph.edges
-                    if e.src == decision.id and e.label == EdgeLabel.no()]
+                    if e.src == decision.id and e.label == NO]
         assert [e.dst for e in no_edges] == [join.id]
 
     def test_repeat_builds_yes_back_edge(self):
@@ -894,7 +901,7 @@ class TestParsePlantUml:
         decision = next(n for n in graph.nodes if n.kind is NodeKind.DECISION)
         poll = next(n for n in graph.nodes if n.text == "Poll")
         back = [e for e in graph.edges if e.src == decision.id and e.dst == poll.id]
-        assert back and back[0].label == EdgeLabel.yes()
+        assert back and back[0].label == YES
 
     def test_unmatched_repeat_is_an_error(self):
         result = parse_plantuml("@startuml\nrepeat\n:A;\n@enduml")
@@ -904,7 +911,7 @@ class TestParsePlantUml:
         result = parse_plantuml(
             "@startuml\nstart\n:A;\n-> later;\n:B;\nstop\n@enduml")
         graph = result.graph
-        labeled = [e for e in graph.edges if e.label == EdgeLabel.other("later")]
+        labeled = [e for e in graph.edges if e.label == EdgeLabel(LabelKind.OTHER, "later")]
         assert len(labeled) == 1
 
     def test_title_and_comments(self):
@@ -924,6 +931,22 @@ class TestParsePlantUml:
     def test_empty_action_text_is_diagnosed(self):
         result = parse_plantuml("@startuml\nstart\n:;\nstop\n@enduml")
         assert any("empty text" in d.message for d in result.errors())
+
+    @pytest.mark.parametrize("body,diagnostics", [
+        ("if () then\n:A;\nendif", [(3, "decision with empty condition")]),
+        ("if (c) then\n:A;\nelse\n:B;\nelse\n:C;\nendif",
+         [(7, "duplicate 'else' in one 'if' block")]),
+        # both arms leave the decision unlabeled and reach the next action
+        ("if (c) then ()\nelse ()\nendif\n:A;", [(6, "duplicate edge n1 -> n2")]),
+        ("else\nendif\nrepeat while (x)", [
+            (3, "'else' without a matching 'if'"),
+            (4, "'endif' without a matching 'if'"),
+            (5, "'repeat while' without a matching 'repeat'")]),
+    ])
+    def test_statement_errors(self, body, diagnostics):
+        result = parse_plantuml(f"@startuml\nstart\n{body}\nstop\n@enduml")
+        assert result.diagnostics == [ParseDiagnostic(line, message)
+                                      for line, message in diagnostics]
 
 
 # The backtracking ``if`` and ``repeat while`` regexes that ``_pu_if`` and

@@ -19,24 +19,14 @@ from flowsra.gateway import ChatGateway, cache_key, load_mock_script
 from flowsra.harness import EvalConfig, load_dataset, report_render, run_eval
 from flowsra.routing import ROUTE_MODES
 
+from gen import Recording
+
 DATA = Path(__file__).parent / "data"
 BACKENDS = ("heuristic", "llm")
 
 
 def digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
-
-
-class Recording:
-    """Records the cache key of every request, then defers to ``inner``."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.keys: list[str] = []
-
-    def __call__(self, req):
-        self.keys.append(cache_key(req))
-        return self.inner(req)
 
 
 def hash_answers(req) -> dict:
@@ -65,7 +55,7 @@ def eval_digests(dataset: str, inner, router_mode: str, backend: str):
                    ChatGateway(transport, parallelism=1))
     renders = [report_render(run.report, fmt) for fmt in ("json", "csv", "markdown")]
     renders += [json.dumps(log.to_dict(), sort_keys=True) for log in run.logs]
-    return digest(sorted(transport.keys)), digest(renders)
+    return digest(sorted(map(cache_key, transport.calls))), digest(renders)
 
 
 # (router mode, relation backend) -> (request digest, report and log digest)
@@ -152,7 +142,7 @@ def test_ask_requests_and_payloads(mode, router, backend, tmp_path, capsys, monk
                          "--router", router, "--relation-backend", backend,
                          "--parallelism", "1",
                          "--mock-script", str(DATA / "mock10.json")])
-        keys += transports[-1].keys
+        keys += map(cache_key, transports[-1].calls)
         captured = capsys.readouterr()
         outcomes += [str(code), captured.out, captured.err]
     assert (digest(sorted(keys)), digest(outcomes)) == ASK[(mode, router, backend)]

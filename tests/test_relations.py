@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 
 from flowsra import emitting
 from flowsra.emitting import emit
-from flowsra.gateway import CacheError, ChatGateway, PermanentError, mock_backend
+from flowsra.gateway import CacheError, ChatGateway, PermanentError
 from flowsra.ir import (
+    NO,
+    UNLABELED,
+    YES,
     Edge,
     EdgeLabel,
     FlowGraph,
@@ -35,7 +38,7 @@ from flowsra.relations import (
     upgrade_graph,
 )
 
-from gen import rand_flow_graph
+from gen import mock_backend, rand_flow_graph
 
 
 def node(text, kind=NodeKind.PROCESS, node_id="x"):
@@ -51,14 +54,14 @@ def context_doc():
 
 class TestBuildRelationPrompt:
     def test_contains_all_four_definitions(self):
-        prompt = build_relation_prompt(node("a"), node("b"), EdgeLabel.none(),
+        prompt = build_relation_prompt(node("a"), node("b"), UNLABELED,
                                        context_doc())
         for relation in RelationType:
             assert relation.definition in prompt
         assert "RELATION:" in prompt
 
     def test_yes_label_mentions_branch_polarity(self):
-        prompt = build_relation_prompt(node("a"), node("b"), EdgeLabel.yes(),
+        prompt = build_relation_prompt(node("a"), node("b"), YES,
                                        context_doc())
         assert "Yes" in prompt
         assert "condition holds" in prompt
@@ -66,13 +69,13 @@ class TestBuildRelationPrompt:
     def test_embeds_the_node_pair(self):
         prompt = build_relation_prompt(
             node("Obtain a new photograph"), node("Selecting the Photograph"),
-            EdgeLabel.none(), context_doc())
+            UNLABELED, context_doc())
         assert "Obtain a new photograph" in prompt
         assert "Selecting the Photograph" in prompt
 
     def test_embeds_the_chart_context(self):
         doc = context_doc()
-        prompt = build_relation_prompt(node("a"), node("b"), EdgeLabel.none(), doc)
+        prompt = build_relation_prompt(node("a"), node("b"), UNLABELED, doc)
         assert doc.text.rstrip("\n") in prompt
 
 
@@ -106,47 +109,47 @@ class TestHeuristicRecognize:
     def test_conditionality_from_decision_source(self):
         relation, _ = heuristic_recognize(
             node("Finish your homework?", NodeKind.DECISION), node("Break"),
-            EdgeLabel.yes())
+            YES)
         assert relation is RelationType.CONDITIONALITY
 
     def test_conditionality_from_yes_no_label_alone(self):
         relation, _ = heuristic_recognize(node("step"), node("next"),
-                                          EdgeLabel.no())
+                                          NO)
         assert relation is RelationType.CONDITIONALITY
 
     def test_instantiation_from_category_list(self):
         relation, _ = heuristic_recognize(
             node("Citrus Fruits"), node("Orange and Grapefruit"),
-            EdgeLabel.none())
+            UNLABELED)
         assert relation is RelationType.INSTANTIATION
 
     def test_instantiation_from_cue_words(self):
         relation, _ = heuristic_recognize(
-            node("Pick a tool"), node("for example a hammer"), EdgeLabel.none())
+            node("Pick a tool"), node("for example a hammer"), UNLABELED)
         assert relation is RelationType.INSTANTIATION
 
     def test_causality_from_acquisition_then_selection(self):
         relation, _ = heuristic_recognize(
             node("Obtain a new photograph"), node("Selecting the Photograph"),
-            EdgeLabel.none())
+            UNLABELED)
         assert relation is RelationType.CAUSALITY
 
     def test_causality_from_causal_cue(self):
         relation, _ = heuristic_recognize(
             node("Heating causes expansion"), node("Measure the rod"),
-            EdgeLabel.none())
+            UNLABELED)
         assert relation is RelationType.CAUSALITY
 
     def test_sequentiality_default(self):
         relation, _ = heuristic_recognize(
             node("Mix the flour and water"), node("Knead the mixture into a dough"),
-            EdgeLabel.none())
+            UNLABELED)
         assert relation is RelationType.SEQUENTIALITY
 
     def test_rule_order_decision_beats_instantiation(self):
         relation, _ = heuristic_recognize(
             node("Citrus Fruits", NodeKind.DECISION),
-            node("Orange and Grapefruit"), EdgeLabel.none())
+            node("Orange and Grapefruit"), UNLABELED)
         assert relation is RelationType.CONDITIONALITY
 
 
@@ -158,7 +161,7 @@ def three_edge_graph():
             Node("D", NodeKind.DECISION, "Smooth?"),
             Node("E", NodeKind.END, "End"),
         ),
-        edges=(Edge("S", "A"), Edge("A", "D"), Edge("D", "E", EdgeLabel.yes())),
+        edges=(Edge("S", "A"), Edge("A", "D"), Edge("D", "E", YES)),
     )
 
 
@@ -211,9 +214,12 @@ class TestMakeRelationBackend:
         assert len(ug.triples) == len(graph.edges)
         assert all(isinstance(triple.relation, RelationType) for triple in ug.triples)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown relation backend"):
-            make_relation_backend("oracle")
+    @pytest.mark.parametrize("kind,message", [
+        ("oracle", "^unknown relation backend 'oracle'$"),
+        ("llm", "^the llm relation backend needs a gateway$")])
+    def test_unknown_kind_or_llm_without_a_gateway_rejected(self, kind, message):
+        with pytest.raises(ValueError, match=message):
+            make_relation_backend(kind)
 
 
 class TestUpgradeGraph:
@@ -410,8 +416,8 @@ _NODE_TEXT = (st.text(max_size=30)
               | st.lists(st.sampled_from(_CASCADE_WORDS) | st.text(max_size=4),
                          max_size=8).map(" ".join)
               | st.lists(st.sampled_from(_CASCADE_WORDS), max_size=6).map("".join))
-_LABEL = (st.sampled_from([EdgeLabel.none(), EdgeLabel.yes(), EdgeLabel.no()])
-          | _NODE_TEXT.map(EdgeLabel.other))
+_LABEL = (st.sampled_from([UNLABELED, YES, NO])
+          | _NODE_TEXT.map(lambda text: EdgeLabel(LabelKind.OTHER, text)))
 
 
 class TestHeuristicReferee:
@@ -424,10 +430,10 @@ class TestHeuristicReferee:
 
     def test_every_pair_of_cascade_words(self):
         for src_text, dst_text in itertools.product(_CASCADE_WORDS, repeat=2):
-            for kind, label in ((NodeKind.PROCESS, EdgeLabel.none()),
-                                (NodeKind.PROCESS, EdgeLabel.other("and")),
-                                (NodeKind.DECISION, EdgeLabel.none()),
-                                (NodeKind.INPUT_OUTPUT, EdgeLabel.no())):
+            for kind, label in ((NodeKind.PROCESS, UNLABELED),
+                                (NodeKind.PROCESS, EdgeLabel(LabelKind.OTHER, "and")),
+                                (NodeKind.DECISION, UNLABELED),
+                                (NodeKind.INPUT_OUTPUT, NO)):
                 src, dst = Node("a", kind, src_text), Node("b", NodeKind.PROCESS, dst_text)
                 assert (heuristic_recognize(src, dst, label)
                         == reference_recognize(src, dst, label)), (src_text, dst_text)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from flowsra.gateway import ChatGateway, mock_backend
+from flowsra.gateway import ChatGateway
 from flowsra.routing import (
     ROUTE_MODES,
     TEXT_ROUTE_MODES,
@@ -20,7 +20,7 @@ from flowsra.routing import (
     type_to_class,
 )
 
-from gen import lookup_outcome
+from gen import lookup_outcome, mock_backend
 
 DESK_SET = Path(__file__).parent / "data" / "desk_set.jsonl"
 
@@ -186,6 +186,9 @@ class TestMakeRouter:
         assert router(Question("If it rains, what should I do?")) is (
             QuestionClass.COMPLICATED)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown router"):
-            make_router("always-sideways")
+    @pytest.mark.parametrize("kind,message", [
+        ("always-sideways", "^unknown router 'always-sideways'$"),
+        ("llm", "^the llm router needs a gateway$")])
+    def test_unknown_kind_or_llm_without_a_gateway_rejected(self, kind, message):
+        with pytest.raises(ValueError, match=message):
+            make_router(kind)
