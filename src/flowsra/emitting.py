@@ -184,10 +184,11 @@ def _emit_dot(graph: FlowGraph, upgraded: list[str] | None) -> str:
 # --- PlantUML --------------------------------------------------------------
 
 
-# the kinds the walk tests per node, as module names: reading a member off an
-# Enum class (``NodeKind.END``) goes through EnumType's __getattr__ hook on
-# Python 3.11, about 100 ns a read
+# the kinds the walk tests per node or decision, as module names: reading a
+# member off an Enum class (``NodeKind.END``) goes through EnumType's
+# __getattr__ hook on Python 3.11, about 100 ns a read
 _START, _END, _DECISION = NodeKind.START, NodeKind.END, NodeKind.DECISION
+_YES, _NO = LabelKind.YES, LabelKind.NO
 
 
 def _pu_text(text: str) -> str:
@@ -475,7 +476,7 @@ class _PlantUmlEmitter:
                 f"decision {node.id!r} has {len(outs)} branches; "
                 "only binary decisions are representable")
         first, second = outs
-        if second.label.kind is LabelKind.YES or first.label.kind is LabelKind.NO:
+        if second.label.kind is _YES or first.label.kind is _NO:
             then_edge, else_edge = second, first
         else:
             then_edge, else_edge = first, second

@@ -36,6 +36,7 @@ from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -110,10 +111,6 @@ class ChatResponse:
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 # the string escaper of _KEY_ENCODER, which ensure_ascii=False selects
 _encode_str = json.encoder.encode_basestring
-# key frames per (model, max_tokens); a run uses a handful. Threads that
-# race to build one store equal frames.
-_KEY_FRAMES: dict[tuple[str, int], tuple[str, str]] = {}
-_KEY_FRAMES_MAX = 256
 # decodes every cache entry; json.loads would add a type and a BOM check per call
 _ENTRY_DECODER = json.JSONDecoder()
 # bytes asked of each read of an entry: most entries fit in one read
@@ -122,19 +119,22 @@ _READ_SIZE = 4096
 _ENTRY_OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)
 
 
-def _wire_fields(req: ChatRequest, messages: list) -> dict:
-    """The five fields a request sends, in wire order; ``messages`` is
-    ``req.messages`` in the caller's encoding."""
-    return {"model": req.model, "messages": messages, "temperature": TEMPERATURE,
-            "max_tokens": req.max_tokens, "seed": SEED}
+def _wire_fields(model: str, max_tokens: int, messages: list) -> dict:
+    """The five fields a request sends, in wire order; ``messages`` is the
+    request's messages in the caller's encoding."""
+    return {"model": model, "messages": messages, "temperature": TEMPERATURE,
+            "max_tokens": max_tokens, "seed": SEED}
 
 
-def _key_frame(req: ChatRequest) -> tuple[str, str]:
-    """The encoded key payload of ``req`` around its messages: everything up
-    to the ``[`` that opens them, and from the ``]`` that closes them."""
+# a run uses a handful of (model, max_tokens) pairs
+@lru_cache(maxsize=256)
+def _key_frame(model: str, max_tokens: int) -> tuple[str, str]:
+    """The encoded key payload of a request around its messages: everything
+    up to the ``[`` that opens them, and from the ``]`` that closes them."""
     # sorted keys put "messages" second, after max_tokens (an int); an
     # encoded model cannot hold the mark, since its quotes are escaped
-    head, _, tail = _KEY_ENCODER.encode(_wire_fields(req, [])).partition('"messages":[]')
+    head, _, tail = _KEY_ENCODER.encode(
+        _wire_fields(model, max_tokens, [])).partition('"messages":[]')
     return head + '"messages":[', "]" + tail
 
 
@@ -147,12 +147,7 @@ def cache_key(req: ChatRequest) -> str:
     messages are encoded once per model and ``max_tokens`` (``_key_frame``);
     each request escapes only its messages' strings, with the function the
     encoder itself uses, so the bytes hashed are the encoder's own."""
-    frame = _KEY_FRAMES.get((req.model, req.max_tokens))
-    if frame is None:
-        if len(_KEY_FRAMES) >= _KEY_FRAMES_MAX:
-            _KEY_FRAMES.clear()
-        frame = _KEY_FRAMES[req.model, req.max_tokens] = _key_frame(req)
-    head, tail = frame
+    head, tail = _key_frame(req.model, req.max_tokens)
     messages = ",".join([f"[{_encode_str(m.role)},{_encode_str(m.content)}]"
                          for m in req.messages])
     return hashlib.sha256(f"{head}{messages}{tail}".encode("utf-8")).hexdigest()
@@ -275,7 +270,8 @@ class HttpTransport:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        body = _wire_fields(req, [{"role": m.role, "content": m.content} for m in req.messages])
+        body = _wire_fields(req.model, req.max_tokens,
+                            [{"role": m.role, "content": m.content} for m in req.messages])
         try:
             resp = requests.post(self.endpoint, json=body, headers=headers, timeout=TIMEOUT_S)
         except ValueError as exc:  # raised only while preparing, before any connection

@@ -32,6 +32,11 @@ from .ir import (
     edge_key,
 )
 
+# kinds read per node, bound once: a read off NodeKind goes through its
+# metaclass's __getattr__
+_START, _END, _PROCESS, _DECISION = (
+    NodeKind.START, NodeKind.END, NodeKind.PROCESS, NodeKind.DECISION)
+
 
 class Dialect(Enum):
     MERMAID = "mermaid"
@@ -112,52 +117,45 @@ def detect_dialect(text: str) -> Dialect:
 
 
 class _Builder:
-    """Mutable accumulator used by the parsers; insertion order is kept."""
+    """Mutable accumulator used by the parsers. Nodes keep the order in which
+    ``kinds`` and ``texts`` first saw them; a redeclaration keeps it."""
 
     def __init__(self) -> None:
-        self._order: list[str] = []
-        self._kinds: dict[str, NodeKind] = {}
-        self._texts: dict[str, str] = {}
+        self.kinds: dict[str, NodeKind] = {}
+        self.texts: dict[str, str] = {}
         self._edges: list[Edge] = []
         self._edge_keys: set[tuple[str, str, str, str | None]] = set()
         self._starts: set[str] = set()  # ids whose kind is START
         self.title: str | None = None
-        self._synth = 0
 
-    def fresh_id(self) -> str:
-        nid = f"n{self._synth}"
-        self._synth += 1
-        return nid
-
-    def kind_of(self, node_id: str) -> NodeKind | None:
-        return self._kinds.get(node_id)
-
-    def ensure(self, node_id: str, kind: NodeKind = NodeKind.PROCESS,
-               text: str | None = None) -> str:
-        if node_id not in self._kinds:
-            self._order.append(node_id)
-            self._kinds[node_id] = kind
-            self._texts[node_id] = node_id if text is None else text
-            if kind is NodeKind.START:
-                self._starts.add(node_id)
-        return node_id
+    def ensure(self, node_id: str) -> None:
+        """Declare ``node_id``, if new, as a Process node named after it."""
+        if node_id not in self.kinds:
+            self.kinds[node_id] = _PROCESS
+            self.texts[node_id] = node_id
 
     def define(self, node_id: str, kind: NodeKind, text: str) -> str:
         """Declare or redeclare a node's shape and text (order position kept)."""
-        self.ensure(node_id)
-        self._kinds[node_id] = kind
-        self._texts[node_id] = text
-        if kind is NodeKind.START:
+        self.kinds[node_id] = kind
+        self.texts[node_id] = text
+        if kind is _START:
             self._starts.add(node_id)
         else:
             self._starts.discard(node_id)
         return node_id
 
     def add_node(self, kind: NodeKind, text: str) -> str:
-        return self.define(self.fresh_id(), kind, text)
+        """A new node with a synthesized id; only for parsers that name every
+        node this way, so ``n<count>`` is fresh."""
+        return self.define(f"n{len(self.kinds)}", kind, text)
 
-    def has_start(self, excluding: str | None = None) -> bool:
-        return len(self._starts) > (excluding in self._starts)
+    def terminal_kind(self, node_id: str) -> NodeKind:
+        """The kind of a terminal by position: one that is already Start or
+        End keeps it; otherwise End if the chart has a Start, else Start."""
+        kind = self.kinds.get(node_id)
+        if kind is _START or kind is _END:
+            return kind
+        return _END if self._starts else _START
 
     def add_edge(self, src: str, dst: str, label: EdgeLabel = UNLABELED) -> bool:
         """Record an edge; returns False for a duplicate (kept, so validate()
@@ -168,7 +166,8 @@ class _Builder:
         return len(self._edge_keys) != seen
 
     def build(self) -> FlowGraph:
-        nodes = tuple(Node(nid, self._kinds[nid], self._texts[nid]) for nid in self._order)
+        texts = self.texts
+        nodes = tuple(Node(nid, kind, texts[nid]) for nid, kind in self.kinds.items())
         return FlowGraph(nodes=nodes, edges=tuple(self._edges), title=self.title)
 
 
@@ -183,22 +182,13 @@ _START_CUES = re.compile(r"\b(start|begin)\b", re.IGNORECASE)
 _END_CUES = re.compile(r"\b(end|stop|finish|finished|done|complete|completed)\b", re.IGNORECASE)
 
 
-def _terminal_by_position(builder: _Builder, node_id: str) -> NodeKind:
-    """A terminal keeps its Start or End kind; otherwise the first terminal
-    is Start and later ones are End."""
-    existing = builder.kind_of(node_id)
-    if existing in (NodeKind.START, NodeKind.END):
-        return existing
-    return NodeKind.END if builder.has_start(excluding=node_id) else NodeKind.START
-
-
 def _terminal_kind(text: str, builder: _Builder, node_id: str) -> NodeKind:
     """Classify a terminal-shaped node as Start or End by text cues, then position."""
     if _START_CUES.search(text):
-        return NodeKind.START
+        return _START
     if _END_CUES.search(text):
-        return NodeKind.END
-    return _terminal_by_position(builder, node_id)
+        return _END
+    return builder.terminal_kind(node_id)
 
 
 # --- Mermaid ---------------------------------------------------------------
@@ -277,7 +267,6 @@ def _mermaid_node_ref(builder: _Builder, line: str, pos: int, lineno: int,
     text = _strip_quotes(m.group(group))
     kind = _MERMAID_KIND_OF_GROUP[group]
     if kind is None:
-        builder.ensure(node_id)
         kind = _terminal_kind(text, builder, node_id)
     elif not text:
         diagnostics.append(ParseDiagnostic(
@@ -470,19 +459,18 @@ def _dot_node(builder: _Builder, node_id: str, attrs: dict[str, str],
               tokens: _DotTokens, stmt: int, diagnostics: list[ParseDiagnostic]) -> None:
     """Declare ``node_id`` with its shape and label attributes, from the
     statement at token ``stmt``."""
-    builder.ensure(node_id)
     shape = attrs.get("shape", "").casefold()
-    text = attrs.get("label", builder._texts[node_id])
+    text = attrs.get("label", builder.texts.get(node_id, node_id))
     if shape in _DOT_TERMINAL_SHAPES:
-        kind = _terminal_by_position(builder, node_id)
+        kind = builder.terminal_kind(node_id)
     elif shape in _DOT_SHAPE_KINDS:
         kind = _DOT_SHAPE_KINDS[shape]
     elif shape:
         diagnostics.append(ParseDiagnostic(
             tokens.line(stmt), f"unsupported shape {shape!r} treated as box", Severity.WARNING))
-        kind = NodeKind.PROCESS
+        kind = _PROCESS
     else:
-        kind = builder.kind_of(node_id) or NodeKind.PROCESS
+        kind = builder.kinds.get(node_id, _PROCESS)
     if not text and not kind.is_terminal:
         diagnostics.append(ParseDiagnostic(
             tokens.line(stmt), f"{kind.value} node {node_id!r} has empty label"))
@@ -702,10 +690,10 @@ class _PlantUmlParser:
 
     def statement(self, line: int, stmt: str) -> None:
         if stmt == "start":
-            self.attach(self.builder.add_node(NodeKind.START, ""), line)
+            self.attach(self.builder.add_node(_START, ""), line)
             return
         if stmt == "stop" or stmt == "end":
-            self.attach(self.builder.add_node(NodeKind.END, ""), line)
+            self.attach(self.builder.add_node(_END, ""), line)
             self.tips = []
             return
         m = _PU_ACTION.match(stmt)
@@ -713,7 +701,7 @@ class _PlantUmlParser:
             text = m.group(1).strip()
             if not text:
                 self.error(line, "action with empty text")
-            self.attach(self.builder.add_node(NodeKind.PROCESS, text), line)
+            self.attach(self.builder.add_node(_PROCESS, text), line)
             return
         m = _PU_TITLE.match(stmt)
         if m:
@@ -724,7 +712,7 @@ class _PlantUmlParser:
             cond = if_parts[0].strip()
             if not cond:
                 self.error(line, "decision with empty condition")
-            decision = self.builder.add_node(NodeKind.DECISION, cond)
+            decision = self.builder.add_node(_DECISION, cond)
             self.attach(decision, line)
             self.frames.append(_PuFrame("if", line, decision=decision))
             self.tips = [(decision, _pu_label(if_parts[1], YES))]
@@ -767,7 +755,7 @@ class _PlantUmlParser:
             cond = cond.strip()
             if not cond:
                 self.error(line, "loop decision with empty condition")
-            decision = self.builder.add_node(NodeKind.DECISION, cond)
+            decision = self.builder.add_node(_DECISION, cond)
             self.attach(decision, line)
             head = frame.head or decision
             if not self.builder.add_edge(decision, head, _pu_label(back, YES)):

@@ -6,9 +6,12 @@ The bench eval set (seed 7: 15 charts, 300 questions) runs through
 scripted transport, with no transport delay. Requests issued are read from
 ``ChatGateway.requests``; transport calls and prompt words (whitespace
 words of the rendered request, as the mock transports count prompt tokens)
-from a transport that records each request by its kind. A change that
-moves a figure updates ``COSTS`` and says why. These tests only read
-``bench/``.
+from a transport that records each request by its kind. Fresh words count
+each kind's prompts as a prefix tree of word lists would: the words that no
+other prompt of the kind shares as a prefix. Real endpoints that cache
+prompt prefixes cache whole blocks above a minimum length, so fresh words
+are a lower bound on what they bill. A change that moves a figure updates
+``COSTS`` and says why. These tests only read ``bench/``.
 """
 
 import re
@@ -26,16 +29,16 @@ from flowsra.harness import EvalConfig, load_dataset, run_eval
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SEED = 7
 
-# prompt kind: (requests issued, transport calls, prompt words)
+# prompt kind: (requests issued, transport calls, prompt words, fresh words)
 COSTS = {
-    "router": (300, 300, 43444),
-    "relation": (430, 430, 150814),
-    "relation_retry": (42, 42, 15828),
-    "shallow": (225, 225, 52331),
-    "deep": (75, 75, 52803),
-    "judge": (120, 103, 7264),
-    "judge_retry": (39, 29, 2568),
-    "total": (1231, 1204, 325052),
+    "router": (300, 300, 43444, 4240),
+    "relation": (430, 430, 150814, 15426),
+    "relation_retry": (42, 42, 15828, 5304),
+    "shallow": (225, 225, 52331, 5143),
+    "deep": (75, 75, 52803, 9919),
+    "judge": (120, 103, 7264, 1932),
+    "judge_retry": (39, 29, 2568, 1134),
+    "total": (1231, 1204, 325052, 43098),
 }
 
 # the line before which every prompt of a kind on one chart is the same
@@ -87,14 +90,34 @@ def test_every_request_carries_the_kind_its_prompt_shows(run):
     assert {pair: n for pair, n in pairs.items() if pair[0] != pair[1]} == {}
 
 
+def fresh_words(prompts):
+    """The words of ``prompts`` (word lists) less the longest common prefix
+    of each adjacent pair in sorted order: the node count of their prefix
+    tree, whatever order they came in."""
+    prompts = sorted(prompts)
+    shared = 0
+    for a, b in zip(prompts, prompts[1:]):
+        n = 0
+        for x, y in zip(a, b):
+            if x != y:
+                break
+            n += 1
+        shared += n
+    return sum(map(len, prompts)) - shared
+
+
 def test_cost_per_prompt_kind_is_pinned(run):
     issued, calls, words = run.gateway.requests, Counter(), Counter()
+    prompts = {kind: [] for kind in PromptKind}
     for request in run.sent:
         calls[request.kind] += 1
-        words[request.kind] += len(request.rendered().split())
-    measured = {kind.value: (issued[kind], calls[kind], words[kind]) for kind in PromptKind
-                if issued[kind] or calls[kind]}
-    measured["total"] = (issued.total(), calls.total(), words.total())
+        prompt = request.rendered().split()
+        words[request.kind] += len(prompt)
+        prompts[request.kind].append(prompt)
+    fresh = Counter({kind: fresh_words(prompts[kind]) for kind in PromptKind})
+    measured = {kind.value: (issued[kind], calls[kind], words[kind], fresh[kind])
+                for kind in PromptKind if issued[kind] or calls[kind]}
+    measured["total"] = (issued.total(), calls.total(), words.total(), fresh.total())
     assert measured == COSTS, f"measured:\nCOSTS = {pformat(measured, sort_dicts=False)}"
 
 

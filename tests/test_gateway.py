@@ -44,7 +44,6 @@ from flowsra.gateway import (
     ScriptedMissError,
     TransientError,
     TransportError,
-    _wire_fields,
     cache_key,
     chat_request,
     completion_backend,
@@ -97,7 +96,6 @@ class TestChatRequest:
         assert plain == tagged and hash(plain) == hash(tagged)
         assert cache_key(plain) == cache_key(tagged)
         assert plain.rendered() == tagged.rendered()
-        assert _wire_fields(plain, []) == _wire_fields(tagged, [])
 
 
 class TestCacheKey:
@@ -830,7 +828,8 @@ class TestHttpTransport:
                 raise ValueError("not json")
             return self._payload
 
-    def test_body_carries_temperature_and_seed(self, monkeypatch):
+    @pytest.mark.parametrize("kind", [None, PromptKind.RELATION_RETRY])
+    def test_body_carries_temperature_and_seed(self, monkeypatch, kind):
         captured = {}
 
         def fake_post(url, json=None, headers=None, timeout=None):
@@ -839,7 +838,7 @@ class TestHttpTransport:
 
         monkeypatch.setattr(requests, "post", fake_post)
         transport = gateway_mod.HttpTransport("http://x/v1/chat/completions", "key")
-        transport(req("hello", model="m1"))
+        transport(replace(req("hello", model="m1"), kind=kind))
         assert captured["url"] == "http://x/v1/chat/completions"
         assert captured["headers"]["Authorization"] == "Bearer key"
         assert captured["timeout"] == gateway_mod.TIMEOUT_S

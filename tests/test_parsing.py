@@ -150,13 +150,15 @@ class TestParseMermaid:
         graph = parse_mermaid('flowchart TD\nA["a [b] c"]').graph
         assert graph.nodes[0].text == "a [b] c"
 
-    def test_terminal_disambiguation_by_text_then_position(self):
-        graph = parse_mermaid(
-            "flowchart TD\nA([Begin])-->B([Finish])\nC((spare))").graph
-        kinds = {n.id: n.kind for n in graph.nodes}
-        assert kinds["A"] is NodeKind.START
-        assert kinds["B"] is NodeKind.END
-        assert kinds["C"] is NodeKind.END  # a start already exists
+    @pytest.mark.parametrize("body,expected", [
+        # C: a start already exists
+        ("A([Begin])-->B([Finish])\nC((spare))", {"A": "Start", "B": "End", "C": "End"}),
+        # an End by its text leaves the chart without a Start, so B is one
+        ("A([Finish]) --> B((x))", {"A": "End", "B": "Start"}),
+    ])
+    def test_terminal_disambiguation_by_text_then_position(self, body, expected):
+        graph = parse_mermaid("flowchart TD\n" + body).graph
+        assert {n.id: n.kind.value for n in graph.nodes} == expected
 
     def test_bare_node_defaults_to_process_named_after_id(self):
         graph = parse_mermaid("flowchart TD\nA-->B").graph
@@ -211,12 +213,17 @@ class TestParseDot:
         errors = result.errors()
         assert errors and errors[-1].line == text.count("\n") + 1
 
-    def test_first_oval_is_start_remaining_are_end(self):
-        result = parse_dot(
-            'digraph G { A [shape=oval,label="x"]; B [shape=ellipse,label="y"]; '
-            'C [shape=oval,label="z"]; }')
-        kinds = [n.kind for n in result.graph.nodes]
-        assert kinds == [NodeKind.START, NodeKind.END, NodeKind.END]
+    @pytest.mark.parametrize("body,expected", [
+        ('A [shape=oval,label="x"]; B [shape=ellipse,label="y"]; C [shape=oval,label="z"];',
+         {"A": "Start", "B": "End", "C": "End"}),
+        # A keeps its Start when redeclared, then loses it to a box, so the
+        # chart has no Start when C is declared
+        ("A [shape=oval]; A [shape=oval]; B [shape=oval]; A [shape=box]; C [shape=oval];",
+         {"A": "Process", "B": "End", "C": "Start"}),
+    ])
+    def test_terminal_disambiguation_by_position(self, body, expected):
+        graph = parse_dot("digraph G { " + body + " }").graph
+        assert {n.id: n.kind.value for n in graph.nodes} == expected
 
     def test_shape_mapping(self):
         result = parse_dot(
@@ -447,21 +454,24 @@ class ReferenceDotParser:
 
     def apply_node_attrs(self, node_id, attrs, line):
         self.builder.ensure(node_id)
+        kinds = self.builder.kinds
         shape = attrs.get("shape", "").casefold()
-        text = attrs.get("label", self.builder._texts.get(node_id, node_id))
+        text = attrs.get("label", self.builder.texts[node_id])
         if shape in _DOT_TERMINAL_SHAPES:
-            existing = self.builder.kind_of(node_id)
+            existing = kinds[node_id]
             if existing in (NodeKind.START, NodeKind.END):
                 kind = existing
+            elif any(k is NodeKind.START for nid, k in kinds.items() if nid != node_id):
+                kind = NodeKind.END
             else:
-                kind = NodeKind.END if self.builder.has_start(excluding=node_id) else NodeKind.START
+                kind = NodeKind.START
         elif shape in _DOT_SHAPE_KINDS:
             kind = _DOT_SHAPE_KINDS[shape]
         elif shape:
             self.warn(line, f"unsupported shape {shape!r} treated as box")
             kind = NodeKind.PROCESS
         else:
-            kind = self.builder.kind_of(node_id) or NodeKind.PROCESS
+            kind = kinds[node_id]
         if not text and not kind.is_terminal:
             self.error(line, f"{kind.value} node {node_id!r} has empty label")
         self.builder.define(node_id, kind, text)
@@ -837,17 +847,23 @@ class TestHostileInput:
 class TestBuilderStarts:
     @given(st.lists(st.tuples(st.booleans(), st.sampled_from("abc"),
                               st.sampled_from(list(NodeKind)))))
-    def test_has_start_equals_a_scan_of_every_kind(self, steps):
+    def test_terminal_kind_equals_a_scan_of_every_kind(self, steps):
         builder = _Builder()
         for is_define, node_id, kind in steps:
             if is_define:
                 builder.define(node_id, kind, "text")
             else:
-                builder.ensure(node_id, kind)
-            for excluding in (None, "a", "b", "c", "d"):
-                assert builder.has_start(excluding) == any(
-                    k is NodeKind.START and nid != excluding
-                    for nid, k in builder._kinds.items())
+                builder.ensure(node_id)
+            for nid in "abcd":
+                existing = builder.kinds.get(nid)
+                if existing in (NodeKind.START, NodeKind.END):
+                    expected = existing
+                elif any(k is NodeKind.START for other, k in builder.kinds.items()
+                         if other != nid):
+                    expected = NodeKind.END
+                else:
+                    expected = NodeKind.START
+                assert builder.terminal_kind(nid) is expected
 
 
 class TestParsePlantUml:
