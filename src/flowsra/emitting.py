@@ -22,6 +22,7 @@ from .ir import (
     NodeKind,
     RelationType,
     UpgradedGraph,
+    _Memoized,
     derived,
     relation_definitions_block,
     require_valid,
@@ -30,8 +31,9 @@ from .parsing import MERMAID_ID, Dialect
 
 
 @dataclass(frozen=True)
-class InterlanguageDoc:
-    """Serialized flowchart text tagged with its dialect."""
+class InterlanguageDoc(_Memoized):
+    """Serialized flowchart text tagged with its dialect; what is derived
+    from it is kept on it (see :func:`flowsra.ir.derived`)."""
 
     dialect: Dialect
     text: str
@@ -211,8 +213,6 @@ def _layout(outs: dict[str, list[Edge]], entries: list[str], pos: dict[str, int]
     fwd_succs: dict[str, list[str]] = {}
     reach: dict[str, int] = {}
     for entry in entries:
-        if entry in fwd_succs:
-            continue
         fwd_succs[entry] = []
         stack = [(entry, iter(outs[entry]))]
         while stack:

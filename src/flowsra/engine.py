@@ -18,13 +18,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 from .emitting import InterlanguageDoc, emit, emit_triples, emit_upgraded
-from .gateway import ChatGateway, PromptKind, chat_request
-from .ir import FlowGraph, UpgradedGraph, relation_definitions_block, require_valid
+from .gateway import ChatGateway, ChatMessage, ChatRequest, PromptKind, chat_request
+from .ir import FlowGraph, UpgradedGraph, derived, relation_definitions_block, require_valid
 from .parsing import Dialect
-from .prompts import load_template
+from .prompts import split_template
 from .relations import RelationBackend, upgrade_graph
 from .routing import ClassificationError, Question, QuestionClass, Router
 
@@ -45,24 +46,38 @@ class Answer:
 _SYSTEM_PREAMBLE = "You are a careful assistant for flowchart question answering."
 
 
-def _fingerprint(prompt: str) -> str:
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+# the sha256 state after a request's rendered text up to the head of its
+# last message; a run has one head per chart and depth
+@lru_cache(maxsize=128)
+def _rendered_head_state(earlier: tuple[ChatMessage, ...], role: str, head: str):
+    before = "".join([f"[{m.role}]\n{m.content}\n\n" for m in earlier])
+    return hashlib.sha256(f"{before}[{role}]\n{head}".encode("utf-8"))
 
 
-def _complete(gateway: ChatGateway, model: str, prompt: str, kind: PromptKind) -> tuple[str, str]:
-    request = chat_request(model, prompt, max_tokens=256, system=_SYSTEM_PREAMBLE, kind=kind)
+def _fingerprint(request: ChatRequest) -> str:
+    """sha256 of ``request.rendered()``, hashing each head once."""
+    last = request.messages[-1]
+    state = _rendered_head_state(request.messages[:-1], last.role, last.head).copy()
+    state.update(last.content[len(last.head):].encode("utf-8"))
+    return state.hexdigest()
+
+
+def _complete(gateway: ChatGateway, model: str, name: str, head: str,
+              kind: PromptKind, **values: str) -> tuple[str, str]:
+    prompt = head + split_template(name)[1].format(**values)
+    request = chat_request(model, prompt, max_tokens=256, system=_SYSTEM_PREAMBLE, kind=kind,
+                           head=head)
     content = gateway.complete(request).content
-    return content.strip(), _fingerprint(request.rendered())
+    return content.strip(), _fingerprint(request)
 
 
 def answer_shallow(doc: InterlanguageDoc, question: Question,
                    gateway: ChatGateway, *, model: str) -> Answer:
     """One zero-shot completion over the basic chart text."""
-    prompt = load_template("shallow.txt").format(
-        interlanguage=doc.text.rstrip("\n"),
-        question=question.text,
-    )
-    text, fingerprint = _complete(gateway, model, prompt, PromptKind.SHALLOW)
+    head = derived(doc, "shallow_head", lambda: split_template("shallow.txt")[0].format(
+        interlanguage=doc.text.rstrip("\n")))
+    text, fingerprint = _complete(gateway, model, "shallow.txt", head, PromptKind.SHALLOW,
+                                  question=question.text)
     return Answer(text=text, route=Route.SHALLOW, prompt_fingerprint=fingerprint)
 
 
@@ -70,13 +85,13 @@ def answer_deep(ug: UpgradedGraph, question: Question, gateway: ChatGateway, *,
                 model: str, dialect: Dialect = Dialect.MERMAID) -> Answer:
     """One zero-shot completion over the annotated chart, triples, and
     taxonomy, under perceive-before-answer constraints."""
-    prompt = load_template("deep.txt").format(
+    head = derived(ug, ("deep_head", dialect), lambda: split_template("deep.txt")[0].format(
         upgraded=emit_upgraded(ug, dialect).text.rstrip("\n"),
         triples=emit_triples(ug).rstrip("\n") or "(none)",
         definitions=relation_definitions_block(),
-        question=question.text,
-    )
-    text, fingerprint = _complete(gateway, model, prompt, PromptKind.DEEP)
+    ))
+    text, fingerprint = _complete(gateway, model, "deep.txt", head, PromptKind.DEEP,
+                                  question=question.text)
     return Answer(text=text, route=Route.DEEP, prompt_fingerprint=fingerprint,
                   fallbacks_used=ug.fallback_count())
 

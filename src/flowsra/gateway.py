@@ -14,7 +14,11 @@ encoder writes them (sorted keys, compact, non-ASCII verbatim); the fields
 around the messages are encoded once per model and ``max_tokens``, and each
 request escapes only its messages' strings, with that encoder's own string
 function. Its bytes are those of encoding all five fields per request, as
-earlier versions did, so their caches stay warm. A scriptable mock
+earlier versions did, so their caches stay warm. A prompt's head, the text
+before its per-request part (``ChatMessage.head``), is escaped and hashed
+once: the hash state after it is kept and copied for each request that
+shares it, so a chart's requests cost time linear in the chart's size, not
+in its size times its edges. A scriptable mock
 transport stands in for the network during tests and offline runs; a cache
 miss with no transport is a ``TransportError``. The HTTP client
 (``requests``) is loaded on the first request to an endpoint, so mock runs,
@@ -36,7 +40,7 @@ from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -51,14 +55,20 @@ SEED = 0           # sent with every request, for providers that sample anyway
 
 @dataclass(frozen=True)
 class ChatMessage:
+    """``head`` is a prefix of ``content`` that other requests share, which
+    ``cache_key`` hashes once; like ``ChatRequest.kind``, it is not sent."""
+
     role: str
     content: str
+    head: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # cache_key escapes both as JSON strings
         if not (isinstance(self.role, str) and isinstance(self.content, str)):
             raise ValueError("a chat message's role and content must be strings, not "
                              f"{type(self.role).__name__} and {type(self.content).__name__}")
+        if not (isinstance(self.head, str) and self.content.startswith(self.head)):
+            raise ValueError("a chat message's head must be a prefix of its content")
 
 
 class PromptKind(str, Enum):
@@ -138,6 +148,18 @@ def _key_frame(model: str, max_tokens: int) -> tuple[str, str]:
     return head + '"messages":[', "]" + tail
 
 
+# a run has one head per chart and prompt kind, and one for the router and judge
+@lru_cache(maxsize=128)
+def _head_state(model: str, max_tokens: int, earlier: tuple[ChatMessage, ...],
+                role: str, head: str):
+    """The sha256 state after a request's key payload up to the head of its
+    last message. A string's escaping is its characters' escapings in turn,
+    so the head's, less its closing quote, leads the content's."""
+    before = "".join([f"[{_encode_str(m.role)},{_encode_str(m.content)}]," for m in earlier])
+    return hashlib.sha256(f"{_key_frame(model, max_tokens)[0]}{before}"
+                          f"[{_encode_str(role)},{_encode_str(head)[:-1]}".encode("utf-8"))
+
+
 def cache_key(req: ChatRequest) -> str:
     """Stable hash of the request; independent of wall clock, host, and
     process (usable across restarts).
@@ -146,11 +168,16 @@ def cache_key(req: ChatRequest) -> str:
     them, each message a ``[role, content]`` pair. The fields other than the
     messages are encoded once per model and ``max_tokens`` (``_key_frame``);
     each request escapes only its messages' strings, with the function the
-    encoder itself uses, so the bytes hashed are the encoder's own."""
-    head, tail = _key_frame(req.model, req.max_tokens)
-    messages = ",".join([f"[{_encode_str(m.role)},{_encode_str(m.content)}]"
-                         for m in req.messages])
-    return hashlib.sha256(f"{head}{messages}{tail}".encode("utf-8")).hexdigest()
+    encoder itself uses, so the bytes hashed are the encoder's own. All up
+    to the last message's head is hashed once per head (``_head_state``); a
+    request feeds a copy of that state only the rest. A message without a
+    head takes the same path, with an empty one."""
+    last = req.messages[-1]
+    state = _head_state(req.model, req.max_tokens, req.messages[:-1], last.role,
+                        last.head).copy()
+    rest = _encode_str(last.content[len(last.head):])[1:]
+    state.update(f"{rest}]{_key_frame(req.model, req.max_tokens)[1]}".encode("utf-8"))
+    return state.hexdigest()
 
 
 class TransportError(RuntimeError):
@@ -611,26 +638,28 @@ def map_in_order(fn: Callable[[T], R], items: Iterable[T],
 
 
 def chat_request(model: str, prompt: str, *, max_tokens: int, system: str | None = None,
-                 kind: PromptKind | None = None) -> ChatRequest:
+                 kind: PromptKind | None = None, head: str = "") -> ChatRequest:
     """The request for one prompt: an optional system message, then the
-    prompt as the user message."""
+    prompt as the user message, whose ``head`` is a prefix of ``prompt``
+    (see ``ChatMessage``)."""
     messages = (ChatMessage("system", system),) if system else ()
-    return ChatRequest(model=model, messages=messages + (ChatMessage("user", prompt),),
+    return ChatRequest(model=model, messages=messages + (ChatMessage("user", prompt, head),),
                        max_tokens=max_tokens, kind=kind)
 
 
 def completion_backend(gateway: ChatGateway, model: str, *, max_tokens: int,
                        kind: PromptKind | None = None) -> Callable[[str], str]:
     """Adapter: a plain prompt->text callable over the gateway, as expected
-    by the router/judge/recognizer response parsers. Its ``retry`` attribute
-    asks under the retry form of ``kind``, which must have one."""
+    by the router/judge/recognizer response parsers, which also takes the
+    prompt's head (see ``ChatMessage``). Its ``retry`` attribute asks under
+    the retry form of ``kind``, which must have one."""
 
-    def call(prompt: str, kind: PromptKind | None = kind) -> str:
-        request = chat_request(model, prompt, max_tokens=max_tokens, kind=kind)
+    def call(prompt: str, head: str = "", kind: PromptKind | None = kind) -> str:
+        request = chat_request(model, prompt, max_tokens=max_tokens, kind=kind, head=head)
         return gateway.complete(request).content
 
     retry = kind and PromptKind(f"{kind.value}_retry")
-    call.retry = lambda prompt: call(prompt, retry)
+    call.retry = lambda prompt, head="": call(prompt, head, retry)
     return call
 
 
@@ -650,13 +679,18 @@ def last_tagged_line(text: str, pattern: re.Pattern) -> tuple[int, re.Match] | N
 
 
 def ask_twice(ask: Callable[[str], str], prompt: str,
-              parse: Callable[[str], R | None], instruction: str) -> R | None:
+              parse: Callable[[str], R | None], instruction: str, head: str = "") -> R | None:
     """``parse(ask(prompt))``; when that is None, ask once more, through
     ``ask.retry`` if it has one (see ``completion_backend``), appending that
     the reply was unreadable and "Answer again " with the format
-    ``instruction``. None when neither reply parses."""
+    ``instruction``. None when neither reply parses. An ``ask`` with a
+    ``retry`` is ``completion_backend``'s, and gets ``prompt``'s ``head``
+    too; the re-ask only appends to the prompt, so it keeps the head."""
+    retry = getattr(ask, "retry", None)
+    if retry is not None:
+        ask, retry = partial(ask, head=head), partial(retry, head=head)
     parsed = parse(ask(prompt))
     if parsed is None:
-        parsed = parse(getattr(ask, "retry", ask)(
+        parsed = parse((retry or ask)(
             f"{prompt}\n\nYour previous answer could not be parsed. Answer again {instruction}"))
     return parsed

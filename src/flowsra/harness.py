@@ -49,7 +49,7 @@ from .gateway import ChatGateway, PromptKind, SetupError, completion_backend, ma
 from .gateway import ask_twice, last_tagged_line
 from .ir import UpgradedGraph
 from .parsing import Dialect, ParseResult, parse_text
-from .prompts import load_template
+from .prompts import split_template
 from .relations import make_relation_backend, upgrade_graph
 from .routing import QuestionClass, QuestionType, make_router
 
@@ -205,8 +205,9 @@ def judge(prediction: str, gold: str,
         return JudgeResult(correct=True, tier=1)
     if judge_backend is None:
         return JudgeResult(correct=False, tier=1)
-    prompt = load_template("judge.txt").format(prediction=prediction, gold=gold)
-    verdict = ask_twice(judge_backend, prompt, _parse_verdict, _JUDGE_RETRY)
+    head, rest = split_template("judge.txt")
+    prompt = head + rest.format(prediction=prediction, gold=gold)
+    verdict = ask_twice(judge_backend, prompt, _parse_verdict, _JUDGE_RETRY, head)
     if verdict is None:
         return JudgeResult(correct=False, tier=2, judge_failed=True)
     return JudgeResult(correct=verdict, tier=2)

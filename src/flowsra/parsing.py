@@ -758,8 +758,7 @@ class _PlantUmlParser:
             decision = self.builder.add_node(_DECISION, cond)
             self.attach(decision, line)
             head = frame.head or decision
-            if not self.builder.add_edge(decision, head, _pu_label(back, YES)):
-                self.error(line, f"duplicate edge {decision} -> {head}")
+            self.builder.add_edge(decision, head, _pu_label(back, YES))
             self.tips = [(decision, _pu_label(exit_label, NO))]
             return
         m = _PU_ARROW_LABEL.match(stmt)

@@ -33,11 +33,12 @@ from .ir import (
     RelationTriple,
     RelationType,
     UpgradedGraph,
+    derived,
     relation_definitions_block,
     require_valid,
 )
 from .parsing import Dialect
-from .prompts import load_template
+from .prompts import split_template
 
 
 class UpgradeError(RuntimeError):
@@ -71,13 +72,17 @@ def _label_clause(label: EdgeLabel) -> str:
     return "The edge carries no label."
 
 
+def _relation_head(context: InterlanguageDoc) -> str:
+    """The recognition prompt up to its node pair: once per chart text."""
+    return derived(context, "relation_head", lambda: split_template("relation.txt")[0].format(
+        definitions=relation_definitions_block(), context=context.text.rstrip("\n")))
+
+
 def build_relation_prompt(src: Node, dst: Node, label: EdgeLabel,
                           context: InterlanguageDoc) -> str:
     """Render the recognition prompt: analysis instruction, the four
     definitions, the full chart, the node pair, and the output format."""
-    return load_template("relation.txt").format(
-        definitions=relation_definitions_block(),
-        context=context.text.rstrip("\n"),
+    return _relation_head(context) + split_template("relation.txt")[1].format(
         src_text=src.text,
         dst_text=dst.text,
         label_clause=_label_clause(label),
@@ -198,8 +203,10 @@ class LlmRelationBackend:
         def one(edge: Edge) -> tuple[RelationType, str]:
             src, dst = by_id[edge.src], by_id[edge.dst]
             try:
-                prompt = build_relation_prompt(src, dst, edge.label, emit(graph, dialect))
-                found = ask_twice(ask, prompt, parse_relation_response, _RETRY_REMINDER)
+                context = emit(graph, dialect)
+                prompt = build_relation_prompt(src, dst, edge.label, context)
+                found = ask_twice(ask, prompt, parse_relation_response, _RETRY_REMINDER,
+                                  _relation_head(context))
             except (SetupError, EmitError):
                 raise
             except Exception as exc:

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Callable
 
 from .gateway import ChatGateway, PromptKind, ask_twice, completion_backend, last_tagged_line
-from .prompts import load_template
+from .prompts import split_template
 
 
 class QuestionType(Enum):
@@ -111,8 +111,9 @@ def classify(question: str, backend: Callable[[str], str]) -> QuestionClass:
     """
     if not question.strip():
         raise ValueError("question must be non-empty")
-    prompt = load_template("router.txt").format(question=question, classes=_CLASSES)
-    parsed = ask_twice(backend, prompt, _parse_class, _RETRY_REMINDER)
+    head, rest = split_template("router.txt")
+    prompt = head + rest.format(question=question, classes=_CLASSES)
+    parsed = ask_twice(backend, prompt, _parse_class, _RETRY_REMINDER, head)
     if parsed is None:
         raise ClassificationError(f"unparseable class for question {question!r}")
     return parsed

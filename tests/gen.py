@@ -106,8 +106,9 @@ _IO_TEXTS = [
 
 
 def rand_flow_graph(rng: random.Random, *, with_terminals: bool | None = None,
-                    max_middle: int = 6) -> FlowGraph:
-    """Random flowchart-shaped digraph, valid by construction.
+                    max_middle: int = 6, middle: int | None = None) -> FlowGraph:
+    """Random flowchart-shaped digraph, valid by construction, with
+    ``middle`` nodes between the terminals, or 1 to ``max_middle``.
 
     Suitable for Mermaid and DOT round-trips: when terminals are present
     there is exactly one start node declared first, so oval/stadium
@@ -127,7 +128,7 @@ def rand_flow_graph(rng: random.Random, *, with_terminals: bool | None = None,
 
     if with_terminals:
         fresh(NodeKind.START, rng.choice(_START_TEXTS))
-    n_middle = rng.randint(1, max_middle)
+    n_middle = middle or rng.randint(1, max_middle)
     for i in range(n_middle):
         kind = rng.choice([NodeKind.PROCESS, NodeKind.PROCESS,
                            NodeKind.DECISION, NodeKind.INPUT_OUTPUT])

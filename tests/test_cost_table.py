@@ -48,10 +48,11 @@ LAYOUT_ANCHORS = {
     PromptKind.RELATION: re.compile(r"^Node A \(source\):", re.MULTILINE),
     PromptKind.SHALLOW: QUESTION,
     PromptKind.DEEP: QUESTION,
+    PromptKind.JUDGE: re.compile(r"^Gold answer:", re.MULTILINE),
 }
 # distinct prefixes: one per chart, or one for the run where no chart is shown
 LAYOUT_PREFIXES = {PromptKind.ROUTER: 1, PromptKind.RELATION: 15, PromptKind.SHALLOW: 15,
-                   PromptKind.DEEP: 15}
+                   PromptKind.DEEP: 15, PromptKind.JUDGE: 1}
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +132,16 @@ def test_per_request_text_comes_last_in_each_prompt(run):
             assert found is not None, (request.kind, rendered[:200])
             prefixes[request.kind].add(rendered[:found.start()])
     assert {kind: len(texts) for kind, texts in prefixes.items()} == LAYOUT_PREFIXES
+
+
+def test_each_prompt_carries_its_text_before_the_anchor_as_its_head(run):
+    # a re-ask only appends to the prompt it repeats, so it keeps the head
+    checked = Counter()
+    for request in run.sent:
+        kind = PromptKind(request.kind.value.removesuffix("_retry"))
+        message = request.messages[-1]
+        found = LAYOUT_ANCHORS[kind].search(message.content)
+        assert found is not None, (request.kind, message.content[:200])
+        assert message.head == message.content[:found.start()], request.kind
+        checked[kind] += 1
+    assert set(checked) == set(LAYOUT_ANCHORS)

@@ -1,5 +1,7 @@
 """Reasoning engine: shallow/deep prompts and the controlled dispatch."""
 
+import hashlib
+
 import pytest
 
 from flowsra.emitting import emit, emit_triples
@@ -89,6 +91,14 @@ class TestAnswerShallow:
         second = answer_shallow(doc, question, gateway2, model="m")
         assert first.prompt_fingerprint == second.prompt_fingerprint
 
+    def test_fingerprint_hashes_the_rendered_request(self):
+        gateway, transport = catchall_gateway()
+        doc = emit(homework_graph(), Dialect.MERMAID)
+        for text in ("How many nodes?", "Which node says \"End\"?"):
+            answer = answer_shallow(doc, Question(text), gateway, model="m")
+            rendered = transport.calls[-1].rendered().encode("utf-8")
+            assert answer.prompt_fingerprint == hashlib.sha256(rendered).hexdigest()
+
 
 class TestAnswerDeep:
     def test_zero_edge_graph_has_taxonomy_but_no_triples(self):
@@ -117,6 +127,14 @@ class TestAnswerDeep:
         prompt = transport.calls[0].rendered()
         for line in emit_triples(ug).splitlines():
             assert line in prompt
+
+    def test_fingerprint_hashes_the_rendered_request(self):
+        ug = upgrade_graph(homework_graph(), HeuristicRelationBackend())
+        gateway, transport = catchall_gateway()
+        for dialect in (Dialect.MERMAID, Dialect.DOT):
+            answer = answer_deep(ug, Question("q?"), gateway, model="m", dialect=dialect)
+            rendered = transport.calls[-1].rendered().encode("utf-8")
+            assert answer.prompt_fingerprint == hashlib.sha256(rendered).hexdigest()
 
     def test_taxonomy_and_constraints_present(self):
         ug = upgrade_graph(homework_graph(), HeuristicRelationBackend())

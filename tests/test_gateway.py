@@ -97,6 +97,18 @@ class TestChatRequest:
         assert cache_key(plain) == cache_key(tagged)
         assert plain.rendered() == tagged.rendered()
 
+    def test_head_is_neither_compared_nor_sent(self):
+        plain, headed = ChatMessage("user", "head, tail"), ChatMessage("user", "head, tail", "head")
+        assert plain == headed and hash(plain) == hash(headed) and repr(plain) == repr(headed)
+        requests = [ChatRequest("m", (message,), 7) for message in (plain, headed)]
+        assert cache_key(requests[0]) == cache_key(requests[1])
+        assert requests[0].rendered() == requests[1].rendered()
+
+    @pytest.mark.parametrize("head", ["tail", "head, tail!", "Head", " head", None, b"head"])
+    def test_head_must_be_a_prefix_of_the_content(self, head):
+        with pytest.raises(ValueError, match="prefix"):
+            ChatMessage("user", "head, tail", head)
+
 
 class TestCacheKey:
     def test_equal_requests_equal_keys(self):
@@ -128,6 +140,28 @@ class TestCacheKey:
              "max_tokens": max_tokens, "seed": 0},
             sort_keys=True, ensure_ascii=False, separators=(",", ":"))
         assert cache_key(request) == hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    @settings(max_examples=300, deadline=None)
+    @given(system=st.none() | KEY_TEXT, user=KEY_TEXT, data=st.data())
+    def test_key_is_the_same_with_the_head_split_anywhere(self, system, user, data):
+        # the head's escaping is hashed apart from the rest's, once per head
+        split = data.draw(st.integers(0, len(user)))
+        keys = {cache_key(chat_request("m", user, max_tokens=7, system=system, head=head))
+                for head in ("", user[:split])}
+        assert len(keys) == 1
+
+    @given(surrogate=st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+           system=st.none() | KEY_TEXT, before=KEY_TEXT, after=KEY_TEXT, data=st.data())
+    def test_lone_surrogate_fails_alike_with_the_head_split_anywhere(self, surrogate, system,
+                                                                     before, after, data):
+        user = f"{before}{surrogate}{after}"
+        split = data.draw(st.integers(0, len(user)))
+        errors = []
+        for head in ("", user[:split]):
+            with pytest.raises(UnicodeEncodeError) as caught:
+                cache_key(chat_request("m", user, max_tokens=7, system=system, head=head))
+            errors.append((caught.value.encoding, caught.value.reason))
+        assert errors[0] == errors[1]
 
     @given(surrogate=st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
            field=st.sampled_from(["model", "role", "content"]))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsra import emitting
+from flowsra import gateway as gateway_mod
 from flowsra.emitting import emit
 from flowsra.gateway import CacheError, ChatGateway, PermanentError
 from flowsra.ir import (
@@ -490,3 +491,26 @@ class TestLazyContext:
         with pytest.raises(emitting.EmitError, match="only binary decisions"):
             upgrade_graph(three_edge_graph(), backend, dialect=Dialect.PLANTUML)
         assert transport.calls == []
+
+
+class TestKeyEscapingGrowth:
+    """An llm upgrade escapes the chart that its prompts share once for
+    their cache keys, so what it escapes grows with the chart's size, not
+    with its size times its edges."""
+
+    def test_escaped_text_grows_linearly_with_the_chart(self, monkeypatch):
+        lengths = []
+        encode = gateway_mod._encode_str
+        monkeypatch.setattr(gateway_mod, "_encode_str",
+                            lambda text: lengths.append(len(text)) or encode(text))
+        escaped = {}
+        for nodes in (40, 160):
+            graph = rand_flow_graph(random.Random(nodes), with_terminals=True, middle=nodes - 2)
+            transport = mock_backend([("", "RELATION: Sequentiality")])
+            gateway_mod._head_state.cache_clear()  # as a new process starts
+            lengths.clear()
+            upgrade_graph(graph, LlmRelationBackend(ChatGateway(transport), model="recognizer"))
+            assert len(transport.calls) == len(graph.edges) > len(graph.nodes) >= nodes
+            escaped[nodes] = sum(lengths)
+        # 13.7 when every key escaped the whole chart again
+        assert escaped[160] < 6 * escaped[40], escaped
