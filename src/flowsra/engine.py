@@ -15,14 +15,12 @@ on a chart.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable
 
 from .emitting import InterlanguageDoc, emit, emit_triples, emit_upgraded
-from .gateway import ChatGateway, ChatMessage, ChatRequest, PromptKind, chat_request
+from .gateway import ChatGateway, PromptKind, chat_request, prompt_fingerprint
 from .ir import FlowGraph, UpgradedGraph, derived, relation_definitions_block, require_valid
 from .parsing import Dialect
 from .prompts import split_template
@@ -46,29 +44,13 @@ class Answer:
 _SYSTEM_PREAMBLE = "You are a careful assistant for flowchart question answering."
 
 
-# the sha256 state after a request's rendered text up to the head of its
-# last message; a run has one head per chart and depth
-@lru_cache(maxsize=128)
-def _rendered_head_state(earlier: tuple[ChatMessage, ...], role: str, head: str):
-    before = "".join([f"[{m.role}]\n{m.content}\n\n" for m in earlier])
-    return hashlib.sha256(f"{before}[{role}]\n{head}".encode("utf-8"))
-
-
-def _fingerprint(request: ChatRequest) -> str:
-    """sha256 of ``request.rendered()``, hashing each head once."""
-    last = request.messages[-1]
-    state = _rendered_head_state(request.messages[:-1], last.role, last.head).copy()
-    state.update(last.content[len(last.head):].encode("utf-8"))
-    return state.hexdigest()
-
-
 def _complete(gateway: ChatGateway, model: str, name: str, head: str,
               kind: PromptKind, **values: str) -> tuple[str, str]:
     prompt = head + split_template(name)[1].format(**values)
     request = chat_request(model, prompt, max_tokens=256, system=_SYSTEM_PREAMBLE, kind=kind,
                            head=head)
     content = gateway.complete(request).content
-    return content.strip(), _fingerprint(request)
+    return content.strip(), prompt_fingerprint(request)
 
 
 def answer_shallow(doc: InterlanguageDoc, question: Question,

@@ -101,7 +101,27 @@ class ChatRequest:
 
     def rendered(self) -> str:
         """The prompt as one string, used for matching and fingerprints."""
-        return "\n\n".join(f"[{m.role}]\n{m.content}" for m in self.messages)
+        return _render(self.messages[:-1], self.messages[-1].role, self.messages[-1].content)
+
+
+def _render(earlier: Sequence[ChatMessage], role: str, text: str) -> str:
+    """``earlier``, then a ``role`` message reading ``text``: each message is
+    ``[role]``, a line break and its content; a blank line parts them."""
+    return "".join([f"[{m.role}]\n{m.content}\n\n" for m in earlier]) + f"[{role}]\n{text}"
+
+
+@lru_cache(maxsize=128)  # a run has one head per chart and depth
+def _rendered_head_state(earlier: tuple[ChatMessage, ...], role: str, head: str):
+    """The sha256 state after a rendered prompt up to its last message's head."""
+    return hashlib.sha256(_render(earlier, role, head).encode("utf-8"))
+
+
+def prompt_fingerprint(request: ChatRequest) -> str:
+    """sha256 hex of ``request.rendered()``, hashing each head once."""
+    last = request.messages[-1]
+    state = _rendered_head_state(request.messages[:-1], last.role, last.head).copy()
+    state.update(last.content[len(last.head):].encode("utf-8"))
+    return state.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -266,7 +266,13 @@ class InstanceLog:
 
 @dataclass
 class EvalReport:
-    overall_acc: float
+    """Accuracy and routing figures of one run. ``to_dict`` is the one
+    list of its fields: it is the JSON, and the CSV and markdown read it.
+    A CSV row is a scalar, named by its key, or a nested entry, named
+    ``<group>_<key>`` with ``/`` as ``_``. A figure with nothing to count
+    is None: ``null`` in JSON, an empty CSV cell, ``-`` in markdown."""
+
+    overall_acc: float | None  # None when no instance was scored
     per_type_acc: dict[QuestionType, float | None]
     route_counts: dict[tuple[QuestionType, Route], int]
     discriminator_confusion: dict[tuple[QuestionType, QuestionClass], int]
@@ -432,7 +438,7 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
         per_type[qtype] = (sum(1 for log in of_type if log.correct) / len(of_type)
                            if of_type else None)
     report = EvalReport(
-        overall_acc=(correct / len(scored)) if scored else 0.0,
+        overall_acc=(correct / len(scored)) if scored else None,
         per_type_acc=per_type,
         route_counts=route_counts,
         discriminator_confusion=confusion,
@@ -452,56 +458,47 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
 REPORT_FORMATS = ("json", "csv", "markdown")
 
 
+# the CSV name of each nested group of ``EvalReport.to_dict``
+_CSV_GROUPS = {"per_type_acc": "acc", "route_counts": "route",
+               "discriminator_confusion": "confusion"}
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
+
+
 def _fmt_acc(value: float | None) -> str:
     return "-" if value is None else f"{100.0 * value:.1f}"
 
 
 def report_render(report: EvalReport, fmt: str = "json") -> str:
     """Deterministic serialization of a report in one of ``REPORT_FORMATS``."""
+    v = report.to_dict()
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n"
+        return json.dumps(v, indent=2, ensure_ascii=False) + "\n"
     if fmt == "csv":
-        rows = [("metric", "value"),
-                ("overall_acc", f"{report.overall_acc:.6f}")]
-        for qtype in QuestionType:
-            value = report.per_type_acc.get(qtype)
-            rows.append((f"acc_{qtype.value}",
-                         "" if value is None else f"{value:.6f}"))
-        for qtype in QuestionType:
-            for route in Route:
-                rows.append((f"route_{qtype.value}_{route.value}",
-                             str(report.route_counts.get((qtype, route), 0))))
-        rows += [
-            ("fallback_rate", f"{report.fallback_rate:.6f}"),
-            ("skipped_count", str(report.skipped_count)),
-            ("failed_count", str(report.failed_count)),
-            ("judge_failures", str(report.judge_failures)),
-            ("total", str(report.total)),
-            ("correct", str(report.correct)),
-            ("run_config_fingerprint", report.run_config_fingerprint),
-        ]
+        rows = [("metric", "value")]
+        for key, value in v.items():
+            if isinstance(value, dict):
+                rows += [(f"{_CSV_GROUPS[key]}_{name.replace('/', '_')}", _csv_cell(v))
+                         for name, v in value.items()]
+            else:
+                rows.append((key, _csv_cell(value)))
         return "\n".join(",".join(row) for row in rows) + "\n"
     if fmt == "markdown":
         lines = [
             "| Run | Overall | TP1 | TP2 | TP3 | TP4 |",
             "|---|---|---|---|---|---|",
-            "| "
-            + " | ".join([
-                report.run_config_fingerprint[:12],
-                _fmt_acc(report.overall_acc if report.total - report.skipped_count else None),
-                *(_fmt_acc(report.per_type_acc.get(t)) for t in QuestionType),
-            ])
-            + " |",
+            "| " + " | ".join([v["run_config_fingerprint"][:12], *map(
+                _fmt_acc, [v["overall_acc"], *v["per_type_acc"].values()])]) + " |",
             "",
-            f"- instances: {report.total} (skipped {report.skipped_count}, "
-            f"failed {report.failed_count})",
-            f"- fallback rate: {report.fallback_rate:.3f}",
-            f"- judge failures: {report.judge_failures}",
-            "- routes: "
-            + ", ".join(
-                f"{t.value}/{r.value}={report.route_counts.get((t, r), 0)}"
-                for t in QuestionType for r in Route
-            ),
+            f"- instances: {v['total']} (skipped {v['skipped_count']}, "
+            f"failed {v['failed_count']})",
+            f"- fallback rate: {v['fallback_rate']:.3f}",
+            f"- judge failures: {v['judge_failures']}",
+            "- routes: " + ", ".join(f"{k}={n}" for k, n in v["route_counts"].items()),
         ]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")

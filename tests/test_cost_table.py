@@ -10,8 +10,10 @@ from a transport that records each request by its kind. Fresh words count
 each kind's prompts as a prefix tree of word lists would: the words that no
 other prompt of the kind shares as a prefix. Real endpoints that cache
 prompt prefixes cache whole blocks above a minimum length, so fresh words
-are a lower bound on what they bill. A change that moves a figure updates
-``COSTS`` and says why. These tests only read ``bench/``.
+are a lower bound on what they bill. ``GRID`` prices routing: requests,
+relation requests and prompt words of the same set by question mix, router
+and ``--dialect``. A change that moves a figure updates ``COSTS`` or
+``GRID`` and says why. These tests only read ``bench/``.
 """
 
 import re
@@ -25,6 +27,8 @@ import pytest
 
 from flowsra.gateway import ChatGateway, PromptKind
 from flowsra.harness import EvalConfig, load_dataset, run_eval
+from flowsra.parsing import Dialect
+from flowsra.routing import QuestionType
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SEED = 7
@@ -56,15 +60,21 @@ LAYOUT_PREFIXES = {PromptKind.ROUTER: 1, PromptKind.RELATION: 15, PromptKind.SHA
 
 
 @pytest.fixture(scope="module")
-def run(tmp_path_factory):
+def bench_set(tmp_path_factory):
+    """The bench's ``evalset`` module, its eval set and the set's instances."""
     with pytest.MonkeyPatch.context() as patch:
         patch.syspath_prepend(str(BENCH))
         import evalset
 
-    tmp = tmp_path_factory.mktemp("cost")
+    path = tmp_path_factory.mktemp("evalset") / "dataset.jsonl"
     data = evalset.build(SEED)
-    data.write(tmp / "dataset.jsonl")
-    transport = evalset.ScriptedTransport(data.script, 0.0)
+    data.write(path)
+    return SimpleNamespace(evalset=evalset, data=data, instances=load_dataset(path).instances)
+
+
+@pytest.fixture(scope="module")
+def run(bench_set, tmp_path_factory):
+    transport = bench_set.evalset.ScriptedTransport(bench_set.data.script, 0.0)
     sent, lock = [], threading.Lock()
 
     def recording(request):
@@ -72,11 +82,13 @@ def run(tmp_path_factory):
             sent.append(request)
         return transport(request)
 
-    gateway = ChatGateway(recording, cache_dir=tmp / "cache", parallelism=2)
+    gateway = ChatGateway(recording, cache_dir=tmp_path_factory.mktemp("cost") / "cache",
+                          parallelism=2)
     config = EvalConfig(router_mode="llm", relation_backend="llm", judge_mode="llm")
-    result = run_eval(load_dataset(tmp / "dataset.jsonl").instances, config, gateway)
+    result = run_eval(bench_set.instances, config, gateway)
     # sent: every request the transport received
-    return SimpleNamespace(evalset=evalset, gateway=gateway, sent=sent, report=result.report)
+    return SimpleNamespace(evalset=bench_set.evalset, gateway=gateway, sent=sent,
+                           report=result.report)
 
 
 def test_the_run_answers_every_question(run):
@@ -145,3 +157,56 @@ def test_each_prompt_carries_its_text_before_the_anchor_as_its_head(run):
         assert message.head == message.content[:found.start()], request.kind
         checked[kind] += 1
     assert set(checked) == set(LAYOUT_ANCHORS)
+
+
+def first_per_chart(instances):
+    firsts = {}
+    for instance in instances:
+        firsts.setdefault(instance.source, instance)
+    return list(firsts.values())
+
+
+# (questions, router, --dialect): (requests issued, relation requests and
+# their retries, prompt words), over the same set with the llm recognizer and
+# judge exact, so only the system's own requests are counted; "TP1" is the
+# run with ``filter_type`` TP1, "first" the first question on each chart
+GRID = {
+    ("all", "heuristic", None): (772, 472, 271776),
+    ("all", "llm", None): (1072, 472, 315220),
+    ("all", "always-deep", None): (772, 472, 376566),
+    ("TP1", "heuristic", None): (75, 0, 17340),
+    ("TP1", "llm", None): (150, 0, 27990),
+    ("TP1", "always-deep", None): (547, 472, 218912),
+    ("first", "heuristic", None): (15, 0, 3468),
+    ("first", "llm", None): (30, 0, 5598),
+    ("first", "always-deep", None): (487, 472, 177096),
+    ("all", "heuristic", "mermaid"): (772, 472, 272477),
+    ("all", "heuristic", "dot"): (772, 472, 325949),
+    ("all", "heuristic", "plantuml"): (772, 472, 226332),
+    ("all", "always-shallow", "mermaid"): (300, 0, 70504),
+    ("all", "always-shallow", "dot"): (300, 0, 89224),
+    ("all", "always-shallow", "plantuml"): (300, 0, 52924),
+}
+
+
+@pytest.mark.parametrize("questions, router, dialect", GRID)
+def test_cost_by_question_set_router_and_dialect_is_pinned(bench_set, questions, router,
+                                                           dialect):
+    transport = bench_set.evalset.ScriptedTransport(bench_set.data.script, 0.0)
+    words = []  # per request sent; list.append is atomic
+
+    def counting(request):
+        words.append(len(request.rendered().split()))
+        return transport(request)
+
+    gateway = ChatGateway(counting, parallelism=2)
+    config = EvalConfig(router_mode=router, relation_backend="llm", judge_mode="exact",
+                        dialect=dialect and Dialect(dialect),
+                        filter_type=QuestionType.FACT_RETRIEVAL if questions == "TP1" else None)
+    instances = bench_set.instances
+    report = run_eval(first_per_chart(instances) if questions == "first" else instances,
+                      config, gateway).report
+    assert report.failed_count == 0
+    issued = gateway.requests
+    relation = issued[PromptKind.RELATION] + issued[PromptKind.RELATION_RETRY]
+    assert (issued.total(), relation, sum(words)) == GRID[(questions, router, dialect)]

@@ -49,6 +49,7 @@ from flowsra.gateway import (
     completion_backend,
     load_mock_script,
     map_in_order,
+    prompt_fingerprint,
 )
 
 from gen import mock_backend
@@ -144,10 +145,15 @@ class TestCacheKey:
     @settings(max_examples=300, deadline=None)
     @given(system=st.none() | KEY_TEXT, user=KEY_TEXT, data=st.data())
     def test_key_is_the_same_with_the_head_split_anywhere(self, system, user, data):
-        # the head's escaping is hashed apart from the rest's, once per head
+        # the head's escaping, and its rendering, is hashed apart from the
+        # rest's, once per head
         split = data.draw(st.integers(0, len(user)))
-        keys = {cache_key(chat_request("m", user, max_tokens=7, system=system, head=head))
-                for head in ("", user[:split])}
+        keys = set()
+        for head in ("", user[:split]):
+            request = chat_request("m", user, max_tokens=7, system=system, head=head)
+            keys.add(cache_key(request))
+            rendered = request.rendered().encode("utf-8")
+            assert prompt_fingerprint(request) == hashlib.sha256(rendered).hexdigest()
         assert len(keys) == 1
 
     @given(surrogate=st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),

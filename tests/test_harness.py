@@ -595,6 +595,70 @@ class TestReportRender:
         assert [row.split(",")[0] for row in acc_rows] == [
             "acc_TP1", "acc_TP2", "acc_TP3", "acc_TP4"]
 
+    # the CSV name of each nested group of ``EvalReport.to_dict``
+    CSV_GROUPS = {"per_type_acc": "acc", "route_counts": "route",
+                  "discriminator_confusion": "confusion"}
+
+    @staticmethod
+    def empty_report():
+        # a filter that matches none of the instances
+        load = load_dataset(DATA / "eval10.jsonl")
+        topology = [i for i in load.instances if i.gold_type is QuestionType.TOPOLOGY]
+        return run_eval(topology, EvalConfig(filter_type=QuestionType.FACT_RETRIEVAL),
+                        eval10_gateway()).report
+
+    @staticmethod
+    def all_skipped_report(tmp_path):
+        path = tmp_path / "ds.jsonl"
+        path.write_text("\n".join(json.dumps(
+            {"id": f"bad{i}", "dialect": "mermaid", "source": "flowchart TD\nA-->",
+             "question": "How many nodes?", "answer": "1", "type": f"TP{i}"})
+            for i in (1, 2)))
+        return run_eval(load_dataset(path).instances, EvalConfig(),
+                        ChatGateway(mock_backend([]))).report
+
+    @pytest.mark.parametrize("skipped", [0, 2])
+    def test_nothing_scored_has_no_accuracy_in_any_format(self, skipped, tmp_path):
+        report = self.all_skipped_report(tmp_path) if skipped else self.empty_report()
+        assert (report.total, report.skipped_count) == (skipped, skipped)
+        assert report.overall_acc is None
+        values = json.loads(report_render(report, "json"))
+        assert values["overall_acc"] is None
+        assert set(values["per_type_acc"].values()) == {None}
+        rows = dict(line.split(",") for line in report_render(report, "csv").splitlines())
+        assert [rows[name] for name in ("overall_acc", "acc_TP1", "acc_TP4")] == ["", "", ""]
+        grid = report_render(report, "markdown").splitlines()[2]
+        assert grid == f"| {report.run_config_fingerprint[:12]} | - | - | - | - | - |"
+
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_every_value_of_to_dict_is_one_csv_row(self, empty):
+        report = self.empty_report() if empty else self.make_report()
+        lines = report_render(report, "csv").splitlines()
+        assert lines[0] == "metric,value"
+        rows = [line.split(",") for line in lines[1:]]
+        want = []
+        for key, value in report.to_dict().items():
+            if isinstance(value, dict):
+                group = self.CSV_GROUPS[key]
+                want += [(f"{group}_{name.replace('/', '_')}", v) for name, v in value.items()]
+            else:
+                want.append((key, value))
+        assert [name for name, _ in rows] == [name for name, _ in want]
+        for (name, cell), (_, value) in zip(rows, want):
+            if value is None:
+                assert cell == "", name
+            elif isinstance(value, float):
+                assert float(cell) == pytest.approx(value, abs=5e-7), name
+            else:
+                assert cell == str(value), name
+
+    def test_a_value_added_to_to_dict_is_a_csv_row(self, monkeypatch):
+        report = self.make_report()
+        to_dict = harness.EvalReport.to_dict
+        monkeypatch.setattr(harness.EvalReport, "to_dict",
+                            lambda self: {**to_dict(self), "charts_upgraded": 4, "spare": None})
+        assert report_render(report, "csv").endswith("\ncharts_upgraded,4\nspare,\n")
+
     def test_markdown_matches_golden_file(self):
         rendered = report_render(self.make_report(), "markdown")
         golden = (DATA / "report_golden.md").read_text()
