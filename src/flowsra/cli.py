@@ -126,7 +126,10 @@ def _gateway(config: RunConfig) -> ChatGateway:
         except ValueError as exc:  # a malformed endpoint, or an API key no header can carry
             raise ConfigError(str(exc)) from exc
     cache_dir = config.cache_dir and os.path.expanduser(config.cache_dir)
-    return ChatGateway(transport, cache_dir=cache_dir, parallelism=config.parallelism)
+    try:
+        return ChatGateway(transport, cache_dir=cache_dir, parallelism=config.parallelism)
+    except ValueError as exc:  # a parallelism below 1
+        raise ConfigError(str(exc)) from exc
 
 
 class InputError(RuntimeError):

@@ -371,9 +371,14 @@ class _PlantUmlEmitter:
                   & (1 << pos[right] | reach[right]))
         if not common:
             return None
+        # some level hits: a branch along a forward edge reaches all it
+        # forward-reaches without passing ``decision`` (forward edges make no
+        # cycle), common nodes included; if both are back edges, both targets
+        # were on the search's stack, so one forward-reaches the other, which
+        # is common and in the first level
         seen = {decision}
         frontier = [left, right]
-        while frontier:
+        while True:
             hits = [nid for nid in frontier if common >> pos[nid] & 1]
             if hits:
                 return min(hits, key=pos.__getitem__)
@@ -384,7 +389,6 @@ class _PlantUmlEmitter:
                 seen.add(nid)
                 nxt.extend(self.fwd_succs[nid])
             frontier = nxt
-        return None
 
     def walk(self, nid: str | None, until: str | None, loop_head: str | None) -> _Walk:
         while nid is not None and nid != until:

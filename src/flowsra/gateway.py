@@ -40,7 +40,7 @@ from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -428,14 +428,15 @@ class ChatGateway:
     """Caching, retrying, concurrency-bounded front of any chat transport.
 
     Transport calls run on a ``ThreadPoolExecutor`` of ``parallelism``
-    threads: a requester submits its request and waits for the reply, and
-    an idle thread takes the next queued call at once. ``requests`` counts
-    the requests made of ``complete`` per ``PromptKind``, cache hits and
-    failures included, and ``transport_calls`` the transport calls
-    submitted. The gateway is a reentrant context manager: a scope's
-    executor is made on its first transport call and shut down, its threads
-    joined, when its last user leaves, so no thread outlives the scope and
-    a run served from the cache starts none. A request outside any scope holds one for its own
+    threads (at least 1, or ValueError): a requester submits its request
+    and waits for the reply, and an idle thread takes the next queued call
+    at once. ``requests`` counts the requests made of ``complete`` per
+    ``PromptKind``, cache hits and failures included, and
+    ``transport_calls`` the transport calls submitted. The gateway is a
+    reentrant context manager: a scope's executor is made on its first
+    transport call and shut down, its threads joined, when its last user
+    leaves, so no thread outlives the scope and a run served from the cache
+    starts none. A request outside any scope holds one for its own
     attempts. Retries, their backoff sleeps and cache writes stay in the
     requester's thread.
 
@@ -459,7 +460,9 @@ class ChatGateway:
         self.cache_dir = Path(cache_dir) if cache_dir else None
         # prefix of every entry's path: the directory and a separator
         self._cache_prefix = os.path.join(self.cache_dir, "") if self.cache_dir else None
-        self.parallelism = max(1, parallelism)
+        if parallelism < 1:
+            raise ValueError(f"parallelism must be at least 1, not {parallelism}")
+        self.parallelism = parallelism
         self.requests: Counter[PromptKind | None] = Counter()
         self.transport_calls = 0
         self._sleep = sleep
@@ -667,22 +670,6 @@ def chat_request(model: str, prompt: str, *, max_tokens: int, system: str | None
                        max_tokens=max_tokens, kind=kind)
 
 
-def completion_backend(gateway: ChatGateway, model: str, *, max_tokens: int,
-                       kind: PromptKind | None = None) -> Callable[[str], str]:
-    """Adapter: a plain prompt->text callable over the gateway, as expected
-    by the router/judge/recognizer response parsers, which also takes the
-    prompt's head (see ``ChatMessage``). Its ``retry`` attribute asks under
-    the retry form of ``kind``, which must have one."""
-
-    def call(prompt: str, head: str = "", kind: PromptKind | None = kind) -> str:
-        request = chat_request(model, prompt, max_tokens=max_tokens, kind=kind, head=head)
-        return gateway.complete(request).content
-
-    retry = kind and PromptKind(f"{kind.value}_retry")
-    call.retry = lambda prompt, head="": call(prompt, head, retry)
-    return call
-
-
 _MARKUP = re.compile(r"[*_`#>]")
 
 
@@ -698,19 +685,23 @@ def last_tagged_line(text: str, pattern: re.Pattern) -> tuple[int, re.Match] | N
     return None
 
 
-def ask_twice(ask: Callable[[str], str], prompt: str,
-              parse: Callable[[str], R | None], instruction: str, head: str = "") -> R | None:
-    """``parse(ask(prompt))``; when that is None, ask once more, through
-    ``ask.retry`` if it has one (see ``completion_backend``), appending that
-    the reply was unreadable and "Answer again " with the format
-    ``instruction``. None when neither reply parses. An ``ask`` with a
-    ``retry`` is ``completion_backend``'s, and gets ``prompt``'s ``head``
-    too; the re-ask only appends to the prompt, so it keeps the head."""
-    retry = getattr(ask, "retry", None)
-    if retry is not None:
-        ask, retry = partial(ask, head=head), partial(retry, head=head)
-    parsed = parse(ask(prompt))
+def ask_twice(gateway: ChatGateway, model: str, kind: PromptKind, prompt: str,
+              parse: Callable[[str], R | None], instruction: str, *, max_tokens: int,
+              head: str = "") -> R | None:
+    """``parse`` of the reply to ``prompt``, asked of ``model`` under
+    ``kind``. When that is None, ask once more under ``kind``'s retry form,
+    appending that the reply was unreadable and "Answer again " with the
+    format ``instruction``; the re-ask only appends, so it keeps ``prompt``'s
+    ``head`` (see ``ChatMessage``). None when neither reply parses: the stage
+    gave up after the re-ask. Every stage that parses a tagged line from the
+    model's reply asks here."""
+
+    def ask(text: str, under: PromptKind) -> R | None:
+        request = chat_request(model, text, max_tokens=max_tokens, kind=under, head=head)
+        return parse(gateway.complete(request).content)
+
+    parsed = ask(prompt, kind)
     if parsed is None:
-        parsed = parse((retry or ask)(
-            f"{prompt}\n\nYour previous answer could not be parsed. Answer again {instruction}"))
+        parsed = ask(f"{prompt}\n\nYour previous answer could not be parsed. Answer again "
+                     f"{instruction}", PromptKind(f"{kind.value}_retry"))
     return parsed

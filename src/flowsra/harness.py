@@ -42,11 +42,10 @@ from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .engine import Question, Route, answer_routed, route
-from .gateway import ChatGateway, PromptKind, SetupError, completion_backend, map_in_order
-from .gateway import ask_twice, last_tagged_line
+from .gateway import ChatGateway, PromptKind, SetupError, ask_twice, last_tagged_line, map_in_order
 from .ir import UpgradedGraph
 from .parsing import Dialect, ParseResult, parse_text
 from .prompts import split_template
@@ -197,17 +196,20 @@ def _parse_verdict(text: str) -> bool | None:
     return None if found is None else found[1].group(1).casefold() == "correct"
 
 
-def judge(prediction: str, gold: str,
-          judge_backend: Callable[[str], str] | None = None) -> JudgeResult:
-    """Tier 1: normalized textual equality, no LLM involved. Tier 2: the
-    judge backend decides; an unparseable verdict counts as incorrect."""
+def judge(prediction: str, gold: str, gateway: ChatGateway | None = None,
+          model: str = "judge") -> JudgeResult:
+    """Tier 1: normalized textual equality, no LLM involved. Tier 2, only
+    with a gateway: ``model`` decides, re-asked once for an unreadable
+    verdict (see ``ask_twice``); a verdict still unreadable counts as
+    incorrect, and as a judge failure."""
     if normalize_answer(prediction) == normalize_answer(gold):
         return JudgeResult(correct=True, tier=1)
-    if judge_backend is None:
+    if gateway is None:
         return JudgeResult(correct=False, tier=1)
     head, rest = split_template("judge.txt")
     prompt = head + rest.format(prediction=prediction, gold=gold)
-    verdict = ask_twice(judge_backend, prompt, _parse_verdict, _JUDGE_RETRY, head)
+    verdict = ask_twice(gateway, model, PromptKind.JUDGE, prompt, _parse_verdict, _JUDGE_RETRY,
+                        max_tokens=64, head=head)
     if verdict is None:
         return JudgeResult(correct=False, tier=2, judge_failed=True)
     return JudgeResult(correct=verdict, tier=2)
@@ -349,9 +351,7 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
                                        config.recognizer_model)
     if config.judge_mode not in JUDGE_MODES:
         raise ValueError(f"unknown judge mode {config.judge_mode!r}")
-    judge_backend = (completion_backend(gateway, config.judge_model, max_tokens=64,
-                                        kind=PromptKind.JUDGE)
-                     if config.judge_mode == "llm" else None)
+    judge_gateway = gateway if config.judge_mode == "llm" else None
     charts: dict[tuple[str, Dialect], _Chart] = {}
 
     def jobs() -> Iterator[tuple[EvalInstance, _Chart]]:
@@ -403,7 +403,7 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
             log.predicted = reply.text
             log.prompt_fingerprint = reply.prompt_fingerprint
             log.fallbacks_used = reply.fallbacks_used
-            verdict = judge(reply.text, instance.gold_answer, judge_backend)
+            verdict = judge(reply.text, instance.gold_answer, judge_gateway, config.judge_model)
         except SetupError:
             raise
         except Exception as exc:  # keep the batch alive, record the failure

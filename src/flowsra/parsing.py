@@ -581,9 +581,8 @@ _PU_TITLE = re.compile(r"^title\s+(.*)$")
 _PU_IF_HEAD = re.compile(r"if\s*\(")
 _PU_THEN = re.compile(r"\)\s*then(\s*\()?")
 _PU_REPEAT_WHILE_HEAD = re.compile(r"repeat\s+while\s*\(")
-_PU_IS = re.compile(r"\s+is\s*\(")
+_PU_IS = re.compile(r"\)\s+is\s*\(")
 _PU_NOT = re.compile(r"\)\s+not\s*\(")
-_PU_CLOSE = re.compile(r"\)")
 
 
 def _pu_if(stmt: str) -> tuple[str, str | None] | None:
@@ -605,37 +604,22 @@ def _pu_if(stmt: str) -> tuple[str, str | None] | None:
 
 def _pu_repeat_while(stmt: str) -> tuple[str, str | None, str | None] | None:
     """``repeat while (cond) [is (back)] [not (exit)]`` as (cond, back, exit),
-    or None. cond closes at the first ``)`` that the rest fits after, taking
-    ``is (back)`` when it fits; back closes at the first ``)`` past its ``(``
-    that ends the line or starts ``not (exit)``; exit closes at the line's
-    end. Those back ends are found in one pass and walked in step with cond's
-    ends (each back starts past the last), so the split takes linear time."""
+    or None. The first ``) not (`` ends the condition part and opens exit,
+    which closes at the line's end; without one, the condition part closes
+    there. In it, cond closes at the first ``) is (``, which opens back. Each
+    part is one regex search, so the split takes linear time."""
     head = _PU_REPEAT_WHILE_HEAD.match(stmt)
     if head is None or not stmt.endswith(")"):
         return None
-    # per back end, in order: where its exit starts, None for the last ``)``
-    exits: dict[int, int | None] = {m.start(): m.end()
-                                    for m in _PU_NOT.finditer(stmt, head.end())}
-    exits[len(stmt) - 1] = None
-
-    def exit_text(end: int) -> str | None:
-        start = exits[end]
-        return None if start is None else stmt[start:-1]
-
-    back_ends = list(exits)
-    k = 0
-    for m in _PU_CLOSE.finditer(stmt, head.end()):
-        close = m.start()
-        back = _PU_IS.match(stmt, close + 1)
-        if back is not None:
-            while k < len(back_ends) and back_ends[k] < back.end():
-                k += 1
-            if k < len(back_ends):
-                end = back_ends[k]
-                return stmt[head.end():close], stmt[back.end():end], exit_text(end)
-        if close in exits:
-            return stmt[head.end():close], None, exit_text(close)
-    return None
+    opens_exit = _PU_NOT.search(stmt, head.end())
+    if opens_exit is None:
+        end, exit_text = len(stmt) - 1, None
+    else:
+        end, exit_text = opens_exit.start(), stmt[opens_exit.end():-1]
+    opens_back = _PU_IS.search(stmt, head.end(), end)
+    if opens_back is None:
+        return stmt[head.end():end], None, exit_text
+    return stmt[head.end():opens_back.start()], stmt[opens_back.end():end], exit_text
 
 
 def _pu_label(raw: str | None, default: EdgeLabel) -> EdgeLabel:

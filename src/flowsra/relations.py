@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .emitting import EmitError, InterlanguageDoc, emit
-from .gateway import ChatGateway, PromptKind, SetupError, ask_twice, completion_backend
+from .gateway import ChatGateway, PromptKind, SetupError, ask_twice
 from .gateway import last_tagged_line, map_in_order
 from .ir import (
     FALLBACK_MARK,
@@ -183,8 +183,9 @@ class HeuristicRelationBackend:
 class LlmRelationBackend:
     """Two-phase recognition over a chat gateway, one request per edge.
 
-    One retry on an unparseable response; after that the heuristic answers
-    and the rationale is marked ``fallback:`` so batch runs always finish.
+    Each edge asks through ``ask_twice``, so an unparseable response is
+    re-asked once; after that the heuristic answers and the rationale is
+    marked ``fallback:`` so batch runs always finish.
     Edges run concurrently once their requests reach the transport, up to
     the gateway's parallelism (see ``map_in_order``). The first edge, in
     edge order, whose recognition raises aborts the chart with
@@ -197,7 +198,6 @@ class LlmRelationBackend:
 
     def recognize(self, graph: FlowGraph,
                   dialect: Dialect) -> list[tuple[RelationType, str]]:
-        ask = completion_backend(self.gateway, self.model, max_tokens=512, kind=PromptKind.RELATION)
         by_id = {n.id: n for n in graph.nodes}
 
         def one(edge: Edge) -> tuple[RelationType, str]:
@@ -205,8 +205,9 @@ class LlmRelationBackend:
             try:
                 context = emit(graph, dialect)
                 prompt = build_relation_prompt(src, dst, edge.label, context)
-                found = ask_twice(ask, prompt, parse_relation_response, _RETRY_REMINDER,
-                                  _relation_head(context))
+                found = ask_twice(self.gateway, self.model, PromptKind.RELATION, prompt,
+                                  parse_relation_response, _RETRY_REMINDER, max_tokens=512,
+                                  head=_relation_head(context))
             except (SetupError, EmitError):
                 raise
             except Exception as exc:

@@ -6,7 +6,8 @@ shallow reasoning. Classifier failures default to Complicated because deep
 reasoning tolerates misrouted questions better than shallow reasoning does.
 
 A router is a plain function from a :class:`Question` to its class;
-:func:`make_router` builds one per run from a ``ROUTE_MODES`` name.
+:func:`make_router` builds one per run from a ``ROUTE_MODES`` name. The
+``llm`` router asks the gateway through :func:`flowsra.gateway.ask_twice`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .gateway import ChatGateway, PromptKind, ask_twice, completion_backend, last_tagged_line
+from .gateway import ChatGateway, PromptKind, ask_twice, last_tagged_line
 from .prompts import split_template
 
 
@@ -103,17 +104,18 @@ def _parse_class(text: str) -> QuestionClass | None:
     return None if found is None else _CLASS_BY_NAME[found[1].group(1).casefold()]
 
 
-def classify(question: str, backend: Callable[[str], str]) -> QuestionClass:
-    """Run a prompt-based classifier backend and normalize its output.
+def classify(question: str, gateway: ChatGateway, model: str) -> QuestionClass:
+    """Ask ``model`` for the question's class through the gateway.
 
-    ``backend`` maps a rendered prompt to raw response text. One retry with
-    an explicit format reminder; after that ClassificationError.
+    A reply without a class line is re-asked once with an explicit format
+    reminder (see ``ask_twice``); after that ClassificationError.
     """
     if not question.strip():
         raise ValueError("question must be non-empty")
     head, rest = split_template("router.txt")
     prompt = head + rest.format(question=question, classes=_CLASSES)
-    parsed = ask_twice(backend, prompt, _parse_class, _RETRY_REMINDER, head)
+    parsed = ask_twice(gateway, model, PromptKind.ROUTER, prompt, _parse_class, _RETRY_REMINDER,
+                       max_tokens=64, head=head)
     if parsed is None:
         raise ClassificationError(f"unparseable class for question {question!r}")
     return parsed
@@ -144,6 +146,5 @@ def make_router(kind: str, gateway: ChatGateway | None = None, model: str = "") 
     if kind == "llm":
         if gateway is None:
             raise ValueError("the llm router needs a gateway")
-        ask = completion_backend(gateway, model or "default", max_tokens=64, kind=PromptKind.ROUTER)
-        return lambda question: classify(question.text, ask)
+        return lambda question: classify(question.text, gateway, model or "default")
     raise ValueError(f"unknown router {kind!r}")

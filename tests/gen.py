@@ -1,7 +1,8 @@
 """Shared test utilities: random graph generators, the isomorphism oracle,
 the topology oracle, an edge-keyed upgrade builder, the outcome of an enum
 lookup for comparing it with a referee, a referee that reads an upgraded
-edge label back, and a transport wrapper that records every request.
+edge label back, a transport wrapper that records every request, and a
+gateway that answers each prompt with a function of it.
 
 The isomorphism check deliberately uses no package code, so round-trip
 tests have an independent referee.
@@ -18,7 +19,7 @@ import networkx as nx
 from networkx.algorithms import isomorphism as nxiso
 
 from flowsra.engine import Question
-from flowsra.gateway import MockRule, MockTransport
+from flowsra.gateway import ChatGateway, MockRule, MockTransport
 from flowsra.ir import (NO, UNLABELED, YES, Edge, EdgeLabel, FlowGraph, LabelKind, Node, NodeKind,
                         RelationTriple, RelationType, UpgradedGraph, topology_stats, validate)
 
@@ -440,3 +441,11 @@ def mock_backend(script) -> Recording:
     return Recording(MockTransport([
         entry if isinstance(entry, MockRule) else MockRule("contains", *entry)
         for entry in script]))
+
+
+def reply_gateway(reply) -> ChatGateway:
+    """A gateway without a cache whose transport answers each request with
+    ``reply(prompt)``, the prompt being the request's last message; its
+    ``transport.calls`` records the requests."""
+    return ChatGateway(Recording(lambda req: {"choices": [{"message": {
+        "role": "assistant", "content": reply(req.messages[-1].content)}}]}))

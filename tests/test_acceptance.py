@@ -50,7 +50,7 @@ from flowsra.routing import QuestionType, heuristic_classify, make_router, type_
 import random
 
 from gen import (isomorphic, mock_backend, rand_flow_graph, rand_structured_graph,
-                 topology_oracle)
+                 reply_gateway, topology_oracle)
 
 DATA = Path(__file__).parent / "data"
 
@@ -309,13 +309,13 @@ def test_criterion_8_judge_tiering():
 
         for prediction, gold, tier1, _ in JUDGE_FIXTURE:
             if tier1:
-                result = judge(prediction, gold, tripwire)
+                result = judge(prediction, gold, reply_gateway(tripwire))
                 assert result.correct and result.tier == 1
         assert tier1_calls == []
 
         for prediction, gold, tier1, verdict in JUDGE_FIXTURE:
             if not tier1:
-                result = judge(prediction, gold, lambda p: f"VERDICT: {verdict}")
+                result = judge(prediction, gold, reply_gateway(lambda p: f"VERDICT: {verdict}"))
                 assert result.tier == 2
                 assert result.correct is (verdict == "CORRECT")
 

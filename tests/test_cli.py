@@ -626,6 +626,26 @@ class TestInputShapes:
         assert err == (f"config error: FLOWSRA_{name}={value!r} is not of type "
                        f"{'bool' if name == 'OFFLINE' else 'int'}\n")
 
+    @pytest.mark.parametrize("source", ["flag", "environment", "config file"])
+    @pytest.mark.parametrize("value", [0, -7])
+    def test_parallelism_below_1_exits_2_before_any_call(self, capsys, monkeypatch, tmp_path,
+                                                         source, value):
+        posted = []
+        monkeypatch.setattr(requests, "post", lambda url, **kwargs: posted.append(url))
+        argv = ["route", "--router", "llm", "--question", "How many nodes?",
+                "--endpoint", "http://x/v1"]
+        if source == "flag":
+            argv += ["--parallelism", str(value)]
+        elif source == "environment":
+            monkeypatch.setenv("FLOWSRA_PARALLELISM", str(value))
+        else:
+            config = tmp_path / "flowsra.json"
+            config.write_text(json.dumps({"parallelism": value}))
+            argv += ["--config", str(config)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, posted) == (2, "", [])
+        assert err == f"config error: parallelism must be at least 1, not {value}\n"
+
     @pytest.mark.parametrize("entries,message", [
         (["x"], "entry 0: not an object with a string pattern and a string response"),
         ([{"pattern": "Five"}], "entry 0: not an object with a string pattern and a "

@@ -148,6 +148,9 @@ def test_per_request_text_comes_last_in_each_prompt(run):
 
 def test_each_prompt_carries_its_text_before_the_anchor_as_its_head(run):
     # a re-ask only appends to the prompt it repeats, so it keeps the head
+    # and its token budget
+    max_tokens = {PromptKind.ROUTER: 64, PromptKind.JUDGE: 64, PromptKind.RELATION: 512,
+                  PromptKind.SHALLOW: 256, PromptKind.DEEP: 256}
     checked = Counter()
     for request in run.sent:
         kind = PromptKind(request.kind.value.removesuffix("_retry"))
@@ -155,6 +158,7 @@ def test_each_prompt_carries_its_text_before_the_anchor_as_its_head(run):
         found = LAYOUT_ANCHORS[kind].search(message.content)
         assert found is not None, (request.kind, message.content[:200])
         assert message.head == message.content[:found.start()], request.kind
+        assert request.max_tokens == max_tokens[kind], request.kind
         checked[kind] += 1
     assert set(checked) == set(LAYOUT_ANCHORS)
 

@@ -223,6 +223,25 @@ class TestPlantUmlLimits:
         assert result.ok
         assert isomorphic(result.graph, graph)
 
+    def test_latch_reached_before_its_loop_is_rejected(self):
+        # L closes the loop at H, D's join; D's else branch reaches L through
+        # A and B, and emits it as a decision, before the loop at H is emitted
+        graph = FlowGraph(
+            nodes=(Node("H", NodeKind.START, ""),
+                   Node("A", NodeKind.DECISION, "a?"),
+                   Node("W", NodeKind.PROCESS, "w"),
+                   Node("B", NodeKind.DECISION, "b?"),
+                   Node("D", NodeKind.DECISION, "d?"),
+                   Node("L", NodeKind.DECISION, "again?")),
+            edges=(Edge("H", "L"),
+                   Edge("A", "B", YES), Edge("A", "H", NO),
+                   Edge("B", "W", YES), Edge("B", "L", NO),
+                   Edge("D", "H", YES), Edge("D", "A", NO),
+                   Edge("L", "H", YES), Edge("L", "W", NO)),
+        )
+        with pytest.raises(EmitError, match="^loop at 'H' is not properly nested$"):
+            emit(graph, Dialect.PLANTUML)
+
 
 def mermaid_graph(text: str) -> FlowGraph:
     _, result = parse_text(text)

@@ -46,13 +46,12 @@ from flowsra.gateway import (
     TransportError,
     cache_key,
     chat_request,
-    completion_backend,
     load_mock_script,
     map_in_order,
     prompt_fingerprint,
 )
 
-from gen import mock_backend
+from gen import mock_backend, reply_gateway
 
 
 def req(content="hello", model="m", max_tokens=256):
@@ -854,6 +853,12 @@ class TestTransportWorkers:
         assert 1 <= len(set(threads)) <= 3
         assert not any(thread.is_alive() for thread in threads)
 
+    @pytest.mark.parametrize("parallelism", [0, -7])
+    def test_a_parallelism_below_1_is_refused(self, parallelism):
+        with pytest.raises(ValueError,
+                           match=f"^parallelism must be at least 1, not {parallelism}$"):
+            ChatGateway(lambda r: provider_payload("ok"), parallelism=parallelism)
+
 
 class TestHttpTransport:
     class FakeResponse:
@@ -1370,18 +1375,27 @@ class TestAskParseRetry:
 
         prompts = []
 
-        def ask(prompt):
+        def reply(prompt):
             prompts.append(prompt)
             return "ok" if len(prompts) == 2 else "garbled"
 
         parse = lambda text: text if text == "ok" else None
-        retried = "p\n\nYour previous answer could not be parsed. Answer again +r"
-        assert ask_twice(ask, "p", parse, "+r") == "ok"
-        assert prompts == ["p", retried]
+
+        def ask(gateway, head=""):
+            return ask_twice(gateway, "m", PromptKind.ROUTER, "head: p", parse, "+r",
+                             max_tokens=64, head=head)
+
+        retried = "head: p\n\nYour previous answer could not be parsed. Answer again +r"
+        gateway = reply_gateway(reply)
+        assert ask(gateway, head="head: ") == "ok"
+        assert prompts == ["head: p", retried]
+        # the re-ask only appends to the prompt, so it keeps the head
+        assert [request.messages[-1].head for request in gateway.transport.calls] == [
+            "head: ", "head: "]
         prompts.clear()
-        assert ask_twice(lambda p: prompts.append(p) or "x", "p", parse, "+r") is None
-        assert prompts == ["p", retried]
-        assert ask_twice(lambda p: "ok", "p", parse, "+r") == "ok"
+        assert ask(reply_gateway(lambda p: prompts.append(p) or "x")) is None
+        assert prompts == ["head: p", retried]
+        assert ask(reply_gateway(lambda p: "ok")) == "ok"
 
     @pytest.mark.parametrize("kind, retry", [
         (PromptKind.ROUTER, PromptKind.ROUTER_RETRY),
@@ -1390,14 +1404,7 @@ class TestAskParseRetry:
     def test_ask_twice_tags_the_re_ask_with_the_retry_kind(self, kind, retry):
         from flowsra.gateway import ask_twice
 
-        sent = []
-
-        def transport(request):
-            sent.append(request)
-            return provider_payload("garbled")
-
-        gateway = ChatGateway(transport)
-        ask = completion_backend(gateway, "m", max_tokens=64, kind=kind)
-        assert ask_twice(ask, "p", lambda text: None, "+r") is None
-        assert [request.kind for request in sent] == [kind, retry]
+        gateway = reply_gateway(lambda prompt: "garbled")
+        assert ask_twice(gateway, "m", kind, "p", lambda text: None, "+r", max_tokens=64) is None
+        assert [request.kind for request in gateway.transport.calls] == [kind, retry]
         assert gateway.requests == Counter({kind: 1, retry: 1})

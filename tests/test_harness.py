@@ -29,7 +29,7 @@ from flowsra.ir import NodeKind
 from flowsra.parsing import Dialect
 from flowsra.routing import ROUTE_MODES, QuestionClass, QuestionType, type_to_class
 
-from gen import Recording, mock_backend, rand_flow_graph, topology_oracle
+from gen import Recording, mock_backend, rand_flow_graph, reply_gateway, topology_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -119,7 +119,7 @@ class TestLoadDataset:
 class TestJudge:
     def test_exact_match_without_llm(self):
         tripwire = lambda prompt: (_ for _ in ()).throw(AssertionError("called"))
-        result = judge("7", "7", tripwire)
+        result = judge("7", "7", reply_gateway(tripwire))
         assert result.correct and result.tier == 1
 
     def test_number_word_normalization(self):
@@ -130,11 +130,11 @@ class TestJudge:
         assert judge("Take a break.", "take a break", None).correct
 
     def test_scripted_llm_verdict(self):
-        result = judge("take a break", "Break", lambda p: "VERDICT: CORRECT")
+        result = judge("take a break", "Break", reply_gateway(lambda p: "VERDICT: CORRECT"))
         assert result.correct and result.tier == 2
 
     def test_incorrect_verdict(self):
-        result = judge("apples", "oranges", lambda p: "VERDICT: INCORRECT")
+        result = judge("apples", "oranges", reply_gateway(lambda p: "VERDICT: INCORRECT"))
         assert not result.correct and result.tier == 2
 
     def test_unparseable_verdict_counts_as_judge_failure(self):
@@ -144,7 +144,7 @@ class TestJudge:
             attempts.append(prompt)
             return "shrug"
 
-        result = judge("a", "b", mute)
+        result = judge("a", "b", reply_gateway(mute))
         assert not result.correct
         assert result.judge_failed
         assert len(attempts) == 2

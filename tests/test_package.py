@@ -1,5 +1,6 @@
-"""The package's public surface and import footprint."""
+"""The package's public surface, import footprint and request paths."""
 
+import ast
 import json
 import os
 import shutil
@@ -17,6 +18,24 @@ _ROOT = Path(__file__).resolve().parent.parent
 def test_every_exported_name_resolves_and_the_list_is_sorted_and_unique():
     assert [name for name in flowsra.__all__ if not hasattr(flowsra, name)] == []
     assert flowsra.__all__ == sorted(set(flowsra.__all__))
+
+
+def test_only_the_gateway_and_the_engine_build_or_send_requests():
+    """Every other module reaches the model through ``gateway.ask_twice``,
+    which re-asks an unreadable reply once: in ``src/flowsra`` only
+    gateway.py and engine.py call ``chat_request`` or ``.complete(``."""
+    callers = set()
+    for path in (_ROOT / "src" / "flowsra").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                if func.attr in ("chat_request", "complete"):
+                    callers.add(path.name)
+            elif isinstance(func, ast.Name) and func.id == "chat_request":
+                callers.add(path.name)
+    assert callers == {"engine.py", "gateway.py"}
 
 
 _FOOTPRINT_SCRIPT = r"""

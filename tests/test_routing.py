@@ -20,7 +20,7 @@ from flowsra.routing import (
     type_to_class,
 )
 
-from gen import lookup_outcome, mock_backend
+from gen import lookup_outcome, mock_backend, reply_gateway
 
 DESK_SET = Path(__file__).parent / "data" / "desk_set.jsonl"
 
@@ -102,17 +102,17 @@ class TestHeuristicClassify:
 
 class TestClassify:
     def test_scripted_class_line(self):
-        result = classify("anything?", lambda prompt: "CLASS: Complicated")
+        result = classify("anything?", reply_gateway(lambda prompt: "CLASS: Complicated"), "m")
         assert result is QuestionClass.COMPLICATED
 
     def test_prompt_discloses_classes_and_types(self):
         seen = {}
 
-        def backend(prompt):
+        def reply(prompt):
             seen["prompt"] = prompt
             return "CLASS: Straight"
 
-        classify("How many nodes?", backend)
+        classify("How many nodes?", reply_gateway(reply), "m")
         prompt = seen["prompt"]
         for needle in ("Straight", "Complicated", "Fact retrieval",
                        "Applied scenario", "Flow reference", "Topology",
@@ -127,17 +127,18 @@ class TestClassify:
             return "no class here"
 
         with pytest.raises(ClassificationError):
-            classify("question?", mute)
+            classify("question?", reply_gateway(mute), "m")
         assert len(attempts) == 2
         assert "could not be parsed" in attempts[1]
 
     def test_retry_can_succeed(self):
         responses = iter(["garbled", "CLASS: Straight"])
-        assert classify("q?", lambda p: next(responses)) is QuestionClass.STRAIGHT
+        gateway = reply_gateway(lambda p: next(responses))
+        assert classify("q?", gateway, "m") is QuestionClass.STRAIGHT
 
     def test_empty_question_rejected(self):
         with pytest.raises(ValueError):
-            classify("  ", lambda p: "CLASS: Straight")
+            classify("  ", reply_gateway(lambda p: "CLASS: Straight"), "m")
 
 
 class TestRouters:
