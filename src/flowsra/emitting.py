@@ -87,14 +87,12 @@ def _mermaid_text(text: str) -> str:
     return '"' + text.replace('"', "#quot;") + '"'
 
 
-# the shape tables are keyed by a kind's ``_value_``: a str hashes in C, a
-# NodeKind through the Python-level Enum.__hash__
 _MERMAID_BRACKETS = {
-    NodeKind.START._value_: ("([", "])"),
-    NodeKind.END._value_: ("([", "])"),
-    NodeKind.PROCESS._value_: ("[", "]"),
-    NodeKind.DECISION._value_: ("{", "}"),
-    NodeKind.INPUT_OUTPUT._value_: ("[/", "/]"),
+    NodeKind.START: ("([", "])"),
+    NodeKind.END: ("([", "])"),
+    NodeKind.PROCESS: ("[", "]"),
+    NodeKind.DECISION: ("{", "}"),
+    NodeKind.INPUT_OUTPUT: ("[/", "/]"),
 }
 
 
@@ -128,7 +126,7 @@ def _emit_mermaid(graph: FlowGraph, upgraded: list[str] | None) -> str:
         lines += _taxonomy_comment("%%")
     graph = _with_mermaid_ids(graph)
     for node in graph.nodes:
-        left, right = _MERMAID_BRACKETS[node.kind._value_]
+        left, right = _MERMAID_BRACKETS[node.kind]
         lines.append(f"{node.id}{left}{_mermaid_text(node.text)}{right}")
     for edge, label in zip(graph.edges, _edge_labels(graph, upgraded)):
         if label is None:
@@ -155,11 +153,11 @@ def _dot_str(value: str) -> str:
 
 
 _DOT_SHAPES = {
-    NodeKind.START._value_: "oval",
-    NodeKind.END._value_: "oval",
-    NodeKind.PROCESS._value_: "box",
-    NodeKind.DECISION._value_: "diamond",
-    NodeKind.INPUT_OUTPUT._value_: "parallelogram",
+    NodeKind.START: "oval",
+    NodeKind.END: "oval",
+    NodeKind.PROCESS: "box",
+    NodeKind.DECISION: "diamond",
+    NodeKind.INPUT_OUTPUT: "parallelogram",
 }
 
 
@@ -172,7 +170,7 @@ def _emit_dot(graph: FlowGraph, upgraded: list[str] | None) -> str:
     for node in graph.nodes:
         ids[node.id] = quoted = _dot_id(node.id)
         lines.append(
-            f"  {quoted} [shape={_DOT_SHAPES[node.kind._value_]}, "
+            f"  {quoted} [shape={_DOT_SHAPES[node.kind]}, "
             f"label={_dot_str(node.text)}];")
     for edge, label in zip(graph.edges, _edge_labels(graph, upgraded)):
         stmt = f"  {ids[edge.src]} -> {ids[edge.dst]}"

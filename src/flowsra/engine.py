@@ -16,19 +16,19 @@ on a chart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 from .emitting import InterlanguageDoc, emit, emit_triples, emit_upgraded
 from .gateway import ChatGateway, PromptKind, chat_request, prompt_fingerprint
-from .ir import FlowGraph, UpgradedGraph, derived, relation_definitions_block, require_valid
+from .ir import (FlowGraph, IdentityEnum, UpgradedGraph, derived, relation_definitions_block,
+                 require_valid)
 from .parsing import Dialect
 from .prompts import split_template
 from .relations import RelationBackend, upgrade_graph
 from .routing import ClassificationError, Question, QuestionClass, Router
 
 
-class Route(Enum):
+class Route(IdentityEnum):
     SHALLOW = "shallow"
     DEEP = "deep"
 

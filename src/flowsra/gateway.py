@@ -4,14 +4,16 @@ Requests are content-addressed: the cache key hashes the full request, so a
 warm cache replays a run byte-identically with zero network traffic. A
 cache entry is one file, ``<cache_dir>/<key>.json``, holding the provider's
 payload as UTF-8 JSON with sorted keys. A hit is one ``os.open`` of the
-entry, reads of its descriptor until one returns nothing, and one decode,
-with no file object; a write replaces the entry atomically. The wire shape
-is the de-facto open chat-completions JSON contract. A request varies only
-in its model, messages and ``max_tokens``; ``_wire_fields`` adds the fixed
-``TEMPERATURE`` and ``SEED`` and writes all five, for the cache key and for
-the HTTP body alike. The key's payload is the five fields as one JSON
+entry, one read of its descriptor and one decode, with no file object: a
+read shorter than ``_READ_SIZE`` (4 KiB) is the whole entry, because a short
+read of a regular file ends at its end. Only a read that fills the buffer
+is followed by more, until one returns nothing. A write replaces the entry
+atomically. The wire shape is the de-facto open chat-completions JSON
+contract. A request varies only in its model, messages and ``max_tokens``;
+``_wire_fields`` adds the fixed ``TEMPERATURE`` and ``SEED`` and writes all
+five, for the cache key and for the HTTP body alike. The key's payload is the five fields as one JSON
 encoder writes them (sorted keys, compact, non-ASCII verbatim); the fields
-around the messages are encoded once per model and ``max_tokens``, and each
+around the messages are encoded once per prompt head (below), and each
 request escapes only its messages' strings, with that encoder's own string
 function. Its bytes are those of encoding all five fields per request, as
 earlier versions did, so their caches stay warm. A prompt's head, the text
@@ -53,7 +55,7 @@ TEMPERATURE = 0.0  # sent with every request: greedy decoding
 SEED = 0           # sent with every request, for providers that sample anyway
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChatMessage:
     """``head`` is a prefix of ``content`` that other requests share, which
     ``cache_key`` hashes once; like ``ChatRequest.kind``, it is not sent."""
@@ -93,7 +95,8 @@ class ChatRequest:
     kind: PromptKind | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "messages", tuple(self.messages))
+        if type(self.messages) is not tuple:
+            object.__setattr__(self, "messages", tuple(self.messages))
         if not self.messages:
             raise ValueError("a chat request needs at least one message")
         if isinstance(self.max_tokens, bool) or not isinstance(self.max_tokens, int):
@@ -124,13 +127,13 @@ def prompt_fingerprint(request: ChatRequest) -> str:
     return state.hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Usage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChatResponse:
     content: str
     usage: Usage = Usage()
@@ -143,6 +146,8 @@ _KEY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(
 _encode_str = json.encoder.encode_basestring
 # decodes every cache entry; json.loads would add a type and a BOM check per call
 _ENTRY_DECODER = json.JSONDecoder()
+# the whitespace JSON allows around a value, which JSONDecoder.decode skips
+_JSON_WHITESPACE = " \t\n\r"
 # bytes asked of each read of an entry: most entries fit in one read
 _READ_SIZE = 4096
 # how an entry is opened; regular files ignore O_NONBLOCK
@@ -156,8 +161,6 @@ def _wire_fields(model: str, max_tokens: int, messages: list) -> dict:
             "max_tokens": max_tokens, "seed": SEED}
 
 
-# a run uses a handful of (model, max_tokens) pairs
-@lru_cache(maxsize=256)
 def _key_frame(model: str, max_tokens: int) -> tuple[str, str]:
     """The encoded key payload of a request around its messages: everything
     up to the ``[`` that opens them, and from the ``]`` that closes them."""
@@ -173,11 +176,15 @@ def _key_frame(model: str, max_tokens: int) -> tuple[str, str]:
 def _head_state(model: str, max_tokens: int, earlier: tuple[ChatMessage, ...],
                 role: str, head: str):
     """The sha256 state after a request's key payload up to the head of its
-    last message. A string's escaping is its characters' escapings in turn,
-    so the head's, less its closing quote, leads the content's."""
+    last message, and the payload's text from the ``]`` that closes the
+    messages (``_key_frame``). A string's escaping is its characters'
+    escapings in turn, so the head's, less its closing quote, leads the
+    content's."""
+    frame_head, frame_tail = _key_frame(model, max_tokens)
     before = "".join([f"[{_encode_str(m.role)},{_encode_str(m.content)}]," for m in earlier])
-    return hashlib.sha256(f"{_key_frame(model, max_tokens)[0]}{before}"
-                          f"[{_encode_str(role)},{_encode_str(head)[:-1]}".encode("utf-8"))
+    state = hashlib.sha256(f"{frame_head}{before}"
+                           f"[{_encode_str(role)},{_encode_str(head)[:-1]}".encode("utf-8"))
+    return state, frame_tail
 
 
 def cache_key(req: ChatRequest) -> str:
@@ -185,18 +192,19 @@ def cache_key(req: ChatRequest) -> str:
     process (usable across restarts).
 
     The hash is sha256 of the five wire fields as ``_KEY_ENCODER`` writes
-    them, each message a ``[role, content]`` pair. The fields other than the
-    messages are encoded once per model and ``max_tokens`` (``_key_frame``);
-    each request escapes only its messages' strings, with the function the
-    encoder itself uses, so the bytes hashed are the encoder's own. All up
-    to the last message's head is hashed once per head (``_head_state``); a
-    request feeds a copy of that state only the rest. A message without a
-    head takes the same path, with an empty one."""
+    them, each message a ``[role, content]`` pair. All up to the last
+    message's head is hashed once per head (``_head_state``), which also
+    keeps the encoded fields after the messages (``_key_frame``); a request
+    feeds a copy of that state only the rest of its content and those
+    fields. Each request escapes only its messages' strings, with the
+    function the encoder itself uses, so the bytes hashed are the encoder's
+    own. A message without a head takes the same path, with an empty one."""
     last = req.messages[-1]
-    state = _head_state(req.model, req.max_tokens, req.messages[:-1], last.role,
-                        last.head).copy()
+    head_state, frame_tail = _head_state(req.model, req.max_tokens, req.messages[:-1],
+                                         last.role, last.head)
+    state = head_state.copy()
     rest = _encode_str(last.content[len(last.head):])[1:]
-    state.update(f"{rest}]{_key_frame(req.model, req.max_tokens)[1]}".encode("utf-8"))
+    state.update(f"{rest}]{frame_tail}".encode("utf-8"))
     return state.hexdigest()
 
 
@@ -254,6 +262,13 @@ def parse_provider_payload(payload: dict, cached: bool = False) -> ChatResponse:
     if not isinstance(content, str):
         raise ProtocolError("provider payload content is not text")
     usage_raw = payload.get("usage") or {}
+    if type(usage_raw) is dict:
+        # the shape every transport and cache entry sends: two int counts,
+        # which the conversions below would return as they are
+        prompt_tokens = usage_raw.get("prompt_tokens")
+        completion_tokens = usage_raw.get("completion_tokens")
+        if type(prompt_tokens) is int and type(completion_tokens) is int:
+            return ChatResponse(content, Usage(prompt_tokens, completion_tokens), cached)
     try:
         usage = Usage(
             prompt_tokens=int(usage_raw.get("prompt_tokens", 0) or 0),
@@ -431,12 +446,13 @@ class ChatGateway:
     threads (at least 1, or ValueError): a requester submits its request
     and waits for the reply, and an idle thread takes the next queued call
     at once. ``requests`` counts the requests made of ``complete`` per
-    ``PromptKind``, cache hits and failures included, and
-    ``transport_calls`` the transport calls submitted. The gateway is a
-    reentrant context manager: a scope's executor is made on its first
-    transport call and shut down, its threads joined, when its last user
-    leaves, so no thread outlives the scope and a run served from the cache
-    starts none. A request outside any scope holds one for its own
+    ``PromptKind``, cache hits and failures included; ``cache_hits`` counts
+    those of them served from the cache or by a single-flight peer (below),
+    per kind; and ``transport_calls`` counts the transport calls submitted.
+    The gateway is a reentrant context manager: a scope's executor is made
+    on its first transport call and shut down, its threads joined, when its
+    last user leaves, so no thread outlives the scope and a run served from
+    the cache starts none. A request outside any scope holds one for its own
     attempts. Retries, their backoff sleeps and cache writes stay in the
     requester's thread.
 
@@ -464,6 +480,7 @@ class ChatGateway:
             raise ValueError(f"parallelism must be at least 1, not {parallelism}")
         self.parallelism = parallelism
         self.requests: Counter[PromptKind | None] = Counter()
+        self.cache_hits: Counter[PromptKind | None] = Counter()
         self.transport_calls = 0
         self._sleep = sleep
         self._rng = rng or random.Random()
@@ -517,13 +534,20 @@ class ChatGateway:
             # reads empty
             fd = os.open(f"{self._cache_prefix}{key}.json", _ENTRY_OPEN_FLAGS)
             try:
-                chunks = [os.read(fd, _READ_SIZE)]
-                while chunks[-1]:
-                    chunks.append(os.read(fd, _READ_SIZE))
+                data = os.read(fd, _READ_SIZE)
+                if len(data) == _READ_SIZE:  # a shorter read ended at the end of the file
+                    chunks = [data]
+                    while chunks[-1]:
+                        chunks.append(os.read(fd, _READ_SIZE))
+                    data = b"".join(chunks)
             finally:
                 os.close(fd)
-            text = b"".join(chunks).decode("utf-8")
-            return parse_provider_payload(_ENTRY_DECODER.decode(text), cached=True)
+            # JSONDecoder.decode's reading, without its two regex scans
+            text = data.decode("utf-8").strip(_JSON_WHITESPACE)
+            payload, end = _ENTRY_DECODER.raw_decode(text)
+            if end != len(text):
+                raise ValueError("data after the JSON value")
+            return parse_provider_payload(payload, cached=True)
         except (OSError, ValueError, RecursionError, ProtocolError):
             return None
 
@@ -560,7 +584,7 @@ class ChatGateway:
         key = cache_key(req)
         cached = self._cache_read(key)
         if cached is not None:
-            return cached
+            return self._hit(req.kind, cached)
         if self.transport is None:
             raise TransportError("request not in cache and no transport is configured")
         if self.cache_dir is None:
@@ -572,17 +596,27 @@ class ChatGateway:
             if flight is not mine:
                 response = flight.result()
                 if response is not None:
-                    return replace(response, cached=True)
+                    return self._hit(req.kind, replace(response, cached=True))
                 continue  # that flight failed: try again, perhaps leading
             response = None
             try:
                 # a flight that landed after the read above has filled the cache
-                response = self._cache_read(key) or self._fetch(key, req)
+                response = self._cache_read(key)
+                if response is None:
+                    response = self._fetch(key, req)
+                else:
+                    self._hit(req.kind, response)
                 return response
             finally:
                 with self._lock:
                     del self._flights[key]
                 mine.set_result(response)
+
+    def _hit(self, kind: PromptKind | None, response: ChatResponse) -> ChatResponse:
+        """Count ``response``, served without the transport, as a hit."""
+        with self._lock:
+            self.cache_hits[kind] += 1
+        return response
 
     def _fetch(self, key: str, req: ChatRequest) -> ChatResponse:
         """Call the transport, retrying transient failures after the larger

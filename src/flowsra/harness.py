@@ -99,14 +99,19 @@ _NOT_TEXT = {type(None): "null", bool: "boolean", list: "array", dict: "object"}
 
 def _text_field(record: dict, name: str) -> str:
     value = record[name]
+    if type(value) is str:
+        return value
     if type(value) in _NOT_TEXT:
         raise ValueError(f"field {name!r} must be a string, not {_NOT_TEXT[type(value)]}")
     return str(value)
 
 
 def load_dataset(path: str | Path) -> DatasetLoad:
-    """Read line-delimited records; malformed ones become diagnostics.
+    """Read JSON Lines records; malformed ones become diagnostics.
 
+    A record ends at a line break, ``\n``, ``\r\n`` or ``\r``, and record N
+    is the Nth line. U+0085, U+2028 and U+2029, which JSON strings may hold
+    unescaped, are no line breaks here, as they are to ``str.splitlines``.
     Every field must be a JSON string or number, read as its text; a field
     that is null, a boolean, an array or an object makes the record
     malformed.
@@ -117,7 +122,7 @@ def load_dataset(path: str | Path) -> DatasetLoad:
     text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     instances: list[EvalInstance] = []
     diagnostics: list[LoadDiagnostic] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

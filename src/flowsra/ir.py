@@ -27,7 +27,15 @@ from typing import Callable, Hashable, Iterable, TypeVar
 T = TypeVar("T")
 
 
-class NodeKind(Enum):
+class IdentityEnum(Enum):
+    """The base of the package's plain enums: a member hashes by identity,
+    in C, as it compares. ``Enum.__hash__`` hashes the member's name in
+    Python, which each dict key and memo lookup would pay."""
+
+    __hash__ = object.__hash__
+
+
+class NodeKind(IdentityEnum):
     """The five node shapes every dialect maps onto."""
 
     START = "Start"
@@ -41,7 +49,7 @@ class NodeKind(Enum):
         return self in (NodeKind.START, NodeKind.END)
 
 
-class LabelKind(Enum):
+class LabelKind(IdentityEnum):
     YES = "yes"
     NO = "no"
     OTHER = "other"
@@ -77,18 +85,17 @@ class EdgeLabel:
 
     def render(self) -> str | None:
         """Display text, or None for an unlabeled edge."""
-        return _SHOWN.get(self.kind._value_, self.text)
+        return _SHOWN.get(self.kind, self.text)
 
     def __str__(self) -> str:
         return self.render() or ""
 
 
 # the display text of each label kind but OTHER, whose labels show their own
-# text. ``render`` looks it up by the kind's ``_value_`` (a str hashes in C, a
-# LabelKind in Python) rather than compare the kind with members: on Python
-# 3.11 each read of a member off its class (``LabelKind.YES``) costs ~100 ns
-_SHOWN = {LabelKind.YES._value_: "Yes", LabelKind.NO._value_: "No",
-          LabelKind.NONE._value_: None}
+# text. ``render`` looks the kind up rather than compare it with members: on
+# Python 3.11 each read of a member off its class (``LabelKind.YES``) costs
+# ~100 ns
+_SHOWN = {LabelKind.YES: "Yes", LabelKind.NO: "No", LabelKind.NONE: None}
 
 YES = EdgeLabel(LabelKind.YES)
 NO = EdgeLabel(LabelKind.NO)
@@ -194,12 +201,13 @@ class FlowGraph(_Memoized):
 
 def edge_key(src: str, dst: str, label: EdgeLabel) -> tuple[str, str, str, str | None]:
     """Duplicate-edge identity, equal exactly when the Edges are; hashing an
-    Edge instead makes three Python-level __hash__ calls. ``_value_`` is
-    the kind's ``value``, read without the property call."""
+    Edge instead makes two Python-level __hash__ calls, the Edge's and its
+    label's. ``_value_`` is the kind's ``value``, read without the property
+    call."""
     return src, dst, label.kind._value_, label.text
 
 
-class RelationType(Enum):
+class RelationType(IdentityEnum):
     """Closed four-way taxonomy of semantic relations between linked nodes.
 
     Each member carries its canonical one-sentence definition, used verbatim

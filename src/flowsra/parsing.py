@@ -17,13 +17,13 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 
 from .ir import (
     Edge,
     EdgeLabel,
     FlowGraph,
+    IdentityEnum,
     Node,
     NodeKind,
     UNLABELED,
@@ -38,13 +38,13 @@ _START, _END, _PROCESS, _DECISION = (
     NodeKind.START, NodeKind.END, NodeKind.PROCESS, NodeKind.DECISION)
 
 
-class Dialect(Enum):
+class Dialect(IdentityEnum):
     MERMAID = "mermaid"
     DOT = "dot"
     PLANTUML = "plantuml"
 
 
-class Severity(Enum):
+class Severity(IdentityEnum):
     WARNING = "warning"
     ERROR = "error"
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 from .gateway import ChatGateway, PromptKind, ask_twice, last_tagged_line
+from .ir import IdentityEnum
 from .prompts import split_template
 
 
-class QuestionType(Enum):
+class QuestionType(IdentityEnum):
     FACT_RETRIEVAL = "TP1"
     APPLIED_SCENARIO = "TP2"
     FLOW_REFERENCE = "TP3"
@@ -38,7 +38,7 @@ class QuestionType(Enum):
 _QUESTION_TYPES_BY_CODE = {member.value: member for member in QuestionType}
 
 
-class QuestionClass(Enum):
+class QuestionClass(IdentityEnum):
     STRAIGHT = "Straight"
     COMPLICATED = "Complicated"
 

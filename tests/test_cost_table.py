@@ -4,7 +4,8 @@ layout of its prompts.
 The bench eval set (seed 7: 15 charts, 300 questions) runs through
 ``run_eval`` with the llm router, recognizer and judge over the bench's
 scripted transport, with no transport delay. Requests issued are read from
-``ChatGateway.requests``; transport calls and prompt words (whitespace
+``ChatGateway.requests``, and those served without the transport from
+``ChatGateway.cache_hits``; transport calls and prompt words (whitespace
 words of the rendered request, as the mock transports count prompt tokens)
 from a transport that records each request by its kind. Fresh words count
 each kind's prompts as a prefix tree of word lists would: the words that no
@@ -132,6 +133,16 @@ def test_cost_per_prompt_kind_is_pinned(run):
                 for kind in PromptKind if issued[kind] or calls[kind]}
     measured["total"] = (issued.total(), calls.total(), words.total(), fresh.total())
     assert measured == COSTS, f"measured:\nCOSTS = {pformat(measured, sort_dicts=False)}"
+
+
+def test_requests_not_served_from_the_cache_are_the_transport_calls(run):
+    # within one run, the cache and single-flight serve each repeat of a
+    # request, however the threads interleave; only judge prompts repeat
+    misses = {kind.value: run.gateway.requests[kind] - run.gateway.cache_hits[kind]
+              for kind in PromptKind}
+    assert misses == {kind: COSTS.get(kind, (0, 0))[1] for kind in misses}
+    assert {kind.value: n for kind, n in run.gateway.cache_hits.items()} == {
+        "judge": 17, "judge_retry": 10}
 
 
 def test_per_request_text_comes_last_in_each_prompt(run):

@@ -251,7 +251,9 @@ class TestComplete:
         gateway = ChatGateway(lambda r: provider_payload("pong"), cache_dir=tmp_path)
         for content in ("one", "two", "one"):
             gateway.complete(replace(req(content), kind=PromptKind.JUDGE))
-        assert (gateway.requests, gateway.transport_calls) == (Counter({PromptKind.JUDGE: 3}), 2)
+        gateway.complete(req("two"))
+        assert (gateway.requests, gateway.cache_hits, gateway.transport_calls) == (
+            Counter({PromptKind.JUDGE: 3, None: 1}), Counter({PromptKind.JUDGE: 1, None: 1}), 2)
 
     def test_offline_without_cache_is_a_transport_error(self, tmp_path):
         gateway = ChatGateway(None, cache_dir=tmp_path)
@@ -464,10 +466,59 @@ class TestCacheFormat:
         assert response.cached is True
         assert isinstance(response.content, str)
 
+    @settings(max_examples=300, deadline=None)
+    @given(_entry_bytes, st.text(" \t\n\r\x0b\xa0\u2028", max_size=3),
+           st.text(" \t\n\r\x0b\xa0\u2028", max_size=3))
+    def test_entry_reads_as_json_decoding_reads_it(self, data, before, after):
+        # whitespace around the JSON: JSON's own is skipped, any other is not
+        data = before.encode() + data + after.encode()
+        try:
+            expected = parse_payload_reference(json.JSONDecoder().decode(data.decode("utf-8")),
+                                               cached=True)
+        except (ValueError, RecursionError, ProtocolError):
+            expected = None
+        with tempfile.TemporaryDirectory() as cache:
+            with open(f"{cache}/{cache_key(req())}.json", "wb") as handle:
+                handle.write(data)
+            try:
+                response = ChatGateway(None, cache_dir=cache).complete(req())
+            except TransportError:  # a miss
+                response = None
+        assert response == expected
+
 
 class TestCacheRead:
-    """The hit path: one ``os.open``, reads until one returns nothing, one
+    """The hit path: one ``os.open``, one read when it is shorter than
+    ``_READ_SIZE`` and reads until one returns nothing when not, one
     decode, and the descriptor closed whatever the entry holds."""
+
+    @pytest.mark.parametrize("size", [
+        200, gateway_mod._READ_SIZE - 1, gateway_mod._READ_SIZE, gateway_mod._READ_SIZE + 1,
+        2 * gateway_mod._READ_SIZE])
+    def test_hit_opens_once_and_reads_once_unless_a_read_fills_the_buffer(self, tmp_path,
+                                                                          size):
+        empty = json.dumps(provider_payload("")).encode()
+        content = "x" * (size - len(empty))
+        data = json.dumps(provider_payload(content)).encode()
+        assert len(data) == size
+        (tmp_path / f"{cache_key(req())}.json").write_bytes(data)
+        gateway = ChatGateway(None, cache_dir=tmp_path)
+        calls = Counter()
+
+        def counting(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            return call
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("open", "read"):
+                patch.setattr(os, name, counting(name, getattr(os, name)))
+            response = gateway.complete(req())
+        assert (response.content, response.cached) == (content, True)
+        # a read that fills the buffer is followed by more, until one is empty
+        reads = 1 if size < gateway_mod._READ_SIZE else -(-size // gateway_mod._READ_SIZE) + 1
+        assert calls == Counter({"open": 1, "read": reads})
 
     def test_entry_larger_than_one_read_is_a_hit_with_all_its_content(self, tmp_path):
         content = "ünïcode ✓ " * 2_000
@@ -507,6 +558,88 @@ class TestCacheRead:
             with pytest.raises(TransportError, match="not in cache"):
                 gateway.complete(misses[index % len(misses)])
         assert len(os.listdir("/proc/self/fd")) == before
+
+
+def parse_payload_reference(payload, cached=False):
+    """``parse_provider_payload`` without its path for int usage counts:
+    what that path must agree with."""
+    try:
+        content = payload["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ProtocolError(f"malformed provider payload: {exc!r}") from exc
+    if not isinstance(content, str):
+        raise ProtocolError("provider payload content is not text")
+    usage_raw = payload.get("usage") or {}
+    try:
+        usage = gateway_mod.Usage(
+            prompt_tokens=int(usage_raw.get("prompt_tokens", 0) or 0),
+            completion_tokens=int(usage_raw.get("completion_tokens", 0) or 0),
+        )
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(f"malformed provider usage: {exc!r}") from exc
+    return gateway_mod.ChatResponse(content=content, usage=usage, cached=cached)
+
+
+def parse_outcome(parse, payload):
+    """What ``parse`` makes of ``payload``: the response's fields with the
+    types of its counts, or the exception's type and message."""
+    try:
+        response = parse(payload, cached=True)
+    except Exception as exc:
+        return type(exc), str(exc)
+    usage = response.usage
+    return (response.content, response.cached, usage.prompt_tokens, type(usage.prompt_tokens),
+            usage.completion_tokens, type(usage.completion_tokens))
+
+
+def with_usage(usage):
+    return {"choices": [{"message": {"content": "x"}}], "usage": usage}
+
+
+class TestParsePayload:
+    """``parse_provider_payload`` builds a response with two int counts
+    directly; every payload parses as the reference reads it."""
+
+    @pytest.mark.parametrize("payload", [
+        provider_payload("pong"),
+        provider_payload("né ✓ \"q\""),
+        {"nonsense": True},
+        [],
+        {"choices": []},
+        {"choices": [{"message": {"content": 7}}]},
+        {"choices": [{"message": {"content": "x"}}]},
+        with_usage(None),
+        with_usage({}),
+        with_usage([]),
+        with_usage([1]),
+        with_usage("lots"),
+        with_usage({"prompt_tokens": "many"}),
+        with_usage({"prompt_tokens": 1e999}),
+        with_usage({"prompt_tokens": float("nan"), "completion_tokens": 1}),
+        with_usage({"prompt_tokens": 3}),
+        with_usage({"completion_tokens": 3}),
+        *(with_usage({"prompt_tokens": count, "completion_tokens": 2})
+          for count in (0, -4, 10 ** 30, True, False, 2.5, 3.0, "3", "x", None, float("inf"),
+                        json.loads("1e400"))),
+        *(with_usage({"prompt_tokens": 2, "completion_tokens": count})
+          for count in (-4, True, 2.5, "3", float("inf"))),
+    ])
+    def test_payload_parses_as_the_reference_reads_it(self, payload):
+        assert (parse_outcome(gateway_mod.parse_provider_payload, payload)
+                == parse_outcome(parse_payload_reference, payload))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_payloads | _json_values)
+    def test_any_payload_parses_as_the_reference_reads_it(self, payload):
+        assert (parse_outcome(gateway_mod.parse_provider_payload, payload)
+                == parse_outcome(parse_payload_reference, payload))
+
+    def test_an_int_count_and_a_float_infinity_keep_their_reading(self):
+        assert parse_outcome(gateway_mod.parse_provider_payload,
+                             with_usage({"prompt_tokens": 5, "completion_tokens": True})) == (
+            "x", True, 5, int, 1, int)
+        with pytest.raises(ProtocolError, match="malformed provider usage"):
+            gateway_mod.parse_provider_payload(with_usage({"prompt_tokens": float("inf")}))
 
 
 class TestRetryBackoff:
@@ -574,7 +707,7 @@ class TestSingleFlight:
         assert len(calls) == 1
         assert [r.content for r in responses] == ["pong", "pong"]
         assert [r.cached for r in responses] == [False, True]
-        assert gateway.transport_calls == 1
+        assert (gateway.transport_calls, gateway.cache_hits) == (1, Counter({None: 1}))
 
     def test_waiter_makes_its_own_attempt_when_the_flight_fails(self, tmp_path):
         calls = []
@@ -599,7 +732,7 @@ class TestSingleFlight:
                 first.result(timeout=5)
             response = second.result(timeout=5)
         assert (response.content, response.cached) == ("pong", False)
-        assert len(calls) == 2
+        assert (len(calls), gateway.cache_hits) == (2, Counter())
 
     def test_request_that_missed_just_before_a_flight_landed_is_a_hit(self, tmp_path):
         # the late request reads the cache before the first one writes it,
@@ -625,7 +758,7 @@ class TestSingleFlight:
         late.join(timeout=5)
         assert not late.is_alive()
         assert [r.cached for r in late_response] == [True]
-        assert gateway.transport_calls == 1
+        assert (gateway.transport_calls, gateway.cache_hits) == (1, Counter({None: 1}))
 
     def test_without_a_cache_each_copy_calls_the_transport(self):
         # as each would one after another: there is no cache to hit

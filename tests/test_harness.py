@@ -89,6 +89,35 @@ class TestLoadDataset:
         assert [str(d) for d in load.diagnostics] == [
             f"record {line}: not a JSON object" for line in (1, 2, 3)]
 
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    @pytest.mark.parametrize("field", ["question", "source"])
+    def test_unicode_line_separator_inside_a_record_does_not_end_it(self, tmp_path,
+                                                                     separator, field):
+        good = {"id": "a", "dialect": "mermaid", "source": "flowchart TD\nA-->B",
+                "question": "q?", "answer": "x", "type": "TP1"}
+        odd = {**good, "id": "b", field: f"{good[field]} {separator}tail"}
+        path = tmp_path / "separators.jsonl"
+        # ensure_ascii=False writes the separator unescaped, as JSON allows
+        path.write_text("".join(json.dumps(record, ensure_ascii=False) + "\n"
+                                for record in (odd, good, {"id": "c"})), encoding="utf-8")
+        assert separator in path.read_text(encoding="utf-8")
+        load = load_dataset(path)
+        assert [instance.flowchart_id for instance in load.instances] == ["b", "a"]
+        first = load.instances[0]
+        assert (first.question.text if field == "question" else first.source) == odd[field]
+        assert [str(d) for d in load.diagnostics] == [
+            "record 3: missing fields: ['dialect', 'source', 'question', 'answer', 'type']"]
+
+    def test_crlf_records_read_as_lines(self, tmp_path):
+        good = {"id": "a", "dialect": "mermaid", "source": "flowchart TD\nA-->B",
+                "question": "q?", "answer": "x", "type": "TP1"}
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes(b"\r\n".join([json.dumps(good).encode(), b"{not json}",
+                                       json.dumps({**good, "id": "b"}).encode(), b""]))
+        load = load_dataset(path)
+        assert [instance.flowchart_id for instance in load.instances] == ["a", "b"]
+        assert [d.line for d in load.diagnostics] == [2]
+
     def test_twenty_record_fixture_histogram(self):
         # hand count for the committed fixture: 6/5/5/4
         load = load_dataset(DATA / "flowvqa_like_20.jsonl")
