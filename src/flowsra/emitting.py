@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import count
-from typing import Generator, Iterable
+from typing import Generator
 
 from .ir import (
     Edge,
@@ -67,6 +67,12 @@ def _clean(text: str) -> str:
     return " ".join(text.split())
 
 
+def _clean_texts(graph: FlowGraph) -> dict[str, str]:
+    """Each node's text in single-line form, by node id in node order, once
+    per graph: all of the graph's emissions and its listing read them."""
+    return derived(graph, "clean_texts", lambda: {n.id: _clean(n.text) for n in graph.nodes})
+
+
 def _taxonomy_comment(marker: str) -> list[str]:
     lines = [f"{marker} Relation taxonomy:"]
     lines += [f"{marker} {line}" for line in relation_definitions_block().splitlines()]
@@ -79,9 +85,8 @@ _MERMAID_BARE = re.compile(r"[^\[\]{}()|\"/]*$")
 
 
 def _mermaid_text(text: str) -> str:
-    """Node text, quoted unless it holds nothing the parser would read
-    otherwise: a delimiter, outer whitespace, or a ``%%`` comment marker."""
-    text = _clean(text)
+    """Single-line node text, quoted unless it holds nothing the parser would
+    read otherwise: a delimiter, outer whitespace, or a ``%%`` comment marker."""
     if text and _MERMAID_BARE.match(text) and text == text.strip() and "%%" not in text:
         return text
     return '"' + text.replace('"', "#quot;") + '"'
@@ -96,12 +101,16 @@ _MERMAID_BRACKETS = {
 }
 
 
-def _edge_labels(graph: FlowGraph, upgraded: list[str] | None) -> Iterable[str | None]:
+def _own_labels(graph: FlowGraph) -> list[str | None]:
+    """Each edge's own label text, in edge order, rendered once per graph:
+    the graph's emissions and its upgrade's labels all read them."""
+    return derived(graph, "edge_labels", lambda: [edge.label.render() for edge in graph.edges])
+
+
+def _edge_labels(graph: FlowGraph, upgraded: list[str] | None) -> list[str | None]:
     """Label text per edge, in edge order: the upgraded labels if given,
     else each edge's own."""
-    if upgraded is not None:
-        return upgraded
-    return (edge.label.render() for edge in graph.edges)
+    return _own_labels(graph) if upgraded is None else upgraded
 
 
 _MERMAID_ID = re.compile(MERMAID_ID)
@@ -124,15 +133,19 @@ def _emit_mermaid(graph: FlowGraph, upgraded: list[str] | None) -> str:
     lines = ["flowchart TD"]
     if upgraded is not None:
         lines += _taxonomy_comment("%%")
+    labels = _edge_labels(graph, upgraded)
+    texts = _clean_texts(graph).values()
     graph = _with_mermaid_ids(graph)
-    for node in graph.nodes:
+    for node, text in zip(graph.nodes, texts):
         left, right = _MERMAID_BRACKETS[node.kind]
-        lines.append(f"{node.id}{left}{_mermaid_text(node.text)}{right}")
-    for edge, label in zip(graph.edges, _edge_labels(graph, upgraded)):
-        if label is None:
-            lines.append(f"{edge.src} --> {edge.dst}")
-        else:
-            lines.append(f"{edge.src} -->|{_clean(label).replace('|', '/')}| {edge.dst}")
+        lines.append(f"{node.id}{left}{_mermaid_text(text)}{right}")
+    # the arrow per distinct label text: a chart holds a handful of them
+    arrows: dict[str | None, str] = {None: "-->"}
+    for edge, label in zip(graph.edges, labels):
+        arrow = arrows.get(label)
+        if arrow is None:
+            arrows[label] = arrow = f"-->|{_clean(label).replace('|', '/')}|"
+        lines.append(f"{edge.src} {arrow} {edge.dst}")
     return "\n".join(lines) + "\n"
 
 
@@ -148,8 +161,9 @@ def _dot_id(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _dot_str(value: str) -> str:
-    return '"' + _clean(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _dot_str(text: str) -> str:
+    """A single-line text as a quoted string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 _DOT_SHAPES = {
@@ -167,16 +181,18 @@ def _emit_dot(graph: FlowGraph, upgraded: list[str] | None) -> str:
         lines += ["  " + line for line in _taxonomy_comment("//")]
     # each node's id is quoted once, and looked up for the edges
     ids: dict[str, str] = {}
-    for node in graph.nodes:
+    for node, text in zip(graph.nodes, _clean_texts(graph).values()):
         ids[node.id] = quoted = _dot_id(node.id)
         lines.append(
             f"  {quoted} [shape={_DOT_SHAPES[node.kind]}, "
-            f"label={_dot_str(node.text)}];")
+            f"label={_dot_str(text)}];")
+    # the statement's end per distinct label text, as for Mermaid's arrows
+    ends: dict[str | None, str] = {None: ";"}
     for edge, label in zip(graph.edges, _edge_labels(graph, upgraded)):
-        stmt = f"  {ids[edge.src]} -> {ids[edge.dst]}"
-        if label is not None:
-            stmt += f" [label={_dot_str(label)}]"
-        lines.append(stmt + ";")
+        end = ends.get(label)
+        if end is None:
+            ends[label] = end = f" [label={_dot_str(_clean(label))}];"
+        lines.append(f"  {ids[edge.src]} -> {ids[edge.dst]}{end}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -192,7 +208,8 @@ _YES, _NO = LabelKind.YES, LabelKind.NO
 
 
 def _pu_text(text: str) -> str:
-    return _clean(text).replace(";", ",")
+    """A single-line text as the activity syntax carries it."""
+    return text.replace(";", ",")
 
 
 def _layout(outs: dict[str, list[Edge]], entries: list[str], pos: dict[str, int],
@@ -271,12 +288,15 @@ class _PlantUmlEmitter:
 
     def __init__(self, graph: FlowGraph, upgraded: list[str] | None):
         self.graph = graph
-        # the upgraded labels keyed by id(edge), None for plain emission: the
-        # edges of a valid graph are distinct objects, and an id hashes
-        # without calling into Python as an Edge does
-        self.upgraded = (None if upgraded is None
-                         else dict(zip(map(id, graph.edges), upgraded)))
+        self.upgraded = upgraded is not None
+        # the text in each edge's label slot, None for none, keyed by
+        # id(edge): the edges of a valid graph are distinct objects, and an
+        # id hashes without calling into Python as an Edge does
+        self.labels = dict(zip(map(id, graph.edges), _edge_labels(graph, upgraded)))
+        # the activity syntax's text per distinct label text, '' for none
+        self.label_texts: dict[str | None, str] = {None: ""}
         self.by_id = {n.id: n for n in graph.nodes}
+        self.texts = _clean_texts(graph)
         self.pos = dict(zip(self.by_id, count()))
         self.outs: dict[str, list[Edge]] = {nid: [] for nid in self.by_id}
         # in-degrees, then forward in-degrees once the back edges are out:
@@ -311,15 +331,16 @@ class _PlantUmlEmitter:
             self.loop_latches.setdefault(edge.dst, []).append(edge)
             self.fwd_in[edge.dst] -= 1
 
-    def label(self, edge: Edge) -> str | None:
-        """The text in the edge's label slot, or None for none."""
-        if self.upgraded is None:
-            return edge.label.render()
-        return self.upgraded[id(edge)]
+    def label_text(self, text: str | None) -> str:
+        """A label's text as the activity syntax carries it; '' for none."""
+        escaped = self.label_texts.get(text)
+        if escaped is None:
+            self.label_texts[text] = escaped = _pu_text(_clean(text))
+        return escaped
 
     def emit(self) -> str:
         self.lines.append("@startuml")
-        if self.upgraded is not None:
+        if self.upgraded:
             self.lines += _taxonomy_comment("'")
         if self.graph.title:
             self.lines.append(f"title {_clean(self.graph.title)}")
@@ -340,11 +361,11 @@ class _PlantUmlEmitter:
 
     def follow(self, edge: Edge) -> str:
         """Emit the arrow-label line for a traversed sequential edge."""
-        text = self.label(edge)
+        text = self.labels[id(edge)]
         if text is not None:
             if self.fwd_in[edge.dst] == 1:
-                self.lines.append(f"-> {_pu_text(text)};")
-            elif self.upgraded is None:
+                self.lines.append(f"-> {self.label_text(text)};")
+            elif not self.upgraded:
                 raise EmitError(
                     f"label on converging edge {edge.src} -> {edge.dst} "
                     "cannot be expressed")
@@ -356,10 +377,6 @@ class _PlantUmlEmitter:
             raise EmitError(
                 f"node {nid!r} fans out to {len(outs)} successors outside a decision")
         return outs[0] if outs else None
-
-    def branch_clause(self, edge: Edge) -> str:
-        text = self.label(edge)
-        return "" if text is None else _pu_text(text)
 
     def join_of(self, decision: str, left: str, right: str) -> str | None:
         """The nearest node forward-reachable from both branches: the first
@@ -414,7 +431,7 @@ class _PlantUmlEmitter:
             if node.kind is _START:
                 self.lines.append("start")
             else:
-                self.lines.append(f":{_pu_text(node.text)};")
+                self.lines.append(f":{_pu_text(self.texts[nid])};")
             edge = self.single_successor(nid)
             if edge is None:
                 self.open_end = nid
@@ -453,13 +470,13 @@ class _PlantUmlEmitter:
                     f"loop decision {latch!r} must have exactly 2 branches, "
                     f"has {len(outs)}")
             exit_edge = next(e for e in outs if e != back_edge)
-            clause = f"repeat while ({_pu_text(self.by_id[latch].text)})"
-            back_text = self.label(back_edge)
+            clause = f"repeat while ({_pu_text(self.texts[latch])})"
+            back_text = self.labels[id(back_edge)]
             if back_text != "Yes":
-                clause += f" is ({_pu_text(back_text) if back_text is not None else ''})"
-            exit_text = self.label(exit_edge)
+                clause += f" is ({self.label_text(back_text)})"
+            exit_text = self.labels[id(exit_edge)]
             if exit_text != "No":
-                clause += f" not ({_pu_text(exit_text) if exit_text is not None else ''})"
+                clause += f" not ({self.label_text(exit_text)})"
             if self.open_end is not None:
                 raise self.open_end_error()
             self.lines.append(clause)
@@ -486,13 +503,13 @@ class _PlantUmlEmitter:
         # branches that never reconverge still stop at the enclosing region
         # boundary (e.g. the latch of a surrounding loop)
         stop_at = join if join is not None else until
-        self.lines.append(
-            f"if ({_pu_text(node.text)}) then ({self.branch_clause(then_edge)})")
+        then_text = self.label_text(self.labels[id(then_edge)])
+        self.lines.append(f"if ({_pu_text(self.texts[node.id])}) then ({then_text})")
         if then_edge.dst != stop_at:
             yield self.walk(then_edge.dst, stop_at, None)
         # 'else' sets the flows that end in the then branch aside until 'endif'
         then_end, self.open_end = self.open_end, None
-        self.lines.append(f"else ({self.branch_clause(else_edge)})")
+        self.lines.append(f"else ({self.label_text(self.labels[id(else_edge)])})")
         if else_edge.dst != stop_at:
             yield self.walk(else_edge.dst, stop_at, None)
         self.lines.append("endif")
@@ -535,8 +552,16 @@ def emit_upgraded(ug: UpgradedGraph, dialect: Dialect) -> InterlanguageDoc:
     relation definitions. Computed once per upgraded graph and dialect.
     """
     def compute() -> InterlanguageDoc:
-        labels = [relation_edge_label(triple.relation, edge.label)
-                  for edge, triple in zip(ug.base.edges, ug.triples)]
+        # one label per distinct (relation, rendered label): all that
+        # relation_edge_label reads, and a chart holds a handful of them
+        built: dict[tuple[RelationType, str | None], str] = {}
+        labels = []
+        for edge, triple, own in zip(ug.base.edges, ug.triples, _own_labels(ug.base)):
+            key = triple.relation, own
+            label = built.get(key)
+            if label is None:
+                built[key] = label = relation_edge_label(triple.relation, edge.label)
+            labels.append(label)
         return InterlanguageDoc(dialect, _EMITTERS[dialect](ug.base, labels))
 
     return derived(ug, ("emit_upgraded", dialect), compute)
@@ -546,7 +571,7 @@ def emit_triples(ug: UpgradedGraph) -> str:
     """Plain triple listing, one line per edge in edge order. Computed once
     per upgraded graph."""
     def compute() -> str:
-        texts = {n.id: _clean(n.text) for n in ug.base.nodes}
+        texts = _clean_texts(ug.base)
         lines = [f"({texts[t.src]}) -[{t.relation._value_}]-> ({texts[t.dst]})"
                  for t in ug.triples]
         return "\n".join(lines) + ("\n" if lines else "")

@@ -114,16 +114,18 @@ def load_dataset(path: str | Path) -> DatasetLoad:
     unescaped, are no line breaks here, as they are to ``str.splitlines``.
     Every field must be a JSON string or number, read as its text; a field
     that is null, a boolean, an array or an object makes the record
-    malformed.
+    malformed. Each line loses one leading U+FEFF, a byte order mark, so the
+    file's own mark is record 1's, and a file made by joining files that
+    each begin with one keeps every record.
 
     Raises OSError when the file cannot be read and EmptyDatasetError when
     nothing valid remains.
     """
-    text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+    text = Path(path).read_text(encoding="utf-8")
     instances: list[EvalInstance] = []
     diagnostics: list[LoadDiagnostic] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
+        line = raw.removeprefix("\ufeff").strip()
         if not line:
             continue
         try:

@@ -112,11 +112,13 @@ def parse_relation_response(text: str) -> tuple[RelationType, str] | None:
     return relation, "\n".join(text.splitlines()[:idx]).strip()
 
 
-# each cue list is one alternation, searched for as a plain substring
-_INSTANTIATION_CUES = re.compile(
-    "|".join(map(re.escape, ("e.g.", "such as", "for example", "for instance"))))
-_CAUSAL_CUES = re.compile("|".join(map(re.escape, ("causes", "results in", "leads to"))))
-_WORD = re.compile(r"[A-Za-z']+")
+# rule 3's heading, one to four runs of ASCII letters and ``'`` (the words),
+# the last ending in ``s`` or ``S`` but not in two of them: one anchored
+# match of the reversed text, which reads the last word first, so that most
+# texts fail at their first characters, and none makes the match backtrack
+# more than a few times over its length
+_REVERSED_PLURAL_HEADING = re.compile(
+    r"[^A-Za-z']*[sS](?![sS])[A-Za-z']*(?:[^A-Za-z']+[A-Za-z']+){0,3}[^A-Za-z']*")
 # the word sets obtain(s|ed), get(s), got, acquire(s) and select(s|ing|ion),
 # use(s), using, choose(s), choosing, chosen, pick(s|ing), factored by their
 # common prefixes: an alternation of whole words under IGNORECASE tries
@@ -127,16 +129,6 @@ _SELECT_OR_USE = re.compile(
     r"\b(?:select(?:s|ing|ion)?|us(?:es?|ing)|cho(?:os(?:es?|ing)|sen)|pick(?:s|ing)?)\b",
     re.IGNORECASE)
 _LIST_SHAPE = re.compile(r",|\band\b|\bor\b", re.IGNORECASE)
-
-
-def _plural_category_heading_list(src_text: str, dst_text: str) -> bool:
-    words = _WORD.findall(src_text)
-    if not words or len(words) > 4:
-        return False
-    head = words[-1].lower()
-    if not head.endswith("s") or head.endswith("ss"):
-        return False
-    return bool(_LIST_SHAPE.search(dst_text))
 
 
 # the cascade's verdicts, and the kinds its first rule tests, as module names:
@@ -157,13 +149,24 @@ def heuristic_recognize(src: Node, dst: Node,
     """Deterministic rule cascade; first match wins, total over all inputs."""
     if src.kind is _DECISION or label.kind in _YES_OR_NO:
         return _BRANCH
-    if _INSTANTIATION_CUES.search(dst.text.lower()):
+    # the cues of rules 2 and 4 are substrings of the text lowered once, tested
+    # in an ``or`` chain: a compiled alternation of them would try every cue
+    # at every position of the text
+    dst_low = dst.text.lower()
+    if ("e.g." in dst_low or "such as" in dst_low or "for example" in dst_low
+            or "for instance" in dst_low):
         return _INSTANCE_CUE
-    if _plural_category_heading_list(src.text, dst.text):
+    if _REVERSED_PLURAL_HEADING.fullmatch(src.text[::-1]) and _LIST_SHAPE.search(dst.text):
         return _INSTANCE_LIST
-    if _CAUSAL_CUES.search(src.text.lower()):
+    src_low = src.text.lower()
+    if "causes" in src_low or "results in" in src_low or "leads to" in src_low:
         return _CAUSAL_CUE
-    if _ACQUIRE.search(src.text) and _SELECT_OR_USE.search(dst.text):
+    # an acquire word in ASCII text holds one of these stems once lowered;
+    # other text may hold one by Unicode case folding (``ſ`` is ``s`` and
+    # ``ı`` is ``i``), so it always takes the regex
+    if ((not src.text.isascii() or "obtain" in src_low or "get" in src_low
+         or "got" in src_low or "acquire" in src_low)
+            and _ACQUIRE.search(src.text) and _SELECT_OR_USE.search(dst.text)):
         return _ENABLES
     return _SEQUENCE
 

@@ -4,8 +4,9 @@
 flowsra functions and reports a probe that no longer resolves as absent, so
 a refactor that renames or drops one would lose that layer's metrics
 silently. A probe's hooks also read the probed function's parameters by
-name, so a short traced run checks that they still find them. These tests
-only read ``bench/``; the run works on a copy.
+name, so a short traced run checks that they still find them. A short
+untraced convert-sweep run checks the convert path's outputs as the
+benchmark does. These tests only read ``bench/``; each run works on a copy.
 """
 
 import importlib.util
@@ -31,15 +32,28 @@ def test_every_probe_resolves_to_a_code_object(monkeypatch):
     assert missing == []
 
 
-def test_a_short_traced_eval_cold_run_is_correct(tmp_path):
-    # a copy, so that the run's build directory lands under tmp_path
+def _short_run(tmp_path, workload, trace):
+    """A 0.2-second run of ``workload`` on a copy, so that the run's build
+    directory lands under tmp_path."""
     for name in ("bench", "src"):
         shutil.copytree(ROOT / name, tmp_path / name,
                         ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
-    run = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "eval-cold", "--seed", "3",
-         "--seconds", "0.2", "--trace", "1"],
+    return subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "3",
+         "--seconds", "0.2", "--trace", trace],
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+
+def test_a_short_traced_eval_cold_run_is_correct(tmp_path):
+    run = _short_run(tmp_path, "eval-cold", "1")
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_a_short_convert_sweep_run_is_correct(tmp_path):
+    # the run checks each chart's conversions, plain and upgraded, against
+    # the graph the chart renders
+    run = _short_run(tmp_path, "convert-sweep", "0")
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout.splitlines()[-1])["correct"] is True

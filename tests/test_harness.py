@@ -118,6 +118,21 @@ class TestLoadDataset:
         assert [instance.flowchart_id for instance in load.instances] == ["a", "b"]
         assert [d.line for d in load.diagnostics] == [2]
 
+    def test_files_joined_with_their_byte_order_marks_keep_every_record(self, tmp_path):
+        good = {"id": "a", "dialect": "mermaid", "source": "flowchart TD\nA-->B",
+                "question": "q?", "answer": "x", "type": "TP1"}
+        # two UTF-8-with-BOM files of one record each, joined, then a record
+        # with two marks, which stays malformed, and one more
+        files = [json.dumps(good), json.dumps({**good, "id": "b"})]
+        path = tmp_path / "joined.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + b"\n\xef\xbb\xbf".join(f.encode() for f in files)
+                         + b"\n\xef\xbb\xbf\xef\xbb\xbf" + json.dumps({**good, "id": "c"}).encode()
+                         + b"\n" + json.dumps({**good, "id": "d"}).encode() + b"\n")
+        load = load_dataset(path)
+        assert [instance.flowchart_id for instance in load.instances] == ["a", "b", "d"]
+        assert [d.line for d in load.diagnostics] == [3]
+        assert str(load.diagnostics[0]).startswith("record 3: invalid JSON: ")
+
     def test_twenty_record_fixture_histogram(self):
         # hand count for the committed fixture: 6/5/5/4
         load = load_dataset(DATA / "flowvqa_like_20.jsonl")

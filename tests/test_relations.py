@@ -352,9 +352,10 @@ class TestUpgradeGraph:
 
 
 # --- referee -----------------------------------------------------------------
-# The rule cascade as it was before its cue lists became compiled
-# alternations: a substring test per cue and a ``re.findall`` per call.
-# ``heuristic_recognize`` must give the same relation and reason.
+# The rule cascade written plainly, as README states it: a substring test per
+# cue, rule 3's words by ``re.findall``, and each whole-word regex searched
+# whenever its rule is reached. ``heuristic_recognize`` must give the same
+# relation and reason.
 
 _REF_INSTANTIATION_CUES = ("e.g.", "such as", "for example", "for instance")
 _REF_CAUSAL_CUES = ("causes", "results in", "leads to")
@@ -402,7 +403,11 @@ def reference_recognize(src, dst, label):
 # variants, plural heads (with apostrophes), list shapes, and characters whose
 # lowercase or word boundaries differ from ASCII's: U+017F (long s) matches
 # "s" only under IGNORECASE, and "İ" lowercases to two characters, the second
-# no letter, so a word after it starts a word only once lowercased
+# no letter, so a word after it starts a word only once lowercased. Then what
+# the cascade's fast paths could get wrong: an acquire word's stem inside a
+# longer word, U+0131 (dotless i), which matches "i" only under IGNORECASE,
+# headings of two to five words split by digits, "-" or "_", and heads that
+# are one "s", "'s", or end in two of "s" and "S"
 _CASCADE_WORDS = [
     "e.g.", "E.G.", "e.g", "eg.", "e g.", "eXgX", "such as", "such-as", "SUCH AS",
     "for example", "For Instance", "causes", "CAUSES", "cause", "results in",
@@ -412,7 +417,10 @@ _CASCADE_WORDS = [
     "acquired", "gotten", "getter", "acquirer", "obtaining", "user", "useful",
     "selections", "picked", "u\u017fe", "\u017felect", "\u0130use", "\u0130got",
     "Fruits", "Dogs'", "glass", "boxes", "it's", "Kid's Toys", "one two three cats",
-    "and", "or", "ORANGE", "a, b", ",", " ", "İ", "\u212a", "ß", "é", "Ω", "\u0130s", "\n"]
+    "and", "or", "ORANGE", "a, b", ",", " ", "İ", "\u212a", "ß", "é", "Ω", "\u0130s", "\n",
+    "forget", "target", "begotten", "obtainable", "reacquire", "GOTO", "acqu\u0131re",
+    "n600-0-4 boxes", "a_b cats", "x2 dogs", "a-b-c cats", "a1b2c3d4 dogs", "s", "'s", "BoSs",
+    "bosS"]
 _NODE_TEXT = (st.text(max_size=30)
               | st.lists(st.sampled_from(_CASCADE_WORDS) | st.text(max_size=4),
                          max_size=8).map(" ".join)
@@ -438,6 +446,18 @@ class TestHeuristicReferee:
                 src, dst = Node("a", kind, src_text), Node("b", NodeKind.PROCESS, dst_text)
                 assert (heuristic_recognize(src, dst, label)
                         == reference_recognize(src, dst, label)), (src_text, dst_text)
+
+    @pytest.mark.parametrize("text", [
+        "s" * 50_000, "'" * 50_000, "cats" + "-" * 50_000 + "dogs",
+        "cats" + " 1" * 25_000 + " dogs", "a " * 25_000 + "cats"],
+        ids=["s", "apostrophe", "dash", "digit", "words"])
+    def test_50_kb_texts_are_recognized_in_linear_time(self, text):
+        src = Node("a", NodeKind.PROCESS, text)
+        for dst in (src, Node("b", NodeKind.PROCESS, "a, b")):
+            started = time.perf_counter()
+            got = heuristic_recognize(src, dst, UNLABELED)
+            assert time.perf_counter() - started < 10.0
+            assert got == reference_recognize(src, dst, UNLABELED)
 
 
 class TestLazyContext:
