@@ -143,7 +143,9 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> InputError:
 def _read_input(path: str) -> str:
     """The chart at ``path`` ('-': stdin), without a leading byte-order mark."""
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        # sys.stdin decodes by the locale, which may be neither UTF-8 nor strict
+        text = (sys.stdin.buffer.read().decode("utf-8") if path == "-"
+                else Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
     return text.removeprefix("\ufeff")

@@ -2,7 +2,8 @@
 
 Shallow reasoning answers from the link-based chart text, deep reasoning
 from the relation-annotated chart plus its triples and taxonomy. Each is one
-zero-shot completion of at most 256 tokens, from a prompt fixed per depth.
+zero-shot completion from a prompt fixed per depth, whose reply budget and
+system preamble are its row of ``prompts.ANCHORS``.
 
 Every question takes one path: :func:`route` calls the router, a plain
 function of the :class:`Question` (see ``routing.make_router``), then
@@ -19,11 +20,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .emitting import InterlanguageDoc, emit, emit_triples, emit_upgraded
-from .gateway import ChatGateway, PromptKind, chat_request, prompt_fingerprint
+from .gateway import (ChatGateway, ChatRequest, PromptKind, prompt_fingerprint, prompt_head,
+                      prompt_request)
 from .ir import (FlowGraph, IdentityEnum, UpgradedGraph, derived, relation_definitions_block,
                  require_valid)
 from .parsing import Dialect
-from .prompts import split_template
 from .relations import RelationBackend, upgrade_graph
 from .routing import ClassificationError, Question, QuestionClass, Router
 
@@ -41,41 +42,31 @@ class Answer:
     fallbacks_used: int = 0
 
 
-_SYSTEM_PREAMBLE = "You are a careful assistant for flowchart question answering."
-
-
-def _complete(gateway: ChatGateway, model: str, name: str, head: str,
-              kind: PromptKind, **values: str) -> tuple[str, str]:
-    prompt = head + split_template(name)[1].format(**values)
-    request = chat_request(model, prompt, max_tokens=256, system=_SYSTEM_PREAMBLE, kind=kind,
-                           head=head)
-    content = gateway.complete(request).content
-    return content.strip(), prompt_fingerprint(request)
+def _answer(gateway: ChatGateway, request: ChatRequest, route: Route,
+            fallbacks_used: int = 0) -> Answer:
+    return Answer(gateway.complete(request).content.strip(), route,
+                  prompt_fingerprint(request), fallbacks_used)
 
 
 def answer_shallow(doc: InterlanguageDoc, question: Question,
                    gateway: ChatGateway, *, model: str) -> Answer:
     """One zero-shot completion over the basic chart text."""
-    head = derived(doc, "shallow_head", lambda: split_template("shallow.txt")[0].format(
-        interlanguage=doc.text.rstrip("\n")))
-    text, fingerprint = _complete(gateway, model, "shallow.txt", head, PromptKind.SHALLOW,
-                                  question=question.text)
-    return Answer(text=text, route=Route.SHALLOW, prompt_fingerprint=fingerprint)
+    head = derived(doc, "shallow_head", lambda: prompt_head(
+        PromptKind.SHALLOW, interlanguage=doc.text.rstrip("\n")))
+    return _answer(gateway, prompt_request(model, PromptKind.SHALLOW, head,
+                                           question=question.text), Route.SHALLOW)
 
 
 def answer_deep(ug: UpgradedGraph, question: Question, gateway: ChatGateway, *,
                 model: str, dialect: Dialect = Dialect.MERMAID) -> Answer:
     """One zero-shot completion over the annotated chart, triples, and
     taxonomy, under perceive-before-answer constraints."""
-    head = derived(ug, ("deep_head", dialect), lambda: split_template("deep.txt")[0].format(
-        upgraded=emit_upgraded(ug, dialect).text.rstrip("\n"),
+    head = derived(ug, ("deep_head", dialect), lambda: prompt_head(
+        PromptKind.DEEP, upgraded=emit_upgraded(ug, dialect).text.rstrip("\n"),
         triples=emit_triples(ug).rstrip("\n") or "(none)",
-        definitions=relation_definitions_block(),
-    ))
-    text, fingerprint = _complete(gateway, model, "deep.txt", head, PromptKind.DEEP,
-                                  question=question.text)
-    return Answer(text=text, route=Route.DEEP, prompt_fingerprint=fingerprint,
-                  fallbacks_used=ug.fallback_count())
+        definitions=relation_definitions_block()))
+    return _answer(gateway, prompt_request(model, PromptKind.DEEP, head, question=question.text),
+                   Route.DEEP, ug.fallback_count())
 
 
 def route(router: Router, question: Question) -> QuestionClass:

@@ -20,7 +20,8 @@ earlier versions did, so their caches stay warm. A prompt's head, the text
 before its per-request part (``ChatMessage.head``), is escaped and hashed
 once: the hash state after it is kept and copied for each request that
 shares it, so a chart's requests cost time linear in the chart's size, not
-in its size times its edges. A scriptable mock
+in its size times its edges. ``prompt_request`` builds every request from
+the one table of prompt kinds, ``prompts.ANCHORS``. A scriptable mock
 transport stands in for the network during tests and offline runs; a cache
 miss with no transport is a ``TransportError``. The HTTP client
 (``requests``) is loaded on the first request to an endpoint, so mock runs,
@@ -47,6 +48,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from urllib.parse import urlsplit
+
+from .prompts import ANCHORS, split_template
 
 ATTEMPTS = 3       # transport calls per request, the first one included
 BACKOFF_S = 0.25   # the full-jitter cap before the first retry; doubles per retry
@@ -694,14 +697,23 @@ def map_in_order(fn: Callable[[T], R], items: Iterable[T],
             pool.shutdown(cancel_futures=True)
 
 
-def chat_request(model: str, prompt: str, *, max_tokens: int, system: str | None = None,
-                 kind: PromptKind | None = None, head: str = "") -> ChatRequest:
-    """The request for one prompt: an optional system message, then the
-    prompt as the user message, whose ``head`` is a prefix of ``prompt``
-    (see ``ChatMessage``)."""
-    messages = (ChatMessage("system", system),) if system else ()
-    return ChatRequest(model=model, messages=messages + (ChatMessage("user", prompt, head),),
-                       max_tokens=max_tokens, kind=kind)
+def prompt_head(kind: PromptKind, **values: str) -> str:
+    """``kind``'s template head formatted with ``values``, for a caller that
+    memoizes one per chart."""
+    return split_template(kind.value)[0].format(**values)
+
+
+def prompt_request(model: str, kind: PromptKind, head: str | None = None,
+                   **values: str) -> ChatRequest:
+    """A request of ``kind``, with the system message and reply budget of its
+    row of ``prompts.ANCHORS``: its template is the user message, ``head``
+    (by default the template's own) and the rest formatted with ``values``."""
+    template_head, rest = split_template(kind.value)
+    head = template_head if head is None else head
+    _, max_tokens, system = ANCHORS[kind.value]
+    user = ChatMessage("user", head + rest.format(**values), head)
+    return ChatRequest(model, (ChatMessage("system", system), user) if system else (user,),
+                       max_tokens, kind)
 
 
 _MARKUP = re.compile(r"[*_`#>]")
@@ -719,23 +731,20 @@ def last_tagged_line(text: str, pattern: re.Pattern) -> tuple[int, re.Match] | N
     return None
 
 
-def ask_twice(gateway: ChatGateway, model: str, kind: PromptKind, prompt: str,
-              parse: Callable[[str], R | None], instruction: str, *, max_tokens: int,
-              head: str = "") -> R | None:
-    """``parse`` of the reply to ``prompt``, asked of ``model`` under
-    ``kind``. When that is None, ask once more under ``kind``'s retry form,
-    appending that the reply was unreadable and "Answer again " with the
-    format ``instruction``; the re-ask only appends, so it keeps ``prompt``'s
-    ``head`` (see ``ChatMessage``). None when neither reply parses: the stage
-    gave up after the re-ask. Every stage that parses a tagged line from the
-    model's reply asks here."""
-
-    def ask(text: str, under: PromptKind) -> R | None:
-        request = chat_request(model, text, max_tokens=max_tokens, kind=under, head=head)
-        return parse(gateway.complete(request).content)
-
-    parsed = ask(prompt, kind)
+def ask_twice(gateway: ChatGateway, request: ChatRequest, parse: Callable[[str], R | None],
+              instruction: str) -> R | None:
+    """``parse`` of the reply to ``request``. When that is None, ask once
+    more under its kind's retry form, appending to the last message that the
+    reply was unreadable and "Answer again " with the format ``instruction``;
+    all else, the head (see ``ChatMessage``) too, stays. None when neither
+    reply parses: the stage gave up after the re-ask. Every stage that
+    parses a tagged line from the model's reply asks here."""
+    parsed = parse(gateway.complete(request).content)
     if parsed is None:
-        parsed = ask(f"{prompt}\n\nYour previous answer could not be parsed. Answer again "
-                     f"{instruction}", PromptKind(f"{kind.value}_retry"))
+        last = request.messages[-1]
+        again = ChatMessage(last.role, f"{last.content}\n\nYour previous answer could not be "
+                            f"parsed. Answer again {instruction}", last.head)
+        retry = replace(request, messages=request.messages[:-1] + (again,),
+                        kind=PromptKind(f"{request.kind.value}_retry"))
+        parsed = parse(gateway.complete(retry).content)
     return parsed

@@ -45,10 +45,10 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .engine import Question, Route, answer_routed, route
-from .gateway import ChatGateway, PromptKind, SetupError, ask_twice, last_tagged_line, map_in_order
+from .gateway import (ChatGateway, PromptKind, SetupError, ask_twice, last_tagged_line,
+                      map_in_order, prompt_request)
 from .ir import UpgradedGraph
 from .parsing import Dialect, ParseResult, parse_text
-from .prompts import split_template
 from .relations import make_relation_backend, upgrade_graph
 from .routing import QuestionClass, QuestionType, make_router
 
@@ -95,12 +95,15 @@ class DatasetLoad:
 
 _REQUIRED_FIELDS = ("id", "dialect", "source", "question", "answer", "type")
 _NOT_TEXT = {type(None): "null", bool: "boolean", list: "array", dict: "object"}
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")  # no request can carry one
 
 
 def _text_field(record: dict, name: str) -> str:
     value = record[name]
     if type(value) is str:
-        return value
+        if value.isascii() or not _LONE_SURROGATE.search(value):
+            return value
+        raise ValueError(f"field {name!r} is not UTF-8 text")
     if type(value) in _NOT_TEXT:
         raise ValueError(f"field {name!r} must be a string, not {_NOT_TEXT[type(value)]}")
     return str(value)
@@ -114,9 +117,10 @@ def load_dataset(path: str | Path) -> DatasetLoad:
     unescaped, are no line breaks here, as they are to ``str.splitlines``.
     Every field must be a JSON string or number, read as its text; a field
     that is null, a boolean, an array or an object makes the record
-    malformed. Each line loses one leading U+FEFF, a byte order mark, so the
-    file's own mark is record 1's, and a file made by joining files that
-    each begin with one keeps every record.
+    malformed, and so does text with a lone surrogate, such as the JSON
+    escape ``\\ud800``. Each line loses one leading U+FEFF, a byte order
+    mark, so the file's own mark is record 1's, and a file made by joining
+    files that each begin with one keeps every record.
 
     Raises OSError when the file cannot be read and EmptyDatasetError when
     nothing valid remains.
@@ -213,10 +217,8 @@ def judge(prediction: str, gold: str, gateway: ChatGateway | None = None,
         return JudgeResult(correct=True, tier=1)
     if gateway is None:
         return JudgeResult(correct=False, tier=1)
-    head, rest = split_template("judge.txt")
-    prompt = head + rest.format(prediction=prediction, gold=gold)
-    verdict = ask_twice(gateway, model, PromptKind.JUDGE, prompt, _parse_verdict, _JUDGE_RETRY,
-                        max_tokens=64, head=head)
+    request = prompt_request(model, PromptKind.JUDGE, prediction=prediction, gold=gold)
+    verdict = ask_twice(gateway, request, _parse_verdict, _JUDGE_RETRY)
     if verdict is None:
         return JudgeResult(correct=False, tier=2, judge_failed=True)
     return JudgeResult(correct=verdict, tier=2)

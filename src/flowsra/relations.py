@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .emitting import EmitError, InterlanguageDoc, emit
-from .gateway import ChatGateway, PromptKind, SetupError, ask_twice
-from .gateway import last_tagged_line, map_in_order
+from .gateway import ChatGateway, ChatRequest, PromptKind, SetupError, ask_twice
+from .gateway import last_tagged_line, map_in_order, prompt_head, prompt_request
 from .ir import (
     FALLBACK_MARK,
     Edge,
@@ -38,7 +38,6 @@ from .ir import (
     require_valid,
 )
 from .parsing import Dialect
-from .prompts import split_template
 
 
 class UpgradeError(RuntimeError):
@@ -72,22 +71,16 @@ def _label_clause(label: EdgeLabel) -> str:
     return "The edge carries no label."
 
 
-def _relation_head(context: InterlanguageDoc) -> str:
-    """The recognition prompt up to its node pair: once per chart text."""
-    return derived(context, "relation_head", lambda: split_template("relation.txt")[0].format(
-        definitions=relation_definitions_block(), context=context.text.rstrip("\n")))
-
-
-def build_relation_prompt(src: Node, dst: Node, label: EdgeLabel,
-                          context: InterlanguageDoc) -> str:
-    """Render the recognition prompt: analysis instruction, the four
-    definitions, the full chart, the node pair, and the output format."""
-    return _relation_head(context) + split_template("relation.txt")[1].format(
-        src_text=src.text,
-        dst_text=dst.text,
-        label_clause=_label_clause(label),
-        tags=_TAGS,
-    )
+def relation_request(model: str, src: Node, dst: Node, label: EdgeLabel,
+                     context: InterlanguageDoc) -> ChatRequest:
+    """The recognition request: analysis instruction, the four definitions
+    and the full chart (the head, once per chart text), then the node pair
+    and the output format."""
+    head = derived(context, "relation_head", lambda: prompt_head(
+        PromptKind.RELATION, definitions=relation_definitions_block(),
+        context=context.text.rstrip("\n")))
+    return prompt_request(model, PromptKind.RELATION, head, src_text=src.text,
+                          dst_text=dst.text, label_clause=_label_clause(label), tags=_TAGS)
 
 
 # the tag line reads any word, so that an out-of-taxonomy tag is re-asked
@@ -206,11 +199,10 @@ class LlmRelationBackend:
         def one(edge: Edge) -> tuple[RelationType, str]:
             src, dst = by_id[edge.src], by_id[edge.dst]
             try:
-                context = emit(graph, dialect)
-                prompt = build_relation_prompt(src, dst, edge.label, context)
-                found = ask_twice(self.gateway, self.model, PromptKind.RELATION, prompt,
-                                  parse_relation_response, _RETRY_REMINDER, max_tokens=512,
-                                  head=_relation_head(context))
+                request = relation_request(self.model, src, dst, edge.label,
+                                           emit(graph, dialect))
+                found = ask_twice(self.gateway, request, parse_relation_response,
+                                  _RETRY_REMINDER)
             except (SetupError, EmitError):
                 raise
             except Exception as exc:

@@ -16,9 +16,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .gateway import ChatGateway, PromptKind, ask_twice, last_tagged_line
+from .gateway import ChatGateway, PromptKind, ask_twice, last_tagged_line, prompt_request
 from .ir import IdentityEnum
-from .prompts import split_template
 
 
 class QuestionType(IdentityEnum):
@@ -112,10 +111,8 @@ def classify(question: str, gateway: ChatGateway, model: str) -> QuestionClass:
     """
     if not question.strip():
         raise ValueError("question must be non-empty")
-    head, rest = split_template("router.txt")
-    prompt = head + rest.format(question=question, classes=_CLASSES)
-    parsed = ask_twice(gateway, model, PromptKind.ROUTER, prompt, _parse_class, _RETRY_REMINDER,
-                       max_tokens=64, head=head)
+    request = prompt_request(model, PromptKind.ROUTER, question=question, classes=_CLASSES)
+    parsed = ask_twice(gateway, request, _parse_class, _RETRY_REMINDER)
     if parsed is None:
         raise ClassificationError(f"unparseable class for question {question!r}")
     return parsed

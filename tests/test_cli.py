@@ -50,6 +50,12 @@ def chart(tmp_path):
     return str(path)
 
 
+def set_stdin(monkeypatch, data: bytes, errors="strict"):
+    """Make stdin a text stream over ``data``, decoded as UTF-8 with ``errors``."""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                                       errors=errors))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -133,6 +139,15 @@ class TestConvert:
         assert code == 1
         assert out == ""
         assert err == f"error: {path} is not UTF-8 text (byte 18: invalid start byte)\n"
+
+    @pytest.mark.parametrize("argv", [["convert", "-", "--to", "dot"],
+                                      ["ask", "-", "--question", "Why?"]])
+    def test_non_utf8_chart_on_stdin_exits_1_as_a_file_does(self, capsys, monkeypatch, argv):
+        # stdin as a C locale decodes it: bytes that are not UTF-8 become lone surrogates
+        set_stdin(monkeypatch, b"flowchart TD\nA[caf\xff] --> B[x]\n", errors="surrogateescape")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: - is not UTF-8 text (byte 18: invalid start byte)\n"
 
 
 # chart bytes: anything, or pieces of every dialect with bytes that are not UTF-8
@@ -527,7 +542,7 @@ class TestByteOrderMark:
         assert expected[0] == 0
 
     def test_chart_on_stdin(self, capsys, monkeypatch, chart):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(self.BOM + MERMAID_FIXTURE))
+        set_stdin(monkeypatch, (self.BOM + MERMAID_FIXTURE).encode("utf-8"))
         got = run_cli(capsys, "stats", "-")
         assert got == run_cli(capsys, "stats", chart)
         assert got[0] == 0
@@ -559,6 +574,14 @@ class TestByteOrderMark:
             code, out, err = run_cli(capsys, "route", "--router", "llm",
                                      "--question", "Why?", *argv)
             assert (code, out, err) == (0, '{"class": "Complicated"}\n', "")
+
+
+def test_readme_configuration_lists_every_config_field_and_its_variable():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Configuration"):readme.index("### Caching")]
+    assert [f.name for f in fields(cli_mod.RunConfig)
+            if f"`FLOWSRA_{f.name.upper()}`" not in section
+            or f'"{f.name}":' not in section] == []
 
 
 class TestOptionsHaveCallers:

@@ -45,11 +45,11 @@ from flowsra.gateway import (
     TransientError,
     TransportError,
     cache_key,
-    chat_request,
     load_mock_script,
     map_in_order,
     prompt_fingerprint,
 )
+from flowsra.prompts import ANCHORS, PREAMBLE, load_template, split_template
 
 from gen import mock_backend, reply_gateway
 
@@ -57,6 +57,13 @@ from gen import mock_backend, reply_gateway
 def req(content="hello", model="m", max_tokens=256):
     return ChatRequest(model=model, messages=(ChatMessage("user", content),),
                        max_tokens=max_tokens)
+
+
+def framed(user, *, system=None, head="", max_tokens=7, kind=None):
+    """A request for ``user`` (its head ``head``), after a system message if
+    ``system`` is not empty."""
+    messages = (ChatMessage("system", system),) if system else ()
+    return ChatRequest("m", messages + (ChatMessage("user", user, head),), max_tokens, kind)
 
 
 # text that JSON must escape or may pass through: quotes, backslashes, every
@@ -149,7 +156,7 @@ class TestCacheKey:
         split = data.draw(st.integers(0, len(user)))
         keys = set()
         for head in ("", user[:split]):
-            request = chat_request("m", user, max_tokens=7, system=system, head=head)
+            request = framed(user, system=system, head=head)
             keys.add(cache_key(request))
             rendered = request.rendered().encode("utf-8")
             assert prompt_fingerprint(request) == hashlib.sha256(rendered).hexdigest()
@@ -164,7 +171,7 @@ class TestCacheKey:
         errors = []
         for head in ("", user[:split]):
             with pytest.raises(UnicodeEncodeError) as caught:
-                cache_key(chat_request("m", user, max_tokens=7, system=system, head=head))
+                cache_key(framed(user, system=system, head=head))
             errors.append((caught.value.encoding, caught.value.reason))
         assert errors[0] == errors[1]
 
@@ -1414,7 +1421,7 @@ class TestMockBackend:
             ChatGateway(transport).complete(req("different"))
 
     def test_exact_match_is_the_whole_rendered_prompt(self):
-        request = chat_request("m", "the question", max_tokens=8, system="be brief")
+        request = framed("the question", system="be brief")
         assert request.rendered() == "[system]\nbe brief\n\n[user]\nthe question"
         transport = MockTransport([MockRule("exact", "[user]\nthe question", "part"),
                                    MockRule("exact", request.rendered(), "whole")])
@@ -1479,17 +1486,22 @@ class TestMockBackend:
 
 
 class TestAskParseRetry:
-    """chat_request, last_tagged_line and ask_twice: the helpers the router,
-    judge and recognizer share."""
+    """prompt_request, last_tagged_line and ask_twice: the helpers the
+    router, judge, recognizer and engine share."""
 
-    def test_chat_request_shapes(self):
-        from flowsra.gateway import chat_request
+    def test_prompt_request_reads_its_kind_s_row_and_template(self):
+        from flowsra.gateway import prompt_request
 
-        plain = chat_request("m", "p", max_tokens=64)
-        assert plain == ChatRequest(model="m", messages=(ChatMessage("user", "p"),),
-                                    max_tokens=64)
-        framed = chat_request("m", "p", max_tokens=9, system="s")
-        assert [m.role for m in framed.messages] == ["system", "user"]
+        template = load_template("router.txt")
+        router = prompt_request("m", PromptKind.ROUTER, question="Why?", classes="A|B")
+        assert router == framed(template.format(question="Why?", classes="A|B"), max_tokens=64)
+        assert router.kind is PromptKind.ROUTER
+        assert router.messages[-1].head == template[:template.index("Question:")]
+        rest = load_template("shallow.txt").partition("Question:")
+        shallow = prompt_request("m", PromptKind.SHALLOW, "chart\n", question="Why?")
+        assert shallow == framed(f"chart\n{rest[1]}{rest[2]}".format(question="Why?"),
+                                 system=PREAMBLE, max_tokens=256)
+        assert (shallow.kind, shallow.messages[-1].head) == (PromptKind.SHALLOW, "chart\n")
 
     def test_last_tagged_line_strips_markup_and_takes_the_last(self):
         import re
@@ -1513,31 +1525,53 @@ class TestAskParseRetry:
             return "ok" if len(prompts) == 2 else "garbled"
 
         parse = lambda text: text if text == "ok" else None
-
-        def ask(gateway, head=""):
-            return ask_twice(gateway, "m", PromptKind.ROUTER, "head: p", parse, "+r",
-                             max_tokens=64, head=head)
-
+        request = framed("head: p", system="s", head="head: ", max_tokens=9,
+                         kind=PromptKind.ROUTER)
         retried = "head: p\n\nYour previous answer could not be parsed. Answer again +r"
         gateway = reply_gateway(reply)
-        assert ask(gateway, head="head: ") == "ok"
+        assert ask_twice(gateway, request, parse, "+r") == "ok"
         assert prompts == ["head: p", retried]
-        # the re-ask only appends to the prompt, so it keeps the head
-        assert [request.messages[-1].head for request in gateway.transport.calls] == [
-            "head: ", "head: "]
+        # the re-ask only appends to the prompt, so it keeps the model, the
+        # system message, the head and the budget
+        assert gateway.transport.calls == [request, framed(retried, system="s", max_tokens=9)]
+        assert [call.messages[-1].head for call in gateway.transport.calls] == ["head: "] * 2
         prompts.clear()
-        assert ask(reply_gateway(lambda p: prompts.append(p) or "x")) is None
+        assert ask_twice(reply_gateway(lambda p: prompts.append(p) or "x"), request, parse,
+                         "+r") is None
         assert prompts == ["head: p", retried]
-        assert ask(reply_gateway(lambda p: "ok")) == "ok"
+        assert ask_twice(reply_gateway(lambda p: "ok"), request, parse, "+r") == "ok"
 
-    @pytest.mark.parametrize("kind, retry", [
-        (PromptKind.ROUTER, PromptKind.ROUTER_RETRY),
-        (PromptKind.RELATION, PromptKind.RELATION_RETRY),
-        (PromptKind.JUDGE, PromptKind.JUDGE_RETRY)])
-    def test_ask_twice_tags_the_re_ask_with_the_retry_kind(self, kind, retry):
-        from flowsra.gateway import ask_twice
 
+_PROMPTS = Path(gateway_mod.__file__).parent / "prompts"
+_RE_ASKS = [kind for kind in PromptKind if kind.value.endswith("_retry")]
+
+
+class TestPromptTable:
+    """``prompts.ANCHORS`` against the prompt kinds and the template files."""
+
+    def test_each_kind_but_a_re_ask_has_one_template_its_anchor_and_a_budget(self):
+        kinds = {kind.value for kind in PromptKind if kind not in _RE_ASKS}
+        assert {path.name for path in _PROMPTS.glob("*.txt")} == {f"{k}.txt" for k in kinds}
+        assert set(ANCHORS) == kinds
+        for kind in kinds:
+            anchor, max_tokens, system = ANCHORS[kind]
+            assert load_template(f"{kind}.txt").count(anchor) == 1, kind
+            assert type(max_tokens) is int and max_tokens > 0, kind
+            assert system is None or system, kind
+
+    @pytest.mark.parametrize("retry", _RE_ASKS, ids=lambda kind: kind.value)
+    def test_each_re_ask_kind_re_asks_its_base_kind(self, retry):
+        from string import Formatter
+
+        from flowsra.gateway import ask_twice, prompt_request
+
+        kind = PromptKind(retry.value.removesuffix("_retry"))
+        fields = {name for _, name, _, _ in Formatter().parse(split_template(kind.value)[1])
+                  if name}
+        request = prompt_request("m", kind, **dict.fromkeys(fields, "x"))
         gateway = reply_gateway(lambda prompt: "garbled")
-        assert ask_twice(gateway, "m", kind, "p", lambda text: None, "+r", max_tokens=64) is None
-        assert [request.kind for request in gateway.transport.calls] == [kind, retry]
+        assert ask_twice(gateway, request, lambda text: None, "+r") is None
+        asked = gateway.transport.calls
+        assert [call.kind for call in asked] == [kind, retry]
         assert gateway.requests == Counter({kind: 1, retry: 1})
+        assert (asked[1].model, asked[1].max_tokens) == (asked[0].model, asked[0].max_tokens)

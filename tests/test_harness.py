@@ -79,6 +79,22 @@ class TestLoadDataset:
         # numbers still read as their text
         assert (load.instances[2].flowchart_id, load.instances[2].gold_answer) == ("7", "2.5")
 
+    @pytest.mark.parametrize("field", ["id", "dialect", "source", "question", "answer", "type"])
+    @pytest.mark.parametrize("escape", ["\\ud800", "a\\uDC80b"])
+    def test_lone_surrogate_is_a_diagnostic(self, tmp_path, field, escape):
+        # a pair of escapes is one character, and an escaped backslash no escape
+        good = {"id": "a", "dialect": "mermaid", "source": "flowchart TD\nA-->B",
+                "question": "q \U0001f600?", "answer": "x", "type": "TP1"}
+        path = tmp_path / "surrogates.jsonl"
+        lines = [json.dumps(good), json.dumps(good).replace("\\u", "\\\\u"),
+                 json.dumps({**good, field: "@"}).replace("@", escape)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        load = load_dataset(path)
+        assert [instance.question.text for instance in load.instances] == [
+            "q \U0001f600?", "q \\ud83d\\ude00?"]
+        assert [str(d) for d in load.diagnostics] == [
+            f"record 3: field {field!r} is not UTF-8 text"]
+
     def test_records_that_are_not_objects_become_diagnostics(self, tmp_path):
         path = tmp_path / "shapes.jsonl"
         good = {"id": "a", "dialect": "mermaid", "source": "flowchart TD\nA-->B",

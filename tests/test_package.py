@@ -20,22 +20,23 @@ def test_every_exported_name_resolves_and_the_list_is_sorted_and_unique():
     assert flowsra.__all__ == sorted(set(flowsra.__all__))
 
 
-def test_only_the_gateway_and_the_engine_build_or_send_requests():
-    """Every other module reaches the model through ``gateway.ask_twice``,
-    which re-asks an unreadable reply once: in ``src/flowsra`` only
-    gateway.py and engine.py call ``chat_request`` or ``.complete(``."""
-    callers = set()
+def test_only_the_gateway_builds_requests_and_only_it_and_the_engine_send_them():
+    """Every request is built by ``gateway.prompt_request`` (or re-asked by
+    ``gateway.ask_twice``), and every stage but the engine's answers sends
+    through ``ask_twice``: in ``src/flowsra`` only gateway.py calls
+    ``ChatRequest``, and only gateway.py and engine.py call ``.complete(``."""
+    builders, senders = set(), set()
     for path in (_ROOT / "src" / "flowsra").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            if isinstance(func, ast.Attribute):
-                if func.attr in ("chat_request", "complete"):
-                    callers.add(path.name)
-            elif isinstance(func, ast.Name) and func.id == "chat_request":
-                callers.add(path.name)
-    assert callers == {"engine.py", "gateway.py"}
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "ChatRequest":
+                builders.add(path.name)
+            elif name == "complete" and isinstance(node.func, ast.Attribute):
+                senders.add(path.name)
+    assert builders == {"gateway.py"}
+    assert senders == {"engine.py", "gateway.py"}
 
 
 _FOOTPRINT_SCRIPT = r"""

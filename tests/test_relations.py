@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from flowsra import emitting
 from flowsra import gateway as gateway_mod
 from flowsra.emitting import emit
-from flowsra.gateway import CacheError, ChatGateway, PermanentError
+from flowsra.gateway import CacheError, ChatGateway, PermanentError, PromptKind
 from flowsra.ir import (
     NO,
     UNLABELED,
@@ -32,10 +32,10 @@ from flowsra.relations import (
     HeuristicRelationBackend,
     LlmRelationBackend,
     UpgradeError,
-    build_relation_prompt,
     make_relation_backend,
     heuristic_recognize,
     parse_relation_response,
+    relation_request,
     upgrade_graph,
 )
 
@@ -53,22 +53,32 @@ def context_doc():
     return emit(graph, Dialect.MERMAID)
 
 
-class TestBuildRelationPrompt:
+def relation_prompt(src, dst, label, context):
+    return relation_request("recognizer", src, dst, label, context).messages[-1].content
+
+
+class TestRelationRequest:
+    def test_is_one_user_message_with_the_chart_as_its_head(self):
+        doc = context_doc()
+        request = relation_request("recognizer", node("a"), node("b"), UNLABELED, doc)
+        (message,) = request.messages
+        assert (request.kind, request.max_tokens) == (PromptKind.RELATION, 512)
+        assert message.head == message.content[:message.content.index("Node A (source): a")]
+        assert message.head.endswith(doc.text.rstrip("\n") + "\n\n")
+
     def test_contains_all_four_definitions(self):
-        prompt = build_relation_prompt(node("a"), node("b"), UNLABELED,
-                                       context_doc())
+        prompt = relation_prompt(node("a"), node("b"), UNLABELED, context_doc())
         for relation in RelationType:
             assert relation.definition in prompt
         assert "RELATION:" in prompt
 
     def test_yes_label_mentions_branch_polarity(self):
-        prompt = build_relation_prompt(node("a"), node("b"), YES,
-                                       context_doc())
+        prompt = relation_prompt(node("a"), node("b"), YES, context_doc())
         assert "Yes" in prompt
         assert "condition holds" in prompt
 
     def test_embeds_the_node_pair(self):
-        prompt = build_relation_prompt(
+        prompt = relation_prompt(
             node("Obtain a new photograph"), node("Selecting the Photograph"),
             UNLABELED, context_doc())
         assert "Obtain a new photograph" in prompt
@@ -76,7 +86,7 @@ class TestBuildRelationPrompt:
 
     def test_embeds_the_chart_context(self):
         doc = context_doc()
-        prompt = build_relation_prompt(node("a"), node("b"), UNLABELED, doc)
+        prompt = relation_prompt(node("a"), node("b"), UNLABELED, doc)
         assert doc.text.rstrip("\n") in prompt
 
 
@@ -487,7 +497,7 @@ class TestLazyContext:
         # the prompts an eagerly rendered context gives
         by_id = {n.id: n for n in graph.nodes}
         context = emit(graph, Dialect.DOT)
-        expected = sorted(build_relation_prompt(by_id[e.src], by_id[e.dst], e.label, context)
+        expected = sorted(relation_prompt(by_id[e.src], by_id[e.dst], e.label, context)
                           for e in graph.edges)
         assert sorted(req.messages[-1].content for req in transport.calls) == expected
 
