@@ -1,6 +1,8 @@
 """flowsra: flowchart interlanguage conversion, semantic-relation upgrading,
 and intent-routed question answering."""
 
+from types import ModuleType as _ModuleType
+
 from .ir import (
     Edge,
     EdgeLabel,
@@ -23,47 +25,6 @@ from .harness import EvalConfig, EvalInstance, EvalReport, judge, load_dataset, 
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Answer",
-    "ChatGateway",
-    "ChatMessage",
-    "ChatRequest",
-    "ChatResponse",
-    "Dialect",
-    "Edge",
-    "EdgeLabel",
-    "EvalConfig",
-    "EvalInstance",
-    "EvalReport",
-    "FlowGraph",
-    "InterlanguageDoc",
-    "Node",
-    "NodeKind",
-    "Question",
-    "QuestionClass",
-    "QuestionType",
-    "RelationTriple",
-    "RelationType",
-    "Route",
-    "UpgradedGraph",
-    "answer_controlled",
-    "answer_deep",
-    "answer_shallow",
-    "detect_dialect",
-    "emit",
-    "emit_triples",
-    "emit_upgraded",
-    "heuristic_classify",
-    "heuristic_recognize",
-    "judge",
-    "load_dataset",
-    "parse_dot",
-    "parse_mermaid",
-    "parse_plantuml",
-    "parse_text",
-    "run_eval",
-    "topology_stats",
-    "type_to_class",
-    "upgrade_graph",
-    "validate",
-]
+# the public names are the ones imported above: not a module, nor private
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

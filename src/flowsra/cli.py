@@ -17,6 +17,7 @@ from pathlib import Path
 from .emitting import EmitError, emit, emit_triples, emit_upgraded
 from .engine import Question, answer_controlled
 from .gateway import (
+    PARALLELISM,
     ChatGateway,
     HttpTransport,
     PermanentError,
@@ -54,7 +55,7 @@ class RunConfig:
     router_model: str = "router"
     judge_model: str = "judge"
     cache_dir: str | None = None
-    parallelism: int = 8
+    parallelism: int = PARALLELISM
     offline: bool = False
     mock_script: str | None = None
 
@@ -214,10 +215,9 @@ def cmd_ask(args: argparse.Namespace, config: RunConfig) -> int:
     detected, graph = _parse_input(args.input, args.dialect)
     question = _question(args.question)
     dialect = Dialect(args.to) if args.to else detected
-    kind = {"shallow": "always-shallow", "deep": "always-deep"}.get(args.mode, args.router)
     with _gateway(config) as gateway:
         backend = make_relation_backend(args.relation_backend, gateway, config.recognizer_model)
-        router = make_router(kind, gateway, config.router_model)
+        router = make_router(args.router, gateway, config.router_model)
         answer = answer_controlled(graph, question, router, backend, gateway,
                                    model=config.reasoner_model, dialect=dialect)
     recognized = gateway.requests[PromptKind.RELATION] + gateway.requests[PromptKind.RELATION_RETRY]
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache-dir", dest="cache_dir", help="response cache directory")
     common.add_argument("--parallelism", type=int, default=None,
                         help="max concurrent transport calls, one per transport "
-                             "worker thread (default 8); once a run reaches the "
+                             f"worker thread (default {PARALLELISM}); once a run reaches the "
                              "transport, eval instances and an upgrade's recognizer "
                              "calls run on 2N more threads, with up to 8N queued ahead")
     common.add_argument("--offline", action="store_true", default=False,
@@ -312,33 +312,31 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--model-router", dest="router_model", default=None)
     common.add_argument("--model-judge", dest="judge_model", default=None)
 
-    sub = parser.add_subparsers(dest="command", required=True)
     dialects = [d.value for d in Dialect]
+    chart = argparse.ArgumentParser(add_help=False)
+    chart.add_argument("input", help="chart file ('-' for stdin)")
+    chart.add_argument("--dialect", choices=dialects, help="input dialect override")
+    relation = argparse.ArgumentParser(add_help=False)
+    relation.add_argument("--relation-backend", default="heuristic", choices=RELATION_BACKENDS)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("convert", parents=[common],
+    p = sub.add_parser("convert", parents=[common, chart],
                        help="parse a chart and emit it in another dialect")
-    p.add_argument("input", help="chart file ('-' for stdin)")
     p.add_argument("--to", required=True, choices=dialects)
-    p.add_argument("--dialect", choices=dialects, help="input dialect override")
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("upgrade", parents=[common],
+    p = sub.add_parser("upgrade", parents=[common, chart, relation],
                        help="emit the relation-annotated chart plus triples")
-    p.add_argument("input")
-    p.add_argument("--relation-backend", default="heuristic", choices=RELATION_BACKENDS)
     p.add_argument("--to", choices=dialects, help="output dialect (default: input's)")
-    p.add_argument("--dialect", choices=dialects)
     p.set_defaults(func=cmd_upgrade)
 
-    p = sub.add_parser("ask", parents=[common], help="answer a question about a chart")
-    p.add_argument("input")
+    p = sub.add_parser("ask", parents=[common, chart, relation],
+                       help="answer a question about a chart")
     p.add_argument("--question", required=True)
-    p.add_argument("--mode", default="controlled",
-                   choices=["shallow", "deep", "controlled"])
-    p.add_argument("--router", default="heuristic", choices=TEXT_ROUTE_MODES)
-    p.add_argument("--relation-backend", default="heuristic", choices=RELATION_BACKENDS)
+    # every router but the oracle, which reads a gold type that a question to ask lacks
+    p.add_argument("--router", default="heuristic",
+                   choices=tuple(mode for mode in ROUTE_MODES if mode != "oracle"))
     p.add_argument("--to", choices=dialects, help="reasoning dialect (default: input's)")
-    p.add_argument("--dialect", choices=dialects)
     p.set_defaults(func=cmd_ask)
 
     p = sub.add_parser("route", parents=[common],
@@ -347,17 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--router", default="heuristic", choices=TEXT_ROUTE_MODES)
     p.set_defaults(func=cmd_route)
 
-    p = sub.add_parser("stats", parents=[common], help="print topology statistics")
-    p.add_argument("input")
-    p.add_argument("--dialect", choices=dialects)
+    p = sub.add_parser("stats", parents=[common, chart], help="print topology statistics")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("eval", parents=[common], help="run the evaluation harness")
+    p = sub.add_parser("eval", parents=[common, relation], help="run the evaluation harness")
     p.add_argument("--dataset", required=True)
     p.add_argument("--dialect", choices=dialects,
                    help="reason over this dialect instead of each instance's own")
     p.add_argument("--router", default="heuristic", choices=ROUTE_MODES)
-    p.add_argument("--relation-backend", default="heuristic", choices=RELATION_BACKENDS)
     p.add_argument("--judge", default="exact", choices=JUDGE_MODES)
     p.add_argument("--filter-type", choices=[t.value for t in QuestionType])
     p.add_argument("--report", default="json", choices=REPORT_FORMATS)

@@ -54,6 +54,7 @@ from .prompts import ANCHORS, split_template
 ATTEMPTS = 3       # transport calls per request, the first one included
 BACKOFF_S = 0.25   # the full-jitter cap before the first retry; doubles per retry
 TIMEOUT_S = 120.0  # seconds per HTTP call; a longer Retry-After ends the request
+PARALLELISM = 8    # concurrent transport calls, unless a gateway is given another
 TEMPERATURE = 0.0  # sent with every request: greedy decoding
 SEED = 0           # sent with every request, for providers that sample anyway
 
@@ -116,20 +117,6 @@ def _render(earlier: Sequence[ChatMessage], role: str, text: str) -> str:
     return "".join([f"[{m.role}]\n{m.content}\n\n" for m in earlier]) + f"[{role}]\n{text}"
 
 
-@lru_cache(maxsize=128)  # a run has one head per chart and depth
-def _rendered_head_state(earlier: tuple[ChatMessage, ...], role: str, head: str):
-    """The sha256 state after a rendered prompt up to its last message's head."""
-    return hashlib.sha256(_render(earlier, role, head).encode("utf-8"))
-
-
-def prompt_fingerprint(request: ChatRequest) -> str:
-    """sha256 hex of ``request.rendered()``, hashing each head once."""
-    last = request.messages[-1]
-    state = _rendered_head_state(request.messages[:-1], last.role, last.head).copy()
-    state.update(last.content[len(last.head):].encode("utf-8"))
-    return state.hexdigest()
-
-
 @dataclass(frozen=True, slots=True)
 class Usage:
     prompt_tokens: int = 0
@@ -179,15 +166,16 @@ def _key_frame(model: str, max_tokens: int) -> tuple[str, str]:
 def _head_state(model: str, max_tokens: int, earlier: tuple[ChatMessage, ...],
                 role: str, head: str):
     """The sha256 state after a request's key payload up to the head of its
-    last message, and the payload's text from the ``]`` that closes the
-    messages (``_key_frame``). A string's escaping is its characters'
-    escapings in turn, so the head's, less its closing quote, leads the
-    content's."""
+    last message, the payload's text from the ``]`` that closes the
+    messages (``_key_frame``), and the sha256 state after the rendered
+    prompt up to that head, for ``prompt_fingerprint``. A string's escaping
+    is its characters' escapings in turn, so the head's, less its closing
+    quote, leads the content's."""
     frame_head, frame_tail = _key_frame(model, max_tokens)
     before = "".join([f"[{_encode_str(m.role)},{_encode_str(m.content)}]," for m in earlier])
     state = hashlib.sha256(f"{frame_head}{before}"
                            f"[{_encode_str(role)},{_encode_str(head)[:-1]}".encode("utf-8"))
-    return state, frame_tail
+    return state, frame_tail, hashlib.sha256(_render(earlier, role, head).encode("utf-8"))
 
 
 def cache_key(req: ChatRequest) -> str:
@@ -203,11 +191,20 @@ def cache_key(req: ChatRequest) -> str:
     function the encoder itself uses, so the bytes hashed are the encoder's
     own. A message without a head takes the same path, with an empty one."""
     last = req.messages[-1]
-    head_state, frame_tail = _head_state(req.model, req.max_tokens, req.messages[:-1],
-                                         last.role, last.head)
+    head_state, frame_tail, _ = _head_state(req.model, req.max_tokens, req.messages[:-1],
+                                            last.role, last.head)
     state = head_state.copy()
     rest = _encode_str(last.content[len(last.head):])[1:]
     state.update(f"{rest}]{frame_tail}".encode("utf-8"))
+    return state.hexdigest()
+
+
+def prompt_fingerprint(request: ChatRequest) -> str:
+    """sha256 hex of ``request.rendered()``, hashing each head once (``_head_state``)."""
+    last = request.messages[-1]
+    state = _head_state(request.model, request.max_tokens, request.messages[:-1],
+                        last.role, last.head)[2].copy()
+    state.update(last.content[len(last.head):].encode("utf-8"))
     return state.hexdigest()
 
 
@@ -419,11 +416,12 @@ class MockTransport:
 
 def load_mock_script(path: str | Path) -> MockTransport:
     """Read a JSON script file: a list of {match, pattern, response} objects,
-    ``match`` defaulting to ``contains``. Raises ValueError, naming the
-    entry, for one that is not such an object."""
-    text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+    ``match`` defaulting to ``contains``. Raises ValueError, naming the file,
+    for one that is not UTF-8 JSON, or the entry that is not such an object."""
     try:
-        entries = json.loads(text)
+        entries = json.loads(Path(path).read_text(encoding="utf-8").removeprefix("\ufeff"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"mock script {path}: {exc}") from None
     except RecursionError:
         raise ValueError(f"mock script {path}: JSON nested too deeply") from None
     if not isinstance(entries, list):
@@ -471,7 +469,7 @@ class ChatGateway:
         transport: Callable[[ChatRequest], dict] | None = None,
         *,
         cache_dir: str | Path | None = None,
-        parallelism: int = 8,
+        parallelism: int = PARALLELISM,
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
     ):

@@ -273,7 +273,7 @@ class TestAsk:
             [{"match": "contains", "pattern": "How many nodes", "response": "5"}]))
         code, out, _ = run_cli(
             capsys, "ask", chart, "--question", "How many nodes are there?",
-            "--mode", "controlled", "--mock-script", str(script))
+            "--mock-script", str(script))
         assert code == 0
         payload = json.loads(out)
         assert payload["answer"] == "5"
@@ -286,7 +286,7 @@ class TestAsk:
         code, out, err = run_cli(
             capsys, "ask", chart, "--question",
             "If the homework is not finished, what should I do next?",
-            "--mode", "controlled", "--mock-script", str(script))
+            "--mock-script", str(script))
         assert code == 0
         payload = json.loads(out)
         assert payload["route"] == "deep"
@@ -298,7 +298,7 @@ class TestAsk:
         script.write_text(json.dumps(
             [{"match": "contains", "pattern": "", "response": "RELATION: Sequentiality"}]))
         code, out, err = run_cli(
-            capsys, "ask", chart, "--question", "What then?", "--mode", "deep",
+            capsys, "ask", chart, "--question", "What then?", "--router", "always-deep",
             "--relation-backend", "llm", "--parallelism", "8",
             "--mock-script", str(script))
         assert code == 0
@@ -314,7 +314,7 @@ class TestAsk:
              "response": "no idea"},
             {"match": "contains", "pattern": "", "response": "RELATION: Sequentiality"}]))
         code, out, err = run_cli(
-            capsys, "ask", chart, "--question", "What then?", "--mode", "deep",
+            capsys, "ask", chart, "--question", "What then?", "--router", "always-deep",
             "--relation-backend", "llm", "--mock-script", str(script))
         assert code == 0
         assert json.loads(out)["fallbacks_used"] == 0
@@ -333,7 +333,7 @@ class TestAsk:
             {"pattern": "You label the semantic relation", "response": "RELATION: Sequentiality"},
             {"pattern": "", "response": "Do your homework"}]))
         code, out, err = run_cli(
-            capsys, "ask", chart, "--question", "What then?", "--mode", "controlled",
+            capsys, "ask", chart, "--question", "What then?",
             "--router", "llm", "--relation-backend", "llm", "--mock-script", str(script))
         assert code == 0
         assert json.loads(out)["route"] == "deep"
@@ -345,7 +345,7 @@ class TestAsk:
             [{"match": "contains", "pattern": "", "response": "RELATION: Sequentiality"}]))
         before = threading.active_count()
         code, _, _ = run_cli(
-            capsys, "ask", chart, "--question", "What then?", "--mode", "deep",
+            capsys, "ask", chart, "--question", "What then?", "--router", "always-deep",
             "--relation-backend", "llm", "--parallelism", "8",
             "--mock-script", str(script))
         assert code == 0
@@ -357,7 +357,7 @@ class TestAsk:
             [{"match": "contains", "pattern": "", "response": "5"}]))
         code, _, err = run_cli(
             capsys, "ask", chart, "--question", "How many nodes are there?",
-            "--mode", "controlled", "--mock-script", str(script))
+            "--mock-script", str(script))
         assert code == 0
         assert "recognizer calls: 0" in err
 
@@ -366,8 +366,17 @@ class TestAsk:
         script.write_text(json.dumps(
             [{"match": "contains", "pattern": "", "response": "ok"}]))
         code, out, _ = run_cli(capsys, "ask", chart, "--question", "anything?",
-                               "--mode", "shallow", "--mock-script", str(script))
+                               "--router", "always-shallow", "--mock-script", str(script))
         assert json.loads(out)["route"] == "shallow"
+
+    @pytest.mark.parametrize("argv", [["--mode", "deep"], ["--router", "oracle"]],
+                             ids=["mode", "oracle"])
+    def test_mode_option_and_oracle_router_are_usage_errors(self, capsys, chart, argv):
+        # the route is picked by --router alone; the oracle needs a gold type
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ask", chart, "--question", "What then?", *argv])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestRoute:
@@ -608,7 +617,6 @@ class TestOptionsHaveCallers:
         ("upgrade", "--relation-backend", relations.RELATION_BACKENDS),
         ("ask", "--relation-backend", relations.RELATION_BACKENDS),
         ("eval", "--relation-backend", relations.RELATION_BACKENDS),
-        ("ask", "--router", routing.TEXT_ROUTE_MODES),
         ("route", "--router", routing.TEXT_ROUTE_MODES),
         ("eval", "--router", routing.ROUTE_MODES),
         ("eval", "--judge", harness.JUDGE_MODES),
@@ -620,6 +628,14 @@ class TestOptionsHaveCallers:
         [action] = [action for action in subparsers.choices[command]._actions
                     if flag in action.option_strings]
         assert action.choices is table
+
+    def test_ask_routes_with_every_router_but_the_oracle(self):
+        subparsers = next(action for action in cli_mod.build_parser()._actions
+                          if action.dest == "command")
+        [action] = [action for action in subparsers.choices["ask"]._actions
+                    if "--router" in action.option_strings]
+        assert action.choices == ("llm", "heuristic", "always-shallow", "always-deep")
+        assert action.choices == tuple(m for m in routing.ROUTE_MODES if m != "oracle")
 
 
 class TestInputShapes:
@@ -686,6 +702,20 @@ class TestInputShapes:
                                  "--mock-script", str(script))
         assert (code, out) == (2, "")
         assert err == f"config error: mock script {script}, {message}\n"
+
+    @pytest.mark.parametrize("content,reason", [
+        (b'{"a":', "Expecting value: line 1 column 6 (char 5)"),
+        (b'\xff\xfe[]', "'utf-8' codec can't decode byte 0xff in position 0: "
+                        "invalid start byte"),
+    ], ids=["not-json", "not-utf8"])
+    def test_mock_script_that_is_not_utf8_json_exits_2_with_its_path(self, capsys, tmp_path,
+                                                                    content, reason):
+        script = tmp_path / "trunc.json"
+        script.write_bytes(content)
+        code, out, err = run_cli(capsys, "route", "--question", "x", "--router", "llm",
+                                 "--mock-script", str(script))
+        assert (code, out) == (2, "")
+        assert err == f"config error: mock script {script}: {reason}\n"
 
     @pytest.mark.parametrize("argv", [
         ["stats", "{chart}/x"],
@@ -865,7 +895,7 @@ class TestTransportFailures:
         # the first edge is recognized inline, the rest fail on worker threads
         transport = install(error, answered=1)
         code, out, err = run_cli(
-            capsys, "ask", chart, "--question", "What then?", "--mode", "deep",
+            capsys, "ask", chart, "--question", "What then?", "--router", "always-deep",
             "--relation-backend", "llm", "--parallelism", "2", "--mock-script", "-")
         assert code == 3, err
         assert out == ""
@@ -929,7 +959,7 @@ class TestEndpoint:
 
     def test_ask_with_a_wait_the_host_cannot_sleep_exits_3(self, capsys, chart, posted):
         code, out, err = run_cli(capsys, "ask", chart, "--question", "What then?",
-                                 "--mode", "shallow", "--endpoint", "http://x/v1")
+                                 "--router", "always-shallow", "--endpoint", "http://x/v1")
         assert (code, out, posted) == (3, "", ["http://x/v1"])
         assert err.startswith("backend error: provider asked to wait 9300000000 s, ")
 
@@ -987,7 +1017,7 @@ class TestRetryAfterBeyondTheTimeout:
 
     def test_ask_exits_3(self, capsys, chart, slept):
         code, out, err = run_cli(capsys, "ask", chart, "--question", "What then?",
-                                 "--mode", "shallow", "--endpoint", "http://x/v1")
+                                 "--router", "always-shallow", "--endpoint", "http://x/v1")
         assert (code, out, slept) == (3, "", [])
         assert err == f"backend error: {self.MESSAGE}\n"
 
@@ -1141,7 +1171,7 @@ class TestNarrowExitCodes:
     def test_ask_reply_with_a_lone_surrogate_prints_escaped_json(self, capsys, chart,
                                                                  surrogate_script):
         code, out, err = run_cli(capsys, "ask", chart, "--question", "What then?",
-                                 "--mode", "shallow", "--mock-script", surrogate_script)
+                                 "--router", "always-shallow", "--mock-script", surrogate_script)
         assert code == 0, err
         assert out.count("\n") == 1
         assert '"answer": "a\\ud800b é"' in out  # non-ASCII verbatim, the surrogate escaped

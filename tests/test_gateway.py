@@ -1339,7 +1339,7 @@ class TestLoopback:
                          "C -->|Yes| D[Save]\nC -->|No| A\n")
         url = serve((status, {"error": "rejected"}))
         code = cli.main(["ask", str(chart), "--question", "Why check the input?",
-                         "--mode", "deep", "--relation-backend", "llm", "--endpoint", url])
+                         "--router", "always-deep", "--relation-backend", "llm", "--endpoint", url])
         captured = capsys.readouterr()
         assert (code, len(serve.posts), captured.out) == (3, 1, "")
         assert captured.err.startswith(
@@ -1359,7 +1359,7 @@ class TestLoopback:
 
     @pytest.mark.parametrize("command", [
         ["route", "--router", "llm", "--question", "Why?"],
-        ["ask", "CHART", "--question", "Why check the input?", "--mode", "deep",
+        ["ask", "CHART", "--question", "Why check the input?", "--router", "always-deep",
          "--relation-backend", "llm"],
         ["eval", "--dataset", str(Path(__file__).parent / "data" / "eval10.jsonl"),
          "--router", "llm", "--relation-backend", "llm", "--report", "json"],

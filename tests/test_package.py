@@ -20,6 +20,17 @@ def test_every_exported_name_resolves_and_the_list_is_sorted_and_unique():
     assert flowsra.__all__ == sorted(set(flowsra.__all__))
 
 
+def test_the_exported_names_are_the_imported_ones_written_once():
+    """``__all__`` is every name that ``__init__.py`` imports from the
+    package's modules, and no name is spelled a second time as a string."""
+    tree = ast.parse((_ROOT / "src" / "flowsra" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    assert flowsra.__all__ == sorted(imported)
+    assert [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in imported] == []
+
+
 def test_only_the_gateway_builds_requests_and_only_it_and_the_engine_send_them():
     """Every request is built by ``gateway.prompt_request`` (or re-asked by
     ``gateway.ask_twice``), and every stage but the engine's answers sends

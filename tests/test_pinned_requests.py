@@ -108,28 +108,23 @@ HOMEWORK = load_dataset(DATA / "eval10.jsonl").instances[0].source
 ASK_QUESTIONS = ("How many nodes are in the flowchart?",
                  "If the homework is not finished, what should I do next?")
 
-# (mode, router, relation backend) -> (request digest, digest of exit codes,
-# stdout and stderr)
+# (router, relation backend) -> (request digest, digest of exit codes, stdout
+# and stderr)
 ASK = {
-    ('shallow', 'heuristic', 'heuristic'): ('b028e01d06808e7e', '261b4f4ceb7b458c'),
-    ('shallow', 'heuristic', 'llm'): ('b028e01d06808e7e', '261b4f4ceb7b458c'),
-    ('shallow', 'llm', 'heuristic'): ('b028e01d06808e7e', '261b4f4ceb7b458c'),
-    ('shallow', 'llm', 'llm'): ('b028e01d06808e7e', '261b4f4ceb7b458c'),
-    ('deep', 'heuristic', 'heuristic'): ('baaf9ac1c35191fe', 'e8059301c8eae04f'),
-    ('deep', 'heuristic', 'llm'): ('444d9e2c2924c7f2', '275258709772440e'),
-    ('deep', 'llm', 'heuristic'): ('baaf9ac1c35191fe', 'e8059301c8eae04f'),
-    ('deep', 'llm', 'llm'): ('444d9e2c2924c7f2', '275258709772440e'),
-    ('controlled', 'heuristic', 'heuristic'): ('490a1758b76c29c3', 'cdcb1a12da56780a'),
-    ('controlled', 'heuristic', 'llm'): ('6e34c2d8e79b82ae', '7f115ed072dd867c'),
-    ('controlled', 'llm', 'heuristic'): ('a6a9af19a4265329', 'e8059301c8eae04f'),
-    ('controlled', 'llm', 'llm'): ('0dde23e509994b60', '275258709772440e'),
+    ('heuristic', 'heuristic'): ('490a1758b76c29c3', 'cdcb1a12da56780a'),
+    ('heuristic', 'llm'): ('6e34c2d8e79b82ae', '7f115ed072dd867c'),
+    ('llm', 'heuristic'): ('a6a9af19a4265329', 'e8059301c8eae04f'),
+    ('llm', 'llm'): ('0dde23e509994b60', '275258709772440e'),
+    ('always-shallow', 'heuristic'): ('b028e01d06808e7e', '261b4f4ceb7b458c'),
+    ('always-shallow', 'llm'): ('b028e01d06808e7e', '261b4f4ceb7b458c'),
+    ('always-deep', 'heuristic'): ('baaf9ac1c35191fe', 'e8059301c8eae04f'),
+    ('always-deep', 'llm'): ('444d9e2c2924c7f2', '275258709772440e'),
 }
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("router", ("heuristic", "llm"))
-@pytest.mark.parametrize("mode", ("shallow", "deep", "controlled"))
-def test_ask_requests_and_payloads(mode, router, backend, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("router", [mode for mode in ROUTE_MODES if mode != "oracle"])
+def test_ask_requests_and_payloads(router, backend, tmp_path, capsys, monkeypatch):
     transports = []
 
     def recording_script(path):
@@ -141,11 +136,11 @@ def test_ask_requests_and_payloads(mode, router, backend, tmp_path, capsys, monk
     chart.write_text(HOMEWORK)
     keys, outcomes = [], []
     for question in ASK_QUESTIONS:
-        code = cli.main(["ask", str(chart), "--question", question, "--mode", mode,
+        code = cli.main(["ask", str(chart), "--question", question,
                          "--router", router, "--relation-backend", backend,
                          "--parallelism", "1",
                          "--mock-script", str(DATA / "mock10.json")])
         keys += map(cache_key, transports[-1].calls)
         captured = capsys.readouterr()
         outcomes += [str(code), captured.out, captured.err]
-    assert (digest(sorted(keys)), digest(outcomes)) == ASK[(mode, router, backend)]
+    assert (digest(sorted(keys)), digest(outcomes)) == ASK[(router, backend)]
