@@ -9,8 +9,11 @@ names in each edge's label slot.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import count
+from operator import attrgetter
 from typing import Generator
 
 from .ir import (
@@ -73,21 +76,26 @@ def _clean_texts(graph: FlowGraph) -> dict[str, str]:
     return derived(graph, "clean_texts", lambda: {n.id: _clean(n.text) for n in graph.nodes})
 
 
-def _taxonomy_comment(marker: str) -> list[str]:
-    lines = [f"{marker} Relation taxonomy:"]
-    lines += [f"{marker} {line}" for line in relation_definitions_block().splitlines()]
-    return lines
+@cache
+def _taxonomy_comment(marker: str) -> tuple[str, ...]:
+    """The relation taxonomy as comment lines that start with ``marker``,
+    built once per marker."""
+    lines = ("Relation taxonomy:", *relation_definitions_block().splitlines())
+    return tuple(f"{marker} {line}" for line in lines)
 
 
 # --- Mermaid ---------------------------------------------------------------
 
-_MERMAID_BARE = re.compile(r"[^\[\]{}()|\"/]*$")
+# the characters the parser would read as a shape's delimiter; a set tests a
+# text for them faster than a regex match does
+_MERMAID_DELIMITERS = frozenset('[]{}()|"/')
 
 
 def _mermaid_text(text: str) -> str:
     """Single-line node text, quoted unless it holds nothing the parser would
     read otherwise: a delimiter, outer whitespace, or a ``%%`` comment marker."""
-    if text and _MERMAID_BARE.match(text) and text == text.strip() and "%%" not in text:
+    if (text and _MERMAID_DELIMITERS.isdisjoint(text) and text == text.strip()
+            and "%%" not in text):
         return text
     return '"' + text.replace('"', "#quot;") + '"'
 
@@ -178,7 +186,7 @@ _DOT_SHAPES = {
 def _emit_dot(graph: FlowGraph, upgraded: list[str] | None) -> str:
     lines = ["digraph G {"]
     if upgraded is not None:
-        lines += ["  " + line for line in _taxonomy_comment("//")]
+        lines += _taxonomy_comment("  //")
     # each node's id is quoted once, and looked up for the edges
     ids: dict[str, str] = {}
     for node, text in zip(graph.nodes, _clean_texts(graph).values()):
@@ -205,6 +213,9 @@ def _emit_dot(graph: FlowGraph, upgraded: list[str] | None) -> str:
 # __getattr__ hook on Python 3.11, about 100 ns a read
 _START, _END, _DECISION = NodeKind.START, NodeKind.END, NodeKind.DECISION
 _YES, _NO = LabelKind.YES, LabelKind.NO
+_DST = attrgetter("dst")
+# an edge and the text in its label slot, None for none
+_Out = tuple[Edge, "str | None"]
 
 
 def _pu_text(text: str) -> str:
@@ -212,65 +223,64 @@ def _pu_text(text: str) -> str:
     return text.replace(";", ",")
 
 
-def _layout(outs: dict[str, list[Edge]], entries: list[str], pos: dict[str, int],
-            ) -> tuple[list[Edge], dict[str, list[str]], dict[str, int]]:
+def _layout(outs: dict[str, list[_Out]], entries: list[str], pos: dict[str, int],
+            ) -> tuple[list[_Out], dict[str, list[str]], dict[str, int]]:
     """One depth-first search from the entries, following edges in
-    declaration order: its back edges (which mark loop latches) in discovery
-    order, and for every node it reaches, the forward successors (along the
-    other edges) and the nodes forward-reachable from it, as a bitset in
-    which bit ``i`` stands for the node at graph position ``i``.
+    declaration order: its back edges (which mark loop latches), with their
+    labels, in discovery order, and for every node it reaches, the forward
+    successors (along the other edges) and the nodes forward-reachable from
+    it, itself included, as a bitset in which bit ``i`` stands for the node
+    at graph position ``i``.
 
     A node's set is filled when the node finishes: every forward successor
     finishes first, since an edge to a node still on the stack is a back
     edge.
     """
-    back: list[Edge] = []
+    back: list[_Out] = []
     fwd_succs: dict[str, list[str]] = {}
     reach: dict[str, int] = {}
     for entry in entries:
-        fwd_succs[entry] = []
-        stack = [(entry, iter(outs[entry]))]
+        fwd_succs[entry] = succs = []
+        stack = [(entry, succs, iter(outs[entry]))]
         while stack:
-            nid, pending = stack[-1]
-            for edge in pending:
-                dst = edge.dst
+            nid, succs, pending = stack[-1]
+            for out in pending:
+                dst = out[0].dst
                 if dst not in fwd_succs:  # a tree edge
-                    fwd_succs[nid].append(dst)
-                    fwd_succs[dst] = []
-                    stack.append((dst, iter(outs[dst])))
+                    succs.append(dst)
+                    fwd_succs[dst] = dst_succs = []
+                    stack.append((dst, dst_succs, iter(outs[dst])))
                     break
                 if dst in reach:  # the target has finished
-                    fwd_succs[nid].append(dst)
+                    succs.append(dst)
                 else:  # the target is still on the stack
-                    back.append(edge)
+                    back.append(out)
             else:
                 stack.pop()
-                found = 0
-                for nxt in fwd_succs[nid]:
-                    found |= 1 << pos[nxt] | reach[nxt]
+                found = 1 << pos[nid]
+                for nxt in succs:
+                    found |= reach[nxt]
                 reach[nid] = found
     return back, fwd_succs, reach
 
 
 # A walk over one region of the chart. It yields the walk of each nested
-# region (a branch arm, a loop body) and is sent back that walk's result.
-_Walk = Generator["_Walk", "str | None", "str | None"]
+# region (a branch arm, a loop body); a walk with a result leaves it in
+# ``_PlantUmlEmitter.result`` as it ends. None is what a generator returns
+# without raising StopIteration, so ``next`` ends a walk cheaply.
+_Walk = Generator["_Walk", None, None]
 
 
 def _run(walk: _Walk) -> None:
     """Drive a walk and the walks nested in it on an explicit stack, so
     nesting depth is bounded by memory, not by the recursion limit."""
     stack = [walk]
-    result: str | None = None
     while stack:
-        try:
-            nested = stack[-1].send(result)
-        except StopIteration as done:
+        nested = next(stack[-1], None)
+        if nested is None:
             stack.pop()
-            result = done.value
         else:
             stack.append(nested)
-            result = None
 
 
 class _PlantUmlEmitter:
@@ -289,54 +299,51 @@ class _PlantUmlEmitter:
     def __init__(self, graph: FlowGraph, upgraded: list[str] | None):
         self.graph = graph
         self.upgraded = upgraded is not None
-        # the text in each edge's label slot, None for none, keyed by
-        # id(edge): the edges of a valid graph are distinct objects, and an
-        # id hashes without calling into Python as an Edge does
-        self.labels = dict(zip(map(id, graph.edges), _edge_labels(graph, upgraded)))
+        edges = graph.edges
+        labels = _edge_labels(graph, upgraded)
         # the activity syntax's text per distinct label text, '' for none
-        self.label_texts: dict[str | None, str] = {None: ""}
-        self.by_id = {n.id: n for n in graph.nodes}
+        self.label_texts = {text: _pu_text(_clean(text)) for text in set(labels)
+                            if text is not None}
+        self.label_texts[None] = ""
+        self.by_id = by_id = {n.id: n for n in graph.nodes}
         self.texts = _clean_texts(graph)
-        self.pos = dict(zip(self.by_id, count()))
-        self.outs: dict[str, list[Edge]] = {nid: [] for nid in self.by_id}
+        self.pos = pos = dict(zip(by_id, count()))
+        # each node's outgoing edges with their label texts, in edge order
+        self.outs = outs = {nid: [] for nid in by_id}
+        for out in zip(edges, labels):
+            outs[out[0].src].append(out)
         # in-degrees, then forward in-degrees once the back edges are out:
         # whether an arrow-label line would unambiguously apply to one edge
-        self.fwd_in = dict.fromkeys(self.by_id, 0)
-        for edge in graph.edges:
-            self.outs[edge.src].append(edge)
-            self.fwd_in[edge.dst] += 1
+        self.fwd_in = fwd_in = Counter(map(_DST, edges))
         self.lines: list[str] = []
         self.visited: set[str] = set()
         # the first node that ends a flow but is not an end node, while no
         # statement closes that flow: the parser would read the next node
         # emitted as its successor
         self.open_end: str | None = None
-        self.entries = [nid for nid, ins in self.fwd_in.items() if ins == 0]
+        # where the walk around the branch or loop emitted last goes on next;
+        # None when no flow leaves it
+        self.result: str | None = None
+        self.entries = [nid for nid in by_id if nid not in fwd_in]
         if not self.entries and graph.nodes:
             # every node has a predecessor (e.g. a loop back into the start
             # node): fall back to the first start-kind node, then first node
-            starts = [n.id for n in graph.nodes if n.kind is NodeKind.START]
+            starts = [n.id for n in graph.nodes if n.kind is _START]
             self.entries = [starts[0] if starts else graph.nodes[0].id]
         # joins are computed over forward edges only: flow that wraps around a
         # loop's back edge must not count as branch reconvergence
-        back, self.fwd_succs, self.fwd_reach = _layout(self.outs, self.entries, self.pos)
-        self.loop_latches: dict[str, list[Edge]] = {}
+        back, self.fwd_succs, self.fwd_reach = _layout(outs, self.entries, pos)
+        self.loop_latches: dict[str, list[_Out]] = {}
         # the sort is stable: back edges from one node keep their edge order,
         # so the error below always names the same edge
-        for edge in sorted(back, key=lambda e: self.pos[e.src]):
-            if self.by_id[edge.src].kind is not NodeKind.DECISION:
+        for out in sorted(back, key=lambda out: pos[out[0].src]):
+            edge = out[0]
+            if by_id[edge.src].kind is not _DECISION:
                 raise EmitError(
                     f"back edge {edge.src} -> {edge.dst} does not come from a "
                     "decision; the loop cannot be expressed")
-            self.loop_latches.setdefault(edge.dst, []).append(edge)
-            self.fwd_in[edge.dst] -= 1
-
-    def label_text(self, text: str | None) -> str:
-        """A label's text as the activity syntax carries it; '' for none."""
-        escaped = self.label_texts.get(text)
-        if escaped is None:
-            self.label_texts[text] = escaped = _pu_text(_clean(text))
-        return escaped
+            self.loop_latches.setdefault(edge.dst, []).append(out)
+            fwd_in[edge.dst] -= 1
 
     def emit(self) -> str:
         self.lines.append("@startuml")
@@ -359,31 +366,11 @@ class _PlantUmlEmitter:
             f"node {self.open_end!r} ends a flow but is not an end node, "
             "so the next node emitted would read as its successor")
 
-    def follow(self, edge: Edge) -> str:
-        """Emit the arrow-label line for a traversed sequential edge."""
-        text = self.labels[id(edge)]
-        if text is not None:
-            if self.fwd_in[edge.dst] == 1:
-                self.lines.append(f"-> {self.label_text(text)};")
-            elif not self.upgraded:
-                raise EmitError(
-                    f"label on converging edge {edge.src} -> {edge.dst} "
-                    "cannot be expressed")
-        return edge.dst
-
-    def single_successor(self, nid: str) -> Edge | None:
-        outs = self.outs[nid]
-        if len(outs) > 1:
-            raise EmitError(
-                f"node {nid!r} fans out to {len(outs)} successors outside a decision")
-        return outs[0] if outs else None
-
     def join_of(self, decision: str, left: str, right: str) -> str | None:
         """The nearest node forward-reachable from both branches: the first
         breadth-first level that holds one, ties broken by graph order."""
-        pos, reach = self.pos, self.fwd_reach
-        common = ((1 << pos[left] | reach[left])
-                  & (1 << pos[right] | reach[right]))
+        pos, succs = self.pos, self.fwd_succs
+        common = self.fwd_reach[left] & self.fwd_reach[right]
         if not common:
             return None
         # some level hits: a branch along a forward edge reaches all it
@@ -399,68 +386,84 @@ class _PlantUmlEmitter:
                 return min(hits, key=pos.__getitem__)
             nxt: list[str] = []
             for nid in frontier:
-                if nid in seen:
-                    continue
-                seen.add(nid)
-                nxt.extend(self.fwd_succs[nid])
+                if nid not in seen:
+                    seen.add(nid)
+                    nxt += succs[nid]
             frontier = nxt
 
     def walk(self, nid: str | None, until: str | None, loop_head: str | None) -> _Walk:
+        visited, by_id, texts, outs_of = self.visited, self.by_id, self.texts, self.outs
+        append = self.lines.append
         while nid is not None and nid != until:
-            if nid in self.visited:
+            if nid in visited:
                 raise EmitError(
                     f"node {nid!r} is reached by more than one flow; "
                     "the graph is not structured")
             if self.open_end is not None:
                 raise self.open_end_error()
             if nid in self.loop_latches and nid != loop_head:
-                nid = yield self.emit_loop(nid)
+                yield self.emit_loop(nid)
+                nid = self.result
                 continue
-            node = self.by_id[nid]
-            self.visited.add(nid)
-            if node.kind is _END:
-                if self.outs[nid]:
+            kind = by_id[nid].kind
+            visited.add(nid)
+            if kind is _END:
+                if outs_of[nid]:
                     raise EmitError(f"end node {nid!r} has outgoing edges")
-                self.lines.append("stop")
+                append("stop")
                 return
-            if node.kind is _DECISION:
-                nid = yield self.emit_branch(node, until)
+            if kind is _DECISION:
+                yield self.emit_branch(nid, until)
+                nid = self.result
                 if nid is None:
                     return
                 continue
-            if node.kind is _START:
-                self.lines.append("start")
-            else:
-                self.lines.append(f":{_pu_text(self.texts[nid])};")
-            edge = self.single_successor(nid)
-            if edge is None:
+            append("start" if kind is _START else f":{_pu_text(texts[nid])};")
+            outs = outs_of[nid]
+            if len(outs) != 1:
+                if outs:
+                    raise EmitError(
+                        f"node {nid!r} fans out to {len(outs)} successors outside a decision")
                 self.open_end = nid
                 return
-            nid = self.follow(edge)
+            edge, text = outs[0]
+            nid = edge.dst
+            if text is None:
+                continue
+            # a labeled step writes an arrow-label line, which the parser
+            # reads onto the one edge into the next node
+            if self.fwd_in[nid] == 1:
+                append(f"-> {self.label_texts[text]};")
+            elif not self.upgraded:
+                raise EmitError(
+                    f"label on converging edge {edge.src} -> {nid} cannot be expressed")
 
-    def _nested_latches(self, latches: list[Edge]) -> list[Edge]:
+    def _nested_latches(self, latches: list[_Out]) -> list[_Out]:
         """Innermost first; each latch must forward-reach all latches that
         enclose it, otherwise the loops are not properly nested."""
+        pos = self.pos
 
-        def rank(edge: Edge) -> int:
-            reach = self.fwd_reach[edge.src]
-            return sum(1 for other in latches
-                       if other is not edge and reach >> self.pos[other.src] & 1)
+        def rank(out: _Out) -> int:
+            src = out[0].src
+            reach = self.fwd_reach[src]
+            return sum(1 for other, _ in latches
+                       if other.src != src and reach >> pos[other.src] & 1)
 
-        ordered = sorted(latches, key=lambda e: (-rank(e), self.pos[e.src]))
-        if [rank(e) for e in ordered] != list(range(len(latches) - 1, -1, -1)):
+        ordered = sorted(latches, key=lambda out: (-rank(out), pos[out[0].src]))
+        if [rank(out) for out in ordered] != list(range(len(latches) - 1, -1, -1)):
             raise EmitError(
-                f"loops closing at {ordered[0].dst!r} are not properly nested")
+                f"loops closing at {ordered[0][0].dst!r} are not properly nested")
         return ordered
 
     def emit_loop(self, head: str) -> _Walk:
         latches = self._nested_latches(self.loop_latches[head])
         for _ in latches:
             self.lines.append("repeat")
-        yield self.walk(head, latches[0].src, head)
+        yield self.walk(head, latches[0][0].src, head)
+        label_texts = self.label_texts
         nid: str | None = None
-        for index, back_edge in enumerate(latches):
-            latch = back_edge.src
+        for index, back in enumerate(latches):
+            latch = back[0].src
             if latch in self.visited:
                 raise EmitError(f"loop at {head!r} is not properly nested")
             self.visited.add(latch)
@@ -469,52 +472,50 @@ class _PlantUmlEmitter:
                 raise EmitError(
                     f"loop decision {latch!r} must have exactly 2 branches, "
                     f"has {len(outs)}")
-            exit_edge = next(e for e in outs if e != back_edge)
+            exit_edge, exit_text = next(out for out in outs if out is not back)
             clause = f"repeat while ({_pu_text(self.texts[latch])})"
-            back_text = self.labels[id(back_edge)]
+            back_text = back[1]
             if back_text != "Yes":
-                clause += f" is ({self.label_text(back_text)})"
-            exit_text = self.labels[id(exit_edge)]
+                clause += f" is ({label_texts[back_text]})"
             if exit_text != "No":
-                clause += f" not ({self.label_text(exit_text)})"
+                clause += f" not ({label_texts[exit_text]})"
             if self.open_end is not None:
                 raise self.open_end_error()
             self.lines.append(clause)
             nid = exit_edge.dst
             if index + 1 < len(latches):
-                next_latch = latches[index + 1].src
+                next_latch = latches[index + 1][0].src
                 if nid != next_latch:
                     yield self.walk(nid, next_latch, None)
                 nid = None
-        return nid
+        self.result = nid
 
-    def emit_branch(self, node, until: str | None) -> _Walk:
-        outs = self.outs[node.id]
+    def emit_branch(self, nid: str, until: str | None) -> _Walk:
+        outs = self.outs[nid]
         if len(outs) != 2:
             raise EmitError(
-                f"decision {node.id!r} has {len(outs)} branches; "
+                f"decision {nid!r} has {len(outs)} branches; "
                 "only binary decisions are representable")
-        first, second = outs
-        if second.label.kind is _YES or first.label.kind is _NO:
-            then_edge, else_edge = second, first
-        else:
-            then_edge, else_edge = first, second
-        join = self.join_of(node.id, then_edge.dst, else_edge.dst)
+        (then_edge, then_text), (else_edge, else_text) = outs
+        if else_edge.label.kind is _YES or then_edge.label.kind is _NO:
+            then_edge, then_text, else_edge, else_text = else_edge, else_text, then_edge, then_text
+        then_dst, else_dst = then_edge.dst, else_edge.dst
+        join = self.join_of(nid, then_dst, else_dst)
         # branches that never reconverge still stop at the enclosing region
         # boundary (e.g. the latch of a surrounding loop)
         stop_at = join if join is not None else until
-        then_text = self.label_text(self.labels[id(then_edge)])
-        self.lines.append(f"if ({_pu_text(self.texts[node.id])}) then ({then_text})")
-        if then_edge.dst != stop_at:
-            yield self.walk(then_edge.dst, stop_at, None)
+        label_texts, lines = self.label_texts, self.lines
+        lines.append(f"if ({_pu_text(self.texts[nid])}) then ({label_texts[then_text]})")
+        if then_dst != stop_at:
+            yield self.walk(then_dst, stop_at, None)
         # 'else' sets the flows that end in the then branch aside until 'endif'
         then_end, self.open_end = self.open_end, None
-        self.lines.append(f"else ({self.label_text(self.labels[id(else_edge)])})")
-        if else_edge.dst != stop_at:
-            yield self.walk(else_edge.dst, stop_at, None)
-        self.lines.append("endif")
+        lines.append(f"else ({label_texts[else_text]})")
+        if else_dst != stop_at:
+            yield self.walk(else_dst, stop_at, None)
+        lines.append("endif")
         self.open_end = then_end or self.open_end
-        return join
+        self.result = join
 
 
 def _emit_plantuml(graph: FlowGraph, upgraded: list[str] | None) -> str:

@@ -10,7 +10,8 @@ triples when built.
 
 Because a graph never changes, whatever is derived from it is derived once
 per graph object and kept on that object (see :func:`derived`): the
-:func:`validate` result and the emitted texts of :mod:`flowsra.emitting`.
+:func:`validate` result, which a parser stores as it builds the graph, and
+the emitted texts of :mod:`flowsra.emitting`.
 The memo lives and dies with its graph, so it neither keeps graphs alive
 nor hashes them by value; a computation that raises stores nothing and runs
 again on the next call.
@@ -336,9 +337,34 @@ def validate(graph: FlowGraph) -> list[Violation]:
 
     Violations are data, not failures: the order is deterministic (nodes in
     graph order, then edges) and repeated calls return equal lists. The
-    check runs once per graph; each call returns a fresh list.
+    check runs at most once per graph, and a parsed graph arrives with its
+    result already stored (see :func:`store_violations`); each call returns
+    a fresh list.
     """
-    return list(derived(graph, "validate", lambda: _violations(graph)))
+    return list(_checked(graph))
+
+
+def _checked(graph: FlowGraph) -> tuple[Violation, ...]:
+    return derived(graph, "validate", lambda: _violations(graph))
+
+
+def store_violations(graph: FlowGraph, violations: Iterable[Violation]) -> FlowGraph:
+    """``graph``, with ``violations`` stored as its :func:`validate` result,
+    for a builder that found them while building it; they must be what the
+    check would find, in its order."""
+    graph._memo["validate"] = tuple(violations)
+    return graph
+
+
+def text_required(node: Node) -> Violation:
+    return Violation("node-text-required", node.id,
+                     f"{node.kind.value} node {node.id!r} has empty text")
+
+
+def duplicate_edge(edge: Edge) -> Violation:
+    return Violation("duplicate-edge", f"{edge.src}->{edge.dst}",
+                     f"duplicate edge {edge.src!r} -> {edge.dst!r} "
+                     f"with label {edge.label.render() or 'none'}")
 
 
 def _violations(graph: FlowGraph) -> tuple[Violation, ...]:
@@ -351,9 +377,7 @@ def _violations(graph: FlowGraph) -> tuple[Violation, ...]:
                 f"node id {node.id!r} declared more than once"))
         seen_ids.add(node.id)
         if not node.text and not node.kind.is_terminal:
-            violations.append(Violation(
-                "node-text-required", node.id,
-                f"{node.kind.value} node {node.id!r} has empty text"))
+            violations.append(text_required(node))
     known = {n.id for n in graph.nodes}
     seen_edges: set[tuple[str, str, str, str | None]] = set()
     for edge in graph.edges:
@@ -365,16 +389,13 @@ def _violations(graph: FlowGraph) -> tuple[Violation, ...]:
         count = len(seen_edges)
         seen_edges.add(edge_key(edge.src, edge.dst, edge.label))
         if len(seen_edges) == count:
-            violations.append(Violation(
-                "duplicate-edge", f"{edge.src}->{edge.dst}",
-                f"duplicate edge {edge.src!r} -> {edge.dst!r} "
-                f"with label {edge.label.render() or 'none'}"))
+            violations.append(duplicate_edge(edge))
     return tuple(violations)
 
 
 def require_valid(graph: FlowGraph) -> None:
     """Raise GraphValidationError unless the graph validates cleanly."""
-    violations = validate(graph)
+    violations = _checked(graph)
     if violations:
         raise GraphValidationError(violations)
 

@@ -29,7 +29,10 @@ from .ir import (
     UNLABELED,
     YES,
     NO,
+    duplicate_edge,
     edge_key,
+    store_violations,
+    text_required,
 )
 
 # kinds read per node, bound once: a read off NodeKind goes through its
@@ -118,13 +121,17 @@ def detect_dialect(text: str) -> Dialect:
 
 class _Builder:
     """Mutable accumulator used by the parsers. Nodes keep the order in which
-    ``kinds`` and ``texts`` first saw them; a redeclaration keeps it."""
+    ``kinds`` and ``texts`` first saw them; a redeclaration keeps it. Its
+    graph arrives with its :func:`~flowsra.ir.validate` result stored: ids
+    are unique keys, parsers declare an edge's endpoints before the edge,
+    :meth:`add_edge` sees each duplicate, and ``texts`` shows empty texts."""
 
     def __init__(self) -> None:
         self.kinds: dict[str, NodeKind] = {}
         self.texts: dict[str, str] = {}
         self._edges: list[Edge] = []
         self._edge_keys: set[tuple[str, str, str, str | None]] = set()
+        self._duplicates: list[Edge] = []
         self._starts: set[str] = set()  # ids whose kind is START
         self.title: str | None = None
 
@@ -158,17 +165,29 @@ class _Builder:
         return _END if self._starts else _START
 
     def add_edge(self, src: str, dst: str, label: EdgeLabel = UNLABELED) -> bool:
-        """Record an edge; returns False for a duplicate (kept, so validate()
-        flags it too, but the parser should diagnose it where it happened)."""
+        """Record an edge between declared nodes; returns False for a
+        duplicate (kept, so validate() flags it too, but the parser should
+        diagnose it where it happened)."""
         seen = len(self._edge_keys)
         self._edge_keys.add(edge_key(src, dst, label))
-        self._edges.append(Edge(src, dst, label))
-        return len(self._edge_keys) != seen
+        edge = Edge(src, dst, label)
+        self._edges.append(edge)
+        if len(self._edge_keys) != seen:
+            return True
+        self._duplicates.append(edge)
+        return False
 
     def build(self) -> FlowGraph:
-        texts = self.texts
-        nodes = tuple(Node(nid, kind, texts[nid]) for nid, kind in self.kinds.items())
-        return FlowGraph(nodes=nodes, edges=tuple(self._edges), title=self.title)
+        kinds, texts = self.kinds, self.texts
+        # both dicts gain each key in the same call, so they hold one order
+        nodes = tuple(map(Node, kinds, kinds.values(), texts.values()))
+        violations = []
+        if "" in texts.values():
+            violations = [text_required(n) for n in nodes
+                          if not n.text and not n.kind.is_terminal]
+        violations += map(duplicate_edge, self._duplicates)
+        return store_violations(
+            FlowGraph(nodes=nodes, edges=tuple(self._edges), title=self.title), violations)
 
 
 def _strip_quotes(text: str) -> str:
@@ -331,19 +350,21 @@ def parse_mermaid(text: str) -> ParseResult:
 # prefix, never matches of their own. Group 1 is the token: a string, an
 # arrow, punctuation, a name, an unterminated block comment (running to the
 # end of the text), any other single character (which the lexer reports), or
-# the empty end of the text after the last prefix. Since group 1 matches at
-# every position, the matches tile the whole text, and an unterminated
-# comment ends the scan, so no later '/*' searches for a '*/' again.
+# the empty end of the text after the last prefix. The prefix repeats only
+# over comments, each with the blanks after it: most tokens follow a blank
+# or nothing, and a group repeated per blank run costs more per token. Since
+# group 1 matches at every position, the matches tile the whole text, and an
+# unterminated comment ends the scan, so no later '/*' searches for a '*/'
+# again.
 _DOT_TOKEN = re.compile(
     r"""
-    (?:\s+|//[^\n]*|\#[^\n]*|/\*.*?\*/)*
+    \s*(?:(?://[^\n]*|\#[^\n]*|/\*.*?\*/)\s*)*
     ("[^"\\]*(?:\\.[^"\\]*)*"|->|--|[{}\[\]=;,]|[A-Za-z_][A-Za-z0-9_]*|-?\d+(?:\.\d+)?|/\*.*|.|\Z)
     """,
     re.VERBOSE | re.DOTALL,
 )
 # tokens that are not a node id, an attribute name or a value
 _DOT_NOT_ID = frozenset(("{", "}", "[", "]", "=", ";", ",", "->", "--", ""))
-_DOT_ARROWS = frozenset(("->", "--"))
 # the one-character tokens the grammar has besides a digit; any other is an
 # unexpected character
 _DOT_ONE_CHAR = frozenset("{}[]=;,_" + string.ascii_letters)
@@ -412,9 +433,8 @@ class _DotTokens:
 
 
 def _dot_unquote(value: str) -> str:
-    """The text of a name or string token."""
-    if value[0] != '"':
-        return value
+    """The text of a string token; a name token is its own text, so callers
+    test ``value[0] == '"'`` first."""
     return value[1:-1].replace('\\"', '"').replace("\\\\", "\\")
 
 
@@ -427,54 +447,34 @@ def _dot_attrs(tokens: _DotTokens, i: int, last_line: int,
     while t[i] == "[":
         i += 1
         while True:
-            value = t[i]
-            if value == "]":
-                i += 1
-                break
-            if not value:
-                diagnostics.append(ParseDiagnostic(last_line, "unterminated attribute list"))
-                return attrs, i
-            if value in _DOT_NOT_ID:
+            name = t[i]
+            if name in _DOT_NOT_ID:
+                if name == "]":
+                    i += 1
+                    break
+                if not name:
+                    diagnostics.append(ParseDiagnostic(last_line, "unterminated attribute list"))
+                    return attrs, i
                 diagnostics.append(ParseDiagnostic(
-                    tokens.line(i), f"unexpected token {value!r} in attribute list"))
+                    tokens.line(i), f"unexpected token {name!r} in attribute list"))
                 i += 1
                 continue
-            name = _dot_unquote(value)
+            if name[0] == '"':
+                name = _dot_unquote(name)
             i += 1
             if t[i] == "=":
-                i += 1
-                if t[i] in _DOT_NOT_ID:
+                value = t[i + 1]
+                if value in _DOT_NOT_ID:
                     # take no token: a ']' or ',' here still ends or goes on with the list
                     diagnostics.append(ParseDiagnostic(
-                        tokens.line(i - 2), f"attribute {name!r} has no value"))
-                else:
-                    attrs[name] = _dot_unquote(t[i])
+                        tokens.line(i - 1), f"attribute {name!r} has no value"))
                     i += 1
+                else:
+                    attrs[name] = _dot_unquote(value) if value[0] == '"' else value
+                    i += 2
             if t[i] == ",":
                 i += 1
     return attrs, i
-
-
-def _dot_node(builder: _Builder, node_id: str, attrs: dict[str, str],
-              tokens: _DotTokens, stmt: int, diagnostics: list[ParseDiagnostic]) -> None:
-    """Declare ``node_id`` with its shape and label attributes, from the
-    statement at token ``stmt``."""
-    shape = attrs.get("shape", "").casefold()
-    text = attrs.get("label", builder.texts.get(node_id, node_id))
-    if shape in _DOT_TERMINAL_SHAPES:
-        kind = builder.terminal_kind(node_id)
-    elif shape in _DOT_SHAPE_KINDS:
-        kind = _DOT_SHAPE_KINDS[shape]
-    elif shape:
-        diagnostics.append(ParseDiagnostic(
-            tokens.line(stmt), f"unsupported shape {shape!r} treated as box", Severity.WARNING))
-        kind = _PROCESS
-    else:
-        kind = builder.kinds.get(node_id, _PROCESS)
-    if not text and not kind.is_terminal:
-        diagnostics.append(ParseDiagnostic(
-            tokens.line(stmt), f"{kind.value} node {node_id!r} has empty label"))
-    builder.define(node_id, kind, text)
 
 
 def parse_dot(text: str) -> ParseResult:
@@ -483,6 +483,7 @@ def parse_dot(text: str) -> ParseResult:
     t = tokens.values
     last_line = text.count("\n") + 1
     builder = _Builder()
+    kinds, texts = builder.kinds, builder.texts
     diagnostics: list[ParseDiagnostic] = []
     i = 0
     if t[i] == "strict":
@@ -502,16 +503,20 @@ def parse_dot(text: str) -> ParseResult:
     closed = False
     while True:  # one statement per pass
         value = t[i]
-        if not value:
-            break
         stmt = i
         i += 1
-        if value == "}":
-            closed = True
-            break
-        if value == ";":
+        if value in _DOT_NOT_ID:
+            if value == "}":
+                closed = True
+                break
+            if not value:  # the end
+                break
+            if value != ";":
+                diagnostics.append(ParseDiagnostic(
+                    tokens.line(stmt), f"unexpected token {value!r}"))
             continue
-        if (value == "node" or value == "edge" or value == "graph") and t[i] == "[":
+        after = t[i]
+        if after == "[" and (value == "node" or value == "edge" or value == "graph"):
             i = _dot_attrs(tokens, i, last_line, diagnostics)[1]
             diagnostics.append(ParseDiagnostic(
                 tokens.line(stmt), f"default {value!r} attributes are ignored",
@@ -519,12 +524,8 @@ def parse_dot(text: str) -> ParseResult:
             if t[i] == ";":
                 i += 1
             continue
-        if value in _DOT_NOT_ID:
-            diagnostics.append(ParseDiagnostic(
-                tokens.line(stmt), f"unexpected token {value!r}"))
-            continue
-        first_id = _dot_unquote(value)
-        if t[i] == "=":
+        first_id = _dot_unquote(value) if value[0] == '"' else value
+        if after == "=":
             i += 1
             if t[i] in _DOT_NOT_ID:  # take no token: a '}' here still closes the graph
                 diagnostics.append(ParseDiagnostic(
@@ -537,28 +538,51 @@ def parse_dot(text: str) -> ParseResult:
             if t[i] == ";":
                 i += 1
             continue
+        if after != "->" and after != "--":  # a node statement
+            attrs: dict[str, str] = {}
+            if after == "[":
+                attrs, i = _dot_attrs(tokens, i, last_line, diagnostics)
+            if t[i] == ";":
+                i += 1
+            shape = attrs.get("shape", "").casefold()
+            text = attrs.get("label", texts.get(first_id, first_id))
+            if shape in _DOT_TERMINAL_SHAPES:
+                kind = builder.terminal_kind(first_id)
+            elif shape in _DOT_SHAPE_KINDS:
+                kind = _DOT_SHAPE_KINDS[shape]
+            elif shape:
+                diagnostics.append(ParseDiagnostic(
+                    tokens.line(stmt), f"unsupported shape {shape!r} treated as box",
+                    Severity.WARNING))
+                kind = _PROCESS
+            else:
+                kind = kinds.get(first_id, _PROCESS)
+            if not text and not kind.is_terminal:
+                diagnostics.append(ParseDiagnostic(
+                    tokens.line(stmt), f"{kind.value} node {first_id!r} has empty label"))
+            builder.define(first_id, kind, text)
+            continue
         endpoints = [first_id]
-        while t[i] in _DOT_ARROWS:
+        while t[i] == "->" or t[i] == "--":
             target = t[i + 1]
             if target in _DOT_NOT_ID:
                 diagnostics.append(ParseDiagnostic(
                     tokens.line(i), "edge arrow without a target node"))
                 i += 2 if target else 1
                 break
-            endpoints.append(_dot_unquote(target))
+            endpoints.append(_dot_unquote(target) if target[0] == '"' else target)
             i += 2
         else:  # the statement goes on unless an arrow had no target
-            attrs: dict[str, str] = {}
+            label = UNLABELED
             if t[i] == "[":
                 attrs, i = _dot_attrs(tokens, i, last_line, diagnostics)
+                if "label" in attrs:
+                    label = EdgeLabel.from_text(attrs["label"])
             if t[i] == ";":
                 i += 1
-            if len(endpoints) == 1:
-                _dot_node(builder, first_id, attrs, tokens, stmt, diagnostics)
-                continue
-            label = EdgeLabel.from_text(attrs["label"]) if "label" in attrs else UNLABELED
             for node_id in endpoints:
-                builder.ensure(node_id)
+                if node_id not in kinds:
+                    builder.ensure(node_id)
             for src, dst in zip(endpoints, endpoints[1:]):
                 if not builder.add_edge(src, dst, label):
                     diagnostics.append(ParseDiagnostic(
@@ -647,7 +671,6 @@ class _PlantUmlParser:
         self.builder = _Builder()
         self.diagnostics: list[ParseDiagnostic] = []
         self.tips: list[tuple[str, EdgeLabel]] = []
-        self.pending_label: EdgeLabel | None = None
         self.frames: list[_PuFrame] = []
         # the repeat frames whose body has no node yet
         self.unheaded: list[_PuFrame] = []
@@ -657,11 +680,9 @@ class _PlantUmlParser:
 
     def attach(self, node_id: str, line: int = 0) -> None:
         """Connect all dangling outlets to a newly created node."""
-        for tip_id, tip_label in self.tips:
-            label = self.pending_label if self.pending_label is not None else tip_label
+        for tip_id, label in self.tips:
             if not self.builder.add_edge(tip_id, node_id, label):
                 self.error(line or 1, f"duplicate edge {tip_id} -> {node_id}")
-        self.pending_label = None
         self.tips = [(node_id, UNLABELED)]
         # every still-unheaded repeat frame starts its body here (nested
         # repeats with no statement between them share one head); a frame
@@ -747,7 +768,9 @@ class _PlantUmlParser:
             return
         m = _PU_ARROW_LABEL.match(stmt)
         if m:
-            self.pending_label = EdgeLabel.from_text(m.group(1))
+            # relabel the open flows now, so the label stays in its branch
+            label = EdgeLabel.from_text(m.group(1))
+            self.tips = [(tip_id, label) for tip_id, _ in self.tips]
             return
         self.error(line, f"statement outside the supported subset: {stmt!r}")
 

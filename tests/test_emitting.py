@@ -1,6 +1,7 @@
 """Emission: determinism, round-trips, and the upgraded interlanguage."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from flowsra.emitting import (
     EmitError,
     _PlantUmlEmitter,
+    _emit_plantuml,
+    _mermaid_text,
     emit,
     emit_triples,
     emit_upgraded,
@@ -41,6 +44,7 @@ from gen import (
     split_relation_label,
     upgrade_by_edge,
 )
+from plantuml_reference import reference_emit_plantuml
 
 
 def sample_graph():
@@ -492,17 +496,18 @@ def check_joins_against_reference(graph: FlowGraph) -> int:
     reachable = set(emitter.entries)
     stack = list(emitter.entries)
     while stack:
-        for edge in emitter.outs[stack.pop()]:
+        for edge, _ in emitter.outs[stack.pop()]:
             if edge.dst not in reachable:
                 reachable.add(edge.dst)
                 stack.append(edge.dst)
     compared = 0
     for nid in reachable:
+        # the emitter's set holds the node itself
         bits = emitter.fwd_reach[nid]
-        assert {order[i] for i in range(len(order)) if bits >> i & 1} == reach[nid]
+        assert {order[i] for i in range(len(order)) if bits >> i & 1} == reach[nid] | {nid}
         outs = emitter.outs[nid]
         if emitter.by_id[nid].kind is NodeKind.DECISION and len(outs) == 2:
-            left, right = outs[0].dst, outs[1].dst
+            left, right = outs[0][0].dst, outs[1][0].dst
             assert emitter.join_of(nid, left, right) == reference_join(
                 emitter.fwd_succs, reach, order, nid, left, right), nid
             compared += 1
@@ -547,7 +552,7 @@ class TestJoinReferee:
         assert check_joins_against_reference(graph) == 2
         emitter = _PlantUmlEmitter(graph, None)
         by_text = {n.text: n.id for n in graph.nodes}
-        then_edge, else_edge = emitter.outs[by_text["Outer?"]]
+        (then_edge, _), (else_edge, _) = emitter.outs[by_text["Outer?"]]
         assert emitter.by_id[emitter.join_of(
             by_text["Outer?"], then_edge.dst, else_edge.dst)].text == "z"
         _, result = parse_text(emit(graph, Dialect.PLANTUML).text)
@@ -569,6 +574,59 @@ class TestJoinReferee:
         assert check_joins_against_reference(graph) == 1
         emitter = _PlantUmlEmitter(graph, None)
         assert emitter.join_of("D", "A", "B") == "E"
+
+
+def reference_outcome(emitter, graph, upgraded):
+    try:
+        return emitter(graph, upgraded)
+    except EmitError as exc:
+        return "EmitError", str(exc)
+
+
+class TestPlantUmlReferee:
+    """The PlantUML emitter writes what it wrote before its walk and layout
+    were made cheaper (``plantuml_reference``), plain and upgraded, and fails
+    with the same message."""
+
+    @staticmethod
+    def graphs(rng):
+        structured = rand_structured_graph(rng)
+        yield structured
+        yield rand_flow_graph(rng, max_middle=8)
+        yield drop_out_edges(structured, rng)
+        yield side_by_side(rand_structured_graph(rng), rand_flow_graph(rng))
+        yield parse_text(rand_deep_activity_text(rng, 12, 2))[1].graph
+
+    @settings(max_examples=80, deadline=None)
+    @given(seeds())
+    def test_text_and_errors_equal_the_reference(self, seed):
+        rng = random.Random(seed)
+        relations = list(RelationType)
+        for graph in self.graphs(rng):
+            upgraded = [relation_edge_label(rng.choice(relations), e.label)
+                        for e in graph.edges]
+            for labels in (None, upgraded):
+                assert reference_outcome(_emit_plantuml, graph, labels) == \
+                    reference_outcome(reference_emit_plantuml, graph, labels)
+
+
+_MERMAID_BARE = re.compile(r"[^\[\]{}()|\"/]*$")
+
+
+def reference_mermaid_text(text):
+    """The regex test ``_mermaid_text`` made before it tested a set."""
+    if text and _MERMAID_BARE.match(text) and text == text.strip() and "%%" not in text:
+        return text
+    return '"' + text.replace('"', "#quot;") + '"'
+
+
+class TestMermaidText:
+    @settings(max_examples=300)
+    @given(st.text(alphabet=st.sampled_from(
+        list('ab 1-%[]{}()|"/#;\t\n\r\x0b\x1c\x85\xa0\u2028\u3000\xe9')), max_size=12)
+        | st.text(max_size=12))
+    def test_equals_the_regex_test(self, text):
+        assert _mermaid_text(text) == reference_mermaid_text(text)
 
 
 class TestMermaidIds:

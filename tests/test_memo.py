@@ -101,12 +101,9 @@ class TestReferee:
 
 
 class TestCounts:
-    def test_one_conversion_validates_once(self, monkeypatch):
-        text = emit(rand_structured_graph(random.Random(5)), Dialect.PLANTUML).text
-        calls = counting(monkeypatch, ir, "_violations")
-        # what `flowsra convert` and `flowsra upgrade` do for one chart
-        dialect, result = parse_text(text)
-        graph = result.graph
+    @staticmethod
+    def convert(graph, dialect):
+        """What `flowsra convert` and `flowsra upgrade` do for one chart."""
         assert validate(graph) == []
         for other in Dialect:
             if other is not dialect:
@@ -114,6 +111,19 @@ class TestCounts:
         ug = upgrade_graph(graph, HeuristicRelationBackend(), dialect=dialect)
         emit_upgraded(ug, dialect)
         emit_triples(ug)
+
+    def test_one_conversion_of_a_parsed_chart_never_runs_the_check(self, monkeypatch):
+        text = emit(rand_structured_graph(random.Random(5)), Dialect.PLANTUML).text
+        calls = counting(monkeypatch, ir, "_violations")
+        dialect, result = parse_text(text)
+        self.convert(result.graph, dialect)
+        assert calls == []
+
+    def test_one_conversion_validates_once(self, monkeypatch):
+        # a graph built by hand, not parsed, runs the check on first use
+        graph = copy_of(rand_structured_graph(random.Random(5)))
+        calls = counting(monkeypatch, ir, "_violations")
+        self.convert(graph, Dialect.PLANTUML)
         assert len(calls) == 1 and calls[0] is graph
 
     def test_five_deep_questions_on_one_chart_render_it_once(self, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flowsra.emitting import emit
-from flowsra.ir import NO, UNLABELED, YES, EdgeLabel, LabelKind, NodeKind, validate
+from flowsra.ir import NO, UNLABELED, YES, EdgeLabel, FlowGraph, LabelKind, NodeKind, validate
 from flowsra.parsing import (
     _DOT_SHAPE_KINDS,
     _DOT_TERMINAL_SHAPES,
@@ -844,6 +844,32 @@ class TestHostileInput:
         assert isinstance(result, ParseResult)
 
 
+# Statements that break the graph invariants in every way a parser lets
+# through: duplicate edges, empty texts, redeclared nodes, and bad lines.
+_dot_statements = st.lists(st.sampled_from(
+    ["A -> B;", "A -> B [label=yes];", "A -> B;", "B -> A -> B;", '"" -> B;', "A -> A;",
+     'A [shape=box, label=""];', "A [shape=oval];", 'B [label="x"];', "C [shape=hexagon];",
+     "C -> ;", "A [label=];", "rankdir=LR;", "node [shape=box];", "]", "@"]),
+    max_size=12).map(lambda body: "digraph G {\n" + "\n".join(body) + "\n}")
+_plantuml_statements = st.lists(st.sampled_from(
+    ["start", "stop", ":a;", ":a;", ":;", "if (c) then", "if () then ()", "else", "else ()",
+     "endif", "repeat", "repeat while (x)", "repeat while ()", "-> L;", "title t", "swimlane"]),
+    max_size=14).map(lambda body: "@startuml\n" + "\n".join(body) + "\n@enduml")
+
+
+class TestParsedGraphsArriveValidated:
+    """A parsed graph's stored validate() result is what the check finds on
+    an equal graph built by hand."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mermaid_statements.map(lambda body: "flowchart TD\n" + body)
+           | _dot_statements | _plantuml_statements | _mermaid_pieces | st.text(max_size=40))
+    def test_stored_result_equals_the_check(self, text):
+        for dialect in Dialect:
+            graph = parse_text(text, dialect)[1].graph
+            assert validate(graph) == validate(FlowGraph(graph.nodes, graph.edges, graph.title))
+
+
 class TestBuilderStarts:
     @given(st.lists(st.tuples(st.booleans(), st.sampled_from("abc"),
                               st.sampled_from(list(NodeKind)))))
@@ -929,6 +955,24 @@ class TestParsePlantUml:
         graph = result.graph
         labeled = [e for e in graph.edges if e.label == EdgeLabel(LabelKind.OTHER, "later")]
         assert len(labeled) == 1
+
+    @pytest.mark.parametrize("body, labels", [
+        # in the then branch, before 'else': the else edge keeps its No
+        ("if (c) then\n:a;\n-> L;\nelse\n:b;\nendif",
+         {("c", "a"): "Yes", ("c", "b"): "No", ("a", "d"): "L", ("b", "d"): None}),
+        # in the else branch, before 'endif': the then branch's edge stays bare
+        ("if (c) then\n:a;\nelse\n:b;\n-> L;\nendif",
+         {("c", "a"): "Yes", ("c", "b"): "No", ("a", "d"): None, ("b", "d"): "L"}),
+        # with no 'else': the fall-through edge keeps its No
+        ("if (c) then\n:a;\n-> L;\nendif",
+         {("c", "a"): "Yes", ("c", "d"): "No", ("a", "d"): "L"}),
+    ])
+    def test_arrow_label_stays_in_its_branch(self, body, labels):
+        result = parse_plantuml(f"@startuml\n{body}\n:d;\n@enduml")
+        assert result.ok
+        graph = result.graph
+        text = {n.id: n.text for n in graph.nodes}
+        assert {(text[e.src], text[e.dst]): e.label.render() for e in graph.edges} == labels
 
     def test_title_and_comments(self):
         result = parse_plantuml(
