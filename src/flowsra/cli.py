@@ -8,6 +8,7 @@ transport error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -50,10 +51,10 @@ class RunConfig:
 
     endpoint: str | None = None
     api_key: str | None = None
-    reasoner_model: str = "reasoner"
-    recognizer_model: str = "recognizer"
-    router_model: str = "router"
-    judge_model: str = "judge"
+    reasoner_model: str = EvalConfig.reasoner_model
+    recognizer_model: str = EvalConfig.recognizer_model
+    router_model: str = EvalConfig.router_model
+    judge_model: str = EvalConfig.judge_model
     cache_dir: str | None = None
     parallelism: int = PARALLELISM
     offline: bool = False
@@ -190,18 +191,16 @@ def _parse_input(path: str, dialect: str | None) -> tuple[Dialect, object]:
 # --- subcommands ---------------------------------------------------------
 
 
-def cmd_convert(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_convert(args: argparse.Namespace) -> int:
     _, graph = _parse_input(args.input, args.dialect)
-    doc = emit(graph, Dialect(args.to))
-    sys.stdout.write(doc.text)
+    sys.stdout.write(emit(graph, Dialect(args.to)).text)
     return EXIT_OK
 
 
 def cmd_upgrade(args: argparse.Namespace, config: RunConfig) -> int:
     detected, graph = _parse_input(args.input, args.dialect)
     with _gateway(config) as gateway:
-        backend = make_relation_backend(args.relation_backend, gateway,
-                                        config.recognizer_model)
+        backend = make_relation_backend(args.relation_backend, gateway, config.recognizer_model)
         target = Dialect(args.to) if args.to else detected
         ug = upgrade_graph(graph, backend, dialect=target)
     sys.stdout.write(emit_upgraded(ug, target).text)
@@ -240,7 +239,7 @@ def cmd_route(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_stats(args: argparse.Namespace) -> int:
     _, graph = _parse_input(args.input, args.dialect)
     print(json.dumps(asdict(topology_stats(graph))))
     return EXIT_OK
@@ -267,20 +266,16 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         judge_model=config.judge_model,
     )
     gateway = _gateway(config)
-    log_file = None
-    if args.log_file:  # before the run, so an unopenable path costs no call
-        try:
-            log_file = open(args.log_file, "w", encoding="utf-8")
-        except OSError as exc:
-            raise InputError(f"cannot open log file {args.log_file}: {exc.strerror}") from exc
-    try:
+    try:  # before the run, so an unopenable path costs no call
+        sink = (open(args.log_file, "w", encoding="utf-8") if args.log_file
+                else contextlib.nullcontext(sys.stderr))
+    except OSError as exc:
+        raise InputError(f"cannot open log file {args.log_file}: {exc.strerror}") from exc
+    with sink as log_sink:
         with gateway:
             run = run_eval(load.instances, eval_config, gateway)
         for log in run.logs:
-            print(_json_line(log.to_dict()), file=log_file or sys.stderr)
-    finally:
-        if log_file:
-            log_file.close()
+            print(_json_line(log.to_dict()), file=log_sink)
     sys.stdout.write(report_render(run.report, args.report))
     return EXIT_OK
 
@@ -292,68 +287,71 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowsra",
         description="Convert, upgrade, and question flowchart interlanguages.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--endpoint", help="chat-completions endpoint URL")
-    common.add_argument("--api-key", dest="api_key", help="endpoint API key")
-    common.add_argument("--cache-dir", dest="cache_dir", help="response cache directory")
-    common.add_argument("--parallelism", type=int, default=None,
-                        help="max concurrent transport calls, one per transport "
-                             f"worker thread (default {PARALLELISM}); once a run reaches the "
-                             "transport, eval instances and an upgrade's recognizer "
-                             "calls run on 2N more threads, with up to 8N queued ahead")
-    common.add_argument("--offline", action="store_true", default=False,
-                        help="never build the HTTP transport; serve requests "
-                             "from the cache or a mock script")
-    common.add_argument("--mock-script", dest="mock_script",
-                        help="JSON mock script replacing the network transport")
-    common.add_argument("--model-reasoner", dest="reasoner_model", default=None)
-    common.add_argument("--model-recognizer", dest="recognizer_model", default=None)
-    common.add_argument("--model-router", dest="router_model", default=None)
-    common.add_argument("--model-judge", dest="judge_model", default=None)
+    settings = argparse.ArgumentParser(add_help=False)  # for the commands that may ask a model
+    settings.add_argument("--config", help="JSON config file")
+    settings.add_argument("--endpoint", help="chat-completions endpoint URL")
+    settings.add_argument("--api-key", dest="api_key", help="endpoint API key")
+    settings.add_argument("--cache-dir", dest="cache_dir", help="response cache directory")
+    settings.add_argument("--parallelism", type=int, default=None,
+                          help="max concurrent transport calls, one per transport "
+                               f"worker thread (default {PARALLELISM}); once a run reaches "
+                               "the transport, eval instances and an upgrade's recognizer "
+                               "calls run on 2N more threads, with up to 8N queued ahead")
+    settings.add_argument("--offline", action="store_true", default=False,
+                          help="never build the HTTP transport; serve requests "
+                               "from the cache or a mock script")
+    settings.add_argument("--mock-script", dest="mock_script",
+                          help="JSON mock script replacing the network transport")
+    model = {}  # one parent per --model-<role> flag, for the commands that ask that model
+    for role in ("reasoner", "recognizer", "router", "judge"):
+        model[role] = argparse.ArgumentParser(add_help=False)
+        model[role].add_argument(f"--model-{role}", dest=f"{role}_model")
 
     dialects = [d.value for d in Dialect]
     chart = argparse.ArgumentParser(add_help=False)
     chart.add_argument("input", help="chart file ('-' for stdin)")
     chart.add_argument("--dialect", choices=dialects, help="input dialect override")
     relation = argparse.ArgumentParser(add_help=False)
-    relation.add_argument("--relation-backend", default="heuristic", choices=RELATION_BACKENDS)
+    relation.add_argument("--relation-backend", default=EvalConfig.relation_backend,
+                          choices=RELATION_BACKENDS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("convert", parents=[common, chart],
+    p = sub.add_parser("convert", parents=[chart],
                        help="parse a chart and emit it in another dialect")
     p.add_argument("--to", required=True, choices=dialects)
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("upgrade", parents=[common, chart, relation],
+    p = sub.add_parser("upgrade", parents=[settings, chart, relation, model["recognizer"]],
                        help="emit the relation-annotated chart plus triples")
     p.add_argument("--to", choices=dialects, help="output dialect (default: input's)")
     p.set_defaults(func=cmd_upgrade)
 
-    p = sub.add_parser("ask", parents=[common, chart, relation],
+    p = sub.add_parser("ask", parents=[settings, chart, relation, model["reasoner"],
+                                       model["recognizer"], model["router"]],
                        help="answer a question about a chart")
     p.add_argument("--question", required=True)
     # every router but the oracle, which reads a gold type that a question to ask lacks
-    p.add_argument("--router", default="heuristic",
+    p.add_argument("--router", default=EvalConfig.router_mode,
                    choices=tuple(mode for mode in ROUTE_MODES if mode != "oracle"))
     p.add_argument("--to", choices=dialects, help="reasoning dialect (default: input's)")
     p.set_defaults(func=cmd_ask)
 
-    p = sub.add_parser("route", parents=[common],
+    p = sub.add_parser("route", parents=[settings, model["router"]],
                        help="classify a question as Straight or Complicated")
     p.add_argument("--question", required=True)
-    p.add_argument("--router", default="heuristic", choices=TEXT_ROUTE_MODES)
+    p.add_argument("--router", default=EvalConfig.router_mode, choices=TEXT_ROUTE_MODES)
     p.set_defaults(func=cmd_route)
 
-    p = sub.add_parser("stats", parents=[common, chart], help="print topology statistics")
+    p = sub.add_parser("stats", parents=[chart], help="print topology statistics")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("eval", parents=[common, relation], help="run the evaluation harness")
+    p = sub.add_parser("eval", parents=[settings, relation, *model.values()],
+                       help="run the evaluation harness")
     p.add_argument("--dataset", required=True)
     p.add_argument("--dialect", choices=dialects,
                    help="reason over this dialect instead of each instance's own")
-    p.add_argument("--router", default="heuristic", choices=ROUTE_MODES)
-    p.add_argument("--judge", default="exact", choices=JUDGE_MODES)
+    p.add_argument("--router", default=EvalConfig.router_mode, choices=ROUTE_MODES)
+    p.add_argument("--judge", default=EvalConfig.judge_mode, choices=JUDGE_MODES)
     p.add_argument("--filter-type", choices=[t.value for t in QuestionType])
     p.add_argument("--report", default="json", choices=REPORT_FORMATS)
     p.add_argument("--log-file", help="write per-instance logs here instead of stderr")
@@ -365,8 +363,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig.resolve(args)
-        return args.func(args, config)
+        if not hasattr(args, "config"):  # convert and stats read no settings
+            return args.func(args)
+        return args.func(args, RunConfig.resolve(args))
     except (InputError, UnknownDialectError, GraphValidationError, EmitError,
             EmptyDatasetError, OSError, UnicodeEncodeError) as exc:
         # UnicodeEncodeError: text that the output stream cannot carry

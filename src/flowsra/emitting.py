@@ -166,7 +166,7 @@ _DOT_KEYWORDS = {"graph", "digraph", "node", "edge", "strict", "subgraph"}
 def _dot_id(value: str) -> str:
     if _DOT_BARE.fullmatch(value) and value not in _DOT_KEYWORDS:
         return value
-    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return _dot_str(value)
 
 
 def _dot_str(text: str) -> str:

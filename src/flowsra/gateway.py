@@ -559,7 +559,8 @@ class ChatGateway:
         if self._cache_prefix is None:
             return
         path = f"{self._cache_prefix}{key}.json"
-        data = json.dumps(payload, ensure_ascii=False, sort_keys=True).encode("utf-8")
+        text = json.dumps(payload, ensure_ascii=False, sort_keys=True)
+        data = text.encode("utf-8", "backslashreplace")  # a lone surrogate: its JSON escape
         try:
             try:
                 fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")

@@ -53,6 +53,26 @@ from .relations import make_relation_backend, upgrade_graph
 from .routing import QuestionClass, QuestionType, make_router
 
 
+@dataclass(frozen=True)
+class EvalConfig:
+    """One pipeline variant, each field set by a ``flowsra eval`` option."""
+
+    router_mode: str = "heuristic"       # one of routing.ROUTE_MODES
+    relation_backend: str = "heuristic"  # one of relations.RELATION_BACKENDS
+    judge_mode: str = "exact"            # one of JUDGE_MODES
+    dialect: Dialect | None = None       # None: keep each instance's dialect
+    filter_type: QuestionType | None = None
+    reasoner_model: str = "reasoner"
+    recognizer_model: str = "recognizer"
+    router_model: str = "router"
+    judge_model: str = "judge"
+
+    def fingerprint(self) -> str:
+        """Hash of every field, each of which can change a report."""
+        encoded = json.dumps(_field_values(self), sort_keys=True).encode("utf-8")
+        return hashlib.sha256(encoded).hexdigest()
+
+
 class EmptyDatasetError(ValueError):
     """The dataset file yielded zero valid records; ``diagnostics`` says why
     each record was rejected."""
@@ -208,7 +228,7 @@ def _parse_verdict(text: str) -> bool | None:
 
 
 def judge(prediction: str, gold: str, gateway: ChatGateway | None = None,
-          model: str = "judge") -> JudgeResult:
+          model: str = EvalConfig.judge_model) -> JudgeResult:
     """Tier 1: normalized textual equality, no LLM involved. Tier 2, only
     with a gateway: ``model`` decides, re-asked once for an unreadable
     verdict (see ``ask_twice``); a verdict still unreadable counts as
@@ -230,26 +250,6 @@ def _field_values(record) -> dict:
     """A dataclass's fields by name, in order, each enum by its value."""
     values = {f.name: getattr(record, f.name) for f in fields(record)}
     return {name: v.value if isinstance(v, Enum) else v for name, v in values.items()}
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """One pipeline variant, each field set by a ``flowsra eval`` option."""
-
-    router_mode: str = "heuristic"       # one of routing.ROUTE_MODES
-    relation_backend: str = "heuristic"  # one of relations.RELATION_BACKENDS
-    judge_mode: str = "exact"            # one of JUDGE_MODES
-    dialect: Dialect | None = None       # None: keep each instance's dialect
-    filter_type: QuestionType | None = None
-    reasoner_model: str = "reasoner"
-    recognizer_model: str = "recognizer"
-    router_model: str = "router"
-    judge_model: str = "judge"
-
-    def fingerprint(self) -> str:
-        """Hash of every field, each of which can change a report."""
-        encoded = json.dumps(_field_values(self), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(encoded).hexdigest()
 
 
 @dataclass

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import flowsra.cli as cli_mod
 from flowsra.cli import main
-from flowsra import harness, relations, routing
+from flowsra import gateway as gateway_mod, harness, relations, routing
 from flowsra.gateway import (
     PermanentError,
     ProtocolError,
@@ -487,6 +487,23 @@ class TestEval:
         assert err.startswith(f"error: cannot open log file {log_path}: ")
         assert [transport.calls for transport in transports] == [[]]
 
+    def test_log_file_is_closed_when_the_run_fails(self, capsys, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        def failing_run_eval(instances, config, gateway):
+            raise gateway_mod.CacheError("cannot write cache entry x")
+
+        monkeypatch.setattr(cli_mod, "open", recording_open, raising=False)
+        monkeypatch.setattr(cli_mod, "run_eval", failing_run_eval)
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(DATA / "eval10.jsonl"),
+                                 "--log-file", str(tmp_path / "logs.jsonl"))
+        assert (code, out, err) == (2, "", "config error: cannot write cache entry x\n")
+        assert [handle.closed for handle in opened] == [True]
+
     def test_truncated_cache_entry_is_healed(self, capsys, tmp_path):
         cache = tmp_path / "cache"
         argv = ("eval", "--dataset", str(DATA / "eval10.jsonl"),
@@ -528,10 +545,10 @@ class TestEval:
         assert out == ""
         assert err.startswith(f"error: {path} is not UTF-8 text (byte ")
 
-    def test_non_utf8_config_file_stays_a_config_error(self, capsys, tmp_path, chart):
+    def test_non_utf8_config_file_stays_a_config_error(self, capsys, tmp_path):
         config = tmp_path / "flowsra.json"
         config.write_bytes(b'{"reasoner_model": "\xff"}')
-        code, _, err = run_cli(capsys, "stats", chart, "--config", str(config))
+        code, _, err = run_cli(capsys, "route", "--question", "Why?", "--config", str(config))
         assert code == 2
         assert err.startswith("config error: ")
 
@@ -638,6 +655,87 @@ class TestOptionsHaveCallers:
         assert action.choices == tuple(m for m in routing.ROUTE_MODES if m != "oracle")
 
 
+class TestEachCommandTakesOnlyWhatItReads:
+    """The gateway settings go only to the commands that may ask a model, and
+    each --model-<role> flag only to the commands that ask that model."""
+
+    SETTINGS = {"--config", "--endpoint", "--api-key", "--cache-dir", "--parallelism",
+                "--offline", "--mock-script"}
+    OPTIONS = {
+        "convert": {"--dialect", "--to"},
+        "stats": {"--dialect"},
+        "upgrade": SETTINGS | {"--dialect", "--to", "--relation-backend", "--model-recognizer"},
+        "ask": SETTINGS | {"--dialect", "--to", "--relation-backend", "--question", "--router",
+                           "--model-reasoner", "--model-recognizer", "--model-router"},
+        "route": SETTINGS | {"--question", "--router", "--model-router"},
+        "eval": SETTINGS | {"--dataset", "--dialect", "--relation-backend", "--router",
+                            "--judge", "--filter-type", "--report", "--log-file",
+                            "--model-reasoner", "--model-recognizer", "--model-router",
+                            "--model-judge"},
+    }
+
+    def test_option_strings_of_each_subcommand(self):
+        subparsers = next(action for action in cli_mod.build_parser()._actions
+                          if action.dest == "command")
+        options = {command: {option for action in parser._actions
+                             for option in action.option_strings} - {"-h", "--help"}
+                   for command, parser in subparsers.choices.items()}
+        assert options == self.OPTIONS
+
+    @pytest.mark.parametrize("argv", [
+        ["convert", "{chart}", "--to", "dot", "--endpoint", "x"],
+        ["stats", "{chart}", "--config", "x"],
+        ["upgrade", "{chart}", "--model-router", "x"],
+        ["route", "--question", "Why?", "--model-judge", "x"],
+    ])
+    def test_an_option_the_command_does_not_read_is_a_usage_error(self, capsys, chart, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(chart=chart) for arg in argv])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    BROKEN = [
+        pytest.param("PARALLELISM", "abc", "FLOWSRA_PARALLELISM='abc' is not of type int\n",
+                     id="parallelism"),
+        pytest.param("OFFLINE", "maybe", "FLOWSRA_OFFLINE='maybe' is not of type bool\n",
+                     id="offline"),
+        pytest.param("CONFIG", "{missing}", "cannot read config file {missing}: ", id="config"),
+    ]
+
+    @pytest.fixture
+    def clean_environment(self, monkeypatch):
+        for name in [f.name for f in fields(cli_mod.RunConfig)] + ["config"]:
+            monkeypatch.delenv("FLOWSRA_" + name.upper(), raising=False)
+
+    @pytest.mark.parametrize("name,value,message", BROKEN)
+    @pytest.mark.parametrize("argv", [["convert", "{chart}", "--to", "dot"], ["stats", "{chart}"]],
+                             ids=["convert", "stats"])
+    def test_convert_and_stats_read_no_setting(self, capsys, monkeypatch, tmp_path, chart,
+                                               clean_environment, argv, name, value, message):
+        argv = [arg.format(chart=chart) for arg in argv]
+        clean = run_cli(capsys, *argv)
+        monkeypatch.setenv("FLOWSRA_" + name, value.format(missing=tmp_path / "missing.json"))
+        assert run_cli(capsys, *argv) == clean
+        assert clean[0] == 0 and clean[1]
+
+    @pytest.mark.parametrize("name,value,message", BROKEN)
+    @pytest.mark.parametrize("argv", [
+        ["upgrade", "{chart}"],
+        ["ask", "{chart}", "--question", "Why?"],
+        ["route", "--question", "Why?"],
+        ["eval", "--dataset", str(DATA / "eval10.jsonl")],
+    ], ids=["upgrade", "ask", "route", "eval"])
+    def test_the_commands_that_may_ask_a_model_refuse_a_broken_setting(
+            self, capsys, monkeypatch, tmp_path, chart, clean_environment, argv, name, value,
+            message):
+        missing = tmp_path / "missing.json"
+        monkeypatch.setenv("FLOWSRA_" + name, value.format(missing=missing))
+        code, out, err = run_cli(capsys, *(arg.format(chart=chart) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: " + message.format(missing=missing))
+        assert err.count("\n") == 1
+
+
 class TestInputShapes:
     """A config file or mock script of the wrong shape is a configuration
     error (exit 2), a path that cannot be read an input error (exit 1)."""
@@ -648,19 +746,17 @@ class TestInputShapes:
         ('{"offline": "false"}', ': offline must be of type bool, not "false"'),
         ('{"parallelism": true}', ": parallelism must be of type int, not true"),
     ])
-    def test_config_file_value_of_wrong_type_exits_2(self, capsys, tmp_path, chart,
-                                                     content, message):
+    def test_config_file_value_of_wrong_type_exits_2(self, capsys, tmp_path, content, message):
         config = tmp_path / "flowsra.json"
         config.write_text(content)
-        code, out, err = run_cli(capsys, "stats", chart, "--config", str(config))
+        code, out, err = run_cli(capsys, "route", "--question", "Why?", "--config", str(config))
         assert (code, out) == (2, "")
         assert err == f"config error: config file {config}{message}\n"
 
     @pytest.mark.parametrize("name,value", [("OFFLINE", "maybe"), ("PARALLELISM", "x")])
-    def test_environment_value_of_wrong_type_exits_2(self, capsys, monkeypatch, chart,
-                                                     name, value):
+    def test_environment_value_of_wrong_type_exits_2(self, capsys, monkeypatch, name, value):
         monkeypatch.setenv("FLOWSRA_" + name, value)
-        code, out, err = run_cli(capsys, "stats", chart)
+        code, out, err = run_cli(capsys, "route", "--question", "Why?")
         assert (code, out) == (2, "")
         assert err == (f"config error: FLOWSRA_{name}={value!r} is not of type "
                        f"{'bool' if name == 'OFFLINE' else 'int'}\n")
@@ -829,10 +925,10 @@ class TestDeeplyNestedJson:
         assert err.splitlines() == ["record 1: invalid JSON: nested too deeply",
                                     f"error: no valid records in {path}"]
 
-    def test_config_file_exits_2(self, capsys, tmp_path, chart):
+    def test_config_file_exits_2(self, capsys, tmp_path):
         config = tmp_path / "flowsra.json"
         config.write_text(self.DEEP)
-        code, out, err = run_cli(capsys, "stats", chart, "--config", str(config))
+        code, out, err = run_cli(capsys, "route", "--question", "Why?", "--config", str(config))
         assert (code, out) == (2, "")
         assert err.startswith(f"config error: cannot read config file {config}: ")
         assert "Traceback" not in err
@@ -1074,15 +1170,13 @@ class TestConfigPrecedence:
 
         seen = {}
 
-        def fake_stats(args, cfg):
+        def fake_route(args, cfg):
             seen["cfg"] = cfg
             return 0
 
         import flowsra.cli as cli_mod
-        monkeypatch.setattr(cli_mod, "cmd_stats", fake_stats)
-        chart = tmp_path / "c.mmd"
-        chart.write_text("flowchart TD\n")
-        code = main(["stats", str(chart), "--config", str(config),
+        monkeypatch.setattr(cli_mod, "cmd_route", fake_route)
+        code = main(["route", "--question", "Why?", "--config", str(config),
                      "--parallelism", "6"])
         assert code == 0
         cfg = seen["cfg"]
@@ -1187,6 +1281,25 @@ class TestNarrowExitCodes:
         logs = [json.loads(line) for line in log_path.read_text("utf-8").splitlines()]
         assert len(logs) == 10
         assert all(log["predicted"] == "a\ud800b é" for log in logs)
+
+    def test_ask_reply_with_a_lone_surrogate_is_cached_and_replays_offline(
+            self, capsys, chart, tmp_path, surrogate_script):
+        argv = ["ask", chart, "--question", "What then?", "--router", "always-shallow"]
+        uncached = run_cli(capsys, *argv, "--mock-script", surrogate_script)
+        cache = str(tmp_path / "cache")
+        assert run_cli(capsys, *argv, "--mock-script", surrogate_script,
+                       "--cache-dir", cache) == uncached
+        assert run_cli(capsys, *argv, "--offline", "--cache-dir", cache) == uncached
+        assert uncached[0] == 0
+
+    def test_eval_caches_a_reply_with_a_lone_surrogate(self, capsys, tmp_path,
+                                                       surrogate_script):
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(DATA / "eval10.jsonl"),
+                                 "--mock-script", surrogate_script,
+                                 "--cache-dir", str(tmp_path / "cache"))
+        assert code == 0, err
+        logs = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert [log["error"] for log in logs] == [None] * 10
 
     def test_encode_error_in_a_command_is_not_a_config_error(self, capsys, chart,
                                                              monkeypatch):

@@ -413,6 +413,16 @@ class TestCacheFormat:
             payload, ensure_ascii=False, sort_keys=True).encode()
         assert list(tmp_path.iterdir()) == [entry]
 
+    def test_reply_with_a_lone_surrogate_is_stored_escaped_and_replays(self, tmp_path):
+        payload = provider_payload("a\ud800b é")
+        first = ChatGateway(lambda r: payload, cache_dir=tmp_path).complete(req())
+        entry = tmp_path / f"{cache_key(req())}.json"
+        # the surrogate as its JSON escape, the rest as any entry has it
+        assert entry.read_bytes() == json.dumps(
+            payload, ensure_ascii=False, sort_keys=True).replace("\ud800", "\\ud800").encode()
+        replay = ChatGateway(None, cache_dir=tmp_path).complete(req())
+        assert (first.content, replay.content, replay.cached) == ("a\ud800b é",) * 2 + (True,)
+
     def test_entry_written_by_json_dump_replays_as_a_hit(self, tmp_path):
         payload = provider_payload("né ✓")
         # how entries were written before: json.dump to a text stream
