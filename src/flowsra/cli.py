@@ -29,7 +29,7 @@ from .gateway import (
     TransportError,
     load_mock_script,
 )
-from .harness import JUDGE_MODES, REPORT_FORMATS, EmptyDatasetError, EvalConfig
+from .harness import JUDGE_MODES, REPORT_FORMATS, EvalConfig
 from .harness import load_dataset, report_render, run_eval
 from .ir import GraphValidationError, topology_stats
 from .parsing import Dialect, UnknownDialectError, parse_text
@@ -65,7 +65,7 @@ class RunConfig:
         """Each field's type is its default's (``str`` for a None default):
         a config file value must have it, or be null where the default is
         None, and an environment value must convert to it; otherwise
-        ConfigError."""
+        ConfigError. So is an empty model name, which no model has."""
         config = cls()
         data = {}
         path = getattr(args, "config", None) or os.environ.get(_ENV_PREFIX + "CONFIG")
@@ -91,6 +91,8 @@ class RunConfig:
             value = getattr(args, f.name, None)
             if value is not None and value is not False:
                 setattr(config, f.name, value)
+            if f.name.endswith("_model") and not getattr(config, f.name):
+                raise ConfigError(f"{f.name} must not be empty")
         return config
 
 
@@ -250,10 +252,9 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         load = load_dataset(args.dataset)
     except UnicodeDecodeError as exc:
         raise _not_utf8(args.dataset, exc) from exc
-    except EmptyDatasetError as exc:  # say why no record was valid, then fail
-        _print_diagnostics(exc.diagnostics)
-        raise
     _print_diagnostics(load.diagnostics)
+    if not load.instances:
+        raise InputError(f"no valid records in {args.dataset}")
     eval_config = EvalConfig(
         router_mode=args.router,
         relation_backend=args.relation_backend,
@@ -367,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
             return args.func(args)
         return args.func(args, RunConfig.resolve(args))
     except (InputError, UnknownDialectError, GraphValidationError, EmitError,
-            EmptyDatasetError, OSError, UnicodeEncodeError) as exc:
+            OSError, UnicodeEncodeError) as exc:
         # UnicodeEncodeError: text that the output stream cannot carry
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

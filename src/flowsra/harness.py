@@ -73,15 +73,6 @@ class EvalConfig:
         return hashlib.sha256(encoded).hexdigest()
 
 
-class EmptyDatasetError(ValueError):
-    """The dataset file yielded zero valid records; ``diagnostics`` says why
-    each record was rejected."""
-
-    def __init__(self, message: str, diagnostics: list[LoadDiagnostic]):
-        super().__init__(message)
-        self.diagnostics = diagnostics
-
-
 @dataclass(frozen=True)
 class EvalInstance:
     flowchart_id: str
@@ -142,8 +133,8 @@ def load_dataset(path: str | Path) -> DatasetLoad:
     mark, so the file's own mark is record 1's, and a file made by joining
     files that each begin with one keeps every record.
 
-    Raises OSError when the file cannot be read and EmptyDatasetError when
-    nothing valid remains.
+    Raises OSError when the file cannot be read. A file with no valid
+    record gives a load with no instances, whose diagnostics say why.
     """
     text = Path(path).read_text(encoding="utf-8")
     instances: list[EvalInstance] = []
@@ -183,8 +174,6 @@ def load_dataset(path: str | Path) -> DatasetLoad:
             gold_answer=values["answer"],
             gold_type=qtype,
         ))
-    if not instances:
-        raise EmptyDatasetError(f"no valid records in {path}", diagnostics)
     return DatasetLoad(instances, diagnostics)
 
 

@@ -10,8 +10,8 @@ triples when built.
 
 Because a graph never changes, whatever is derived from it is derived once
 per graph object and kept on that object (see :func:`derived`): the
-:func:`validate` result, which a parser stores as it builds the graph, and
-the emitted texts of :mod:`flowsra.emitting`.
+:func:`validate` result, which a parser stores when it has seen the graph
+to be clean, and the emitted texts of :mod:`flowsra.emitting`.
 The memo lives and dies with its graph, so it neither keeps graphs alive
 nor hashes them by value; a computation that raises stores nothing and runs
 again on the next call.
@@ -337,9 +337,9 @@ def validate(graph: FlowGraph) -> list[Violation]:
 
     Violations are data, not failures: the order is deterministic (nodes in
     graph order, then edges) and repeated calls return equal lists. The
-    check runs at most once per graph, and a parsed graph arrives with its
-    result already stored (see :func:`store_violations`); each call returns
-    a fresh list.
+    check runs at most once per graph, and not at all for a parsed graph
+    that its parser saw to be clean (see :func:`store_violations`); each
+    call returns a fresh list.
     """
     return list(_checked(graph))
 
@@ -348,23 +348,11 @@ def _checked(graph: FlowGraph) -> tuple[Violation, ...]:
     return derived(graph, "validate", lambda: _violations(graph))
 
 
-def store_violations(graph: FlowGraph, violations: Iterable[Violation]) -> FlowGraph:
-    """``graph``, with ``violations`` stored as its :func:`validate` result,
-    for a builder that found them while building it; they must be what the
-    check would find, in its order."""
-    graph._memo["validate"] = tuple(violations)
-    return graph
-
-
-def text_required(node: Node) -> Violation:
-    return Violation("node-text-required", node.id,
-                     f"{node.kind.value} node {node.id!r} has empty text")
-
-
-def duplicate_edge(edge: Edge) -> Violation:
-    return Violation("duplicate-edge", f"{edge.src}->{edge.dst}",
-                     f"duplicate edge {edge.src!r} -> {edge.dst!r} "
-                     f"with label {edge.label.render() or 'none'}")
+def store_violations(graph: FlowGraph) -> None:
+    """Store an empty :func:`validate` result on ``graph``, for a builder
+    that knows the check would find nothing. A graph with some violation
+    gets no stored result: the check finds them on first use."""
+    graph._memo["validate"] = ()
 
 
 def _violations(graph: FlowGraph) -> tuple[Violation, ...]:
@@ -377,7 +365,9 @@ def _violations(graph: FlowGraph) -> tuple[Violation, ...]:
                 f"node id {node.id!r} declared more than once"))
         seen_ids.add(node.id)
         if not node.text and not node.kind.is_terminal:
-            violations.append(text_required(node))
+            violations.append(Violation(
+                "node-text-required", node.id,
+                f"{node.kind.value} node {node.id!r} has empty text"))
     known = {n.id for n in graph.nodes}
     seen_edges: set[tuple[str, str, str, str | None]] = set()
     for edge in graph.edges:
@@ -389,7 +379,10 @@ def _violations(graph: FlowGraph) -> tuple[Violation, ...]:
         count = len(seen_edges)
         seen_edges.add(edge_key(edge.src, edge.dst, edge.label))
         if len(seen_edges) == count:
-            violations.append(duplicate_edge(edge))
+            violations.append(Violation(
+                "duplicate-edge", f"{edge.src}->{edge.dst}",
+                f"duplicate edge {edge.src!r} -> {edge.dst!r} "
+                f"with label {edge.label.render() or 'none'}"))
     return tuple(violations)
 
 

@@ -29,10 +29,8 @@ from .ir import (
     UNLABELED,
     YES,
     NO,
-    duplicate_edge,
     edge_key,
     store_violations,
-    text_required,
 )
 
 # kinds read per node, bound once: a read off NodeKind goes through its
@@ -121,17 +119,16 @@ def detect_dialect(text: str) -> Dialect:
 
 class _Builder:
     """Mutable accumulator used by the parsers. Nodes keep the order in which
-    ``kinds`` and ``texts`` first saw them; a redeclaration keeps it. Its
-    graph arrives with its :func:`~flowsra.ir.validate` result stored: ids
-    are unique keys, parsers declare an edge's endpoints before the edge,
-    :meth:`add_edge` sees each duplicate, and ``texts`` shows empty texts."""
+    ``kinds`` and ``texts`` first saw them; a redeclaration keeps it. Ids are
+    unique keys and parsers declare an edge's endpoints before the edge, so a
+    graph with no duplicate edge and no empty non-terminal text is clean: it
+    arrives with its empty :func:`~flowsra.ir.validate` result stored."""
 
     def __init__(self) -> None:
         self.kinds: dict[str, NodeKind] = {}
         self.texts: dict[str, str] = {}
         self._edges: list[Edge] = []
         self._edge_keys: set[tuple[str, str, str, str | None]] = set()
-        self._duplicates: list[Edge] = []
         self._starts: set[str] = set()  # ids whose kind is START
         self.title: str | None = None
 
@@ -170,24 +167,19 @@ class _Builder:
         diagnose it where it happened)."""
         seen = len(self._edge_keys)
         self._edge_keys.add(edge_key(src, dst, label))
-        edge = Edge(src, dst, label)
-        self._edges.append(edge)
-        if len(self._edge_keys) != seen:
-            return True
-        self._duplicates.append(edge)
-        return False
+        self._edges.append(Edge(src, dst, label))
+        return len(self._edge_keys) != seen
 
     def build(self) -> FlowGraph:
         kinds, texts = self.kinds, self.texts
         # both dicts gain each key in the same call, so they hold one order
         nodes = tuple(map(Node, kinds, kinds.values(), texts.values()))
-        violations = []
-        if "" in texts.values():
-            violations = [text_required(n) for n in nodes
-                          if not n.text and not n.kind.is_terminal]
-        violations += map(duplicate_edge, self._duplicates)
-        return store_violations(
-            FlowGraph(nodes=nodes, edges=tuple(self._edges), title=self.title), violations)
+        graph = FlowGraph(nodes=nodes, edges=tuple(self._edges), title=self.title)
+        if len(self._edge_keys) == len(self._edges) and (
+                "" not in texts.values()
+                or all(n.kind.is_terminal for n in nodes if not n.text)):
+            store_violations(graph)
+        return graph
 
 
 def _strip_quotes(text: str) -> str:
@@ -215,9 +207,9 @@ def _terminal_kind(text: str, builder: _Builder, node_id: str) -> NodeKind:
 _MERMAID_HEADER = re.compile(r"^(flowchart|graph)\b\s*(TD|TB|BT|LR|RL)?\s*$", re.IGNORECASE)
 
 # Shapes, most specific first, and the kind each gives (None: a terminal,
-# Start or End by ``_terminal_kind``). Each has a quoted-content variant so
-# delimiter characters may appear inside quoted text; the ``#quot;`` escape
-# holds no '"', so ``[^"]*`` reads it as part of the text.
+# Start or End by ``_terminal_kind``). Each has a quoted-content variant, first,
+# so delimiter characters may appear inside quoted text; the ``#quot;`` escape
+# of a '"' holds none, so ``[^"]*`` reads it as part of the text.
 _MERMAID_SHAPES: list[tuple[str, NodeKind | None]] = [
     (r'\(\("([^"]*)"\)\)', None),
     (r"\(\(([^)]*)\)\)", None),
@@ -283,7 +275,9 @@ def _mermaid_node_ref(builder: _Builder, line: str, pos: int, lineno: int,
     if group == 1:
         builder.ensure(node_id)
         return node_id, m.end()
-    text = _strip_quotes(m.group(group))
+    raw = m.group(group)
+    # a quoted shape's group, an even one, holds the text inside its quotes
+    text = raw.strip().replace("#quot;", '"') if group % 2 == 0 else _strip_quotes(raw)
     kind = _MERMAID_KIND_OF_GROUP[group]
     if kind is None:
         kind = _terminal_kind(text, builder, node_id)
@@ -583,6 +577,9 @@ def parse_dot(text: str) -> ParseResult:
             for node_id in endpoints:
                 if node_id not in kinds:
                     builder.ensure(node_id)
+                    if not node_id:  # its text is its empty id
+                        diagnostics.append(ParseDiagnostic(
+                            tokens.line(stmt), "Process node '' has empty label"))
             for src, dst in zip(endpoints, endpoints[1:]):
                 if not builder.add_edge(src, dst, label):
                     diagnostics.append(ParseDiagnostic(

@@ -234,11 +234,14 @@ def upgrade_graph(graph: FlowGraph, backend: RelationBackend, *,
 
 def make_relation_backend(kind: str, gateway: ChatGateway | None = None,
                           model: str = "") -> RelationBackend:
-    """Selector over ``RELATION_BACKENDS``."""
+    """Selector over ``RELATION_BACKENDS``; the llm backend needs a gateway
+    and a model."""
     if kind == "heuristic":
         return HeuristicRelationBackend()
     if kind == "llm":
         if gateway is None:
             raise ValueError("the llm relation backend needs a gateway")
-        return LlmRelationBackend(gateway, model or "default")
+        if not model:
+            raise ValueError("the llm relation backend needs a model")
+        return LlmRelationBackend(gateway, model)
     raise ValueError(f"unknown relation backend {kind!r}")

@@ -131,7 +131,8 @@ ROUTE_MODES = TEXT_ROUTE_MODES + ("oracle", "always-shallow", "always-deep")
 
 def make_router(kind: str, gateway: ChatGateway | None = None, model: str = "") -> Router:
     """Selector over ``ROUTE_MODES``. The always-shallow and always-deep
-    ablations give one class for every question."""
+    ablations give one class for every question; the llm router needs a
+    gateway and a model."""
     if kind == "heuristic":
         return lambda question: heuristic_classify(question.text)
     if kind == "oracle":
@@ -143,5 +144,7 @@ def make_router(kind: str, gateway: ChatGateway | None = None, model: str = "") 
     if kind == "llm":
         if gateway is None:
             raise ValueError("the llm router needs a gateway")
-        return lambda question: classify(question.text, gateway, model or "default")
+        if not model:
+            raise ValueError("the llm router needs a model")
+        return lambda question: classify(question.text, gateway, model)
     raise ValueError(f"unknown router {kind!r}")

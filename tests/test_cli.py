@@ -98,6 +98,16 @@ class TestConvert:
         assert out == ""
         assert "line 2" in err
 
+    @pytest.mark.parametrize("argv", [["convert", "{chart}", "--to", "mermaid"],
+                                      ["stats", "{chart}"]])
+    def test_dot_edge_from_an_empty_id_exits_1_at_its_line(self, capsys, tmp_path, argv):
+        path = tmp_path / "empty-id.dot"
+        path.write_text('digraph G {\n"" -> B;\n}\n')
+        code, out, err = run_cli(capsys, *(arg.format(chart=path) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err == ("line 2: error: Process node '' has empty label\n"
+                       "error: input has parse errors\n")
+
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "convert", str(tmp_path / "nope.mmd"),
                                "--to", "dot")
@@ -780,6 +790,28 @@ class TestInputShapes:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, posted) == (2, "", [])
         assert err == f"config error: parallelism must be at least 1, not {value}\n"
+
+    @pytest.mark.parametrize("source", ["flag", "environment", "config file"])
+    @pytest.mark.parametrize("role,argv", [
+        ("router", ["route", "--router", "llm", "--question", "Why?"]),
+        ("recognizer", ["upgrade", "{chart}", "--relation-backend", "llm"])])
+    def test_empty_model_name_exits_2_before_any_call(self, capsys, monkeypatch, tmp_path,
+                                                      chart, source, role, argv):
+        # an llm stage needs a model: none is named "" and none is a fallback
+        posted = []
+        monkeypatch.setattr(requests, "post", lambda url, **kwargs: posted.append(url))
+        argv = [arg.format(chart=chart) for arg in argv] + ["--endpoint", "http://x/v1"]
+        if source == "flag":
+            argv.append(f"--model-{role}=")
+        elif source == "environment":
+            monkeypatch.setenv(f"FLOWSRA_{role.upper()}_MODEL", "")
+        else:
+            config = tmp_path / "flowsra.json"
+            config.write_text(json.dumps({f"{role}_model": ""}))
+            argv += ["--config", str(config)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, posted) == (2, "", [])
+        assert err == f"config error: {role}_model must not be empty\n"
 
     @pytest.mark.parametrize("entries,message", [
         (["x"], "entry 0: not an object with a string pattern and a string response"),

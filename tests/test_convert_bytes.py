@@ -39,10 +39,10 @@ ODD_IDS = ["node", "1a", "a b", 'q"uote', "back\\", "x-y", "é", "_ok", "graph",
 GRAPHS = 60
 DIGESTS = {
     "parse": "6db45fd657e386da",
-    "plain": "d6b51e6d56493290",
+    "plain": "1500d6b6844b7c5c",
     "triples": "a37bd2b08c7dd540",
-    "upgraded": "78aefd9911742865",
-    "listing": "19dbfed15cc8db13",
+    "upgraded": "cf5fe4d97f3b5988",
+    "listing": "342a0e3c08889630",
 }
 
 

@@ -154,7 +154,8 @@ class TestRoundTrips:
         graph = FlowGraph(nodes=(
             Node("A", NodeKind.PROCESS, "Wash (twice)"),
             Node("B", NodeKind.PROCESS, "a [b] {c} | d"),
-        ), edges=(Edge("A", "B"),))
+            Node("C", NodeKind.DECISION, 'say "hi"?'),
+        ), edges=(Edge("A", "B"), Edge("B", "C")))
         for dialect in (Dialect.MERMAID, Dialect.DOT):
             _, result = parse_text(emit(graph, dialect).text)
             assert result.ok

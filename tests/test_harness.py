@@ -17,7 +17,6 @@ from flowsra.gateway import ChatGateway, PermanentError, load_mock_script
 from flowsra.harness import (
     JUDGE_MODES,
     REPORT_FORMATS,
-    EmptyDatasetError,
     EvalConfig,
     judge,
     load_dataset,
@@ -27,6 +26,7 @@ from flowsra.harness import (
 )
 from flowsra.ir import NodeKind
 from flowsra.parsing import Dialect
+from flowsra.prompts import ANCHORS
 from flowsra.routing import ROUTE_MODES, QuestionClass, QuestionType, type_to_class
 
 from gen import Recording, mock_backend, rand_flow_graph, reply_gateway, topology_oracle
@@ -39,18 +39,18 @@ def eval10_gateway():
 
 
 class TestLoadDataset:
-    def test_empty_file_raises(self, tmp_path):
+    def test_empty_file_gives_an_empty_load(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        with pytest.raises(EmptyDatasetError):
-            load_dataset(path)
+        load = load_dataset(path)
+        assert (load.instances, load.diagnostics) == ([], [])
 
-    def test_no_valid_record_raises_with_every_diagnostic(self, tmp_path):
+    def test_no_valid_record_gives_every_diagnostic(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{not json}\n"text"\n{"id": "a"}\n')
-        with pytest.raises(EmptyDatasetError) as excinfo:
-            load_dataset(path)
-        assert [d.line for d in excinfo.value.diagnostics] == [1, 2, 3]
+        load = load_dataset(path)
+        assert load.instances == []
+        assert [d.line for d in load.diagnostics] == [1, 2, 3]
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -253,6 +253,15 @@ class TestRunEval:
         assert run.report.failed_count == 0
         assert run.report.overall_acc == 1.0
         assert all(v == 1.0 for v in run.report.per_type_acc.values())
+
+    def test_llm_mock_run_asks_every_prompt_kind(self):
+        # so a run with this script reads every prompt template, as the
+        # installed package's run in CI must
+        gateway = ChatGateway(load_mock_script(DATA / "mock10_llm.json"))
+        config = EvalConfig(router_mode="llm", relation_backend="llm", judge_mode="llm")
+        run = run_eval(load_dataset(DATA / "eval10.jsonl").instances, config, gateway)
+        assert {kind.value for kind in gateway.requests} == set(ANCHORS)
+        assert (run.report.failed_count, run.report.overall_acc) == (0, 1.0)
 
     def test_byte_identical_reports_across_runs(self):
         load = load_dataset(DATA / "eval10.jsonl")

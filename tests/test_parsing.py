@@ -146,6 +146,17 @@ class TestParseMermaid:
         assert graph.nodes[0].kind is NodeKind.INPUT_OUTPUT
         assert graph.nodes[0].text == "Read file"
 
+    @pytest.mark.parametrize("shaped, text", [
+        ('A["say #quot;hi#quot;"]', 'say "hi"'),
+        ('A{" #quot;x#quot; "}', '"x"'),
+        ('A[ "a #quot;b" ]', 'a "b'),
+        ('A[a #quot;b]', "a #quot;b"),
+    ])
+    def test_quot_escape_is_read_back_in_quoted_text(self, shaped, text):
+        result = parse_mermaid(f"flowchart TD\n{shaped}")
+        assert result.ok
+        assert result.graph.nodes[0].text == text
+
     def test_quoted_text_with_delimiters(self):
         graph = parse_mermaid('flowchart TD\nA["a [b] c"]').graph
         assert graph.nodes[0].text == "a [b] c"
@@ -281,6 +292,16 @@ class TestParseDot:
         result = parse_dot('digraph G { A [shape=box, label=""]; }')
         assert any("empty label" in d.message for d in result.errors())
 
+    @pytest.mark.parametrize("text", [
+        'digraph G {\n"" -> B;\n}', 'digraph G {\nA -> B\n -> "" -> "";\n}'])
+    def test_empty_id_endpoint_is_diagnosed_as_an_empty_label(self, text):
+        # declared as a Process node named after its id, so its text is empty
+        result = parse_dot(text)
+        assert [str(d) for d in result.diagnostics] == [
+            "line 2: error: Process node '' has empty label"]
+        assert validate(result.graph)
+        assert_parses_like_reference(text, Dialect.DOT)
+
     def test_attribute_without_value_leaves_the_list_going(self):
         result = parse_dot(
             'digraph G {\n A [label=];\n B -> C;\n D [shape=box, label="x"];\n}\n')
@@ -311,7 +332,7 @@ class TestParseDot:
 # method call per look-ahead, one ``match`` per shape and per arrow pattern.
 # ``parse_dot`` and ``parse_mermaid`` must give equal graphs and diagnostics.
 # A DOT recovery fix is made here first (a key with no value, text after the
-# closing brace), so the two keep agreeing.
+# closing brace, an edge endpoint with an empty id), so the two keep agreeing.
 
 _REF_DOT_TOKEN = re.compile(
     r"""
@@ -523,6 +544,8 @@ class ReferenceDotParser:
             return
         label = EdgeLabel.from_text(attrs.get("label"))
         for node_id in endpoints:
+            if not node_id and node_id not in self.builder.kinds:
+                self.error(tok.line, "Process node '' has empty label")
             self.builder.ensure(node_id)
         for src, dst in zip(endpoints, endpoints[1:]):
             if not self.builder.add_edge(src, dst, label):
@@ -576,6 +599,8 @@ def _ref_mermaid_node_ref(builder, line, pos, lineno, diagnostics):
         if not sm:
             continue
         text = _strip_quotes(sm.group(1))
+        if '"' in pattern.pattern:  # a quoted shape
+            text = text.replace("#quot;", '"')
         if shape == "terminal":
             builder.ensure(node_id)
             kind = _terminal_kind(text, builder, node_id)
@@ -868,6 +893,15 @@ class TestParsedGraphsArriveValidated:
         for dialect in Dialect:
             graph = parse_text(text, dialect)[1].graph
             assert validate(graph) == validate(FlowGraph(graph.nodes, graph.edges, graph.title))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mermaid_statements.map(lambda body: "flowchart TD\n" + body)
+           | _dot_statements | _plantuml_statements | _mermaid_pieces | st.text(max_size=40))
+    @example('digraph G {\n"" -> B;\n}')
+    def test_a_parse_without_errors_validates(self, text):
+        for dialect in Dialect:
+            result = parse_text(text, dialect)[1]
+            assert not result.ok or validate(result.graph) == [], (dialect, result)
 
 
 class TestBuilderStarts:

@@ -225,12 +225,13 @@ class TestMakeRelationBackend:
         assert len(ug.triples) == len(graph.edges)
         assert all(isinstance(triple.relation, RelationType) for triple in ug.triples)
 
-    @pytest.mark.parametrize("kind,message", [
-        ("oracle", "^unknown relation backend 'oracle'$"),
-        ("llm", "^the llm relation backend needs a gateway$")])
-    def test_unknown_kind_or_llm_without_a_gateway_rejected(self, kind, message):
+    @pytest.mark.parametrize("kind,gateway,message", [
+        ("oracle", None, "^unknown relation backend 'oracle'$"),
+        ("llm", None, "^the llm relation backend needs a gateway$"),
+        ("llm", ChatGateway(mock_backend([])), "^the llm relation backend needs a model$")])
+    def test_unknown_kind_or_llm_without_a_gateway_rejected(self, kind, gateway, message):
         with pytest.raises(ValueError, match=message):
-            make_relation_backend(kind)
+            make_relation_backend(kind, gateway)
 
 
 class TestUpgradeGraph:

@@ -187,9 +187,10 @@ class TestMakeRouter:
         assert router(Question("If it rains, what should I do?")) is (
             QuestionClass.COMPLICATED)
 
-    @pytest.mark.parametrize("kind,message", [
-        ("always-sideways", "^unknown router 'always-sideways'$"),
-        ("llm", "^the llm router needs a gateway$")])
-    def test_unknown_kind_or_llm_without_a_gateway_rejected(self, kind, message):
+    @pytest.mark.parametrize("kind,gateway,message", [
+        ("always-sideways", None, "^unknown router 'always-sideways'$"),
+        ("llm", None, "^the llm router needs a gateway$"),
+        ("llm", ChatGateway(mock_backend([])), "^the llm router needs a model$")])
+    def test_unknown_kind_or_llm_without_a_gateway_rejected(self, kind, gateway, message):
         with pytest.raises(ValueError, match=message):
-            make_router(kind)
+            make_router(kind, gateway)
