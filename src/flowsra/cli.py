@@ -43,6 +43,8 @@ EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 
 _ENV_PREFIX = "FLOWSRA_"
+# the model of each role, one --model-<role> flag each
+_MODEL_FIELDS = [f.name for f in fields(EvalConfig) if f.name.endswith("_model")]
 
 
 @dataclass
@@ -118,21 +120,17 @@ def _gateway(config: RunConfig) -> ChatGateway:
     """The gateway ``config`` asks for. A leading ``~`` in the mock script
     or cache path is the home directory, as in a shell: a config file or
     environment value reaches no shell that would expand it."""
-    transport = None
-    if config.mock_script:
-        try:
-            transport = load_mock_script(os.path.expanduser(config.mock_script))
-        except ValueError as exc:  # not UTF-8, not JSON, or an entry of the wrong shape
-            raise ConfigError(str(exc)) from exc
-    elif config.endpoint and not config.offline:
-        try:
-            transport = HttpTransport(config.endpoint, config.api_key)
-        except ValueError as exc:  # a malformed endpoint, or an API key no header can carry
-            raise ConfigError(str(exc)) from exc
     cache_dir = config.cache_dir and os.path.expanduser(config.cache_dir)
     try:
+        transport = None
+        if config.mock_script:
+            transport = load_mock_script(os.path.expanduser(config.mock_script))
+        elif config.endpoint and not config.offline:
+            transport = HttpTransport(config.endpoint, config.api_key)
         return ChatGateway(transport, cache_dir=cache_dir, parallelism=config.parallelism)
-    except ValueError as exc:  # a parallelism below 1
+    except ValueError as exc:
+        # a mock script that is not UTF-8 JSON or holds an entry of the wrong shape, a
+        # malformed endpoint, an API key no header can carry, or a parallelism below 1
         raise ConfigError(str(exc)) from exc
 
 
@@ -201,10 +199,10 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 def cmd_upgrade(args: argparse.Namespace, config: RunConfig) -> int:
     detected, graph = _parse_input(args.input, args.dialect)
-    with _gateway(config) as gateway:
-        backend = make_relation_backend(args.relation_backend, gateway, config.recognizer_model)
-        target = Dialect(args.to) if args.to else detected
-        ug = upgrade_graph(graph, backend, dialect=target)
+    backend = make_relation_backend(args.relation_backend, _gateway(config),
+                                    config.recognizer_model)
+    target = Dialect(args.to) if args.to else detected
+    ug = upgrade_graph(graph, backend, dialect=target)
     sys.stdout.write(emit_upgraded(ug, target).text)
     triples = emit_triples(ug)
     if triples:
@@ -216,11 +214,11 @@ def cmd_ask(args: argparse.Namespace, config: RunConfig) -> int:
     detected, graph = _parse_input(args.input, args.dialect)
     question = _question(args.question)
     dialect = Dialect(args.to) if args.to else detected
-    with _gateway(config) as gateway:
-        backend = make_relation_backend(args.relation_backend, gateway, config.recognizer_model)
-        router = make_router(args.router, gateway, config.router_model)
-        answer = answer_controlled(graph, question, router, backend, gateway,
-                                   model=config.reasoner_model, dialect=dialect)
+    gateway = _gateway(config)
+    backend = make_relation_backend(args.relation_backend, gateway, config.recognizer_model)
+    router = make_router(args.router, gateway, config.router_model)
+    answer = answer_controlled(graph, question, router, backend, gateway,
+                               model=config.reasoner_model, dialect=dialect)
     recognized = gateway.requests[PromptKind.RELATION] + gateway.requests[PromptKind.RELATION_RETRY]
     print(f"recognizer calls: {recognized}", file=sys.stderr)
     payload = {
@@ -234,9 +232,8 @@ def cmd_ask(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_route(args: argparse.Namespace, config: RunConfig) -> int:
-    with _gateway(config) as gateway:
-        router = make_router(args.router, gateway, config.router_model)
-        question_class = router(_question(args.question))
+    router = make_router(args.router, _gateway(config), config.router_model)
+    question_class = router(_question(args.question))
     print(json.dumps({"class": question_class.value}))
     return EXIT_OK
 
@@ -261,10 +258,7 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         judge_mode=args.judge,
         dialect=Dialect(args.dialect) if args.dialect else None,
         filter_type=QuestionType.from_code(args.filter_type) if args.filter_type else None,
-        reasoner_model=config.reasoner_model,
-        recognizer_model=config.recognizer_model,
-        router_model=config.router_model,
-        judge_model=config.judge_model,
+        **{name: getattr(config, name) for name in _MODEL_FIELDS},
     )
     gateway = _gateway(config)
     try:  # before the run, so an unopenable path costs no call
@@ -273,8 +267,7 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     except OSError as exc:
         raise InputError(f"cannot open log file {args.log_file}: {exc.strerror}") from exc
     with sink as log_sink:
-        with gateway:
-            run = run_eval(load.instances, eval_config, gateway)
+        run = run_eval(load.instances, eval_config, gateway)
         for log in run.logs:
             print(_json_line(log.to_dict()), file=log_sink)
     sys.stdout.write(report_render(run.report, args.report))
@@ -304,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     settings.add_argument("--mock-script", dest="mock_script",
                           help="JSON mock script replacing the network transport")
     model = {}  # one parent per --model-<role> flag, for the commands that ask that model
-    for role in ("reasoner", "recognizer", "router", "judge"):
-        model[role] = argparse.ArgumentParser(add_help=False)
-        model[role].add_argument(f"--model-{role}", dest=f"{role}_model")
+    for name in _MODEL_FIELDS:
+        model[name] = argparse.ArgumentParser(add_help=False)
+        model[name].add_argument("--model-" + name.removesuffix("_model"), dest=name)
 
     dialects = [d.value for d in Dialect]
     chart = argparse.ArgumentParser(add_help=False)
@@ -322,13 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", required=True, choices=dialects)
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("upgrade", parents=[settings, chart, relation, model["recognizer"]],
+    p = sub.add_parser("upgrade", parents=[settings, chart, relation, model["recognizer_model"]],
                        help="emit the relation-annotated chart plus triples")
     p.add_argument("--to", choices=dialects, help="output dialect (default: input's)")
     p.set_defaults(func=cmd_upgrade)
 
-    p = sub.add_parser("ask", parents=[settings, chart, relation, model["reasoner"],
-                                       model["recognizer"], model["router"]],
+    p = sub.add_parser("ask", parents=[settings, chart, relation, model["reasoner_model"],
+                                       model["recognizer_model"], model["router_model"]],
                        help="answer a question about a chart")
     p.add_argument("--question", required=True)
     # every router but the oracle, which reads a gold type that a question to ask lacks
@@ -337,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", choices=dialects, help="reasoning dialect (default: input's)")
     p.set_defaults(func=cmd_ask)
 
-    p = sub.add_parser("route", parents=[settings, model["router"]],
+    p = sub.add_parser("route", parents=[settings, model["router_model"]],
                        help="classify a question as Straight or Complicated")
     p.add_argument("--question", required=True)
     p.add_argument("--router", default=EvalConfig.router_mode, choices=TEXT_ROUTE_MODES)

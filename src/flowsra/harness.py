@@ -486,9 +486,10 @@ def report_render(report: EvalReport, fmt: str = "json") -> str:
                 rows.append((key, _csv_cell(value)))
         return "\n".join(",".join(row) for row in rows) + "\n"
     if fmt == "markdown":
+        columns = ["Run", "Overall", *v["per_type_acc"]]  # a column per question type
         lines = [
-            "| Run | Overall | TP1 | TP2 | TP3 | TP4 |",
-            "|---|---|---|---|---|---|",
+            "| " + " | ".join(columns) + " |",
+            "|---" * len(columns) + "|",
             "| " + " | ".join([v["run_config_fingerprint"][:12], *map(
                 _fmt_acc, [v["overall_acc"], *v["per_type_acc"].values()])]) + " |",
             "",

@@ -118,11 +118,13 @@ def detect_dialect(text: str) -> Dialect:
 
 
 class _Builder:
-    """Mutable accumulator used by the parsers. Nodes keep the order in which
-    ``kinds`` and ``texts`` first saw them; a redeclaration keeps it. Ids are
-    unique keys and parsers declare an edge's endpoints before the edge, so a
-    graph with no duplicate edge and no empty non-terminal text is clean: it
-    arrives with its empty :func:`~flowsra.ir.validate` result stored."""
+    """Mutable accumulator used by the parsers: the graph, and the parse's
+    diagnostics in ``diagnostics``, which ``error`` and ``warn`` record.
+    Nodes keep the order in which ``kinds`` and ``texts`` first saw them; a
+    redeclaration keeps it. Ids are unique keys and parsers declare an
+    edge's endpoints before the edge, so a graph with no duplicate edge and
+    no empty non-terminal text is clean: it arrives with its empty
+    :func:`~flowsra.ir.validate` result stored."""
 
     def __init__(self) -> None:
         self.kinds: dict[str, NodeKind] = {}
@@ -131,6 +133,13 @@ class _Builder:
         self._edge_keys: set[tuple[str, str, str, str | None]] = set()
         self._starts: set[str] = set()  # ids whose kind is START
         self.title: str | None = None
+        self.diagnostics: list[ParseDiagnostic] = []
+
+    def error(self, line: int, message: str) -> None:
+        self.diagnostics.append(ParseDiagnostic(line, message, Severity.ERROR))
+
+    def warn(self, line: int, message: str) -> None:
+        self.diagnostics.append(ParseDiagnostic(line, message, Severity.WARNING))
 
     def ensure(self, node_id: str) -> None:
         """Declare ``node_id``, if new, as a Process node named after it."""
@@ -264,8 +273,8 @@ def _strip_mermaid_comments(line: str) -> str:
     return line
 
 
-def _mermaid_node_ref(builder: _Builder, line: str, pos: int, lineno: int,
-                      diagnostics: list[ParseDiagnostic]) -> tuple[str, int] | None:
+def _mermaid_node_ref(builder: _Builder, line: str, pos: int,
+                      lineno: int) -> tuple[str, int] | None:
     """Consume one node reference (id plus optional shape) at ``pos``."""
     m = _MERMAID_NODE.match(line, pos)
     if not m:
@@ -282,9 +291,7 @@ def _mermaid_node_ref(builder: _Builder, line: str, pos: int, lineno: int,
     if kind is None:
         kind = _terminal_kind(text, builder, node_id)
     elif not text:
-        diagnostics.append(ParseDiagnostic(
-            lineno, f"{kind.value} node {node_id!r} has empty text",
-            Severity.ERROR))
+        builder.error(lineno, f"{kind.value} node {node_id!r} has empty text")
     builder.define(node_id, kind, text)
     return node_id, m.end()
 
@@ -296,7 +303,6 @@ def parse_mermaid(text: str) -> ParseResult:
     built so far is kept.
     """
     builder = _Builder()
-    diagnostics: list[ParseDiagnostic] = []
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_mermaid_comments(raw).strip()
@@ -306,36 +312,30 @@ def parse_mermaid(text: str) -> ParseResult:
             if _MERMAID_HEADER.match(line):
                 header_seen = True
                 continue
-            diagnostics.append(ParseDiagnostic(
-                lineno, "expected 'flowchart <dir>' header", Severity.ERROR))
+            builder.error(lineno, "expected 'flowchart <dir>' header")
             header_seen = True  # recover: treat remaining lines as body
-        ref = _mermaid_node_ref(builder, line, 0, lineno, diagnostics)
+        ref = _mermaid_node_ref(builder, line, 0, lineno)
         if ref is None:
-            diagnostics.append(ParseDiagnostic(
-                lineno, f"cannot parse statement: {line!r}", Severity.ERROR))
+            builder.error(lineno, f"cannot parse statement: {line!r}")
             continue
         node_id, pos = ref
         while pos < len(line):
             am = _MERMAID_ARROW.match(line, pos)
             if not am:
-                diagnostics.append(ParseDiagnostic(
-                    lineno, f"unbalanced bracket or unexpected text: {line[pos:].lstrip()!r}",
-                    Severity.ERROR))
+                builder.error(
+                    lineno, f"unbalanced bracket or unexpected text: {line[pos:].lstrip()!r}")
                 break
             group = am.lastindex
             label = EdgeLabel.from_text(am.group(group)) if group else UNLABELED
-            ref = _mermaid_node_ref(builder, line, am.end(), lineno, diagnostics)
+            ref = _mermaid_node_ref(builder, line, am.end(), lineno)
             if ref is None:
-                diagnostics.append(ParseDiagnostic(
-                    lineno, "arrow without a target node", Severity.ERROR))
+                builder.error(lineno, "arrow without a target node")
                 break
             target_id, pos = ref
             if not builder.add_edge(node_id, target_id, label):
-                diagnostics.append(ParseDiagnostic(
-                    lineno, f"duplicate edge {node_id} --> {target_id}",
-                    Severity.ERROR))
+                builder.error(lineno, f"duplicate edge {node_id} --> {target_id}")
             node_id = target_id
-    return ParseResult(builder.build(), diagnostics)
+    return ParseResult(builder.build(), builder.diagnostics)
 
 
 # --- DOT -------------------------------------------------------------------
@@ -433,7 +433,7 @@ def _dot_unquote(value: str) -> str:
 
 
 def _dot_attrs(tokens: _DotTokens, i: int, last_line: int,
-               diagnostics: list[ParseDiagnostic]) -> tuple[dict[str, str], int]:
+               builder: _Builder) -> tuple[dict[str, str], int]:
     """The attribute lists from token ``i`` on (none unless it is '['), and
     the index after them."""
     t = tokens.values
@@ -447,10 +447,9 @@ def _dot_attrs(tokens: _DotTokens, i: int, last_line: int,
                     i += 1
                     break
                 if not name:
-                    diagnostics.append(ParseDiagnostic(last_line, "unterminated attribute list"))
+                    builder.error(last_line, "unterminated attribute list")
                     return attrs, i
-                diagnostics.append(ParseDiagnostic(
-                    tokens.line(i), f"unexpected token {name!r} in attribute list"))
+                builder.error(tokens.line(i), f"unexpected token {name!r} in attribute list")
                 i += 1
                 continue
             if name[0] == '"':
@@ -460,8 +459,7 @@ def _dot_attrs(tokens: _DotTokens, i: int, last_line: int,
                 value = t[i + 1]
                 if value in _DOT_NOT_ID:
                     # take no token: a ']' or ',' here still ends or goes on with the list
-                    diagnostics.append(ParseDiagnostic(
-                        tokens.line(i - 1), f"attribute {name!r} has no value"))
+                    builder.error(tokens.line(i - 1), f"attribute {name!r} has no value")
                     i += 1
                 else:
                     attrs[name] = _dot_unquote(value) if value[0] == '"' else value
@@ -478,22 +476,19 @@ def parse_dot(text: str) -> ParseResult:
     last_line = text.count("\n") + 1
     builder = _Builder()
     kinds, texts = builder.kinds, builder.texts
-    diagnostics: list[ParseDiagnostic] = []
     i = 0
     if t[i] == "strict":
         i += 1
     if t[i] == "digraph" or t[i] == "graph":
         i += 1
     else:
-        diagnostics.append(ParseDiagnostic(
-            tokens.line(i) if t[i] else 1, "expected 'digraph' or 'graph'"))
+        builder.error(tokens.line(i) if t[i] else 1, "expected 'digraph' or 'graph'")
     if t[i] not in _DOT_NOT_ID:
         i += 1  # graph id
     if t[i] == "{":
         i += 1
     else:
-        diagnostics.append(ParseDiagnostic(
-            tokens.line(i) if t[i] else last_line, "expected '{'"))
+        builder.error(tokens.line(i) if t[i] else last_line, "expected '{'")
     closed = False
     while True:  # one statement per pass
         value = t[i]
@@ -506,15 +501,12 @@ def parse_dot(text: str) -> ParseResult:
             if not value:  # the end
                 break
             if value != ";":
-                diagnostics.append(ParseDiagnostic(
-                    tokens.line(stmt), f"unexpected token {value!r}"))
+                builder.error(tokens.line(stmt), f"unexpected token {value!r}")
             continue
         after = t[i]
         if after == "[" and (value == "node" or value == "edge" or value == "graph"):
-            i = _dot_attrs(tokens, i, last_line, diagnostics)[1]
-            diagnostics.append(ParseDiagnostic(
-                tokens.line(stmt), f"default {value!r} attributes are ignored",
-                Severity.WARNING))
+            i = _dot_attrs(tokens, i, last_line, builder)[1]
+            builder.warn(tokens.line(stmt), f"default {value!r} attributes are ignored")
             if t[i] == ";":
                 i += 1
             continue
@@ -522,20 +514,17 @@ def parse_dot(text: str) -> ParseResult:
         if after == "=":
             i += 1
             if t[i] in _DOT_NOT_ID:  # take no token: a '}' here still closes the graph
-                diagnostics.append(ParseDiagnostic(
-                    tokens.line(stmt), f"attribute {first_id!r} has no value"))
+                builder.error(tokens.line(stmt), f"attribute {first_id!r} has no value")
             else:
                 i += 1  # the value
-                diagnostics.append(ParseDiagnostic(
-                    tokens.line(stmt), f"graph attribute {first_id!r} is ignored",
-                    Severity.WARNING))
+                builder.warn(tokens.line(stmt), f"graph attribute {first_id!r} is ignored")
             if t[i] == ";":
                 i += 1
             continue
         if after != "->" and after != "--":  # a node statement
             attrs: dict[str, str] = {}
             if after == "[":
-                attrs, i = _dot_attrs(tokens, i, last_line, diagnostics)
+                attrs, i = _dot_attrs(tokens, i, last_line, builder)
             if t[i] == ";":
                 i += 1
             shape = attrs.get("shape", "").casefold()
@@ -545,23 +534,19 @@ def parse_dot(text: str) -> ParseResult:
             elif shape in _DOT_SHAPE_KINDS:
                 kind = _DOT_SHAPE_KINDS[shape]
             elif shape:
-                diagnostics.append(ParseDiagnostic(
-                    tokens.line(stmt), f"unsupported shape {shape!r} treated as box",
-                    Severity.WARNING))
+                builder.warn(tokens.line(stmt), f"unsupported shape {shape!r} treated as box")
                 kind = _PROCESS
             else:
                 kind = kinds.get(first_id, _PROCESS)
             if not text and not kind.is_terminal:
-                diagnostics.append(ParseDiagnostic(
-                    tokens.line(stmt), f"{kind.value} node {first_id!r} has empty label"))
+                builder.error(tokens.line(stmt), f"{kind.value} node {first_id!r} has empty label")
             builder.define(first_id, kind, text)
             continue
         endpoints = [first_id]
         while t[i] == "->" or t[i] == "--":
             target = t[i + 1]
             if target in _DOT_NOT_ID:
-                diagnostics.append(ParseDiagnostic(
-                    tokens.line(i), "edge arrow without a target node"))
+                builder.error(tokens.line(i), "edge arrow without a target node")
                 i += 2 if target else 1
                 break
             endpoints.append(_dot_unquote(target) if target[0] == '"' else target)
@@ -569,7 +554,7 @@ def parse_dot(text: str) -> ParseResult:
         else:  # the statement goes on unless an arrow had no target
             label = UNLABELED
             if t[i] == "[":
-                attrs, i = _dot_attrs(tokens, i, last_line, diagnostics)
+                attrs, i = _dot_attrs(tokens, i, last_line, builder)
                 if "label" in attrs:
                     label = EdgeLabel.from_text(attrs["label"])
             if t[i] == ";":
@@ -578,19 +563,16 @@ def parse_dot(text: str) -> ParseResult:
                 if node_id not in kinds:
                     builder.ensure(node_id)
                     if not node_id:  # its text is its empty id
-                        diagnostics.append(ParseDiagnostic(
-                            tokens.line(stmt), "Process node '' has empty label"))
+                        builder.error(tokens.line(stmt), "Process node '' has empty label")
             for src, dst in zip(endpoints, endpoints[1:]):
                 if not builder.add_edge(src, dst, label):
-                    diagnostics.append(ParseDiagnostic(
-                        tokens.line(stmt), f"duplicate edge {src} -> {dst}"))
+                    builder.error(tokens.line(stmt), f"duplicate edge {src} -> {dst}")
     if not closed:
-        diagnostics.append(ParseDiagnostic(last_line, "missing closing '}'"))
+        builder.error(last_line, "missing closing '}'")
     elif t[i]:
-        diagnostics.append(ParseDiagnostic(
-            tokens.line(i), "unexpected text after closing '}'"))
-    diagnostics[:0] = tokens.lexer_diagnostics()
-    return ParseResult(builder.build(), diagnostics)
+        builder.error(tokens.line(i), "unexpected text after closing '}'")
+    builder.diagnostics[:0] = tokens.lexer_diagnostics()
+    return ParseResult(builder.build(), builder.diagnostics)
 
 
 # --- PlantUML --------------------------------------------------------------
@@ -666,20 +648,16 @@ class _PuFrame:
 class _PlantUmlParser:
     def __init__(self) -> None:
         self.builder = _Builder()
-        self.diagnostics: list[ParseDiagnostic] = []
         self.tips: list[tuple[str, EdgeLabel]] = []
         self.frames: list[_PuFrame] = []
         # the repeat frames whose body has no node yet
         self.unheaded: list[_PuFrame] = []
 
-    def error(self, line: int, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic(line, message, Severity.ERROR))
-
     def attach(self, node_id: str, line: int = 0) -> None:
         """Connect all dangling outlets to a newly created node."""
         for tip_id, label in self.tips:
             if not self.builder.add_edge(tip_id, node_id, label):
-                self.error(line or 1, f"duplicate edge {tip_id} -> {node_id}")
+                self.builder.error(line or 1, f"duplicate edge {tip_id} -> {node_id}")
         self.tips = [(node_id, UNLABELED)]
         # every still-unheaded repeat frame starts its body here (nested
         # repeats with no statement between them share one head); a frame
@@ -702,7 +680,7 @@ class _PlantUmlParser:
         if m:
             text = m.group(1).strip()
             if not text:
-                self.error(line, "action with empty text")
+                self.builder.error(line, "action with empty text")
             self.attach(self.builder.add_node(_PROCESS, text), line)
             return
         m = _PU_TITLE.match(stmt)
@@ -713,7 +691,7 @@ class _PlantUmlParser:
         if if_parts:
             cond = if_parts[0].strip()
             if not cond:
-                self.error(line, "decision with empty condition")
+                self.builder.error(line, "decision with empty condition")
             decision = self.builder.add_node(_DECISION, cond)
             self.attach(decision, line)
             self.frames.append(_PuFrame("if", line, decision=decision))
@@ -723,10 +701,10 @@ class _PlantUmlParser:
         if m:
             frame = self.frames[-1] if self.frames and self.frames[-1].kind == "if" else None
             if frame is None:
-                self.error(line, "'else' without a matching 'if'")
+                self.builder.error(line, "'else' without a matching 'if'")
                 return
             if frame.saw_else:
-                self.error(line, "duplicate 'else' in one 'if' block")
+                self.builder.error(line, "duplicate 'else' in one 'if' block")
                 return
             frame.saw_else = True
             frame.done_tips.extend(self.tips)
@@ -735,7 +713,7 @@ class _PlantUmlParser:
         if stmt == "endif":
             frame = self.frames.pop() if self.frames and self.frames[-1].kind == "if" else None
             if frame is None:
-                self.error(line, "'endif' without a matching 'if'")
+                self.builder.error(line, "'endif' without a matching 'if'")
                 return
             tips = frame.done_tips + self.tips
             if not frame.saw_else:
@@ -751,12 +729,12 @@ class _PlantUmlParser:
         if loop_parts:
             frame = self.frames.pop() if self.frames and self.frames[-1].kind == "repeat" else None
             if frame is None:
-                self.error(line, "'repeat while' without a matching 'repeat'")
+                self.builder.error(line, "'repeat while' without a matching 'repeat'")
                 return
             cond, back, exit_label = loop_parts
             cond = cond.strip()
             if not cond:
-                self.error(line, "loop decision with empty condition")
+                self.builder.error(line, "loop decision with empty condition")
             decision = self.builder.add_node(_DECISION, cond)
             self.attach(decision, line)
             head = frame.head or decision
@@ -769,11 +747,12 @@ class _PlantUmlParser:
             label = EdgeLabel.from_text(m.group(1))
             self.tips = [(tip_id, label) for tip_id, _ in self.tips]
             return
-        self.error(line, f"statement outside the supported subset: {stmt!r}")
+        self.builder.error(line, f"statement outside the supported subset: {stmt!r}")
 
     def finish(self) -> None:
         for frame in self.frames:
-            self.error(frame.line, f"unmatched '{frame.kind}' (still open at end of input)")
+            self.builder.error(
+                frame.line, f"unmatched '{frame.kind}' (still open at end of input)")
 
 
 def parse_plantuml(text: str) -> ParseResult:
@@ -793,13 +772,13 @@ def parse_plantuml(text: str) -> ParseResult:
             in_body = False
             continue
         if not in_body:
-            parser.error(lineno, f"statement outside @startuml/@enduml: {line!r}")
+            parser.builder.error(lineno, f"statement outside @startuml/@enduml: {line!r}")
             continue
         parser.statement(lineno, line)
     if not saw_start_marker:
-        parser.error(1, "missing @startuml marker")
+        parser.builder.error(1, "missing @startuml marker")
     parser.finish()
-    return ParseResult(parser.builder.build(), parser.diagnostics)
+    return ParseResult(parser.builder.build(), parser.builder.diagnostics)
 
 
 # --- dispatch ---------------------------------------------------------------

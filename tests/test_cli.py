@@ -746,6 +746,39 @@ class TestEachCommandTakesOnlyWhatItReads:
         assert err.count("\n") == 1
 
 
+class TestGatewayScopes:
+    """Only the gateway enters its own scope: a map holds one around its
+    items, and a transport call outside a map holds one around its
+    attempts, so no command starts or joins a transport thread itself."""
+
+    @pytest.mark.parametrize("argv", [
+        ["upgrade", "{chart}", "--relation-backend", "llm", "--mock-script", "{script}"],
+        ["ask", "{chart}", "--question", "What then?", "--router", "llm",
+         "--relation-backend", "llm", "--mock-script", "{script}"],
+        ["route", "--router", "llm", "--question", "Why?", "--mock-script", "{script}"],
+        ["eval", "--dataset", str(DATA / "eval10.jsonl"), "--router", "llm",
+         "--relation-backend", "llm", "--judge", "llm",
+         "--mock-script", str(DATA / "mock10_llm.json")],
+    ], ids=["upgrade", "ask", "route", "eval"])
+    def test_only_the_gateway_module_enters_a_scope(self, capsys, monkeypatch, tmp_path,
+                                                    chart, argv):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(
+            [{"pattern": "", "response": "CLASS: Complicated\nRELATION: Sequentiality"}]))
+        callers = []
+        enter = gateway_mod.ChatGateway.__enter__
+
+        def recording_enter(gateway):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return enter(gateway)
+
+        monkeypatch.setattr(gateway_mod.ChatGateway, "__enter__", recording_enter)
+        code, _, err = run_cli(capsys, *(arg.format(chart=chart, script=script)
+                                         for arg in argv))
+        assert code == 0, err
+        assert callers and set(callers) == {"flowsra.gateway"}
+
+
 class TestInputShapes:
     """A config file or mock script of the wrong shape is a configuration
     error (exit 2), a path that cannot be read an input error (exit 1)."""

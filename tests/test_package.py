@@ -50,6 +50,19 @@ def test_only_the_gateway_builds_requests_and_only_it_and_the_engine_send_them()
     assert senders == {"engine.py", "gateway.py"}
 
 
+def test_only_the_parse_builder_and_the_dot_lexer_record_diagnostics():
+    """Each parser records its findings through ``_Builder.error`` and
+    ``_Builder.warn``; the DOT lexer's are the only others."""
+    owners = set()
+    for path in (_ROOT / "src" / "flowsra").glob("*.py"):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "ParseDiagnostic"
+                   for node in ast.walk(stmt)):
+                owners.add(f"{path.name}:{getattr(stmt, 'name', None)}")
+    assert owners == {"parsing.py:_Builder", "parsing.py:_DotTokens"}
+
+
 _FOOTPRINT_SCRIPT = r"""
 import contextlib, io, json, sys
 import flowsra, flowsra.cli
