@@ -89,14 +89,20 @@ def _taxonomy_comment(marker: str) -> tuple[str, ...]:
 # the characters the parser would read as a shape's delimiter; a set tests a
 # text for them faster than a regex match does
 _MERMAID_DELIMITERS = frozenset('[]{}()|"/')
+# the '#' of a literal entity that the parser decodes in quoted text
+_MERMAID_ENTITY_HASH = re.compile("#(?=quot;|35;)")
 
 
 def _mermaid_text(text: str) -> str:
     """Single-line node text, quoted unless it holds nothing the parser would
-    read otherwise: a delimiter, outer whitespace, or a ``%%`` comment marker."""
+    read otherwise: a delimiter, outer whitespace, or a ``%%`` comment marker.
+    Quoted text writes the ``#`` of a literal ``#quot;`` or ``#35;`` as
+    ``#35;``, then each ``"`` as ``#quot;``."""
     if (text and _MERMAID_DELIMITERS.isdisjoint(text) and text == text.strip()
             and "%%" not in text):
         return text
+    if "#" in text:
+        text = _MERMAID_ENTITY_HASH.sub("#35;", text)
     return '"' + text.replace('"', "#quot;") + '"'
 
 

@@ -364,7 +364,7 @@ def _violations(graph: FlowGraph) -> tuple[Violation, ...]:
                 "unique-node-id", node.id,
                 f"node id {node.id!r} declared more than once"))
         seen_ids.add(node.id)
-        if not node.text and not node.kind.is_terminal:
+        if not node.text.strip() and not node.kind.is_terminal:
             violations.append(Violation(
                 "node-text-required", node.id,
                 f"{node.kind.value} node {node.id!r} has empty text"))

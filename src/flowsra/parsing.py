@@ -123,7 +123,7 @@ class _Builder:
     Nodes keep the order in which ``kinds`` and ``texts`` first saw them; a
     redeclaration keeps it. Ids are unique keys and parsers declare an
     edge's endpoints before the edge, so a graph with no duplicate edge and
-    no empty non-terminal text is clean: it arrives with its empty
+    no blank non-terminal text (empty, or only whitespace) is clean: it arrives with its empty
     :func:`~flowsra.ir.validate` result stored."""
 
     def __init__(self) -> None:
@@ -185,16 +185,27 @@ class _Builder:
         nodes = tuple(map(Node, kinds, kinds.values(), texts.values()))
         graph = FlowGraph(nodes=nodes, edges=tuple(self._edges), title=self.title)
         if len(self._edge_keys) == len(self._edges) and (
-                "" not in texts.values()
-                or all(n.kind.is_terminal for n in nodes if not n.text)):
+                all(map(str.strip, texts.values()))
+                or all(n.kind.is_terminal for n in nodes if not n.text.strip())):
             store_violations(graph)
         return graph
+
+
+_MERMAID_ENTITY = re.compile("#quot;|#35;")
+
+
+def _mermaid_unquote(text: str) -> str:
+    """Quoted Mermaid text with its entities decoded in one pass: ``#quot;``
+    reads as ``"`` and ``#35;`` as ``#``; any other ``#...;`` stays literal."""
+    if "#" not in text:
+        return text
+    return _MERMAID_ENTITY.sub(lambda m: '"' if m[0] == "#quot;" else "#", text)
 
 
 def _strip_quotes(text: str) -> str:
     text = text.strip()
     if len(text) >= 2 and text.startswith('"') and text.endswith('"'):
-        return text[1:-1].replace("#quot;", '"')
+        return _mermaid_unquote(text[1:-1])
     return text
 
 
@@ -286,7 +297,7 @@ def _mermaid_node_ref(builder: _Builder, line: str, pos: int,
         return node_id, m.end()
     raw = m.group(group)
     # a quoted shape's group, an even one, holds the text inside its quotes
-    text = raw.strip().replace("#quot;", '"') if group % 2 == 0 else _strip_quotes(raw)
+    text = _mermaid_unquote(raw.strip()) if group % 2 == 0 else _strip_quotes(raw)
     kind = _MERMAID_KIND_OF_GROUP[group]
     if kind is None:
         kind = _terminal_kind(text, builder, node_id)
@@ -538,7 +549,7 @@ def parse_dot(text: str) -> ParseResult:
                 kind = _PROCESS
             else:
                 kind = kinds.get(first_id, _PROCESS)
-            if not text and not kind.is_terminal:
+            if not text.strip() and not kind.is_terminal:
                 builder.error(tokens.line(stmt), f"{kind.value} node {first_id!r} has empty label")
             builder.define(first_id, kind, text)
             continue
@@ -562,8 +573,9 @@ def parse_dot(text: str) -> ParseResult:
             for node_id in endpoints:
                 if node_id not in kinds:
                     builder.ensure(node_id)
-                    if not node_id:  # its text is its empty id
-                        builder.error(tokens.line(stmt), "Process node '' has empty label")
+                    if not node_id.strip():  # its text is its blank id
+                        builder.error(tokens.line(stmt),
+                                      f"Process node {node_id!r} has empty label")
             for src, dst in zip(endpoints, endpoints[1:]):
                 if not builder.add_edge(src, dst, label):
                     builder.error(tokens.line(stmt), f"duplicate edge {src} -> {dst}")

@@ -108,6 +108,16 @@ class TestConvert:
         assert err == ("line 2: error: Process node '' has empty label\n"
                        "error: input has parse errors\n")
 
+    @pytest.mark.parametrize("label", [" ", "\t", "\u00a0", "\u3000"])
+    def test_dot_blank_label_exits_1(self, capsys, monkeypatch, label):
+        """Blank text is empty text, so it never reaches an emitter whose own
+        parser would refuse it."""
+        set_stdin(monkeypatch, f'digraph G {{ A [label="{label}"]; A -> B; }}\n'.encode())
+        code, out, err = run_cli(capsys, "convert", "-", "--to", "mermaid")
+        assert (code, out) == (1, "")
+        assert err == ("line 1: error: Process node 'A' has empty label\n"
+                       "error: input has parse errors\n")
+
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "convert", str(tmp_path / "nope.mmd"),
                                "--to", "dot")

@@ -155,11 +155,22 @@ class TestRoundTrips:
             Node("A", NodeKind.PROCESS, "Wash (twice)"),
             Node("B", NodeKind.PROCESS, "a [b] {c} | d"),
             Node("C", NodeKind.DECISION, 'say "hi"?'),
-        ), edges=(Edge("A", "B"), Edge("B", "C")))
+            Node("D", NodeKind.PROCESS, 'say "hi" or #quot;'),
+            Node("E", NodeKind.PROCESS, "f(#quot;) and #35; [x]"),
+        ), edges=(Edge("A", "B"), Edge("B", "C"), Edge("C", "D", YES), Edge("D", "E")))
         for dialect in (Dialect.MERMAID, Dialect.DOT):
             _, result = parse_text(emit(graph, dialect).text)
             assert result.ok
             assert isomorphic(result.graph, graph)
+
+    def test_a_literal_entity_in_dot_text_survives_mermaid(self):
+        """The chart converts to Mermaid and back to DOT with its text whole."""
+        dot = 'digraph G { A [label="f(#quot;)"]; A -> B; }'
+        mermaid = emit(parse_text(dot)[1].graph, Dialect.MERMAID).text
+        assert 'A["f(#35;quot;)"]' in mermaid
+        _, result = parse_text(emit(parse_text(mermaid)[1].graph, Dialect.DOT).text)
+        assert result.ok and result.diagnostics == []
+        assert result.graph.nodes[0].text == "f(#quot;)"
 
 
 class TestPlantUmlLimits:
@@ -618,7 +629,7 @@ def reference_mermaid_text(text):
     """The regex test ``_mermaid_text`` made before it tested a set."""
     if text and _MERMAID_BARE.match(text) and text == text.strip() and "%%" not in text:
         return text
-    return '"' + text.replace('"', "#quot;") + '"'
+    return '"' + re.sub("#(?=quot;|35;)", "#35;", text).replace('"', "#quot;") + '"'
 
 
 class TestMermaidText:

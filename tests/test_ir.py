@@ -24,11 +24,15 @@ from flowsra.ir import (
     RelationType,
     TopologyStats,
     UpgradedGraph,
+    Violation,
     _slot_init,
     relation_definitions_block,
     topology_stats,
     validate,
 )
+
+from flowsra.emitting import emit
+from flowsra.parsing import Dialect
 
 from gen import lookup_outcome, rand_flow_graph, upgrade_by_edge
 
@@ -71,6 +75,17 @@ class TestValidate:
         assert validate(ok) == []
         bad = FlowGraph(nodes=(Node("P", NodeKind.PROCESS, ""),))
         assert [v.invariant for v in validate(bad)] == ["node-text-required"]
+
+    @pytest.mark.parametrize("text", [" ", "\t", "\u00a0", "\u3000"])
+    def test_blank_text_is_empty_text(self, text):
+        blank = FlowGraph(
+            nodes=(Node("S", NodeKind.START, " "), Node("P", NodeKind.PROCESS, text)),
+            edges=(Edge("S", "P"),))
+        assert validate(blank) == [Violation(
+            "node-text-required", "P", "Process node 'P' has empty text")]
+        for dialect in Dialect:
+            with pytest.raises(GraphValidationError):
+                emit(blank, dialect)
 
     def test_duplicate_edge_rejected_not_deduplicated(self):
         graph = FlowGraph(

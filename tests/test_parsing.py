@@ -151,6 +151,11 @@ class TestParseMermaid:
         ('A{" #quot;x#quot; "}', '"x"'),
         ('A[ "a #quot;b" ]', 'a "b'),
         ('A[a #quot;b]', "a #quot;b"),
+        ('A["a #35; b"]', "a # b"),
+        ('A["#35;quot; and #35;35;"]', "#quot; and #35;"),
+        ('A[ "#35;quot;" ]', "#quot;"),
+        ('A["#amp; #35 #35;"]', "#amp; #35 #"),
+        ('A[a #35; b]', "a #35; b"),
     ])
     def test_quot_escape_is_read_back_in_quoted_text(self, shaped, text):
         result = parse_mermaid(f"flowchart TD\n{shaped}")
@@ -300,6 +305,20 @@ class TestParseDot:
         assert [str(d) for d in result.diagnostics] == [
             "line 2: error: Process node '' has empty label"]
         assert validate(result.graph)
+        assert_parses_like_reference(text, Dialect.DOT)
+
+    @pytest.mark.parametrize("text, message", [
+        ('digraph G {\nA [label="\t"];\n}', "Process node 'A' has empty label"),
+        ('digraph G {\nA [shape=diamond, label="\u3000"];\n}',
+         "Decision node 'A' has empty label"),
+        ('digraph G {\n" " -> B;\n}', "Process node ' ' has empty label"),
+        ('digraph G {\nA [shape=oval, label=" "];\n}', None),
+    ])
+    def test_blank_text_is_empty_text(self, text, message):
+        result = parse_dot(text)
+        assert [str(d) for d in result.diagnostics] == (
+            [f"line 2: error: {message}"] if message else [])
+        assert bool(validate(result.graph)) == bool(message)
         assert_parses_like_reference(text, Dialect.DOT)
 
     def test_attribute_without_value_leaves_the_list_going(self):
@@ -493,7 +512,7 @@ class ReferenceDotParser:
             kind = NodeKind.PROCESS
         else:
             kind = kinds[node_id]
-        if not text and not kind.is_terminal:
+        if not text.strip() and not kind.is_terminal:
             self.error(line, f"{kind.value} node {node_id!r} has empty label")
         self.builder.define(node_id, kind, text)
 
@@ -544,8 +563,8 @@ class ReferenceDotParser:
             return
         label = EdgeLabel.from_text(attrs.get("label"))
         for node_id in endpoints:
-            if not node_id and node_id not in self.builder.kinds:
-                self.error(tok.line, "Process node '' has empty label")
+            if not node_id.strip() and node_id not in self.builder.kinds:
+                self.error(tok.line, f"Process node {node_id!r} has empty label")
             self.builder.ensure(node_id)
         for src, dst in zip(endpoints, endpoints[1:]):
             if not self.builder.add_edge(src, dst, label):
@@ -600,7 +619,7 @@ def _ref_mermaid_node_ref(builder, line, pos, lineno, diagnostics):
             continue
         text = _strip_quotes(sm.group(1))
         if '"' in pattern.pattern:  # a quoted shape
-            text = text.replace("#quot;", '"')
+            text = re.sub("#(quot|35);", lambda m: '"' if m[1] == "quot" else "#", text)
         if shape == "terminal":
             builder.ensure(node_id)
             kind = _terminal_kind(text, builder, node_id)
@@ -870,11 +889,11 @@ class TestHostileInput:
 
 
 # Statements that break the graph invariants in every way a parser lets
-# through: duplicate edges, empty texts, redeclared nodes, and bad lines.
+# through: duplicate edges, empty and blank texts, redeclared nodes, and bad lines.
 _dot_statements = st.lists(st.sampled_from(
     ["A -> B;", "A -> B [label=yes];", "A -> B;", "B -> A -> B;", '"" -> B;', "A -> A;",
-     'A [shape=box, label=""];', "A [shape=oval];", 'B [label="x"];', "C [shape=hexagon];",
-     "C -> ;", "A [label=];", "rankdir=LR;", "node [shape=box];", "]", "@"]),
+     '" " -> B;', 'A [shape=box, label=""];', 'A [label="\u3000"];', "A [shape=oval];",
+     'B [label="x"];', "C [shape=hexagon];", "C -> ;", "A [label=];", "rankdir=LR;", "node [shape=box];", "]", "@"]),
     max_size=12).map(lambda body: "digraph G {\n" + "\n".join(body) + "\n}")
 _plantuml_statements = st.lists(st.sampled_from(
     ["start", "stop", ":a;", ":a;", ":;", "if (c) then", "if () then ()", "else", "else ()",
@@ -898,6 +917,7 @@ class TestParsedGraphsArriveValidated:
     @given(_mermaid_statements.map(lambda body: "flowchart TD\n" + body)
            | _dot_statements | _plantuml_statements | _mermaid_pieces | st.text(max_size=40))
     @example('digraph G {\n"" -> B;\n}')
+    @example('digraph G {\nA [label=" "];\n"\t" -> A;\n}')
     def test_a_parse_without_errors_validates(self, text):
         for dialect in Dialect:
             result = parse_text(text, dialect)[1]
