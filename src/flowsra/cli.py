@@ -26,6 +26,7 @@ from .gateway import (
     ProtocolError,
     ScriptedMissError,
     SetupError,
+    TransientError,
     TransportError,
     load_mock_script,
 )
@@ -368,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, SetupError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TransportError, PermanentError, ProtocolError, ScriptedMissError,
+    except (TransportError, TransientError, PermanentError, ProtocolError, ScriptedMissError,
             UpgradeError, ClassificationError) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND

@@ -1,8 +1,10 @@
 """Command-line behavior: payload on stdout, diagnostics on stderr, exit codes."""
 
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
 import sys
 import tempfile
 import threading
@@ -13,6 +15,7 @@ import pytest
 import requests
 from hypothesis import example, given, settings, strategies as st
 
+import flowsra
 import flowsra.cli as cli_mod
 from flowsra.cli import main
 from flowsra import gateway as gateway_mod, harness, relations, routing
@@ -23,7 +26,9 @@ from flowsra.gateway import (
     TransientError,
     load_mock_script,
 )
-from flowsra.parsing import parse_text
+from flowsra.emitting import EmitError
+from flowsra.ir import Edge, GraphValidationError, Violation
+from flowsra.parsing import UnknownDialectError, parse_text
 
 from gen import Recording, deep_if_text, isomorphic
 
@@ -1114,7 +1119,10 @@ class TestEndpoint:
     @pytest.mark.parametrize("argv", [
         ("ask", "{chart}", "--question", "What then?"),
         ("route", "--router", "llm", "--question", "Why?"),
-        ("eval", "--dataset", str(DATA / "flowvqa_like_20.jsonl"), "--router", "llm")])
+        ("eval", "--dataset", str(DATA / "flowvqa_like_20.jsonl"), "--router", "llm"),
+        # these ask no model, and still check every setting up front
+        ("route", "--question", "Why?"),
+        ("upgrade", "{chart}")])
     def test_malformed_endpoint_exits_2_before_any_call(self, capsys, chart, posted, argv):
         argv = [arg.format(chart=chart) for arg in argv]
         code, out, err = run_cli(capsys, *argv, "--endpoint", self.BAD)
@@ -1325,6 +1333,55 @@ class TestRunConfigFields:
         monkeypatch.setenv("FLOWSRA_OFFLINE", "on")
         with pytest.raises(ConfigError, match="^FLOWSRA_OFFLINE='on' is not of type bool$"):
             RunConfig.resolve(Namespace())
+
+
+def _error_classes():
+    """Every exception class that a flowsra module defines."""
+    modules = [importlib.import_module(f"flowsra.{info.name}")
+               for info in pkgutil.iter_modules(flowsra.__path__)]
+    return {value for module in modules for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, BaseException)
+            and value.__module__ == module.__name__}
+
+
+class TestEveryErrorHasItsExitCode:
+    """Each exception class that flowsra defines leaves ``main`` as its
+    documented exit code with a one-line message, never as a traceback.
+    The gateway retries a ``TransientError`` until it gives up as a
+    ``TransportError``, so none reaches ``main`` today; it is still listed
+    with the backend errors."""
+
+    ERRORS = {
+        cli_mod.InputError("bad input"): (1, "error: "),
+        UnknownDialectError("no marker"): (1, "error: "),
+        GraphValidationError([Violation("node-text-required", "A", "empty")]): (1, "error: "),
+        EmitError("cannot emit"): (1, "error: "),
+        cli_mod.ConfigError("bad setting"): (2, "config error: "),
+        gateway_mod.SetupError("bad setup"): (2, "config error: "),
+        gateway_mod.CacheError("unwritable"): (2, "config error: "),
+        gateway_mod.CredentialError("401"): (2, "config error: "),
+        gateway_mod.EndpointError("unpreparable"): (2, "config error: "),
+        gateway_mod.TransportError("gave up"): (3, "backend error: "),
+        TransientError("429", retry_after=1.0): (3, "backend error: "),
+        PermanentError("400"): (3, "backend error: "),
+        ProtocolError("no choices"): (3, "backend error: "),
+        ScriptedMissError("no rule"): (3, "backend error: "),
+        relations.UpgradeError(Edge("A", "B"), ValueError("no tag")): (3, "backend error: "),
+        routing.ClassificationError("no class"): (3, "backend error: "),
+    }
+
+    def test_the_table_lists_every_error_class(self):
+        assert {type(exc) for exc in self.ERRORS} == _error_classes()
+
+    @pytest.mark.parametrize("exc", ERRORS, ids=lambda exc: type(exc).__name__)
+    def test_an_error_from_a_command_exits_with_its_code(self, capsys, monkeypatch, chart,
+                                                         exc):
+        def stats(args):
+            raise exc
+
+        monkeypatch.setattr(cli_mod, "cmd_stats", stats)
+        code, prefix = self.ERRORS[exc]
+        assert run_cli(capsys, "stats", chart) == (code, "", f"{prefix}{exc}\n")
 
 
 class TestNarrowExitCodes:

@@ -105,6 +105,30 @@ def test_no_http_client_is_loaded_without_a_call_to_an_endpoint(tmp_path):
     assert result["loaded"] == []
 
 
+def test_eval_is_byte_identical_across_hash_seeds_and_parallelism(tmp_path):
+    """The CI's all-``llm`` eval, run in fresh interpreters under
+    ``PYTHONHASHSEED`` 0 and 1 at ``--parallelism`` 1 and 8, writes the same
+    report and the same per-instance log every time."""
+    data = _ROOT / "tests" / "data"
+    outputs = set()
+    for seed in ("0", "1"):
+        for parallelism in ("1", "8"):
+            log = tmp_path / f"logs-{seed}-{parallelism}.jsonl"
+            proc = subprocess.run(
+                [sys.executable, "-m", "flowsra.cli", "eval",
+                 "--dataset", str(data / "eval10.jsonl"),
+                 "--mock-script", str(data / "mock10_llm.json"), "--router", "llm",
+                 "--relation-backend", "llm", "--judge", "llm", "--report", "markdown",
+                 "--parallelism", parallelism, "--log-file", str(log)],
+                env={**os.environ, "PYTHONPATH": str(_ROOT / "src"), "PYTHONHASHSEED": seed},
+                capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add((proc.stdout, log.read_bytes()))
+    [(report, logs)] = outputs
+    assert report.startswith(b"| Run | Overall | TP1 |")
+    assert logs.count(b"\n") == 10
+
+
 def _cli_outputs(python, tmp_path):
     """Exit code and stdout bytes of a mock eval with every LLM stage and of
     a convert, run by the interpreter ``python``."""
