@@ -123,8 +123,8 @@ class _Builder:
     Nodes keep the order in which ``kinds`` and ``texts`` first saw them; a
     redeclaration keeps it. Ids are unique keys and parsers declare an
     edge's endpoints before the edge, so a graph with no duplicate edge and
-    no blank non-terminal text (empty, or only whitespace) is clean: it arrives with its empty
-    :func:`~flowsra.ir.validate` result stored."""
+    no blank non-terminal text (empty, or only whitespace) is clean: it
+    arrives with its empty :func:`~flowsra.ir.validate` result stored."""
 
     def __init__(self) -> None:
         self.kinds: dict[str, NodeKind] = {}
