@@ -20,7 +20,6 @@ from .ir import (
     Edge,
     EdgeLabel,
     FlowGraph,
-    LabelKind,
     Node,
     NodeKind,
     RelationType,
@@ -50,10 +49,9 @@ def relation_edge_label(relation: RelationType, original: EdgeLabel) -> str:
     """Label text for an upgraded edge: relation name, original label in
     parens. ``_value_`` is the relation's ``value``, read without the
     property call."""
-    rendered = original.render()
-    if rendered is None:
+    if original.text is None:
         return relation._value_
-    return f"{relation._value_} ({rendered})"
+    return f"{relation._value_} ({original.text})"
 
 
 # the line breaks of str.splitlines, by which the Mermaid and PlantUML
@@ -115,16 +113,10 @@ _MERMAID_BRACKETS = {
 }
 
 
-def _own_labels(graph: FlowGraph) -> list[str | None]:
-    """Each edge's own label text, in edge order, rendered once per graph:
-    the graph's emissions and its upgrade's labels all read them."""
-    return derived(graph, "edge_labels", lambda: [edge.label.render() for edge in graph.edges])
-
-
 def _edge_labels(graph: FlowGraph, upgraded: list[str] | None) -> list[str | None]:
     """Label text per edge, in edge order: the upgraded labels if given,
     else each edge's own."""
-    return _own_labels(graph) if upgraded is None else upgraded
+    return [edge.label.text for edge in graph.edges] if upgraded is None else upgraded
 
 
 _MERMAID_ID = re.compile(MERMAID_ID)
@@ -218,7 +210,6 @@ def _emit_dot(graph: FlowGraph, upgraded: list[str] | None) -> str:
 # member off an Enum class (``NodeKind.END``) goes through EnumType's
 # __getattr__ hook on Python 3.11, about 100 ns a read
 _START, _END, _DECISION = NodeKind.START, NodeKind.END, NodeKind.DECISION
-_YES, _NO = LabelKind.YES, LabelKind.NO
 _DST = attrgetter("dst")
 # an edge and the text in its label slot, None for none
 _Out = tuple[Edge, "str | None"]
@@ -503,7 +494,7 @@ class _PlantUmlEmitter:
                 f"decision {nid!r} has {len(outs)} branches; "
                 "only binary decisions are representable")
         (then_edge, then_text), (else_edge, else_text) = outs
-        if else_edge.label.kind is _YES or then_edge.label.kind is _NO:
+        if else_edge.label.text == "Yes" or then_edge.label.text == "No":
             then_edge, then_text, else_edge, else_text = else_edge, else_text, then_edge, then_text
         then_dst, else_dst = then_edge.dst, else_edge.dst
         join = self.join_of(nid, then_dst, else_dst)
@@ -563,8 +554,8 @@ def emit_upgraded(ug: UpgradedGraph, dialect: Dialect) -> InterlanguageDoc:
         # relation_edge_label reads, and a chart holds a handful of them
         built: dict[tuple[RelationType, str | None], str] = {}
         labels = []
-        for edge, triple, own in zip(ug.base.edges, ug.triples, _own_labels(ug.base)):
-            key = triple.relation, own
+        for edge, triple in zip(ug.base.edges, ug.triples):
+            key = triple.relation, edge.label.text
             label = built.get(key)
             if label is None:
                 built[key] = label = relation_edge_label(triple.relation, edge.label)

@@ -50,23 +50,18 @@ class NodeKind(IdentityEnum):
         return self in (NodeKind.START, NodeKind.END)
 
 
-class LabelKind(IdentityEnum):
-    YES = "yes"
-    NO = "no"
-    OTHER = "other"
-    NONE = "none"
-
-
 @dataclass(frozen=True, slots=True)
 class EdgeLabel:
-    """Edge annotation: the protogenic Yes/No symbols, free text, or nothing.
+    """Edge annotation: the text in a dialect's label slot, or None for an
+    unlabeled edge.
 
-    Yes/No are case-normalized at construction ("yes", "YES" -> YES); any
-    other non-empty text is preserved as OTHER. The Yes, No and unlabeled
-    forms are the shared values ``YES``, ``NO`` and ``UNLABELED``.
+    A label is kept in normal form, the one :meth:`from_text` returns:
+    Yes/No are case-normalized ("yes", "YES" -> "Yes"), any other text is
+    stripped of outer whitespace, and blank text is no label. The Yes, No
+    and unlabeled forms are the shared values ``YES``, ``NO`` and
+    ``UNLABELED``.
     """
 
-    kind: LabelKind
     text: str | None = None
 
     @classmethod
@@ -82,25 +77,19 @@ class EdgeLabel:
             return YES
         if low == "no":
             return NO
-        return cls(LabelKind.OTHER, stripped)
+        return cls(stripped)
 
     def render(self) -> str | None:
         """Display text, or None for an unlabeled edge."""
-        return _SHOWN.get(self.kind, self.text)
+        return self.text
 
     def __str__(self) -> str:
-        return self.render() or ""
+        return self.text or ""
 
 
-# the display text of each label kind but OTHER, whose labels show their own
-# text. ``render`` looks the kind up rather than compare it with members: on
-# Python 3.11 each read of a member off its class (``LabelKind.YES``) costs
-# ~100 ns
-_SHOWN = {LabelKind.YES: "Yes", LabelKind.NO: "No", LabelKind.NONE: None}
-
-YES = EdgeLabel(LabelKind.YES)
-NO = EdgeLabel(LabelKind.NO)
-UNLABELED = EdgeLabel(LabelKind.NONE)
+YES = EdgeLabel("Yes")
+NO = EdgeLabel("No")
+UNLABELED = EdgeLabel()
 
 
 def _slot_init(cls: type[T]) -> type[T]:
@@ -200,12 +189,11 @@ class FlowGraph(_Memoized):
         object.__setattr__(self, "edges", tuple(self.edges))
 
 
-def edge_key(src: str, dst: str, label: EdgeLabel) -> tuple[str, str, str, str | None]:
+def edge_key(src: str, dst: str, label: EdgeLabel) -> tuple[str, str, str | None]:
     """Duplicate-edge identity, equal exactly when the Edges are; hashing an
     Edge instead makes two Python-level __hash__ calls, the Edge's and its
-    label's. ``_value_`` is the kind's ``value``, read without the property
-    call."""
-    return src, dst, label.kind._value_, label.text
+    label's."""
+    return src, dst, label.text
 
 
 class RelationType(IdentityEnum):
@@ -369,7 +357,7 @@ def _violations(graph: FlowGraph) -> tuple[Violation, ...]:
                 "node-text-required", node.id,
                 f"{node.kind.value} node {node.id!r} has empty text"))
     known = {n.id for n in graph.nodes}
-    seen_edges: set[tuple[str, str, str, str | None]] = set()
+    seen_edges: set[tuple[str, str, str | None]] = set()
     for edge in graph.edges:
         for endpoint in (edge.src, edge.dst):
             if endpoint not in known:

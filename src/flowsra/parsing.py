@@ -130,7 +130,7 @@ class _Builder:
         self.kinds: dict[str, NodeKind] = {}
         self.texts: dict[str, str] = {}
         self._edges: list[Edge] = []
-        self._edge_keys: set[tuple[str, str, str, str | None]] = set()
+        self._edge_keys: set[tuple[str, str, str | None]] = set()
         self._starts: set[str] = set()  # ids whose kind is START
         self.title: str | None = None
         self.diagnostics: list[ParseDiagnostic] = []

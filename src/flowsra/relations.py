@@ -27,7 +27,6 @@ from .ir import (
     Edge,
     EdgeLabel,
     FlowGraph,
-    LabelKind,
     Node,
     NodeKind,
     RelationTriple,
@@ -62,12 +61,13 @@ class RelationBackend(Protocol):
 
 
 def _label_clause(label: EdgeLabel) -> str:
-    if label.kind is LabelKind.YES:
+    text = label.text
+    if text == "Yes":
         return "Edge label: Yes (this is the branch taken when the source condition holds)."
-    if label.kind is LabelKind.NO:
+    if text == "No":
         return "Edge label: No (this is the branch taken when the source condition fails)."
-    if label.kind is LabelKind.OTHER:
-        return f"Edge label: {label.text}"
+    if text is not None:
+        return f"Edge label: {text}"
     return "The edge carries no label."
 
 
@@ -124,11 +124,11 @@ _SELECT_OR_USE = re.compile(
 _LIST_SHAPE = re.compile(r",|\band\b|\bor\b", re.IGNORECASE)
 
 
-# the cascade's verdicts, and the kinds its first rule tests, as module names:
+# the cascade's verdicts, and what its first rule tests, as module names:
 # reading a member off an Enum class (``NodeKind.DECISION``) goes through
 # EnumType's __getattr__ hook on Python 3.11, about 100 ns a read
 _DECISION = NodeKind.DECISION
-_YES_OR_NO = (LabelKind.YES, LabelKind.NO)
+_YES_OR_NO = ("Yes", "No")
 _BRANCH = (RelationType.CONDITIONALITY, "source is a decision or the edge is a yes/no branch")
 _INSTANCE_CUE = (RelationType.INSTANTIATION, "target text carries an instance-giving cue")
 _INSTANCE_LIST = (RelationType.INSTANTIATION, "plural category followed by a list of instances")
@@ -140,7 +140,7 @@ _SEQUENCE = (RelationType.SEQUENTIALITY, "default: consecutive steps in chronolo
 def heuristic_recognize(src: Node, dst: Node,
                         label: EdgeLabel) -> tuple[RelationType, str]:
     """Deterministic rule cascade; first match wins, total over all inputs."""
-    if src.kind is _DECISION or label.kind in _YES_OR_NO:
+    if src.kind is _DECISION or label.text in _YES_OR_NO:
         return _BRANCH
     # the cues of rules 2 and 4 are substrings of the text lowered once, tested
     # in an ``or`` chain: a compiled alternation of them would try every cue

@@ -20,7 +20,7 @@ from networkx.algorithms import isomorphism as nxiso
 
 from flowsra.engine import Question
 from flowsra.gateway import ChatGateway, MockRule, MockTransport
-from flowsra.ir import (NO, UNLABELED, YES, Edge, EdgeLabel, FlowGraph, LabelKind, Node, NodeKind,
+from flowsra.ir import (NO, UNLABELED, YES, Edge, EdgeLabel, FlowGraph, Node, NodeKind,
                         RelationTriple, RelationType, UpgradedGraph, topology_stats, validate)
 
 
@@ -29,7 +29,7 @@ def to_nx(graph: FlowGraph) -> nx.MultiDiGraph:
     for node in graph.nodes:
         g.add_node(node.id, kind=node.kind.value, text=node.text)
     for edge in graph.edges:
-        g.add_edge(edge.src, edge.dst, label=(edge.label.kind.value, edge.label.text))
+        g.add_edge(edge.src, edge.dst, label=edge.label.text)
     return g
 
 
@@ -146,7 +146,7 @@ def rand_flow_graph(rng: random.Random, *, with_terminals: bool | None = None,
     used: set[tuple[str, str, object]] = set()
 
     def add_edge(src: Node, dst: Node, label: EdgeLabel) -> None:
-        key = (src.id, dst.id, (label.kind, label.text))
+        key = (src.id, dst.id, label.text)
         if key in used:
             return
         used.add(key)
@@ -165,12 +165,12 @@ def rand_flow_graph(rng: random.Random, *, with_terminals: bool | None = None,
                 add_edge(node, dst, label)
             if len(targets) > 2 and rng.random() < 0.3:
                 add_edge(node, rng.choice(targets),
-                         EdgeLabel(LabelKind.OTHER, f"otherwise {node.id}"))
+                         EdgeLabel(f"otherwise {node.id}"))
         else:
             for _ in range(rng.randint(1, 2) if rng.random() < 0.4 else 1):
                 label = UNLABELED
                 if rng.random() < 0.15:
-                    label = EdgeLabel(LabelKind.OTHER, f"then {node.id}")
+                    label = EdgeLabel(f"then {node.id}")
                 add_edge(node, rng.choice(targets), label)
     graph = FlowGraph(nodes=tuple(nodes), edges=tuple(edges))
     assert validate(graph) == []

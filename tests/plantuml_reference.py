@@ -7,13 +7,12 @@ from itertools import count
 from typing import Generator
 
 from flowsra.emitting import EmitError, _clean, _clean_texts, _edge_labels, _taxonomy_comment
-from flowsra.ir import Edge, FlowGraph, LabelKind, NodeKind
+from flowsra.ir import Edge, FlowGraph, NodeKind
 
 # the kinds the walk tests per node or decision, as module names: reading a
 # member off an Enum class (``NodeKind.END``) goes through EnumType's
 # __getattr__ hook on Python 3.11, about 100 ns a read
 _START, _END, _DECISION = NodeKind.START, NodeKind.END, NodeKind.DECISION
-_YES, _NO = LabelKind.YES, LabelKind.NO
 
 
 def _pu_text(text: str) -> str:
@@ -304,7 +303,7 @@ class ReferencePlantUmlEmitter:
                 f"decision {node.id!r} has {len(outs)} branches; "
                 "only binary decisions are representable")
         first, second = outs
-        if second.label.kind is _YES or first.label.kind is _NO:
+        if second.label.text == "Yes" or first.label.text == "No":
             then_edge, else_edge = second, first
         else:
             then_edge, else_edge = first, second

@@ -24,7 +24,6 @@ from flowsra.ir import (
     EdgeLabel,
     FlowGraph,
     GraphValidationError,
-    LabelKind,
     Node,
     NodeKind,
     RelationType,
@@ -182,7 +181,7 @@ class TestPlantUmlLimits:
                    Node("C", NodeKind.PROCESS, "c")),
             edges=(Edge("D", "A", YES),
                    Edge("D", "B", NO),
-                   Edge("D", "C", EdgeLabel(LabelKind.OTHER, "maybe"))),
+                   Edge("D", "C", EdgeLabel("maybe"))),
         )
         with pytest.raises(EmitError):
             emit(graph, Dialect.PLANTUML)

@@ -17,7 +17,6 @@ from flowsra.ir import (
     EdgeLabel,
     FlowGraph,
     GraphValidationError,
-    LabelKind,
     Node,
     NodeKind,
     RelationTriple,
@@ -117,7 +116,7 @@ def messy_graphs(draw):
         st.sampled_from(["", "one", "two"])), max_size=6))
     edges = draw(st.lists(st.builds(
         Edge, st.sampled_from(_ANY_IDS), st.sampled_from(_ANY_IDS),
-        st.sampled_from([YES, NO, UNLABELED, EdgeLabel(LabelKind.OTHER, "t")])), max_size=10))
+        st.sampled_from([YES, NO, UNLABELED, EdgeLabel("t")])), max_size=10))
     return FlowGraph(nodes=tuple(nodes), edges=tuple(edges))
 
 
@@ -228,7 +227,7 @@ class TestUpgrade:
 # values for every field and, for the first field, a second value
 _VALUES = {
     Node: ((("id", "a"), ("kind", NodeKind.DECISION), ("text", "Ready?")), "b"),
-    Edge: ((("src", "a"), ("dst", "b"), ("label", EdgeLabel(LabelKind.OTHER, "retry"))), "c"),
+    Edge: ((("src", "a"), ("dst", "b"), ("label", EdgeLabel("retry"))), "c"),
     RelationTriple: ((("src", "a"), ("relation", RelationType.CAUSALITY), ("dst", "b"),
                       ("rationale", "why")), "c"),
 }

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flowsra.emitting import emit
-from flowsra.ir import NO, UNLABELED, YES, EdgeLabel, FlowGraph, LabelKind, NodeKind, validate
+from flowsra.ir import NO, UNLABELED, YES, EdgeLabel, FlowGraph, NodeKind, validate
 from flowsra.parsing import (
     _DOT_SHAPE_KINDS,
     _DOT_TERMINAL_SHAPES,
@@ -119,7 +119,7 @@ class TestParseMermaid:
         assert [n.kind for n in graph.nodes] == [
             NodeKind.DECISION, NodeKind.PROCESS, NodeKind.END]
         assert [e.label for e in graph.edges] == [
-            YES, EdgeLabel(LabelKind.OTHER, "done")]
+            YES, EdgeLabel("done")]
 
     def test_comments_stripped(self):
         result = parse_mermaid("flowchart TD\n%% a comment\nA-->B %% trailing")
@@ -139,7 +139,7 @@ class TestParseMermaid:
         result = parse_mermaid("flowchart TD\nA -- 50%% off --> B %% note")
         assert result.ok
         assert [(e.src, e.dst, e.label) for e in result.graph.edges] == [
-            ("A", "B", EdgeLabel(LabelKind.OTHER, "50%% off"))]
+            ("A", "B", EdgeLabel("50%% off"))]
 
     def test_io_shape(self):
         graph = parse_mermaid("flowchart TD\nA[/Read file/]").graph
@@ -253,7 +253,7 @@ class TestParseDot:
         result = parse_dot('digraph G { A -> B [label="YES"]; B -> C [label="maybe"]; }')
         labels = [e.label for e in result.graph.edges]
         assert labels[0] == YES
-        assert labels[1] == EdgeLabel(LabelKind.OTHER, "maybe")
+        assert labels[1] == EdgeLabel("maybe")
 
     def test_edge_chain_shares_label(self):
         result = parse_dot('digraph G { A -> B -> C [label="No"]; }')
@@ -1007,7 +1007,7 @@ class TestParsePlantUml:
         result = parse_plantuml(
             "@startuml\nstart\n:A;\n-> later;\n:B;\nstop\n@enduml")
         graph = result.graph
-        labeled = [e for e in graph.edges if e.label == EdgeLabel(LabelKind.OTHER, "later")]
+        labeled = [e for e in graph.edges if e.label == EdgeLabel("later")]
         assert len(labeled) == 1
 
     @pytest.mark.parametrize("body, labels", [

@@ -21,7 +21,6 @@ from flowsra.ir import (
     Edge,
     EdgeLabel,
     FlowGraph,
-    LabelKind,
     Node,
     NodeKind,
     RelationType,
@@ -389,7 +388,7 @@ def _ref_plural_category_heading_list(src_text, dst_text):
 
 
 def reference_recognize(src, dst, label):
-    if src.kind is NodeKind.DECISION or label.kind in (LabelKind.YES, LabelKind.NO):
+    if src.kind is NodeKind.DECISION or label.text in ("Yes", "No"):
         return (RelationType.CONDITIONALITY,
                 "source is a decision or the edge is a yes/no branch")
     dst_low = dst.text.lower()
@@ -437,7 +436,7 @@ _NODE_TEXT = (st.text(max_size=30)
                          max_size=8).map(" ".join)
               | st.lists(st.sampled_from(_CASCADE_WORDS), max_size=6).map("".join))
 _LABEL = (st.sampled_from([UNLABELED, YES, NO])
-          | _NODE_TEXT.map(lambda text: EdgeLabel(LabelKind.OTHER, text)))
+          | _NODE_TEXT.map(lambda text: EdgeLabel(text)))
 
 
 class TestHeuristicReferee:
@@ -451,7 +450,7 @@ class TestHeuristicReferee:
     def test_every_pair_of_cascade_words(self):
         for src_text, dst_text in itertools.product(_CASCADE_WORDS, repeat=2):
             for kind, label in ((NodeKind.PROCESS, UNLABELED),
-                                (NodeKind.PROCESS, EdgeLabel(LabelKind.OTHER, "and")),
+                                (NodeKind.PROCESS, EdgeLabel("and")),
                                 (NodeKind.DECISION, UNLABELED),
                                 (NodeKind.INPUT_OUTPUT, NO)):
                 src, dst = Node("a", kind, src_text), Node("b", NodeKind.PROCESS, dst_text)
