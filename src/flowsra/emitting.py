@@ -29,7 +29,7 @@ from .ir import (
     relation_definitions_block,
     require_valid,
 )
-from .parsing import MERMAID_ID, Dialect
+from .parsing import MERMAID_ID, Dialect, _pu_if, _pu_repeat_while
 
 
 @dataclass(frozen=True)
@@ -218,6 +218,21 @@ _Out = tuple[Edge, "str | None"]
 def _pu_text(text: str) -> str:
     """A single-line text as the activity syntax carries it."""
     return text.replace(";", ",")
+
+
+def _repeat_while(cond: str, back: str | None, exit_text: str | None) -> str:
+    """The loop clause; a None label is left out, and reads as the default."""
+    clause = f"repeat while ({cond})"
+    if back is not None:
+        clause += f" is ({back})"
+    if exit_text is not None:
+        clause += f" not ({exit_text})"
+    return clause
+
+
+def _split_error(decision: str, clause: str) -> EmitError:
+    return EmitError(f"decision {decision!r} cannot be expressed: "
+                     f"the parser would split {clause!r} another way")
 
 
 def _layout(outs: dict[str, list[_Out]], entries: list[str], pos: dict[str, int],
@@ -470,12 +485,17 @@ class _PlantUmlEmitter:
                     f"loop decision {latch!r} must have exactly 2 branches, "
                     f"has {len(outs)}")
             exit_edge, exit_text = next(out for out in outs if out is not back)
-            clause = f"repeat while ({_pu_text(self.texts[latch])})"
-            back_text = back[1]
-            if back_text != "Yes":
-                clause += f" is ({label_texts[back_text]})"
-            if exit_text != "No":
-                clause += f" not ({label_texts[exit_text]})"
+            cond = _pu_text(self.texts[latch])
+            parts = (cond, None if back[1] == "Yes" else label_texts[back[1]],
+                     None if exit_text == "No" else label_texts[exit_text])
+            clause = _repeat_while(*parts)
+            if _pu_repeat_while(clause) != parts:
+                # upgraded emission drops the back label, the one label that
+                # can hold another part's opener (``) not (``)
+                parts = (cond, "", parts[2])
+                if not self.upgraded or _pu_repeat_while(_repeat_while(*parts)) != parts:
+                    raise _split_error(latch, clause)
+                clause = _repeat_while(*parts)
             if self.open_end is not None:
                 raise self.open_end_error()
             self.lines.append(clause)
@@ -502,7 +522,15 @@ class _PlantUmlEmitter:
         # boundary (e.g. the latch of a surrounding loop)
         stop_at = join if join is not None else until
         label_texts, lines = self.label_texts, self.lines
-        lines.append(f"if ({_pu_text(self.texts[nid])}) then ({label_texts[then_text]})")
+        cond = _pu_text(self.texts[nid])
+        clause = f"if ({cond}) then ({label_texts[then_text]})"
+        if _pu_if(clause) != (cond, label_texts[then_text]):
+            if not self.upgraded:
+                raise _split_error(nid, clause)
+            # the condition closes at the last ``) then``, so no label is
+            # read into it and an empty one always fits
+            clause = f"if ({cond}) then ()"
+        lines.append(clause)
         if then_dst != stop_at:
             yield self.walk(then_dst, stop_at, None)
         # 'else' sets the flows that end in the then branch aside until 'endif'

@@ -371,6 +371,12 @@ def _violations(graph: FlowGraph) -> tuple[Violation, ...]:
                 "duplicate-edge", f"{edge.src}->{edge.dst}",
                 f"duplicate edge {edge.src!r} -> {edge.dst!r} "
                 f"with label {edge.label.render() or 'none'}"))
+        normal = EdgeLabel.from_text(edge.label.text)
+        if edge.label != normal:
+            violations.append(Violation(
+                "label-normal-form", f"{edge.src}->{edge.dst}",
+                f"label {edge.label.text!r} of edge {edge.src!r} -> {edge.dst!r} "
+                f"is not in normal form, which is {normal.text!r}"))
     return tuple(violations)
 
 

@@ -121,10 +121,12 @@ class _Builder:
     """Mutable accumulator used by the parsers: the graph, and the parse's
     diagnostics in ``diagnostics``, which ``error`` and ``warn`` record.
     Nodes keep the order in which ``kinds`` and ``texts`` first saw them; a
-    redeclaration keeps it. Ids are unique keys and parsers declare an
-    edge's endpoints before the edge, so a graph with no duplicate edge and
-    no blank non-terminal text (empty, or only whitespace) is clean: it
-    arrives with its empty :func:`~flowsra.ir.validate` result stored."""
+    redeclaration keeps it. Ids are unique keys, parsers declare an edge's
+    endpoints before the edge and build its label with
+    :meth:`~flowsra.ir.EdgeLabel.from_text`, so a graph with no duplicate
+    edge and no blank non-terminal text (empty, or only whitespace) is
+    clean: it arrives with its empty :func:`~flowsra.ir.validate` result
+    stored."""
 
     def __init__(self) -> None:
         self.kinds: dict[str, NodeKind] = {}
@@ -541,7 +543,7 @@ def parse_dot(text: str) -> ParseResult:
             shape = attrs.get("shape", "").casefold()
             text = attrs.get("label", texts.get(first_id, first_id))
             if shape in _DOT_TERMINAL_SHAPES:
-                kind = builder.terminal_kind(first_id)
+                kind = _terminal_kind(text, builder, first_id)
             elif shape in _DOT_SHAPE_KINDS:
                 kind = _DOT_SHAPE_KINDS[shape]
             elif shape:

@@ -1,5 +1,5 @@
 """Shared test utilities: random graph generators, the isomorphism oracle,
-the topology oracle, an edge-keyed upgrade builder, the outcome of an enum
+the text contract of the three dialects, the topology oracle, an edge-keyed upgrade builder, the outcome of an enum
 lookup for comparing it with a referee, a referee that reads an upgraded
 edge label back, a transport wrapper that records every request, and a
 gateway that answers each prompt with a function of it.
@@ -20,6 +20,7 @@ from networkx.algorithms import isomorphism as nxiso
 
 from flowsra.engine import Question
 from flowsra.gateway import ChatGateway, MockRule, MockTransport
+from flowsra.parsing import Dialect, parse_plantuml
 from flowsra.ir import (NO, UNLABELED, YES, Edge, EdgeLabel, FlowGraph, Node, NodeKind,
                         RelationTriple, RelationType, UpgradedGraph, topology_stats, validate)
 
@@ -210,17 +211,64 @@ def side_by_side(first: FlowGraph, second: FlowGraph) -> FlowGraph:
         first.edges + tuple(Edge("B" + e.src, "B" + e.dst, e.label) for e in second.edges))
 
 
-def plantuml_view(graph: FlowGraph) -> FlowGraph:
-    """``graph`` as PlantUML carries it: Start and End nodes lose their text,
-    and Input/Output nodes are Process nodes."""
-    def view(node: Node) -> Node:
-        if node.kind.is_terminal:
-            return Node(node.id, node.kind, "")
-        if node.kind is NodeKind.INPUT_OUTPUT:
-            return Node(node.id, NodeKind.PROCESS, node.text)
-        return node
+_START_CUE = re.compile(r"\b(?:start|begin)\b", re.IGNORECASE)
+_END_CUE = re.compile(r"\b(?:end|stop|finish|finished|done|complete|completed)\b",
+                      re.IGNORECASE)
 
-    return FlowGraph(tuple(map(view, graph.nodes)), graph.edges, graph.title)
+
+def read_back(graph: FlowGraph, dialect: Dialect) -> FlowGraph:
+    """The text contract: the graph that ``graph`` emitted in ``dialect``
+    parses back as, up to node ids, by the lossy rules of docs/grammars.md.
+
+    - A text or label that holds a line break of ``str.splitlines`` has
+      each run of whitespace written as one space.
+    - Mermaid and PlantUML trim a node text's outer whitespace; DOT keeps it.
+    - PlantUML writes ``;`` as ``,`` in texts and labels, and a Mermaid
+      label writes ``|`` as ``/``.
+    - A label reads back through ``EdgeLabel.from_text``.
+    - PlantUML drops the text of Start and End nodes and reads Input/Output
+      nodes as Process nodes. Mermaid and DOT read a terminal as Start or
+      End by the cue words in its text, else by position: End once a Start
+      has been read, else Start.
+    """
+    plantuml = dialect is Dialect.PLANTUML
+
+    def written(text: str) -> str:
+        if text.splitlines() != [text]:
+            text = " ".join(text.split())
+        return text.replace(";", ",") if plantuml else text
+
+    started = False
+
+    def node(old: Node) -> Node:
+        nonlocal started
+        kind, text = old.kind, written(old.text)
+        if dialect is not Dialect.DOT:
+            text = text.strip()
+        if plantuml:
+            if kind.is_terminal:
+                text = ""
+            elif kind is NodeKind.INPUT_OUTPUT:
+                kind = NodeKind.PROCESS
+        elif kind.is_terminal:
+            if _START_CUE.search(text):
+                kind = NodeKind.START
+            elif _END_CUE.search(text):
+                kind = NodeKind.END
+            else:
+                kind = NodeKind.END if started else NodeKind.START
+            started = started or kind is NodeKind.START
+        return Node(old.id, kind, text)
+
+    def label(old: EdgeLabel) -> EdgeLabel:
+        if old.text is None:
+            return old
+        text = written(old.text)
+        return EdgeLabel.from_text(text.replace("|", "/") if dialect is Dialect.MERMAID
+                                   else text)
+
+    return FlowGraph(tuple(map(node, graph.nodes)),
+                     tuple(Edge(e.src, e.dst, label(e.label)) for e in graph.edges))
 
 
 # --- structured programs for the PlantUML round-trip -------------------------
@@ -328,8 +376,6 @@ def rand_deep_activity_text(rng: random.Random, depth: int, width: int) -> str:
 
 def rand_structured_graph(rng: random.Random) -> FlowGraph:
     """Random graph from the PlantUML-representable class."""
-    from flowsra.parsing import parse_plantuml
-
     result = parse_plantuml(rand_activity_text(rng))
     assert result.ok, [str(d) for d in result.diagnostics]
     assert validate(result.graph) == []

@@ -1,5 +1,7 @@
 """The PlantUML emitter as it was before its walk and layout were made
-cheaper per node: the referee for the emitter's text and errors."""
+cheaper per node: the referee for the emitter's text and errors. It does
+not check that a clause splits back (the charts it referees have plain
+texts); ``TestTextContract`` covers that."""
 
 from __future__ import annotations
 

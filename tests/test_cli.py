@@ -123,6 +123,32 @@ class TestConvert:
         assert err == ("line 1: error: Process node 'A' has empty label\n"
                        "error: input has parse errors\n")
 
+    @pytest.mark.parametrize("text, clause", [
+        ("flowchart TD\nS([Start]) --> A[a] --> L{x) is (y}\nL -->|Yes| A\n"
+         "L -->|No| E([End])\n", "decision 'L' cannot be expressed: the parser would "
+         "split 'repeat while (x) is (y)' another way"),
+        ("flowchart TD\nS([Start]) --> A[a] --> D{c}\nD -->|p) then (q| B[b]\n"
+         "D -->|No| E([End])\n", "decision 'D' cannot be expressed: the parser would "
+         "split 'if (c) then (p) then (q)' another way"),
+    ])
+    def test_a_plantuml_clause_that_reads_back_split_another_way_exits_1(
+            self, capsys, monkeypatch, text, clause):
+        set_stdin(monkeypatch, text.encode())
+        code, out, err = run_cli(capsys, "convert", "-", "--to", "plantuml")
+        assert (code, out, err) == (1, "", f"error: {clause}\n")
+
+    def test_terminals_keep_their_kinds_through_dot_by_their_cue_words(
+            self, capsys, monkeypatch, tmp_path):
+        """Mermaid declares the End first; DOT reads both ovals by their text."""
+        set_stdin(monkeypatch, b"flowchart TD\nE([Finish])\nS([Begin]) --> A[a] --> E\n")
+        code, dot, err = run_cli(capsys, "convert", "-", "--to", "dot")
+        assert (code, err) == (0, "")
+        path = tmp_path / "cues.dot"
+        path.write_text(dot)
+        code, out, err = run_cli(capsys, "convert", str(path), "--to", "plantuml")
+        assert (code, err) == (0, "")
+        assert out == "@startuml\nstart\n:a;\nstop\n@enduml\n"
+
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "convert", str(tmp_path / "nope.mmd"),
                                "--to", "dot")

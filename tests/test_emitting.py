@@ -27,6 +27,7 @@ from flowsra.ir import (
     Node,
     NodeKind,
     RelationType,
+    validate,
 )
 from flowsra.parsing import Dialect, parse_text
 
@@ -35,10 +36,10 @@ from gen import (
     deep_repeat_text,
     drop_out_edges,
     isomorphic,
-    plantuml_view,
     rand_deep_activity_text,
     rand_flow_graph,
     rand_structured_graph,
+    read_back,
     side_by_side,
     split_relation_label,
     upgrade_by_edge,
@@ -309,10 +310,10 @@ class TestDeadEnds:
         graph = mermaid_graph(text)
         _, result = parse_text(emit(graph, Dialect.PLANTUML).text)
         assert result.ok
-        assert isomorphic(result.graph, plantuml_view(graph))
+        assert isomorphic(result.graph, read_back(graph, Dialect.PLANTUML))
         _, result = parse_text(emit_upgraded(sequential_upgrade(graph), Dialect.PLANTUML).text)
         assert result.ok
-        assert isomorphic(strip_relations(result.graph), plantuml_view(graph))
+        assert isomorphic(strip_relations(result.graph), read_back(graph, Dialect.PLANTUML))
 
     @settings(max_examples=150, deadline=None)
     @given(seeds())
@@ -339,7 +340,7 @@ class TestDeadEnds:
             return
         _, result = parse_text(text)
         assert result.ok, [str(d) for d in result.diagnostics]
-        assert isomorphic(result.graph, plantuml_view(graph))
+        assert isomorphic(result.graph, read_back(graph, Dialect.PLANTUML))
 
 
 # every line break of str.splitlines, alone or with spaces around it
@@ -373,24 +374,132 @@ class TestLineBreaks:
             edges=(Edge("S", "A"), Edge("A", "D", EdgeLabel.from_text(step_label)),
                    Edge("D", "B", YES), Edge("D", "C", EdgeLabel.from_text(arm_label)),
                    Edge("B", "E"), Edge("C", "E")))
-
-        def collapsed(text: str) -> str:
-            return " ".join(text.split())
-
-        expected = FlowGraph(
-            tuple(Node(n.id, n.kind, collapsed(n.text)) for n in graph.nodes),
-            tuple(Edge(e.src, e.dst, EdgeLabel.from_text(collapsed(str(e.label))))
-                  for e in graph.edges))
         ug = sequential_upgrade(graph)
         for dialect in Dialect:
             for text in (emit(graph, dialect).text, emit_upgraded(ug, dialect).text):
                 assert text.splitlines() == text.split("\n")[:-1], dialect
             _, result = parse_text(emit(graph, dialect).text)
             assert result.ok, dialect
-            view = plantuml_view(expected) if dialect is Dialect.PLANTUML else expected
-            assert isomorphic(result.graph, view), dialect
+            assert isomorphic(result.graph, read_back(graph, dialect)), dialect
         triples = emit_triples(ug)
         assert triples.splitlines() == triples.split("\n")[:-1]
+
+
+# tokens of an adversarial text: the syntax of the three dialects, the
+# PlantUML clauses' openers, entities, cue words and unusual whitespace
+_TOKENS = [
+    "a", "yes", "No", "End", "begin", "done", "\u00e9",
+    "[", "]", "{", "}", "(", ")", "([", "])", "[/", "/]", "((", "|", '"', "-->", "--", "-",
+    "%%", "/", ";", "->", "=", ",", "\\", "//", "#", "/*", "*/", "'", ":", "@startuml",
+    "if (", ") then (", ") then", ") is (", ") not (", "else (", "endif", "repeat while (",
+    "#quot;", "#35;", "&quot;", "#amp;",
+    " ", "  ", "\t", "\u00a0", "\u3000", "\n", "\r\n", "\u2028", "\x85", "\v",
+]
+
+
+def adversarial_chart(rng: random.Random) -> FlowGraph:
+    """An S -> A -> D -> {B, E} branch chart or an S -> A -> L loop chart
+    (L back to A, and on to E), whose texts and labels are 1 to 5 tokens;
+    a terminal's text may be empty, a label may be absent."""
+    def text() -> str:
+        return "".join(rng.choices(_TOKENS, k=rng.randint(1, 5)))
+
+    def node(nid: str, kind: NodeKind) -> Node:
+        if kind.is_terminal:
+            return Node(nid, kind, text() if rng.random() < 0.7 else "")
+        while not (chosen := text()).strip():
+            pass
+        return Node(nid, kind, chosen)
+
+    nodes = [node("S", NodeKind.START),
+             node("A", rng.choice([NodeKind.PROCESS, NodeKind.INPUT_OUTPUT]))]
+    if rng.random() < 0.5:
+        nodes += [node("D", NodeKind.DECISION), node("B", NodeKind.PROCESS)]
+        pairs = [("S", "A"), ("A", "D"), ("D", "B"), ("D", "E")]
+    else:
+        nodes.append(node("L", NodeKind.DECISION))
+        pairs = [("S", "A"), ("A", "L"), ("L", "A"), ("L", "E")]
+    nodes.append(node("E", NodeKind.END))
+    return FlowGraph(tuple(nodes), tuple(
+        Edge(src, dst, EdgeLabel.from_text(text() if rng.random() < 0.7 else None))
+        for src, dst in pairs))
+
+
+def labels_dropped(graph: FlowGraph):
+    """``graph``, and it with the labels of the edges out of its decisions
+    dropped, in every combination."""
+    kinds = {n.id: n.kind for n in graph.nodes}
+    variants = [graph]
+    for index, edge in enumerate(graph.edges):
+        if kinds[edge.src] is NodeKind.DECISION:
+            variants += [FlowGraph(g.nodes, g.edges[:index] + (Edge(edge.src, edge.dst),)
+                                   + g.edges[index + 1:]) for g in variants]
+    return variants
+
+
+class TestTextContract:
+    """Emission never writes text that its own parser rejects or misreads:
+    every emission of an adversarial chart either raises EmitError or reads
+    back as ``gen.read_back`` says."""
+
+    @settings(max_examples=3000, derandomize=True, deadline=None)
+    @given(seeds())
+    def test_every_emission_reads_back_as_the_contract_says(self, seed):
+        rng = random.Random(seed)
+        graph, relation = adversarial_chart(rng), rng.choice(list(RelationType))
+        assert validate(graph) == []
+        ug = upgrade_by_edge(graph, dict.fromkeys(graph.edges, relation))
+        tagged = FlowGraph(graph.nodes, tuple(Edge(e.src, e.dst, EdgeLabel.from_text(
+            relation.value if e.label.text is None else f"{relation.value} ({e.label.text})"))
+            for e in graph.edges))
+        for dialect in Dialect:
+            for upgraded in (False, True):
+                try:
+                    text = (emit_upgraded(ug, dialect) if upgraded else emit(graph, dialect)).text
+                except EmitError:
+                    assert dialect is Dialect.PLANTUML
+                    continue
+                read, result = parse_text(text)
+                assert read is dialect and result.ok, [str(d) for d in result.diagnostics]
+                expected = read_back(tagged if upgraded else graph, dialect)
+                # upgraded PlantUML drops a then or back label that cannot fit
+                variants = (labels_dropped(expected)
+                            if upgraded and dialect is Dialect.PLANTUML else [expected])
+                assert any(isomorphic(result.graph, v) for v in variants), (graph, text)
+
+    @pytest.mark.parametrize("cond, back, exit_label", [
+        ("x) is (y", "Yes", "No"),
+        ("x) not (y", "Yes", "No"),
+        ("x", "p) not (q", "No"),
+    ])
+    def test_a_loop_clause_that_splits_another_way_is_refused(self, cond, back, exit_label):
+        graph = mermaid_graph(
+            f"flowchart TD\nS([Start]) --> A[a] --> L{{\"{cond}\"}}\n"
+            f"L -->|{back}| A\nL -->|{exit_label}| E([End])\n")
+        with pytest.raises(EmitError, match="decision 'L' cannot be expressed"):
+            emit(graph, Dialect.PLANTUML)
+        ug = sequential_upgrade(graph)
+        if cond != "x":  # only a condition is refused; a back label is dropped
+            with pytest.raises(EmitError, match="decision 'L' cannot be expressed"):
+                emit_upgraded(ug, Dialect.PLANTUML)
+            return
+        _, result = parse_text(emit_upgraded(ug, Dialect.PLANTUML).text)
+        assert result.ok
+        assert [e.label for e in result.graph.edges] == [
+            EdgeLabel("Sequentiality"), EdgeLabel("Sequentiality"), UNLABELED,
+            EdgeLabel("Sequentiality (No)")]
+
+    def test_a_then_label_that_splits_another_way_is_refused_or_dropped(self):
+        graph = mermaid_graph("flowchart TD\nS([Start]) --> A[a] --> D{c}\n"
+                              "D -->|p) then (q| B[b]\nD -->|No| E([End])\n")
+        with pytest.raises(EmitError, match="decision 'D' cannot be expressed"):
+            emit(graph, Dialect.PLANTUML)
+        text = emit_upgraded(sequential_upgrade(graph), Dialect.PLANTUML).text
+        assert "if (c) then ()\n" in text
+        _, result = parse_text(text)
+        assert result.ok
+        assert {e.label for e in result.graph.edges if e.label.text != "Sequentiality"} == {
+            UNLABELED, EdgeLabel("Sequentiality (No)")}
 
 
 def strip_relations(graph: FlowGraph) -> FlowGraph:

@@ -99,6 +99,25 @@ class TestValidate:
         )
         assert validate(ok) == []
 
+    @pytest.mark.parametrize("text", ["", " yes", "no", "YES", " retry", "retry\n"])
+    def test_a_label_not_in_normal_form_fails(self, text):
+        """A hand-built label must be what ``from_text`` reads its text as,
+        so no emitter writes text that reads back as another graph."""
+        graph = FlowGraph((n("A"), n("B")), (Edge("A", "B", EdgeLabel(text)),))
+        assert [(v.invariant, v.subject) for v in validate(graph)] == [
+            ("label-normal-form", "A->B")]
+        for dialect in Dialect:
+            with pytest.raises(GraphValidationError):
+                emit(graph, dialect)
+
+    @given(st.lists(st.sampled_from(["a", "yes", "No", " ", "\t", "\n", "\u3000"]),
+                    max_size=4).map("".join))
+    def test_a_label_validates_exactly_when_it_is_in_normal_form(self, text):
+        normal = EdgeLabel.from_text(text)
+        for label in (normal, EdgeLabel(text)):
+            graph = FlowGraph((n("A"), n("B")), (Edge("A", "B", label),))
+            assert (validate(graph) == []) == (label == normal)
+
     @given(flow_graphs())
     def test_validate_is_idempotent(self, graph):
         assert validate(graph) == validate(graph)
@@ -343,6 +362,12 @@ class TestEdgeLabel:
         assert EdgeLabel.from_text("") == UNLABELED
         assert EdgeLabel.from_text(None) == UNLABELED
         assert EdgeLabel.from_text("retry").render() == "retry"
+
+    def test_a_label_is_its_text(self):
+        assert [f.name for f in fields(EdgeLabel)] == ["text"]
+        assert (YES.text, NO.text, UNLABELED.text) == ("Yes", "No", None)
+        assert EdgeLabel("Yes") == YES and EdgeLabel() == UNLABELED
+        assert str(UNLABELED) == "" and str(EdgeLabel("retry")) == "retry"
 
     def test_yes_no_and_unlabeled_are_the_shared_values(self):
         for raw, shared in (("yes", YES), (" No ", NO), ("", UNLABELED), (None, UNLABELED)):

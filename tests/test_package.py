@@ -50,6 +50,26 @@ def test_only_the_gateway_builds_requests_and_only_it_and_the_engine_send_them()
     assert senders == {"engine.py", "gateway.py"}
 
 
+def test_only_ir_builds_edge_labels():
+    """A label is built by ``EdgeLabel.from_text`` or is one of the shared
+    ``YES``, ``NO`` and ``UNLABELED``: in ``src/flowsra`` only ir.py calls
+    ``EdgeLabel(``, for those three, and only ``from_text`` calls ``cls(``.
+    So a parsed graph's labels are in normal form, and the parser may store
+    its clean ``validate`` result, label-normal-form included."""
+    owners = set()
+    for path in (_ROOT / "src" / "flowsra").glob("*.py"):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            scopes, names = [stmt], {"EdgeLabel"}
+            if isinstance(stmt, ast.ClassDef) and stmt.name == "EdgeLabel":
+                scopes, names = stmt.body, {"EdgeLabel", "cls"}
+            for scope in scopes:
+                if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) in names
+                       for node in ast.walk(scope)):
+                    name = getattr(scope, "name", None) or scope.targets[0].id
+                    owners.add(f"{path.name}:{name}")
+    assert owners == {"ir.py:from_text", "ir.py:YES", "ir.py:NO", "ir.py:UNLABELED"}
+
+
 def test_only_the_parse_builder_and_the_dot_lexer_record_diagnostics():
     """Each parser records its findings through ``_Builder.error`` and
     ``_Builder.warn``; the DOT lexer's are the only others."""

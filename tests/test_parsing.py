@@ -14,9 +14,11 @@ from flowsra.parsing import (
     _DOT_SHAPE_KINDS,
     _DOT_TERMINAL_SHAPES,
     _DOT_TOKEN,
+    _END_CUES,
     _MERMAID_ARROW,
     _MERMAID_HEADER,
     _MERMAID_NODE,
+    _START_CUES,
     Dialect,
     ParseDiagnostic,
     ParseResult,
@@ -238,6 +240,22 @@ class TestParseDot:
          {"A": "Process", "B": "End", "C": "Start"}),
     ])
     def test_terminal_disambiguation_by_position(self, body, expected):
+        graph = parse_dot("digraph G { " + body + " }").graph
+        assert {n.id: n.kind.value for n in graph.nodes} == expected
+
+    @pytest.mark.parametrize("body,expected", [
+        # the End declared first, as Mermaid emission writes it
+        ('E [shape=oval,label="Finish"]; S [shape=oval,label="Begin"];',
+         {"E": "End", "S": "Start"}),
+        # an End by its text leaves the chart without a Start, so B is one
+        ('A [shape=oval,label="Finish"]; B [shape=oval,label="x"];',
+         {"A": "End", "B": "Start"}),
+        # without a label the id is the text, and a cue overrides a kept kind
+        ("Stop [shape=oval]; A [shape=oval]; A [shape=oval,label=start];",
+         {"Stop": "End", "A": "Start"}),
+    ])
+    def test_terminal_disambiguation_by_text_then_position(self, body, expected):
+        """One rule with Mermaid: cue words in the text, then position."""
         graph = parse_dot("digraph G { " + body + " }").graph
         assert {n.id: n.kind.value for n in graph.nodes} == expected
 
@@ -499,7 +517,11 @@ class ReferenceDotParser:
         text = attrs.get("label", self.builder.texts[node_id])
         if shape in _DOT_TERMINAL_SHAPES:
             existing = kinds[node_id]
-            if existing in (NodeKind.START, NodeKind.END):
+            if _START_CUES.search(text):
+                kind = NodeKind.START
+            elif _END_CUES.search(text):
+                kind = NodeKind.END
+            elif existing in (NodeKind.START, NodeKind.END):
                 kind = existing
             elif any(k is NodeKind.START for nid, k in kinds.items() if nid != node_id):
                 kind = NodeKind.END
