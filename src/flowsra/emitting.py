@@ -489,9 +489,10 @@ class _PlantUmlEmitter:
             parts = (cond, None if back[1] == "Yes" else label_texts[back[1]],
                      None if exit_text == "No" else label_texts[exit_text])
             clause = _repeat_while(*parts)
-            if _pu_repeat_while(clause) != parts:
-                # upgraded emission drops the back label, the one label that
-                # can hold another part's opener (``) not (``)
+            # each marker opens at a ``)``, so only a condition or a back
+            # label that holds one can move a part
+            if (")" in cond or ")" in (parts[1] or "")) and _pu_repeat_while(clause) != parts:
+                # upgraded emission drops the back label (it may hold ``) not (``)
                 parts = (cond, "", parts[2])
                 if not self.upgraded or _pu_repeat_while(_repeat_while(*parts)) != parts:
                     raise _split_error(latch, clause)
@@ -522,13 +523,13 @@ class _PlantUmlEmitter:
         # boundary (e.g. the latch of a surrounding loop)
         stop_at = join if join is not None else until
         label_texts, lines = self.label_texts, self.lines
-        cond = _pu_text(self.texts[nid])
-        clause = f"if ({cond}) then ({label_texts[then_text]})"
-        if _pu_if(clause) != (cond, label_texts[then_text]):
+        cond, label = _pu_text(self.texts[nid]), label_texts[then_text]
+        clause = f"if ({cond}) then ({label})"
+        # the condition closes at the last ``) then``, so only a label that
+        # holds one can move a part, and an empty label always fits
+        if "then" in label and _pu_if(clause) != (cond, label):
             if not self.upgraded:
                 raise _split_error(nid, clause)
-            # the condition closes at the last ``) then``, so no label is
-            # read into it and an empty one always fits
             clause = f"if ({cond}) then ()"
         lines.append(clause)
         if then_dst != stop_at:
