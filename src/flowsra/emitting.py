@@ -486,12 +486,12 @@ class _PlantUmlEmitter:
                     f"has {len(outs)}")
             exit_edge, exit_text = next(out for out in outs if out is not back)
             cond = _pu_text(self.texts[latch])
-            parts = (cond, None if back[1] == "Yes" else label_texts[back[1]],
-                     None if exit_text == "No" else label_texts[exit_text])
+            back_label = None if back[1] == "Yes" else label_texts[back[1]]
+            parts = (cond, back_label, None if exit_text == "No" else label_texts[exit_text])
             clause = _repeat_while(*parts)
             # each marker opens at a ``)``, so only a condition or a back
             # label that holds one can move a part
-            if (")" in cond or ")" in (parts[1] or "")) and _pu_repeat_while(clause) != parts:
+            if (")" in cond or ")" in (back_label or "")) and _pu_repeat_while(clause) != parts:
                 # upgraded emission drops the back label (it may hold ``) not (``)
                 parts = (cond, "", parts[2])
                 if not self.upgraded or _pu_repeat_while(_repeat_while(*parts)) != parts:
@@ -579,7 +579,7 @@ def emit_upgraded(ug: UpgradedGraph, dialect: Dialect) -> InterlanguageDoc:
     relation definitions. Computed once per upgraded graph and dialect.
     """
     def compute() -> InterlanguageDoc:
-        # one label per distinct (relation, rendered label): all that
+        # one label per distinct (relation, label text): all that
         # relation_edge_label reads, and a chart holds a handful of them
         built: dict[tuple[RelationType, str | None], str] = {}
         labels = []
