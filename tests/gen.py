@@ -1,8 +1,9 @@
 """Shared test utilities: random graph generators, the isomorphism oracle,
-the text contract of the three dialects, the topology oracle, an edge-keyed upgrade builder, the outcome of an enum
-lookup for comparing it with a referee, a referee that reads an upgraded
-edge label back, a transport wrapper that records every request, and a
-gateway that answers each prompt with a function of it.
+the text contract of the three dialects, the topology oracle, an
+edge-keyed upgrade builder, the outcome of an enum lookup for comparing it
+with a referee, a referee that reads an upgraded edge label back, a
+transport wrapper that records every request, and a gateway that answers
+each prompt with a function of it.
 
 The isomorphism check deliberately uses no package code, so round-trip
 tests have an independent referee.
@@ -20,9 +21,9 @@ from networkx.algorithms import isomorphism as nxiso
 
 from flowsra.engine import Question
 from flowsra.gateway import ChatGateway, MockRule, MockTransport
-from flowsra.parsing import Dialect, parse_plantuml
 from flowsra.ir import (NO, UNLABELED, YES, Edge, EdgeLabel, FlowGraph, Node, NodeKind,
                         RelationTriple, RelationType, UpgradedGraph, topology_stats, validate)
+from flowsra.parsing import Dialect, parse_plantuml
 
 
 def to_nx(graph: FlowGraph) -> nx.MultiDiGraph:

@@ -251,8 +251,8 @@ class TestParseDot:
         ('A [shape=oval,label="Finish"]; B [shape=oval,label="x"];',
          {"A": "End", "B": "Start"}),
         # without a label the id is the text, and a cue overrides a kept kind
-        ("Stop [shape=oval]; A [shape=oval]; A [shape=oval,label=start];",
-         {"Stop": "End", "A": "Start"}),
+        ("Stop [shape=oval]; A [shape=oval]; A [shape=oval,label=done];",
+         {"Stop": "End", "A": "End"}),
     ])
     def test_terminal_disambiguation_by_text_then_position(self, body, expected):
         """One rule with Mermaid: cue words in the text, then position."""
