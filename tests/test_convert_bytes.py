@@ -9,6 +9,11 @@ in every dialect, recognize relations with the heuristic, emit the upgraded
 chart in every dialect and list the triples. Every text along the way is
 hashed, section by section; a change that speeds the path up must leave
 each digest as it is.
+
+The ``damaged`` section pins what the parsers make of broken text: each
+corpus text with one character deleted, with one syntax character of the
+three dialects inserted, and cut short, each at a seeded offset, parses to
+its diagnostics, its (possibly partial) graph and that graph's violations.
 """
 
 import hashlib
@@ -17,7 +22,7 @@ from collections import Counter
 
 from flowsra.emitting import EmitError, emit, emit_triples, emit_upgraded
 from flowsra.ir import Edge, FlowGraph, Node, validate
-from flowsra.parsing import Dialect, parse_text
+from flowsra.parsing import Dialect, UnknownDialectError, parse_text
 from flowsra.relations import HeuristicRelationBackend, upgrade_graph
 
 from gen import rand_flow_graph, rand_structured_graph
@@ -43,7 +48,10 @@ DIGESTS = {
     "triples": "a37bd2b08c7dd540",
     "upgraded": "cf5fe4d97f3b5988",
     "listing": "342a0e3c08889630",
+    "damaged": "cfd5860616cf440b",
 }
+# what damage inserts: the syntax characters of the three dialects
+SYNTAX = "[]{}()|\"/\\;:,=-><#%'@*"
 
 
 def decorated(graph: FlowGraph, rng: random.Random) -> FlowGraph:
@@ -80,6 +88,29 @@ def corpus() -> list[str]:
     return texts
 
 
+def damaged(text: str, rng: random.Random) -> list[str]:
+    """``text`` with one character deleted, with one of ``SYNTAX`` inserted,
+    and cut short, each at an offset drawn from ``rng``."""
+    cut, at, end = (rng.randrange(len(text)), rng.randrange(len(text) + 1),
+                    rng.randrange(len(text)))
+    return [text[:cut] + text[cut + 1:], text[:at] + rng.choice(SYNTAX) + text[at:],
+            text[:end]]
+
+
+def parse_record(text: str) -> str:
+    """The dialect, diagnostics, graph and violations that ``text`` parses to."""
+    try:
+        dialect, result = parse_text(text)
+    except UnknownDialectError as exc:
+        return f"UnknownDialectError: {exc}"
+    graph = result.graph
+    return "\n".join(
+        [dialect.value, repr(graph.title)] + [str(d) for d in result.diagnostics]
+        + [f"{n.id}\0{n.kind.value}\0{n.text}" for n in graph.nodes]
+        + [f"{e.src}\0{e.dst}\0{e.label.text}" for e in graph.edges]
+        + [str(v) for v in validate(graph)])
+
+
 def outcome(render) -> str:
     try:
         return render()
@@ -89,7 +120,8 @@ def outcome(render) -> str:
 
 def convert_records() -> dict[str, list[str]]:
     records: dict[str, list[str]] = {name: [] for name in DIGESTS}
-    for text in corpus():
+    for index, text in enumerate(corpus()):
+        records["damaged"] += map(parse_record, damaged(text, random.Random(index)))
         dialect, result = parse_text(text)
         violations = validate(result.graph)
         records["parse"].append("\n".join(
