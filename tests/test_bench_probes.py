@@ -4,9 +4,11 @@
 flowsra functions and reports a probe that no longer resolves as absent, so
 a refactor that renames or drops one would lose that layer's metrics
 silently. A probe's hooks also read the probed function's parameters by
-name, so a short traced run checks that they still find them. A short
-untraced convert-sweep run checks the convert path's outputs as the
-benchmark does. These tests only read ``bench/``; each run works on a copy.
+name, so a short traced run checks that they still find them. Short
+untraced convert-sweep and eval-replay runs check the convert path's
+outputs, and the replayed eval's report and its lack of transport calls, as
+the benchmark does. These tests only read ``bench/``; each run works on a
+copy.
 """
 
 import importlib.util
@@ -55,5 +57,13 @@ def test_a_short_convert_sweep_run_is_correct(tmp_path):
     # the run checks each chart's conversions, plain and upgraded, against
     # the graph the chart renders
     run = _short_run(tmp_path, "convert-sweep", "0")
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_a_short_eval_replay_run_is_correct(tmp_path):
+    # the run checks that timed passes make no transport call and render the
+    # same report as the set-up's pass
+    run = _short_run(tmp_path, "eval-replay", "0")
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout.splitlines()[-1])["correct"] is True
