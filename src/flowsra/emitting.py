@@ -361,8 +361,10 @@ class _PlantUmlEmitter:
         self.lines.append("@startuml")
         if self.upgraded:
             self.lines += _taxonomy_comment("'")
-        if self.graph.title:
-            self.lines.append(f"title {_clean(self.graph.title)}")
+        # the parser strips the title, and reads a bare ``title`` as no statement
+        title = _clean(self.graph.title or "")
+        if title.strip():
+            self.lines.append(f"title {title}")
         for entry in self.entries:
             if entry not in self.visited:
                 _run(self.walk(entry, None, None))

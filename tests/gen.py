@@ -231,12 +231,16 @@ def read_back(graph: FlowGraph, dialect: Dialect) -> FlowGraph:
       nodes as Process nodes. Mermaid and DOT read a terminal as Start or
       End by the cue words in its text, else by position: End once a Start
       has been read, else Start.
+    - PlantUML reads the title back stripped, and a blank one as none;
+      Mermaid and DOT carry no title.
     """
     plantuml = dialect is Dialect.PLANTUML
 
+    def single_line(text: str) -> str:
+        return " ".join(text.split()) if text.splitlines() != [text] else text
+
     def written(text: str) -> str:
-        if text.splitlines() != [text]:
-            text = " ".join(text.split())
+        text = single_line(text)
         return text.replace(";", ",") if plantuml else text
 
     started = False
@@ -268,8 +272,10 @@ def read_back(graph: FlowGraph, dialect: Dialect) -> FlowGraph:
         return EdgeLabel.from_text(text.replace("|", "/") if dialect is Dialect.MERMAID
                                    else text)
 
+    title = single_line(graph.title).strip() if plantuml and graph.title else None
     return FlowGraph(tuple(map(node, graph.nodes)),
-                     tuple(Edge(e.src, e.dst, label(e.label)) for e in graph.edges))
+                     tuple(Edge(e.src, e.dst, label(e.label)) for e in graph.edges),
+                     title or None)
 
 
 # --- structured programs for the PlantUML round-trip -------------------------

@@ -399,8 +399,8 @@ _TOKENS = [
 
 def adversarial_chart(rng: random.Random) -> FlowGraph:
     """An S -> A -> D -> {B, E} branch chart or an S -> A -> L loop chart
-    (L back to A, and on to E), whose texts and labels are 1 to 5 tokens;
-    a terminal's text may be empty, a label may be absent."""
+    (L back to A, and on to E), whose texts, labels and title are 1 to 5
+    tokens; a terminal's text may be empty, a label or the title absent."""
     def text() -> str:
         return "".join(rng.choices(_TOKENS, k=rng.randint(1, 5)))
 
@@ -420,9 +420,9 @@ def adversarial_chart(rng: random.Random) -> FlowGraph:
         nodes.append(node("L", NodeKind.DECISION))
         pairs = [("S", "A"), ("A", "L"), ("L", "A"), ("L", "E")]
     nodes.append(node("E", NodeKind.END))
-    return FlowGraph(tuple(nodes), tuple(
-        Edge(src, dst, EdgeLabel.from_text(text() if rng.random() < 0.7 else None))
-        for src, dst in pairs))
+    edges = tuple(Edge(src, dst, EdgeLabel.from_text(text() if rng.random() < 0.7 else None))
+                  for src, dst in pairs)
+    return FlowGraph(tuple(nodes), edges, text() if rng.random() < 0.5 else None)
 
 
 def labels_dropped(graph: FlowGraph):
@@ -451,7 +451,7 @@ class TestTextContract:
         ug = upgrade_by_edge(graph, dict.fromkeys(graph.edges, relation))
         tagged = FlowGraph(graph.nodes, tuple(Edge(e.src, e.dst, EdgeLabel.from_text(
             relation.value if e.label.text is None else f"{relation.value} ({e.label.text})"))
-            for e in graph.edges))
+            for e in graph.edges), graph.title)
         for dialect in Dialect:
             for upgraded in (False, True):
                 try:
@@ -466,6 +466,20 @@ class TestTextContract:
                 variants = (labels_dropped(expected)
                             if upgraded and dialect is Dialect.PLANTUML else [expected])
                 assert any(isomorphic(result.graph, v) for v in variants), (graph, text)
+                assert result.graph.title == expected.title, (graph, text)
+
+    @pytest.mark.parametrize("title, line", [
+        (" ", None), ("\u2028", None), (" a\u2028 b ", "title a b\n"), (" x ", "title  x \n")])
+    def test_a_title_is_written_only_when_its_single_line_form_is_not_blank(self, title, line):
+        graph = FlowGraph((Node("S", NodeKind.START), Node("A", NodeKind.PROCESS, "a")),
+                          (Edge("S", "A"),), title=title)
+        text = emit(graph, Dialect.PLANTUML).text
+        assert [ln for ln in text.splitlines(keepends=True) if ln.startswith("title")] == (
+            [line] if line else [])
+        _, result = parse_text(text)
+        assert result.ok, [str(d) for d in result.diagnostics]
+        assert result.graph.title == read_back(graph, Dialect.PLANTUML).title
+        assert result.graph.title == (line[6:].strip() if line else None)
 
     @pytest.mark.parametrize("cond, back, exit_label", [
         ("x) is (y", "Yes", "No"),
