@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import count
 from operator import attrgetter
-from typing import Generator
+from typing import Callable, Generator
 
 from .ir import (
     Edge,
@@ -119,16 +119,29 @@ def _edge_labels(graph: FlowGraph, upgraded: list[str] | None) -> list[str | Non
     return [edge.label.text for edge in graph.edges] if upgraded is None else upgraded
 
 
+def _line_per_id(id_pattern: str) -> Callable[[dict[str, str]], bool]:
+    """A test of whether every key of a dict matches ``id_pattern`` whole:
+    one match over the keys joined by line breaks, which a key that holds
+    one (so matches no id pattern here) adds to."""
+    joined = re.compile(f"{id_pattern}(?:\n{id_pattern})*")
+
+    def test(ids: dict[str, str]) -> bool:
+        text = "\n".join(ids)
+        return text.count("\n") == len(ids) - 1 and joined.fullmatch(text) is not None
+    return test
+
+
 _MERMAID_ID = re.compile(MERMAID_ID)
+_all_mermaid_ids = _line_per_id(MERMAID_ID)
 
 
 def _with_mermaid_ids(graph: FlowGraph) -> FlowGraph:
     """``graph``, with each node id that the Mermaid parser does not read as
     an id (DOT allows ``1`` or ``"a b"``) renamed to the first ``n<k>`` that
     no kept id uses."""
-    kept = {n.id for n in graph.nodes if _MERMAID_ID.fullmatch(n.id)}
-    if len(kept) == len(graph.nodes):
+    if _all_mermaid_ids(_clean_texts(graph)):
         return graph
+    kept = {n.id for n in graph.nodes if _MERMAID_ID.fullmatch(n.id)}
     fresh = (nid for nid in map("n{}".format, count()) if nid not in kept)
     ids = {n.id: n.id if n.id in kept else next(fresh) for n in graph.nodes}
     return FlowGraph(tuple(Node(ids[n.id], n.kind, n.text) for n in graph.nodes),
@@ -158,6 +171,7 @@ def _emit_mermaid(graph: FlowGraph, upgraded: list[str] | None) -> str:
 # --- DOT -------------------------------------------------------------------
 
 _DOT_BARE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_all_dot_bare = _line_per_id(_DOT_BARE.pattern)
 _DOT_KEYWORDS = {"graph", "digraph", "node", "edge", "strict", "subgraph"}
 
 
@@ -185,10 +199,14 @@ def _emit_dot(graph: FlowGraph, upgraded: list[str] | None) -> str:
     lines = ["digraph G {"]
     if upgraded is not None:
         lines += _taxonomy_comment("  //")
-    # each node's id is quoted once, and looked up for the edges
-    ids: dict[str, str] = {}
-    for node, text in zip(graph.nodes, _clean_texts(graph).values()):
-        ids[node.id] = quoted = _dot_id(node.id)
+    # each node's id as written, looked up for the edges; most charts'
+    # ids are all bare, which one match tells
+    texts = _clean_texts(graph)
+    if _all_dot_bare(texts) and _DOT_KEYWORDS.isdisjoint(texts):
+        ids = dict(zip(texts, texts))
+    else:
+        ids = {nid: _dot_id(nid) for nid in texts}
+    for node, quoted, text in zip(graph.nodes, ids.values(), texts.values()):
         lines.append(
             f"  {quoted} [shape={_DOT_SHAPES[node.kind]}, "
             f"label={_dot_str(text)}];")
@@ -395,9 +413,12 @@ class _PlantUmlEmitter:
         seen = {decision}
         frontier = [left, right]
         while True:
-            hits = [nid for nid in frontier if common >> pos[nid] & 1]
-            if hits:
-                return min(hits, key=pos.__getitem__)
+            join = None
+            for nid in frontier:
+                if common >> pos[nid] & 1 and (join is None or pos[nid] < pos[join]):
+                    join = nid
+            if join is not None:
+                return join
             nxt: list[str] = []
             for nid in frontier:
                 if nid not in seen:
@@ -407,7 +428,7 @@ class _PlantUmlEmitter:
 
     def walk(self, nid: str | None, until: str | None, loop_head: str | None) -> _Walk:
         visited, by_id, texts, outs_of = self.visited, self.by_id, self.texts, self.outs
-        append = self.lines.append
+        loop_latches, append = self.loop_latches, self.lines.append
         while nid is not None and nid != until:
             if nid in visited:
                 raise EmitError(
@@ -415,7 +436,7 @@ class _PlantUmlEmitter:
                     "the graph is not structured")
             if self.open_end is not None:
                 raise self.open_end_error()
-            if nid in self.loop_latches and nid != loop_head:
+            if nid in loop_latches and nid != loop_head:
                 yield self.emit_loop(nid)
                 nid = self.result
                 continue
@@ -454,20 +475,21 @@ class _PlantUmlEmitter:
 
     def _nested_latches(self, latches: list[_Out]) -> list[_Out]:
         """Innermost first; each latch must forward-reach all latches that
-        enclose it, otherwise the loops are not properly nested."""
-        pos = self.pos
-
-        def rank(out: _Out) -> int:
-            src = out[0].src
-            reach = self.fwd_reach[src]
-            return sum(1 for other, _ in latches
-                       if other.src != src and reach >> pos[other.src] & 1)
-
-        ordered = sorted(latches, key=lambda out: (-rank(out), pos[out[0].src]))
-        if [rank(out) for out in ordered] != list(range(len(latches) - 1, -1, -1)):
+        enclose it, otherwise the loops are not properly nested. So the
+        latch whose source forward-reaches the sources of ``k`` latches, its
+        own included, goes ``k``-th from the end, and every place is filled
+        once."""
+        pos, reach = self.pos, self.fwd_reach
+        sources = 0
+        for out in latches:
+            sources |= 1 << pos[out[0].src]
+        ordered: list[_Out | None] = [None] * len(latches)
+        for out in latches:
+            ordered[-(reach[out[0].src] & sources).bit_count()] = out
+        if None in ordered:
             raise EmitError(
-                f"loops closing at {ordered[0][0].dst!r} are not properly nested")
-        return ordered
+                f"loops closing at {latches[0][0].dst!r} are not properly nested")
+        return ordered  # type: ignore[return-value]
 
     def emit_loop(self, head: str) -> _Walk:
         latches = self._nested_latches(self.loop_latches[head])

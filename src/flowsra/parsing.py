@@ -15,9 +15,9 @@ are found by a second scan, made only when some diagnostic needs a line.
 from __future__ import annotations
 
 import re
-import string
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import pairwise
 
 from .ir import (
     Edge,
@@ -176,10 +176,11 @@ class _Builder:
         """Record an edge between declared nodes; returns False for a
         duplicate (kept, so validate() flags it too, but the parser should
         diagnose it where it happened)."""
-        seen = len(self._edge_keys)
-        self._edge_keys.add(edge_key(src, dst, label))
+        keys = self._edge_keys
+        seen = len(keys)
+        keys.add(edge_key(src, dst, label))
         self._edges.append(Edge(src, dst, label))
-        return len(self._edge_keys) != seen
+        return len(keys) != seen
 
     def build(self) -> FlowGraph:
         kinds, texts = self.kinds, self.texts
@@ -277,9 +278,8 @@ _MERMAID_COMMENT = re.compile(
 
 def _strip_mermaid_comments(line: str) -> str:
     """``line`` up to its first ``%%`` outside quoted text and arrow
-    labels (``-->|label|`` and ``-- label -->``)."""
-    if "%%" not in line:
-        return line
+    labels (``-->|label|`` and ``-- label -->``); only a line that holds a
+    ``%%`` needs it."""
     for m in _MERMAID_COMMENT.finditer(line):
         if m.group() == "%%":
             return line[:m.start()]
@@ -318,7 +318,7 @@ def parse_mermaid(text: str) -> ParseResult:
     builder = _Builder()
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_mermaid_comments(raw).strip()
+        line = (_strip_mermaid_comments(raw) if "%%" in raw else raw).strip()
         if not line:
             continue
         if not header_seen:
@@ -356,25 +356,25 @@ def parse_mermaid(text: str) -> ParseResult:
 # One match per token: the whitespace and comments before a token are its
 # prefix, never matches of their own. Group 1 is the token: a string, an
 # arrow, punctuation, a name, an unterminated block comment (running to the
-# end of the text), any other single character (which the lexer reports), or
-# the empty end of the text after the last prefix. The prefix repeats only
-# over comments, each with the blanks after it: most tokens follow a blank
-# or nothing, and a group repeated per blank run costs more per token. Since
-# group 1 matches at every position, the matches tile the whole text, and an
-# unterminated comment ends the scan, so no later '/*' searches for a '*/'
-# again.
+# end of the text), or empty: at a character that starts no token, which
+# ``findall`` then steps over and the lexer reports, and at the end. The
+# prefix repeats only over comments, each with the blanks after it: most
+# tokens follow a blank or nothing, and a group repeated per blank run costs
+# more per token. Since group 1 matches at every position, the matches tile
+# the whole text but for the unexpected characters, and an unterminated
+# comment ends the scan, so no later '/*' searches for a '*/' again.
 _DOT_TOKEN = re.compile(
     r"""
     \s*(?:(?://[^\n]*|\#[^\n]*|/\*.*?\*/)\s*)*
-    ("[^"\\]*(?:\\.[^"\\]*)*"|->|--|[{}\[\]=;,]|[A-Za-z_][A-Za-z0-9_]*|-?\d+(?:\.\d+)?|/\*.*|.|\Z)
+    ("[^"\\]*(?:\\.[^"\\]*)*"|->|--|[{}\[\]=;,]|[A-Za-z_][A-Za-z0-9_]*|-?\d+(?:\.\d+)?|/\*.*|)
     """,
     re.VERBOSE | re.DOTALL,
 )
+# lexed after the text: a token that only an unterminated comment can take,
+# so that every other empty token before the end marks an unexpected character
+_DOT_END = "\n;"
 # tokens that are not a node id, an attribute name or a value
 _DOT_NOT_ID = frozenset(("{", "}", "[", "]", "=", ";", ",", "->", "--", ""))
-# the one-character tokens the grammar has besides a digit; any other is an
-# unexpected character
-_DOT_ONE_CHAR = frozenset("{}[]=;,_" + string.ascii_letters)
 
 _DOT_SHAPE_KINDS = {
     "box": NodeKind.PROCESS,
@@ -395,16 +395,15 @@ class _DotTokens:
 
     def __init__(self, text: str) -> None:
         self.text = text
-        values = _DOT_TOKEN.findall(text)
-        # an unterminated comment can only be the last token before the end
-        self.unterminated = len(values) > 1 and values[-2][:2] == "/*"
-        if self.unterminated:
-            del values[-2]
-        # a one-digit number may be any Unicode decimal digit, as ``\d`` reads it
-        self.unexpected = {v for v in set(values)
-                           if len(v) == 1 and not v.isdecimal()} - _DOT_ONE_CHAR
+        values = _DOT_TOKEN.findall(text + _DOT_END)
+        # the token before the end is the ';' of _DOT_END, or an unterminated
+        # comment that ran over it
+        self.unterminated = values[-2] != ";"
+        del values[-2]
+        self.unexpected = values.index("") != len(values) - 1
         if self.unexpected:
-            values = [v for v in values if v not in self.unexpected]
+            values = [v for v in values if v]
+            values.append("")
         self.values = values
 
     @cached_property
@@ -414,19 +413,21 @@ class _DotTokens:
         text = self.text
         line = 1
         pos = 0
-        for m in _DOT_TOKEN.finditer(text):
+        stepped = -1  # the unexpected character last reported
+        for m in _DOT_TOKEN.finditer(text + _DOT_END):
             start = m.start(1)
             line += text.count("\n", pos, start)
             pos = start
             value = m.group(1)
-            if value in self.unexpected:
-                diagnostics.append(ParseDiagnostic(
-                    line, f"unexpected character {value!r}", Severity.ERROR))
-            elif value[:2] == "/*":
+            if value[:2] == "/*":
                 diagnostics.append(ParseDiagnostic(
                     line, "unterminated comment", Severity.ERROR))
-            else:
+            elif value or start > len(text):
                 lines.append(line)
+            elif start != stepped:  # the empty prefix before it can match too
+                stepped = start
+                diagnostics.append(ParseDiagnostic(
+                    line, f"unexpected character {text[start]!r}", Severity.ERROR))
         return lines, diagnostics
 
     def line(self, index: int) -> int:
@@ -442,7 +443,8 @@ class _DotTokens:
 def _dot_unquote(value: str) -> str:
     """The text of a string token; a name token is its own text, so callers
     test ``value[0] == '"'`` first."""
-    return value[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+    text = value[1:-1]
+    return text.replace('\\"', '"').replace("\\\\", "\\") if "\\" in text else text
 
 
 def _dot_attrs(tokens: _DotTokens, i: int, last_line: int,
@@ -578,7 +580,7 @@ def parse_dot(text: str) -> ParseResult:
                     if not node_id.strip():  # its text is its blank id
                         builder.error(tokens.line(stmt),
                                       f"Process node {node_id!r} has empty label")
-            for src, dst in zip(endpoints, endpoints[1:]):
+            for src, dst in pairwise(endpoints):
                 if not builder.add_edge(src, dst, label):
                     builder.error(tokens.line(stmt), f"duplicate edge {src} -> {dst}")
     if not closed:
@@ -683,6 +685,15 @@ class _PlantUmlParser:
             self.unheaded = []
 
     def statement(self, line: int, stmt: str) -> None:
+        # each form opens with its own character, tested before its regex
+        head = stmt[0]
+        m = head == ":" and _PU_ACTION.match(stmt)
+        if m:
+            text = m.group(1).strip()
+            if not text:
+                self.builder.error(line, "action with empty text")
+            self.attach(self.builder.add_node(_PROCESS, text), line)
+            return
         if stmt == "start":
             self.attach(self.builder.add_node(_START, ""), line)
             return
@@ -690,18 +701,11 @@ class _PlantUmlParser:
             self.attach(self.builder.add_node(_END, ""), line)
             self.tips = []
             return
-        m = _PU_ACTION.match(stmt)
-        if m:
-            text = m.group(1).strip()
-            if not text:
-                self.builder.error(line, "action with empty text")
-            self.attach(self.builder.add_node(_PROCESS, text), line)
-            return
-        m = _PU_TITLE.match(stmt)
+        m = head == "t" and _PU_TITLE.match(stmt)
         if m:
             self.builder.title = m.group(1).strip()
             return
-        if_parts = _pu_if(stmt)
+        if_parts = head == "i" and _pu_if(stmt)
         if if_parts:
             cond = if_parts[0].strip()
             if not cond:
@@ -711,7 +715,7 @@ class _PlantUmlParser:
             self.frames.append(_PuFrame("if", line, decision=decision))
             self.tips = [(decision, _pu_label(if_parts[1], YES))]
             return
-        m = _PU_ELSE.match(stmt)
+        m = head == "e" and _PU_ELSE.match(stmt)
         if m:
             frame = self.frames[-1] if self.frames and self.frames[-1].kind == "if" else None
             if frame is None:
@@ -739,7 +743,7 @@ class _PlantUmlParser:
             self.frames.append(frame)
             self.unheaded.append(frame)
             return
-        loop_parts = _pu_repeat_while(stmt)
+        loop_parts = head == "r" and _pu_repeat_while(stmt)
         if loop_parts:
             frame = self.frames.pop() if self.frames and self.frames[-1].kind == "repeat" else None
             if frame is None:
@@ -755,7 +759,7 @@ class _PlantUmlParser:
             self.builder.add_edge(decision, head, _pu_label(back, YES))
             self.tips = [(decision, _pu_label(exit_label, NO))]
             return
-        m = _PU_ARROW_LABEL.match(stmt)
+        m = head == "-" and _PU_ARROW_LABEL.match(stmt)
         if m:
             # relabel the open flows now, so the label stays in its branch
             label = EdgeLabel.from_text(m.group(1))

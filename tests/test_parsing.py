@@ -735,7 +735,7 @@ def diagnostic_lines(text):
 _ALTERNATING_DOT_TOKEN = re.compile(
     r"""
     (?:\s+|//[^\n]*|\#[^\n]*|/\*.*?\*/)*
-    ("(?:\\.|[^"\\])*"|->|--|[{}\[\]=;,]|[A-Za-z_][A-Za-z0-9_]*|-?\d+(?:\.\d+)?|/\*.*|.|\Z)
+    ("(?:\\.|[^"\\])*"|->|--|[{}\[\]=;,]|[A-Za-z_][A-Za-z0-9_]*|-?\d+(?:\.\d+)?|/\*.*|)
     """,
     re.VERBOSE | re.DOTALL,
 )
