@@ -134,6 +134,7 @@ class _Builder:
         self._edges: list[Edge] = []
         self._edge_keys: set[tuple[str, str, str | None]] = set()
         self._starts: set[str] = set()  # ids whose kind is START
+        self._labels: dict[str, EdgeLabel] = {}  # by raw text
         self.title: str | None = None
         self.diagnostics: list[ParseDiagnostic] = []
 
@@ -171,6 +172,14 @@ class _Builder:
         if kind is _START or kind is _END:
             return kind
         return _END if self._starts else _START
+
+    def label(self, raw: str) -> EdgeLabel:
+        """``EdgeLabel.from_text(raw)``, made once per distinct raw text: a
+        chart repeats a handful of labels."""
+        label = self._labels.get(raw)
+        if label is None:
+            self._labels[raw] = label = EdgeLabel.from_text(raw)
+        return label
 
     def add_edge(self, src: str, dst: str, label: EdgeLabel = UNLABELED) -> bool:
         """Record an edge between declared nodes; returns False for a
@@ -286,18 +295,21 @@ def _strip_mermaid_comments(line: str) -> str:
     return line
 
 
-def _mermaid_node_ref(builder: _Builder, line: str, pos: int,
-                      lineno: int) -> tuple[str, int] | None:
-    """Consume one node reference (id plus optional shape) at ``pos``."""
-    m = _MERMAID_NODE.match(line, pos)
-    if not m:
-        return None
-    node_id = m.group(1)
-    group = m.lastindex
-    if group == 1:
+# An arrow and the node reference after it, in one match: the arrow's
+# groups, then the reference's, two higher than in _MERMAID_NODE
+_MERMAID_STEP = re.compile(_MERMAID_ARROW.pattern + _MERMAID_NODE.pattern)
+
+
+def _mermaid_node_ref(builder: _Builder, m: re.Match[str], base: int, lineno: int) -> str:
+    """Declare the node of a reference (id plus optional shape) that ``m``
+    matched with ``_MERMAID_NODE``'s groups from ``base`` on; its id."""
+    node_id = m.group(base)
+    last = m.lastindex
+    if last == base:
         builder.ensure(node_id)
-        return node_id, m.end()
-    raw = m.group(group)
+        return node_id
+    group = last - base + 1
+    raw = m.group(last)
     # a quoted shape's group, an even one, holds the text inside its quotes
     text = _mermaid_unquote(raw.strip()) if group % 2 == 0 else _strip_quotes(raw)
     kind = _MERMAID_KIND_OF_GROUP[group]
@@ -306,7 +318,7 @@ def _mermaid_node_ref(builder: _Builder, line: str, pos: int,
     elif not text:
         builder.error(lineno, f"{kind.value} node {node_id!r} has empty text")
     builder.define(node_id, kind, text)
-    return node_id, m.end()
+    return node_id
 
 
 def parse_mermaid(text: str) -> ParseResult:
@@ -327,24 +339,22 @@ def parse_mermaid(text: str) -> ParseResult:
                 continue
             builder.error(lineno, "expected 'flowchart <dir>' header")
             header_seen = True  # recover: treat remaining lines as body
-        ref = _mermaid_node_ref(builder, line, 0, lineno)
-        if ref is None:
+        m = _MERMAID_NODE.match(line)
+        if m is None:
             builder.error(lineno, f"cannot parse statement: {line!r}")
             continue
-        node_id, pos = ref
+        node_id, pos = _mermaid_node_ref(builder, m, 1, lineno), m.end()
         while pos < len(line):
-            am = _MERMAID_ARROW.match(line, pos)
-            if not am:
-                builder.error(
-                    lineno, f"unbalanced bracket or unexpected text: {line[pos:].lstrip()!r}")
+            m = _MERMAID_STEP.match(line, pos)
+            if m is None:
+                builder.error(lineno, "arrow without a target node"
+                              if _MERMAID_ARROW.match(line, pos) else
+                              f"unbalanced bracket or unexpected text: {line[pos:].lstrip()!r}")
                 break
-            group = am.lastindex
-            label = EdgeLabel.from_text(am.group(group)) if group else UNLABELED
-            ref = _mermaid_node_ref(builder, line, am.end(), lineno)
-            if ref is None:
-                builder.error(lineno, "arrow without a target node")
-                break
-            target_id, pos = ref
+            piped, inline = m.group(1, 2)
+            raw = inline if piped is None else piped
+            label = UNLABELED if raw is None else builder.label(raw)
+            target_id, pos = _mermaid_node_ref(builder, m, 3, lineno), m.end()
             if not builder.add_edge(node_id, target_id, label):
                 builder.error(lineno, f"duplicate edge {node_id} --> {target_id}")
             node_id = target_id
@@ -571,7 +581,7 @@ def parse_dot(text: str) -> ParseResult:
             if t[i] == "[":
                 attrs, i = _dot_attrs(tokens, i, last_line, builder)
                 if "label" in attrs:
-                    label = EdgeLabel.from_text(attrs["label"])
+                    label = builder.label(attrs["label"])
             if t[i] == ";":
                 i += 1
             for node_id in endpoints:
@@ -641,16 +651,6 @@ def _pu_repeat_while(stmt: str) -> tuple[str, str | None, str | None] | None:
     return stmt[head.end():opens_back.start()], stmt[opens_back.end():end], exit_text
 
 
-def _pu_label(raw: str | None, default: EdgeLabel) -> EdgeLabel:
-    """then/else/is/not parenthesized labels; absent parens take the default,
-    empty parens mean explicitly unlabeled."""
-    if raw is None:
-        return default
-    if not raw.strip():
-        return UNLABELED
-    return EdgeLabel.from_text(raw)
-
-
 @dataclass
 class _PuFrame:
     kind: str  # "if" | "repeat"
@@ -684,6 +684,11 @@ class _PlantUmlParser:
                 frame.head = node_id
             self.unheaded = []
 
+    def label(self, raw: str | None, default: EdgeLabel) -> EdgeLabel:
+        """then/else/is/not parenthesized labels; absent parens take the
+        default, empty parens mean explicitly unlabeled."""
+        return default if raw is None else self.builder.label(raw)
+
     def statement(self, line: int, stmt: str) -> None:
         # each form opens with its own character, tested before its regex
         head = stmt[0]
@@ -713,7 +718,7 @@ class _PlantUmlParser:
             decision = self.builder.add_node(_DECISION, cond)
             self.attach(decision, line)
             self.frames.append(_PuFrame("if", line, decision=decision))
-            self.tips = [(decision, _pu_label(if_parts[1], YES))]
+            self.tips = [(decision, self.label(if_parts[1], YES))]
             return
         m = head == "e" and _PU_ELSE.match(stmt)
         if m:
@@ -726,7 +731,7 @@ class _PlantUmlParser:
                 return
             frame.saw_else = True
             frame.done_tips.extend(self.tips)
-            self.tips = [(frame.decision, _pu_label(m.group("label"), NO))]
+            self.tips = [(frame.decision, self.label(m.group("label"), NO))]
             return
         if stmt == "endif":
             frame = self.frames.pop() if self.frames and self.frames[-1].kind == "if" else None
@@ -756,13 +761,13 @@ class _PlantUmlParser:
             decision = self.builder.add_node(_DECISION, cond)
             self.attach(decision, line)
             head = frame.head or decision
-            self.builder.add_edge(decision, head, _pu_label(back, YES))
-            self.tips = [(decision, _pu_label(exit_label, NO))]
+            self.builder.add_edge(decision, head, self.label(back, YES))
+            self.tips = [(decision, self.label(exit_label, NO))]
             return
         m = head == "-" and _PU_ARROW_LABEL.match(stmt)
         if m:
             # relabel the open flows now, so the label stays in its branch
-            label = EdgeLabel.from_text(m.group(1))
+            label = self.builder.label(m.group(1))
             self.tips = [(tip_id, label) for tip_id, _ in self.tips]
             return
         self.builder.error(line, f"statement outside the supported subset: {stmt!r}")
@@ -780,13 +785,15 @@ def parse_plantuml(text: str) -> ParseResult:
     saw_start_marker = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("'"):
+        if not line or line[0] == "'":
             continue
-        if line.casefold() == "@startuml":
+        # only a line that opens with '@' casefolds to a marker
+        marker = line[0] == "@" and line.casefold()
+        if marker == "@startuml":
             in_body = True
             saw_start_marker = True
             continue
-        if line.casefold() == "@enduml":
+        if marker == "@enduml":
             in_body = False
             continue
         if not in_body:

@@ -149,9 +149,12 @@ def heuristic_recognize(src: Node, dst: Node,
     if ("e.g." in dst_low or "such as" in dst_low or "for example" in dst_low
             or "for instance" in dst_low):
         return _INSTANCE_CUE
-    if _REVERSED_PLURAL_HEADING.fullmatch(src.text[::-1]) and _LIST_SHAPE.search(dst.text):
-        return _INSTANCE_LIST
     src_low = src.text.lower()
+    # a heading's last word ends in an ``s`` or ``S``, which lowers to "s"
+    # only: most texts skip rule 3's match
+    if ("s" in src_low and _REVERSED_PLURAL_HEADING.fullmatch(src.text[::-1])
+            and _LIST_SHAPE.search(dst.text)):
+        return _INSTANCE_LIST
     if "causes" in src_low or "results in" in src_low or "leads to" in src_low:
         return _CAUSAL_CUE
     # an acquire word in ASCII text holds one of these stems once lowered;
