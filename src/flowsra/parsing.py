@@ -547,22 +547,22 @@ def parse_dot(text: str) -> ParseResult:
                 i += 1
             continue
         if after != "->" and after != "--":  # a node statement
-            attrs: dict[str, str] = {}
-            if after == "[":
-                attrs, i = _dot_attrs(tokens, i, last_line, builder)
+            attrs, i = _dot_attrs(tokens, i, last_line, builder)
             if t[i] == ";":
                 i += 1
             shape = attrs.get("shape", "").casefold()
-            text = attrs.get("label", texts.get(first_id, first_id))
-            if shape in _DOT_TERMINAL_SHAPES:
-                kind = _terminal_kind(text, builder, first_id)
-            elif shape in _DOT_SHAPE_KINDS:
-                kind = _DOT_SHAPE_KINDS[shape]
-            elif shape:
-                builder.warn(tokens.line(stmt), f"unsupported shape {shape!r} treated as box")
-                kind = _PROCESS
-            else:
-                kind = kinds.get(first_id, _PROCESS)
+            text = attrs.get("label")
+            if text is None:
+                text = texts.get(first_id, first_id)
+            kind = _DOT_SHAPE_KINDS.get(shape)
+            if kind is None:
+                if shape in _DOT_TERMINAL_SHAPES:
+                    kind = _terminal_kind(text, builder, first_id)
+                elif shape:
+                    builder.warn(tokens.line(stmt), f"unsupported shape {shape!r} treated as box")
+                    kind = _PROCESS
+                else:
+                    kind = kinds.get(first_id, _PROCESS)
             if not text.strip() and not kind.is_terminal:
                 builder.error(tokens.line(stmt), f"{kind.value} node {first_id!r} has empty label")
             builder.define(first_id, kind, text)
