@@ -691,8 +691,8 @@ class _PlantUmlParser:
 
     def statement(self, line: int, stmt: str) -> None:
         # each form opens with its own character, tested before its regex
-        head = stmt[0]
-        m = head == ":" and _PU_ACTION.match(stmt)
+        first = stmt[0]
+        m = first == ":" and _PU_ACTION.match(stmt)
         if m:
             text = m.group(1).strip()
             if not text:
@@ -706,11 +706,11 @@ class _PlantUmlParser:
             self.attach(self.builder.add_node(_END, ""), line)
             self.tips = []
             return
-        m = head == "t" and _PU_TITLE.match(stmt)
+        m = first == "t" and _PU_TITLE.match(stmt)
         if m:
             self.builder.title = m.group(1).strip()
             return
-        if_parts = head == "i" and _pu_if(stmt)
+        if_parts = first == "i" and _pu_if(stmt)
         if if_parts:
             cond = if_parts[0].strip()
             if not cond:
@@ -720,7 +720,7 @@ class _PlantUmlParser:
             self.frames.append(_PuFrame("if", line, decision=decision))
             self.tips = [(decision, self.label(if_parts[1], YES))]
             return
-        m = head == "e" and _PU_ELSE.match(stmt)
+        m = first == "e" and _PU_ELSE.match(stmt)
         if m:
             frame = self.frames[-1] if self.frames and self.frames[-1].kind == "if" else None
             if frame is None:
@@ -748,7 +748,7 @@ class _PlantUmlParser:
             self.frames.append(frame)
             self.unheaded.append(frame)
             return
-        loop_parts = head == "r" and _pu_repeat_while(stmt)
+        loop_parts = first == "r" and _pu_repeat_while(stmt)
         if loop_parts:
             frame = self.frames.pop() if self.frames and self.frames[-1].kind == "repeat" else None
             if frame is None:
@@ -764,7 +764,7 @@ class _PlantUmlParser:
             self.builder.add_edge(decision, head, self.label(back, YES))
             self.tips = [(decision, self.label(exit_label, NO))]
             return
-        m = head == "-" and _PU_ARROW_LABEL.match(stmt)
+        m = first == "-" and _PU_ARROW_LABEL.match(stmt)
         if m:
             # relabel the open flows now, so the label stays in its branch
             label = self.builder.label(m.group(1))
