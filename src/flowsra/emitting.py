@@ -513,9 +513,11 @@ class _PlantUmlEmitter:
             back_label = None if back[1] == "Yes" else label_texts[back[1]]
             parts = (cond, back_label, None if exit_text == "No" else label_texts[exit_text])
             clause = _repeat_while(*parts)
-            # each marker opens at a ``)``, so only a condition or a back
-            # label that holds one can move a part
-            if (")" in cond or ")" in (back_label or "")) and _pu_repeat_while(clause) != parts:
+            # each marker opens at a ``)`` that blanks follow, and the clause
+            # writes a ``)`` after each of these parts, so only a part that
+            # holds one before its closing run of ``)`` can move a part
+            if ((")" in cond.rstrip(")") or ")" in (back_label or "").rstrip(")"))
+                    and _pu_repeat_while(clause) != parts):
                 # upgraded emission drops the back label (it may hold ``) not (``)
                 parts = (cond, "", parts[2])
                 if not self.upgraded or _pu_repeat_while(_repeat_while(*parts)) != parts:
