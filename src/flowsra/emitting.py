@@ -120,9 +120,9 @@ def _edge_labels(graph: FlowGraph, upgraded: list[str] | None) -> list[str | Non
 
 
 def _line_per_id(id_pattern: str) -> Callable[[dict[str, str]], bool]:
-    """A test of whether every key of a dict matches ``id_pattern`` whole:
-    one match over the keys joined by line breaks, which a key that holds
-    one (so matches no id pattern here) adds to."""
+    """A test of whether every key of a dict matches ``id_pattern`` whole,
+    by one match over the keys joined by line breaks; a key that holds one
+    (so matches no id pattern here) shows in their count."""
     joined = re.compile(f"{id_pattern}(?:\n{id_pattern})*")
 
     def test(ids: dict[str, str]) -> bool:

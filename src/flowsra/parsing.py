@@ -7,9 +7,10 @@ produces diagnostics, never undefined behavior.
 
 Each parser makes one pass over its input. Mermaid and PlantUML go line by
 line; a Mermaid node reference, shape included, is one ``match``, and so is
-an arrow. DOT lexes the whole text with one ``findall`` and parses the token
-list by index. A DOT diagnostic's line is computed on demand: token offsets
-are found by a second scan, made only when some diagnostic needs a line.
+an arrow with the reference after it. DOT lexes the whole text with one
+``findall`` and parses the token list by index. A DOT diagnostic's line is
+computed on demand: token offsets are found by a second scan, made only
+when some diagnostic needs a line.
 """
 
 from __future__ import annotations
