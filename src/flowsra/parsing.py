@@ -399,7 +399,7 @@ _DOT_TERMINAL_SHAPES = {"oval", "ellipse", "circle"}
 
 class _DotTokens:
     """The tokens of one DOT text, without whitespace, comments and unexpected
-    characters, ending in at least one empty end token.
+    characters, ending in one empty end token.
 
     Lines are found by a second scan, made only when a diagnostic asks for one.
     """
@@ -435,7 +435,7 @@ class _DotTokens:
                     line, "unterminated comment", Severity.ERROR))
             elif value or start > len(text):
                 lines.append(line)
-            elif start != stepped:  # the empty prefix before it can match too
+            elif start != stepped:  # after a prefix, the character matches empty too
                 stepped = start
                 diagnostics.append(ParseDiagnostic(
                     line, f"unexpected character {text[start]!r}", Severity.ERROR))
