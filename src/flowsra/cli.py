@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import sys
@@ -146,9 +147,10 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> InputError:
 def _read_input(path: str) -> str:
     """The chart at ``path`` ('-': stdin), without a leading byte-order mark."""
     try:
-        # sys.stdin decodes by the locale, which may be neither UTF-8 nor strict
-        text = (sys.stdin.buffer.read().decode("utf-8") if path == "-"
-                else Path(path).read_text(encoding="utf-8"))
+        # stdin's bytes are read as a file is: strict UTF-8 whatever the
+        # locale, each "\r\n" and lone "\r" read as "\n"
+        text = (io.TextIOWrapper(io.BytesIO(sys.stdin.buffer.read()), encoding="utf-8").read()
+                if path == "-" else Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
     return text.removeprefix("\ufeff")

@@ -653,6 +653,30 @@ class TestByteOrderMark:
             assert (code, out, err) == (0, '{"class": "Complicated"}\n', "")
 
 
+# one chart per dialect, with the line breaks of another platform: a DOT
+# comment ends, and a line is counted, at "\n" only
+_FOREIGN_NEWLINES = {
+    "dot-lone-cr": b"digraph G {\r// note\rA -> B;\r}\r",
+    "dot-lead-comment": b"// lead\rdigraph G {\rA -> B; # tail\r}\r",
+    "dot-crlf": b"// lead\r\ndigraph G {\r\nA -> B; // tail\r\n}\r\n",
+    "mermaid-lone-cr": b"flowchart TD\r%% note\rA[a] --> B[b]\r",
+    "plantuml-lone-cr": b"@startuml\r' note\rstart\r:a;\rstop\r@enduml\r",
+    "plantuml-crlf": b"@startuml\r\nstart\r\n:a;\r\nstop\r\n@enduml\r\n",
+}
+
+
+@pytest.mark.parametrize("data", list(_FOREIGN_NEWLINES.values()), ids=list(_FOREIGN_NEWLINES))
+def test_stdin_reads_newlines_as_a_file_does(capsys, monkeypatch, tmp_path, data):
+    """"\r\n" and a lone "\r" are read as "\n" from a chart file, and so
+    from stdin: the same bytes give the same output and exit code."""
+    path = tmp_path / "chart"
+    path.write_bytes(data)
+    expected = run_cli(capsys, "convert", str(path), "--to", "mermaid")
+    set_stdin(monkeypatch, data)
+    assert run_cli(capsys, "convert", "-", "--to", "mermaid") == expected
+    assert expected[0] == 0
+
+
 def test_readme_configuration_lists_every_config_field_and_its_variable():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("### Configuration"):readme.index("### Caching")]
