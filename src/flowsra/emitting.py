@@ -17,6 +17,7 @@ from operator import attrgetter
 from typing import Callable, Generator
 
 from .ir import (
+    RELATION_DEFINITIONS_BLOCK,
     Edge,
     EdgeLabel,
     FlowGraph,
@@ -26,7 +27,6 @@ from .ir import (
     UpgradedGraph,
     _Memoized,
     derived,
-    relation_definitions_block,
     require_valid,
 )
 from .parsing import MERMAID_ID, Dialect, _pu_if, _pu_repeat_while
@@ -78,7 +78,7 @@ def _clean_texts(graph: FlowGraph) -> dict[str, str]:
 def _taxonomy_comment(marker: str) -> tuple[str, ...]:
     """The relation taxonomy as comment lines that start with ``marker``,
     built once per marker."""
-    lines = ("Relation taxonomy:", *relation_definitions_block().splitlines())
+    lines = ("Relation taxonomy:", *RELATION_DEFINITIONS_BLOCK.splitlines())
     return tuple(f"{marker} {line}" for line in lines)
 
 
@@ -609,11 +609,11 @@ def emit_upgraded(ug: UpgradedGraph, dialect: Dialect) -> InterlanguageDoc:
         # relation_edge_label reads, and a chart holds a handful of them
         built: dict[tuple[RelationType, str | None], str] = {}
         labels = []
-        for edge, triple in zip(ug.base.edges, ug.triples):
-            key = triple.relation, edge.label.text
+        for edge, (relation, _) in zip(ug.base.edges, ug.relations):
+            key = relation, edge.label.text
             label = built.get(key)
             if label is None:
-                built[key] = label = relation_edge_label(triple.relation, edge.label)
+                built[key] = label = relation_edge_label(relation, edge.label)
             labels.append(label)
         return InterlanguageDoc(dialect, _EMITTERS[dialect](ug.base, labels))
 
@@ -625,8 +625,8 @@ def emit_triples(ug: UpgradedGraph) -> str:
     per upgraded graph."""
     def compute() -> str:
         texts = _clean_texts(ug.base)
-        lines = [f"({texts[t.src]}) -[{t.relation._value_}]-> ({texts[t.dst]})"
-                 for t in ug.triples]
+        lines = [f"({texts[edge.src]}) -[{relation._value_}]-> ({texts[edge.dst]})"
+                 for edge, (relation, _) in zip(ug.base.edges, ug.relations)]
         return "\n".join(lines) + ("\n" if lines else "")
 
     return derived(ug, "emit_triples", compute)

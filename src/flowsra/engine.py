@@ -22,7 +22,7 @@ from typing import Callable
 from .emitting import InterlanguageDoc, emit, emit_triples, emit_upgraded
 from .gateway import (ChatGateway, ChatRequest, PromptKind, prompt_fingerprint, prompt_head,
                       prompt_request)
-from .ir import (FlowGraph, IdentityEnum, UpgradedGraph, derived, relation_definitions_block,
+from .ir import (RELATION_DEFINITIONS_BLOCK, FlowGraph, IdentityEnum, UpgradedGraph, derived,
                  require_valid)
 from .parsing import Dialect
 from .relations import RelationBackend, upgrade_graph
@@ -64,7 +64,7 @@ def answer_deep(ug: UpgradedGraph, question: Question, gateway: ChatGateway, *,
     head = derived(ug, ("deep_head", dialect), lambda: prompt_head(
         PromptKind.DEEP, upgraded=emit_upgraded(ug, dialect).text.rstrip("\n"),
         triples=emit_triples(ug).rstrip("\n") or "(none)",
-        definitions=relation_definitions_block()))
+        definitions=RELATION_DEFINITIONS_BLOCK))
     return _answer(gateway, prompt_request(model, PromptKind.DEEP, head, question=question.text),
                    Route.DEEP, ug.fallback_count())
 

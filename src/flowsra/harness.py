@@ -270,7 +270,9 @@ class EvalReport:
     list of its fields: it is the JSON, and the CSV and markdown read it.
     A CSV row is a scalar, named by its key, or a nested entry, named
     ``<group>_<key>`` with ``/`` as ``_``. A figure with nothing to count
-    is None: ``null`` in JSON, an empty CSV cell, ``-`` in markdown."""
+    is None: ``null`` in JSON, an empty CSV cell, ``-`` in markdown.
+    ``fallback_rate`` is fallback relations over relations, summed over deep
+    questions: a chart's upgrade counts once per deep question that used it."""
 
     overall_acc: float | None  # None when no instance was scored
     per_type_acc: dict[QuestionType, float | None]
@@ -415,14 +417,14 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
     logs: list[InstanceLog] = []
     route_counts: Counter[tuple[QuestionType, Route]] = Counter()
     confusion: Counter[tuple[QuestionType, QuestionClass]] = Counter()
-    total_triples = 0
+    total_relations = 0
     total_fallbacks = 0
     for log, question_class, ug in map_in_order(answer, jobs(), gateway):
         logs.append(log)
         if question_class is not None:
             confusion[(log.gold_type, question_class)] += 1
         if ug is not None:
-            total_triples += len(ug.triples)
+            total_relations += len(ug.relations)
             total_fallbacks += ug.fallback_count()
         if log.route is not None:
             route_counts[(log.gold_type, log.route)] += 1
@@ -440,7 +442,7 @@ def run_eval(instances: Iterable[EvalInstance], config: EvalConfig,
         per_type_acc=per_type,
         route_counts=route_counts,
         discriminator_confusion=confusion,
-        fallback_rate=(total_fallbacks / total_triples) if total_triples else 0.0,
+        fallback_rate=(total_fallbacks / total_relations) if total_relations else 0.0,
         skipped_count=len(logs) - len(scored),
         failed_count=sum(1 for log in scored if log.error is not None),
         judge_failures=sum(1 for log in logs if log.judge_failed),

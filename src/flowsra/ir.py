@@ -1,12 +1,12 @@
 """Canonical in-memory flowchart representation.
 
 A :class:`FlowGraph` holds typed nodes and labeled directed edges; an
-:class:`UpgradedGraph` pairs a graph with one semantic-relation triple per
+:class:`UpgradedGraph` pairs a graph with one (relation, rationale) per
 edge. All values are immutable after construction, so graphs can be shared
 freely across threads. A graph's structural problems are reported by
 :func:`validate` as data, which lets parsers build partial graphs and still
 describe what is wrong with them; an upgraded graph checks its base and its
-triples when built.
+count of relations when built.
 
 Because a graph never changes, whatever is derived from it is derived once
 per graph object and kept on that object (see :func:`derived`): the
@@ -240,18 +240,13 @@ _RELATION_DEFINITIONS: dict[RelationType, str] = {
 }
 
 
-_DEFINITIONS_BLOCK = "\n".join(f"{r.value}: {r.definition}" for r in RelationType)
-
-
-def relation_definitions_block() -> str:
-    """All four definitions, one per line, in fixed taxonomy order."""
-    return _DEFINITIONS_BLOCK
+# all four definitions, one per line, in fixed taxonomy order
+RELATION_DEFINITIONS_BLOCK = "\n".join(f"{r.value}: {r.definition}" for r in RelationType)
 
 
 FALLBACK_MARK = "fallback:"
 
 
-@_slot_init
 @dataclass(frozen=True, slots=True)
 class RelationTriple:
     """(source node, relation, target node) for one edge of the base graph.
@@ -265,38 +260,35 @@ class RelationTriple:
     dst: str
     rationale: str | None = None
 
-    @property
-    def is_fallback(self) -> bool:
-        return bool(self.rationale) and self.rationale.startswith(FALLBACK_MARK)
-
 
 @dataclass(frozen=True)
 class UpgradedGraph(_Memoized):
-    """A valid FlowGraph plus exactly one relation triple per edge, in edge
-    order: construction raises GraphValidationError unless the base
-    validates, and ValueError unless triple ``i`` joins the endpoints of
-    edge ``i``, for every edge and no more."""
+    """A valid FlowGraph plus the relation backend's answer for it: one
+    (relation, rationale) per edge, in edge order. Construction raises
+    GraphValidationError unless the base validates, and ValueError unless
+    there is exactly one relation per edge."""
 
     base: FlowGraph
-    triples: tuple[RelationTriple, ...] = ()
+    relations: tuple[tuple[RelationType, str | None], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "triples", tuple(self.triples))
+        object.__setattr__(self, "relations", tuple(self.relations))
         require_valid(self.base)
-        edges = self.base.edges
-        if len(self.triples) != len(edges):
-            raise ValueError(
-                f"upgraded graph has {len(self.triples)} triples for {len(edges)} edges")
-        for edge, triple in zip(edges, self.triples):
-            if triple.src != edge.src or triple.dst != edge.dst:
-                raise ValueError(
-                    f"triple {triple.src}->{triple.dst} does not match edge "
-                    f"{edge.src}->{edge.dst}")
+        if len(self.relations) != len(self.base.edges):
+            raise ValueError(f"upgraded graph has {len(self.relations)} relations "
+                             f"for {len(self.base.edges)} edges")
+
+    @property
+    def triples(self) -> tuple[RelationTriple, ...]:
+        """The same data as one triple per edge, built once per upgrade."""
+        return derived(self, "triples", lambda: tuple(
+            RelationTriple(edge.src, relation, edge.dst, rationale)
+            for edge, (relation, rationale) in zip(self.base.edges, self.relations)))
 
     def fallback_count(self) -> int:
-        """How many triples the fallback produced, counted once per graph."""
-        return derived(self, "fallback_count",
-                       lambda: sum(1 for t in self.triples if t.is_fallback))
+        """How many relations the fallback produced, counted once per graph."""
+        return derived(self, "fallback_count", lambda: sum(
+            1 for _, why in self.relations if why and why.startswith(FALLBACK_MARK)))
 
 
 @dataclass(frozen=True)

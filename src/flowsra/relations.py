@@ -5,7 +5,8 @@ per chart that returns one tag per edge: an LLM backend that analyzes each
 node pair before committing to a tag, and a deterministic heuristic for
 offline runs and tests. Each backend runs its own edges. Out-of-taxonomy
 answers never escape: the LLM backend retries once and then falls back to
-the heuristic, marking the triple's rationale with a ``fallback:`` prefix.
+the heuristic, marking the rationale with a ``fallback:`` prefix. The
+backend's list is the upgrade, kept as ``UpgradedGraph.relations``.
 
 A backend gets the chart and the upgrade's dialect. The LLM backend embeds
 the chart rendered in that dialect (see :func:`emit`, memoized per graph) in
@@ -24,16 +25,15 @@ from .gateway import ChatGateway, ChatRequest, PromptKind, SetupError, ask_twice
 from .gateway import last_tagged_line, map_in_order, prompt_head, prompt_request
 from .ir import (
     FALLBACK_MARK,
+    RELATION_DEFINITIONS_BLOCK,
     Edge,
     EdgeLabel,
     FlowGraph,
     Node,
     NodeKind,
-    RelationTriple,
     RelationType,
     UpgradedGraph,
     derived,
-    relation_definitions_block,
     require_valid,
 )
 from .parsing import Dialect
@@ -77,7 +77,7 @@ def relation_request(model: str, src: Node, dst: Node, label: EdgeLabel,
     and the full chart (the head, once per chart text), then the node pair
     and the output format."""
     head = derived(context, "relation_head", lambda: prompt_head(
-        PromptKind.RELATION, definitions=relation_definitions_block(),
+        PromptKind.RELATION, definitions=RELATION_DEFINITIONS_BLOCK,
         context=context.text.rstrip("\n")))
     return prompt_request(model, PromptKind.RELATION, head, src_text=src.text,
                           dst_text=dst.text, label_clause=_label_clause(label), tags=_TAGS)
@@ -224,15 +224,12 @@ def upgrade_graph(graph: FlowGraph, backend: RelationBackend, *,
 
     One backend call gets the validated chart and ``dialect``; a backend
     that shows the chart renders it in that dialect, once per graph (see
-    :func:`emit`), and the heuristic never does. Triple ``i`` is built from
-    the backend's result ``i``, so no edge is hashed; whatever the backend
-    raises ends the upgrade.
+    :func:`emit`), and the heuristic never does. The backend's list, one
+    (relation, rationale) per edge in edge order, is the upgrade's
+    ``relations`` as it stands; whatever the backend raises ends the upgrade.
     """
     require_valid(graph)
-    results = backend.recognize(graph, dialect)
-    return UpgradedGraph(base=graph, triples=tuple(
-        RelationTriple(edge.src, relation, edge.dst, rationale)
-        for edge, (relation, rationale) in zip(graph.edges, results)))
+    return UpgradedGraph(graph, backend.recognize(graph, dialect))
 
 
 def make_relation_backend(kind: str, gateway: ChatGateway | None = None,

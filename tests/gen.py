@@ -22,7 +22,7 @@ from networkx.algorithms import isomorphism as nxiso
 from flowsra.engine import Question
 from flowsra.gateway import ChatGateway, MockRule, MockTransport
 from flowsra.ir import (NO, UNLABELED, YES, Edge, EdgeLabel, FlowGraph, Node, NodeKind,
-                        RelationTriple, RelationType, UpgradedGraph, topology_stats, validate)
+                        RelationType, UpgradedGraph, topology_stats, validate)
 from flowsra.parsing import Dialect, parse_plantuml
 
 
@@ -418,12 +418,11 @@ def deep_repeat_text(depth: int) -> str:
 
 def upgrade_by_edge(graph: FlowGraph, relations: dict[Edge, RelationType],
                     rationales: dict[Edge, str] | None = None) -> UpgradedGraph:
-    """The upgrade tagging each edge ``relations[edge]``: one triple per edge,
-    in edge order, with ``rationales.get(edge)`` as its rationale."""
+    """The upgrade tagging each edge ``relations[edge]``: one (relation,
+    rationale) per edge, in edge order, with ``rationales.get(edge)`` as its
+    rationale."""
     rationales = rationales or {}
-    return UpgradedGraph(graph, tuple(
-        RelationTriple(e.src, relations[e], e.dst, rationales.get(e))
-        for e in graph.edges))
+    return UpgradedGraph(graph, tuple((relations[e], rationales.get(e)) for e in graph.edges))
 
 
 # --- topology oracle ---------------------------------------------------------

@@ -15,13 +15,13 @@ from flowsra.engine import (
 from flowsra.gateway import ChatGateway
 from flowsra.ir import (
     NO,
+    RELATION_DEFINITIONS_BLOCK,
     YES,
     Edge,
     FlowGraph,
     Node,
     NodeKind,
     RelationType,
-    relation_definitions_block,
 )
 from flowsra.parsing import Dialect
 from flowsra.relations import HeuristicRelationBackend, upgrade_graph
@@ -141,7 +141,7 @@ class TestAnswerDeep:
         gateway, transport = catchall_gateway()
         answer_deep(ug, Question("q?"), gateway, model="m")
         prompt = transport.calls[0].rendered()
-        assert relation_definitions_block() in prompt
+        assert RELATION_DEFINITIONS_BLOCK in prompt
         assert "fully take in every triple" in prompt
 
 

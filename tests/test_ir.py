@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from flowsra.ir import (
     NO,
+    RELATION_DEFINITIONS_BLOCK,
     UNLABELED,
     YES,
     Edge,
@@ -25,13 +26,13 @@ from flowsra.ir import (
     UpgradedGraph,
     Violation,
     _slot_init,
-    relation_definitions_block,
     topology_stats,
     validate,
 )
 
 from flowsra.emitting import emit
 from flowsra.parsing import Dialect
+from flowsra.relations import upgrade_graph
 
 from gen import lookup_outcome, rand_flow_graph, upgrade_by_edge
 
@@ -216,23 +217,37 @@ class TestUpgrade:
             ("B", RelationType.CAUSALITY, "C"),
         ]
 
-    def test_upgraded_graph_refuses_triples_that_do_not_match_its_edges(self):
-        graph = FlowGraph(
-            nodes=(n("A"), n("B"), n("C")),
-            edges=(Edge("A", "B"), Edge("B", "C")),
-        )
-        ab = RelationTriple("A", RelationType.SEQUENTIALITY, "B")
-        bc = RelationTriple("B", RelationType.CAUSALITY, "C")
-        assert UpgradedGraph(graph, [ab, bc]).triples == (ab, bc)
-        with pytest.raises(ValueError, match="^upgraded graph has 1 triples for 2 edges$"):
-            UpgradedGraph(graph, (ab,))
-        with pytest.raises(ValueError, match="^triple C->B does not match edge B->C$"):
-            UpgradedGraph(graph, (ab, RelationTriple("C", RelationType.CAUSALITY, "B")))
+    AB_BC = FlowGraph(
+        nodes=(n("A"), n("B"), n("C")),
+        edges=(Edge("A", "B"), Edge("B", "C")),
+    )
+    SEQUENCE = (RelationType.SEQUENTIALITY, None)
+    CAUSE = (RelationType.CAUSALITY, "why")
+
+    def test_upgraded_graph_refuses_a_relation_count_other_than_the_edge_count(self):
+        class OneTooMany:
+            def recognize(self, graph, dialect):
+                return [TestUpgrade.CAUSE] * (len(graph.edges) + 1)
+
+        assert UpgradedGraph(self.AB_BC, [self.SEQUENCE, self.CAUSE]).relations == (
+            self.SEQUENCE, self.CAUSE)
+        with pytest.raises(ValueError, match="^upgraded graph has 1 relations for 2 edges$"):
+            UpgradedGraph(self.AB_BC, (self.SEQUENCE,))
+        # a backend's extra result is refused, not dropped
+        with pytest.raises(ValueError, match="^upgraded graph has 3 relations for 2 edges$"):
+            upgrade_graph(self.AB_BC, OneTooMany())
+
+    def test_triples_are_the_relations_joined_to_their_edges_once(self):
+        upgraded = UpgradedGraph(self.AB_BC, (self.SEQUENCE, self.CAUSE))
+        assert upgraded.triples == (
+            RelationTriple("A", RelationType.SEQUENTIALITY, "B"),
+            RelationTriple("B", RelationType.CAUSALITY, "C", "why"))
+        assert upgraded.triples is upgraded.triples
 
     def test_upgraded_graph_refuses_an_invalid_base(self):
         graph = FlowGraph(nodes=(n("A"),), edges=(Edge("A", "B"),))
         with pytest.raises(GraphValidationError, match="dangling-edge"):
-            UpgradedGraph(graph, (RelationTriple("A", RelationType.SEQUENTIALITY, "B"),))
+            UpgradedGraph(graph, (self.SEQUENCE,))
 
     @given(flow_graphs())
     def test_bijection_and_base_untouched(self, graph):
@@ -247,8 +262,6 @@ class TestUpgrade:
 _VALUES = {
     Node: ((("id", "a"), ("kind", NodeKind.DECISION), ("text", "Ready?")), "b"),
     Edge: ((("src", "a"), ("dst", "b"), ("label", EdgeLabel("retry"))), "c"),
-    RelationTriple: ((("src", "a"), ("relation", RelationType.CAUSALITY), ("dst", "b"),
-                      ("rationale", "why")), "c"),
 }
 
 
@@ -263,8 +276,8 @@ def reference(cls, values):
 
 @pytest.mark.parametrize("cls", list(_VALUES), ids=lambda cls: cls.__name__)
 class TestValueConstructors:
-    """``Node``, ``Edge`` and ``RelationTriple`` construct through slot
-    descriptors; they must behave as the dataclasses they are."""
+    """``Node`` and ``Edge`` construct through slot descriptors; they must
+    behave as the dataclasses they are."""
 
     def test_parameters_are_the_fields(self, cls):
         params = inspect.signature(cls).parameters.values()
@@ -330,7 +343,7 @@ class TestRelationType:
         for relation in RelationType:
             assert relation.definition.startswith("Node ")
             assert relation.definition.endswith(".")
-        block = relation_definitions_block()
+        block = RELATION_DEFINITIONS_BLOCK
         for relation in RelationType:
             assert block.count(relation.definition) == 1
 

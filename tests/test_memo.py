@@ -5,7 +5,6 @@ import random
 import sys
 import threading
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +24,8 @@ from flowsra.ir import (
     validate,
 )
 from flowsra.parsing import Dialect, parse_text
-from flowsra.relations import HeuristicRelationBackend, heuristic_recognize, upgrade_graph
+from flowsra.relations import (HeuristicRelationBackend, heuristic_recognize,
+                               make_relation_backend, upgrade_graph)
 from flowsra.routing import QuestionType
 
 from gen import mock_backend, rand_flow_graph, rand_structured_graph, upgrade_by_edge
@@ -70,11 +70,11 @@ class TestReferee:
     def test_memoised_results_equal_fresh_ones(self, seed, kind):
         rng = random.Random(seed)
         graph = GENERATORS[kind](rng)
-        triples = upgrade_graph(copy_of(graph), HeuristicRelationBackend()).triples
-        ug = UpgradedGraph(graph, triples)
+        relations = upgrade_graph(copy_of(graph), HeuristicRelationBackend()).relations
+        ug = UpgradedGraph(graph, relations)
 
         def fresh_ug() -> UpgradedGraph:
-            return UpgradedGraph(copy_of(graph), triples)
+            return UpgradedGraph(copy_of(graph), relations)
 
         checks = [lambda: validate(graph) == validate(copy_of(graph)),
                   lambda: emit_triples(ug) == emit_triples(fresh_ug()),
@@ -142,17 +142,40 @@ class TestCounts:
         assert [log.error for log in run.logs] == [None] * 5
         assert len(renders) == 1
 
-    def test_fallbacks_are_counted_once_per_graph(self, monkeypatch):
-        graph = rand_structured_graph(random.Random(3))
-        triples = list(upgrade_graph(graph, HeuristicRelationBackend()).triples)
-        triples[0] = replace(triples[0], rationale="fallback: no answer")
-        ug = UpgradedGraph(graph, triples)
+    def test_fallbacks_are_counted_once_per_graph(self):
         reads = []
-        is_fallback = ir.RelationTriple.is_fallback
-        monkeypatch.setattr(ir.RelationTriple, "is_fallback",
-                            property(lambda t: reads.append(t) or is_fallback.fget(t)))
+
+        class Rationale(str):
+            """A rationale that records each test of its prefix."""
+
+            def startswith(self, *args):
+                reads.append(self)
+                return super().startswith(*args)
+
+        graph = rand_structured_graph(random.Random(3))
+        relations = [(relation, Rationale(why)) for relation, why
+                     in upgrade_graph(graph, HeuristicRelationBackend()).relations]
+        relations[0] = relations[0][0], Rationale("fallback: no answer")
+        ug = UpgradedGraph(graph, relations)
         assert ug.fallback_count() == ug.fallback_count() == 1
-        assert len(reads) == len(triples)
+        assert len(reads) == len(relations)
+
+    @pytest.mark.parametrize("backend", ["heuristic", "llm"])
+    @pytest.mark.parametrize("dialect", list(Dialect), ids=lambda d: d.value)
+    def test_an_upgrade_and_its_texts_build_no_triple(self, monkeypatch, backend, dialect):
+        graph = rand_structured_graph(random.Random(4))
+        recognizer = make_relation_backend(
+            backend, ChatGateway(mock_backend([("", "RELATION: Causality")])), "recognizer")
+        built = []
+        init = ir.RelationTriple.__init__
+        monkeypatch.setattr(ir.RelationTriple, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        ug = upgrade_graph(graph, recognizer, dialect=dialect)
+        emit_upgraded(ug, dialect)
+        emit_triples(ug)
+        assert built == []
+        # the probe sees a triple built: the view builds one per edge
+        assert len(ug.triples) == len(built) == len(graph.edges) > 0
 
 
 class TestFailuresAndCopies:
@@ -196,7 +219,7 @@ def test_threads_sharing_one_graph_get_equal_results():
     """Many threads make the first calls on one graph at once, with the
     interpreter switching threads as often as it can."""
     base = rand_structured_graph(random.Random(11))
-    triples = upgrade_graph(copy_of(base), HeuristicRelationBackend()).triples
+    relations = upgrade_graph(copy_of(base), HeuristicRelationBackend()).relations
 
     def snapshot(graph: FlowGraph, ug: UpgradedGraph) -> tuple:
         return (
@@ -206,7 +229,7 @@ def test_threads_sharing_one_graph_get_equal_results():
             emit_triples(ug),
         )
 
-    expected = snapshot(copy_of(base), UpgradedGraph(copy_of(base), triples))
+    expected = snapshot(copy_of(base), UpgradedGraph(copy_of(base), relations))
     threads_n = 8
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -215,7 +238,7 @@ def test_threads_sharing_one_graph_get_equal_results():
         rounds = 0
         while rounds < 3 or time.monotonic() < deadline:
             graph = copy_of(base)
-            ug = UpgradedGraph(graph, triples)
+            ug = UpgradedGraph(graph, relations)
             barrier = threading.Barrier(threads_n, timeout=30)
             results: list = [None] * threads_n
 
